@@ -59,13 +59,26 @@ let compiled_flag ~default =
               ~doc:
                 "Compile the traffic into a replay plan once and fold the \
                  energy off it (default for sweeps; results are \
-                 bit-identical to interpretation).  Ignored at the \
-                 gate level and whenever an event sink is attached \
-                 (--trace-out/--metrics): those runs always interpret." );
+                 bit-identical to interpretation).  Plans exist at layers \
+                 1 and 2 without an event sink: a sweep interprets its \
+                 other cells, and a single replay at rtl or l3 or with \
+                 --trace-out/--metrics says so on stderr and interprets." );
           ( false,
             info [ "no-compiled" ]
               ~doc:"Interpret every replay through the full bus model." );
         ])
+
+(* Whether a single --compiled replay can take the plan path; when it
+   cannot, the run interprets and says so. *)
+let plan_path ~compiled ~sink level =
+  match level with
+  | (Core.Level.L1 | Core.Level.L2) when sink = None -> compiled
+  | Core.Level.Rtl | Core.Level.L1 | Core.Level.L2 | Core.Level.L3 ->
+    if compiled then
+      prerr_endline
+        "--compiled: plans need --level l1 or l2 and no \
+         --trace-out/--metrics; interpreting";
+    false
 
 let read_file path =
   let ic = open_in path in
@@ -371,7 +384,8 @@ let run_cmd =
             "After the run, capture the program's bus trace, compile it \
              into a replay plan and print the compiled-replay figures at \
              --level (l1 or l2) — the microsecond-scale path a sweep over \
-             this program's traffic would take.")
+             this program's traffic would take.  With --masters, evaluate \
+             the contention run off a compiled fabric plan instead.")
   in
   let masters_arg =
     Arg.(
@@ -413,10 +427,16 @@ let run_cmd =
       Printf.printf "level:        %s (%d masters)\n"
         (Core.Level.to_string level) n;
       let spool = if pool then Some (Core.Pool.create ()) else None in
+      let masters = (Core.Contention.Cpu, cpu_trace) :: extra in
       render_contention
-        (Core.Contention.run ~level ~policy:arbiter ~topology ~compiled
-           ?pool:spool
-           ((Core.Contention.Cpu, cpu_trace) :: extra));
+        (if plan_path ~compiled ~sink:None level then
+           Core.Contention.replay_plan ~level ~policy:arbiter ~topology
+             ~kinds:(List.map fst masters)
+             (Core.Contention.compile ~level ~policy:arbiter ~topology
+                ?pool:spool masters)
+         else
+           Core.Contention.run ~level ~policy:arbiter ~topology ?pool:spool
+             masters);
       match spool with
       | Some p when metrics ->
         print_newline ();
@@ -654,9 +674,13 @@ let trace_replay_cmd =
       finish_obs ?profile ~trace_out ~metrics sink
     end
     else begin
+      let init = Core.Runner.fill_memories in
       let r =
-        Core.Runner.run_trace ~level ~mode ~record_profile
-          ~init:Core.Runner.fill_memories ?sink ~compiled trace
+        if plan_path ~compiled ~sink level then
+          Core.Runner.replay_compiled ~record_profile
+            (Core.Runner.compile_trace ~level ~mode ~init trace)
+        else
+          Core.Runner.run_trace ~level ~mode ~record_profile ~init ?sink trace
       in
       Printf.printf "level:      %s\n" (Core.Level.to_string level);
       Printf.printf "txns:       %d (%d errors)\n" r.Core.Runner.txns

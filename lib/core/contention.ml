@@ -266,42 +266,6 @@ let execute ~level ~policy ~topology ~max_cycles s masters =
 (* ------------------------------------------------------------------ *)
 (* Compiled fabric plans (DESIGN.md section 18)                        *)
 
-(* Attach a body recorder to one bus's energy model; returns the
-   detach-and-finish closure, exactly as Runner.compile_trace does. *)
-let attach_body = function
-  | System.L1_bus b ->
-    let e = Option.get (Tlm1.Bus.energy b) in
-    let r = Compile.Plan.l1_recorder () in
-    Tlm1.Energy.set_observer e (Compile.Plan.l1_observe r);
-    fun () ->
-      Tlm1.Energy.clear_observer e;
-      Compile.Plan.l1_finish r
-  | System.L2_bus b ->
-    let e = Option.get (Tlm2.Bus.energy b) in
-    let r = Compile.Plan.l2_recorder () in
-    Tlm2.Energy.set_observer e (Compile.Plan.l2_observe r);
-    fun () ->
-      Tlm2.Energy.clear_observer e;
-      Compile.Plan.l2_finish r
-  | System.Rtl_bus _ -> assert false
-
-let bus_counters = function
-  | System.L1_bus b ->
-    ( Tlm1.Bus.completed_txns b,
-      Tlm1.Bus.completed_beats b,
-      Tlm1.Bus.error_txns b,
-      match Tlm1.Bus.energy b with
-      | Some e -> Tlm1.Energy.transitions_total e
-      | None -> 0 )
-  | System.L2_bus b ->
-    (Tlm2.Bus.completed_txns b, Tlm2.Bus.completed_beats b, Tlm2.Bus.error_txns b, 0)
-  | System.Rtl_bus _ -> assert false
-
-let plan_level = function
-  | Level.L1 -> `L1
-  | Level.L2 -> `L2
-  | Level.Rtl | Level.L3 -> assert false
-
 (* One instrumented interpreted pass: the bus energy observers record
    the near (and far) bodies while the fabric observer records each
    master's bucket-add order as pure integers.  The grant schedule is
@@ -313,8 +277,6 @@ let compile ?(level = Level.L1) ?(policy = Ec.Arbiter.Round_robin)
     ?(topology = Single) ?mode ?(max_cycles = 4_000_000)
     ?(bridge_latency = 2) ?(bridge_pj_per_beat = 1.5) ?pool masters =
   validate ~level masters;
-  if level = Level.Rtl then
-    invalid_arg "Core.Contention.compile: gate-level fabric plans are not supported";
   let build () =
     let table = Power.Characterization.default in
     let s =
@@ -322,46 +284,17 @@ let compile ?(level = Level.L1) ?(policy = Ec.Arbiter.Round_robin)
         ~bridge_latency ~bridge_pj_per_beat masters
     in
     let n = Array.length s.s_masters in
-    let near_finish = attach_body (System.bus s.s_system) in
-    let far_finish = Option.map (fun f -> attach_body f.far_bus) s.s_far in
+    let near_plan = System.capture s.s_system in
+    let far_plan =
+      Option.map (fun f -> System.capture ~bus:f.far_bus s.s_system) s.s_far
+    in
     let rec_ = Compile.Plan.fabric_recorder ~masters:n in
     Ec.Fabric.set_observer s.s_fabric (Compile.Plan.fabric_observer rec_);
     let kernel = System.kernel s.s_system in
     let cycles = Sim.Kernel.run_until kernel ~max_cycles (drained s) in
     Ec.Fabric.clear_observer s.s_fabric;
-    let near =
-      Compile.Plan.make
-        ~meta:
-          {
-            Compile.Plan.level = plan_level level;
-            cycles;
-            txns = System.completed_txns s.s_system;
-            beats = System.completed_beats s.s_system;
-            errors = System.error_txns s.s_system;
-            transitions = System.bus_transitions s.s_system;
-            component_pj = System.component_energy_pj s.s_system;
-          }
-        ~body:(near_finish ())
-    in
-    let far_plan =
-      match (s.s_far, far_finish) with
-      | Some f, Some finish ->
-        let txns, beats, errors, transitions = bus_counters f.far_bus in
-        Some
-          (Compile.Plan.make
-             ~meta:
-               {
-                 Compile.Plan.level = plan_level level;
-                 cycles;
-                 txns;
-                 beats;
-                 errors;
-                 transitions;
-                 component_pj = 0.0;
-               }
-             ~body:(finish ()))
-      | _ -> None
-    in
+    let near = near_plan ~cycles in
+    let far_plan = Option.map (fun finish -> finish ~cycles) far_plan in
     let fabric = s.s_fabric in
     let plan =
       Compile.Plan.fabric_finish rec_
@@ -456,48 +389,33 @@ let replay_plan ?(table = Power.Characterization.default) ~level ~policy
 let run ?(level = Level.L1) ?(policy = Ec.Arbiter.Round_robin)
     ?(topology = Single) ?mode ?(estimate = true) ?(max_cycles = 4_000_000)
     ?(bridge_latency = 2) ?(bridge_pj_per_beat = 1.5)
-    ?(table = Power.Characterization.default) ?(compiled = false) ?pool
-    masters =
+    ?(table = Power.Characterization.default) ?pool masters =
   validate ~level masters;
-  if compiled && estimate && (level = Level.L1 || level = Level.L2) then
-    (* Compiled route: resolve (or fetch) the fabric plan, then evaluate
-       the requested table over it.  Gate-level cells stay interpreted —
-       Diesel has no integer tap. *)
-    let plan =
-      compile ~level ~policy ~topology ?mode ~max_cycles ~bridge_latency
-        ~bridge_pj_per_beat ?pool masters
+  let build () =
+    build_session ~level ~policy ~topology ?mode ~estimate ~table
+      ~bridge_latency ~bridge_pj_per_beat masters
+  in
+  let execute s = execute ~level ~policy ~topology ~max_cycles s masters in
+  match pool with
+  | Some p ->
+    (* The key is the session's wiring: everything reset does not undo.
+       Traces and issue mode are re-armed per checkout. *)
+    let key =
+      "fabric:"
+      ^ Pool.fingerprint
+          ( level,
+            estimate,
+            table,
+            policy,
+            topology,
+            bridge_latency,
+            bridge_pj_per_beat,
+            List.map fst masters )
     in
-    replay_plan ~table ~level ~policy ~topology ~kinds:(List.map fst masters)
-      plan
-  else
-    match pool with
-    | Some p ->
-      (* The key is the session's wiring: everything reset does not undo.
-         Traces and issue mode are re-armed per checkout. *)
-      let key =
-        "fabric:"
-        ^ Pool.fingerprint
-            ( level,
-              estimate,
-              table,
-              policy,
-              topology,
-              bridge_latency,
-              bridge_pj_per_beat,
-              List.map fst masters )
-      in
-      Pool.with_session p session_kind ~key
-        ~build:(fun () ->
-          build_session ~level ~policy ~topology ?mode ~estimate ~table
-            ~bridge_latency ~bridge_pj_per_beat masters)
-        ~reset:(fun s -> reset_session ?mode s masters)
-        (fun s -> execute ~level ~policy ~topology ~max_cycles s masters)
-    | None ->
-      let s =
-        build_session ~level ~policy ~topology ?mode ~estimate ~table
-          ~bridge_latency ~bridge_pj_per_beat masters
-      in
-      execute ~level ~policy ~topology ~max_cycles s masters
+    Pool.with_session p session_kind ~key ~build
+      ~reset:(fun s -> reset_session ?mode s masters)
+      execute
+  | None -> execute (build ())
 
 let default_masters ?(n = 512) topology =
   let src =
@@ -527,11 +445,18 @@ let study ?(n = 512) ?(levels = Level.timed)
       ]) ?(compiled = false) ?pool ?domains () =
   (* Grid cells are fully independent simulations, so the sweep maps
      across domains; with a pool, plans and sessions persist in each
-     domain's cache, so a second sweep replays from memoized plans. *)
+     domain's cache, so a second sweep replays from memoized plans.
+     Gate-level cells interpret even in a compiled sweep: Diesel has no
+     integer tap. *)
   Parallel.map ?domains
     (fun (level, policy, topology) ->
-      run ~level ~policy ~topology ~compiled ?pool
-        (default_masters ~n topology))
+      let masters = default_masters ~n topology in
+      match level with
+      | (Level.L1 | Level.L2) when compiled ->
+        replay_plan ~level ~policy ~topology ~kinds:(List.map fst masters)
+          (compile ~level ~policy ~topology ?pool masters)
+      | Level.Rtl | Level.L1 | Level.L2 | Level.L3 ->
+        run ~level ~policy ~topology ?pool masters)
     (study_cells ~levels ~policies)
 
 let render_study results =

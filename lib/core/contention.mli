@@ -68,27 +68,23 @@ val run :
   ?bridge_latency:int ->
   ?bridge_pj_per_beat:float ->
   ?table:Power.Characterization.t ->
-  ?compiled:bool ->
   ?pool:Pool.t ->
   (kind * Ec.Trace.t) list ->
   result
 (** Replays each listed trace on its own fabric port until every master
-    drains.  Master 0 is highest priority under [Fixed_priority] and the
-    weight vector of a [Weighted] policy is in list order.
+    drains, interpreting the full bus models.  Master 0 is highest
+    priority under [Fixed_priority] and the weight vector of a
+    [Weighted] policy is in list order.
 
     Defaults: [level = L1] (any timed level works), [policy =
     Round_robin], [topology = Single], pipelined masters, estimation on,
     bridge latency 2 cycles at 1.5 pJ/beat.
 
-    [~compiled:true] routes layer-1/2 estimation runs through a fabric
-    plan ({!compile}) and evaluates [table] over it — bit-identical to
-    the interpreted run, orders of magnitude faster once the plan is
-    memoized; gate-level and estimation-off runs fall back to
-    interpretation.  With [?pool], interpreted runs check out a pooled
-    fabric session (keyed by level, policy, topology, bridge parameters
-    and master kinds; traces and issue mode re-arm per checkout) and
-    compiled runs memoize their plans in the pool under the ["fabric"]
-    plan tag.
+    With [?pool] the run checks out a pooled fabric session (keyed by
+    level, policy, topology, bridge parameters and master kinds; traces
+    and issue mode re-arm per checkout).  For the compiled path call
+    {!compile} + {!replay_plan}: bit-identical results for layer-1/2
+    estimation runs.
 
     @raise Invalid_argument on an empty master list, on [level = L3]
     (the message layer replays serially through a carrier — there is
@@ -113,7 +109,8 @@ val compile :
     any characterization table.  Asserts the schedule's
     parameter-independence with a replay cross-check — the fresh plan
     evaluated at the capture table must reproduce the interpreted
-    buckets bit for bit.  With [?pool] the plan is memoized under the
+    buckets bit for bit.  The near and far bodies are recorded by
+    {!System.capture}.  With [?pool] the plan is memoized under the
     ["fabric"] tag.
 
     @raise Invalid_argument on [level = Rtl] (Diesel has no integer tap)
@@ -150,9 +147,10 @@ val study :
 (** The full exploration grid: arbiter policy x topology x level (default
     levels {!Level.timed}, default policies fixed / rr / wrr 4:2:1) over
     {!default_masters}.  Cells are independent simulations mapped across
-    [?domains] {!Parallel} domains; [?compiled] and [?pool] forward to
-    {!run}, so a pooled compiled sweep replays its grid from memoized
-    plans on the second pass. *)
+    [?domains] {!Parallel} domains.  With [~compiled:true] the layer-1/2
+    cells go through {!compile} + {!replay_plan} and the gate-level
+    cells through {!run}; [?pool] reaches both, so a pooled compiled
+    sweep replays its grid from memoized plans on the second pass. *)
 
 val render_study : result list -> string
 (** Markdown-ish table of a {!study}, one row per run with per-master

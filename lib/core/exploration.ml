@@ -87,50 +87,14 @@ let compile_cell ~level ~config applet =
       ~extra_slaves:[ Jcvm.Hw_stack.slave hw ]
       ()
   in
-  let finish =
-    match System.bus system with
-    | System.L1_bus b ->
-      let e = Option.get (Tlm1.Bus.energy b) in
-      let r = Compile.Plan.l1_recorder () in
-      Tlm1.Energy.set_observer e (Compile.Plan.l1_observe r);
-      fun () ->
-        Tlm1.Energy.clear_observer e;
-        Compile.Plan.l1_finish r
-    | System.L2_bus b ->
-      let e = Option.get (Tlm2.Bus.energy b) in
-      let r = Compile.Plan.l2_recorder () in
-      Tlm2.Energy.set_observer e (Compile.Plan.l2_observe r);
-      fun () ->
-        Tlm2.Energy.clear_observer e;
-        Compile.Plan.l2_finish r
-    | System.Rtl_bus _ -> assert false
-  in
+  let finish = System.capture system in
   let kernel = System.kernel system in
   let result, transactions, correct =
     interpret ~kernel ~port:(System.port system) ~config applet
   in
   let cycles = Sim.Kernel.now kernel in
-  let body = finish () in
-  let plan =
-    Compile.Plan.make
-      ~meta:
-        {
-          Compile.Plan.level =
-            (match level with
-            | Level.L1 -> `L1
-            | Level.L2 -> `L2
-            | Level.Rtl | Level.L3 -> assert false);
-          cycles;
-          txns = System.completed_txns system;
-          beats = System.completed_beats system;
-          errors = System.error_txns system;
-          transitions = System.bus_transitions system;
-          component_pj = System.component_energy_pj system;
-        }
-      ~body
-  in
   {
-    cp_plan = plan;
+    cp_plan = finish ~cycles;
     cp_cycles = cycles;
     cp_transactions = transactions;
     cp_steps = result.Jcvm.Interp.steps;
@@ -174,17 +138,21 @@ let run_fixed ?(level = Level.L1) ?(compiled = true) ?table ?sink ?pool ~config
     in
     { fs_hw = hw; fs_system = system }
   in
-  match pool with
-  | Some p when sink = None && compiled && level <> Level.Rtl ->
+  match (pool, level) with
+  | Some p, (Level.L1 | Level.L2) when sink = None && compiled ->
     (* Compiled cell: the plan memoizes per (level, applet,
        configuration) — the table is folded off it afterwards, so a
-       table sweep over one cell interprets the applet exactly once. *)
+       table sweep over one cell interprets the applet exactly once.
+       Plans exist at layers 1 and 2 only; other cells interpret. *)
     let key =
       Printf.sprintf "explore-plan:%s:%s:%s" (Level.to_string level)
         applet.Jcvm.Applets.name
         (Pool.fingerprint config)
     in
-    let cp = Pool.memo p cell_kind ~key (fun () -> compile_cell ~level ~config applet) in
+    let cp =
+      Pool.memo p cell_kind ~tag:"explore" ~key (fun () ->
+          compile_cell ~level ~config applet)
+    in
     let table = Option.value table ~default:Power.Characterization.default in
     let o = Compile.Eval.eval ~table cp.cp_plan in
     {
@@ -199,7 +167,7 @@ let run_fixed ?(level = Level.L1) ?(compiled = true) ?table ?sink ?pool ~config
       correct = cp.cp_correct;
       provenance = None;
     }
-  | Some p when sink = None ->
+  | Some p, _ when sink = None ->
     let key =
       Printf.sprintf "explore:%s:%s" (Level.to_string level)
         (Pool.fingerprint (config, table))
@@ -209,7 +177,7 @@ let run_fixed ?(level = Level.L1) ?(compiled = true) ?table ?sink ?pool ~config
         Jcvm.Hw_stack.reset s.fs_hw;
         System.reset s.fs_system)
       (fun s -> execute s.fs_system)
-  | Some _ | None -> execute (build ()).fs_system
+  | (Some _ | None), _ -> execute (build ()).fs_system
 
 let run_adaptive ?table ?sink ?pool ~policy ~config applet =
   let execute (live : Runner.live) =

@@ -53,14 +53,14 @@ val run_one :
     materials) for the cell's configuration shape; rows are
     bit-identical to fresh builds.  Cells with a [sink] never pool.
 
-    [compiled] (default [true]) applies to pooled fixed-level cells:
-    the cell's interpretation is captured once into a
-    {!Compile.Plan.t} memoized in [pool] per (level, applet,
+    [compiled] (default [true]) applies to pooled layer-1/2 cells: the
+    cell's interpretation is captured once into a {!Compile.Plan.t}
+    memoized in [pool] (tag ["explore"]) per (level, applet,
     configuration) — the characterization table folds off the plan
     afterwards, so repeating a cell (or sweeping tables over it) skips
     the JCVM interpretation entirely.  Rows are bit-identical to the
     interpreted cell.  Cells without a [pool], with a [sink], at
-    {!Level.Rtl} or under a [policy] always interpret.
+    {!Level.Rtl} or {!Level.L3}, or under a [policy] always interpret.
     @raise Invalid_argument if both [level] and [policy] are given. *)
 
 val run :

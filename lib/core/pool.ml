@@ -16,12 +16,11 @@ type t = {
   capacity : int;  (* per (domain, key) free-list cap *)
   hits : int Atomic.t;
   builds : int Atomic.t;
-  memo_hits : int Atomic.t;
-  memo_builds : int Atomic.t;
-  (* Per-kind breakout of the memo counters (trace plans vs fabric
-     plans, see Report.pool_stats).  The table only ever grows by a
-     handful of tags, so a mutex around the lookup is cheap; the
-     counters themselves are atomics, bumped lock-free once found. *)
+  (* Memo counters per tag (trace, fabric and exploration-cell plans,
+     see Report.pool_stats); the totals are their sums.  The table only
+     ever grows by a handful of tags, so a mutex around the lookup is
+     cheap; the counters themselves are atomics, bumped lock-free once
+     found. *)
   memo_tags : (string, int Atomic.t * int Atomic.t) Hashtbl.t;
   memo_tags_lock : Mutex.t;
 }
@@ -57,8 +56,6 @@ let create ?(capacity = 4) () =
     capacity;
     hits = Atomic.make 0;
     builds = Atomic.make 0;
-    memo_hits = Atomic.make 0;
-    memo_builds = Atomic.make 0;
     memo_tags = Hashtbl.create 4;
     memo_tags_lock = Mutex.create ();
   }
@@ -138,7 +135,7 @@ let tag_counters t tag =
   Mutex.unlock t.memo_tags_lock;
   c
 
-let memo t kind ?tag ~key build =
+let memo t kind ~tag ~key build =
   let r = slot t ~key:("memo\x00" ^ key) in
   let rec find = function
     | [] -> None
@@ -147,25 +144,16 @@ let memo t kind ?tag ~key build =
       | Some v -> Some v
       | None -> find rest)
   in
-  let bump sel =
-    match tag with
-    | None -> ()
-    | Some tag -> Atomic.incr (sel (tag_counters t tag))
-  in
+  let hits, builds = tag_counters t tag in
   match find !r with
   | Some v ->
-    Atomic.incr t.memo_hits;
-    bump fst;
+    Atomic.incr hits;
     v
   | None ->
-    Atomic.incr t.memo_builds;
-    bump snd;
+    Atomic.incr builds;
     let v = build () in
     r := { kind_id = kind.kind_id; value = kind.inj v } :: !r;
     v
-
-let memo_hits t = Atomic.get t.memo_hits
-let memo_builds t = Atomic.get t.memo_builds
 
 let memo_tag_stats t =
   Mutex.lock t.memo_tags_lock;
@@ -176,6 +164,17 @@ let memo_tag_stats t =
   in
   Mutex.unlock t.memo_tags_lock;
   List.sort compare rows
+
+let memo_total t sel =
+  Mutex.lock t.memo_tags_lock;
+  let n =
+    Hashtbl.fold (fun _ c acc -> acc + Atomic.get (sel c)) t.memo_tags 0
+  in
+  Mutex.unlock t.memo_tags_lock;
+  n
+
+let memo_hits t = memo_total t fst
+let memo_builds t = memo_total t snd
 
 (* Pool keys fingerprint configuration values (characterization tables,
    electrical parameter records, interface configurations) — pure data,

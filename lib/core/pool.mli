@@ -58,8 +58,8 @@ val hits : t -> int
 val builds : t -> int
 (** Checkouts that had to build fresh (across all domains). *)
 
-val memo : t -> 'a kind -> ?tag:string -> key:string -> (unit -> 'a) -> 'a
-(** [memo t k ~key build] caches an immutable value (a compiled trace
+val memo : t -> 'a kind -> tag:string -> key:string -> (unit -> 'a) -> 'a
+(** [memo t k ~tag ~key build] caches an immutable value (a compiled
     plan, typically) in the pool's domain-local store: the first call
     per (domain, key) runs [build], later calls return the cached value
     without checkout or reset.  Memo entries are exempt from the
@@ -67,20 +67,18 @@ val memo : t -> 'a kind -> ?tag:string -> key:string -> (unit -> 'a) -> 'a
     collide with session keys.  Since the value is shared, callers must
     not mutate it.
 
-    [tag] names the plan kind (["trace"], ["fabric"]) for the per-kind
-    hit/build breakout of {!memo_tag_stats}; untagged calls count only
-    in the totals. *)
-
-val memo_hits : t -> int
-(** Memo lookups served from cache (across all domains). *)
-
-val memo_builds : t -> int
-(** Memo lookups that ran their build (across all domains). *)
+    [tag] names the plan kind (["trace"], ["fabric"], ["explore"]) for
+    the per-kind hit/build breakout of {!memo_tag_stats}. *)
 
 val memo_tag_stats : t -> (string * int * int) list
-(** Per-tag memo counters as [(tag, hits, builds)], sorted by tag.  The
-    tag totals only cover tagged {!memo} calls; {!memo_hits} and
-    {!memo_builds} remain the authoritative overall counts. *)
+(** Per-tag memo counters as [(tag, hits, builds)], sorted by tag
+    (across all domains). *)
+
+val memo_hits : t -> int
+(** Memo lookups served from cache: the sum of the per-tag hits. *)
+
+val memo_builds : t -> int
+(** Memo lookups that ran their build: the sum of the per-tag builds. *)
 
 val fingerprint : 'a -> string
 (** Structural fingerprint for pool keys, via [Marshal] + [Digest].

@@ -59,54 +59,15 @@ let plan_kind : Compile.Plan.t Pool.kind = Pool.kind ()
    The capture table is irrelevant: the taps never see a float. *)
 let compile_trace ?(level = Level.L1) ?(mode = `Pipelined) ?max_cycles ?init
     ?pool trace =
-  if level = Level.Rtl then
-    invalid_arg "Core.Runner.compile_trace: gate-level plans are not supported";
-  if level = Level.L3 then
-    invalid_arg
-      "Core.Runner.compile_trace: bridged layer-3 replay is interpreted";
   let build () =
     let system = System.create ~level ~estimate:true () in
-    let finish =
-      match System.bus system with
-      | System.L1_bus b ->
-        let e = Option.get (Tlm1.Bus.energy b) in
-        let r = Compile.Plan.l1_recorder () in
-        Tlm1.Energy.set_observer e (Compile.Plan.l1_observe r);
-        fun () ->
-          Tlm1.Energy.clear_observer e;
-          Compile.Plan.l1_finish r
-      | System.L2_bus b ->
-        let e = Option.get (Tlm2.Bus.energy b) in
-        let r = Compile.Plan.l2_recorder () in
-        Tlm2.Energy.set_observer e (Compile.Plan.l2_observe r);
-        fun () ->
-          Tlm2.Energy.clear_observer e;
-          Compile.Plan.l2_finish r
-      | System.Rtl_bus _ -> assert false
-    in
+    let finish = System.capture system in
     (match init with Some f -> f system | None -> ());
     let kernel = System.kernel system in
     let master =
       Soc.Trace_master.create ~kernel ~port:(System.port system) ~mode trace
     in
-    let cycles = Soc.Trace_master.run master ~kernel ?max_cycles () in
-    let body = finish () in
-    Compile.Plan.make
-      ~meta:
-        {
-          Compile.Plan.level =
-            (match level with
-            | Level.L1 -> `L1
-            | Level.L2 -> `L2
-            | Level.Rtl | Level.L3 -> assert false);
-          cycles;
-          txns = System.completed_txns system;
-          beats = System.completed_beats system;
-          errors = System.error_txns system;
-          transitions = System.bus_transitions system;
-          component_pj = System.component_energy_pj system;
-        }
-      ~body
+    finish ~cycles:(Soc.Trace_master.run master ~kernel ?max_cycles ())
   in
   match (pool, init) with
   | Some p, None ->
@@ -122,15 +83,9 @@ let compile_trace ?(level = Level.L1) ?(mode = `Pipelined) ?max_cycles ?init
     Pool.memo p plan_kind ~tag:"trace" ~key build
   | _ -> build ()
 
-let replay_compiled ?(estimate = true) ?(record_profile = false) ?table
-    ?l2_params plan =
-  let t0 = Unix.gettimeofday () in
-  let o =
-    if estimate then
-      let table = Option.value table ~default:Power.Characterization.default in
-      Some (Compile.Eval.eval ~record_profile ?l2_params ~table plan)
-    else None
-  in
+(* A result off a plan: the scalars come from the capture run, the
+   energy from one evaluation — or none, like an estimator-less system. *)
+let result_of_plan plan ~wall_seconds (o : Compile.Eval.outcome option) =
   let m = Compile.Plan.meta plan in
   {
     level = (match m.Compile.Plan.level with `L1 -> Level.L1 | `L2 -> Level.L2);
@@ -140,32 +95,27 @@ let replay_compiled ?(estimate = true) ?(record_profile = false) ?table
     errors = m.Compile.Plan.errors;
     bus_pj = (match o with Some o -> o.Compile.Eval.bus_pj | None -> 0.0);
     component_pj = m.Compile.Plan.component_pj;
-    transitions = (if estimate then m.Compile.Plan.transitions else 0);
-    profile = (match o with Some o -> o.Compile.Eval.profile | None -> None);
-    wall_seconds = Unix.gettimeofday () -. t0;
+    transitions = (if Option.is_some o then m.Compile.Plan.transitions else 0);
+    profile = Option.bind o (fun o -> o.Compile.Eval.profile);
+    wall_seconds;
   }
+
+let replay_compiled ?(estimate = true) ?(record_profile = false) ?table
+    ?l2_params plan =
+  let t0 = Unix.gettimeofday () in
+  let o =
+    if estimate then
+      let table = Option.value table ~default:Power.Characterization.default in
+      Some (Compile.Eval.eval ~record_profile ?l2_params ~table plan)
+    else None
+  in
+  result_of_plan plan o ~wall_seconds:(Unix.gettimeofday () -. t0)
 
 let replay_multi ?(record_profile = false) ~points plan =
   let t0 = Unix.gettimeofday () in
   let outs = Compile.Eval.eval_multi ~record_profile plan ~points in
   let wall_seconds = Unix.gettimeofday () -. t0 in
-  let m = Compile.Plan.meta plan in
-  List.map
-    (fun (o : Compile.Eval.outcome) ->
-      {
-        level =
-          (match m.Compile.Plan.level with `L1 -> Level.L1 | `L2 -> Level.L2);
-        cycles = m.Compile.Plan.cycles;
-        txns = m.Compile.Plan.txns;
-        beats = m.Compile.Plan.beats;
-        errors = m.Compile.Plan.errors;
-        bus_pj = o.Compile.Eval.bus_pj;
-        component_pj = m.Compile.Plan.component_pj;
-        transitions = m.Compile.Plan.transitions;
-        profile = o.Compile.Eval.profile;
-        wall_seconds;
-      })
-    outs
+  List.map (fun o -> result_of_plan plan (Some o) ~wall_seconds) outs
 
 (* Message-layer replay (DESIGN.md section 17.4): the trace's
    transactions pushed one by one through the Tlm3 bridge onto the
@@ -193,98 +143,63 @@ let replay_bridged system ?max_cycles trace =
 
 let run_trace ?(level = Level.L1) ?(estimate = true) ?(record_profile = false)
     ?table ?rtl_params ?l2_params ?(mode = `Pipelined) ?max_cycles ?init ?sink
-    ?pool ?(compiled = false) trace =
-  if compiled && level <> Level.Rtl && level <> Level.L3 && sink = None then
-    (* Compiled route: resolve (or fetch) the plan, then evaluate the
-       requested parameter point over it.  Gate-level runs and runs with
-       a sink fall back to interpretation — the plan carries no event
-       stream, and Diesel has no integer tap. *)
-    let plan = compile_trace ~level ~mode ?max_cycles ?init ?pool trace in
-    replay_compiled ~estimate ~record_profile ?table ?l2_params plan
-  else if level = Level.L3 then begin
-    (* Bridged replay needs no kernel-registered master, so a pooled L3
-       run reuses a bare carrier system and rebuilds the (stateless
-       beyond its counters) bridge per run. *)
-    let execute system =
-      (match init with Some f -> f system | None -> ());
-      let t0 = Unix.gettimeofday () in
-      let cycles = replay_bridged system ?max_cycles trace in
-      let wall_seconds = Unix.gettimeofday () -. t0 in
-      record_run_energy sink system ~cycles;
-      collect system ~cycles ~wall_seconds
-    in
-    match pool with
-    | Some p when sink = None ->
-      let key =
-        Printf.sprintf "trace:%s:%b:%b:%s" (Level.to_string level) estimate
-          record_profile
-          (Pool.fingerprint (table, rtl_params, l2_params))
-      in
-      Pool.with_session p system_kind ~key
-        ~build:(fun () ->
-          System.create ~level ~estimate ~record_profile ?table ?rtl_params
-            ?l2_params ())
-        ~reset:System.reset execute
-    | Some _ | None ->
-      let system =
-        System.create ~level ~estimate ~record_profile ?table ?rtl_params
-          ?l2_params ?sink ()
-      in
-      execute system
-  end
-  else
-  let execute system master =
+    ?pool trace =
+  let build_system () =
+    System.create ~level ~estimate ~record_profile ?table ?rtl_params
+      ?l2_params ?sink ()
+  in
+  let execute system run =
     (match init with Some f -> f system | None -> ());
-    let kernel = System.kernel system in
     let t0 = Unix.gettimeofday () in
-    let cycles = Soc.Trace_master.run master ~kernel ?max_cycles () in
+    let cycles = run () in
     let wall_seconds = Unix.gettimeofday () -. t0 in
     record_run_energy sink system ~cycles;
     collect system ~cycles ~wall_seconds
   in
-  match pool with
-  | Some p when sink = None ->
-    (* Everything reset does not undo goes into the key; issue mode and
-       the trace itself are re-armed per checkout. *)
-    let key =
-      Printf.sprintf "trace:%s:%b:%b:%s" (Level.to_string level) estimate
-        record_profile
-        (Pool.fingerprint (table, rtl_params, l2_params))
+  (* Sessions with a sink are never pooled: the sink is wired into the
+     bus at creation and its event stream spans the session.  Everything
+     reset does not undo goes into the key; issue mode and the trace
+     itself are re-armed per checkout. *)
+  let pool = if sink = None then pool else None in
+  let key () =
+    Printf.sprintf "trace:%s:%b:%b:%s" (Level.to_string level) estimate
+      record_profile
+      (Pool.fingerprint (table, rtl_params, l2_params))
+  in
+  if level = Level.L3 then
+    (* Bridged replay needs no kernel-registered master, so a pooled L3
+       run reuses a bare carrier system and rebuilds the (stateless
+       beyond its counters) bridge per run. *)
+    let execute system =
+      execute system (fun () -> replay_bridged system ?max_cycles trace)
     in
-    Pool.with_session p trace_kind ~key
-      ~build:(fun () ->
-        let system =
-          System.create ~level ~estimate ~record_profile ?table ?rtl_params
-            ?l2_params ()
-        in
-        let kernel = System.kernel system in
-        let master =
-          Soc.Trace_master.create ~kernel ~port:(System.port system) ~mode
-            trace
-        in
-        { ts_system = system; ts_master = master })
-      ~reset:(fun s ->
-        System.reset s.ts_system;
-        Soc.Trace_master.reset ~mode s.ts_master trace)
-      (fun s -> execute s.ts_system s.ts_master)
-  | Some _ | None ->
-    (* Sessions with a sink are never pooled: the sink is wired into the
-       bus at creation and its event stream spans the session. *)
-    let system =
-      System.create ~level ~estimate ~record_profile ?table ?rtl_params
-        ?l2_params ?sink ()
+    match pool with
+    | Some p ->
+      Pool.with_session p system_kind ~key:(key ()) ~build:build_system
+        ~reset:System.reset execute
+    | None -> execute (build_system ())
+  else
+    let build () =
+      let system = build_system () in
+      let master =
+        Soc.Trace_master.create ~kernel:(System.kernel system)
+          ~port:(System.port system) ~mode ?sink trace
+      in
+      { ts_system = system; ts_master = master }
     in
-    (match init with Some f -> f system | None -> ());
-    let kernel = System.kernel system in
-    let master =
-      Soc.Trace_master.create ~kernel ~port:(System.port system) ~mode ?sink
-        trace
+    let execute s =
+      execute s.ts_system (fun () ->
+          Soc.Trace_master.run s.ts_master ~kernel:(System.kernel s.ts_system)
+            ?max_cycles ())
     in
-    let t0 = Unix.gettimeofday () in
-    let cycles = Soc.Trace_master.run master ~kernel ?max_cycles () in
-    let wall_seconds = Unix.gettimeofday () -. t0 in
-    record_run_energy sink system ~cycles;
-    collect system ~cycles ~wall_seconds
+    match pool with
+    | Some p ->
+      Pool.with_session p trace_kind ~key:(key ()) ~build
+        ~reset:(fun s ->
+          System.reset s.ts_system;
+          Soc.Trace_master.reset ~mode s.ts_master trace)
+        execute
+    | None -> execute (build ())
 
 let run_levels ?estimate ?table ?mode ?init ?domains ?pool trace =
   Parallel.map ?domains
@@ -446,7 +361,9 @@ let program_kind : program_session Pool.kind = Pool.kind ()
 let run_program ?(level = Level.L1) ?(estimate = true) ?(record_profile = false)
     ?table ?max_cycles ?icache_lines ?vcd ?sink ?pool program =
   let build () =
-    let system = System.create ~level ~estimate ~record_profile ?table () in
+    let system =
+      System.create ~level ~estimate ~record_profile ?table ?sink ()
+    in
     let kernel = System.kernel system in
     Soc.Platform.load_program (System.platform system) program;
     let platform = System.platform system in
@@ -498,54 +415,23 @@ let run_program ?(level = Level.L1) ?(estimate = true) ?(record_profile = false)
         Soc.Cpu.reset s.ps_cpu ~pc:program.Soc.Asm.origin;
         Soc.Platform.load_program (System.platform s.ps_system) program)
       execute
-  | Some _ | None ->
-    (* VCD recording and sinks hook the session at creation — such runs
-       always build fresh. *)
-    let system =
-      System.create ~level ~estimate ~record_profile ?table ?sink ()
-    in
-    let kernel = System.kernel system in
-    let vcd_dump =
-      match (vcd, System.bus system) with
-      | Some path, System.Rtl_bus bus ->
-        Some (path, Rtl.Vcd.create ~kernel (Rtl.Bus.wires bus))
-      | Some _, (System.L1_bus _ | System.L2_bus _) ->
-        invalid_arg "Core.Runner.run_program: vcd needs the rtl level"
-      | None, _ -> None
-    in
-    Soc.Platform.load_program (System.platform system) program;
-    let platform = System.platform system in
-    let bus_port = System.port system in
-    let icache =
-      Option.map
-        (fun lines -> Soc.Icache.create ~kernel ~lines ~inner:bus_port ())
-        icache_lines
-    in
-    let cpu_port =
-      match icache with Some c -> Soc.Icache.port c | None -> bus_port
-    in
-    let cpu =
-      Soc.Cpu.create ~kernel ~port:cpu_port ~pc:program.Soc.Asm.origin
-        ~irq:(fun () -> Soc.Platform.irq_asserted platform)
-        ()
-    in
-    let t0 = Unix.gettimeofday () in
-    let cycles = Soc.Cpu.run_to_halt cpu ~kernel ?max_cycles () in
-    let wall_seconds = Unix.gettimeofday () -. t0 in
-    (match vcd_dump with
-    | Some (path, recorder) -> Rtl.Vcd.write recorder path
-    | None -> ());
-    record_run_energy sink system ~cycles;
-    {
-      result = collect system ~cycles ~wall_seconds;
-      instructions = Soc.Cpu.instructions cpu;
-      fault = Soc.Cpu.fault cpu;
-      uart_output =
-        Soc.Uart.transmitted (Soc.Platform.uart (System.platform system));
-      system;
-      cpu;
-      icache;
-    }
+  | Some _ | None -> (
+    (* VCD recording and sinks hook the session for its whole life —
+       such runs always build fresh.  The recorder's falling-edge sampler
+       only has to follow the bus process, which [System.create]
+       registers, so it can attach after the build. *)
+    let s = build () in
+    match (vcd, System.bus s.ps_system) with
+    | None, _ -> execute s
+    | Some path, System.Rtl_bus bus ->
+      let recorder =
+        Rtl.Vcd.create ~kernel:(System.kernel s.ps_system) (Rtl.Bus.wires bus)
+      in
+      let run = execute s in
+      Rtl.Vcd.write recorder path;
+      run
+    | Some _, (System.L1_bus _ | System.L2_bus _) ->
+      invalid_arg "Core.Runner.run_program: vcd needs the rtl level")
 
 let capture_with_icache ?icache_lines ?max_cycles program =
   let system = System.create ~level:Level.Rtl () in
@@ -609,10 +495,10 @@ type live = {
 
 (* The durable hardware of a live session: one kernel, the platform, and
    a bus front-end per level — everything a pooled live run can reuse
-   after a reset.  Both front-ends are built eagerly: an idle bus
-   process steps to no effect and adds no energy, so the eager layer-2
-   front-end is behaviour- and measurement-neutral next to the lazy one
-   a one-shot session builds on demand. *)
+   after a reset, and what an unpooled session builds for itself.  Both
+   front-ends are built eagerly: an idle bus process steps to no effect
+   and adds no energy, so the layer-2 front-end is behaviour- and
+   measurement-neutral until a window routes to it. *)
 type live_materials = {
   m_kernel : Sim.Kernel.t;
   m_platform : Soc.Platform.t;
@@ -661,52 +547,26 @@ let reset_live_materials m =
   Tlm2.Bus.reset m.m_b2;
   m.m_extra_reset ()
 
-let live_adaptive ?(table = Power.Characterization.default) ?l2_params ?budget
-    ?sink ?(extra_slaves = []) ?(peripheral_clock = `Gated) ?(calibrate = true)
-    ?materials ~policy () =
-  let kernel, platform, e1, b1, table, base_params =
+let live_adaptive ?table ?l2_params ?budget ?sink ?extra_slaves
+    ?peripheral_clock ?(calibrate = true) ?materials ~policy () =
+  let m =
     match materials with
-    | Some m ->
-      (m.m_kernel, m.m_platform, m.m_e1, m.m_b1, m.m_table, m.m_base_params)
+    | Some m -> m
     | None ->
-      let kernel = Sim.Kernel.create () in
-      let platform =
-        Soc.Platform.create ~kernel ~extra_slaves ~peripheral_clock ()
-      in
-      let decoder = Soc.Platform.decoder platform in
-      let e1 = Tlm1.Energy.create table in
-      let b1 = Tlm1.Bus.create ~kernel ~decoder ~energy:e1 ?sink () in
-      let base_params =
-        Option.value l2_params ~default:Tlm2.Energy.default_params
-      in
-      (kernel, platform, e1, b1, table, base_params)
+      live_materials ?table ?l2_params ?sink ?extra_slaves ?peripheral_clock ()
   in
+  let kernel = m.m_kernel and platform = m.m_platform in
+  let e1 = m.m_e1 and b1 = m.m_b1 in
+  let table = m.m_table and base_params = m.m_base_params in
   (* The layer-2 calibration scale: re-derived from every refined window
-     (see [on_close] below), read lazily when the layer-2 front-end is
-     first needed so a pure-L1 session never builds it.  With materials
-     the front-end already exists; forcing applies the current scale to
-     it, exactly as the on-demand construction would. *)
+     (see [on_close] below) and applied to the layer-2 model when its
+     front-end is first routed to. *)
   let l2_scale = ref 1.0 in
   let have_scale = ref false in
   let l2 =
-    match materials with
-    | Some m ->
-      lazy
-        (Tlm2.Energy.set_params m.m_e2
-           (scale_l2_params !l2_scale m.m_base_params);
-         (m.m_b2, m.m_e2))
-    | None ->
-      lazy
-        (let e2 =
-           Tlm2.Energy.create ~params:(scale_l2_params !l2_scale base_params)
-             table
-         in
-         let b2 =
-           Tlm2.Bus.create ~kernel
-             ~decoder:(Soc.Platform.decoder platform)
-             ~energy:e2 ?sink ()
-         in
-         (b2, e2))
+    lazy
+      (Tlm2.Energy.set_params m.m_e2 (scale_l2_params !l2_scale base_params);
+       (m.m_b2, m.m_e2))
   in
   let measure (level : Hier.Level.t) =
     let component_pj = Soc.Platform.components_energy_pj platform in

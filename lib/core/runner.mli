@@ -31,14 +31,14 @@ val run_trace :
   ?init:(System.t -> unit) ->
   ?sink:Obs.Sink.t ->
   ?pool:Pool.t ->
-  ?compiled:bool ->
   Ec.Trace.t ->
   result
-(** [init] runs against the fresh system before simulation starts (load
-    images, fill memories).  [sink] attaches the instrumentation sink to
-    the bus and the trace master and records one final [Energy_sample]
-    (plus the run's pJ/beat) when the workload drains; simulated results
-    are bit-identical with and without it.
+(** Interprets the trace through the full bus model.  [init] runs
+    against the system before simulation starts (load images, fill
+    memories).  [sink] attaches the instrumentation sink to the bus and
+    the trace master and records one final [Energy_sample] (plus the
+    run's pJ/beat) when the workload drains; simulated results are
+    bit-identical with and without it.
 
     [pool] reuses a reset session of the same configuration instead of
     building one — results are bit-identical to a fresh build.  Sessions
@@ -47,14 +47,9 @@ val run_trace :
     must set state (fill memories, poke registers), not register kernel
     processes.
 
-    [compiled] (default [false]) routes the run through
-    {!compile_trace} + {!replay_compiled}: one resolution pass builds a
-    replay plan (cached in [pool] when given), and the energy for this
-    run's [table]/[l2_params] point is folded off the plan.  Results are
-    bit-identical to the interpreted run, including the per-cycle
-    profile.  Compiled mode is sink-free by design — the plan carries no
-    event stream — so a run with a [sink] (or at {!Level.Rtl}) silently
-    takes the interpreted path even when [compiled] is set. *)
+    For the compiled path call {!compile_trace} + {!replay_compiled}:
+    bit-identical results, including the per-cycle profile, at layers 1
+    and 2 without a sink. *)
 
 (** {1 Compiled trace replay}
 
@@ -78,10 +73,12 @@ val compile_trace :
     so one plan serves every parameter point.  With [pool] the plan is
     memoized under the (level, mode, max_cycles, trace) fingerprint —
     see {!Pool.memo} — unless [init] is given (closures cannot be
-    fingerprinted, so such runs always compile fresh).
+    fingerprinted, so such runs always compile fresh).  The plan is
+    recorded by {!System.capture}.
 
-    @raise Invalid_argument at {!Level.Rtl} — the gate-level reference
-    has no transition-word tap. *)
+    @raise Invalid_argument at {!Level.Rtl} (the gate-level reference has
+    no transition-word tap) and at {!Level.L3} (bridged replay is
+    interpreted). *)
 
 val replay_compiled :
   ?estimate:bool ->
@@ -201,8 +198,8 @@ type live_materials
     eagerly built bus front-end per level — separated out so a pool can
     reuse it across {!live_adaptive} runs.  The eager layer-2 front-end
     is measurement-neutral: an idle bus process steps to no effect and
-    adds no energy, so a materials-backed session reports exactly what a
-    one-shot session (which builds layer 2 on demand) reports. *)
+    adds no energy, so a session that never routes to layer 2 reports
+    exactly what a layer-1-only platform would. *)
 
 val live_materials :
   ?table:Power.Characterization.t ->
@@ -262,10 +259,10 @@ val live_adaptive :
     calibration tracks workload phases.
 
     [materials] runs the session on pre-built (typically pooled and
-    reset) hardware instead of constructing its own; [table],
-    [l2_params], [extra_slaves] and [peripheral_clock] are then taken
-    from the materials and the same-named arguments are ignored.  Each
-    run still gets fresh calibration state and a fresh
+    reset) hardware; without it the session builds its own with
+    {!live_materials} from [table], [l2_params], [sink], [extra_slaves]
+    and [peripheral_clock], which are ignored when [materials] is given.
+    Each run still gets fresh calibration state and a fresh
     {!Hier.Engine.Live} session. *)
 
 type program_run = {

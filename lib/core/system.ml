@@ -125,6 +125,56 @@ let energy_since_last_call_pj t =
   | Some m -> Power.Meter.since_last_call_pj m
   | None -> 0.0
 
+(* Compiled-plan capture (DESIGN.md section 14): the integer taps of the
+   layer-1/2 energy models record everything the evaluator needs, and the
+   table-independent scalars are read off the bus once the run is over.
+   [bus] is a second bus of the same level on this system's clock (a
+   bridged far side); it owns no platform, so its component energy is 0. *)
+let capture ?bus t =
+  let on = match bus with Some bus -> { t with bus } | None -> t in
+  let no_tap why = invalid_arg ("Core.System.capture: " ^ why) in
+  let level, finish =
+    match (t.level, on.bus) with
+    | Level.L1, L1_bus b -> (
+      match Tlm1.Bus.energy b with
+      | Some e ->
+        let r = Compile.Plan.l1_recorder () in
+        Tlm1.Energy.set_observer e (Compile.Plan.l1_observe r);
+        ( `L1,
+          fun () ->
+            Tlm1.Energy.clear_observer e;
+            Compile.Plan.l1_finish r )
+      | None -> no_tap "estimation is off")
+    | Level.L2, L2_bus b -> (
+      match Tlm2.Bus.energy b with
+      | Some e ->
+        let r = Compile.Plan.l2_recorder () in
+        Tlm2.Energy.set_observer e (Compile.Plan.l2_observe r);
+        ( `L2,
+          fun () ->
+            Tlm2.Energy.clear_observer e;
+            Compile.Plan.l2_finish r )
+      | None -> no_tap "estimation is off")
+    | _ ->
+      no_tap
+        "plans exist for layers 1 and 2 only (Diesel has no integer tap, \
+         layer 3 replays through the bridge)"
+  in
+  fun ~cycles ->
+    let body = finish () in
+    Compile.Plan.make ~body
+      ~meta:
+        {
+          Compile.Plan.level;
+          cycles;
+          txns = completed_txns on;
+          beats = completed_beats on;
+          errors = error_txns on;
+          transitions = bus_transitions on;
+          component_pj =
+            (if Option.is_none bus then component_energy_pj t else 0.0);
+        }
+
 let reset t =
   Sim.Kernel.reset t.kernel;
   Soc.Platform.reset t.platform;

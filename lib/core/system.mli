@@ -70,6 +70,20 @@ val energy_since_last_call_pj : t -> float
 (** The paper's sampling method on whichever power interface the level
     provides. *)
 
+val capture : ?bus:bus -> t -> cycles:int -> Compile.Plan.t
+(** [capture t] attaches a plan recorder to the energy model of [t]'s bus
+    — or of [bus], a second bus of [t]'s level on [t]'s clock — and
+    returns the closure to call once the run is over: it detaches the
+    recorder and builds the {!Compile.Plan.t} from the recorded body and
+    the bus's counters, with [cycles] as the run length.  Component
+    energy comes from [t]'s platform, or is 0 for a [bus] given
+    separately.  The one place compiled plans are recorded (DESIGN.md
+    section 14).
+
+    @raise Invalid_argument at {!Level.Rtl} (Diesel has no integer tap),
+    at {!Level.L3} (bridged replay is interpreted) and without
+    estimation. *)
+
 val reset : t -> unit
 (** Puts the whole session back to its creation state in place: kernel
     clock and gating, every platform memory and peripheral, and the bus

@@ -252,6 +252,32 @@ let test_cache_study_adaptive () =
       (cached.Core.Cache_study.hit_rate_pct > 0.0)
   | _ -> Alcotest.fail "unexpected row count"
 
+(* Plans exist at layers 1 and 2 only, so a pooled cell at any other
+   level interprets on a pooled session — the same row as a fresh cell,
+   never a failed capture. *)
+let test_pooled_cell_every_level () =
+  let config = config () in
+  let pool = Core.Pool.create () in
+  List.iter
+    (fun level ->
+      let fresh = Core.Exploration.run_one ~level ~config fib in
+      for _ = 1 to 2 do
+        let pooled = Core.Exploration.run_one ~level ~pool ~config fib in
+        let name = Core.Level.to_string level in
+        Alcotest.(check int)
+          (name ^ " cycles") fresh.Core.Exploration.cycles
+          pooled.Core.Exploration.cycles;
+        Alcotest.(check (float 0.0))
+          (name ^ " bus energy") fresh.Core.Exploration.bus_pj
+          pooled.Core.Exploration.bus_pj;
+        Alcotest.(check int)
+          (name ^ " transactions") fresh.Core.Exploration.transactions
+          pooled.Core.Exploration.transactions;
+        Alcotest.(check bool)
+          (name ^ " correct") true pooled.Core.Exploration.correct
+      done)
+    Core.Level.[ Rtl; L1; L2; L3 ]
+
 let suite =
   [
     Alcotest.test_case "constant policy row = fixed-level row" `Quick
@@ -269,4 +295,6 @@ let suite =
       test_preset_validation;
     Alcotest.test_case "cache study over the adaptive route" `Quick
       test_cache_study_adaptive;
+    Alcotest.test_case "pooled cell = fresh cell at every level" `Quick
+      test_pooled_cell_every_level;
   ]

@@ -339,10 +339,17 @@ let check_result_bit_exact msg (a : Core.Contention.result)
         y.Core.Contention.energy_pj)
     a.Core.Contention.rows b.Core.Contention.rows
 
+(* The compiled path of one contention cell: capture, then evaluate. *)
+let compiled_run ?pool ~level ~policy ~topology masters =
+  Core.Contention.replay_plan ~level ~policy ~topology
+    ~kinds:(List.map fst masters)
+    (Core.Contention.compile ~level ~policy ~topology ?pool masters)
+
 (* The whole compilable grid: compiled replay must be bit-identical to
    the interpreted fabric, buckets included, at every policy x topology
-   x timed TLM level. *)
+   x timed TLM level — fresh and off pooled, memoized plans. *)
 let test_compiled_grid_bit_exact () =
+  let pool = Core.Pool.create () in
   List.iter
     (fun level ->
       List.iter
@@ -353,22 +360,27 @@ let test_compiled_grid_bit_exact () =
               let interp =
                 Core.Contention.run ~level ~policy ~topology masters
               in
-              let comp =
-                Core.Contention.run ~level ~policy ~topology ~compiled:true
-                  masters
+              let comp = compiled_run ~level ~policy ~topology masters in
+              let cell =
+                Printf.sprintf "%s/%s/%s" (Core.Level.to_string level)
+                  (Ec.Arbiter.policy_to_string policy)
+                  (Core.Contention.topology_to_string topology)
               in
-              check_result_bit_exact
-                (Printf.sprintf "%s/%s/%s" (Core.Level.to_string level)
-                   (Ec.Arbiter.policy_to_string policy)
-                   (Core.Contention.topology_to_string topology))
-                interp comp)
+              check_result_bit_exact cell interp comp;
+              for _ = 1 to 2 do
+                check_result_bit_exact (cell ^ " pooled") interp
+                  (compiled_run ~pool ~level ~policy ~topology masters)
+              done)
             [ Core.Contention.Single; Core.Contention.Bridged ])
         [
           Ec.Arbiter.Fixed_priority;
           Ec.Arbiter.Round_robin;
           Ec.Arbiter.Weighted [| 4; 2; 1 |];
         ])
-    [ Core.Level.L1; Core.Level.L2 ]
+    [ Core.Level.L1; Core.Level.L2 ];
+  (* One capture per cell, then memo hits. *)
+  check_int "plans built" 12 (Core.Pool.memo_builds pool);
+  check_int "plan hits" 12 (Core.Pool.memo_hits pool)
 
 (* Multi-point evaluation must equal N single-point evaluations. *)
 let test_fabric_multipoint () =
@@ -555,9 +567,7 @@ let prop_compiled_bit_exact =
         :: List.tl (Core.Contention.default_masters ~n:32 topology)
       in
       let interp = Core.Contention.run ~level ~policy ~topology masters in
-      let comp =
-        Core.Contention.run ~level ~policy ~topology ~compiled:true masters
-      in
+      let comp = compiled_run ~level ~policy ~topology masters in
       interp.Core.Contention.cycles = comp.Core.Contention.cycles
       && interp.Core.Contention.fabric_pj = comp.Core.Contention.fabric_pj
       && interp.Core.Contention.bridge_pj = comp.Core.Contention.bridge_pj

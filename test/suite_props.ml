@@ -839,11 +839,13 @@ let prop_compiled_trace_bit_exact =
       let trace = seeded_trace seeded in
       List.for_all
         (fun (level, mode) ->
-          let run compiled =
-            Core.Runner.run_trace ~level ~mode ~record_profile:true ~compiled
-              trace
+          let i =
+            Core.Runner.run_trace ~level ~mode ~record_profile:true trace
           in
-          let i = run false and c = run true in
+          let c =
+            Core.Runner.replay_compiled ~record_profile:true
+              (Core.Runner.compile_trace ~level ~mode trace)
+          in
           strip_result i = strip_result c && profile_bits i = profile_bits c)
         [
           (Core.Level.L1, `Serial);
@@ -906,35 +908,6 @@ let prop_compiled_multi_point =
             compiled_points multi)
         [ Core.Level.L1; Core.Level.L2 ])
 
-(* Compiled mode is sink-free by design: a plan carries no event stream,
-   so a run with a sink — and any gate-level run — must silently take
-   the interpreted path and never touch the plan memo.  This pins that
-   documented fallback. *)
-let prop_compiled_sink_fallback =
-  QCheck.Test.make ~name:"compiled + sink / rtl falls back to interpretation"
-    ~count:4 arb_seeded_trace
-    (fun seeded ->
-      let trace = seeded_trace seeded in
-      let pool = Core.Pool.create () in
-      let baseline =
-        strip_result (Core.Runner.run_trace ~level:Core.Level.L1 trace)
-      in
-      let with_sink =
-        strip_result
-          (Core.Runner.run_trace ~level:Core.Level.L1 ~compiled:true
-             ~sink:(Obs.Sink.create ()) ~pool trace)
-      in
-      let rtl_plain =
-        strip_result (Core.Runner.run_trace ~level:Core.Level.Rtl trace)
-      in
-      let rtl_compiled =
-        strip_result
-          (Core.Runner.run_trace ~level:Core.Level.Rtl ~compiled:true trace)
-      in
-      with_sink = baseline
-      && rtl_compiled = rtl_plain
-      && Core.Pool.memo_builds pool = 0 (* no plan was ever compiled *))
-
 let prop_plan_memo_counters =
   QCheck.Test.make ~name:"plan memo: one build then hits, bit-exact replays"
     ~count:6 arb_seeded_trace
@@ -943,22 +916,83 @@ let prop_plan_memo_counters =
       let pool = Core.Pool.create () in
       let run () =
         strip_result
-          (Core.Runner.run_trace ~level:Core.Level.L1 ~compiled:true ~pool
-             trace)
+          (Core.Runner.replay_compiled
+             (Core.Runner.compile_trace ~level:Core.Level.L1 ~pool trace))
       in
       let a = run () in
       let b = run () in
-      a = b
+      a = strip_result (Core.Runner.run_trace ~level:Core.Level.L1 trace)
+      && a = b
       && Core.Pool.memo_builds pool = 1
       && Core.Pool.memo_hits pool = 1)
+
+(* Plans exist at layers 1 and 2 only: every capture entry point refuses
+   the gate level, layer 3 and estimation-off systems with a typed
+   error instead of falling back or failing an assertion. *)
+let test_capture_refusals () =
+  let trace = Core.Workloads.table3_trace ~n:16 in
+  let refuses f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  let capture ?estimate level () =
+    Core.System.capture (Core.System.create ~level ?estimate ())
+  in
+  List.iter
+    (fun level ->
+      let name = Core.Level.to_string level in
+      Alcotest.(check bool) (name ^ " capture") true (refuses (capture level));
+      Alcotest.(check bool)
+        (name ^ " compile_trace") true
+        (refuses (fun () -> Core.Runner.compile_trace ~level trace)))
+    [ Core.Level.Rtl; Core.Level.L3 ];
+  Alcotest.(check bool)
+    "rtl fabric compile" true
+    (refuses (fun () ->
+         Core.Contention.compile ~level:Core.Level.Rtl
+           [ (Core.Contention.Cpu, trace) ]));
+  Alcotest.(check bool)
+    "estimation off" true
+    (refuses (capture ~estimate:false Core.Level.L1))
+
+(* The per-tag memo rows of [Report.pool_stats] add up to the totals:
+   every plan kind is tagged, the exploration cell included. *)
+let test_memo_tags_sum () =
+  let pool = Core.Pool.create () in
+  let trace = Core.Workloads.table3_trace ~n:16 in
+  for _ = 1 to 2 do
+    ignore (Core.Runner.compile_trace ~pool trace);
+    ignore
+      (Core.Contention.compile ~pool
+         (Core.Contention.default_masters ~n:16 Core.Contention.Single));
+    ignore
+      (Core.Exploration.run_one ~pool
+         ~config:(List.hd Jcvm.Configs.standard)
+         Jcvm.Applets.fib)
+  done;
+  let tags = Core.Pool.memo_tag_stats pool in
+  Alcotest.(check (list string))
+    "tags" [ "explore"; "fabric"; "trace" ]
+    (List.map (fun (t, _, _) -> t) tags);
+  let sum f = List.fold_left (fun acc row -> acc + f row) 0 tags in
+  Alcotest.(check int) "builds" 3 (Core.Pool.memo_builds pool);
+  Alcotest.(check int) "hits" 3 (Core.Pool.memo_hits pool);
+  Alcotest.(check int) "tag builds sum" (Core.Pool.memo_builds pool)
+    (sum (fun (_, _, b) -> b));
+  Alcotest.(check int) "tag hits sum" (Core.Pool.memo_hits pool)
+    (sum (fun (_, h, _) -> h))
 
 let compiled_props =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_compiled_trace_bit_exact;
       prop_compiled_multi_point;
-      prop_compiled_sink_fallback;
       prop_plan_memo_counters;
+    ]
+  @ [
+      Alcotest.test_case "plan capture refuses rtl, l3, estimation off"
+        `Quick test_capture_refusals;
+      Alcotest.test_case "memo tag rows sum to the totals" `Quick
+        test_memo_tags_sum;
     ]
 
 let suite = suite @ compiled_props

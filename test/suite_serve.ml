@@ -621,6 +621,30 @@ let test_explore_bit_exact () =
               (row.P.switches <> None && row.P.error_bound_pj <> None)
           | rows -> Alcotest.failf "expected 1 adaptive row, got %d" (List.length rows)))
 
+(* The protocol accepts layer 3 for explore; the pooled server cell must
+   interpret it (plans exist at layers 1 and 2 only) and answer a row. *)
+let test_explore_l3_row () =
+  with_server (fun _server path ->
+      with_client path (fun c ->
+          let config = List.hd Jcvm.Configs.standard in
+          let frames =
+            frames_exn
+              (Serve.Client.request c
+                 (P.Explore
+                    { P.applets = [ "fib" ]; configs = [ config.Jcvm.Configs.name ];
+                      level = Core.Level.L3; adaptive = false }))
+          in
+          check_bool "no error frame" true (find_error frames = None);
+          match rows_of frames with
+          | [ (_, row) ] ->
+            let direct =
+              P.row_body_of_exploration
+                (Core.Exploration.run_one ~level:Core.Level.L3 ~config
+                   Jcvm.Applets.fib)
+            in
+            check_bool "l3 row bit-identical" true (direct = row)
+          | rows -> Alcotest.failf "expected 1 l3 row, got %d" (List.length rows)))
+
 (* --- stats and the plan memo --- *)
 
 let test_stats_and_plan_memo () =
@@ -1355,4 +1379,5 @@ let suite =
       test_telemetry_reconciles_concurrent;
     Alcotest.test_case "round-robin fairness over the wire" `Quick
       test_round_robin_wire_fairness;
+    Alcotest.test_case "explore at l3 answers a row" `Quick test_explore_l3_row;
   ]
