@@ -255,6 +255,17 @@ let handoff_state ~prev ~next =
   copy Soc.Platform.eeprom;
   copy Soc.Platform.flash
 
+(* A window's hardware: the system and, below layer 3, the trace master
+   registered on its kernel, re-armed with each window's segment.  The
+   pair is what a pooled checkout reuses — a master registered per window
+   would stay on the pooled kernel after its segment drained. *)
+type adaptive_session = {
+  as_system : System.t;
+  as_master : Soc.Trace_master.t option;
+}
+
+let adaptive_kind : adaptive_session Pool.kind = Pool.kind ()
+
 let run_adaptive ?estimate ?record_profile ?table ?rtl_params ?l2_params
     ?extra_slaves ?peripheral_clock ?(mode = `Pipelined) ?max_cycles ?init
     ?budget ?sink ?pool ~policy trace =
@@ -277,9 +288,20 @@ let run_adaptive ?estimate ?record_profile ?table ?rtl_params ?l2_params
            peripheral_clock ))
   in
   let build level () =
-    System.create ~level ?estimate ?record_profile ?table ?rtl_params
-      ?l2_params ?extra_slaves ?peripheral_clock ?sink ()
+    let system =
+      System.create ~level ?estimate ?record_profile ?table ?rtl_params
+        ?l2_params ?extra_slaves ?peripheral_clock ?sink ()
+    in
+    let master =
+      if level = Level.L3 then None
+      else
+        Some
+          (Soc.Trace_master.create ~kernel:(System.kernel system)
+             ~port:(System.port system) ~mode ?sink [])
+    in
+    { as_system = system; as_master = master }
   in
+  let reset s = System.reset s.as_system in
   let ops =
     {
       Hier.Engine.create =
@@ -287,23 +309,25 @@ let run_adaptive ?estimate ?record_profile ?table ?rtl_params ?l2_params
           match pool with
           | None -> build level ()
           | Some p ->
-            Pool.acquire p system_kind ~key:(key_of level)
-              ~build:(build level) ~reset:System.reset);
-      init = (fun system -> match init with Some f -> f system | None -> ());
-      handoff = (fun ~prev ~next -> handoff_state ~prev ~next);
+            Pool.acquire p adaptive_kind ~key:(key_of level)
+              ~build:(build level) ~reset);
+      init =
+        (fun s -> match init with Some f -> f s.as_system | None -> ());
+      handoff =
+        (fun ~prev ~next ->
+          handoff_state ~prev:prev.as_system ~next:next.as_system);
       run_segment =
-        (fun system seg ->
+        (fun s seg ->
+          let system = s.as_system in
           let kernel = System.kernel system in
           let cycles =
-            if System.level system = Level.L3 then
+            match s.as_master with
+            | None ->
               (* L3 window: message-layer replay through the Tlm3 bridge
                  onto this window's layer-2 carrier bus. *)
               replay_bridged system ?max_cycles seg
-            else
-              let master =
-                Soc.Trace_master.create ~kernel ~port:(System.port system)
-                  ~mode ?sink seg
-              in
+            | Some master ->
+              Soc.Trace_master.reset ~mode master seg;
               Soc.Trace_master.run master ~kernel ?max_cycles ()
           in
           {
@@ -319,8 +343,10 @@ let run_adaptive ?estimate ?record_profile ?table ?rtl_params ?l2_params
   in
   let retire =
     Option.map
-      (fun p sys ->
-        Pool.release p system_kind ~key:(key_of (System.level sys)) sys)
+      (fun p s ->
+        Pool.release p adaptive_kind
+          ~key:(key_of (System.level s.as_system))
+          s)
       pool
   in
   let t0 = Unix.gettimeofday () in
@@ -337,7 +363,7 @@ let run_adaptive ?estimate ?record_profile ?table ?rtl_params ?l2_params
     component_pj = s.Hier.Splice.total_component_pj;
     switches = s.Hier.Splice.switches;
     wall_seconds;
-    final_system = r.Hier.Engine.last_system;
+    final_system = Option.map (fun s -> s.as_system) r.Hier.Engine.last_system;
   }
 
 type program_run = {
@@ -506,6 +532,8 @@ type live_materials = {
   m_b1 : Tlm1.Bus.t;
   m_e2 : Tlm2.Energy.t;
   m_b2 : Tlm2.Bus.t;
+  m_front : Sim.Kernel.handle * Sim.Kernel.handle;
+      (* the layer-1 and layer-2 bus processes, parked by routing *)
   m_table : Power.Characterization.t;
   m_base_params : Tlm2.Energy.params;
   m_extra_reset : unit -> unit;
@@ -533,6 +561,9 @@ let live_materials ?(table = Power.Characterization.default) ?l2_params ?sink
     m_b1 = b1;
     m_e2 = e2;
     m_b2 = b2;
+    m_front =
+      ( Sim.Kernel.find kernel ~name:"tlm1-bus",
+        Sim.Kernel.find kernel ~name:"tlm2-bus" );
     m_table = table;
     m_base_params = base_params;
     m_extra_reset = extra_reset;
@@ -657,18 +688,22 @@ let live_adaptive ?table ?l2_params ?budget ?sink ?extra_slaves
   in
   let active = ref (Tlm1.Bus.port b1) in
   let routed = ref None in
-  (* Clock-gate the inactive front-end: both buses share the kernel, and
-     the one not carrying the window's traffic is quiescent, so skipping
-     its idle ticks is behaviour- and measurement-neutral. *)
+  (* Park the inactive front-end: both buses share the kernel, and the
+     one not carrying the window's traffic is quiescent, so skipping its
+     idle steps is behaviour- and measurement-neutral.  Both run until
+     the first transaction is routed. *)
+  let h1, h2 = m.m_front in
+  Sim.Kernel.unpark h1;
+  Sim.Kernel.unpark h2;
   let route level =
     if !routed <> Some level then begin
       (match (level : Hier.Level.t) with
       | Hier.Level.L1 ->
-        Sim.Kernel.set_gated kernel ~name:"tlm2-bus" ~gated:true;
-        Sim.Kernel.set_gated kernel ~name:"tlm1-bus" ~gated:false
+        Sim.Kernel.park h2;
+        Sim.Kernel.unpark h1
       | Hier.Level.L2 ->
-        Sim.Kernel.set_gated kernel ~name:"tlm1-bus" ~gated:true;
-        Sim.Kernel.set_gated kernel ~name:"tlm2-bus" ~gated:false
+        Sim.Kernel.park h1;
+        Sim.Kernel.unpark h2
       | Hier.Level.Rtl | Hier.Level.L3 -> ());
       routed := Some level;
       active := port_of level

@@ -173,13 +173,19 @@ val run_adaptive :
     the spliced timeline, and brackets each window with
     [Window_open]/[Window_close] events (see {!Hier.Engine.run}).
 
-    [pool] draws each window's system from the session pool (keyed per
-    level) and returns it right after the next window's handoff, so a
-    long mixed-level run allocates at most one system per level; the
-    final window's system escapes via [final_system] and stays out of
-    the pool.  Runs with a [sink] or [extra_slaves] always build fresh
-    (the former wires in at creation, the latter is caller-owned state
-    the reset protocol cannot see). *)
+    [pool] draws each window's session — the system plus, below layer 3,
+    the trace master registered on its kernel — from the session pool
+    (keyed per level) and returns it right after the next window's
+    handoff, so a long mixed-level run allocates at most one system per
+    level.  Each window re-arms the session's master with its segment
+    ({!Soc.Trace_master.reset}), so however many calls reuse a pooled
+    system its kernel steps one master; layer-3 windows replay through
+    a fresh bridge instead.  The final window's system escapes via
+    [final_system] and stays out of the pool.  [init] runs on the first
+    window's system before its segment, pooled or fresh.  Runs with a
+    [sink] or [extra_slaves] always build fresh (the former wires in at
+    creation, the latter is caller-owned state the reset protocol cannot
+    see). *)
 
 type live = {
   kernel : Sim.Kernel.t;  (** the one kernel every level shares *)
@@ -199,7 +205,9 @@ type live_materials
     reuse it across {!live_adaptive} runs.  The eager layer-2 front-end
     is measurement-neutral: an idle bus process steps to no effect and
     adds no energy, so a session that never routes to layer 2 reports
-    exactly what a layer-1-only platform would. *)
+    exactly what a layer-1-only platform would.  Each {!live_adaptive}
+    run parks the front-end its windows are not routed to
+    ({!Sim.Kernel.park}) and starts with both running. *)
 
 val live_materials :
   ?table:Power.Characterization.t ->
@@ -244,9 +252,8 @@ val live_adaptive :
     against a single fixed-level system.
 
     [peripheral_clock] defaults to [`Gated]: exploration traffic never
-    reaches the peripherals, so their per-cycle processes are parked on
-    the gated clock tree (pass [`Running] to keep timers/UART/leakage
-    live).
+    reaches the peripherals, so they sit on the gated clock tree (pass
+    [`Running] to keep timers/UART/leakage live).
 
     [calibrate] (default [true]) enables hierarchical in-run calibration
     of the layer-2 lump parameters: during refined windows each

@@ -22,9 +22,9 @@ val create :
   unit ->
   t
 (** [peripheral_clock] is forwarded to {!Soc.Platform.create}: [`Gated]
-    freezes the peripherals' per-cycle processes (and their leakage
-    meters) while keeping every slave bus-addressable — the cheap
-    platform for bus-only workloads.
+    freezes the peripherals (and their cycle counts) while keeping every
+    slave bus-addressable.  Either way idle peripherals cost no
+    simulation time; they differ only in what the components count.
 
     [sink] attaches the instrumentation sink to whichever bus model the
     level selects; the bus then records transaction lifecycle events and
@@ -86,7 +86,7 @@ val capture : ?bus:bus -> t -> cycles:int -> Compile.Plan.t
 
 val reset : t -> unit
 (** Puts the whole session back to its creation state in place: kernel
-    clock and gating, every platform memory and peripheral, and the bus
+    clock, every platform memory and peripheral, and the bus
     model with its energy estimator.  The wiring (decoder, registered
     processes, connected masters) is kept, so a reset system replays any
     workload bit-identically to a freshly built one.  Sessions built

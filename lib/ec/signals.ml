@@ -34,7 +34,8 @@ let ctrl_index = function
   | Rberr -> 9
   | Wberr -> 10
 
-let ctrl_count = List.length all_ctrl
+let ctrl_by_index = Array.of_list all_ctrl
+let ctrl_count = Array.length ctrl_by_index
 let count = addr_wires + be_wires + (2 * data_wires) + ctrl_count
 
 let index = function
@@ -60,7 +61,7 @@ let of_index i =
     Wdata (i - addr_wires - be_wires)
   else if i < addr_wires + be_wires + (2 * data_wires) then
     Rdata (i - addr_wires - be_wires - data_wires)
-  else Ctrl (List.nth all_ctrl (i - addr_wires - be_wires - (2 * data_wires)))
+  else Ctrl ctrl_by_index.(i - addr_wires - be_wires - (2 * data_wires))
 
 let ctrl_to_string = function
   | Avalid -> "EB_AValid"

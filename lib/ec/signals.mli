@@ -44,6 +44,9 @@ val all : id list
 val all_ctrl : ctrl list
 val ctrl_count : int
 
+val ctrl_index : ctrl -> int
+(** Position of a control wire in {!all_ctrl}, in [0, ctrl_count). *)
+
 val index : id -> int
 (** Dense index in [0, count). *)
 

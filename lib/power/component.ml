@@ -10,35 +10,56 @@ let params ?(idle_pj_per_cycle = 0.0) ?(active_pj_per_cycle = 0.0)
   then invalid_arg "Power.Component.params: negative energy";
   { idle_pj_per_cycle; active_pj_per_cycle; access_pj }
 
+(* Only active cycles are counted; idle ones are the edges elapsed at
+   the component's slot minus the active ones, so an idle owner never
+   runs.  [marked] is the slot edge a bus access has claimed as active
+   but that has not been confirmed into [active] yet (0: none). *)
 type t = {
   name : string;
   p : params;
-  mutable active_cycles : int;
-  mutable idle_cycles : int;
+  slot : Sim.Kernel.handle;
+  mutable base : int;  (* slot edges at creation or the last reset *)
+  mutable active : int;
+  mutable marked : int;
   mutable accesses : int;
 }
 
-let create ~name p = { name; p; active_cycles = 0; idle_cycles = 0; accesses = 0 }
-let name t = t.name
+let edges t = Sim.Kernel.edges t.slot
 
-let tick t ~active =
-  if active then t.active_cycles <- t.active_cycles + 1
-  else t.idle_cycles <- t.idle_cycles + 1
+let create ~name ~slot p =
+  let t = { name; p; slot; base = 0; active = 0; marked = 0; accesses = 0 } in
+  t.base <- edges t;
+  t
+
+let name t = t.name
+let count_active t = t.active <- t.active + 1
+
+(* Slot edges are numbered from 1, so the next one to reach the slot is
+   [edges + 1].  An earlier pending mark has necessarily passed. *)
+let mark t =
+  let e = edges t + 1 in
+  if t.marked <> e then begin
+    if t.marked <> 0 then t.active <- t.active + 1;
+    t.marked <- e
+  end
 
 let access t = t.accesses <- t.accesses + 1
 
-let energy_pj t =
-  (float_of_int t.active_cycles *. t.p.active_pj_per_cycle)
-  +. (float_of_int t.idle_cycles *. t.p.idle_pj_per_cycle)
-  +. (float_of_int t.accesses *. t.p.access_pj)
+let active_cycles t =
+  if t.marked <> 0 && t.marked <= edges t then t.active + 1 else t.active
 
-let active_cycles t = t.active_cycles
-let idle_cycles t = t.idle_cycles
+let idle_cycles t = edges t - t.base - active_cycles t
 let accesses t = t.accesses
 
+let energy_pj t =
+  (float_of_int (active_cycles t) *. t.p.active_pj_per_cycle)
+  +. (float_of_int (idle_cycles t) *. t.p.idle_pj_per_cycle)
+  +. (float_of_int t.accesses *. t.p.access_pj)
+
 let reset t =
-  t.active_cycles <- 0;
-  t.idle_cycles <- 0;
+  t.base <- edges t;
+  t.active <- 0;
+  t.marked <- 0;
   t.accesses <- 0
 
 module Presets = struct

@@ -7,13 +7,6 @@ type t = {
   sel : Sim.Signal.t;
 }
 
-let ctrl_position c =
-  let rec loop i = function
-    | [] -> assert false
-    | c' :: rest -> if c = c' then i else loop (i + 1) rest
-  in
-  loop 0 Ec.Signals.all_ctrl
-
 let create ~n_slaves =
   if n_slaves < 1 || n_slaves > 62 then invalid_arg "Rtl.Wires.create";
   {
@@ -34,7 +27,7 @@ let be t = t.be
 let wdata t = t.wdata
 let rdata t = t.rdata
 let sel t = t.sel
-let ctrl t c = t.ctrl.(ctrl_position c)
+let ctrl t c = t.ctrl.(Ec.Signals.ctrl_index c)
 let set_ctrl t c v = Sim.Signal.set (ctrl t c) (if v then 1 else 0)
 let ctrl_value t c = Sim.Signal.current (ctrl t c) = 1
 

@@ -45,6 +45,7 @@ let reference ~key input =
 type t = {
   cfg : Ec.Slave_cfg.t;
   component : Power.Component.t;
+  proc : Sim.Kernel.handle;  (* parked unless busy *)
   rng : Sim.Rng.t;
   seed : int;  (* creation seed, replayed by [reset] *)
   done_irq : unit -> unit;
@@ -62,10 +63,13 @@ type t = {
 let create ~kernel ?(component = Power.Component.Presets.crypto) ?(latency = 16)
     ?(seed = 0xC0DE) ?(done_irq = fun () -> ()) cfg =
   if latency < 1 then invalid_arg "Soc.Crypto.create: latency < 1";
+  let name = cfg.Ec.Slave_cfg.name in
+  let proc = Sim.Kernel.slot kernel ~name:(name ^ "-tick") in
   let t =
     {
       cfg;
-      component = Power.Component.create ~name:cfg.Ec.Slave_cfg.name component;
+      component = Power.Component.create ~name ~slot:proc component;
+      proc;
       rng = Sim.Rng.create ~seed;
       seed;
       done_irq;
@@ -90,9 +94,10 @@ let create ~kernel ?(component = Power.Component.Presets.crypto) ?(latency = 16)
         t.done_irq ()
       end
     end;
-    Power.Component.tick t.component ~active:(t.busy_left > 0)
+    if t.busy_left > 0 then Power.Component.count_active t.component
+    else Sim.Kernel.park proc
   in
-  Sim.Kernel.on_rising kernel ~name:(cfg.Ec.Slave_cfg.name ^ "-tick") tick;
+  Sim.Kernel.bind proc tick;
   t
 
 let busy t = t.busy_left > 0
@@ -122,7 +127,8 @@ let write t ~addr ~width:_ ~value =
     t.masked_mode <- value land 2 = 2;
     if value land 1 = 1 && not (busy t) then begin
       t.busy_left <- t.latency;
-      t.done_ <- false
+      t.done_ <- false;
+      Sim.Kernel.unpark t.proc
     end
   | _ -> ()
 
@@ -140,6 +146,7 @@ let reset t =
   t.busy_left <- 0;
   t.done_ <- false;
   t.operations <- 0;
+  Sim.Kernel.park t.proc;
   Power.Component.reset t.component
 
 let block_trace ~base ~blocks ?(latency = 16) () =

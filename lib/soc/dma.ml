@@ -14,6 +14,7 @@ type state =
 type t = {
   cfg : Ec.Slave_cfg.t;
   component : Power.Component.t;
+  proc : Sim.Kernel.handle;  (* parked while no transfer is active *)
   done_irq : unit -> unit;
   ids : Ec.Txn.Id_gen.gen;
   mutable port : Ec.Port.t option;
@@ -56,8 +57,7 @@ let write_txn t chunk data =
   Ec.Txn.create ~id:(Ec.Txn.Id_gen.fresh t.ids) ~kind:Ec.Txn.Data
     ~dir:Ec.Txn.Write ~width:Ec.Txn.W32 ~addr:t.cur_dst ~burst:chunk ~data ()
 
-let step t _kernel =
-  Power.Component.tick t.component ~active:t.active;
+let advance t =
   match t.port with
   | None -> if t.active then finish t ~error:true
   | Some port -> begin
@@ -100,14 +100,24 @@ let step t _kernel =
     end
   end
 
+let step t _kernel =
+  if t.active then begin
+    Power.Component.count_active t.component;
+    advance t
+  end;
+  if not t.active then Sim.Kernel.park t.proc
+
 let create ~kernel
     ?(component =
       Power.Component.params ~idle_pj_per_cycle:0.04 ~active_pj_per_cycle:0.9
         ~access_pj:1.2 ()) ?(done_irq = fun () -> ()) cfg =
+  let name = cfg.Ec.Slave_cfg.name in
+  let proc = Sim.Kernel.slot kernel ~name:(name ^ "-engine") in
   let t =
     {
       cfg;
-      component = Power.Component.create ~name:cfg.Ec.Slave_cfg.name component;
+      component = Power.Component.create ~name ~slot:proc component;
+      proc;
       done_irq;
       ids = Ec.Txn.Id_gen.create ();
       port = None;
@@ -126,7 +136,7 @@ let create ~kernel
       transfers_done = 0;
     }
   in
-  Sim.Kernel.on_rising kernel ~name:(cfg.Ec.Slave_cfg.name ^ "-engine") (step t);
+  Sim.Kernel.bind proc (step t);
   t
 
 let connect t port = t.port <- Some port
@@ -159,7 +169,8 @@ let write t ~addr ~width:_ ~value =
       t.active <- true;
       t.done_ <- false;
       t.error <- false;
-      t.state <- Idle
+      t.state <- Idle;
+      Sim.Kernel.unpark t.proc
     end
   | _ -> ()
 
@@ -183,6 +194,7 @@ let reset t =
   t.error <- false;
   t.words_copied <- 0;
   t.transfers_done <- 0;
+  Sim.Kernel.park t.proc;
   Power.Component.reset t.component
 
 let descriptor_trace ~src ~dst ~words ?(burst = true) () =

@@ -9,6 +9,7 @@ type fill = {
 type t = {
   inner : Ec.Port.t;
   component : Power.Component.t;
+  proc : Sim.Kernel.handle;  (* parked unless a line fill is in flight *)
   lines : int;
   tags : int array;
   valid : bool array;
@@ -31,10 +32,12 @@ let create ~kernel
         ~access_pj:0.9 ()) ~inner () =
   if not (is_power_of_two lines) then
     invalid_arg "Soc.Icache.create: lines must be a power of two";
+  let proc = Sim.Kernel.slot kernel ~name:"icache-power" in
   let t =
     {
       inner;
-      component = Power.Component.create ~name:"icache" component;
+      component = Power.Component.create ~name:"icache" ~slot:proc component;
+      proc;
       lines;
       tags = Array.make lines 0;
       valid = Array.make lines false;
@@ -48,8 +51,9 @@ let create ~kernel
       busy_fill = false;
     }
   in
-  Sim.Kernel.on_rising kernel ~name:"icache-power" (fun _ ->
-      Power.Component.tick t.component ~active:t.busy_fill);
+  Sim.Kernel.bind proc (fun _ ->
+      if t.busy_fill then Power.Component.count_active t.component
+      else Sim.Kernel.park proc);
   t
 
 let line_index t addr = addr / line_bytes mod t.lines
@@ -94,6 +98,7 @@ let try_submit t (txn : Ec.Txn.t) =
       if t.inner.Ec.Port.try_submit fill_txn then begin
         t.misses <- t.misses + 1;
         t.busy_fill <- true;
+        Sim.Kernel.unpark t.proc;
         Hashtbl.replace t.fills txn.Ec.Txn.id { outer = txn; inner_txn = fill_txn };
         true
       end
@@ -173,4 +178,5 @@ let reset t =
   t.misses <- 0;
   t.invalidations <- 0;
   t.busy_fill <- false;
+  Sim.Kernel.park t.proc;
   Power.Component.reset t.component

@@ -2,7 +2,6 @@ type t = {
   cfg : Ec.Slave_cfg.t;
   bytes : Bytes.t;
   component : Power.Component.t;
-  mutable accessed_this_cycle : bool;
   mutable reads : int;
   mutable writes : int;
   (* Watermarks of the written byte range, so [reset] zero-fills only
@@ -13,27 +12,25 @@ type t = {
   mutable dirty_hi : int;
 }
 
+(* A memory is active in every cycle it was accessed since the previous
+   rising edge.  It has no per-cycle process: each access marks the edge
+   that will count it ({!Power.Component.mark}), and the kernel slot
+   keeps that edge where the memory sits in the edge order.  Without a
+   kernel the slot sits on a private, never-stepped one: no cycles, only
+   accesses. *)
 let create ?kernel ?(component = Power.Component.params ()) cfg =
-  let t =
-    {
-      cfg;
-      bytes = Bytes.make cfg.Ec.Slave_cfg.size '\000';
-      component = Power.Component.create ~name:cfg.Ec.Slave_cfg.name component;
-      accessed_this_cycle = false;
-      reads = 0;
-      writes = 0;
-      dirty_lo = max_int;
-      dirty_hi = 0;
-    }
-  in
-  (match kernel with
-  | Some k ->
-    Sim.Kernel.on_rising k ~name:(cfg.Ec.Slave_cfg.name ^ "-power")
-      (fun _ ->
-        Power.Component.tick t.component ~active:t.accessed_this_cycle;
-        t.accessed_this_cycle <- false)
-  | None -> ());
-  t
+  let kernel = match kernel with Some k -> k | None -> Sim.Kernel.create () in
+  let name = cfg.Ec.Slave_cfg.name in
+  let slot = Sim.Kernel.slot kernel ~name:(name ^ "-power") in
+  {
+    cfg;
+    bytes = Bytes.make cfg.Ec.Slave_cfg.size '\000';
+    component = Power.Component.create ~name ~slot component;
+    reads = 0;
+    writes = 0;
+    dirty_lo = max_int;
+    dirty_hi = 0;
+  }
 
 let offset t addr =
   let off = addr - t.cfg.Ec.Slave_cfg.base in
@@ -73,7 +70,7 @@ let load_words t ~addr words =
 let load_program t (p : Asm.program) = load_words t ~addr:p.Asm.origin p.Asm.words
 
 let mark_access t =
-  t.accessed_this_cycle <- true;
+  Power.Component.mark t.component;
   Power.Component.access t.component
 
 let bus_read t ~addr ~width =
@@ -108,7 +105,6 @@ let reset t =
     Bytes.fill t.bytes t.dirty_lo (t.dirty_hi - t.dirty_lo) '\000';
   t.dirty_lo <- max_int;
   t.dirty_hi <- 0;
-  t.accessed_this_cycle <- false;
   t.reads <- 0;
   t.writes <- 0;
   Power.Component.reset t.component

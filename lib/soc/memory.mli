@@ -13,8 +13,10 @@ val create :
   ?component:Power.Component.params ->
   Ec.Slave_cfg.t ->
   t
-(** Passing [kernel] registers the per-cycle component accounting tick
-    (a cycle is active when the memory was accessed in it). *)
+(** Passing [kernel] gives the component its cycles: a cycle is active
+    when the memory was accessed since the previous rising edge.  The
+    memory reserves a bodyless rising-edge slot ({!Sim.Kernel.slot}) and
+    marks the edge each access counts at, so it runs no per-cycle process. *)
 
 val slave : t -> Ec.Slave.t
 val cfg : t -> Ec.Slave_cfg.t

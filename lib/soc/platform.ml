@@ -39,9 +39,10 @@ type t = {
 
 let create ~kernel ?(seed = 0x0C0FFEE) ?(extra_slaves = [])
     ?(peripheral_clock = `Running) () =
-  (* Gating registers every peripheral's per-cycle process on a private
-     kernel that is never stepped: zero simulation cost, frozen
-     timers/leakage, bus-facing behaviour unchanged. *)
+  (* Gating puts every component's slot and process on a private kernel
+     that is never stepped: frozen timers, zero cycle counts, bus-facing
+     behaviour unchanged.  Running, idle peripherals park themselves and
+     cost nothing either; only their counts differ. *)
   let kernel =
     match peripheral_clock with
     | `Running -> kernel

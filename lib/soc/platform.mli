@@ -56,12 +56,17 @@ val create :
     (e.g. the JCVM stack SFRs).
 
     [peripheral_clock] (default [`Running]) picks the clock tree the
-    peripherals' per-cycle processes run on.  [`Gated] registers them on
-    a private kernel that never steps — the power-aware card's clock
-    gating: timers do not count, the UART does not shift, leakage meters
-    freeze — while every slave still answers bus transactions normally.
-    Bus-only workloads (the adaptive exploration sweeps) gate the
-    peripherals to stop paying their per-cycle simulation cost. *)
+    peripherals and memories account on.  On [`Running] they share
+    [kernel]: a peripheral's process is parked while it has no work and
+    rejoins the cycle loop when a register write or an interrupt line
+    gives it some, the memories run no process at all, and idle cycles
+    are derived from the kernel's edges ({!Power.Component}) — so an
+    idle platform costs nothing per cycle and its counts are those of a
+    component ticked on every edge.  [`Gated] puts them on a private
+    kernel that never steps — the power-aware card's clock gating:
+    timers do not count, the UART does not shift, every cycle count
+    stays 0 — while every slave still answers bus transactions
+    normally. *)
 
 val rom : t -> Memory.t
 val ram : t -> Memory.t

@@ -11,6 +11,7 @@ type channel = {
 type t = {
   cfg : Ec.Slave_cfg.t;
   component : Power.Component.t;
+  proc : Sim.Kernel.handle;  (* parked while every channel is disabled *)
   irq : int -> unit;
   chan : channel array;
 }
@@ -21,10 +22,13 @@ let create ~kernel ?(component = Power.Component.Presets.timer)
     { count = 0; reload = 0; enable = false; auto_reload = false;
       overflow = false }
   in
+  let name = cfg.Ec.Slave_cfg.name in
+  let proc = Sim.Kernel.slot kernel ~name:(name ^ "-tick") in
   let t =
     {
       cfg;
-      component = Power.Component.create ~name:cfg.Ec.Slave_cfg.name component;
+      component = Power.Component.create ~name ~slot:proc component;
+      proc;
       irq;
       chan = Array.init channels (fun _ -> fresh_channel ());
     }
@@ -43,9 +47,10 @@ let create ~kernel ?(component = Power.Component.Presets.timer)
           end
         end)
       t.chan;
-    Power.Component.tick t.component ~active:!any_enabled
+    if !any_enabled then Power.Component.count_active t.component
+    else Sim.Kernel.park proc
   in
-  Sim.Kernel.on_rising kernel ~name:(cfg.Ec.Slave_cfg.name ^ "-tick") tick;
+  Sim.Kernel.bind proc tick;
   t
 
 let locate t addr =
@@ -69,7 +74,8 @@ let write t ~addr ~width:_ ~value =
   | Some (c, 0x4) -> c.reload <- value land 0xFFFF
   | Some (c, 0x8) ->
     c.enable <- value land 1 = 1;
-    c.auto_reload <- value land 2 = 2
+    c.auto_reload <- value land 2 = 2;
+    if c.enable then Sim.Kernel.unpark t.proc
   | Some (c, 0xC) -> if value land 1 = 1 then c.overflow <- false
   | Some _ | None -> ()
 
@@ -87,4 +93,5 @@ let reset t =
       c.auto_reload <- false;
       c.overflow <- false)
     t.chan;
+  Sim.Kernel.park t.proc;
   Power.Component.reset t.component

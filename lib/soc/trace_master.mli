@@ -25,8 +25,8 @@ val create :
   Ec.Trace.t ->
   t
 (** [name] labels the kernel process (default ["trace-master"]); give
-    each master a distinct name when several share one kernel, or
-    process gating will conflate them.
+    each master a distinct name when several share one kernel, so
+    {!Sim.Kernel.process_names} and {!Sim.Kernel.runs} tell them apart.
     [mode] defaults to [`Pipelined].  With [keep_results] the completed
     transactions (with read data) are retained for inspection.  [sink]
     records the master-side outstanding-transaction occupancy on every

@@ -5,6 +5,7 @@ let ctrl_off = 0x8
 type t = {
   cfg : Ec.Slave_cfg.t;
   component : Power.Component.t;
+  proc : Sim.Kernel.handle;  (* parked unless refilling *)
   rng : Sim.Rng.t;
   seed : int;  (* creation seed, replayed by [reset] *)
   refill_cycles : int;
@@ -14,13 +15,18 @@ type t = {
   mutable delivered : int;
 }
 
+let refilling t = t.enabled && t.refill_left > 0
+
 let create ~kernel ?(component = Power.Component.Presets.trng) ?(seed = 0x5EED)
     ?(refill_cycles = 8) cfg =
   let rng = Sim.Rng.create ~seed in
+  let name = cfg.Ec.Slave_cfg.name in
+  let proc = Sim.Kernel.slot kernel ~name:(name ^ "-tick") in
   let t =
     {
       cfg;
-      component = Power.Component.create ~name:cfg.Ec.Slave_cfg.name component;
+      component = Power.Component.create ~name ~slot:proc component;
+      proc;
       rng;
       seed;
       refill_cycles;
@@ -31,16 +37,18 @@ let create ~kernel ?(component = Power.Component.Presets.trng) ?(seed = 0x5EED)
     }
   in
   let tick _ =
-    if t.enabled && t.refill_left > 0 then begin
+    if refilling t then begin
       t.refill_left <- t.refill_left - 1;
       if t.refill_left = 0 then t.current <- Sim.Rng.bits t.rng 32
     end;
-    Power.Component.tick t.component ~active:(t.enabled && t.refill_left > 0)
+    if refilling t then Power.Component.count_active t.component
+    else Sim.Kernel.park proc
   in
-  Sim.Kernel.on_rising kernel ~name:(cfg.Ec.Slave_cfg.name ^ "-tick") tick;
+  Sim.Kernel.bind proc tick;
   t
 
 let ready t = t.refill_left = 0
+let wake t = if refilling t then Sim.Kernel.unpark t.proc
 
 let read t ~addr ~width:_ =
   Power.Component.access t.component;
@@ -49,7 +57,8 @@ let read t ~addr ~width:_ =
     let v = t.current in
     if ready t && t.enabled then begin
       t.refill_left <- t.refill_cycles;
-      t.delivered <- t.delivered + 1
+      t.delivered <- t.delivered + 1;
+      wake t
     end;
     v
   | off when off = status_off -> if ready t then 1 else 0
@@ -59,7 +68,9 @@ let read t ~addr ~width:_ =
 let write t ~addr ~width:_ ~value =
   Power.Component.access t.component;
   match addr - t.cfg.Ec.Slave_cfg.base with
-  | off when off = ctrl_off -> t.enabled <- value land 1 = 1
+  | off when off = ctrl_off ->
+    t.enabled <- value land 1 = 1;
+    wake t
   | _ -> ()
 
 let slave t = Ec.Slave.make ~cfg:t.cfg ~read:(read t) ~write:(write t)
@@ -72,4 +83,5 @@ let reset t =
   t.refill_left <- 0;
   t.enabled <- true;
   t.delivered <- 0;
+  Sim.Kernel.park t.proc;
   Power.Component.reset t.component

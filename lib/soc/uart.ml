@@ -7,6 +7,7 @@ let tx_fifo_capacity = 16
 type t = {
   cfg : Ec.Slave_cfg.t;
   component : Power.Component.t;
+  proc : Sim.Kernel.handle;  (* parked while idle with an empty tx FIFO *)
   rx_irq : unit -> unit;
   tx_fifo : int Queue.t;
   rx_fifo : int Queue.t;
@@ -19,10 +20,13 @@ type t = {
 
 let create ~kernel ?(component = Power.Component.Presets.uart)
     ?(rx_irq = fun () -> ()) cfg =
+  let name = cfg.Ec.Slave_cfg.name in
+  let proc = Sim.Kernel.slot kernel ~name:(name ^ "-tick") in
   let t =
     {
       cfg;
-      component = Power.Component.create ~name:cfg.Ec.Slave_cfg.name component;
+      component = Power.Component.create ~name ~slot:proc component;
+      proc;
       rx_irq;
       tx_fifo = Queue.create ();
       rx_fifo = Queue.create ();
@@ -46,9 +50,10 @@ let create ~kernel ?(component = Power.Component.Presets.uart)
         t.shifting <- Some (Queue.pop t.tx_fifo);
         t.bit_cycles_left <- 10 * t.baud
       end);
-    Power.Component.tick t.component ~active:(t.shifting <> None)
+    if t.shifting <> None then Power.Component.count_active t.component
+    else if Queue.is_empty t.tx_fifo then Sim.Kernel.park proc
   in
-  Sim.Kernel.on_rising kernel ~name:(cfg.Ec.Slave_cfg.name ^ "-tick") tick;
+  Sim.Kernel.bind proc tick;
   t
 
 let status t =
@@ -70,8 +75,10 @@ let write t ~addr ~width:_ ~value =
   Power.Component.access t.component;
   match addr - t.cfg.Ec.Slave_cfg.base with
   | off when off = data_off ->
-    if Queue.length t.tx_fifo < tx_fifo_capacity then
-      Queue.push (value land 0xFF) t.tx_fifo
+    if Queue.length t.tx_fifo < tx_fifo_capacity then begin
+      Queue.push (value land 0xFF) t.tx_fifo;
+      Sim.Kernel.unpark t.proc
+    end
   | off when off = ctrl_off -> t.enabled <- value land 1 = 1
   | off when off = baud_off -> t.baud <- max 1 (value land 0xFFFF)
   | _ -> ()
@@ -93,4 +100,5 @@ let reset t =
   t.baud <- 16;
   t.shifting <- None;
   t.bit_cycles_left <- 0;
+  Sim.Kernel.park t.proc;
   Power.Component.reset t.component

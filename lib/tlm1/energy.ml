@@ -32,13 +32,6 @@ type t = {
     (addr:int -> be:int -> wdata:int -> rdata:int -> ctrl:int -> unit) option;
 }
 
-let ctrl_bit c =
-  let rec loop i = function
-    | [] -> assert false
-    | c' :: rest -> if c = c' then i else loop (i + 1) rest
-  in
-  loop 0 Ec.Signals.all_ctrl
-
 let create ?(record_profile = false) table =
   let per id = Power.Characterization.energy_per_transition table id in
   let meter = Power.Meter.create ~record_profile () in
@@ -69,7 +62,7 @@ let set_observer t f = t.observer <- Some f
 let clear_observer t = t.observer <- None
 
 let set_ctrl_bit t c v =
-  let bit = 1 lsl ctrl_bit c in
+  let bit = 1 lsl Ec.Signals.ctrl_index c in
   if v then t.new_ctrl <- t.new_ctrl lor bit
   else t.new_ctrl <- t.new_ctrl land lnot bit
 
@@ -116,7 +109,7 @@ let group_energy t changed per_bit =
 
 let strobes_mask =
   List.fold_left
-    (fun acc c -> acc lor (1 lsl ctrl_bit c))
+    (fun acc c -> acc lor (1 lsl Ec.Signals.ctrl_index c))
     0
     [ Ec.Signals.Ardy; Ec.Signals.Rdval; Ec.Signals.Wdrdy; Ec.Signals.Rberr;
       Ec.Signals.Wberr; Ec.Signals.Bfirst; Ec.Signals.Blast ]

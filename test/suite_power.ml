@@ -115,10 +115,16 @@ let test_component_accounting () =
     Power.Component.params ~idle_pj_per_cycle:0.5 ~active_pj_per_cycle:2.0
       ~access_pj:10.0 ()
   in
-  let c = Power.Component.create ~name:"x" params in
-  Power.Component.tick c ~active:true;
-  Power.Component.tick c ~active:false;
-  Power.Component.tick c ~active:false;
+  (* Active on the first of three cycles: the owner's process counts it
+     and parks; the two idle cycles are derived from the slot's edges. *)
+  let k = Sim.Kernel.create () in
+  let slot = Sim.Kernel.slot k ~name:"x" in
+  let c = Power.Component.create ~name:"x" ~slot params in
+  Sim.Kernel.bind slot (fun _ ->
+      if Sim.Kernel.now k = 0 then Power.Component.count_active c
+      else Sim.Kernel.park slot);
+  Sim.Kernel.unpark slot;
+  Sim.Kernel.run k ~cycles:3;
   Power.Component.access c;
   check_float "energy" (2.0 +. 1.0 +. 10.0) (Power.Component.energy_pj c);
   check_int "active" 1 (Power.Component.active_cycles c);

@@ -173,3 +173,92 @@ let suite =
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng split independence" `Quick test_rng_split_independent;
   ]
+
+(* --- parked processes --- *)
+
+let logger k log name =
+  let h = Sim.Kernel.slot k ~name in
+  Sim.Kernel.bind h (fun _ -> log := name :: !log);
+  Sim.Kernel.unpark h;
+  h
+
+let step_log k log =
+  log := [];
+  Sim.Kernel.step k;
+  List.rev !log
+
+let test_park_keeps_slot () =
+  let k = Sim.Kernel.create () in
+  let log = ref [] in
+  let _a = logger k log "a" in
+  let b = logger k log "b" in
+  let _c = logger k log "c" in
+  Sim.Kernel.park b;
+  Alcotest.(check (list string)) "b parked" [ "a"; "c" ] (step_log k log);
+  Sim.Kernel.unpark b;
+  Alcotest.(check (list string)) "b back in its slot" [ "a"; "b"; "c" ]
+    (step_log k log);
+  Sim.Kernel.unpark b;
+  Alcotest.(check (list string)) "unpark is idempotent" [ "a"; "b"; "c" ]
+    (step_log k log);
+  Alcotest.(check (list (pair string int))) "runs"
+    [ ("a", 3); ("b", 2); ("c", 3) ] (Sim.Kernel.runs k)
+
+let test_unpark_mid_edge () =
+  (* A process woken by an earlier slot runs on the same edge; one woken
+     by a later slot waits for the next edge — where it would have run
+     had it never been parked. *)
+  let k = Sim.Kernel.create () in
+  let log = ref [] in
+  let early = Sim.Kernel.slot k ~name:"early" in
+  let waker = Sim.Kernel.slot k ~name:"waker" in
+  let late = Sim.Kernel.slot k ~name:"late" in
+  let once name h =
+    Sim.Kernel.bind h (fun _ ->
+        log := name :: !log;
+        Sim.Kernel.park h)
+  in
+  once "early" early;
+  once "late" late;
+  Sim.Kernel.bind waker (fun _ ->
+      log := "waker" :: !log;
+      Sim.Kernel.park waker;
+      Sim.Kernel.unpark early;
+      Sim.Kernel.unpark late);
+  Sim.Kernel.unpark waker;
+  Alcotest.(check (list string)) "late runs now" [ "waker"; "late" ]
+    (step_log k log);
+  Alcotest.(check (list string)) "early runs next edge" [ "early" ]
+    (step_log k log);
+  Alcotest.(check (list string)) "all parked" [] (step_log k log)
+
+let test_slot_edges () =
+  (* Inside a rising edge a slot counts that edge once the edge has
+     passed it: [mid] sits between [s0] and [s2]. *)
+  let k = Sim.Kernel.create () in
+  let seen = ref [] in
+  let s0 = Sim.Kernel.slot k ~name:"s0" in
+  let s2 = ref None in
+  Sim.Kernel.on_rising k ~name:"mid" (fun _ ->
+      let e2 = match !s2 with Some h -> Sim.Kernel.edges h | None -> -1 in
+      seen := (Sim.Kernel.edges s0, e2) :: !seen);
+  s2 := Some (Sim.Kernel.slot k ~name:"s2");
+  Sim.Kernel.run k ~cycles:2;
+  Alcotest.(check (list (pair int int))) "s0 passed, s2 not yet"
+    [ (1, 0); (2, 1) ] (List.rev !seen);
+  (match !s2 with
+  | Some h -> check_int "s2 after the run" 2 (Sim.Kernel.edges h)
+  | None -> assert false);
+  Sim.Kernel.reset k;
+  check_int "reset keeps counting" 2 (Sim.Kernel.edges s0);
+  Alcotest.(check (list string)) "slots are not processes" [ "mid" ]
+    (Sim.Kernel.process_names k)
+
+let park_suite =
+  [
+    Alcotest.test_case "kernel park keeps the slot" `Quick test_park_keeps_slot;
+    Alcotest.test_case "kernel unpark mid edge" `Quick test_unpark_mid_edge;
+    Alcotest.test_case "kernel slot edges" `Quick test_slot_edges;
+  ]
+
+let suite = suite @ park_suite

@@ -20,4 +20,5 @@ let () =
       ("parallel", Suite_parallel.suite);
       ("serve", Suite_serve.suite);
       ("properties", Suite_props.suite);
+      ("ledger", Suite_ledger.suite);
     ]
