@@ -1,12 +1,19 @@
 (* Command-line front end of the smart-card energy-estimation framework.
 
-   Subcommands map to the paper's experiments:
-     tables        - Tables 1-3 and Figure 6
+   Subcommands map to the paper's experiments and their extensions:
+     tables        - Tables 1-3, Figure 6 and the adaptive mixed-level
+                     comparison
      explore       - section 4.3 HW/SW interface exploration
      run           - assemble and run a program, report cycles and energy
+     fabric        - multi-master contention study (arbiter x topology x level)
      trace         - capture or replay bus transaction traces
      characterize  - derive and print the per-signal energy table
-     disasm        - assemble and list a program *)
+     ablate        - sensitivity studies of the modelling choices
+     coding        - bus coding study over a program's traffic
+     cache         - instruction-cache size exploration
+     disasm        - assemble and list a program
+     serve         - run the simulation daemon on a socket
+     client        - send requests to a running daemon *)
 
 open Cmdliner
 
@@ -16,7 +23,7 @@ let level_conv =
     | "l1" | "tl1" | "layer1" -> Ok Core.Level.L1
     | "l2" | "tl2" | "layer2" -> Ok Core.Level.L2
     | "l3" | "tl3" | "layer3" -> Ok Core.Level.L3
-    | s -> Error (`Msg (Printf.sprintf "unknown level %S (rtl|l1|l2)" s))
+    | s -> Error (`Msg (Printf.sprintf "unknown level %S (rtl|l1|l2|l3)" s))
   in
   let print ppf l = Format.pp_print_string ppf (Core.Level.to_string l) in
   Arg.conv (parse, print)
@@ -26,7 +33,9 @@ let level_arg =
     value
     & opt level_conv Core.Level.L1
     & info [ "l"; "level" ] ~docv:"LEVEL"
-        ~doc:"Abstraction level: rtl (gate-level reference), l1 or l2.")
+        ~doc:
+          "Abstraction level: rtl (gate-level reference), l1, l2 or l3 \
+           (bridged layer 3).")
 
 (* --pool / --no-pool: session pooling on the commands that run whole
    simulations.  Sweeps default to pooled (rows are bit-identical either
@@ -165,7 +174,10 @@ let finish_obs ?profile ~trace_out ~metrics sink =
 (* --- tables --- *)
 
 let tables_cmd =
-  let doc = "Regenerate the paper's Tables 1-3 and Figure 6." in
+  let doc =
+    "Regenerate the paper's Tables 1-3 and Figure 6, then the adaptive \
+     mixed-level comparison."
+  in
   let txns =
     Arg.(
       value & opt int 20_000
@@ -180,7 +192,11 @@ let tables_cmd =
     print_endline
       (Core.Experiments.render_table3 (Core.Experiments.run_performance ~txns ()));
     print_newline ();
-    print_endline (Core.Experiments.render_figure6 (Core.Experiments.run_figure6 ()))
+    print_endline (Core.Experiments.render_figure6 (Core.Experiments.run_figure6 ()));
+    print_newline ();
+    print_endline
+      (Core.Experiments.render_adaptive
+         (Core.Experiments.run_adaptive_comparison ()))
   in
   Cmd.v (Cmd.info "tables" ~doc) Term.(const run $ txns)
 
@@ -538,9 +554,8 @@ let fabric_cmd =
       value & flag
       & info [ "json" ]
           ~doc:
-            "Emit one JSON object per grid cell (bench --json line \
-             conventions) with per-master energy buckets, instead of the \
-             rendered table.")
+            "Emit one JSON object per grid cell, one per line, with \
+             per-master energy buckets, instead of the rendered table.")
   in
   let domains_opt =
     Arg.(

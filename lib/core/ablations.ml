@@ -177,24 +177,24 @@ let render ~title rows =
   in
   title ^ "\n" ^ Report.table ~header:[ "variant"; "value"; "note" ] body
 
-let run_all ?domains ?(pool = true) () =
+let run_all ?domains () =
   (* The five studies are independent (each characterizes and simulates
      its own systems); fan them out on the domain pool.  One session
      pool is shared: its free-lists are domain-local, so studies on
      different domains never contend. *)
-  let spool = if pool then Some (Pool.create ()) else None in
+  let pool = Pool.create () in
   String.concat "\n\n"
     (Parallel.map ?domains
        (fun (title, study) -> render ~title (study ()))
        [
          ( "Ablation: reference coupling ratio -> layer-1 energy error [%]",
-           coupling_sensitivity ?pool:spool );
+           coupling_sensitivity ~pool );
          ( "Ablation: internal-net energy scale -> layer-1 energy error [%]",
-           internal_nets_sensitivity ?pool:spool );
+           internal_nets_sensitivity ~pool );
          ( "Ablation: characterization table -> layer-1 energy error [%]",
-           characterization_quality ?pool:spool );
+           characterization_quality ~pool );
          ( "Ablation: layer-2 boundary data-toggle assumption -> layer-2 error [%]",
-           l2_boundary_sensitivity ?pool:spool );
+           l2_boundary_sensitivity ~pool );
          ( "Ablation: CPU store buffer (blocking/buffered cycle ratio per program)",
            store_buffer_effect );
        ])

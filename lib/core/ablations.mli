@@ -43,8 +43,8 @@ val store_buffer_effect : unit -> row list
 
 val render : title:string -> row list -> string
 
-val run_all : ?domains:int -> ?pool:bool -> unit -> string
+val run_all : ?domains:int -> unit -> string
 (** Every study, rendered; the five studies are independent and run on
-    the {!Parallel} pool.  [pool] (default [true]) shares one session
-    pool across the studies, so each study's reference and layer runs
-    reuse reset sessions; values are bit-identical either way. *)
+    the {!Parallel} pool.  They share one session pool, so each study's
+    reference and layer runs reuse reset sessions (pooled runs are
+    bit-identical to fresh ones). *)

@@ -26,13 +26,12 @@ val run :
   ?table:Power.Characterization.t ->
   ?sizes:int option list ->
   ?name:string ->
-  ?pool:bool ->
   Soc.Asm.program ->
   t
-(** Defaults: layer-1 bus; sizes [none; 1; 2; 4; 16] lines.  [pool]
-    (default [true]) runs the sweep on a session pool — fixed-level rows
-    keep one session per cache size, adaptive rows reuse one system per
-    level across windows; rows are bit-identical either way.
+(** Defaults: layer-1 bus; sizes [none; 1; 2; 4; 16] lines.  The sweep
+    runs on a session pool — fixed-level rows keep one session per cache
+    size, adaptive rows reuse one system per level across windows;
+    pooled rows are bit-identical to fresh ones.
 
     [policy] switches each size to the adaptive route: the program runs
     once on the gate-level system behind the candidate cache

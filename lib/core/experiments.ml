@@ -23,14 +23,14 @@ type accuracy_row = {
   energy_err_pct : float;
 }
 
-let run_accuracy ?table ?domains ?(pool = true) () =
+let run_accuracy ?table ?domains () =
   let table = match table with Some t -> t | None -> Runner.characterize () in
-  let spool = if pool then Some (Pool.create ()) else None in
+  let pool = Pool.create () in
   let segments = accuracy_stimulus () in
   let totals level =
     List.fold_left
       (fun (cycles, pj) (_, trace, mode, init) ->
-        let r = Runner.run_trace ~level ~table ~mode ~init ?pool:spool trace in
+        let r = Runner.run_trace ~level ~table ~mode ~init ~pool trace in
         (cycles + r.Runner.cycles, pj +. r.Runner.bus_pj))
       (0, 0.0) segments
   in
@@ -97,10 +97,9 @@ type perf_row = {
   factor_vs_l1_estimating : float;
 }
 
-let run_performance ?(txns = 20_000) ?(repetitions = 3) ?(domains = 1)
-    ?(pool = true) () =
+let run_performance ?(txns = 20_000) ?(repetitions = 3) ?(domains = 1) () =
   let trace = Workloads.table3_trace ~n:txns in
-  let spool = if pool then Some (Pool.create ()) else None in
+  let pool = Pool.create () in
   (* Transactions are issued one at a time, as the paper's testbench does:
      all models then simulate the same cycle count and the measurement
      isolates the per-cycle cost of each abstraction.  Best of
@@ -110,7 +109,7 @@ let run_performance ?(txns = 20_000) ?(repetitions = 3) ?(domains = 1)
   let measure (label, level, estimate) =
     let best = ref 0.0 in
     for _ = 1 to repetitions do
-      let r = Runner.run_trace ~level ~estimate ~mode:`Serial ?pool:spool trace in
+      let r = Runner.run_trace ~level ~estimate ~mode:`Serial ~pool trace in
       let kts = Runner.txns_per_second r /. 1000.0 in
       if kts > !best then best := kts
     done;
@@ -184,10 +183,9 @@ let adaptive_policy =
         };
     ]
 
-let run_adaptive_comparison ?(txns = 8_000) ?(repetitions = 3) ?(pool = true)
-    () =
+let run_adaptive_comparison ?(txns = 8_000) ?(repetitions = 3) () =
   let trace = Workloads.mixed_phase_trace ~n:txns () in
-  let spool = if pool then Some (Pool.create ()) else None in
+  let pool = Pool.create () in
   (* Characterize once (outside the timed region) and feed every run the
      same table and memory image, as the accuracy experiments do, so the
      error columns land in the Table 2 bands. *)
@@ -207,7 +205,7 @@ let run_adaptive_comparison ?(txns = 8_000) ?(repetitions = 3) ?(pool = true)
     best (fun () ->
         let r =
           Runner.run_trace ~level ~table ~mode:`Serial
-            ~init:Runner.fill_memories ?pool:spool trace
+            ~init:Runner.fill_memories ~pool trace
         in
         (r, Runner.txns_per_second r /. 1000.0))
   in
@@ -218,7 +216,7 @@ let run_adaptive_comparison ?(txns = 8_000) ?(repetitions = 3) ?(pool = true)
     best (fun () ->
         let r =
           Runner.run_adaptive ~table ~mode:`Serial ~init:Runner.fill_memories
-            ?pool:spool ~policy:adaptive_policy trace
+            ~pool ~policy:adaptive_policy trace
         in
         (`A r, Runner.adaptive_txns_per_second r /. 1000.0))
   in

@@ -1,9 +1,9 @@
 (** Canonical definitions of the paper's experiments (section 4).
 
     Each [run_*] executes the experiment and returns structured results;
-    each [render_*] lays them out like the paper's table.  The benchmark
-    harness and the CLI both call these, so EXPERIMENTS.md numbers are
-    reproducible from a single place. *)
+    each [render_*] lays them out like the paper's table.  The
+    [smartcard] CLI and the benchmark in [perfbench/] both call these,
+    so EXPERIMENTS.md numbers are reproducible from a single place. *)
 
 (** {1 Tables 1 and 2: timing and energy accuracy} *)
 
@@ -26,14 +26,13 @@ type accuracy_row = {
 val run_accuracy :
   ?table:Power.Characterization.t ->
   ?domains:int ->
-  ?pool:bool ->
   unit ->
   accuracy_row list
 (** Characterizes on the training workload (unless [table] is given),
     then runs the accuracy stimulus through all three levels — one
     {!Parallel} domain per level; the rows are identical to a serial
-    run.  [pool] (default [true]) reuses one reset session per level
-    across the stimulus segments; rows are bit-identical either way. *)
+    run.  One reset session per level is reused across the stimulus
+    segments (pooled runs are bit-identical to fresh ones). *)
 
 val render_table1 : accuracy_row list -> string
 val render_table2 : accuracy_row list -> string
@@ -50,7 +49,6 @@ val run_performance :
   ?txns:int ->
   ?repetitions:int ->
   ?domains:int ->
-  ?pool:bool ->
   unit ->
   perf_row list
 (** Replays the Table 3 mix ("all combinations between single read,
@@ -60,10 +58,10 @@ val run_performance :
     acceleration context.  [txns] defaults to 20000; the best of
     [repetitions] (default 3) wall-clock runs is reported per model.
     [domains] defaults to 1: these are wall-clock measurements, and
-    concurrent runs contend for cores and distort the factors.  [pool]
-    (default [true]) reuses one reset session per model across the
-    repetitions; the timed region never includes setup, so the reported
-    factors are unaffected. *)
+    concurrent runs contend for cores and distort the factors.  One
+    reset session per model is reused across the repetitions; the timed
+    region never includes setup, so the reported factors are
+    unaffected. *)
 
 val render_table3 : perf_row list -> string
 
@@ -93,12 +91,12 @@ val adaptive_policy : Hier.Policy.t
     targets the EEPROM (the DPA-sensitive window). *)
 
 val run_adaptive_comparison :
-  ?txns:int -> ?repetitions:int -> ?pool:bool -> unit -> adaptive_summary
+  ?txns:int -> ?repetitions:int -> unit -> adaptive_summary
 (** Replays {!Workloads.mixed_phase_trace} (default 8000 transactions)
-    pipelined through the gate-level reference, pure layer 1, pure
-    layer 2 and the adaptive engine, best of [repetitions] (default 3)
-    wall-clock runs each.  The table the new subsystem is judged by:
-    accuracy vs the reference and T/s vs pure layer 1. *)
+    through the gate-level reference, pure layer 1, pure layer 2 and the
+    adaptive engine, best of [repetitions] (default 3) wall-clock runs
+    each, on one session pool.  The table the new subsystem is judged
+    by: accuracy vs the reference and T/s vs pure layer 1. *)
 
 val render_adaptive : adaptive_summary -> string
 

@@ -2,8 +2,8 @@
 
     Just enough for the Chrome trace exporter and the metrics snapshots:
     no external dependency, round-trips the documents this library emits.
-    The parser exists so tests (and the bench smoke run) can re-read an
-    exported trace and check it structurally. *)
+    The parser exists so tests and the benchmark can re-read an exported
+    trace and check it structurally. *)
 
 type t =
   | Null

@@ -42,11 +42,6 @@ let observe h v =
   h.h_total <- h.h_total + 1;
   h.h_sum.(0) <- h.h_sum.(0) +. v
 
-let hist_reset h =
-  Array.fill h.counts 0 (Array.length h.counts) 0;
-  h.h_total <- 0;
-  h.h_sum.(0) <- 0.0
-
 let max_slaves = 32
 
 type t = {
@@ -86,20 +81,6 @@ let create () =
     outstanding = hist "master-outstanding" outstanding_bounds;
     pj_per_beat = hist "bus-pj-per-beat" pj_bounds;
   }
-
-let reset t =
-  t.issued <- 0;
-  t.rejected <- 0;
-  t.finished <- 0;
-  t.errored <- 0;
-  t.beats <- 0;
-  t.wait_stalls <- 0;
-  t.dropped <- 0;
-  Array.fill t.wait_by_slave 0 max_slaves 0;
-  hist_reset t.latency;
-  hist_reset t.occupancy;
-  hist_reset t.outstanding;
-  hist_reset t.pj_per_beat
 
 let incr_issued t = t.issued <- t.issued + 1
 let incr_rejected t = t.rejected <- t.rejected + 1

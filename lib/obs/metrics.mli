@@ -11,7 +11,6 @@
 type t
 
 val create : unit -> t
-val reset : t -> unit
 
 (** {1 Recording} (allocation-free) *)
 
@@ -59,7 +58,6 @@ val hist : string -> float array -> hist
 
 val observe : hist -> float -> unit
 val observe_int : hist -> int -> unit
-val hist_reset : hist -> unit
 
 type hist_view = {
   name : string;

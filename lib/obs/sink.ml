@@ -32,16 +32,6 @@ let create ?(capacity = 65536) () =
 
 let metrics t = t.metrics
 
-let reset t =
-  t.len <- 0;
-  t.dropped <- 0;
-  t.base <- 0;
-  (* The issue store is bounded by the outstanding limits; drain it. *)
-  while Ec.Id_store.length t.issue_cycles > 0 do
-    Ec.Id_store.remove_at t.issue_cycles 0
-  done;
-  Metrics.reset t.metrics
-
 let set_base t base = t.base <- base
 let base t = t.base
 let length t = t.len

@@ -23,9 +23,6 @@ val create : ?capacity:int -> unit -> t
 
 val metrics : t -> Metrics.t
 
-val reset : t -> unit
-(** Drop all events, metrics and the timeline base. *)
-
 val set_base : t -> int -> unit
 (** Cycle offset added to every subsequently recorded timestamp. *)
 

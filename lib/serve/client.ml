@@ -89,33 +89,46 @@ let collect t =
   in
   loop []
 
+(* A daemon that has closed the connection surfaces on the next write
+   as EPIPE, or on a read as ECONNRESET: report it like any other closed
+   stream instead of raising. *)
+let closed_as_error f =
+  try f ()
+  with Unix.Unix_error (((Unix.EPIPE | Unix.ECONNRESET) as e), _, _) ->
+    Error ("connection closed: " ^ Unix.error_message e)
+
 let request ?id t req =
-  let _ = send ?id t req in
-  collect t
+  closed_as_error (fun () ->
+      let _ = send ?id t req in
+      collect t)
 
 (* Open a telemetry subscription: returns the request id tagging every
    stream frame once the daemon acks.  Stream frames are then read with
    [read_typed] at the caller's pace. *)
 let subscribe ?id ?(interval_ms = 500) t ~streams =
-  let id = send ?id t (Protocol.Subscribe { Protocol.streams; interval_ms }) in
-  match read_typed t with
-  | Ok (_, Protocol.Subscribed _) -> Ok id
-  | Ok (_, Protocol.Error e) -> Error e.Protocol.message
-  | Ok _ -> Error "unexpected frame before subscribe ack"
-  | Error msg -> Error msg
+  closed_as_error (fun () ->
+      let id =
+        send ?id t (Protocol.Subscribe { Protocol.streams; interval_ms })
+      in
+      match read_typed t with
+      | Ok (_, Protocol.Subscribed _) -> Ok id
+      | Ok (_, Protocol.Error e) -> Error e.Protocol.message
+      | Ok _ -> Error "unexpected frame before subscribe ack"
+      | Error msg -> Error msg)
 
 (* Close the subscription and drain any stream frames still in flight
    ahead of the ack, so the connection is clean for the next request. *)
 let unsubscribe t =
-  let _ = send t Protocol.Unsubscribe in
-  let rec loop () =
-    match read_typed t with
-    | Ok (_, Protocol.Done _) -> Ok ()
-    | Ok (_, Protocol.Error e) -> Error e.Protocol.message
-    | Ok _ -> loop ()
-    | Error msg -> Error msg
-  in
-  loop ()
+  closed_as_error (fun () ->
+      let _ = send t Protocol.Unsubscribe in
+      let rec loop () =
+        match read_typed t with
+        | Ok (_, Protocol.Done _) -> Ok ()
+        | Ok (_, Protocol.Error e) -> Error e.Protocol.message
+        | Ok _ -> loop ()
+        | Error msg -> Error msg
+      in
+      loop ())
 
 let request_retrying ?id ?(attempts = 10) t req =
   let rec go n =

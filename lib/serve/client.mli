@@ -42,7 +42,9 @@ val collect : t -> (Protocol.frame list, string) result
     reads on so the connection stays aligned for the next request. *)
 
 val request : ?id:int -> t -> Protocol.request -> (Protocol.frame list, string) result
-(** [send] + [collect]. *)
+(** [send] + [collect].  A connection the daemon has already closed is
+    an [Error], never a raised [Unix.Unix_error]: this holds for
+    {!request_retrying}, {!subscribe} and {!unsubscribe} too. *)
 
 val request_retrying :
   ?id:int ->

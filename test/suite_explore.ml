@@ -278,6 +278,17 @@ let test_pooled_cell_every_level () =
       done)
     Core.Level.[ Rtl; L1; L2; L3 ]
 
+(* The exploration comparison on one applet: the adaptive rows match
+   layer 1, the warm compiled sweep reproduces the cold one, and every
+   spliced row is within its budget. *)
+let test_exploration_comparison () =
+  let c = Core.Experiments.run_exploration_comparison ~applets:[ fib ] () in
+  Alcotest.(check bool) "bit_exact" true c.Core.Experiments.bit_exact;
+  Alcotest.(check bool) "compiled_exact" true c.Core.Experiments.compiled_exact;
+  Alcotest.(check bool) "within_budget" true c.Core.Experiments.within_budget;
+  Alcotest.(check bool) "renders" true
+    (String.length (Core.Experiments.render_exploration_comparison c) > 0)
+
 let suite =
   [
     Alcotest.test_case "constant policy row = fixed-level row" `Quick
@@ -297,4 +308,6 @@ let suite =
       test_cache_study_adaptive;
     Alcotest.test_case "pooled cell = fresh cell at every level" `Quick
       test_pooled_cell_every_level;
+    Alcotest.test_case "exploration comparison (one applet)" `Quick
+      test_exploration_comparison;
   ]

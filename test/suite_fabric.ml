@@ -160,7 +160,23 @@ let test_degenerate_bit_exact () =
         check_pj
           (Core.Level.to_string level ^ " bucket = direct bus_pj")
           direct.Core.Runner.bus_pj
-          (Ec.Fabric.master_pj fabric 0))
+          (Ec.Fabric.master_pj fabric 0);
+      (* The same through [Contention.run]: at the gate level the two
+         totals associate the same increments differently, so they agree
+         only to rounding; the transaction levels agree exactly. *)
+      let via =
+        Core.Contention.run ~level ~mode:`Serial
+          [ (Core.Contention.Cpu, trace) ]
+      in
+      let row = List.hd via.Core.Contention.rows in
+      let name = Core.Level.to_string level ^ " Contention.run" in
+      check_int (name ^ " cycles") direct.Core.Runner.cycles
+        via.Core.Contention.cycles;
+      check_int (name ^ " txns") direct.Core.Runner.txns row.Core.Contention.txns;
+      let a = direct.Core.Runner.bus_pj and b = row.Core.Contention.energy_pj in
+      if level = Core.Level.Rtl then
+        Alcotest.(check (float (1e-9 *. Float.abs a))) (name ^ " energy") a b
+      else check_pj (name ^ " energy") a b)
     Core.Level.timed
 
 (* Read data must come back through the fabric's remapped transactions. *)
@@ -380,7 +396,19 @@ let test_compiled_grid_bit_exact () =
     [ Core.Level.L1; Core.Level.L2 ];
   (* One capture per cell, then memo hits. *)
   check_int "plans built" 12 (Core.Pool.memo_builds pool);
-  check_int "plan hits" 12 (Core.Pool.memo_hits pool)
+  check_int "plan hits" 12 (Core.Pool.memo_hits pool);
+  (* The study sweep: its compiled grid, cold and then warm off the
+     memoized plans, equals the interpreted grid cell for cell. *)
+  let levels = [ Core.Level.L1; Core.Level.L2 ] in
+  let interp = Core.Contention.study ~n:48 ~levels ~domains:1 () in
+  let study_pool = Core.Pool.create () in
+  for pass = 1 to 2 do
+    List.iter2
+      (check_result_bit_exact (Printf.sprintf "study pass %d" pass))
+      interp
+      (Core.Contention.study ~n:48 ~levels ~compiled:true ~pool:study_pool
+         ~domains:1 ())
+  done
 
 (* Multi-point evaluation must equal N single-point evaluations. *)
 let test_fabric_multipoint () =

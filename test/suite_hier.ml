@@ -239,6 +239,19 @@ let prop_constant_equals_pure =
       && pure.Core.Runner.bus_pj = a.Core.Runner.bus_pj
       && pure.Core.Runner.component_pj = a.Core.Runner.component_pj)
 
+(* The adaptive mixed-level comparison at reduced size: 2048
+   transactions reach the EEPROM phase, so the run switches levels. *)
+let test_adaptive_comparison () =
+  let s =
+    Core.Experiments.run_adaptive_comparison ~txns:2_048 ~repetitions:1 ()
+  in
+  Alcotest.(check int) "gate, L1, L2, adaptive" 4
+    (List.length s.Core.Experiments.rows);
+  Alcotest.(check bool) "switches levels" true (s.Core.Experiments.switches > 0);
+  Alcotest.(check bool) "within its budget" true s.Core.Experiments.within_bound;
+  Alcotest.(check bool) "renders" true
+    (String.length (Core.Experiments.render_adaptive s) > 0)
+
 let suite =
   [
     Alcotest.test_case "policy constant" `Quick test_policy_constant;
@@ -254,3 +267,7 @@ let suite =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_script_splice_sums; prop_constant_equals_pure ]
+  @ [
+      Alcotest.test_case "adaptive comparison (reduced)" `Quick
+        test_adaptive_comparison;
+    ]

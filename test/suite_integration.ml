@@ -18,6 +18,8 @@ let test_table1_bands () =
   let l1 = row Core.Level.L1 in
   let l2 = row Core.Level.L2 in
   check_int "l1 exact" rtl.Core.Experiments.cycles l1.Core.Experiments.cycles;
+  check_bool "table 1 renders" true
+    (String.length (Core.Experiments.render_table1 (Lazy.force accuracy_rows)) > 0);
   check_bool
     (Printf.sprintf "l2 error %+.2f%% in (0, 3]" l2.Core.Experiments.cycle_err_pct)
     true
@@ -29,6 +31,8 @@ let test_table1_bands () =
 let test_table2_bands () =
   let l1 = row Core.Level.L1 in
   let l2 = row Core.Level.L2 in
+  check_bool "table 2 renders" true
+    (String.length (Core.Experiments.render_table2 (Lazy.force accuracy_rows)) > 0);
   check_bool
     (Printf.sprintf "l1 error %+.2f%% in [-12, -4]" l1.Core.Experiments.energy_err_pct)
     true
@@ -48,6 +52,8 @@ let test_table2_bands () =
 let test_table3_shape () =
   let rows = Core.Experiments.run_performance ~txns:4000 () in
   let rows' = Core.Experiments.run_performance ~txns:4000 () in
+  check_bool "table 3 renders" true
+    (String.length (Core.Experiments.render_table3 rows) > 0);
   let find label =
     let kts (rs : Core.Experiments.perf_row list) =
       (List.find
@@ -74,6 +80,8 @@ let test_table3_shape () =
    cycles than layer 2 has lumps. *)
 let test_figure6_semantics () =
   let f = Core.Experiments.run_figure6 () in
+  check_bool "figure 6 renders" true
+    (String.length (Core.Experiments.render_figure6 f) > 0);
   let lump_sum = List.fold_left (fun acc (_, e) -> acc +. e) 0.0 f.Core.Experiments.l2_lumps in
   Alcotest.(check (float 1e-6)) "lumps sum to total" f.Core.Experiments.l2_total lump_sum;
   check_int "two samples" 2 (List.length f.Core.Experiments.l2_lumps);

@@ -155,7 +155,7 @@ let test_pooled_no_cross_run_leak () =
   check_int "replays were resets, not rebuilds" 6 (Core.Pool.hits pool)
 
 let test_exploration_pooled_matches_unpooled () =
-  let applets = [ Jcvm.Applets.fib ] in
+  let applets = [ Jcvm.Applets.fib; Jcvm.Applets.gcd ] in
   check_bool "pooled sweep rows = unpooled sweep rows" true
     (Core.Exploration.run ~applets ~pool:false ()
     = Core.Exploration.run ~applets ~pool:true ())

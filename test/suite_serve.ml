@@ -413,6 +413,7 @@ let test_run_bit_exact () =
               (Core.Level.L1, `Pipelined, true, P.Table3 64);
               (Core.Level.L2, `Serial, true, P.Mixed_phase 120);
               (Core.Level.L1, `Serial, false, P.Table3 32);
+              (Core.Level.L1, `Serial, false, P.Table3 64);
               (Core.Level.Rtl, `Serial, false, P.Table3 16);
             ]))
 
@@ -798,13 +799,16 @@ let test_concurrent_clients_bit_exact () =
 
 let test_backpressure () =
   (* One worker, queue of one: a slow gate-level job in flight plus one
-     queued job force busy rejections for a burst of pipelined sends. *)
+     queued job force busy rejections for a burst of pipelined sends.
+     The worker runs on the daemon's own domain, so the reader only
+     gets the runtime lock at the 50 ms tick while a job runs: the job
+     must last several ticks for the reader to fill the queue. *)
   with_server ~domains:1 ~queue_depth:1 (fun _server path ->
       with_client path (fun c ->
           let n = 8 in
           let slow_run =
             P.Run
-              { P.workload = P.Table3 400; level = Core.Level.Rtl;
+              { P.workload = P.Table3 200_000; level = Core.Level.Rtl;
                 mode = `Serial; estimate = true; profile = false;
                 compiled = false }
           in
@@ -858,17 +862,42 @@ let test_shutdown_drains () =
           Serve.Client.close a;
           Serve.Client.close witness)
         (fun () ->
-          (* A slow job keeps the single worker busy across the drain. *)
-          let slow_id =
-            Serve.Client.send a
-              (P.Run
-                 { P.workload = P.Table3 600; level = Core.Level.Rtl;
-                   mode = `Serial; estimate = true; profile = false;
-                   compiled = false })
+          (* A backlog of slow jobs keeps the single worker busy across
+             the drain.  The worker runs on the daemon's own domain, so
+             while a job runs the reader threads only get the runtime
+             lock at the 50 ms tick: every step below costs a tick or
+             two, and the backlog must outlast all of them. *)
+          let backlog = 4 in
+          for id = 1 to backlog do
+            ignore
+              (Serve.Client.send ~id a
+                 (P.Run
+                    { P.workload = P.Table3 200_000; level = Core.Level.Rtl;
+                      mode = `Serial; estimate = true; profile = false;
+                      compiled = false }))
+          done;
+          let accepted = Hashtbl.create 4
+          and results = Hashtbl.create 4
+          and finished = Hashtbl.create 4 in
+          let read_a () =
+            match Serve.Client.read_typed a with
+            | Error e -> Alcotest.failf "client A stream: %s" e
+            | Ok (id, frame) -> (
+              let id =
+                match Obs.Json.int_opt id with
+                | Some i -> i
+                | None -> Alcotest.fail "response without id"
+              in
+              match frame with
+              | P.Accepted _ -> Hashtbl.replace accepted id ()
+              | P.Result _ -> Hashtbl.replace results id ()
+              | P.Done _ -> Hashtbl.replace finished id ()
+              | P.Error e -> Alcotest.failf "job %d: %s" id e.P.message
+              | _ -> ())
           in
-          (match Serve.Client.read_typed a with
-          | Ok (_, P.Accepted _) -> ()
-          | _ -> Alcotest.fail "slow job not accepted");
+          while Hashtbl.length accepted < backlog do
+            read_a ()
+          done;
           (* Shutdown acks, then the daemon refuses new work... *)
           with_client path (fun b ->
               let frames = frames_exn (Serve.Client.request b P.Shutdown) in
@@ -893,12 +922,14 @@ let test_shutdown_drains () =
                 (e.P.code = P.Draining)
             | None -> Alcotest.fail "expected a draining error")
           | Error e -> Alcotest.failf "witness stream error: %s" e);
-          (* ... but the accepted job still runs to completion. *)
-          let frames = frames_exn (Serve.Client.collect a) in
-          check_bool "in-flight job completed" true (has_done frames);
-          check_bool "in-flight job has its result" true
-            (find_result frames <> None);
-          ignore slow_id))
+          (* ... but the accepted jobs still run to completion. *)
+          while Hashtbl.length finished < backlog do
+            read_a ()
+          done;
+          check_int "in-flight jobs completed" backlog
+            (Hashtbl.length finished);
+          check_int "in-flight jobs have their results" backlog
+            (Hashtbl.length results)))
 
 let test_sigint_drains () =
   let path = temp_socket () in
@@ -1217,7 +1248,10 @@ let test_round_robin_wire_fairness () =
   (* One worker: client A pipelines a backlog of slow gate-level jobs,
      then client B sends a single quick one.  Per-client round-robin
      must schedule B's job ahead of A's backlog, so B finishes while A
-     still has jobs queued. *)
+     still has jobs queued.  The worker runs on the daemon's own domain:
+     while a job runs, the acks and B's request get the runtime lock
+     only at the 50 ms tick, so each job lasts many ticks and B's job
+     is queued before A's second-to-last one starts. *)
   with_server ~domains:1 ~queue_depth:32 (fun _server path ->
       let a = Serve.Client.connect (`Unix path) in
       let b = Serve.Client.connect (`Unix path) in
@@ -1228,7 +1262,7 @@ let test_round_robin_wire_fairness () =
         (fun () ->
           let slow =
             P.Run
-              { P.workload = P.Table3 200; level = Core.Level.Rtl;
+              { P.workload = P.Table3 200_000; level = Core.Level.Rtl;
                 mode = `Serial; estimate = true; profile = false;
                 compiled = false }
           in
@@ -1340,6 +1374,41 @@ let prop_telemetry_frame_roundtrip =
         QCheck.Test.fail_reportf "does not decode: %s (%s)" e
           (Obs.Json.to_string doc))
 
+(* Once the daemon has drained and closed the connection, every client
+   call on the still-open handle answers [Error]; none raises the
+   EPIPE/ECONNRESET of the dead socket. *)
+let test_closed_connection_is_error () =
+  let path = temp_socket () in
+  let server = Serve.Server.create ~unix_path:path ~domains:1 () in
+  let thread = Thread.create Serve.Server.serve server in
+  let c = Serve.Client.connect (`Unix path) in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Client.close c;
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+    (fun () ->
+      check_bool "live before the drain" true
+        (has_done (frames_exn (Serve.Client.request c P.Stats)));
+      Serve.Server.drain server;
+      Thread.join thread;
+      let is_error name f =
+        match f () with
+        | Ok _ -> Alcotest.failf "%s answered on a closed connection" name
+        | Error _ -> ()
+        | exception e ->
+          Alcotest.failf "%s raised %s" name (Printexc.to_string e)
+      in
+      (* Twice: the first write may still land in the socket buffer and
+         fail on the read, the second meets the closed peer. *)
+      for _ = 1 to 2 do
+        is_error "request" (fun () -> Serve.Client.request c (quick_run ()))
+      done;
+      is_error "request_retrying" (fun () ->
+          Serve.Client.request_retrying c (quick_run ()));
+      is_error "subscribe" (fun () ->
+          Serve.Client.subscribe c ~streams:[ `Metrics ]);
+      is_error "unsubscribe" (fun () -> Serve.Client.unsubscribe c))
+
 let suite =
   [
     Alcotest.test_case "framing round-trip and resync" `Quick
@@ -1380,4 +1449,6 @@ let suite =
     Alcotest.test_case "round-robin fairness over the wire" `Quick
       test_round_robin_wire_fairness;
     Alcotest.test_case "explore at l3 answers a row" `Quick test_explore_l3_row;
+    Alcotest.test_case "closed connection is an error, not a raise" `Quick
+      test_closed_connection_is_error;
   ]
