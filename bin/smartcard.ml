@@ -28,6 +28,17 @@ let level_conv =
   let print ppf l = Format.pp_print_string ppf (Core.Level.to_string l) in
   Arg.conv (parse, print)
 
+(* Counts and sizes: zero or a negative value is a usage error that
+   names the flag, not a crash deep in the run. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let level_arg =
   Arg.(
     value
@@ -180,7 +191,7 @@ let tables_cmd =
   in
   let txns =
     Arg.(
-      value & opt int 20_000
+      value & opt pos_int 20_000
       & info [ "txns" ] ~docv:"N" ~doc:"Transactions for the Table 3 measurement.")
   in
   let run txns =
@@ -539,7 +550,7 @@ let fabric_cmd =
   in
   let n =
     Arg.(
-      value & opt int 512
+      value & opt pos_int 512
       & info [ "n" ] ~docv:"N"
           ~doc:"Stimulus size: CPU transactions / DMA words (default 512).")
   in
@@ -560,7 +571,7 @@ let fabric_cmd =
   let domains_opt =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_int) None
       & info [ "domains" ] ~docv:"D"
           ~doc:"Domains to map the grid across (default: all cores).")
   in
@@ -809,14 +820,14 @@ let serve_cmd =
   let domains =
     Arg.(
       value
-      & opt int (Core.Parallel.default_domains ())
+      & opt pos_int (Core.Parallel.default_domains ())
       & info [ "domains" ] ~docv:"N"
           ~doc:"Worker domains draining the job queue (default: CPU count).")
   in
   let queue_depth =
     Arg.(
       value
-      & opt int 64
+      & opt pos_int 64
       & info [ "queue-depth" ] ~docv:"N"
           ~doc:
             "Bound on the job queue; a push beyond it is rejected with a \
@@ -1197,7 +1208,19 @@ let client_cmd =
       | None, Some port -> `Tcp (host, port)
       | None, None -> `Unix "smartcard.sock"
     in
-    let c = Serve.Client.connect endpoint in
+    let c =
+      let fail reason =
+        Printf.eprintf "cannot connect to %s: %s\n%!"
+          (match endpoint with
+          | `Unix path -> path
+          | `Tcp (host, port) -> Printf.sprintf "%s:%d" host port)
+          reason;
+        exit 1
+      in
+      try Serve.Client.connect endpoint with
+      | Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
+      | Not_found -> fail "unknown host"
+    in
     Fun.protect
       ~finally:(fun () -> Serve.Client.close c)
       (fun () ->

@@ -208,7 +208,7 @@ let eval_raw plan ~points ~dense =
     in
     eval_l2 plan.Plan.meta d lanes ~dense
 
-let eval_multi ?(record_profile = false) plan ~points =
+let eval_multi ~record_profile plan ~points =
   if points = [] then []
   else
     let totals, profs = eval_raw plan ~points ~dense:record_profile in
@@ -285,7 +285,7 @@ let eval_fabric_multi (f : Plan.fabric) ~points =
         })
   end
 
-let eval_fabric ?l2_params ~table f =
-  match eval_fabric_multi f ~points:[ { table; l2_params } ] with
+let eval_fabric ~table f =
+  match eval_fabric_multi f ~points:[ { table; l2_params = None } ] with
   | [ o ] -> o
   | _ -> assert false

@@ -23,7 +23,7 @@ type point = {
 type outcome = { bus_pj : float; profile : Power.Profile.t option }
 
 val eval_multi :
-  ?record_profile:bool -> Plan.t -> points:point list -> outcome list
+  record_profile:bool -> Plan.t -> points:point list -> outcome list
 (** One pass over the plan, one outcome per point, in order. *)
 
 val eval :
@@ -58,8 +58,5 @@ val eval_fabric_multi :
     point. *)
 
 val eval_fabric :
-  ?l2_params:Tlm2.Energy.params ->
-  table:Power.Characterization.t ->
-  Plan.fabric ->
-  fabric_outcome
+  table:Power.Characterization.t -> Plan.fabric -> fabric_outcome
 (** Single-point convenience over {!eval_fabric_multi}. *)

@@ -91,7 +91,6 @@ val op_near : int
     burst beats). *)
 
 val op_far : int
-val op_cross : int
 
 type fabric_meta = {
   f_masters : int;

@@ -1,30 +1,31 @@
 type row = { label : string; value : float; note : string }
 
-(* Layer energy error (%) vs the gate-level reference over the accuracy
-   stimulus, with a specific electrical parameter set and table. *)
-let energy_error ?(level = Level.L1) ?pool ~rtl_params ~table () =
+(* Layer-1 energy error (%) vs the gate-level reference over the
+   accuracy stimulus, with a specific electrical parameter set and
+   table. *)
+let energy_error ~pool ~rtl_params ~table =
   let segments = Experiments.accuracy_stimulus () in
   let total lvl =
     List.fold_left
       (fun acc (_, trace, mode, init) ->
         let r =
-          Runner.run_trace ~level:lvl ~rtl_params ~table ~mode ~init ?pool
+          Runner.run_trace ~level:lvl ~rtl_params ~table ~mode ~init ~pool
             trace
         in
         acc +. r.Runner.bus_pj)
       0.0 segments
   in
   let reference = total Level.Rtl in
-  Power.Units.pct_error ~reference (total level)
+  Power.Units.pct_error ~reference (total Level.L1)
 
-let coupling_sensitivity ?pool () =
+let coupling_sensitivity ~pool () =
   List.map
     (fun ratio ->
       let rtl_params = { Rtl.Params.default with Rtl.Params.coupling_ratio = ratio } in
       let table = Runner.characterize ~rtl_params () in
       {
         label = Printf.sprintf "coupling ratio %.2f" ratio;
-        value = energy_error ?pool ~rtl_params ~table ();
+        value = energy_error ~pool ~rtl_params ~table;
         note = (if ratio = Rtl.Params.default.Rtl.Params.coupling_ratio then "default" else "");
       })
     [ 0.0; 0.10; Rtl.Params.default.Rtl.Params.coupling_ratio; 0.40 ]
@@ -40,25 +41,25 @@ let scale_internal (p : Rtl.Params.t) k =
     leakage_pj_per_cycle = p.Rtl.Params.leakage_pj_per_cycle *. k;
   }
 
-let internal_nets_sensitivity ?pool () =
+let internal_nets_sensitivity ~pool () =
   List.map
     (fun k ->
       let rtl_params = scale_internal Rtl.Params.default k in
       let table = Runner.characterize ~rtl_params () in
       {
         label = Printf.sprintf "internal nets x%.1f" k;
-        value = energy_error ?pool ~rtl_params ~table ();
+        value = energy_error ~pool ~rtl_params ~table;
         note = (if k = 1.0 then "default" else "");
       })
     [ 0.0; 0.5; 1.0; 2.0 ]
 
 (* The gate-level reference total over the accuracy stimulus — the
    denominator every table/parameter variant shares. *)
-let rtl_reference ?pool ?rtl_params segments =
+let rtl_reference ?pool segments =
   List.fold_left
     (fun acc (_, trace, mode, init) ->
       acc
-      +. (Runner.run_trace ~level:Level.Rtl ?rtl_params ~mode ~init ?pool trace)
+      +. (Runner.run_trace ~level:Level.Rtl ~mode ~init ?pool trace)
            .Runner.bus_pj)
     0.0 segments
 
@@ -67,7 +68,6 @@ let rtl_reference ?pool ?rtl_params segments =
    off it in a single multi-point replay — the interpreted layer-1 run
    happens twice fewer times, bit-identically. *)
 let characterization_quality ?pool () =
-  let rtl_params = Rtl.Params.default in
   let derived = Runner.characterize () in
   let segments = Experiments.accuracy_stimulus () in
   let tables =
@@ -88,7 +88,7 @@ let characterization_quality ?pool () =
         (fun i (r : Runner.result) -> totals.(i) <- totals.(i) +. r.Runner.bus_pj)
         (Runner.replay_multi ~points plan))
     segments;
-  let reference = rtl_reference ?pool ~rtl_params segments in
+  let reference = rtl_reference ?pool segments in
   List.mapi
     (fun i (_, label, note) ->
       { label; value = Power.Units.pct_error ~reference totals.(i); note })
@@ -98,7 +98,7 @@ let characterization_quality ?pool () =
    ground: the four parameter variants share one layer-2 plan per
    stimulus segment, so the whole curve costs one interpreted run per
    segment plus four float folds. *)
-let l2_boundary_sensitivity ?pool () =
+let l2_boundary_sensitivity ~pool () =
   let table = Runner.characterize () in
   let segments = Experiments.accuracy_stimulus () in
   let bds =
@@ -121,12 +121,12 @@ let l2_boundary_sensitivity ?pool () =
   let totals = Array.make (List.length bds) 0.0 in
   List.iter
     (fun (_, trace, mode, init) ->
-      let plan = Runner.compile_trace ~level:Level.L2 ~mode ~init ?pool trace in
+      let plan = Runner.compile_trace ~level:Level.L2 ~mode ~init ~pool trace in
       List.iteri
         (fun i (r : Runner.result) -> totals.(i) <- totals.(i) +. r.Runner.bus_pj)
         (Runner.replay_multi ~points plan))
     segments;
-  let reference = rtl_reference ?pool segments in
+  let reference = rtl_reference ~pool segments in
   List.mapi
     (fun i bd ->
       {
@@ -177,14 +177,14 @@ let render ~title rows =
   in
   title ^ "\n" ^ Report.table ~header:[ "variant"; "value"; "note" ] body
 
-let run_all ?domains () =
+let run_all () =
   (* The five studies are independent (each characterizes and simulates
      its own systems); fan them out on the domain pool.  One session
      pool is shared: its free-lists are domain-local, so studies on
      different domains never contend. *)
   let pool = Pool.create () in
   String.concat "\n\n"
-    (Parallel.map ?domains
+    (Parallel.map
        (fun (title, study) -> render ~title (study ()))
        [
          ( "Ablation: reference coupling ratio -> layer-1 energy error [%]",

@@ -13,16 +13,6 @@
 
 type row = { label : string; value : float; note : string }
 
-val coupling_sensitivity : ?pool:Pool.t -> unit -> row list
-(** Layer-1 energy error (%) as the reference's lateral coupling ratio
-    sweeps 0.0 → 0.4 (default 0.22); the characterization is re-derived
-    per point, as the real flow would. *)
-
-val internal_nets_sensitivity : ?pool:Pool.t -> unit -> row list
-(** Layer-1 energy error (%) as the internal-net energies scale 0x → 2x:
-    demonstrates the error is (almost exactly) the invisible internal
-    share. *)
-
 val characterization_quality : ?pool:Pool.t -> unit -> row list
 (** Layer-1 error with the default capacitance table vs the derived
     table, on the accuracy stimulus.  Each stimulus segment compiles
@@ -30,20 +20,11 @@ val characterization_quality : ?pool:Pool.t -> unit -> row list
     multi-point pass ({!Runner.replay_multi}); figures are
     bit-identical to two interpreted runs. *)
 
-val l2_boundary_sensitivity : ?pool:Pool.t -> unit -> row list
-(** Layer-2 energy error (%) as the boundary data-toggle assumption
-    sweeps; shows the over/underestimation crossover.  The four
-    parameter variants share one compiled plan per stimulus segment
-    (one interpreted run plus four float folds), bit-identical to four
-    interpreted runs. *)
-
 val store_buffer_effect : unit -> row list
 (** Program cycles with and without the CPU store buffer, per test
     program (layer-1 bus). *)
 
-val render : title:string -> row list -> string
-
-val run_all : ?domains:int -> unit -> string
+val run_all : unit -> string
 (** Every study, rendered; the five studies are independent and run on
     the {!Parallel} pool.  They share one session pool, so each study's
     reference and layer runs reuse reset sessions (pooled runs are

@@ -24,10 +24,10 @@ let cache_figures icache =
    level (that run also yields the cache's own figures), then replay it
    through the mixed-level engine.  Cycles are the spliced bus-replay
    timeline, not a CPU run. *)
-let run_adaptive_one ~pool ~policy ~table program lines =
+let run_adaptive_one ~pool ~policy program lines =
   let trace, icache = Runner.capture_with_icache ?icache_lines:lines program in
   let ar =
-    Runner.run_adaptive ?table ~pool ~policy
+    Runner.run_adaptive ~pool ~policy
       ~init:(fun system ->
         Runner.fill_memories system;
         Soc.Platform.load_program (System.platform system) program)
@@ -49,13 +49,13 @@ let run_adaptive_one ~pool ~policy ~table program lines =
    test), and the adaptive variant switches levels mid-run — neither is
    a fixed trace that a {!Compile.Plan.t} could capture once and
    re-evaluate.  Session pooling is the applicable reuse here. *)
-let run ?(level = Level.L1) ?policy ?table
+let run ?(level = Level.L1) ?policy
     ?(sizes = [ None; Some 1; Some 2; Some 4; Some 16 ]) ?(name = "program")
     program =
   let pool = Pool.create () in
   let one lines =
     let run =
-      Runner.run_program ~level ?table ?icache_lines:lines ~pool program
+      Runner.run_program ~level ?icache_lines:lines ~pool program
     in
     (match run.Runner.fault with
     | None -> ()
@@ -75,7 +75,7 @@ let run ?(level = Level.L1) ?policy ?table
   let one =
     match policy with
     | None -> one
-    | Some policy -> run_adaptive_one ~pool ~policy ~table program
+    | Some policy -> run_adaptive_one ~pool ~policy program
   in
   { workload = name; rows = List.map one sizes }
 

@@ -23,7 +23,6 @@ type t = { workload : string; rows : row list }
 val run :
   ?level:Level.t ->
   ?policy:Hier.Policy.t ->
-  ?table:Power.Characterization.t ->
   ?sizes:int option list ->
   ?name:string ->
   Soc.Asm.program ->

@@ -86,17 +86,6 @@ let run_program ?name program =
   analyze_sampler ~table:(characterization_table ()) sampler cycles
     (Option.value name ~default:"program")
 
-let run_trace ?name trace =
-  let system, sampler = instrumented_system () in
-  let kernel = System.kernel system in
-  Runner.fill_memories system;
-  let master =
-    Soc.Trace_master.create ~kernel ~port:(System.port system) trace
-  in
-  let cycles = Soc.Trace_master.run master ~kernel () in
-  analyze_sampler ~table:(characterization_table ()) sampler cycles
-    (Option.value name ~default:"trace")
-
 let render t =
   let body =
     List.map

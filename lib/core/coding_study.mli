@@ -21,15 +21,7 @@ type t = {
   rows : bus_row list;
 }
 
-val characterization_table : unit -> Power.Characterization.t
-(** The characterization shared by every run, computed on first use.
-    Domain-safe: concurrent callers block until the single computation
-    finishes and then share its table.  Call it once up front to keep
-    the (expensive) characterization out of timed or parallel regions. *)
-
 val run_program : ?name:string -> Soc.Asm.program -> t
 (** Runs the program on an instrumented gate-level system. *)
-
-val run_trace : ?name:string -> Ec.Trace.t -> t
 
 val render : t -> string

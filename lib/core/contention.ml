@@ -95,8 +95,7 @@ type far_side = {
   far_reset : unit -> unit;  (* bus, energy model and RAM store *)
 }
 
-let build_far ~kernel ~level ~estimate ~table ~bridge_latency
-    ~bridge_pj_per_beat =
+let build_far ~kernel ~level ~table ~bridge_pj_per_beat =
   let slave, reset_store = far_slave () in
   let decoder = Ec.Decoder.create [ slave ] in
   let far_port, far_tap, far_bus, far_busy, far_pj, reset_bus =
@@ -111,30 +110,22 @@ let build_far ~kernel ~level ~estimate ~table ~bridge_latency
         (fun () -> Power.Meter.total_pj meter),
         fun () -> Rtl.Bus.reset b )
     | Level.L1 ->
-      let energy =
-        if estimate then Some (Tlm1.Energy.create ~record_profile:false table)
-        else None
-      in
-      let b = Tlm1.Bus.create ~kernel ~decoder ?energy () in
+      let energy = Tlm1.Energy.create ~record_profile:false table in
+      let b = Tlm1.Bus.create ~kernel ~decoder ~energy () in
       ( Tlm1.Bus.port b,
-        tap_of_meter (Option.map Tlm1.Energy.meter energy),
+        tap_of_meter (Some (Tlm1.Energy.meter energy)),
         System.L1_bus b,
         (fun () -> Tlm1.Bus.busy b),
-        (fun () ->
-          match energy with Some e -> Tlm1.Energy.total_pj e | None -> 0.0),
+        (fun () -> Tlm1.Energy.total_pj energy),
         fun () -> Tlm1.Bus.reset b )
     | Level.L2 ->
-      let energy =
-        if estimate then Some (Tlm2.Energy.create ~record_profile:false table)
-        else None
-      in
-      let b = Tlm2.Bus.create ~kernel ~decoder ?energy () in
+      let energy = Tlm2.Energy.create ~record_profile:false table in
+      let b = Tlm2.Bus.create ~kernel ~decoder ~energy () in
       ( Tlm2.Bus.port b,
-        tap_of_meter (Option.map Tlm2.Energy.meter energy),
+        tap_of_meter (Some (Tlm2.Energy.meter energy)),
         System.L2_bus b,
         (fun () -> Tlm2.Bus.busy b),
-        (fun () ->
-          match energy with Some e -> Tlm2.Energy.total_pj e | None -> 0.0),
+        (fun () -> Tlm2.Energy.total_pj energy),
         fun () -> Tlm2.Bus.reset b )
     | Level.L3 -> assert false
   in
@@ -144,7 +135,7 @@ let build_far ~kernel ~level ~estimate ~table ~bridge_latency
         Ec.Fabric.far_port;
         far_tap;
         window = far_window;
-        latency = bridge_latency;
+        latency = 2;
         crossing_pj_per_beat = bridge_pj_per_beat;
       };
     far_bus;
@@ -176,17 +167,15 @@ let validate ~level masters =
     invalid_arg
       "Core.Contention.run: fabric masters drive timed buses (rtl/l1/l2)"
 
-let build_session ~level ~policy ~topology ?mode ~estimate ~table
-    ~bridge_latency ~bridge_pj_per_beat masters =
-  let system = System.create ~level ~estimate ~table () in
+let build_session ~level ~policy ~topology ?mode ~table ~bridge_pj_per_beat
+    masters =
+  let system = System.create ~level ~table () in
   let kernel = System.kernel system in
   let far =
     match topology with
     | Single -> None
     | Bridged ->
-      Some
-        (build_far ~kernel ~level ~estimate ~table ~bridge_latency
-           ~bridge_pj_per_beat)
+      Some (build_far ~kernel ~level ~table ~bridge_pj_per_beat)
   in
   let n = List.length masters in
   let fabric =
@@ -229,7 +218,13 @@ let drained s () =
   && (not (System.bus_busy s.s_system))
   && match s.s_far with Some f -> not (f.far_busy ()) | None -> true
 
-let execute ~level ~policy ~topology ~max_cycles s masters =
+(* Deadline of a fabric run, in cycles. *)
+let max_cycles = 4_000_000
+
+(* Energy of one beat crossing the bridge, in pJ. *)
+let crossing_pj_per_beat = 1.5
+
+let execute ~level ~policy ~topology s masters =
   let kernel = System.kernel s.s_system in
   let t0 = Unix.gettimeofday () in
   let cycles = Sim.Kernel.run_until kernel ~max_cycles (drained s) in
@@ -274,14 +269,13 @@ let execute ~level ~policy ~topology ~max_cycles s masters =
    at the capture table must reproduce the interpreted buckets bit for
    bit. *)
 let compile ?(level = Level.L1) ?(policy = Ec.Arbiter.Round_robin)
-    ?(topology = Single) ?mode ?(max_cycles = 4_000_000)
-    ?(bridge_latency = 2) ?(bridge_pj_per_beat = 1.5) ?pool masters =
+    ?(topology = Single) ?mode ?pool masters =
   validate ~level masters;
   let build () =
     let table = Power.Characterization.default in
     let s =
-      build_session ~level ~policy ~topology ?mode ~estimate:true ~table
-        ~bridge_latency ~bridge_pj_per_beat masters
+      build_session ~level ~policy ~topology ?mode ~table
+        ~bridge_pj_per_beat:crossing_pj_per_beat masters
     in
     let n = Array.length s.s_masters in
     let near_plan = System.capture s.s_system in
@@ -309,7 +303,7 @@ let compile ?(level = Level.L1) ?(policy = Ec.Arbiter.Round_robin)
             f_crossings = Ec.Fabric.crossings fabric;
             f_cross_pj_per_beat =
               (match topology with
-              | Bridged -> bridge_pj_per_beat
+              | Bridged -> crossing_pj_per_beat
               | Single -> 0.0);
             f_component_pj = System.component_energy_pj s.s_system;
           }
@@ -339,23 +333,16 @@ let compile ?(level = Level.L1) ?(policy = Ec.Arbiter.Round_robin)
   | Some p ->
     let key =
       "fabric-plan:"
-      ^ Pool.fingerprint
-          ( level,
-            policy,
-            topology,
-            mode,
-            max_cycles,
-            bridge_latency,
-            bridge_pj_per_beat,
-            masters )
+      ^ Pool.fingerprint (level, policy, topology, mode, masters)
     in
     Pool.memo p fabric_plan_kind ~tag:"fabric" ~key build
   | None -> build ()
 
-let replay_plan ?(table = Power.Characterization.default) ~level ~policy
-    ~topology ~kinds (plan : Compile.Plan.fabric) =
+let replay_plan ~level ~policy ~topology ~kinds (plan : Compile.Plan.fabric) =
   let t0 = Unix.gettimeofday () in
-  let o = Compile.Eval.eval_fabric ~table plan in
+  let o =
+    Compile.Eval.eval_fabric ~table:Power.Characterization.default plan
+  in
   let wall_seconds = Unix.gettimeofday () -. t0 in
   let m = plan.Compile.Plan.f_meta in
   let rows =
@@ -387,15 +374,14 @@ let replay_plan ?(table = Power.Characterization.default) ~level ~policy
 (* ------------------------------------------------------------------ *)
 
 let run ?(level = Level.L1) ?(policy = Ec.Arbiter.Round_robin)
-    ?(topology = Single) ?mode ?(estimate = true) ?(max_cycles = 4_000_000)
-    ?(bridge_latency = 2) ?(bridge_pj_per_beat = 1.5)
+    ?(topology = Single) ?mode ?(bridge_pj_per_beat = crossing_pj_per_beat)
     ?(table = Power.Characterization.default) ?pool masters =
   validate ~level masters;
   let build () =
-    build_session ~level ~policy ~topology ?mode ~estimate ~table
-      ~bridge_latency ~bridge_pj_per_beat masters
+    build_session ~level ~policy ~topology ?mode ~table ~bridge_pj_per_beat
+      masters
   in
-  let execute s = execute ~level ~policy ~topology ~max_cycles s masters in
+  let execute s = execute ~level ~policy ~topology s masters in
   match pool with
   | Some p ->
     (* The key is the session's wiring: everything reset does not undo.
@@ -404,11 +390,9 @@ let run ?(level = Level.L1) ?(policy = Ec.Arbiter.Round_robin)
       "fabric:"
       ^ Pool.fingerprint
           ( level,
-            estimate,
             table,
             policy,
             topology,
-            bridge_latency,
             bridge_pj_per_beat,
             List.map fst masters )
     in
@@ -417,7 +401,7 @@ let run ?(level = Level.L1) ?(policy = Ec.Arbiter.Round_robin)
       execute
   | None -> execute (build ())
 
-let default_masters ?(n = 512) topology =
+let default_masters ~n topology =
   let src =
     match topology with Bridged -> far_base | Single -> Soc.Platform.Map.flash_base
   in
@@ -436,13 +420,15 @@ let study_cells ~levels ~policies =
         policies)
     levels
 
-let study ?(n = 512) ?(levels = Level.timed)
-    ?(policies =
-      [
-        Ec.Arbiter.Fixed_priority;
-        Ec.Arbiter.Round_robin;
-        Ec.Arbiter.Weighted [| 4; 2; 1 |];
-      ]) ?(compiled = false) ?pool ?domains () =
+let study ?(n = 512) ?(levels = Level.timed) ?(compiled = false) ?pool
+    ?domains () =
+  let policies =
+    [
+      Ec.Arbiter.Fixed_priority;
+      Ec.Arbiter.Round_robin;
+      Ec.Arbiter.Weighted [| 4; 2; 1 |];
+    ]
+  in
   (* Grid cells are fully independent simulations, so the sweep maps
      across domains; with a pool, plans and sessions persist in each
      domain's cache, so a second sweep replays from memoized plans.

@@ -63,9 +63,6 @@ val run :
   ?policy:Ec.Arbiter.policy ->
   ?topology:topology ->
   ?mode:Soc.Trace_master.mode ->
-  ?estimate:bool ->
-  ?max_cycles:int ->
-  ?bridge_latency:int ->
   ?bridge_pj_per_beat:float ->
   ?table:Power.Characterization.t ->
   ?pool:Pool.t ->
@@ -77,8 +74,9 @@ val run :
     [Weighted] policy is in list order.
 
     Defaults: [level = L1] (any timed level works), [policy =
-    Round_robin], [topology = Single], pipelined masters, estimation on,
-    bridge latency 2 cycles at 1.5 pJ/beat.
+    Round_robin], [topology = Single], pipelined masters, 1.5 pJ/beat
+    per bridge crossing.  Bus estimation is always on, the bridge latency
+    is 2 cycles and a run must drain within 4 000 000 cycles.
 
     With [?pool] the run checks out a pooled fabric session (keyed by
     level, policy, topology, bridge parameters and master kinds; traces
@@ -96,9 +94,6 @@ val compile :
   ?policy:Ec.Arbiter.policy ->
   ?topology:topology ->
   ?mode:Soc.Trace_master.mode ->
-  ?max_cycles:int ->
-  ?bridge_latency:int ->
-  ?bridge_pj_per_beat:float ->
   ?pool:Pool.t ->
   (kind * Ec.Trace.t) list ->
   Compile.Plan.fabric
@@ -110,42 +105,41 @@ val compile :
     parameter-independence with a replay cross-check — the fresh plan
     evaluated at the capture table must reproduce the interpreted
     buckets bit for bit.  The near and far bodies are recorded by
-    {!System.capture}.  With [?pool] the plan is memoized under the
-    ["fabric"] tag.
+    {!System.capture}.  The bridge runs at {!run}'s defaults.  With
+    [?pool] the plan is memoized under the ["fabric"] tag.
 
     @raise Invalid_argument on [level = Rtl] (Diesel has no integer tap)
     or [level = L3], and as {!run} otherwise.
     @raise Failure if the cross-check diverges. *)
 
 val replay_plan :
-  ?table:Power.Characterization.t ->
   level:Level.t ->
   policy:Ec.Arbiter.policy ->
   topology:topology ->
   kinds:kind list ->
   Compile.Plan.fabric ->
   result
-(** Evaluates one parameter point over a compiled fabric plan and shapes
-    it as a {!result} (wall time is the evaluation only).  [kinds]
+(** Evaluates the default characterization table over a compiled fabric
+    plan and shapes it as a {!result} (wall time is the evaluation
+    only).  [kinds]
     labels the rows, in master-index order. *)
 
-val default_masters : ?n:int -> topology -> (kind * Ec.Trace.t) list
+val default_masters : n:int -> topology -> (kind * Ec.Trace.t) list
 (** The standard three-master stimulus: a CPU replaying the Table-3 mix
-    ([n] transactions, default 512), a DMA block move ([n] words — from
+    ([n] transactions), a DMA block move ([n] words — from
     the far window when [Bridged], FLASH otherwise) and a crypto driver
     ([n/8] blocks). *)
 
 val study :
   ?n:int ->
   ?levels:Level.t list ->
-  ?policies:Ec.Arbiter.policy list ->
   ?compiled:bool ->
   ?pool:Pool.t ->
   ?domains:int ->
   unit ->
   result list
 (** The full exploration grid: arbiter policy x topology x level (default
-    levels {!Level.timed}, default policies fixed / rr / wrr 4:2:1) over
+    levels {!Level.timed}; policies fixed / rr / wrr 4:2:1) over
     {!default_masters}.  Cells are independent simulations mapped across
     [?domains] {!Parallel} domains.  With [~compiled:true] the layer-1/2
     cells go through {!compile} + {!replay_plan} and the gate-level

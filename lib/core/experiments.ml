@@ -97,18 +97,18 @@ type perf_row = {
   factor_vs_l1_estimating : float;
 }
 
-let run_performance ?(txns = 20_000) ?(repetitions = 3) ?(domains = 1) () =
+let run_performance ~txns () =
   let trace = Workloads.table3_trace ~n:txns in
   let pool = Pool.create () in
   (* Transactions are issued one at a time, as the paper's testbench does:
      all models then simulate the same cycle count and the measurement
-     isolates the per-cycle cost of each abstraction.  Best of
-     [repetitions] filters wall-clock noise; the session pool keeps the
-     repetitions from rebuilding the system (the timed region never
-     includes setup either way). *)
+     isolates the per-cycle cost of each abstraction.  Best of three
+     filters wall-clock noise; the session pool keeps the repetitions
+     from rebuilding the system (the timed region never includes setup
+     either way). *)
   let measure (label, level, estimate) =
     let best = ref 0.0 in
-    for _ = 1 to repetitions do
+    for _ = 1 to 3 do
       let r = Runner.run_trace ~level ~estimate ~mode:`Serial ~pool trace in
       let kts = Runner.txns_per_second r /. 1000.0 in
       if kts > !best then best := kts
@@ -116,10 +116,9 @@ let run_performance ?(txns = 20_000) ?(repetitions = 3) ?(domains = 1) () =
     (label, !best)
   in
   let raw =
-    (* Wall-clock measurements: [domains] defaults to 1 because concurrent
-       runs contend for cores and distort the per-model factors.  Raise it
-       only for quick smoke sweeps where the factors do not matter. *)
-    Parallel.map ~domains measure
+    (* Wall-clock measurements run serially: concurrent runs contend for
+       cores and distort the per-model factors. *)
+    List.map measure
       [
         ("TL layer 1, with estimation", Level.L1, true);
         ("TL layer 1, without estimation", Level.L1, false);
@@ -304,8 +303,7 @@ type exploration_comparison = {
   within_budget : bool;
 }
 
-let run_exploration_comparison ?(applets = Jcvm.Applets.all)
-    ?(configs = Jcvm.Configs.standard) ?policy ?(pool = true) () =
+let run_exploration_comparison ~applets ?policy ?(pool = true) () =
   let policy =
     match policy with Some p -> p | None -> Hier.Policy.for_exploration ()
   in
@@ -318,7 +316,7 @@ let run_exploration_comparison ?(applets = Jcvm.Applets.all)
   in
   let l1_rows, l1_wall =
     timed (fun () ->
-        Exploration.run ~level:Level.L1 ~configs ~applets ~domains:1 ~pool ())
+        Exploration.run ~level:Level.L1 ~applets ~domains:1 ~pool ())
   in
   (* The same sweep again: with [pool] every cell's compiled plan is now
      warm, so this pass is pure energy folding — the compile-once-
@@ -326,15 +324,15 @@ let run_exploration_comparison ?(applets = Jcvm.Applets.all)
      bit-identical to the cold sweep. *)
   let l1_warm_rows, l1_warm_wall =
     timed (fun () ->
-        Exploration.run ~level:Level.L1 ~configs ~applets ~domains:1 ~pool ())
+        Exploration.run ~level:Level.L1 ~applets ~domains:1 ~pool ())
   in
   let l2_rows, l2_wall =
     timed (fun () ->
-        Exploration.run ~level:Level.L2 ~configs ~applets ~domains:1 ~pool ())
+        Exploration.run ~level:Level.L2 ~applets ~domains:1 ~pool ())
   in
   let ad_rows, ad_wall =
     timed (fun () ->
-        Exploration.run ~policy ~configs ~applets ~domains:1 ~pool ())
+        Exploration.run ~policy ~applets ~domains:1 ~pool ())
   in
   let grid_pj rows =
     List.fold_left (fun acc r -> acc +. r.Exploration.bus_pj) 0.0 rows

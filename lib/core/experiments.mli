@@ -45,21 +45,16 @@ type perf_row = {
   factor_vs_l1_estimating : float;
 }
 
-val run_performance :
-  ?txns:int ->
-  ?repetitions:int ->
-  ?domains:int ->
-  unit ->
-  perf_row list
+val run_performance : txns:int -> unit -> perf_row list
 (** Replays the Table 3 mix ("all combinations between single read,
     single write, burst read and burst write"), issued serially as in the
     paper's testbench, through layer 1 and layer 2 — each with and
     without energy estimation — plus the gate-level reference for the
-    acceleration context.  [txns] defaults to 20000; the best of
-    [repetitions] (default 3) wall-clock runs is reported per model.
-    [domains] defaults to 1: these are wall-clock measurements, and
-    concurrent runs contend for cores and distort the factors.  One
-    reset session per model is reused across the repetitions; the timed
+    acceleration context, [txns] transactions each; the best of three
+    wall-clock runs is reported per model.  The models run serially:
+    these are wall-clock measurements, and concurrent runs contend for
+    cores and distort the factors.  One reset session per model is
+    reused across the repetitions; the timed
     region never includes setup, so the reported factors are
     unaffected. *)
 
@@ -128,16 +123,15 @@ type exploration_comparison = {
 }
 
 val run_exploration_comparison :
-  ?applets:Jcvm.Applets.t list ->
-  ?configs:Jcvm.Configs.t list ->
+  applets:Jcvm.Applets.t list ->
   ?policy:Hier.Policy.t ->
   ?pool:bool ->
   unit ->
   exploration_comparison
-(** Runs the section 4.3 sweep three ways — pure layer 1, pure layer 2,
-    and adaptively under [policy] (default
-    [Hier.Policy.for_exploration ()]) — serially, so the wall-clock
-    ratios are honest, and checks the adaptive sweep's acceptance
+(** Runs the section 4.3 sweep over {!Jcvm.Configs.standard} three
+    ways — pure layer 1, pure layer 2, and adaptively under [policy]
+    (default [Hier.Policy.for_exploration ()]) — serially, so the
+    wall-clock ratios are honest, and checks the adaptive sweep's acceptance
     contract (DESIGN.md section 12): functional fields bit-exact against
     layer 1 and spliced energies within budget. *)
 

@@ -109,7 +109,7 @@ type live_session = {
 
 let live_kind : live_session Pool.kind = Pool.kind ()
 
-let run_fixed ?(level = Level.L1) ?(compiled = true) ?table ?sink ?pool ~config
+let run_fixed ?(level = Level.L1) ?(compiled = true) ?sink ?pool ~config
     applet =
   let execute system =
     let kernel = System.kernel system in
@@ -132,9 +132,7 @@ let run_fixed ?(level = Level.L1) ?(compiled = true) ?table ?sink ?pool ~config
   let build () =
     let hw = Jcvm.Hw_stack.create config in
     let system =
-      System.create ~level ?table
-        ~extra_slaves:[ Jcvm.Hw_stack.slave hw ]
-        ?sink ()
+      System.create ~level ~extra_slaves:[ Jcvm.Hw_stack.slave hw ] ?sink ()
     in
     { fs_hw = hw; fs_system = system }
   in
@@ -153,8 +151,9 @@ let run_fixed ?(level = Level.L1) ?(compiled = true) ?table ?sink ?pool ~config
       Pool.memo p cell_kind ~tag:"explore" ~key (fun () ->
           compile_cell ~level ~config applet)
     in
-    let table = Option.value table ~default:Power.Characterization.default in
-    let o = Compile.Eval.eval ~table cp.cp_plan in
+    let o =
+      Compile.Eval.eval ~table:Power.Characterization.default cp.cp_plan
+    in
     {
       config;
       applet = applet.Jcvm.Applets.name;
@@ -170,7 +169,7 @@ let run_fixed ?(level = Level.L1) ?(compiled = true) ?table ?sink ?pool ~config
   | Some p, _ when sink = None ->
     let key =
       Printf.sprintf "explore:%s:%s" (Level.to_string level)
-        (Pool.fingerprint (config, table))
+        (Pool.fingerprint config)
     in
     Pool.with_session p fixed_kind ~key ~build
       ~reset:(fun s ->
@@ -179,7 +178,7 @@ let run_fixed ?(level = Level.L1) ?(compiled = true) ?table ?sink ?pool ~config
       (fun s -> execute s.fs_system)
   | (Some _ | None), _ -> execute (build ()).fs_system
 
-let run_adaptive ?table ?sink ?pool ~policy ~config applet =
+let run_adaptive ?sink ?pool ~policy ~config applet =
   let execute (live : Runner.live) =
     let result, transactions, correct =
       interpret ~kernel:live.Runner.kernel ~port:live.Runner.port ~config
@@ -201,12 +200,12 @@ let run_adaptive ?table ?sink ?pool ~policy ~config applet =
   in
   match pool with
   | Some p when sink = None ->
-    let key = Printf.sprintf "explore-live:%s" (Pool.fingerprint (config, table)) in
+    let key = Printf.sprintf "explore-live:%s" (Pool.fingerprint config) in
     Pool.with_session p live_kind ~key
       ~build:(fun () ->
         let hw = Jcvm.Hw_stack.create config in
         let materials =
-          Runner.live_materials ?table
+          Runner.live_materials
             ~extra_slaves:[ Jcvm.Hw_stack.slave hw ]
             ~extra_reset:(fun () -> Jcvm.Hw_stack.reset hw)
             ()
@@ -219,20 +218,20 @@ let run_adaptive ?table ?sink ?pool ~policy ~config applet =
   | Some _ | None ->
     let hw = Jcvm.Hw_stack.create config in
     let live =
-      Runner.live_adaptive ?table ?sink
+      Runner.live_adaptive ?sink
         ~extra_slaves:[ Jcvm.Hw_stack.slave hw ]
         ~policy ()
     in
     execute live
 
-let run_one ?level ?compiled ?table ?policy ?sink ?pool ~config applet =
+let run_one ?level ?compiled ?policy ?sink ?pool ~config applet =
   match policy with
-  | None -> run_fixed ?level ?compiled ?table ?sink ?pool ~config applet
+  | None -> run_fixed ?level ?compiled ?sink ?pool ~config applet
   | Some policy ->
     (match level with
     | Some _ ->
       invalid_arg "Core.Exploration.run_one: pass either ~level or ~policy"
-    | None -> run_adaptive ?table ?sink ?pool ~policy ~config applet)
+    | None -> run_adaptive ?sink ?pool ~policy ~config applet)
 
 (* The default session/plan pool shared by every [run] call of the
    process: compiled cell plans are only worth caching if they survive
@@ -240,8 +239,8 @@ let run_one ?level ?compiled ?table ?policy ?sink ?pool ~config applet =
    cache private anyway. *)
 let default_pool = lazy (Pool.create ())
 
-let run ?level ?compiled ?table ?policy ?(configs = Jcvm.Configs.standard)
-    ?(applets = Jcvm.Applets.all) ?domains ?workers ?(pool = true) () =
+let run ?level ?compiled ?policy ?(applets = Jcvm.Applets.all) ?domains
+    ?workers ?(pool = true) () =
   (* Every applet x configuration cell is an independent system; fan the
      flattened grid out on the domain pool.  With [pool] (the default)
      each domain keeps one reset session per configuration shape — and,
@@ -250,9 +249,10 @@ let run ?level ?compiled ?table ?policy ?(configs = Jcvm.Configs.standard)
   let spool = if pool then Some (Lazy.force default_pool) else None in
   Parallel.map ?domains ?pool:workers
     (fun (applet, config) ->
-      run_one ?level ?compiled ?table ?policy ?pool:spool ~config applet)
+      run_one ?level ?compiled ?policy ?pool:spool ~config applet)
     (List.concat_map
-       (fun applet -> List.map (fun config -> (applet, config)) configs)
+       (fun applet ->
+         List.map (fun config -> (applet, config)) Jcvm.Configs.standard)
        applets)
 
 (* Per-level aggregate of a row's spliced windows: windows, cycles, pJ. *)

@@ -34,14 +34,14 @@ type row = {
 val run_one :
   ?level:Level.t ->
   ?compiled:bool ->
-  ?table:Power.Characterization.t ->
   ?policy:Hier.Policy.t ->
   ?sink:Obs.Sink.t ->
   ?pool:Pool.t ->
   config:Jcvm.Configs.t ->
   Jcvm.Applets.t ->
   row
-(** One grid cell.  [level] (default [L1]) picks a fixed-level system;
+(** One grid cell, estimated with the default characterization table.
+    [level] (default [L1]) picks a fixed-level system;
     [policy] instead runs the cell through a live adaptive session —
     the two are mutually exclusive.  [cycles], [transactions], [value]
     and [correct] are bit-identical between [~level:l] and
@@ -56,27 +56,24 @@ val run_one :
     [compiled] (default [true]) applies to pooled layer-1/2 cells: the
     cell's interpretation is captured once into a {!Compile.Plan.t}
     memoized in [pool] (tag ["explore"]) per (level, applet,
-    configuration) — the characterization table folds off the plan
-    afterwards, so repeating a cell (or sweeping tables over it) skips
-    the JCVM interpretation entirely.  Rows are bit-identical to the
-    interpreted cell.  Cells without a [pool], with a [sink], at
+    configuration) — the energy folds off the plan afterwards, so
+    repeating a cell skips the JCVM interpretation entirely.  Rows are
+    bit-identical to the interpreted cell.  Cells without a [pool], with a [sink], at
     {!Level.Rtl} or {!Level.L3}, or under a [policy] always interpret.
     @raise Invalid_argument if both [level] and [policy] are given. *)
 
 val run :
   ?level:Level.t ->
   ?compiled:bool ->
-  ?table:Power.Characterization.t ->
   ?policy:Hier.Policy.t ->
-  ?configs:Jcvm.Configs.t list ->
   ?applets:Jcvm.Applets.t list ->
   ?domains:int ->
   ?workers:Parallel.pool ->
   ?pool:bool ->
   unit ->
   row list
-(** Full sweep; defaults: layer 1 bus, default table, the standard
-    configuration space and all sample applets.  The applet x
+(** Full sweep over {!Jcvm.Configs.standard}; defaults: layer 1 bus and
+    all sample applets.  The applet x
     configuration grid runs on the {!Parallel} pool; row order and
     contents match the serial sweep.  [policy] makes every cell
     adaptive, e.g. [Hier.Policy.for_exploration ()].

@@ -2,6 +2,5 @@ type t = Hier.Level.t = Rtl | L1 | L2 | L3
 
 let all = Hier.Level.all
 let timed = Hier.Level.timed
-let adaptive = Hier.Level.adaptive
 let to_string = Hier.Level.to_string
 let pp = Hier.Level.pp

@@ -19,8 +19,5 @@ val all : t list
 val timed : t list
 (** Levels with their own timed bus model: [Rtl; L1; L2]. *)
 
-val adaptive : t list
-(** Levels an adaptive policy may choose for a window: [L1; L2; L3]. *)
-
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -20,8 +20,6 @@ type pool = {
   mutable shutdown : bool;
 }
 
-let pool_size p = p.size
-
 let rec worker_loop p ~seen =
   Mutex.lock p.mutex;
   while (not p.shutdown) && p.gen = seen do
@@ -62,10 +60,8 @@ let run_batch p body =
   done;
   Mutex.unlock p.mutex
 
-let with_pool ?domains f =
-  let size =
-    max 1 (match domains with Some d -> d | None -> default_domains ())
-  in
+let with_pool ~domains f =
+  let size = max 1 domains in
   let p =
     {
       size;
@@ -145,4 +141,4 @@ let map ?domains ?pool f xs =
          results)
   end
 
-let iter ?domains ?pool f xs = ignore (map ?domains ?pool (fun x -> f x; ()) xs)
+let iter ~pool f xs = ignore (map ~pool (fun x -> f x; ()) xs)

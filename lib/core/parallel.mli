@@ -23,14 +23,12 @@ type pool
     every {!map} — batches reuse the same domains, which also keeps any
     [Domain.DLS]-held session caches ({!Pool}) warm across batches. *)
 
-val with_pool : ?domains:int -> (pool -> 'a) -> 'a
+val with_pool : domains:int -> (pool -> 'a) -> 'a
 (** Runs [f] with a live pool of [domains] total participants (the
-    calling domain included; default {!default_domains}), then shuts the
+    calling domain included), then shuts the
     workers down — also when [f] raises.  Maps over the pool must not be
     nested: [f] passed to an inner {!map} must not itself map over the
     same pool. *)
-
-val pool_size : pool -> int
 
 val map : ?domains:int -> ?pool:pool -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel map.  If any application raises, the first
@@ -39,4 +37,5 @@ val map : ?domains:int -> ?pool:pool -> ('a -> 'b) -> 'a list -> 'b list
     domains and [?domains] is ignored; results, ordering and failure
     semantics are identical. *)
 
-val iter : ?domains:int -> ?pool:pool -> ('a -> unit) -> 'a list -> unit
+val iter : pool:pool -> ('a -> unit) -> 'a list -> unit
+(** {!map} on [pool] for effects only. *)

@@ -13,7 +13,6 @@ type entry = { kind_id : int; value : exn }
 
 type t = {
   id : int;
-  capacity : int;  (* per (domain, key) free-list cap *)
   hits : int Atomic.t;
   builds : int Atomic.t;
   (* Memo counters per tag (trace, fabric and exploration-cell plans,
@@ -49,11 +48,12 @@ let kind (type a) () =
 
 let next_pool_id = Atomic.make 0
 
-let create ?(capacity = 4) () =
-  if capacity < 1 then invalid_arg "Core.Pool.create: capacity < 1";
+(* Free-list cap per (domain, key). *)
+let capacity = 4
+
+let create () =
   {
     id = Atomic.fetch_and_add next_pool_id 1;
-    capacity;
     hits = Atomic.make 0;
     builds = Atomic.make 0;
     memo_tags = Hashtbl.create 4;
@@ -90,7 +90,7 @@ let take t kind ~key =
 
 let put t kind ~key v =
   let r = slot t ~key in
-  if List.length !r < t.capacity then
+  if List.length !r < capacity then
     r := { kind_id = kind.kind_id; value = kind.inj v } :: !r
 
 let acquire t kind ~key ~build ~reset =

@@ -25,9 +25,9 @@ type 'a kind
 
 val kind : unit -> 'a kind
 
-val create : ?capacity:int -> unit -> t
-(** [capacity] bounds the free-list per (domain, key) — beyond it,
-    released sessions are dropped for the GC.  Default 4. *)
+val create : unit -> t
+(** Each (domain, key) free-list holds at most 4 sessions — beyond that,
+    released sessions are dropped for the GC. *)
 
 val with_session :
   t ->

@@ -90,4 +90,3 @@ let ratio_pct ~reference v =
   if reference = 0.0 then "n/a" else Printf.sprintf "%.1f%%" (v /. reference *. 100.0)
 
 let pj v = Format.asprintf "%a" Power.Units.pp_pj v
-let float1 v = Printf.sprintf "%.1f" v

@@ -29,4 +29,3 @@ val ratio_pct : reference:float -> float -> string
 (** Value as percent of a reference ("92.1%"). *)
 
 val pj : float -> string
-val float1 : float -> string

@@ -57,8 +57,7 @@ let plan_kind : Compile.Plan.t Pool.kind = Pool.kind ()
    attached; everything the evaluator needs — transition words, lump
    events, the table-independent scalar results — lands in the plan.
    The capture table is irrelevant: the taps never see a float. *)
-let compile_trace ?(level = Level.L1) ?(mode = `Pipelined) ?max_cycles ?init
-    ?pool trace =
+let compile_trace ?(level = Level.L1) ?(mode = `Pipelined) ?init ?pool trace =
   let build () =
     let system = System.create ~level ~estimate:true () in
     let finish = System.capture system in
@@ -67,7 +66,7 @@ let compile_trace ?(level = Level.L1) ?(mode = `Pipelined) ?max_cycles ?init
     let master =
       Soc.Trace_master.create ~kernel ~port:(System.port system) ~mode trace
     in
-    finish ~cycles:(Soc.Trace_master.run master ~kernel ?max_cycles ())
+    finish ~cycles:(Soc.Trace_master.run master ~kernel ())
   in
   match (pool, init) with
   | Some p, None ->
@@ -78,7 +77,7 @@ let compile_trace ?(level = Level.L1) ?(mode = `Pipelined) ?max_cycles ?init
     let key =
       Printf.sprintf "plan:%s:%s:%s" (Level.to_string level)
         (match mode with `Serial -> "serial" | `Pipelined -> "pipelined")
-        (Pool.fingerprint (max_cycles, trace))
+        (Pool.fingerprint trace)
     in
     Pool.memo p plan_kind ~tag:"trace" ~key build
   | _ -> build ()
@@ -123,27 +122,21 @@ let replay_multi ?(record_profile = false) ~points plan =
    issue is inherently serial — the bridge blocks per message — which is
    the layer-3 timing abstraction (no pipelining, no read/write
    overlap).  Energy comes from the carrier's layer-2 model. *)
-let replay_bridged system ?max_cycles trace =
+let replay_bridged system trace =
   let kernel = System.kernel system in
   let bridge = Tlm3.Bridge.create ~kernel ~port:(System.port system) in
   let ids = Ec.Txn.Id_gen.create () in
   let t0 = Sim.Kernel.now kernel in
-  let deadline = Option.map (fun m -> t0 + m) max_cycles in
   List.iter
     (fun item ->
-      (match deadline with
-      | Some d when Sim.Kernel.now kernel >= d ->
-        failwith "Core.Runner: bridged replay exceeded max_cycles"
-      | Some _ | None -> ());
       let item = Ec.Trace.instantiate ids item in
       Tlm3.Bridge.idle bridge ~cycles:item.Ec.Trace.gap;
       ignore (Tlm3.Bridge.transact bridge item.Ec.Trace.txn))
     trace;
   Sim.Kernel.now kernel - t0
 
-let run_trace ?(level = Level.L1) ?(estimate = true) ?(record_profile = false)
-    ?table ?rtl_params ?l2_params ?(mode = `Pipelined) ?max_cycles ?init ?sink
-    ?pool trace =
+let run_trace ~level ?(estimate = true) ?(record_profile = false)
+    ?table ?rtl_params ?l2_params ?(mode = `Pipelined) ?init ?sink ?pool trace =
   let build_system () =
     System.create ~level ~estimate ~record_profile ?table ?rtl_params
       ?l2_params ?sink ()
@@ -171,7 +164,7 @@ let run_trace ?(level = Level.L1) ?(estimate = true) ?(record_profile = false)
        run reuses a bare carrier system and rebuilds the (stateless
        beyond its counters) bridge per run. *)
     let execute system =
-      execute system (fun () -> replay_bridged system ?max_cycles trace)
+      execute system (fun () -> replay_bridged system trace)
     in
     match pool with
     | Some p ->
@@ -188,9 +181,8 @@ let run_trace ?(level = Level.L1) ?(estimate = true) ?(record_profile = false)
       { ts_system = system; ts_master = master }
     in
     let execute s =
-      execute s.ts_system (fun () ->
-          Soc.Trace_master.run s.ts_master ~kernel:(System.kernel s.ts_system)
-            ?max_cycles ())
+      let kernel = System.kernel s.ts_system in
+      execute s.ts_system (fun () -> Soc.Trace_master.run s.ts_master ~kernel ())
     in
     match pool with
     | Some p ->
@@ -201,9 +193,9 @@ let run_trace ?(level = Level.L1) ?(estimate = true) ?(record_profile = false)
         execute
     | None -> execute (build ())
 
-let run_levels ?estimate ?table ?mode ?init ?domains ?pool trace =
+let run_levels ?table ~mode ?init ?domains trace =
   Parallel.map ?domains
-    (fun level -> run_trace ~level ?estimate ?table ?mode ?init ?pool trace)
+    (fun level -> run_trace ~level ?table ~mode ?init trace)
     Level.all
 
 (* Deterministic content for memories read by replayed traces, so the
@@ -266,31 +258,17 @@ type adaptive_session = {
 
 let adaptive_kind : adaptive_session Pool.kind = Pool.kind ()
 
-let run_adaptive ?estimate ?record_profile ?table ?rtl_params ?l2_params
-    ?extra_slaves ?peripheral_clock ?(mode = `Pipelined) ?max_cycles ?init
-    ?budget ?sink ?pool ~policy trace =
-  (* Pooling covers the self-contained configurations only: a sink is
-     wired in at creation, and extra slaves are caller-owned state the
-     reset protocol cannot see. *)
-  let pool =
-    match (pool, sink, extra_slaves) with
-    | Some p, None, None -> Some p
-    | _ -> None
-  in
+let run_adaptive ?record_profile ?table ?peripheral_clock ?(mode = `Pipelined)
+    ?init ?sink ?pool ~policy trace =
+  (* A sink is wired in at creation, so runs with one are never pooled. *)
+  let pool = if sink = None then pool else None in
   let key_of level =
     Printf.sprintf "adaptive:%s:%s" (Level.to_string level)
-      (Pool.fingerprint
-         ( estimate,
-           record_profile,
-           table,
-           rtl_params,
-           l2_params,
-           peripheral_clock ))
+      (Pool.fingerprint (record_profile, table, peripheral_clock))
   in
   let build level () =
     let system =
-      System.create ~level ?estimate ?record_profile ?table ?rtl_params
-        ?l2_params ?extra_slaves ?peripheral_clock ?sink ()
+      System.create ~level ?record_profile ?table ?peripheral_clock ?sink ()
     in
     let master =
       if level = Level.L3 then None
@@ -325,10 +303,10 @@ let run_adaptive ?estimate ?record_profile ?table ?rtl_params ?l2_params
             | None ->
               (* L3 window: message-layer replay through the Tlm3 bridge
                  onto this window's layer-2 carrier bus. *)
-              replay_bridged system ?max_cycles seg
+              replay_bridged system seg
             | Some master ->
               Soc.Trace_master.reset ~mode master seg;
-              Soc.Trace_master.run master ~kernel ?max_cycles ()
+              Soc.Trace_master.run master ~kernel ()
           in
           {
             Hier.Engine.cycles;
@@ -350,7 +328,7 @@ let run_adaptive ?estimate ?record_profile ?table ?rtl_params ?l2_params
       pool
   in
   let t0 = Unix.gettimeofday () in
-  let r = Hier.Engine.run ?budget ?sink ?retire ~ops ~policy trace in
+  let r = Hier.Engine.run ?sink ?retire ~ops ~policy trace in
   let wall_seconds = Unix.gettimeofday () -. t0 in
   let s = r.Hier.Engine.splice in
   {
@@ -384,12 +362,10 @@ type program_session = {
 
 let program_kind : program_session Pool.kind = Pool.kind ()
 
-let run_program ?(level = Level.L1) ?(estimate = true) ?(record_profile = false)
-    ?table ?max_cycles ?icache_lines ?vcd ?sink ?pool program =
+let run_program ?(level = Level.L1) ?(record_profile = false) ?icache_lines
+    ?vcd ?sink ?pool program =
   let build () =
-    let system =
-      System.create ~level ~estimate ~record_profile ?table ?sink ()
-    in
+    let system = System.create ~level ~record_profile ?sink () in
     let kernel = System.kernel system in
     Soc.Platform.load_program (System.platform system) program;
     let platform = System.platform system in
@@ -413,7 +389,7 @@ let run_program ?(level = Level.L1) ?(estimate = true) ?(record_profile = false)
     let system = s.ps_system in
     let kernel = System.kernel system in
     let t0 = Unix.gettimeofday () in
-    let cycles = Soc.Cpu.run_to_halt s.ps_cpu ~kernel ?max_cycles () in
+    let cycles = Soc.Cpu.run_to_halt s.ps_cpu ~kernel () in
     let wall_seconds = Unix.gettimeofday () -. t0 in
     record_run_energy sink system ~cycles;
     {
@@ -430,9 +406,8 @@ let run_program ?(level = Level.L1) ?(estimate = true) ?(record_profile = false)
   match pool with
   | Some p when sink = None && vcd = None ->
     let key =
-      Printf.sprintf "program:%s:%b:%b:%s" (Level.to_string level) estimate
-        record_profile
-        (Pool.fingerprint (table, icache_lines))
+      Printf.sprintf "program:%s:%b:%s" (Level.to_string level) record_profile
+        (Pool.fingerprint icache_lines)
     in
     Pool.with_session p program_kind ~key ~build
       ~reset:(fun s ->
@@ -459,7 +434,7 @@ let run_program ?(level = Level.L1) ?(estimate = true) ?(record_profile = false)
     | Some _, (System.L1_bus _ | System.L2_bus _) ->
       invalid_arg "Core.Runner.run_program: vcd needs the rtl level")
 
-let capture_with_icache ?icache_lines ?max_cycles program =
+let capture_with_icache ?icache_lines program =
   let system = System.create ~level:Level.Rtl () in
   let kernel = System.kernel system in
   fill_memories system;
@@ -480,18 +455,18 @@ let capture_with_icache ?icache_lines ?max_cycles program =
   let cpu =
     Soc.Cpu.create ~kernel ~port:cpu_port ~pc:program.Soc.Asm.origin ()
   in
-  ignore (Soc.Cpu.run_to_halt cpu ~kernel ?max_cycles ());
+  ignore (Soc.Cpu.run_to_halt cpu ~kernel ());
   (Soc.Monitor.trace monitor, icache)
 
-let capture_cpu_trace ?icache_lines ?max_cycles program =
-  fst (capture_with_icache ?icache_lines ?max_cycles program)
+let capture_cpu_trace program = fst (capture_with_icache program)
 
-let characterize ?rtl_params ?(training = Workloads.characterization_trace) () =
+let characterize ?rtl_params () =
   let system = System.create ~level:Level.Rtl ?rtl_params () in
   fill_memories system;
   let kernel = System.kernel system in
   let master =
-    Soc.Trace_master.create ~kernel ~port:(System.port system) training
+    Soc.Trace_master.create ~kernel ~port:(System.port system)
+      Workloads.characterization_trace
   in
   ignore (Soc.Trace_master.run master ~kernel ());
   match System.bus system with
@@ -534,25 +509,20 @@ type live_materials = {
   m_b2 : Tlm2.Bus.t;
   m_front : Sim.Kernel.handle * Sim.Kernel.handle;
       (* the layer-1 and layer-2 bus processes, parked by routing *)
-  m_table : Power.Characterization.t;
-  m_base_params : Tlm2.Energy.params;
   m_extra_reset : unit -> unit;
 }
 
-let live_materials ?(table = Power.Characterization.default) ?l2_params ?sink
-    ?(extra_slaves = []) ?(peripheral_clock = `Gated)
-    ?(extra_reset = fun () -> ()) () =
+let live_materials ?sink ?(extra_slaves = []) ?(extra_reset = fun () -> ())
+    () =
   let kernel = Sim.Kernel.create () in
   let platform =
-    Soc.Platform.create ~kernel ~extra_slaves ~peripheral_clock ()
+    Soc.Platform.create ~kernel ~extra_slaves ~peripheral_clock:`Gated ()
   in
   let decoder = Soc.Platform.decoder platform in
+  let table = Power.Characterization.default in
   let e1 = Tlm1.Energy.create table in
   let b1 = Tlm1.Bus.create ~kernel ~decoder ~energy:e1 ?sink () in
-  let base_params =
-    Option.value l2_params ~default:Tlm2.Energy.default_params
-  in
-  let e2 = Tlm2.Energy.create ~params:base_params table in
+  let e2 = Tlm2.Energy.create table in
   let b2 = Tlm2.Bus.create ~kernel ~decoder ~energy:e2 ?sink () in
   {
     m_kernel = kernel;
@@ -564,8 +534,6 @@ let live_materials ?(table = Power.Characterization.default) ?l2_params ?sink
     m_front =
       ( Sim.Kernel.find kernel ~name:"tlm1-bus",
         Sim.Kernel.find kernel ~name:"tlm2-bus" );
-    m_table = table;
-    m_base_params = base_params;
     m_extra_reset = extra_reset;
   }
 
@@ -578,17 +546,16 @@ let reset_live_materials m =
   Tlm2.Bus.reset m.m_b2;
   m.m_extra_reset ()
 
-let live_adaptive ?table ?l2_params ?budget ?sink ?extra_slaves
-    ?peripheral_clock ?(calibrate = true) ?materials ~policy () =
+let live_adaptive ?sink ?extra_slaves ?materials ~policy () =
   let m =
     match materials with
     | Some m -> m
-    | None ->
-      live_materials ?table ?l2_params ?sink ?extra_slaves ?peripheral_clock ()
+    | None -> live_materials ?sink ?extra_slaves ()
   in
   let kernel = m.m_kernel and platform = m.m_platform in
   let e1 = m.m_e1 and b1 = m.m_b1 in
-  let table = m.m_table and base_params = m.m_base_params in
+  let table = Power.Characterization.default
+  and base_params = Tlm2.Energy.default_params in
   (* The layer-2 calibration scale: re-derived from every refined window
      (see [on_close] below) and applied to the layer-2 model when its
      front-end is first routed to. *)
@@ -656,7 +623,7 @@ let live_adaptive ?table ?l2_params ?budget ?sink ?extra_slaves
         +. Tlm2.Energy.data_phase_pj cal_zero txn
   in
   let on_close (seg : Hier.Splice.seg) =
-    if calibrate && seg.Hier.Splice.level = Hier.Level.L1 then begin
+    if seg.Hier.Splice.level = Hier.Level.L1 then begin
       let x = !cal_zero_pj -. !win_cal_zero in
       let a = !cal_full_pj -. !win_cal_full -. x in
       win_cal_full := !cal_full_pj;
@@ -676,7 +643,7 @@ let live_adaptive ?table ?l2_params ?budget ?sink ?extra_slaves
     end
   in
   let session =
-    Hier.Engine.Live.create ?budget ?sink
+    Hier.Engine.Live.create ?sink
       ~now:(fun () -> Sim.Kernel.now kernel)
       ~on_close ~policy ~measure ()
   in
@@ -723,7 +690,7 @@ let live_adaptive ?table ?l2_params ?budget ?sink ?extra_slaves
               Hier.Engine.Live.next_level session ~addr:txn.Ec.Txn.addr
             in
             route level;
-            if calibrate && level = Hier.Level.L1 then pending_cal := Some txn
+            if level = Hier.Level.L1 then pending_cal := Some txn
           end;
           !active.Ec.Port.try_submit txn);
       poll = (fun id -> !active.Ec.Port.poll id);

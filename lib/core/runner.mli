@@ -20,14 +20,13 @@ val txns_per_second : result -> float
     T/s metric of Table 3). *)
 
 val run_trace :
-  ?level:Level.t ->
+  level:Level.t ->
   ?estimate:bool ->
   ?record_profile:bool ->
   ?table:Power.Characterization.t ->
   ?rtl_params:Rtl.Params.t ->
   ?l2_params:Tlm2.Energy.params ->
   ?mode:Soc.Trace_master.mode ->
-  ?max_cycles:int ->
   ?init:(System.t -> unit) ->
   ?sink:Obs.Sink.t ->
   ?pool:Pool.t ->
@@ -63,7 +62,6 @@ val run_trace :
 val compile_trace :
   ?level:Level.t ->
   ?mode:Soc.Trace_master.mode ->
-  ?max_cycles:int ->
   ?init:(System.t -> unit) ->
   ?pool:Pool.t ->
   Ec.Trace.t ->
@@ -71,7 +69,7 @@ val compile_trace :
 (** One interpreted resolution run with integer observers tapped into
     the level's energy model; the characterization table plays no role,
     so one plan serves every parameter point.  With [pool] the plan is
-    memoized under the (level, mode, max_cycles, trace) fingerprint —
+    memoized under the (level, mode, trace) fingerprint —
     see {!Pool.memo} — unless [init] is given (closures cannot be
     fingerprinted, so such runs always compile fresh).  The plan is
     recorded by {!System.capture}.
@@ -105,12 +103,10 @@ val replay_multi :
     time of the whole batch. *)
 
 val run_levels :
-  ?estimate:bool ->
   ?table:Power.Characterization.t ->
-  ?mode:Soc.Trace_master.mode ->
+  mode:Soc.Trace_master.mode ->
   ?init:(System.t -> unit) ->
   ?domains:int ->
-  ?pool:Pool.t ->
   Ec.Trace.t ->
   result list
 (** The same trace through the gate-level reference, layer 1 and layer 2
@@ -142,17 +138,11 @@ type adaptive_run = {
 val adaptive_txns_per_second : adaptive_run -> float
 
 val run_adaptive :
-  ?estimate:bool ->
   ?record_profile:bool ->
   ?table:Power.Characterization.t ->
-  ?rtl_params:Rtl.Params.t ->
-  ?l2_params:Tlm2.Energy.params ->
-  ?extra_slaves:Ec.Slave.t list ->
   ?peripheral_clock:[ `Running | `Gated ] ->
   ?mode:Soc.Trace_master.mode ->
-  ?max_cycles:int ->
   ?init:(System.t -> unit) ->
-  ?budget:(Level.t -> float) ->
   ?sink:Obs.Sink.t ->
   ?pool:Pool.t ->
   policy:Hier.Policy.t ->
@@ -160,10 +150,10 @@ val run_adaptive :
   adaptive_run
 (** Mixed-level replay: {!Hier.Engine} partitions the trace into windows
     per [policy], runs each window on a fresh system at the decided
-    level (same configuration arguments as {!run_trace}; [extra_slaves]
-    and [peripheral_clock] reach every window's {!System.create}), hands
-    the memory state across each quiesced switch point and splices the
-    per-window energies.  [max_cycles] bounds each window.  With a
+    level (same configuration arguments as {!run_trace}; [peripheral_clock]
+    reaches every window's {!System.create}), hands the memory state
+    across each quiesced switch point and splices the per-window energies
+    against the default error budgets ({!Hier.Splice.splice}).  With a
     {!Hier.Policy.constant} policy the single window is driven exactly
     like {!run_trace} at that level: cycles, transaction counts and
     energies match bit-for-bit.
@@ -183,9 +173,7 @@ val run_adaptive :
     a fresh bridge instead.  The final window's system escapes via
     [final_system] and stays out of the pool.  [init] runs on the first
     window's system before its segment, pooled or fresh.  Runs with a
-    [sink] or [extra_slaves] always build fresh (the former wires in at
-    creation, the latter is caller-owned state the reset protocol cannot
-    see). *)
+    [sink] always build fresh (it wires in at creation). *)
 
 type live = {
   kernel : Sim.Kernel.t;  (** the one kernel every level shares *)
@@ -210,11 +198,8 @@ type live_materials
     ({!Sim.Kernel.park}) and starts with both running. *)
 
 val live_materials :
-  ?table:Power.Characterization.t ->
-  ?l2_params:Tlm2.Energy.params ->
   ?sink:Obs.Sink.t ->
   ?extra_slaves:Ec.Slave.t list ->
-  ?peripheral_clock:[ `Running | `Gated ] ->
   ?extra_reset:(unit -> unit) ->
   unit ->
   live_materials
@@ -230,13 +215,8 @@ val reset_live_materials : live_materials -> unit
     bit-identical to one on freshly built materials. *)
 
 val live_adaptive :
-  ?table:Power.Characterization.t ->
-  ?l2_params:Tlm2.Energy.params ->
-  ?budget:(Level.t -> float) ->
   ?sink:Obs.Sink.t ->
   ?extra_slaves:Ec.Slave.t list ->
-  ?peripheral_clock:[ `Running | `Gated ] ->
-  ?calibrate:bool ->
   ?materials:live_materials ->
   policy:Hier.Policy.t ->
   unit ->
@@ -251,24 +231,25 @@ val live_adaptive :
     transaction counts are bit-identical to running the same master
     against a single fixed-level system.
 
-    [peripheral_clock] defaults to [`Gated]: exploration traffic never
-    reaches the peripherals, so they sit on the gated clock tree (pass
-    [`Running] to keep timers/UART/leakage live).
+    Both front-ends estimate with the default characterization table.
+    The peripherals sit on the gated clock tree: exploration traffic
+    never reaches them.  Windows splice against the default error
+    budgets ({!Hier.Splice.splice}).
 
-    [calibrate] (default [true]) enables hierarchical in-run calibration
-    of the layer-2 lump parameters: during refined windows each
+    The session calibrates the layer-2 lump parameters in-run,
+    hierarchically: during refined windows each
     completed transaction is replayed into scratch layer-2 models, and
     at every refined-window close the scale [f = (E_L1 - X) / A] —
     measured layer-1 energy against the traffic-driven ([X]) and
     assumption-driven ([A]) parts of the layer-2 estimate — rescales the
-    {!Tlm2.Energy} parameters ({!Tlm2.Energy.set_params}) for the fast
-    windows that follow.  The blend is latest-window-dominant so the
+    {!Tlm2.Energy} default parameters ({!Tlm2.Energy.set_params}) for
+    the fast windows that follow.  The blend is latest-window-dominant so the
     calibration tracks workload phases.
 
     [materials] runs the session on pre-built (typically pooled and
     reset) hardware; without it the session builds its own with
-    {!live_materials} from [table], [l2_params], [sink], [extra_slaves]
-    and [peripheral_clock], which are ignored when [materials] is given.
+    {!live_materials} from [sink] and [extra_slaves], which are ignored
+    when [materials] is given.
     Each run still gets fresh calibration state and a fresh
     {!Hier.Engine.Live} session. *)
 
@@ -284,10 +265,7 @@ type program_run = {
 
 val run_program :
   ?level:Level.t ->
-  ?estimate:bool ->
   ?record_profile:bool ->
-  ?table:Power.Characterization.t ->
-  ?max_cycles:int ->
   ?icache_lines:int ->
   ?vcd:string ->
   ?sink:Obs.Sink.t ->
@@ -307,28 +285,20 @@ val run_program :
     domain — read any per-run figures off them before starting another
     run. *)
 
-val capture_cpu_trace :
-  ?icache_lines:int -> ?max_cycles:int -> Soc.Asm.program -> Ec.Trace.t
+val capture_cpu_trace : Soc.Asm.program -> Ec.Trace.t
 (** The paper's tracing step: runs the program on the gate-level system
-    with a bus monitor and returns the recorded transaction trace.
-    [icache_lines] puts an instruction cache between the CPU and the
-    monitor, so the trace is the post-cache bus traffic of that cache
-    configuration. *)
+    with a bus monitor and returns the recorded transaction trace. *)
 
 val capture_with_icache :
-  ?icache_lines:int ->
-  ?max_cycles:int ->
-  Soc.Asm.program ->
-  Ec.Trace.t * Soc.Icache.t option
-(** {!capture_cpu_trace} plus the capture run's cache (its hit/miss
-    counters and energy), for studies that replay the trace but report
-    the cache's figures — {!Cache_study} with a policy. *)
+  ?icache_lines:int -> Soc.Asm.program -> Ec.Trace.t * Soc.Icache.t option
+(** {!capture_cpu_trace}, with [icache_lines] putting an instruction
+    cache between the CPU and the monitor, so the trace is the post-cache
+    bus traffic of that cache configuration; also returns the capture
+    run's cache (its hit/miss counters and energy), for studies that
+    replay the trace but report the cache's figures — {!Cache_study}
+    with a policy. *)
 
-val characterize :
-  ?rtl_params:Rtl.Params.t ->
-  ?training:Ec.Trace.t ->
-  unit ->
-  Power.Characterization.t
-(** Runs the training workload (default
-    {!Workloads.characterization_trace}) on the gate-level reference and
-    derives the per-signal table, mirroring the Diesel-based flow. *)
+val characterize : ?rtl_params:Rtl.Params.t -> unit -> Power.Characterization.t
+(** Runs the training workload {!Workloads.characterization_trace} on
+    the gate-level reference and derives the per-signal table, mirroring
+    the Diesel-based flow. *)

@@ -18,14 +18,6 @@ val checksum : words:int -> string
 val bubble_sort : n:int -> string
 (** Sorts an [n]-element descending table in RAM ascending (word ops). *)
 
-val burst_copy : blocks:int -> string
-(** Copies [blocks] 4-word blocks ROM to RAM using the burst instructions
-    [lw4]/[sw4]. *)
-
-val crypto_run : plaintexts:int list -> string
-(** Keys the coprocessor, encrypts each plaintext (write DIN, start, poll
-    STATUS, read DOUT) and stores ciphertexts to RAM. *)
-
 val peripherals_tour : string
 (** Touches every peripheral: timer start/stop, TRNG words, EEPROM
     read-modify-write, byte and halfword accesses, UART output. *)

@@ -1,16 +1,16 @@
 module Map = Soc.Platform.Map
 
 (* Builders with throwaway ids; Trace.instantiate renumbers at replay. *)
-let read ?(gap = 0) ?kind ?width addr =
-  Ec.Trace.item ~gap (Ec.Txn.single_read ~id:0 ?kind ?width addr)
+let read ?kind ?width addr =
+  Ec.Trace.item ~gap:0 (Ec.Txn.single_read ~id:0 ?kind ?width addr)
 
-let write ?(gap = 0) ?width addr value =
-  Ec.Trace.item ~gap (Ec.Txn.single_write ~id:0 ?width addr ~value)
+let write ?width addr value =
+  Ec.Trace.item ~gap:0 (Ec.Txn.single_write ~id:0 ?width addr ~value)
 
-let burst_read ?(gap = 0) addr = Ec.Trace.item ~gap (Ec.Txn.burst_read ~id:0 addr)
+let burst_read addr = Ec.Trace.item ~gap:0 (Ec.Txn.burst_read ~id:0 addr)
 
-let burst_write ?(gap = 0) addr values =
-  Ec.Trace.item ~gap (Ec.Txn.burst_write ~id:0 addr ~values)
+let burst_write addr values =
+  Ec.Trace.item ~gap:0 (Ec.Txn.burst_write ~id:0 addr ~values)
 
 let patterns = [| 0xDEADBEEF; 0x01234567; 0xA5A5A5A5; 0x00000000; 0xFFFFFFFF |]
 
@@ -52,8 +52,6 @@ let all =
       List.init 4 (fun i ->
           read ~kind:Ec.Txn.Instruction (Map.flash_base + (4 * i))) );
   ]
-
-let names = List.map fst all
 
 let find name = List.assoc name all
 

@@ -17,5 +17,3 @@ val find : string -> Ec.Trace.t
 val combined : Ec.Trace.t
 (** All sequences concatenated (two idle cycles between groups): the
     stimulus used for the accuracy tables. *)
-
-val names : string list

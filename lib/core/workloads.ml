@@ -127,8 +127,8 @@ let mixed_phase_trace ?(phase = 256) ?(sensitive_every = 8) ~n () =
   in
   List.init n make
 
-let dma_trace ~words ?(src = Map.flash_base) ?(dst = Map.ram_base) () =
-  Soc.Dma.descriptor_trace ~src ~dst ~words ()
+let dma_trace ~words ?(src = Map.flash_base) () =
+  Soc.Dma.descriptor_trace ~src ~dst:Map.ram_base ~words
 
 let crypto_trace ~blocks () =
-  Soc.Crypto.block_trace ~base:Map.crypto_base ~blocks ()
+  Soc.Crypto.block_trace ~base:Map.crypto_base ~blocks

@@ -38,11 +38,11 @@ val mixed_phase_trace :
     the DPA-sensitive window an address-range policy refines to a
     cycle-accurate level.  Deterministic, zero gaps. *)
 
-val dma_trace : words:int -> ?src:int -> ?dst:int -> unit -> Ec.Trace.t
+val dma_trace : words:int -> ?src:int -> unit -> Ec.Trace.t
 (** Burst-heavy block-move traffic, the DMA engine's bus footprint:
-    {!Soc.Dma.descriptor_trace} from [src] (default FLASH) to [dst]
-    (default RAM).  Point [src] into {!Contention.far_window} to send the
-    read half across a bridged fabric. *)
+    {!Soc.Dma.descriptor_trace} from [src] (default FLASH) to RAM.  Point
+    [src] into {!Contention.far_window} to send the read half across a
+    bridged fabric. *)
 
 val crypto_trace : blocks:int -> unit -> Ec.Trace.t
 (** Register-rhythm traffic, the crypto driver's bus footprint:

@@ -54,7 +54,6 @@ let create ~masters ~policy =
     total_grants = 0;
   }
 
-let masters t = t.masters
 let policy t = t.policy
 
 (* Cyclic distance of [m] behind the round-robin pointer: the master just
@@ -113,7 +112,6 @@ let note_refused t m =
   t.waiting.(m) <- true
 
 let new_cycle t = t.granted_this_cycle <- false
-let granted_this_cycle t = t.granted_this_cycle
 let waiting t m = t.waiting.(m)
 let grants t m = t.grants.(m)
 let total_grants t = t.total_grants

@@ -48,14 +48,7 @@ val create : masters:int -> policy:policy -> t
     carries a weight vector whose length differs from [masters] or a
     non-positive weight. *)
 
-val masters : t -> int
 val policy : t -> policy
-
-val rank : t -> int -> int
-(** Current precedence of a master, lower is stronger.  Deterministic in
-    the arbiter state: fixed priority ranks by index, round-robin by
-    cyclic distance from the pointer, weighted round-robin gives the
-    credit-holding master rank 0. *)
 
 val attempt : t -> int -> bool
 (** [attempt t m] is the per-cycle arbitration query: may master [m] try
@@ -81,9 +74,8 @@ val note_refused : t -> int -> unit
 
 val new_cycle : t -> unit
 (** Opens the next cycle's submission slot.  Waiting flags persist — they
-    are cleared individually by a successful {!request}. *)
+    are cleared individually by {!commit}. *)
 
-val granted_this_cycle : t -> bool
 val waiting : t -> int -> bool
 
 val grants : t -> int -> int

@@ -20,7 +20,6 @@ let create slaves =
   arr
 
 let count t = Array.length t
-let slave t i = t.(i)
 let slaves t = Array.to_list t
 
 let find t addr =

@@ -17,7 +17,6 @@ val create : Slave.t list -> t
 (** @raise Invalid_argument if two slave ranges overlap. *)
 
 val count : t -> int
-val slave : t -> int -> Slave.t
 val slaves : t -> Slave.t list
 
 val find : t -> int -> (int * Slave.t) option

@@ -95,8 +95,6 @@ let create ~masters ~policy ~bus ?tap ?far () =
     observer = None;
   }
 
-let arbiter t = t.arbiter
-let masters t = t.masters
 let set_observer t o = t.observer <- Some o
 let clear_observer t = t.observer <- None
 

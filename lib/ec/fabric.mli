@@ -76,9 +76,6 @@ val port : t -> int -> Port.t
     passes arbitration and id remapping, and whose [poll]/[retire]
     route by the master's own transaction ids. *)
 
-val arbiter : t -> Arbiter.t
-val masters : t -> int
-
 (** {1 Integer observer (compiled fabric plans)}
 
     Mirrors the {!Tlm1.Energy}/{!Tlm2.Energy} observer hooks: a pure

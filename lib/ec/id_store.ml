@@ -46,10 +46,6 @@ let set t key value =
 let find_default t key ~default =
   match index t key with -1 -> default | i -> t.vals.(i)
 
-let key_at t i =
-  if i < 0 || i >= t.len then invalid_arg "Ec.Id_store.key_at";
-  t.keys.(i)
-
 let value_at t i =
   if i < 0 || i >= t.len then invalid_arg "Ec.Id_store.value_at";
   t.vals.(i)

@@ -28,7 +28,6 @@ val find_default : 'a t -> int -> default:'a -> 'a
 val remove : 'a t -> int -> unit
 (** No-op when the key is absent. *)
 
-val key_at : 'a t -> int -> int
 val value_at : 'a t -> int -> 'a
 (** Positional access for sweep loops; positions are stable only until
     the next [remove]/[remove_at].  @raise Invalid_argument out of

@@ -21,9 +21,6 @@ val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 (** Append at the tail; grows the buffer when full. *)
 
-val pop : 'a t -> 'a
-(** Remove and return the head.  @raise Invalid_argument when empty. *)
-
 val pop_opt : 'a t -> 'a option
 
 val clear : 'a t -> unit

@@ -5,20 +5,18 @@ type t = {
   addr_wait : int;
   read_wait : int;
   write_wait : int;
-  readable : bool;
   writable : bool;
   executable : bool;
 }
 
 let make ~name ~base ~size ?(addr_wait = 0) ?(read_wait = 0) ?(write_wait = 0)
-    ?(readable = true) ?(writable = true) ?(executable = false) () =
+    ?(writable = true) ?(executable = false) () =
   let fail msg = invalid_arg (Printf.sprintf "Ec.Slave_cfg.make %s: %s" name msg) in
   if size <= 0 then fail "non-positive size";
   if base < 0 || base + size > Txn.max_addr then fail "range outside 36-bit space";
   if base mod 4 <> 0 || size mod 4 <> 0 then fail "range not word aligned";
   if addr_wait < 0 || read_wait < 0 || write_wait < 0 then fail "negative wait count";
-  { name; base; size; addr_wait; read_wait; write_wait; readable; writable;
-    executable }
+  { name; base; size; addr_wait; read_wait; write_wait; writable; executable }
 
 let contains t addr = addr >= t.base && addr < t.base + t.size
 
@@ -26,13 +24,6 @@ let allows t (txn : Txn.t) =
   match txn.dir, txn.kind with
   | Txn.Write, _ -> t.writable
   | Txn.Read, Txn.Instruction -> t.executable
-  | Txn.Read, Txn.Data -> t.readable
+  | Txn.Read, Txn.Data -> true
 
 let overlaps a b = a.base < b.base + b.size && b.base < a.base + a.size
-
-let pp ppf t =
-  Format.fprintf ppf "%s[%#x..%#x) aw%d rw%d ww%d %s%s%s" t.name t.base
-    (t.base + t.size) t.addr_wait t.read_wait t.write_wait
-    (if t.readable then "r" else "-")
-    (if t.writable then "w" else "-")
-    (if t.executable then "x" else "-")

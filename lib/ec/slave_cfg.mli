@@ -9,7 +9,6 @@ type t = private {
   addr_wait : int;  (** wait states inserted in the address phase *)
   read_wait : int;  (** wait states per read data beat *)
   write_wait : int;  (** wait states per write data beat *)
-  readable : bool;
   writable : bool;
   executable : bool;
 }
@@ -21,13 +20,12 @@ val make :
   ?addr_wait:int ->
   ?read_wait:int ->
   ?write_wait:int ->
-  ?readable:bool ->
   ?writable:bool ->
   ?executable:bool ->
   unit ->
   t
-(** Wait states default to 0; rights default to readable/writable and not
-    executable.
+(** Wait states default to 0; rights default to writable and not
+    executable.  Data reads are always allowed.
 
     @raise Invalid_argument on a negative wait count, non-positive or
     unaligned [size], or a range leaving the 36-bit address space. *)
@@ -36,8 +34,7 @@ val contains : t -> int -> bool
 (** [contains t addr] holds when [addr] falls inside the mapped range. *)
 
 val allows : t -> Txn.t -> bool
-(** Access-right check: writes need [writable], data reads [readable],
-    instruction fetches [executable]. *)
+(** Access-right check: writes need [writable], instruction fetches
+    [executable]; data reads always pass. *)
 
 val overlaps : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -10,14 +10,11 @@ val addr_phase_cycles : Slave_cfg.t -> int
 (** Cycles the address phase occupies: [addr_wait + 1].  A zero-wait
     address phase completes in the cycle it is initiated. *)
 
-val data_wait : Slave_cfg.t -> Txn.t -> int
-(** Wait states per data beat: the slave's read or write wait count. *)
-
 val data_phase_extra : Slave_cfg.t -> Txn.t -> int
 (** Cycles the data phase adds after the address phase completes:
-    [w + (burst - 1) * (w + 1)] with [w = data_wait].  Zero for a
-    zero-wait single transfer: its only beat completes in the same cycle
-    as its address phase. *)
+    [w + (burst - 1) * (w + 1)] with [w] the slave's read or write wait
+    count.  Zero for a zero-wait single transfer: its only beat completes
+    in the same cycle as its address phase. *)
 
 val isolated_latency : Slave_cfg.t -> Txn.t -> int
 (** Bus cycles a transaction occupies when it runs alone:

@@ -46,7 +46,7 @@ let window_end policy level items i obs =
     done;
     min cap (max !j (min n (i + min_window)))
 
-let run ?budget ?sink ?retire ~ops ~policy trace =
+let run ?sink ?retire ~ops ~policy trace =
   let items = Array.of_list trace in
   let n = Array.length items in
   let segs_rev = ref [] in
@@ -125,16 +125,15 @@ let run ?budget ?sink ?retire ~ops ~policy trace =
       :: !segs_rev;
     i := stop
   done;
-  { splice = Splice.splice ?budget (List.rev !segs_rev); last_system = !prev_sys }
+  { splice = Splice.splice (List.rev !segs_rev); last_system = !prev_sys }
 
 module Live = struct
   type t = {
     policy : Policy.t;
-    budget : (Level.t -> float) option;
     sink : Obs.Sink.t option;
     measure : Level.t -> stats;
-    now : (unit -> int) option;
-    on_close : (Splice.seg -> unit) option;
+    now : unit -> int;
+    on_close : Splice.seg -> unit;
     min_window : int;
     max_window : int;
     mutable started : bool;
@@ -147,7 +146,6 @@ module Live = struct
     mutable txns_per_kcycle : float;
     mutable pj_per_cycle : float;
     mutable segs_rev : Splice.seg list;
-    mutable switch_count : int;
     needs_cycle : bool;
     mutable decide_win : txn_index:int -> addr:int -> cycle:int -> Level.t;
   }
@@ -174,7 +172,7 @@ module Live = struct
       profile = None;
     }
 
-  let create ?budget ?sink ?now ?on_close ~policy ~measure () =
+  let create ?sink ~now ~on_close ~policy ~measure () =
     let min_window, max_window =
       match (policy : Policy.t) with
       | Policy.Constant _ -> (max_int, max_int)
@@ -184,7 +182,6 @@ module Live = struct
     in
     {
       policy;
-      budget;
       sink;
       measure;
       now;
@@ -201,7 +198,6 @@ module Live = struct
       txns_per_kcycle = 0.0;
       pj_per_cycle = 0.0;
       segs_rev = [];
-      switch_count = 0;
       needs_cycle = Policy.needs_cycle policy;
       decide_win =
         Policy.compile_window policy ~txns_per_kcycle:0.0 ~pj_per_cycle:0.0;
@@ -242,7 +238,7 @@ module Live = struct
       t.segs_rev <- seg :: t.segs_rev;
       t.window <- t.window + 1;
       t.win_len <- 0;
-      match t.on_close with None -> () | Some f -> f seg
+      t.on_close seg
     end
 
   let open_window t level =
@@ -257,20 +253,13 @@ module Live = struct
       | Some _ | None -> ());
       Obs.Sink.window_open s ~cycle:snap.cycles ~index:t.window
         ~level:(Level.to_code level));
-    (match t.prev_level with
-    | Some prev when prev <> level -> t.switch_count <- t.switch_count + 1
-    | Some _ | None -> ());
     t.prev_level <- Some level;
     t.cur_level <- level;
     t.open_snap <- snap
 
   let next_level t ~addr =
     let cycle =
-      if (not t.needs_cycle) || not t.started then 0
-      else
-        match t.now with
-        | Some f -> f ()
-        | None -> (t.measure t.cur_level).cycles
+      if t.needs_cycle && t.started then t.now () else 0
     in
     let want = t.decide_win ~txn_index:t.total_txns ~addr ~cycle in
     if not t.started then begin
@@ -288,12 +277,7 @@ module Live = struct
     t.win_len <- t.win_len + 1;
     t.cur_level
 
-  let level t = t.cur_level
-  let switches t = t.switch_count
-  let windows t = t.window + if t.win_len > 0 then 1 else 0
-  let txns t = t.total_txns
-
   let finish t =
     close_window t;
-    Splice.splice ?budget:t.budget (List.rev t.segs_rev)
+    Splice.splice (List.rev t.segs_rev)
 end

@@ -43,14 +43,13 @@ type 'sys result = {
 }
 
 val run :
-  ?budget:(Level.t -> float) ->
   ?sink:Obs.Sink.t ->
   ?retire:('sys -> unit) ->
   ops:'sys ops ->
   policy:Policy.t ->
   Ec.Trace.t ->
   'sys result
-(** [budget] is passed to {!Splice.splice}.
+(** The windows splice with {!Splice.splice}.
 
     [retire] is called on each window's system right after its
     architectural state has been handed off to the next window — the
@@ -92,10 +91,9 @@ module Live : sig
   type t
 
   val create :
-    ?budget:(Level.t -> float) ->
     ?sink:Obs.Sink.t ->
-    ?now:(unit -> int) ->
-    ?on_close:(Splice.seg -> unit) ->
+    now:(unit -> int) ->
+    on_close:(Splice.seg -> unit) ->
     policy:Policy.t ->
     measure:(Level.t -> stats) ->
     unit ->
@@ -103,14 +101,11 @@ module Live : sig
   (** [measure level] must return the cumulative traffic and energy
       counters of [level]'s bus front-end, with [cycles] the shared
       kernel's current cycle (identical whichever level is asked).
-      [budget] is passed to {!Splice.splice} at {!finish}.
+      {!finish} splices the windows with {!Splice.splice}.
 
       [now] is the cheap clock for per-transaction policy observations
-      (cycle-window and rate triggers).  Without it the session derives
-      the cycle from a full [measure] snapshot on every transaction —
-      correct, but [measure] typically sums energy meters, so pass the
-      kernel's own counter when the policy is consulted per transaction
-      on a hot path.
+      (cycle-window and rate triggers): the kernel's own counter, not a
+      full [measure] snapshot, which typically sums energy meters.
 
       [on_close] is invoked with each window's segment the moment the
       window closes — the hook live calibration hangs off: a refined
@@ -124,18 +119,6 @@ module Live : sig
       unconditionally at [max_window] (mirroring {!run}'s window
       splitting).  The caller routes the transaction through the
       returned level's front-end before calling again. *)
-
-  val level : t -> Level.t
-  (** The level of the currently open window. *)
-
-  val switches : t -> int
-  (** Completed adjacent window pairs that changed level. *)
-
-  val windows : t -> int
-  (** Windows opened so far, including the currently open one. *)
-
-  val txns : t -> int
-  (** Transactions routed so far. *)
 
   val finish : t -> Splice.t
   (** Close the open window and splice.  Call once, after the last

@@ -2,7 +2,6 @@ type t = Rtl | L1 | L2 | L3
 
 let all = [ Rtl; L1; L2 ]
 let timed = [ Rtl; L1; L2 ]
-let adaptive = [ L1; L2; L3 ]
 
 let to_string = function
   | Rtl -> "gate-level"

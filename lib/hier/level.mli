@@ -16,16 +16,10 @@ type t = Rtl | L1 | L2 | L3
 val all : t list
 (** The three directly comparable estimation levels of the paper's
     tables, [Rtl; L1; L2] — [L3] estimates through a carrier bus and is
-    deliberately excluded from table sweeps (use {!adaptive} for the
-    levels a policy may select). *)
+    deliberately excluded from table sweeps. *)
 
 val timed : t list
 (** Levels with their own timed bus model: [Rtl; L1; L2]. *)
-
-val adaptive : t list
-(** Levels an adaptive policy may choose for a window: [L1; L2; L3]
-    ([Rtl] systems exist but policies refine {e towards} the reference,
-    they do not run it mid-sweep). *)
 
 val to_string : t -> string
 

@@ -134,22 +134,16 @@ let to_string = function
       (Level.to_string base) (List.length triggers) min_window
       (match max_window with Some m -> string_of_int m | None -> "inf")
 
-let for_exploration ?(warmup = 512) ?(period = 768) ?(refine = 192)
-    ?(refine_above = 8.0) ?(min_window = 64) ?(max_window = 512)
-    ?(sensitive = []) () =
+let for_exploration ?(warmup = 512) ?(period = 768) ?(refine = 192) () =
   if warmup < 0 then invalid_arg "Hier.Policy.for_exploration: warmup < 0";
   if period < 1 then invalid_arg "Hier.Policy.for_exploration: period < 1";
   if refine < 0 || refine > period then
     invalid_arg "Hier.Policy.for_exploration: refine outside [0, period]";
   let refinements =
-    List.map
-      (fun (lo, hi) -> Addr_range { lo; hi; level = Level.L1 })
-      sensitive
-    @ (if warmup > 0 then
-         [ Txn_window { lo = 0; hi = warmup; level = Level.L1 } ]
-       else [])
+    (if warmup > 0 then [ Txn_window { lo = 0; hi = warmup; level = Level.L1 } ]
+     else [])
     @ (if refine > 0 then [ Every { period; length = refine; level = Level.L1 } ]
        else [])
-    @ [ Energy_rate_above { pj_per_cycle = refine_above; level = Level.L1 } ]
+    @ [ Energy_rate_above { pj_per_cycle = 8.0; level = Level.L1 } ]
   in
-  triggered ~min_window ~max_window ~base:Level.L2 refinements
+  triggered ~min_window:64 ~max_window:512 ~base:Level.L2 refinements

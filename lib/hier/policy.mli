@@ -74,10 +74,6 @@ val for_exploration :
   ?warmup:int ->
   ?period:int ->
   ?refine:int ->
-  ?refine_above:float ->
-  ?min_window:int ->
-  ?max_window:int ->
-  ?sensitive:(int * int) list ->
   unit ->
   t
 (** The exploration preset (DESIGN.md section 12): layer 2 as the base
@@ -88,14 +84,11 @@ val for_exploration :
     - for [refine] transactions (default 192) every [period] (default
       768) — periodic refinement sampling that keeps the calibration
       tracking the workload;
-    - whenever the previous window's bus power exceeded [refine_above]
-      pJ/cycle (default 8.0) — the paper's "sensitive window" rule;
-    - while the transaction address lies in one of the [sensitive]
-      [(lo, hi)] byte ranges (default none), e.g. the hardware-stack SFR
-      window when every stack access must be cycle-accurate.
+    - whenever the previous window's bus power exceeded 8.0 pJ/cycle —
+      the paper's "sensitive window" rule.
 
-    [min_window]/[max_window] (defaults 64/512) bound switch overhead
-    exactly as in {!triggered}.  The defaults are tuned on the section
+    Windows span 64 to 512 transactions, which bounds switch overhead
+    exactly as in {!triggered}.  The constants are tuned on the section
     4.3 JCVM sweep: about 1.4x faster than a pure layer-1 sweep with the
     spliced energy inside the default budgets (EXPERIMENTS.md).
     @raise Invalid_argument if [warmup < 0], [period < 1] or [refine]

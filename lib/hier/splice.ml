@@ -39,10 +39,9 @@ type t = {
 }
 
 (* Per-level fractional energy-error bounds vs the gate-level reference.
-   The defaults envelope the Table 2 error bands of the reproduction
-   (layer 1 down to -12%, layer 2 up to +25%, depending on the burst
-   mix); runs that characterize their own table can tighten them. *)
-let default_budget = function
+   They envelope the Table 2 error bands of the reproduction (layer 1
+   down to -12%, layer 2 up to +25%, depending on the burst mix). *)
+let budget = function
   | Level.Rtl -> 0.0
   | Level.L1 -> 0.12
   | Level.L2 -> 0.25
@@ -58,7 +57,7 @@ let provenance_string = function
   | Lumped -> "lumped"
   | Bridged -> "bridged"
 
-let splice ?(budget = default_budget) segs =
+let splice segs =
   let _, windows_rev =
     List.fold_left
       (fun (start_cycle, acc) (i, (s : seg)) ->
@@ -141,22 +140,3 @@ let error_vs_reference t ~reference_pj =
   in
   let within = Float.abs (t.total_bus_pj -. reference_pj) <= t.error_bound_pj in
   (err_pct, within)
-
-let render t =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "Spliced profile: %d windows, %d switches, %d cycles, %.1f pJ (+/- %.1f pJ budget)\n"
-       (List.length t.windows) t.switches t.total_cycles t.total_bus_pj
-       t.error_bound_pj);
-  Buffer.add_string buf
-    "| window | level         | cycles [start..) | txns | bus pJ | +/- pJ | provenance     |\n";
-  List.iter
-    (fun w ->
-      Buffer.add_string buf
-        (Printf.sprintf "| %6d | %-13s | %7d @%7d | %4d | %6.1f | %6.1f | %-14s |\n"
-           w.index (Level.to_string w.level) w.cycles w.start_cycle w.txns
-           w.bus_pj w.err_bound_pj
-           (provenance_string w.provenance)))
-    t.windows;
-  Buffer.contents buf

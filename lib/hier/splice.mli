@@ -55,14 +55,11 @@ type t = {
   switches : int;  (** adjacent window pairs with different levels *)
 }
 
-val default_budget : Level.t -> float
-(** Fractional error bound per level: 0 for the reference, 12% for layer
-    1, 25% for layer 2 and 35% for the bridged layer 3 — enveloping the
-    Table 2 error bands with margin. *)
-
-val splice : ?budget:(Level.t -> float) -> seg list -> t
+val splice : seg list -> t
 (** Windows are laid out in list order; totals are exact sums of the
-    window figures. *)
+    window figures.  The fractional bound per level is 0 for the
+    reference, 12% for layer 1, 25% for layer 2 and 35% for the bridged
+    layer 3 — enveloping the Table 2 error bands with margin. *)
 
 val profile : t -> Power.Profile.t
 (** The reconciled per-cycle series over the whole spliced timeline:
@@ -74,6 +71,3 @@ val error_vs_reference : t -> reference_pj:float -> float * bool
     reference estimate of the same run. *)
 
 val provenance_string : provenance -> string
-
-val render : t -> string
-(** Per-window provenance table plus the cumulative budget line. *)

@@ -31,7 +31,6 @@ let response ?(data = []) sw =
 
 let sw_ok = 0x9000
 let sw_wrong_length = 0x6700
-let sw_security_status = 0x6982
 let sw_conditions_not_satisfied = 0x6985
 let sw_wrong_data = 0x6A80
 let sw_file_not_found = 0x6A82

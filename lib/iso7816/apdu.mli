@@ -31,8 +31,6 @@ val sw_ok : int  (** 0x9000 *)
 
 val sw_wrong_length : int  (** 0x6700 *)
 
-val sw_security_status : int  (** 0x6982 *)
-
 val sw_conditions_not_satisfied : int  (** 0x6985 *)
 
 val sw_wrong_data : int  (** 0x6A80 *)

@@ -43,7 +43,7 @@ let echo_applet =
   applet ~aid:[ 0xA0; 0x00; 0x00; 0x00; 0x01 ] (fun c ->
       Apdu.response ~data:c.Apdu.data Apdu.sw_ok)
 
-let wallet_applet ?(initial = 0) () =
+let wallet_applet ~initial () =
   let balance = ref initial in
   applet ~aid:[ 0xA0; 0x00; 0x00; 0x00; 0x02 ] (fun c ->
       match c.Apdu.ins, c.Apdu.data with

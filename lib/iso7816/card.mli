@@ -35,7 +35,7 @@ val commands_handled : t -> int
 val echo_applet : applet
 (** AID A0 00 00 00 01: answers any command by echoing its data. *)
 
-val wallet_applet : ?initial:int -> unit -> applet
+val wallet_applet : initial:int -> unit -> applet
 (** AID A0 00 00 00 02, an electronic purse:
     - INS 0x30 (credit): one data byte, adds to the balance;
     - INS 0x31 (debit): one data byte, subtracts, 0x6985 on insufficient

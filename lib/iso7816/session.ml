@@ -16,7 +16,6 @@ type stats = {
 type firmware = {
   kernel : Sim.Kernel.t;
   port : Ec.Port.t;
-  uart_base : int;
   ids : Ec.Txn.Id_gen.gen;
   mutable txns : int;
 }
@@ -48,26 +47,27 @@ let bus_write32 fw addr value =
     (transact fw
        (Ec.Txn.single_write ~id:(Ec.Txn.Id_gen.fresh fw.ids) addr ~value))
 
-(* UART register offsets (see Soc.Uart). *)
+(* The platform UART and its register offsets (see Soc.Uart). *)
+let uart_base = Soc.Platform.Map.uart_base
 let data_off = 0x0
 let status_off = 0x4
 let baud_off = 0xC
 
 let rx_byte fw =
   let budget = ref 200_000 in
-  while bus_read32 fw (fw.uart_base + status_off) land 2 = 0 do
+  while bus_read32 fw (uart_base + status_off) land 2 = 0 do
     decr budget;
     if !budget = 0 then failwith "Iso7816.Session: no byte from terminal"
   done;
-  bus_read8 fw (fw.uart_base + data_off)
+  bus_read8 fw (uart_base + data_off)
 
 let tx_byte fw b =
   let budget = ref 200_000 in
-  while bus_read32 fw (fw.uart_base + status_off) land 4 <> 0 do
+  while bus_read32 fw (uart_base + status_off) land 4 <> 0 do
     decr budget;
     if !budget = 0 then failwith "Iso7816.Session: transmit FIFO stuck"
   done;
-  bus_write8 fw (fw.uart_base + data_off) b
+  bus_write8 fw (uart_base + data_off) b
 
 (* Card side of one exchange: length-prefixed frame in, frame out. *)
 let serve_one fw card =
@@ -101,9 +101,8 @@ let collect_response kernel uart ~already =
   | Ok r -> r
   | Error msg -> failwith ("Iso7816.Session: bad response frame: " ^ msg)
 
-let run ~kernel ~port ~uart ?(uart_base = Soc.Platform.Map.uart_base)
-    ?(energy_probe = fun () -> 0.0) ~card commands =
-  let fw = { kernel; port; uart_base; ids = Ec.Txn.Id_gen.create (); txns = 0 } in
+let run ~kernel ~port ~uart ~energy_probe ~card commands =
+  let fw = { kernel; port; ids = Ec.Txn.Id_gen.create (); txns = 0 } in
   (* Speed the serial line up for the session (1 cycle per bit). *)
   bus_write32 fw (uart_base + baud_off) 1;
   let start_cycles = Sim.Kernel.now kernel in

@@ -13,7 +13,7 @@ type exchange = {
   command : Apdu.command;
   response : Apdu.response;
   cycles : int;  (** clock cycles this exchange took *)
-  energy_pj : float;  (** from [energy_probe], 0 without one *)
+  energy_pj : float;  (** from [energy_probe] *)
 }
 
 type stats = {
@@ -26,14 +26,13 @@ val run :
   kernel:Sim.Kernel.t ->
   port:Ec.Port.t ->
   uart:Soc.Uart.t ->
-  ?uart_base:int ->
-  ?energy_probe:(unit -> float) ->
+  energy_probe:(unit -> float) ->
   card:Card.t ->
   Apdu.command list ->
   stats
-(** Plays the command list against the card.  [uart_base] defaults to the
-    platform map's UART; [energy_probe] is read before and after each
-    exchange (pass the system's energy-since-last-call meter total).
+(** Plays the command list against the card through the platform map's
+    UART; [energy_probe] is read before and after each exchange (pass
+    the system's energy-since-last-call meter total).
 
     @raise Failure if the card side cannot decode a frame or the session
     exceeds its cycle budget. *)

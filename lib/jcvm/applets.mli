@@ -23,10 +23,6 @@ val crc16 : t
 (** CCITT CRC-16 over a 16-short message built into an array; returns the
     CRC.  Array- and shift-heavy. *)
 
-val sort_applet : t
-(** Insertion sort of a 12-element array; returns the checksum of the
-    sorted sequence (order-sensitive). *)
-
 val fib : t
 (** Iterative Fibonacci (20 rounds, modulo short range); stack/local
     ping-pong. *)

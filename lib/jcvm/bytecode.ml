@@ -37,45 +37,6 @@ type t =
   | Sreturn
   | Return
 
-let to_string = function
-  | Nop -> "nop"
-  | Pop -> "pop"
-  | Dup -> "dup"
-  | Swap -> "swap"
-  | Sspush v -> Printf.sprintf "sspush %d" v
-  | Bspush v -> Printf.sprintf "bspush %d" v
-  | Sadd -> "sadd"
-  | Ssub -> "ssub"
-  | Smul -> "smul"
-  | Sdiv -> "sdiv"
-  | Sneg -> "sneg"
-  | Sand -> "sand"
-  | Sor -> "sor"
-  | Sxor -> "sxor"
-  | Sshl -> "sshl"
-  | Sshr -> "sshr"
-  | Sload i -> Printf.sprintf "sload %d" i
-  | Sstore i -> Printf.sprintf "sstore %d" i
-  | Sinc (i, v) -> Printf.sprintf "sinc %d %d" i v
-  | Goto l -> Printf.sprintf "goto %d" l
-  | Ifeq l -> Printf.sprintf "ifeq %d" l
-  | Ifne l -> Printf.sprintf "ifne %d" l
-  | Iflt l -> Printf.sprintf "iflt %d" l
-  | Ifge l -> Printf.sprintf "ifge %d" l
-  | If_scmpeq l -> Printf.sprintf "if_scmpeq %d" l
-  | If_scmpne l -> Printf.sprintf "if_scmpne %d" l
-  | If_scmplt l -> Printf.sprintf "if_scmplt %d" l
-  | If_scmpge l -> Printf.sprintf "if_scmpge %d" l
-  | Getstatic i -> Printf.sprintf "getstatic %d" i
-  | Putstatic i -> Printf.sprintf "putstatic %d" i
-  | Newarray -> "newarray"
-  | Saload -> "saload"
-  | Sastore -> "sastore"
-  | Arraylength -> "arraylength"
-  | Invokestatic i -> Printf.sprintf "invokestatic %d" i
-  | Sreturn -> "sreturn"
-  | Return -> "return"
-
 (* Opcode numbering for the flat serialization. *)
 let opcode = function
   | Nop -> 0x00

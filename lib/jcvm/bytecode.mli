@@ -49,8 +49,6 @@ type t =
   | Sreturn  (** pop the result: return it to the caller's stack, or stop *)
   | Return  (** return without result, or stop *)
 
-val to_string : t -> string
-
 val encode : t array -> Bytes.t
 (** CAP-style flat byte serialization (opcode byte plus big-endian
     operands).

@@ -40,13 +40,3 @@ let standard =
     make ~name:"w32-packed" ~width:Ec.Txn.W32 ~packed32:true ();
     make ~name:"w16-highbase" ~base:(Soc.Platform.Map.sfr_base + 0xAA8) ();
   ]
-
-let pp ppf t =
-  let org =
-    match t.reg_org with
-    | Dedicated -> "dedicated"
-    | Shared_cmd_data -> "cmd+data"
-  in
-  Format.fprintf ppf "%s (w%d %s stride=%#x%s)" t.name
-    (Ec.Txn.width_bits t.width) org t.stride
-    (if t.packed32 then " packed" else "")

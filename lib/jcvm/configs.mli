@@ -61,5 +61,3 @@ val cmd_pop : int
 
 val standard : t list
 (** The design space evaluated by the exploration experiment. *)
-
-val pp : Format.formatter -> t -> unit

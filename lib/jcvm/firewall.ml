@@ -19,8 +19,6 @@ let new_context t =
   t.next_ctx <- c + 1;
   c
 
-let context_count t = t.next_ctx - 1
-
 let register_object t ~owner ~obj =
   if Hashtbl.mem t.objects obj then
     invalid_arg (Printf.sprintf "Jcvm.Firewall: object %d already registered" obj);

@@ -19,8 +19,6 @@ val jcre : ctx
 val new_context : t -> ctx
 (** Registers a fresh applet context. *)
 
-val context_count : t -> int
-
 val register_object : t -> owner:ctx -> obj:int -> unit
 (** @raise Invalid_argument if [obj] is already registered. *)
 

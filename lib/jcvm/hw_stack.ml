@@ -10,33 +10,24 @@ type t = {
   mutable byte_hi_latch : int;  (* W8 pop: high byte of the popped short *)
   mutable data_latch : int;  (* shared cmd/data organization *)
   mutable underflows : int;
-  mutable overflows : int;
-  mutable accesses : int;
 }
 
-let create ?(capacity = 256) config =
+let create config =
   {
     config;
-    data = Array.make capacity 0;
+    data = Array.make 256 0;
     top = 0;
     byte_lo_latch = 0;
     byte_hi_latch = 0;
     data_latch = 0;
     underflows = 0;
-    overflows = 0;
-    accesses = 0;
   }
 
-let config t = t.config
 let depth t = t.top
 let contents t = List.init t.top (fun i -> t.data.(t.top - 1 - i))
 let underflows t = t.underflows
-let overflows t = t.overflows
-let bus_accesses t = t.accesses
-
 let push t v =
-  if t.top >= Array.length t.data then t.overflows <- t.overflows + 1
-  else begin
+  if t.top < Array.length t.data then begin
     t.data.(t.top) <- to_short v;
     t.top <- t.top + 1
   end
@@ -59,7 +50,6 @@ let locate t addr =
   (off / t.config.Configs.stride, off mod t.config.Configs.stride)
 
 let read t ~addr ~width:_ =
-  t.accesses <- t.accesses + 1;
   let reg, lane = locate t addr in
   let cfg = t.config in
   if reg = Configs.data_reg then begin
@@ -91,7 +81,6 @@ let read t ~addr ~width:_ =
   else 0
 
 let write t ~addr ~width:_ ~value =
-  t.accesses <- t.accesses + 1;
   let reg, lane = locate t addr in
   let cfg = t.config in
   if reg = Configs.data_reg then begin
@@ -137,6 +126,4 @@ let reset t =
   t.byte_lo_latch <- 0;
   t.byte_hi_latch <- 0;
   t.data_latch <- 0;
-  t.underflows <- 0;
-  t.overflows <- 0;
-  t.accesses <- 0
+  t.underflows <- 0

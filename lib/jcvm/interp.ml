@@ -154,9 +154,6 @@ let run_methods ?(fuel = 1_000_000) ~stack ~memory ~ctx methods =
   done;
   { value = !result; steps = !steps; max_depth = !max_depth }
 
-let run ?fuel ~stack ~memory ~ctx program =
-  run_methods ?fuel ~stack ~memory ~ctx [| program |]
-
 let run_soft ?fuel ?statics ?(methods = [||]) program =
   let firewall = Firewall.create () in
   let memory = Memmgr.create firewall in

@@ -34,15 +34,6 @@ val run_methods :
     @raise Firewall.Security_violation and {!Memmgr.Bounds} are let
     through: they are the model's security-relevant outcomes. *)
 
-val run :
-  ?fuel:int ->
-  stack:Stack_intf.ops ->
-  memory:Memmgr.t ->
-  ctx:Firewall.ctx ->
-  Bytecode.t array ->
-  result
-(** {!run_methods} with a single method. *)
-
 val run_soft :
   ?fuel:int ->
   ?statics:int array ->

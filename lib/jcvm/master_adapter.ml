@@ -158,4 +158,3 @@ let ops t =
   }
 
 let transactions t = t.transactions
-let logical_depth t = t.depth

@@ -27,6 +27,3 @@ val flush : t -> unit
 
 val transactions : t -> int
 (** Bus transactions issued so far. *)
-
-val logical_depth : t -> int
-(** Stack depth including adapter buffers. *)

@@ -16,17 +16,15 @@ let to_short v =
   let v = v land 0xFFFF in
   if v > 32767 then v - 65536 else v
 
-let create ?(statics = 64) ?(heap_shorts = 4096) firewall =
+let create ?(heap_shorts = 4096) firewall =
   {
     firewall;
-    statics = Array.make statics 0;
+    statics = Array.make 64 0;
     heap = Array.make heap_shorts 0;
     arrays = Hashtbl.create 32;
     next_ref = 1;
     brk = 0;
   }
-
-let firewall t = t.firewall
 
 let get_static t i =
   if i < 0 || i >= Array.length t.statics then
@@ -72,5 +70,4 @@ let length t ~ctx ~obj =
   Firewall.check t.firewall ~from_ctx:ctx ~obj;
   (cell t obj).len
 
-let allocated_shorts t = t.brk
 let free_shorts t = Array.length t.heap - t.brk

@@ -7,10 +7,8 @@ type t
 exception Out_of_memory
 exception Bounds of { obj : int; index : int; length : int }
 
-val create : ?statics:int -> ?heap_shorts:int -> Firewall.t -> t
-(** Defaults: 64 static fields, 4096 heap shorts. *)
-
-val firewall : t -> Firewall.t
+val create : ?heap_shorts:int -> Firewall.t -> t
+(** 64 static fields; [heap_shorts] defaults to 4096. *)
 
 val get_static : t -> int -> int
 val set_static : t -> int -> int -> unit
@@ -29,5 +27,4 @@ val length : t -> ctx:Firewall.ctx -> obj:int -> int
 (** @raise Firewall.Security_violation on a cross-context access.
     @raise Bounds on an out-of-range index. *)
 
-val allocated_shorts : t -> int
 val free_shorts : t -> int

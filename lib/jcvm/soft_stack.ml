@@ -26,6 +26,5 @@ let ops t =
     reset = (fun () -> t.top <- 0);
   }
 
-let depth t = t.top
 let contents t = List.init t.top (fun i -> t.data.(t.top - 1 - i))
 let max_depth_seen t = t.max_depth

@@ -9,7 +9,6 @@ val create : ?capacity:int -> unit -> t
 val ops : t -> Stack_intf.ops
 (** Push/pop raise {!Stack_intf.Overflow} / {!Stack_intf.Underflow}. *)
 
-val depth : t -> int
 val contents : t -> int list
 (** Top first (test backdoor). *)
 

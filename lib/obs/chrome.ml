@@ -274,15 +274,14 @@ let trace_json ?profile ?(slave_names = [||]) sink =
           ] );
     ]
 
-let to_string ?profile ?slave_names sink =
-  Json.to_string (trace_json ?profile ?slave_names sink)
+let to_string sink = Json.to_string (trace_json sink)
 
-let write ?profile ?slave_names ~path sink =
+let write ?profile ~slave_names ~path sink =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
       let buf = Buffer.create 65536 in
-      Json.to_buffer buf (trace_json ?profile ?slave_names sink);
+      Json.to_buffer buf (trace_json ?profile ~slave_names sink);
       Buffer.add_char buf '\n';
       Buffer.output_buffer oc buf)

@@ -41,16 +41,16 @@ val meta : name:string -> tid:int -> label:string -> Json.t
 
 (** {1 Sink export} *)
 
-val trace_json :
-  ?profile:Power.Profile.t -> ?slave_names:string array -> Sink.t -> Json.t
-(** [slave_names.(i)] names slave track [i] (defaults to ["slave<i>"]). *)
-
-val to_string :
-  ?profile:Power.Profile.t -> ?slave_names:string array -> Sink.t -> string
+val to_string : Sink.t -> string
+(** The sink's trace document, with generic slave track names and no
+    energy counter track. *)
 
 val write :
   ?profile:Power.Profile.t ->
-  ?slave_names:string array ->
+  slave_names:string array ->
   path:string ->
   Sink.t ->
   unit
+(** Writes the trace document to [path].  [slave_names.(i)] names slave
+    track [i] (["slave<i>"] past its end); [profile] adds an energy
+    counter track. *)

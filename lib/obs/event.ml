@@ -44,18 +44,6 @@ let kind_of_code = function
   | 9 -> Energy_sample
   | c -> invalid_arg (Printf.sprintf "Obs.Event.kind_of_code: %d" c)
 
-let kind_name = function
-  | Txn_issued -> "txn-issued"
-  | Txn_rejected -> "txn-rejected"
-  | Txn_granted -> "txn-granted"
-  | Data_beat -> "data-beat"
-  | Txn_finished -> "txn-finished"
-  | Txn_error -> "txn-error"
-  | Window_open -> "window-open"
-  | Window_close -> "window-close"
-  | Level_switch -> "level-switch"
-  | Energy_sample -> "energy-sample"
-
 let level_name = function
   | 0 -> "gate-level"
   | 1 -> "l1"
@@ -67,7 +55,3 @@ let category_name = function
   | 1 -> "data-read"
   | 2 -> "write"
   | c -> Printf.sprintf "cat-%d" c
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>%8d %-13s id=%d arg=%d arg2=%d value=%.3f@]"
-    t.cycle (kind_name t.kind) t.id t.arg t.arg2 t.value

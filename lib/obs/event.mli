@@ -54,8 +54,6 @@ val kind_code : kind -> int
 val kind_of_code : int -> kind
 (** @raise Invalid_argument on an unknown code. *)
 
-val kind_name : kind -> string
-
 val level_name : int -> string
 (** Conventional names for the level codes carried in [arg]/[arg2]:
     0 = "gate-level", 1 = "l1", 2 = "l2"; other codes render as
@@ -65,5 +63,3 @@ val level_name : int -> string
 val category_name : int -> string
 (** Outstanding-category names: 0 = "instr-read", 1 = "data-read",
     2 = "write". *)
-
-val pp : Format.formatter -> t -> unit

@@ -104,12 +104,6 @@ let rejected t = t.rejected
 let finished t = t.finished
 let errored t = t.errored
 let beats t = t.beats
-let wait_stalls t = t.wait_stalls
-let dropped t = t.dropped
-
-let wait_stalls_for_slave t i =
-  if i >= 0 && i < max_slaves then t.wait_by_slave.(i) else 0
-
 type hist_view = {
   name : string;
   bounds : float array;
@@ -219,18 +213,3 @@ let to_json t =
         Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) v.counters) );
       ("histograms", Json.List (List.map hist_view_to_json v.hists));
     ]
-
-let pp ppf t =
-  let v = view t in
-  List.iter
-    (fun (name, n) -> Format.fprintf ppf "%-24s %d@." name n)
-    v.counters;
-  List.iter
-    (fun (h : hist_view) ->
-      Format.fprintf ppf "%-24s total=%d mean=%.2f@." h.name h.total h.mean;
-      Array.iteri
-        (fun i c ->
-          if c > 0 then
-            Format.fprintf ppf "  %-12s %d@." (bucket_label h.bounds i) c)
-        h.counts)
-    v.hists

@@ -40,9 +40,6 @@ val rejected : t -> int
 val finished : t -> int
 val errored : t -> int
 val beats : t -> int
-val wait_stalls : t -> int
-val dropped : t -> int
-val wait_stalls_for_slave : t -> int -> int
 
 (** {1 Standalone histograms}
 
@@ -56,7 +53,6 @@ val hist : string -> float array -> hist
 (** [hist name bounds]: [bounds] are inclusive upper bucket bounds in
     ascending order; one overflow bucket is added past the last. *)
 
-val observe : hist -> float -> unit
 val observe_int : hist -> int -> unit
 
 type hist_view = {
@@ -93,7 +89,3 @@ val percentile : hist_view -> float -> float
 val hist_view_to_json : hist_view -> Json.t
 
 val to_json : t -> Json.t
-
-val pp : Format.formatter -> t -> unit
-(** Plain multi-line text rendering (the tabular rendering lives in
-    [Core.Report.metrics]). *)

@@ -33,7 +33,6 @@ let create ?(capacity = 65536) () =
 let metrics t = t.metrics
 
 let set_base t base = t.base <- base
-let base t = t.base
 let length t = t.len
 let dropped t = t.dropped
 
@@ -65,11 +64,6 @@ let event_at t i =
   }
 
 let events t = List.init t.len (event_at t)
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f (event_at t i)
-  done
 
 let txn_issued t ~cycle ~id ~cat ~queue_depth =
   Metrics.incr_issued t.metrics;

@@ -26,8 +26,6 @@ val metrics : t -> Metrics.t
 val set_base : t -> int -> unit
 (** Cycle offset added to every subsequently recorded timestamp. *)
 
-val base : t -> int
-
 val length : t -> int
 (** Events currently held (at most [capacity]). *)
 
@@ -38,11 +36,10 @@ val events : t -> Event.t list
 (** The held events in record order.  Allocates (one record per event);
     meant for export and tests, not for the hot path. *)
 
-val iter : (Event.t -> unit) -> t -> unit
-
 (** {1 Recording}
 
-    All cycle arguments are kernel-local; the sink adds {!base}. *)
+    All cycle arguments are kernel-local; the sink adds the offset set by
+    {!set_base}. *)
 
 val txn_issued : t -> cycle:int -> id:int -> cat:int -> queue_depth:int -> unit
 (** Also feeds the occupancy histogram and stamps the issue cycle used

@@ -2,9 +2,6 @@ type limit = { name : string; max_current_ma : float; supply_v : float }
 
 let gsm_contact = { name = "GSM 11.11 (contact)"; max_current_ma = 10.0; supply_v = 5.0 }
 
-let iso7816_class_b =
-  { name = "ISO 7816-3 class B"; max_current_ma = 50.0; supply_v = 3.0 }
-
 let contactless_rf =
   { name = "contactless RF field"; max_current_ma = 5.0; supply_v = 3.0 }
 
@@ -24,9 +21,10 @@ let average_current_ma ~energy_pj ~cycles ~clock_hz ~supply_v =
     watts /. supply_v *. 1e3
   end
 
-let check ?(clock_hz = 10e6) limit ~energy_pj ~cycles =
+let check limit ~energy_pj ~cycles =
   let average_current_ma =
-    average_current_ma ~energy_pj ~cycles ~clock_hz ~supply_v:limit.supply_v
+    average_current_ma ~energy_pj ~cycles ~clock_hz:10e6
+      ~supply_v:limit.supply_v
   in
   let average_power_mw = average_current_ma *. limit.supply_v in
   {

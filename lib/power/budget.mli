@@ -15,9 +15,6 @@ type limit = {
 val gsm_contact : limit
 (** 10 mA at 5 V (GSM 11.11 class A). *)
 
-val iso7816_class_b : limit
-(** 50 mA at 3 V (ISO 7816-3 class B ICC). *)
-
 val contactless_rf : limit
 (** 5 mA at 3 V — a tight budget representative of ISO 14443 RF-field
     harvesting. *)
@@ -35,9 +32,8 @@ val average_current_ma :
 (** Average supply current of [energy_pj] dissipated over [cycles] at
     [clock_hz] and [supply_v].  Zero for an empty interval. *)
 
-val check :
-  ?clock_hz:float -> limit -> energy_pj:float -> cycles:int -> verdict
-(** Judges a workload against a limit; the clock defaults to 10 MHz (a
-    contact smart card range). *)
+val check : limit -> energy_pj:float -> cycles:int -> verdict
+(** Judges a workload against a limit at a 10 MHz clock (a contact smart
+    card range). *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

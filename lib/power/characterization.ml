@@ -11,8 +11,6 @@ type t = {
   avg_ctrl : float;
 }
 
-let name t = t.name
-
 (* Average over a contiguous index range, summing in ascending index
    order (the same order the old list-based fold used). *)
 let range_avg per_signal first count =
@@ -61,13 +59,6 @@ let scale t k =
   of_per_signal
     ~name:(Printf.sprintf "%s*%.3f" t.name k)
     (Array.map (fun e -> e *. k) t.per_signal)
-
-let avg_over t ids =
-  match ids with
-  | [] -> 0.0
-  | _ ->
-    let sum = List.fold_left (fun acc id -> acc +. energy_per_transition t id) 0.0 ids in
-    sum /. float_of_int (List.length ids)
 
 let avg_addr_bit t = t.avg_addr
 let avg_wdata_bit t = t.avg_wdata

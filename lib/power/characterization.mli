@@ -13,12 +13,8 @@
 
 type t
 
-val name : t -> string
-
 val default : t
 (** [0.5 * C * Vdd^2] per wire from {!Ec.Signals.default_capacitance_ff}. *)
-
-val make : name:string -> (Ec.Signals.id -> float) -> t
 
 val derive : name:string -> energy_pj:float array -> transitions:int array -> t
 (** [derive ~name ~energy_pj ~transitions] averages measured per-wire
@@ -34,9 +30,6 @@ val energy_per_transition : t -> Ec.Signals.id -> float
 
 val scale : t -> float -> t
 (** [scale t k] multiplies every entry (for sensitivity studies). *)
-
-val avg_over : t -> Ec.Signals.id list -> float
-(** Mean energy per transition over a wire group. *)
 
 (** The per-class averages are precomputed at table construction; reading
     them is free. *)

@@ -14,7 +14,7 @@ type t = {
   profile : Profile.t option;
 }
 
-let create ?(record_profile = false) () =
+let create ~record_profile () =
   {
     acc = Array.make 4 0.0;
     cycles = 0;

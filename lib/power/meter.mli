@@ -8,9 +8,8 @@
 
 type t
 
-val create : ?record_profile:bool -> unit -> t
-(** Profile recording defaults to off (it costs simulation speed, which
-    Table 3 measures). *)
+val create : record_profile:bool -> unit -> t
+(** Profile recording costs simulation speed, which Table 3 measures. *)
 
 val add : t -> float -> unit
 (** Contributes energy (pJ) to the cycle being simulated. *)

@@ -3,7 +3,7 @@
     A profile is the time series of energy dissipated in each clock cycle.
     Cycle-accurate profiles (layer 1 and below) are the basis for power
     analysis considerations; phase-lumped sampling (layer 2, the paper's
-    Figure 6) is reconstructed by {!resample_lumped}. *)
+    Figure 6) is reconstructed by {!lumped}. *)
 
 type t
 

@@ -31,7 +31,6 @@ type t = {
   mutable completed_txns : int;
   mutable completed_beats : int;
   mutable error_txns : int;
-  mutable busy_cycles : int;
 }
 
 let cat_index = function
@@ -142,14 +141,13 @@ let addr_phase t =
           t.addr_cur <- Some job
         end
     end
-  end;
-  !progressed
+  end
 
 let read_phase t =
   let w = t.wires in
   if t.read_cur = None then t.read_cur <- pop_opt t.read_q;
   match t.read_cur with
-  | None -> false
+  | None -> ()
   | Some job ->
     if job.d_wait > 0 then begin
       job.d_wait <- job.d_wait - 1;
@@ -179,8 +177,7 @@ let read_phase t =
         t.read_cur <- None
       end
       else job.d_wait <- job.d_wait_states
-    end;
-    true
+    end
 
 let write_phase t =
   let w = t.wires in
@@ -191,7 +188,7 @@ let write_phase t =
     | None -> ()
   end;
   match t.write_cur with
-  | None -> false
+  | None -> ()
   | Some job ->
     if job.d_wait > 0 then begin
       job.d_wait <- job.d_wait - 1;
@@ -224,8 +221,7 @@ let write_phase t =
         (* The master presents the next beat's data during its waits. *)
         Sim.Signal.set (Wires.wdata w) txn.Ec.Txn.data.(job.d_beat)
       end
-    end;
-    true
+    end
 
 let strobe_defaults t =
   let w = t.wires in
@@ -243,10 +239,9 @@ let cycle t _kernel =
   (match t.addr_cur with
   | Some _ -> Wires.set_ctrl t.wires Ec.Signals.Avalid true
   | None -> ());
-  let a = addr_phase t in
-  let r = read_phase t in
-  let wr = write_phase t in
-  if a || r || wr then t.busy_cycles <- t.busy_cycles + 1;
+  addr_phase t;
+  read_phase t;
+  write_phase t;
   Diesel.observe_and_commit t.diesel
 
 (* Inert placeholders for the preallocated ring slots.  The category
@@ -285,7 +280,6 @@ let create ~kernel ~decoder ?params ?record_profile ?sink () =
       completed_txns = 0;
       completed_beats = 0;
       error_txns = 0;
-      busy_cycles = 0;
     }
   in
   Sim.Kernel.on_falling kernel ~name:"rtl-bus" (cycle t);
@@ -319,8 +313,6 @@ let port t =
 
 let wires t = t.wires
 let diesel t = t.diesel
-let decoder t = t.decoder
-
 let busy t =
   t.addr_cur <> None || t.read_cur <> None || t.write_cur <> None
   || not (Ec.Ring.is_empty t.requests)
@@ -330,8 +322,6 @@ let busy t =
 let completed_txns t = t.completed_txns
 let completed_beats t = t.completed_beats
 let error_txns t = t.error_txns
-let busy_cycles t = t.busy_cycles
-
 let reset t =
   Ec.Ring.clear t.requests;
   Ec.Ring.clear t.read_q;
@@ -344,6 +334,5 @@ let reset t =
   t.completed_txns <- 0;
   t.completed_beats <- 0;
   t.error_txns <- 0;
-  t.busy_cycles <- 0;
   Wires.reset t.wires;
   Diesel.reset t.diesel

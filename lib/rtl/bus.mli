@@ -32,7 +32,6 @@ val create :
 val port : t -> Ec.Port.t
 val wires : t -> Wires.t
 val diesel : t -> Diesel.t
-val decoder : t -> Ec.Decoder.t
 
 val busy : t -> bool
 (** True while any transaction is queued or in flight. *)
@@ -40,9 +39,6 @@ val busy : t -> bool
 val completed_txns : t -> int
 val completed_beats : t -> int
 val error_txns : t -> int
-
-val busy_cycles : t -> int
-(** Cycles in which at least one phase made progress. *)
 
 val reset : t -> unit
 (** Back to the freshly created state: queues, in-flight phases,

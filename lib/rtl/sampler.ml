@@ -26,4 +26,3 @@ let create ~kernel wires =
 let addr_values t = values t.addr
 let wdata_values t = values t.wdata
 let rdata_values t = values t.rdata
-let cycles t = t.addr.len

@@ -14,4 +14,3 @@ val addr_values : t -> int array
 
 val wdata_values : t -> int array
 val rdata_values : t -> int array
-val cycles : t -> int

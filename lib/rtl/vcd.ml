@@ -45,8 +45,6 @@ let create ~kernel wires =
       t.cycles <- t.cycles + 1);
   t
 
-let cycles_recorded t = t.cycles
-
 let binary_string width v =
   String.init width (fun i ->
       if v land (1 lsl (width - 1 - i)) <> 0 then '1' else '0')

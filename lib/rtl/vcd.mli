@@ -10,10 +10,5 @@ val create : kernel:Sim.Kernel.t -> Wires.t -> t
 (** Registers a falling-edge sampler (after the bus process, so it sees
     each cycle's settled values). *)
 
-val cycles_recorded : t -> int
-
 val write : t -> string -> unit
 (** [write t path] dumps everything recorded so far. *)
-
-val to_string : t -> string
-(** The VCD text (for tests and small traces). *)

@@ -29,8 +29,6 @@ let rdata t = t.rdata
 let sel t = t.sel
 let ctrl t c = t.ctrl.(Ec.Signals.ctrl_index c)
 let set_ctrl t c v = Sim.Signal.set (ctrl t c) (if v then 1 else 0)
-let ctrl_value t c = Sim.Signal.current (ctrl t c) = 1
-
 let interface_groups t =
   [
     (Ec.Signals.Addr 0, t.addr);
@@ -55,10 +53,3 @@ let reset t =
   Sim.Signal.reset t.rdata;
   Array.iter Sim.Signal.reset t.ctrl;
   Sim.Signal.reset t.sel
-
-let value_of t = function
-  | Ec.Signals.Addr i -> Sim.Signal.current t.addr land (1 lsl i) <> 0
-  | Ec.Signals.Be i -> Sim.Signal.current t.be land (1 lsl i) <> 0
-  | Ec.Signals.Wdata i -> Sim.Signal.current t.wdata land (1 lsl i) <> 0
-  | Ec.Signals.Rdata i -> Sim.Signal.current t.rdata land (1 lsl i) <> 0
-  | Ec.Signals.Ctrl c -> ctrl_value t c

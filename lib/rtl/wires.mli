@@ -24,8 +24,6 @@ val sel : t -> Sim.Signal.t  (** internal one-hot slave selects *)
 val ctrl : t -> Ec.Signals.ctrl -> Sim.Signal.t
 
 val set_ctrl : t -> Ec.Signals.ctrl -> bool -> unit
-val ctrl_value : t -> Ec.Signals.ctrl -> bool
-(** Committed (current-cycle) value. *)
 
 val interface_groups : t -> (Ec.Signals.id * Sim.Signal.t) list
 (** Every interface signal paired with the {!Ec.Signals.id} of its bit 0,
@@ -36,6 +34,3 @@ val commit_all : t -> unit
 val reset : t -> unit
 (** Every wire (values and transition counters) back to the created
     state. *)
-
-val value_of : t -> Ec.Signals.id -> bool
-(** Committed value of one individual interface wire. *)

@@ -130,9 +130,9 @@ let unsubscribe t =
       in
       loop ())
 
-let request_retrying ?id ?(attempts = 10) t req =
+let request_retrying t req =
   let rec go n =
-    match request ?id t req with
+    match request t req with
     | Ok [ Protocol.Error { Protocol.code = Protocol.Busy; retry_after_ms; _ } ]
       when n > 1 ->
       let ms = Option.value retry_after_ms ~default:10 in
@@ -140,4 +140,4 @@ let request_retrying ?id ?(attempts = 10) t req =
       go (n - 1)
     | r -> r
   in
-  go attempts
+  go 10

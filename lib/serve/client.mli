@@ -47,13 +47,9 @@ val request : ?id:int -> t -> Protocol.request -> (Protocol.frame list, string) 
     {!request_retrying}, {!subscribe} and {!unsubscribe} too. *)
 
 val request_retrying :
-  ?id:int ->
-  ?attempts:int ->
-  t ->
-  Protocol.request ->
-  (Protocol.frame list, string) result
+  t -> Protocol.request -> (Protocol.frame list, string) result
 (** Like {!request}, but a [busy] rejection sleeps the advertised
-    [retry_after_ms] and resends, up to [attempts] (default 10) times —
+    [retry_after_ms] and resends, up to 10 times —
     the polite client loop the backpressure design assumes. *)
 
 val subscribe :

@@ -98,7 +98,6 @@ type error_code =
   | Failed  (** the job raised while executing *)
 
 val error_code_to_string : error_code -> string
-val error_code_of_string : string -> error_code option
 
 type result_body = {
   level : Core.Level.t;
@@ -236,4 +235,3 @@ val request_id : Obs.Json.t -> Obs.Json.t
     server echoes back even for requests it cannot decode. *)
 
 val stream_to_wire : stream -> string
-val stream_of_wire : string -> stream option

@@ -13,9 +13,6 @@
     fresh builds exactly (DESIGN.md section 13) and compiled plans
     reproduce interpretation exactly (section 14). *)
 
-val energy_chunk_lines : int
-(** Profile jsonl lines per [energy] frame (512). *)
-
 val execute :
   pool:Core.Pool.t ->
   stats:(unit -> Protocol.stats_body) ->

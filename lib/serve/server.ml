@@ -134,11 +134,8 @@ let bind_tcp port =
   in
   (fd, bound)
 
-let create ?unix_path ?tcp_port ?domains ?(queue_depth = 64)
+let create ?unix_path ?tcp_port ~domains ?(queue_depth = 64)
     ?(max_frame = Framing.default_max_frame) ?(handle_signals = false) () =
-  let domains =
-    match domains with Some d -> d | None -> Core.Parallel.default_domains ()
-  in
   if domains < 1 then invalid_arg "Serve.Server.create: domains < 1";
   if queue_depth < 1 then invalid_arg "Serve.Server.create: queue_depth < 1";
   if unix_path = None && tcp_port = None then

@@ -23,7 +23,7 @@ type t
 val create :
   ?unix_path:string ->
   ?tcp_port:int ->
-  ?domains:int ->
+  domains:int ->
   ?queue_depth:int ->
   ?max_frame:int ->
   ?handle_signals:bool ->
@@ -33,8 +33,7 @@ val create :
     [create] returns, the backlog holds until {!serve} starts accepting.
     At least one of [unix_path]/[tcp_port] is required ([tcp_port = 0]
     binds an ephemeral port, see {!tcp_port}); a stale socket file at
-    [unix_path] is unlinked.  [domains] (default
-    {!Core.Parallel.default_domains}) is the total worker count,
+    [unix_path] is unlinked.  [domains] is the total worker count,
     the {!serve}-calling thread included; [queue_depth] (default 64)
     bounds the job queue; [handle_signals] (default [false]) installs
     SIGINT/SIGTERM handlers that initiate a drain.

@@ -46,7 +46,6 @@ type span = {
   sp_kind : int;
   sp_accept : int;  (* all timestamps: microseconds since registry epoch *)
   mutable sp_enqueue : int;
-  mutable sp_queue_depth : int;  (* total queue depth just after enqueue *)
   mutable sp_dequeue : int;
   mutable sp_worker : int;
   mutable sp_execute : int;  (* execution finished, [done] not yet sent *)
@@ -95,17 +94,17 @@ type t = {
      are absolute counters so subscriber cursors can detect overwrites
      and report how many entries they missed. *)
   spans : span array;
-  span_cap : int;
   mutable span_total : int;
   qd_ts : int array;
   qd_depth : int array;
-  qd_cap : int;
   mutable qd_total : int;
 }
 
-let create ?(span_capacity = 8192) ?(depth_capacity = 16384) () =
-  let span_cap = max 16 span_capacity in
-  let qd_cap = max 16 depth_capacity in
+(* Ring capacities: completed spans and queue-depth samples. *)
+let span_cap = 8192
+let qd_cap = 16384
+
+let create () =
   let dummy =
     {
       sp_seq = -1;
@@ -113,7 +112,6 @@ let create ?(span_capacity = 8192) ?(depth_capacity = 16384) () =
       sp_kind = 0;
       sp_accept = 0;
       sp_enqueue = -1;
-      sp_queue_depth = -1;
       sp_dequeue = -1;
       sp_worker = -1;
       sp_execute = -1;
@@ -139,11 +137,9 @@ let create ?(span_capacity = 8192) ?(depth_capacity = 16384) () =
     enqueue_depth = Obs.Metrics.hist "enqueue-depth" depth_bounds;
     clients = Hashtbl.create 16;
     spans = Array.make span_cap dummy;
-    span_cap;
     span_total = 0;
     qd_ts = Array.make qd_cap 0;
     qd_depth = Array.make qd_cap 0;
-    qd_cap;
     qd_total = 0;
   }
 
@@ -176,8 +172,8 @@ let client_entry t conn =
 
 (* Callers hold [t.mutex]. *)
 let record_depth t ~ts ~depth =
-  t.qd_ts.(t.qd_total mod t.qd_cap) <- ts;
-  t.qd_depth.(t.qd_total mod t.qd_cap) <- depth;
+  t.qd_ts.(t.qd_total mod qd_cap) <- ts;
+  t.qd_depth.(t.qd_total mod qd_cap) <- depth;
   t.qd_total <- t.qd_total + 1
 
 let span_accept t ~conn ~kind =
@@ -195,7 +191,6 @@ let span_accept t ~conn ~kind =
     sp_kind = kind;
     sp_accept = ts;
     sp_enqueue = -1;
-    sp_queue_depth = -1;
     sp_dequeue = -1;
     sp_worker = -1;
     sp_execute = -1;
@@ -207,7 +202,6 @@ let span_accept t ~conn ~kind =
 let span_enqueued t span ~queue_depth =
   let ts = now_us t in
   span.sp_enqueue <- ts;
-  span.sp_queue_depth <- queue_depth;
   Mutex.lock t.mutex;
   Obs.Metrics.observe_int t.enqueue_depth queue_depth;
   record_depth t ~ts ~depth:queue_depth;
@@ -253,7 +247,7 @@ let span_done t span ~frames =
     Obs.Metrics.observe_int t.exec (span.sp_execute - span.sp_dequeue);
   if span.sp_execute >= 0 then
     Obs.Metrics.observe_int t.serialize (ts - span.sp_execute);
-  t.spans.(t.span_total mod t.span_cap) <- span;
+  t.spans.(t.span_total mod span_cap) <- span;
   t.span_total <- t.span_total + 1;
   Mutex.unlock t.mutex
 
@@ -265,7 +259,7 @@ let finish_control t span ~frames =
 
 let spans_dropped t =
   Mutex.lock t.mutex;
-  let d = max 0 (t.span_total - t.span_cap) in
+  let d = max 0 (t.span_total - span_cap) in
   Mutex.unlock t.mutex;
   d
 
@@ -274,14 +268,6 @@ let spans_total t =
   let n = t.span_total in
   Mutex.unlock t.mutex;
   n
-
-(* Totals across request kinds: (accepted, completed, failed, rejected). *)
-let totals t =
-  Mutex.lock t.mutex;
-  let sum a = Array.fold_left ( + ) 0 a in
-  let r = (sum t.requests, sum t.completed, sum t.failed, sum t.rejected) in
-  Mutex.unlock t.mutex;
-  r
 
 let hist_json h = Obs.Metrics.hist_view_to_json (Obs.Metrics.hist_view h)
 
@@ -326,8 +312,8 @@ let snapshot t =
       [
         ("uptime_s", J.Float (uptime_s t));
         ("spans_total", J.Int t.span_total);
-        ("spans_retained", J.Int (min t.span_total t.span_cap));
-        ("spans_dropped", J.Int (max 0 (t.span_total - t.span_cap)));
+        ("spans_retained", J.Int (min t.span_total span_cap));
+        ("spans_dropped", J.Int (max 0 (t.span_total - span_cap)));
         ( "queue",
           J.Obj
             [
@@ -397,7 +383,7 @@ let render t =
   in
   let spans_line =
     Printf.sprintf "spans: %d total, %d dropped from ring" t.span_total
-      (max 0 (t.span_total - t.span_cap))
+      (max 0 (t.span_total - span_cap))
   in
   Mutex.unlock t.mutex;
   String.concat "\n"
@@ -470,7 +456,7 @@ let sort_by_ts events =
       | _ -> 0)
     events
 
-let chrome_metadata ?(workers = 0) () =
+let chrome_metadata ~workers () =
   Obs.Chrome.meta ~name:"process_name" ~tid:0 ~label:"smartcard-serve"
   :: Obs.Chrome.meta ~name:"thread_name" ~tid:tid_control ~label:"control"
   :: List.init workers (fun w ->
@@ -490,16 +476,16 @@ let chrome_chunk t ((cs, cq) : cursor) =
      Workers take this mutex on every span edge: serializing a busy
      tick's chunk under it would stall the request path. *)
   Mutex.lock t.mutex;
-  let first_s = max cs (t.span_total - t.span_cap) in
-  let first_q = max cq (t.qd_total - t.qd_cap) in
+  let first_s = max cs (t.span_total - span_cap) in
+  let first_q = max cq (t.qd_total - qd_cap) in
   let missed = first_s - cs + (first_q - cq) in
   let spans =
     Array.init (t.span_total - first_s) (fun i ->
-        t.spans.((first_s + i) mod t.span_cap))
+        t.spans.((first_s + i) mod span_cap))
   in
   let qd =
     Array.init (t.qd_total - first_q) (fun i ->
-        let j = (first_q + i) mod t.qd_cap in
+        let j = (first_q + i) mod qd_cap in
         (t.qd_ts.(j), t.qd_depth.(j)))
   in
   let next : cursor = (t.span_total, t.qd_total) in
@@ -518,15 +504,15 @@ let chrome_chunk t ((cs, cq) : cursor) =
 let chrome_document t =
   let events, _, _ = chrome_chunk t start_cursor in
   Mutex.lock t.mutex;
-  let first_s = max 0 (t.span_total - t.span_cap) in
+  let first_s = max 0 (t.span_total - span_cap) in
   let max_worker =
     List.fold_left
-      (fun acc i -> max acc t.spans.((first_s + i) mod t.span_cap).sp_worker)
+      (fun acc i -> max acc t.spans.((first_s + i) mod span_cap).sp_worker)
       (-1)
       (List.init (t.span_total - first_s) Fun.id)
   in
   let total = t.span_total in
-  let dropped = max 0 (t.span_total - t.span_cap) in
+  let dropped = max 0 (t.span_total - span_cap) in
   Mutex.unlock t.mutex;
   J.Obj
     [

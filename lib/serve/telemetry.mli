@@ -17,9 +17,9 @@
 type t
 type span
 
-val create : ?span_capacity:int -> ?depth_capacity:int -> unit -> t
-(** [span_capacity] (default 8192) bounds the completed-span ring,
-    [depth_capacity] (default 16384) the queue-depth sample ring; both
+val create : unit -> t
+(** The completed-span ring holds 8192 spans and the queue-depth sample
+    ring 16384 samples; both
     overwrite oldest when full, and overwrites are reported as
     {!spans_dropped} / per-chunk [missed]. *)
 
@@ -33,7 +33,6 @@ val kind_shutdown : int
 val kind_metrics : int
 val kind_subscribe : int
 val kind_unsubscribe : int
-val kind_name : int -> string
 
 (** {1 Span lifecycle}
 
@@ -57,8 +56,6 @@ val spans_dropped : t -> int
 (** Completed spans overwritten in the ring before export. *)
 
 val spans_total : t -> int
-val totals : t -> int * int * int * int
-(** [(accepted, completed, failed, rejected)] across request kinds. *)
 
 val snapshot : t -> Obs.Json.t
 (** The metrics snapshot document carried by [metrics] frames:
@@ -83,10 +80,7 @@ val chrome_chunk : t -> cursor -> Obs.Json.t list * cursor * int
 (** Events recorded since [cursor] (sorted by timestamp), the advanced
     cursor, and how many ring entries were overwritten unseen. *)
 
-val chrome_metadata : ?workers:int -> unit -> Obs.Json.t list
+val chrome_metadata : workers:int -> unit -> Obs.Json.t list
 (** Process/thread-name metadata events naming the server lanes. *)
-
-val chrome_document : t -> Obs.Json.t
-(** A complete trace document from everything the rings retain. *)
 
 val write_chrome : path:string -> t -> unit

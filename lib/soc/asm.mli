@@ -32,8 +32,6 @@ exception Error of string
 val assemble : ?origin:int -> string -> program
 (** @raise Error on any syntax or range problem. *)
 
-val assemble_lines : ?origin:int -> string list -> program
-
 val label_addr : program -> string -> int
 (** @raise Not_found if the label is not defined. *)
 

@@ -24,7 +24,6 @@ type t = {
   regs : int array;
   store_buffer : bool;
   irq : unit -> bool;
-  irq_vector : int;
   mutable pending_store : Ec.Txn.t option;
   mutable pc : int;
   mutable epc : int;
@@ -118,7 +117,7 @@ let start_mem t kind result continuation =
 
 let take_interrupt t =
   t.epc <- t.pc;
-  t.pc <- t.irq_vector;
+  t.pc <- 0x40 (* the interrupt vector *);
   t.in_irq <- true;
   t.interrupts_taken <- t.interrupts_taken + 1
 
@@ -279,7 +278,7 @@ let step t _kernel =
   end
 
 let create ~kernel ~port ?(pc = 0) ?(store_buffer = true)
-    ?(irq = fun () -> false) ?(irq_vector = 0x40) () =
+    ?(irq = fun () -> false) () =
   let t =
     {
       port;
@@ -287,7 +286,6 @@ let create ~kernel ~port ?(pc = 0) ?(store_buffer = true)
       regs = Array.make 32 0;
       store_buffer;
       irq;
-      irq_vector;
       pending_store = None;
       pc;
       epc = 0;
@@ -311,9 +309,7 @@ let halted t =
   | Wait_for_interrupt | Draining ->
     false
 let fault t = t.fault
-let pc t = t.pc
 let reg t r = get t r
-let set_reg t r v = set t r v
 let instructions t = t.instructions
 let loads t = t.loads
 let stores t = t.stores
@@ -323,8 +319,6 @@ let run_to_halt t ~kernel ?(max_cycles = 2_000_000) () =
 
 let interrupts_taken t = t.interrupts_taken
 let in_interrupt t = t.in_irq
-let epc t = t.epc
-
 let reset t ~pc =
   Ec.Txn.Id_gen.reset t.ids;
   Array.fill t.regs 0 (Array.length t.regs) 0;

@@ -25,7 +25,6 @@ val create :
   ?pc:int ->
   ?store_buffer:bool ->
   ?irq:(unit -> bool) ->
-  ?irq_vector:int ->
   unit ->
   t
 (** [store_buffer] (default true) posts stores through a one-entry write
@@ -36,17 +35,14 @@ val create :
 
     [irq] is sampled at instruction boundaries; when it holds, interrupts
     are enabled ([ei]) and no interrupt is already in service, the core
-    saves the pc to EPC and jumps to [irq_vector] (default 0x40).  The
+    saves the pc to EPC and jumps to the vector at 0x40.  The
     handler returns with [eret]. *)
 
 val halted : t -> bool
 (** True after [halt] or a fault. *)
 
 val fault : t -> fault option
-val pc : t -> int
 val reg : t -> int -> int
-val set_reg : t -> int -> int -> unit
-(** Backdoor register access ([r0] stays 0). *)
 
 val instructions : t -> int
 (** Instructions retired. *)
@@ -56,7 +52,6 @@ val stores : t -> int
 
 val interrupts_taken : t -> int
 val in_interrupt : t -> bool
-val epc : t -> int
 
 val run_to_halt : t -> kernel:Sim.Kernel.t -> ?max_cycles:int -> unit -> int
 (** Steps the kernel until the core halts; returns the cycles consumed.

@@ -60,7 +60,7 @@ type t = {
   mutable operations : int;
 }
 
-let create ~kernel ?(component = Power.Component.Presets.crypto) ?(latency = 16)
+let create ~kernel ?(latency = 16)
     ?(seed = 0xC0DE) ?(done_irq = fun () -> ()) cfg =
   if latency < 1 then invalid_arg "Soc.Crypto.create: latency < 1";
   let name = cfg.Ec.Slave_cfg.name in
@@ -68,7 +68,8 @@ let create ~kernel ?(component = Power.Component.Presets.crypto) ?(latency = 16)
   let t =
     {
       cfg;
-      component = Power.Component.create ~name ~slot:proc component;
+      component =
+        Power.Component.create ~name ~slot:proc Power.Component.Presets.crypto;
       proc;
       rng = Sim.Rng.create ~seed;
       seed;
@@ -149,16 +150,15 @@ let reset t =
   Sim.Kernel.park t.proc;
   Power.Component.reset t.component
 
-let block_trace ~base ~blocks ?(latency = 16) () =
+let block_trace ~base ~blocks =
   if blocks < 0 then invalid_arg "Soc.Crypto.block_trace: blocks < 0";
-  if latency < 1 then invalid_arg "Soc.Crypto.block_trace: latency < 1";
   let key = Ec.Trace.item ~gap:0 (Ec.Txn.single_write ~id:0 base ~value:0x5EC2E7) in
   let block i =
     [
       Ec.Trace.item ~gap:1
         (Ec.Txn.single_write ~id:0 (base + 0x04) ~value:(0x1000 + i));
       Ec.Trace.item ~gap:0 (Ec.Txn.single_write ~id:0 (base + 0x08) ~value:1);
-      Ec.Trace.item ~gap:latency (Ec.Txn.single_read ~id:0 (base + 0x0C));
+      Ec.Trace.item ~gap:16 (Ec.Txn.single_read ~id:0 (base + 0x0C));
       Ec.Trace.item ~gap:0 (Ec.Txn.single_read ~id:0 (base + 0x10));
     ]
   in

@@ -22,7 +22,6 @@ type t
 
 val create :
   kernel:Sim.Kernel.t ->
-  ?component:Power.Component.params ->
   ?latency:int ->
   ?seed:int ->
   ?done_irq:(unit -> unit) ->
@@ -39,17 +38,16 @@ val sbox : int -> int
 val reference : key:int -> int -> int
 (** Pure-function reference of the cipher (32-bit words). *)
 
-val busy : t -> bool
 val operations : t -> int
 
 val reset : t -> unit
 (** Reseeds the mask generator with the creation seed and clears all
     registers, state and counters. *)
 
-val block_trace : base:int -> blocks:int -> ?latency:int -> unit -> Ec.Trace.t
+val block_trace : base:int -> blocks:int -> Ec.Trace.t
 (** The register rhythm of driving the coprocessor for [blocks]
     operations, as a replayable trace: KEY once, then per block DIN,
-    CTRL-start, a [latency]-cycle gap (default 16, the engine default),
+    CTRL-start, a 16-cycle gap (the engine's default latency),
     STATUS poll and DOUT read — all single-word register accesses with
     breathing room, the opposite traffic shape to
     {!Dma.descriptor_trace}.  Use it to model the driving CPU's bus

@@ -107,16 +107,16 @@ let step t _kernel =
   end;
   if not t.active then Sim.Kernel.park t.proc
 
-let create ~kernel
-    ?(component =
-      Power.Component.params ~idle_pj_per_cycle:0.04 ~active_pj_per_cycle:0.9
-        ~access_pj:1.2 ()) ?(done_irq = fun () -> ()) cfg =
+let create ~kernel ?(done_irq = fun () -> ()) cfg =
   let name = cfg.Ec.Slave_cfg.name in
   let proc = Sim.Kernel.slot kernel ~name:(name ^ "-engine") in
   let t =
     {
       cfg;
-      component = Power.Component.create ~name ~slot:proc component;
+      component =
+        Power.Component.create ~name ~slot:proc
+          (Power.Component.params ~idle_pj_per_cycle:0.04
+             ~active_pj_per_cycle:0.9 ~access_pj:1.2 ());
       proc;
       done_irq;
       ids = Ec.Txn.Id_gen.create ();
@@ -197,13 +197,13 @@ let reset t =
   Sim.Kernel.park t.proc;
   Power.Component.reset t.component
 
-let descriptor_trace ~src ~dst ~words ?(burst = true) () =
+let descriptor_trace ~src ~dst ~words =
   if words < 0 then invalid_arg "Soc.Dma.descriptor_trace: words < 0";
   if src mod 4 <> 0 || dst mod 4 <> 0 then
     invalid_arg "Soc.Dma.descriptor_trace: unaligned descriptor";
   let rec go off left acc =
     if left = 0 then List.rev acc
-    else if burst && left >= 4 then
+    else if left >= 4 then
       let rd = Ec.Txn.burst_read ~id:0 (src + off) in
       let wr =
         Ec.Txn.burst_write ~id:0 (dst + off)

@@ -21,7 +21,6 @@ type t
 
 val create :
   kernel:Sim.Kernel.t ->
-  ?component:Power.Component.params ->
   ?done_irq:(unit -> unit) ->
   Ec.Slave_cfg.t ->
   t
@@ -43,11 +42,10 @@ val reset : t -> unit
     created state.  The bus connection made by {!connect} is kept: it is
     part of the session wiring, not of the run state. *)
 
-val descriptor_trace :
-  src:int -> dst:int -> words:int -> ?burst:bool -> unit -> Ec.Trace.t
+val descriptor_trace : src:int -> dst:int -> words:int -> Ec.Trace.t
 (** The bus traffic one copy descriptor generates, as a replayable trace:
-    read-from-[src] / write-to-[dst] pairs, four-word bursts when [burst]
-    (the default) with single-word transactions for the tail.  This is
+    read-from-[src] / write-to-[dst] pairs, four-word bursts with
+    single-word transactions for the tail.  This is
     the DMA engine as a {e trace-driven requester}: feed it to a
     {!Trace_master} on an {!Ec.Fabric} port to model the engine
     contending with other masters without instantiating the register

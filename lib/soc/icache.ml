@@ -25,18 +25,17 @@ type t = {
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
-let create ~kernel
-    ?(lines = 16)
-    ?(component =
-      Power.Component.params ~idle_pj_per_cycle:0.02 ~active_pj_per_cycle:0.3
-        ~access_pj:0.9 ()) ~inner () =
+let create ~kernel ~lines ~inner () =
   if not (is_power_of_two lines) then
     invalid_arg "Soc.Icache.create: lines must be a power of two";
   let proc = Sim.Kernel.slot kernel ~name:"icache-power" in
   let t =
     {
       inner;
-      component = Power.Component.create ~name:"icache" ~slot:proc component;
+      component =
+        Power.Component.create ~name:"icache" ~slot:proc
+          (Power.Component.params ~idle_pj_per_cycle:0.02
+             ~active_pj_per_cycle:0.3 ~access_pj:0.9 ());
       proc;
       lines;
       tags = Array.make lines 0;

@@ -19,12 +19,11 @@ val line_bytes : int
 
 val create :
   kernel:Sim.Kernel.t ->
-  ?lines:int ->
-  ?component:Power.Component.params ->
+  lines:int ->
   inner:Ec.Port.t ->
   unit ->
   t
-(** [lines] (default 16) must be a power of two.  The default component
+(** [lines] must be a power of two.  The default component
     model charges a small energy per lookup and per line fill.
 
     @raise Invalid_argument on a non-power-of-two line count. *)

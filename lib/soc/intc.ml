@@ -17,15 +17,17 @@ let wake t = if asserted t then Sim.Kernel.unpark t.proc
 
 (* Without a kernel the slot sits on a private, never-stepped one: no
    cycles, only accesses. *)
-let create ?(component = Power.Component.params ~idle_pj_per_cycle:0.02
-                ~active_pj_per_cycle:0.15 ~access_pj:1.0 ()) ?kernel cfg =
+let create ?kernel cfg =
   let kernel = match kernel with Some k -> k | None -> Sim.Kernel.create () in
   let name = cfg.Ec.Slave_cfg.name in
   let proc = Sim.Kernel.slot kernel ~name:(name ^ "-power") in
   let t =
     {
       cfg;
-      component = Power.Component.create ~name ~slot:proc component;
+      component =
+        Power.Component.create ~name ~slot:proc
+          (Power.Component.params ~idle_pj_per_cycle:0.02
+             ~active_pj_per_cycle:0.15 ~access_pj:1.0 ());
       proc;
       pending = 0;
       enable = 0;
@@ -63,7 +65,6 @@ let write t ~addr ~width:_ ~value =
 let slave t = Ec.Slave.make ~cfg:t.cfg ~read:(read t) ~write:(write t)
 let component t = t.component
 let pending t = t.pending
-let enabled t = t.enable
 let raised_total t = t.raised_total
 
 let reset t =

@@ -11,10 +11,7 @@
 
 type t
 
-val lines : int  (** 16 *)
-
-val create :
-  ?component:Power.Component.params -> ?kernel:Sim.Kernel.t -> Ec.Slave_cfg.t -> t
+val create : ?kernel:Sim.Kernel.t -> Ec.Slave_cfg.t -> t
 
 val slave : t -> Ec.Slave.t
 val component : t -> Power.Component.t
@@ -27,7 +24,6 @@ val asserted : t -> bool
 (** True while any enabled line is pending (the CPU's irq input). *)
 
 val pending : t -> int
-val enabled : t -> int
 val raised_total : t -> int
 
 val reset : t -> unit

@@ -268,5 +268,3 @@ let is_branch = function
   | Lhu _ | Lb _ | Lbu _ | Sw _ | Sh _ | Sb _ | Lw4 _ | Sw4 _ | Ei | Di
   | Wfi ->
     false
-
-let writes_link = function Jal _ -> true | _ -> false

@@ -69,4 +69,3 @@ val to_string : t -> string
 (** Assembly rendering accepted back by the assembler. *)
 
 val is_branch : t -> bool
-val writes_link : t -> bool

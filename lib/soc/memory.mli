@@ -25,7 +25,6 @@ val component : t -> Power.Component.t
 (** Backdoor access (no bus traffic, no energy), for loading images and
     checking results in tests. *)
 
-val poke8 : t -> addr:int -> int -> unit
 val peek8 : t -> addr:int -> int
 val poke32 : t -> addr:int -> int -> unit
 val peek32 : t -> addr:int -> int

@@ -43,9 +43,3 @@ let port t =
 let trace t = List.rev t.items_rev
 let count t = t.count
 let rejected t = t.rejected
-
-let reset t =
-  t.items_rev <- [];
-  t.last_accept <- None;
-  t.count <- 0;
-  t.rejected <- 0

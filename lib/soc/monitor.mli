@@ -28,7 +28,3 @@ val count : t -> int
 val rejected : t -> int
 (** Submissions the bus refused (each refusal is one retried attempt by
     the master on a later cycle). *)
-
-val reset : t -> unit
-(** Drops the recorded trace and counters so the monitor can record a new
-    run. *)

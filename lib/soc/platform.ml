@@ -115,9 +115,6 @@ let ram t = t.ram
 let eeprom t = t.eeprom
 let flash t = t.flash
 let uart t = t.uart
-let timer t = t.timer
-let trng t = t.trng
-let crypto t = t.crypto
 let intc t = t.intc
 let dma t = t.dma
 let connect_bus t port = Dma.connect t.dma port

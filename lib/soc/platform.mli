@@ -36,10 +36,6 @@ end
 
 (** Interrupt line assignment of the platform. *)
 
-val timer0_irq_line : int
-val timer1_irq_line : int
-val uart_rx_irq_line : int
-val crypto_irq_line : int
 val dma_irq_line : int
 
 type t
@@ -73,9 +69,6 @@ val ram : t -> Memory.t
 val eeprom : t -> Memory.t
 val flash : t -> Memory.t
 val uart : t -> Uart.t
-val timer : t -> Timer.t
-val trng : t -> Trng.t
-val crypto : t -> Crypto.t
 val intc : t -> Intc.t
 val dma : t -> Dma.t
 

@@ -16,8 +16,7 @@ type t = {
   chan : channel array;
 }
 
-let create ~kernel ?(component = Power.Component.Presets.timer)
-    ?(irq = fun _ -> ()) cfg =
+let create ~kernel ?(irq = fun _ -> ()) cfg =
   let fresh_channel () =
     { count = 0; reload = 0; enable = false; auto_reload = false;
       overflow = false }
@@ -27,7 +26,8 @@ let create ~kernel ?(component = Power.Component.Presets.timer)
   let t =
     {
       cfg;
-      component = Power.Component.create ~name ~slot:proc component;
+      component =
+        Power.Component.create ~name ~slot:proc Power.Component.Presets.timer;
       proc;
       irq;
       chan = Array.init channels (fun _ -> fresh_channel ());

@@ -12,11 +12,8 @@
 
 type t
 
-val channels : int  (** 2 *)
-
 val create :
   kernel:Sim.Kernel.t ->
-  ?component:Power.Component.params ->
   ?irq:(int -> unit) ->
   Ec.Slave_cfg.t ->
   t

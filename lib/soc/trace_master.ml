@@ -10,20 +10,13 @@ type t = {
   mutable gap_left : int;
   mutable to_submit : Ec.Txn.t option;  (* instantiated, not yet accepted *)
   outstanding : Ec.Txn.t Ec.Id_store.t;  (* by transaction id *)
-  mutable issued : int;
-  mutable completed : int;
-  mutable errors : int;
   mutable results_rev : Ec.Txn.t list;
 }
 
 let finished t =
   t.remaining = [] && t.to_submit = None && Ec.Id_store.is_empty t.outstanding
 
-let record_completion t txn outcome =
-  t.completed <- t.completed + 1;
-  (match outcome with
-  | Ec.Port.Failed -> t.errors <- t.errors + 1
-  | Ec.Port.Done | Ec.Port.Pending -> ());
+let record_completion t txn =
   if t.keep_results then t.results_rev <- txn :: t.results_rev
 
 (* Collect finished outstanding transactions.  In-place sweep: a removal
@@ -35,8 +28,8 @@ let sweep t =
     let txn = Ec.Id_store.value_at t.outstanding !i in
     match Ec.Port.take t.port txn.Ec.Txn.id with
     | Ec.Port.Pending -> incr i
-    | (Ec.Port.Done | Ec.Port.Failed) as outcome ->
-      record_completion t txn outcome;
+    | Ec.Port.Done | Ec.Port.Failed ->
+      record_completion t txn;
       Ec.Id_store.remove_at t.outstanding !i
   done
 
@@ -57,7 +50,6 @@ let try_submit t =
     if t.gap_left > 0 then t.gap_left <- t.gap_left - 1
     else if t.port.Ec.Port.try_submit txn then begin
       Ec.Id_store.set t.outstanding txn.Ec.Txn.id txn;
-      t.issued <- t.issued + 1;
       (match t.sink with
       | None -> ()
       | Some s ->
@@ -86,9 +78,6 @@ let create ~kernel ~port ?(name = "trace-master") ?(mode = `Pipelined)
       to_submit = None;
       outstanding =
         Ec.Id_store.create ~dummy:(Ec.Txn.single_read ~id:(-1) 0) ();
-      issued = 0;
-      completed = 0;
-      errors = 0;
       results_rev = [];
     }
   in
@@ -96,9 +85,6 @@ let create ~kernel ~port ?(name = "trace-master") ?(mode = `Pipelined)
   Sim.Kernel.on_rising kernel ~name (step t);
   t
 
-let issued t = t.issued
-let completed t = t.completed
-let errors t = t.errors
 let results t = List.rev t.results_rev
 
 let reset ?mode t trace =
@@ -108,9 +94,6 @@ let reset ?mode t trace =
   t.gap_left <- 0;
   t.to_submit <- None;
   Ec.Id_store.clear t.outstanding;
-  t.issued <- 0;
-  t.completed <- 0;
-  t.errors <- 0;
   t.results_rev <- [];
   (* Re-arm exactly like [create]: the first item moves into the submit
      slot before the first step. *)

@@ -34,9 +34,6 @@ val create :
     sink argument). *)
 
 val finished : t -> bool
-val issued : t -> int
-val completed : t -> int
-val errors : t -> int
 val results : t -> Ec.Txn.t list
 (** Completed transactions in completion order (requires
     [keep_results]). *)

@@ -17,7 +17,7 @@ type t = {
 
 let refilling t = t.enabled && t.refill_left > 0
 
-let create ~kernel ?(component = Power.Component.Presets.trng) ?(seed = 0x5EED)
+let create ~kernel ~seed
     ?(refill_cycles = 8) cfg =
   let rng = Sim.Rng.create ~seed in
   let name = cfg.Ec.Slave_cfg.name in
@@ -25,7 +25,8 @@ let create ~kernel ?(component = Power.Component.Presets.trng) ?(seed = 0x5EED)
   let t =
     {
       cfg;
-      component = Power.Component.create ~name ~slot:proc component;
+      component =
+        Power.Component.create ~name ~slot:proc Power.Component.Presets.trng;
       proc;
       rng;
       seed;

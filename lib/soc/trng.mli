@@ -10,8 +10,7 @@ type t
 
 val create :
   kernel:Sim.Kernel.t ->
-  ?component:Power.Component.params ->
-  ?seed:int ->
+  seed:int ->
   ?refill_cycles:int ->
   Ec.Slave_cfg.t ->
   t
@@ -19,7 +18,6 @@ val create :
 
 val slave : t -> Ec.Slave.t
 val component : t -> Power.Component.t
-val ready : t -> bool
 val words_delivered : t -> int
 
 val reset : t -> unit

@@ -18,14 +18,14 @@ type t = {
   mutable bit_cycles_left : int;
 }
 
-let create ~kernel ?(component = Power.Component.Presets.uart)
-    ?(rx_irq = fun () -> ()) cfg =
+let create ~kernel ?(rx_irq = fun () -> ()) cfg =
   let name = cfg.Ec.Slave_cfg.name in
   let proc = Sim.Kernel.slot kernel ~name:(name ^ "-tick") in
   let t =
     {
       cfg;
-      component = Power.Component.create ~name ~slot:proc component;
+      component =
+        Power.Component.create ~name ~slot:proc Power.Component.Presets.uart;
       proc;
       rx_irq;
       tx_fifo = Queue.create ();
@@ -90,8 +90,6 @@ let inject_rx t byte =
   t.rx_irq ()
 let transmitted t = Buffer.contents t.out
 let tx_busy t = t.shifting <> None
-let rx_pending t = Queue.length t.rx_fifo
-
 let reset t =
   Queue.clear t.tx_fifo;
   Queue.clear t.rx_fifo;

@@ -15,7 +15,6 @@ type t
 
 val create :
   kernel:Sim.Kernel.t ->
-  ?component:Power.Component.params ->
   ?rx_irq:(unit -> unit) ->
   Ec.Slave_cfg.t ->
   t
@@ -31,7 +30,6 @@ val transmitted : t -> string
 (** All bytes fully shifted out so far. *)
 
 val tx_busy : t -> bool
-val rx_pending : t -> int
 
 val reset : t -> unit
 (** FIFOs, captured output, line state, control registers and the power

@@ -36,7 +36,6 @@ type t = {
   mutable completed_txns : int;
   mutable completed_beats : int;
   mutable error_txns : int;
-  mutable busy_cycles : int;
 }
 
 let cat_index = function
@@ -139,14 +138,13 @@ let address_phase t =
           t.addr_cur <- Some st
         end
     end
-  end;
-  !progressed
+  end
 
 (* Phase 3: read phase.  One data item (beat) per cycle. *)
 let read_phase t =
   if t.read_cur = None then t.read_cur <- Queue.take_opt t.read_q;
   match t.read_cur with
-  | None -> false
+  | None -> ()
   | Some st ->
     if st.d_wait > 0 then begin
       st.d_wait <- st.d_wait - 1;
@@ -177,8 +175,7 @@ let read_phase t =
         t.read_cur <- None
       end
       else st.d_wait <- st.d_wait_states
-    end;
-    true
+    end
 
 (* Phase 4: write phase, symmetric to the read phase. *)
 let write_phase t =
@@ -190,7 +187,7 @@ let write_phase t =
     | None -> ()
   end;
   match t.write_cur with
-  | None -> false
+  | None -> ()
   | Some st ->
     if st.d_wait > 0 then begin
       st.d_wait <- st.d_wait - 1;
@@ -224,14 +221,12 @@ let write_phase t =
         with_energy t (fun e ->
             Energy.drive_wdata e txn.Ec.Txn.data.(st.d_beat))
       end
-    end;
-    true
+    end
 
 let bus_process t _kernel =
-  let a = address_phase t in
-  let r = read_phase t in
-  let w = write_phase t in
-  if a || r || w then t.busy_cycles <- t.busy_cycles + 1;
+  address_phase t;
+  read_phase t;
+  write_phase t;
   (* "The bus process calls the energy calculation method after the write
      phase.  At this time, all new signal values have been updated." *)
   with_energy t Energy.end_cycle
@@ -254,7 +249,6 @@ let create ~kernel ~decoder ?energy ?sink () =
       completed_txns = 0;
       completed_beats = 0;
       error_txns = 0;
-      busy_cycles = 0;
     }
   in
   Sim.Kernel.on_falling kernel ~name:"tlm1-bus" (bus_process t);
@@ -291,8 +285,6 @@ let port t =
   { Ec.Port.try_submit; poll; retire }
 
 let energy t = t.energy
-let decoder t = t.decoder
-
 let busy t =
   t.addr_cur <> None || t.read_cur <> None || t.write_cur <> None
   || not (Queue.is_empty t.request_q)
@@ -302,8 +294,6 @@ let busy t =
 let completed_txns t = t.completed_txns
 let completed_beats t = t.completed_beats
 let error_txns t = t.error_txns
-let busy_cycles t = t.busy_cycles
-
 let queue_depths t =
   (Queue.length t.request_q, Queue.length t.read_q, Queue.length t.write_q)
 
@@ -319,5 +309,4 @@ let reset t =
   t.completed_txns <- 0;
   t.completed_beats <- 0;
   t.error_txns <- 0;
-  t.busy_cycles <- 0;
   with_energy t Energy.reset

@@ -28,13 +28,11 @@ val create :
 
 val port : t -> Ec.Port.t
 val energy : t -> Energy.t option
-val decoder : t -> Ec.Decoder.t
 
 val busy : t -> bool
 val completed_txns : t -> int
 val completed_beats : t -> int
 val error_txns : t -> int
-val busy_cycles : t -> int
 
 val queue_depths : t -> int * int * int
 (** Current (request, read, write) queue depths, for structural tests. *)

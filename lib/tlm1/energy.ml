@@ -157,8 +157,6 @@ let reset t =
   t.observer <- None;
   Power.Meter.reset t.meter
 
-let energy_last_cycle_pj t = Power.Meter.last_cycle_pj t.meter
-let energy_since_last_call_pj t = Power.Meter.since_last_call_pj t.meter
 let total_pj t = Power.Meter.total_pj t.meter
 let meter t = t.meter
 let transitions_total t = t.transitions

@@ -34,12 +34,13 @@ val end_cycle : t -> unit
 (** The energy calculation method: counts transitions between the old and
     new signal values, accumulates energy, re-arms the strobes. *)
 
-(** The paper's power interface. *)
-
-val energy_last_cycle_pj : t -> float
-val energy_since_last_call_pj : t -> float
 val total_pj : t -> float
+
 val meter : t -> Power.Meter.t
+(** The paper's power interface: energy of the last cycle
+    ({!Power.Meter.last_cycle_pj}) and energy since the last call
+    ({!Power.Meter.since_last_call_pj}). *)
+
 val transitions_total : t -> int
 
 val reset : t -> unit

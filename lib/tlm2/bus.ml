@@ -23,7 +23,6 @@ type t = {
   mutable completed_txns : int;
   mutable completed_beats : int;
   mutable error_txns : int;
-  mutable busy_cycles : int;
 }
 
 let cat_index = function
@@ -58,7 +57,7 @@ let finish_txn t (txn : Ec.Txn.t) outcome =
 
 let address_phase t =
   match Queue.peek_opt t.pending with
-  | None -> false
+  | None -> ()
   | Some job ->
     if job.addr_left > 0 then begin
       job.addr_left <- job.addr_left - 1;
@@ -75,12 +74,11 @@ let address_phase t =
         Obs.Sink.txn_granted s ~cycle:(Sim.Kernel.now t.kernel)
           ~id:job.txn.Ec.Txn.id ~slave:job.sel);
       Queue.push job t.data_q
-    end;
-    true
+    end
 
 let data_phase t =
   match Queue.peek_opt t.data_q with
-  | None -> false
+  | None -> ()
   | Some job ->
     if job.data_left > 0 then begin
       job.data_left <- job.data_left - 1;
@@ -107,13 +105,11 @@ let data_phase t =
               ~slave:job.sel
           done);
         finish_txn t job.txn Ec.Port.Done
-    end;
-    true
+    end
 
 let bus_process t _kernel =
-  let a = address_phase t in
-  let d = data_phase t in
-  if a || d then t.busy_cycles <- t.busy_cycles + 1;
+  address_phase t;
+  data_phase t;
   with_energy t Energy.end_cycle
 
 let create ~kernel ~decoder ?energy ?sink () =
@@ -130,7 +126,6 @@ let create ~kernel ~decoder ?energy ?sink () =
       completed_txns = 0;
       completed_beats = 0;
       error_txns = 0;
-      busy_cycles = 0;
     }
   in
   Sim.Kernel.on_falling kernel ~name:"tlm2-bus" (bus_process t);
@@ -183,15 +178,11 @@ let port t =
   { Ec.Port.try_submit; poll; retire }
 
 let energy t = t.energy
-let decoder t = t.decoder
-
 let busy t = not (Queue.is_empty t.pending && Queue.is_empty t.data_q)
 
 let completed_txns t = t.completed_txns
 let completed_beats t = t.completed_beats
 let error_txns t = t.error_txns
-let busy_cycles t = t.busy_cycles
-
 let reset t =
   Queue.clear t.pending;
   Queue.clear t.data_q;
@@ -200,5 +191,4 @@ let reset t =
   t.completed_txns <- 0;
   t.completed_beats <- 0;
   t.error_txns <- 0;
-  t.busy_cycles <- 0;
   with_energy t Energy.reset

@@ -29,13 +29,11 @@ val create :
 
 val port : t -> Ec.Port.t
 val energy : t -> Energy.t option
-val decoder : t -> Ec.Decoder.t
 
 val busy : t -> bool
 val completed_txns : t -> int
 val completed_beats : t -> int
 val error_txns : t -> int
-val busy_cycles : t -> int
 
 val reset : t -> unit
 (** Queues, outstanding counters, completion store, traffic counters and

@@ -109,6 +109,5 @@ let data_phase_pj t (txn : Ec.Txn.t) =
 let end_cycle t =
   observe t Cycle;
   Power.Meter.end_cycle t.meter
-let energy_since_last_call_pj t = Power.Meter.since_last_call_pj t.meter
 let total_pj t = Power.Meter.total_pj t.meter
 let meter t = t.meter

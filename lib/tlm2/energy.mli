@@ -58,11 +58,11 @@ val end_cycle : t -> unit
 (** Advances the meter clock (layer 2 is still clocked; lumps land in the
     cycle their phase completes). *)
 
-val energy_since_last_call_pj : t -> float
-(** The single method of the layer-2 power interface. *)
-
 val total_pj : t -> float
+
 val meter : t -> Power.Meter.t
+(** The layer-2 power interface has a single method, energy since the
+    last call: {!Power.Meter.since_last_call_pj} on this meter. *)
 
 val reset : t -> unit
 (** Restores the parameters passed to {!create} (undoing any in-run

@@ -12,10 +12,6 @@ let idle t ~cycles =
     Sim.Kernel.step t.kernel
   done
 
-let reset t =
-  Ec.Txn.Id_gen.reset t.ids;
-  t.transactions <- 0
-
 let transact t txn =
   t.transactions <- t.transactions + 1;
   let accepted = ref (t.port.Ec.Port.try_submit txn) in

@@ -32,8 +32,3 @@ val idle : t -> cycles:int -> unit
 
 val transactions : t -> int
 (** Timed bus transactions the bridge has issued. *)
-
-val reset : t -> unit
-(** Id supply and transaction counter back to creation state, so a
-    pooled carrier system can host a fresh replay.  The kernel and port
-    are wiring and stay. *)

@@ -18,11 +18,7 @@ let locate t ~addr ~words ~dir =
     | Some (_, slave) ->
       let cfg = slave.Ec.Slave.cfg in
       let last = addr + (4 * words) - 1 in
-      let allowed =
-        match dir with
-        | Ec.Txn.Read -> cfg.Ec.Slave_cfg.readable
-        | Ec.Txn.Write -> cfg.Ec.Slave_cfg.writable
-      in
+      let allowed = dir = Ec.Txn.Read || cfg.Ec.Slave_cfg.writable in
       if Ec.Slave_cfg.contains cfg last && allowed then Some slave else None
 
 let read t message =

@@ -127,6 +127,28 @@ let test_pool_affinity_under_map () =
   check_int "every checkout accounted for" 200
     (Core.Pool.builds pool + Core.Pool.hits pool)
 
+(* The free-list bound: a (domain, key) keeps at most 4 released
+   sessions.  Six sessions checked out at once all build; once all six
+   are released, the next six checkouts find exactly the 4 kept ones and
+   build the 2 that were dropped. *)
+let test_pool_free_list_bound () =
+  let pool = Core.Pool.create () in
+  let round () =
+    let held =
+      List.init 6 (fun _ ->
+          Core.Pool.acquire pool probe_kind ~key:"bound"
+            ~build:(fun () -> { created_on = 0; busy = Atomic.make false })
+            ~reset:(fun _ -> ()))
+    in
+    List.iter (Core.Pool.release pool probe_kind ~key:"bound") held
+  in
+  round ();
+  check_int "first round builds every session" 6 (Core.Pool.builds pool);
+  check_int "first round finds nothing pooled" 0 (Core.Pool.hits pool);
+  round ();
+  check_int "second round reuses the 4 kept sessions" 4 (Core.Pool.hits pool);
+  check_int "and builds the 2 dropped ones" 8 (Core.Pool.builds pool)
+
 (* --- cross-run state leaks --- *)
 
 (* The dedicated regression for the reset protocol: two different traces
@@ -187,6 +209,8 @@ let suite =
       test_with_pool_propagates_from_f;
     Alcotest.test_case "session pool never shares across domains" `Quick
       test_pool_affinity_under_map;
+    Alcotest.test_case "session pool keeps at most 4 free sessions per key"
+      `Quick test_pool_free_list_bound;
     Alcotest.test_case "pooled session leaks nothing across runs" `Quick
       test_pooled_no_cross_run_leak;
     Alcotest.test_case "pooled exploration = unpooled exploration" `Quick
