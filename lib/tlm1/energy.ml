@@ -24,6 +24,8 @@ type t = {
   meter_acc : float array;
   scratch : float array;
   mutable transitions : int;
+  (* Signal-group words compared per [end_cycle]: the model's work count. *)
+  mutable words : int;
   (* Per-cycle delta observer for the trace compiler: called once per
      [end_cycle] with the old-xor-new word of every signal group, before
      the commit.  Pure integer taps — the float path is untouched, so an
@@ -55,6 +57,7 @@ let create ?(record_profile = false) table =
     meter_acc = Power.Meter.in_cycle_acc meter;
     scratch = Array.make 1 0.0;
     transitions = 0;
+    words = 0;
     observer = None;
   }
 
@@ -132,6 +135,7 @@ let end_cycle t =
     +. group_energy t (t.old_ctrl lxor t.new_ctrl) t.ctrl_pj
   in
   Array.unsafe_set t.meter_acc 0 (Array.unsafe_get t.meter_acc 0 +. pj);
+  t.words <- t.words + 5;
   Power.Meter.end_cycle t.meter;
   t.old_addr <- t.new_addr;
   t.old_be <- t.new_be;
@@ -154,9 +158,11 @@ let reset t =
   t.new_ctrl <- 0;
   t.scratch.(0) <- 0.0;
   t.transitions <- 0;
+  t.words <- 0;
   t.observer <- None;
   Power.Meter.reset t.meter
 
 let total_pj t = Power.Meter.total_pj t.meter
 let meter t = t.meter
 let transitions_total t = t.transitions
+let transition_words t = t.words

@@ -43,10 +43,15 @@ val meter : t -> Power.Meter.t
 
 val transitions_total : t -> int
 
+val transition_words : t -> int
+(** Old-xor-new signal-group words compared so far, five per
+    {!end_cycle}: the layer-1 estimator's unit of work, counted on every
+    run. *)
+
 val reset : t -> unit
-(** Old/new signal images, the transition count and the meter back to
-    their created state (the per-bit energy tables are immutable).  Any
-    attached observer is detached. *)
+(** Old/new signal images, the transition and word counts and the meter
+    back to their created state (the per-bit energy tables are
+    immutable).  Any attached observer is detached. *)
 
 (** {1 Compilation taps} *)
 

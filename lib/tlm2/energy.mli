@@ -64,10 +64,14 @@ val meter : t -> Power.Meter.t
 (** The layer-2 power interface has a single method, energy since the
     last call: {!Power.Meter.since_last_call_pj} on this meter. *)
 
+val lumps : t -> int
+(** Phase lumps estimated so far (address plus data phases): the
+    layer-2 estimator's unit of work, counted on every run. *)
+
 val reset : t -> unit
 (** Restores the parameters passed to {!create} (undoing any in-run
     {!set_params} calibration), detaches any observer and clears the
-    meter. *)
+    meter and the lump count. *)
 
 (** {1 Compilation taps} *)
 

@@ -1,4 +1,15 @@
-(* Prints the component ledger, one [key<TAB>value] line per entry:
-   dune exec test/ledger/gen.exe > test/component_ledger.txt *)
+(* Prints a recorded oracle of the test suite:
+     dune exec test/ledger/gen.exe > test/component_ledger.txt
+     dune exec test/ledger/gen.exe -- wires > test/wire_ledger.txt
+     dune exec test/ledger/gen.exe -- vcd > test/golden.vcd
+   The two ledgers print one [key<TAB>value] line per entry. *)
+let print entries = List.iter (fun (k, v) -> Printf.printf "%s\t%s\n" k v) entries
+
 let () =
-  List.iter (fun (k, v) -> Printf.printf "%s\t%s\n" k v) (Ledger.entries ())
+  match Array.to_list Sys.argv with
+  | [ _ ] -> print (Ledger.entries ())
+  | [ _; "wires" ] -> print (Wire_ledger.entries ())
+  | [ _; "vcd" ] -> print_string (Wire_ledger.vcd_text ())
+  | _ ->
+    prerr_endline "usage: gen.exe [wires | vcd]";
+    exit 2
