@@ -155,7 +155,7 @@ let l2_observe r (ev : Tlm2.Energy.event) =
     Ivec.push r.e_pop_off r.e_pops.Ivec.n;
     for i = 1 to txn.Ec.Txn.burst - 1 do
       Ivec.push r.e_pops
-        (Sim.Signal.popcount (txn.Ec.Txn.data.(i) lxor txn.Ec.Txn.data.(i - 1)))
+        (Sim.Bits.popcount (txn.Ec.Txn.data.(i) lxor txn.Ec.Txn.data.(i - 1)))
     done
 
 let l2_finish r =

@@ -1,4 +1,4 @@
-let popcount = Sim.Signal.popcount
+let popcount = Sim.Bits.popcount
 
 let transitions ~width values =
   let mask = (1 lsl width) - 1 in

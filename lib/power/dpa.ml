@@ -80,8 +80,8 @@ let cpa_attack ~traces ~inputs ~model ~guesses =
   List.map (fun g -> (g, score g)) guesses
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
-let hamming_weight = Sim.Signal.popcount
-let hamming_distance a b = Sim.Signal.popcount (a lxor b)
+let hamming_weight = Sim.Bits.popcount
+let hamming_distance a b = Sim.Bits.popcount (a lxor b)
 
 let snr ~traces ~groups =
   let len = min_length traces in

@@ -66,8 +66,8 @@ let release t (txn : Ec.Txn.t) outcome =
 (* Drive the address-group wires with a transaction's attributes. *)
 let drive_addr_wires t (txn : Ec.Txn.t) =
   let w = t.wires in
-  Sim.Signal.set (Wires.addr w) (txn.Ec.Txn.addr lsr 2);
-  Sim.Signal.set (Wires.be w) (Ec.Txn.byte_enables txn 0);
+  Wires.set_addr w (txn.Ec.Txn.addr lsr 2);
+  Wires.set_be w (Ec.Txn.byte_enables txn 0);
   Wires.set_ctrl w Ec.Signals.Avalid true;
   Wires.set_ctrl w Ec.Signals.Instr (txn.Ec.Txn.kind = Ec.Txn.Instruction);
   Wires.set_ctrl w Ec.Signals.Write (txn.Ec.Txn.dir = Ec.Txn.Write);
@@ -84,64 +84,65 @@ let dispatch t (job : addr_job) =
   | Ec.Txn.Read -> Ec.Ring.push t.read_q (make cfg.Ec.Slave_cfg.read_wait)
   | Ec.Txn.Write -> Ec.Ring.push t.write_q (make cfg.Ec.Slave_cfg.write_wait)
 
+(* The address phase of [job] completes: ARdy, the slave's select line,
+   and the job moves on to its data engine. *)
+let complete t job =
+  Wires.set_ctrl t.wires Ec.Signals.Ardy true;
+  Wires.set_sel t.wires (1 lsl job.a_sel);
+  (match t.sink with
+  | None -> ()
+  | Some s ->
+    Obs.Sink.txn_granted s ~cycle:(Sim.Kernel.now t.kernel)
+      ~id:job.a_txn.Ec.Txn.id ~slave:job.a_sel);
+  dispatch t job;
+  t.addr_cur <- None
+
+(* A free address channel takes the next queued request, if any. *)
+let start_request t =
+  match pop_opt t.requests with
+  | None -> ()
+  | Some txn -> begin
+    let w = t.wires in
+    drive_addr_wires t txn;
+    match Ec.Decoder.check t.decoder txn with
+    | Ec.Decoder.Unmapped | Ec.Decoder.Rights_violation _ ->
+      (* Bus error: the controller terminates the transaction in its
+         initiation cycle with the matching error strobe. *)
+      Wires.set_ctrl w Ec.Signals.Ardy true;
+      let err =
+        match txn.Ec.Txn.dir with
+        | Ec.Txn.Read -> Ec.Signals.Rberr
+        | Ec.Txn.Write -> Ec.Signals.Wberr
+      in
+      Wires.set_ctrl w err true;
+      release t txn Ec.Port.Failed
+    | Ec.Decoder.Mapped (i, slave) ->
+      let job =
+        { a_txn = txn; a_sel = i; a_slave = slave;
+          a_wait = slave.Ec.Slave.cfg.Ec.Slave_cfg.addr_wait }
+      in
+      (* The pop cycle is the first wait cycle, so an address phase
+         occupies exactly addr_wait + 1 cycles. *)
+      if job.a_wait = 0 then complete t job
+      else begin
+        job.a_wait <- job.a_wait - 1;
+        t.addr_cur <- Some job
+      end
+  end
+
+(* A phase in progress waits or completes this cycle; only a channel
+   that was free at the cycle start takes a new request. *)
 let addr_phase t =
-  let w = t.wires in
-  let progressed = ref false in
-  let complete job =
-    Wires.set_ctrl w Ec.Signals.Ardy true;
-    Sim.Signal.set (Wires.sel w) (1 lsl job.a_sel);
-    (match t.sink with
-    | None -> ()
-    | Some s ->
-      Obs.Sink.txn_granted s ~cycle:(Sim.Kernel.now t.kernel)
-        ~id:job.a_txn.Ec.Txn.id ~slave:job.a_sel);
-    dispatch t job;
-    t.addr_cur <- None;
-    progressed := true
-  in
-  (match t.addr_cur with
+  match t.addr_cur with
   | Some job ->
     if job.a_wait > 0 then begin
       job.a_wait <- job.a_wait - 1;
-      (match t.sink with
+      match t.sink with
       | None -> ()
-      | Some s -> Obs.Sink.wait_stall s ~slave:job.a_sel);
-      progressed := true
+      | Some s -> Obs.Sink.wait_stall s ~slave:job.a_sel
     end
-    else complete job
-  | None -> ());
-  if t.addr_cur = None && not !progressed then begin
-    match pop_opt t.requests with
-    | None -> ()
-    | Some txn -> begin
-      progressed := true;
-      drive_addr_wires t txn;
-      match Ec.Decoder.check t.decoder txn with
-      | Ec.Decoder.Unmapped | Ec.Decoder.Rights_violation _ ->
-        (* Bus error: the controller terminates the transaction in its
-           initiation cycle with the matching error strobe. *)
-        Wires.set_ctrl w Ec.Signals.Ardy true;
-        let err =
-          match txn.Ec.Txn.dir with
-          | Ec.Txn.Read -> Ec.Signals.Rberr
-          | Ec.Txn.Write -> Ec.Signals.Wberr
-        in
-        Wires.set_ctrl w err true;
-        release t txn Ec.Port.Failed
-      | Ec.Decoder.Mapped (i, slave) ->
-        let job =
-          { a_txn = txn; a_sel = i; a_slave = slave;
-            a_wait = slave.Ec.Slave.cfg.Ec.Slave_cfg.addr_wait }
-        in
-        (* The pop cycle is the first wait cycle, so an address phase
-           occupies exactly addr_wait + 1 cycles. *)
-        if job.a_wait = 0 then complete job
-        else begin
-          job.a_wait <- job.a_wait - 1;
-          t.addr_cur <- Some job
-        end
-    end
-  end
+    else complete t job
+  | None -> start_request t
 
 let read_phase t =
   let w = t.wires in
@@ -159,7 +160,7 @@ let read_phase t =
       let txn = job.d_txn in
       let value = Ec.Slave.read_beat job.d_slave txn job.d_beat in
       Ec.Txn.set_beat txn job.d_beat value;
-      Sim.Signal.set (Wires.rdata w) value;
+      Wires.set_rdata w value;
       Wires.set_ctrl w Ec.Signals.Rdval true;
       if txn.Ec.Txn.burst > 1 then begin
         if job.d_beat = 0 then Wires.set_ctrl w Ec.Signals.Bfirst true;
@@ -184,7 +185,7 @@ let write_phase t =
   if t.write_cur = None then begin
     t.write_cur <- pop_opt t.write_q;
     match t.write_cur with
-    | Some job -> Sim.Signal.set (Wires.wdata w) job.d_txn.Ec.Txn.data.(0)
+    | Some job -> Wires.set_wdata w job.d_txn.Ec.Txn.data.(0)
     | None -> ()
   end;
   match t.write_cur with
@@ -198,7 +199,7 @@ let write_phase t =
     end
     else begin
       let txn = job.d_txn in
-      Sim.Signal.set (Wires.wdata w) txn.Ec.Txn.data.(job.d_beat);
+      Wires.set_wdata w txn.Ec.Txn.data.(job.d_beat);
       Wires.set_ctrl w Ec.Signals.Wdrdy true;
       Ec.Slave.write_beat job.d_slave txn job.d_beat;
       if txn.Ec.Txn.burst > 1 then begin
@@ -219,23 +220,21 @@ let write_phase t =
       else begin
         job.d_wait <- job.d_wait_states;
         (* The master presents the next beat's data during its waits. *)
-        Sim.Signal.set (Wires.wdata w) txn.Ec.Txn.data.(job.d_beat)
+        Wires.set_wdata w txn.Ec.Txn.data.(job.d_beat)
       end
     end
 
-let strobe_defaults t =
-  let w = t.wires in
-  Wires.set_ctrl w Ec.Signals.Avalid false;
-  Wires.set_ctrl w Ec.Signals.Ardy false;
-  Wires.set_ctrl w Ec.Signals.Rdval false;
-  Wires.set_ctrl w Ec.Signals.Wdrdy false;
-  Wires.set_ctrl w Ec.Signals.Rberr false;
-  Wires.set_ctrl w Ec.Signals.Wberr false;
-  Wires.set_ctrl w Ec.Signals.Bfirst false;
-  Wires.set_ctrl w Ec.Signals.Blast false
+(* The wires every cycle starts low: AValid is re-asserted while an
+   address phase waits, the other strobes last one cycle. *)
+let strobes_mask =
+  List.fold_left
+    (fun acc c -> acc lor (1 lsl Ec.Signals.ctrl_index c))
+    0
+    [ Ec.Signals.Avalid; Ec.Signals.Ardy; Ec.Signals.Rdval; Ec.Signals.Wdrdy;
+      Ec.Signals.Rberr; Ec.Signals.Wberr; Ec.Signals.Bfirst; Ec.Signals.Blast ]
 
 let cycle t _kernel =
-  strobe_defaults t;
+  Wires.clear_ctrl t.wires strobes_mask;
   (match t.addr_cur with
   | Some _ -> Wires.set_ctrl t.wires Ec.Signals.Avalid true
   | None -> ());

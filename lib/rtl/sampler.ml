@@ -18,9 +18,9 @@ type t = { addr : channel; wdata : channel; rdata : channel }
 let create ~kernel wires =
   let t = { addr = channel (); wdata = channel (); rdata = channel () } in
   Sim.Kernel.on_rising kernel ~name:"bus-sampler" (fun _ ->
-      push t.addr (Sim.Signal.current (Wires.addr wires));
-      push t.wdata (Sim.Signal.current (Wires.wdata wires));
-      push t.rdata (Sim.Signal.current (Wires.rdata wires)));
+      push t.addr wires.Wires.addr;
+      push t.wdata wires.Wires.wdata;
+      push t.rdata wires.Wires.rdata);
   t
 
 let addr_values t = values t.addr

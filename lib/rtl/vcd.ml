@@ -1,6 +1,9 @@
-(* Per-signal value history, compressed as change lists. *)
+(* Per-signal value history, compressed as change lists.  A track is a
+   wire group or one control wire, read off the committed wire words. *)
 type track = {
-  signal : Sim.Signal.t;
+  name : string;
+  width : int;
+  read : Wires.t -> int;
   code : string;  (* VCD identifier *)
   mutable last : int option;  (* last recorded value *)
   mutable changes : (int * int) list;  (* (cycle, value), newest first *)
@@ -10,6 +13,24 @@ type t = {
   tracks : track list;
   mutable cycles : int;
 }
+
+(* Buses, then the control wires in Ec.Signals order, then the select
+   lines. *)
+let signals wires =
+  let ctrl c =
+    let i = Ec.Signals.ctrl_index c in
+    ( Ec.Signals.to_string (Ec.Signals.Ctrl c),
+      1,
+      fun (w : Wires.t) -> (w.Wires.ctrl lsr i) land 1 )
+  in
+  [
+    ("EB_A", Ec.Signals.addr_wires, fun (w : Wires.t) -> w.Wires.addr);
+    ("EB_BE", Ec.Signals.be_wires, fun w -> w.Wires.be);
+    ("EB_WData", Ec.Signals.data_wires, fun w -> w.Wires.wdata);
+    ("EB_RData", Ec.Signals.data_wires, fun w -> w.Wires.rdata);
+  ]
+  @ List.map ctrl Ec.Signals.all_ctrl
+  @ [ ("SEL", wires.Wires.sel_width, fun w -> w.Wires.sel) ]
 
 (* Printable VCD identifier codes starting at the exclamation mark. *)
 let code_of_index i =
@@ -21,13 +42,11 @@ let code_of_index i =
     ^ String.make 1 (Char.chr (base + (i mod range)))
 
 let create ~kernel wires =
-  let groups =
-    List.map snd (Wires.interface_groups wires) @ [ Wires.sel wires ]
-  in
   let tracks =
     List.mapi
-      (fun i signal -> { signal; code = code_of_index i; last = None; changes = [] })
-      groups
+      (fun i (name, width, read) ->
+        { name; width; read; code = code_of_index i; last = None; changes = [] })
+      (signals wires)
   in
   let t = { tracks; cycles = 0 } in
   (* The bus process runs first (registration order) and commits the
@@ -36,7 +55,7 @@ let create ~kernel wires =
       let now = Sim.Kernel.now kernel in
       List.iter
         (fun track ->
-          let v = Sim.Signal.current track.signal in
+          let v = track.read wires in
           if track.last <> Some v then begin
             track.last <- Some v;
             track.changes <- (now, v) :: track.changes
@@ -50,7 +69,7 @@ let binary_string width v =
       if v land (1 lsl (width - 1 - i)) <> 0 then '1' else '0')
 
 let render_value track v =
-  let width = Sim.Signal.width track.signal in
+  let width = track.width in
   if width = 1 then Printf.sprintf "%d%s" (v land 1) track.code
   else Printf.sprintf "b%s %s" (binary_string width v) track.code
 
@@ -63,13 +82,11 @@ let to_string t =
   line "$scope module ec_bus $end";
   List.iter
     (fun track ->
-      line "$var wire %d %s %s $end"
-        (Sim.Signal.width track.signal)
-        track.code
+      line "$var wire %d %s %s $end" track.width track.code
         (* VCD identifiers must not contain brackets; flatten the name. *)
         (String.map
            (fun c -> match c with '[' | ']' -> '_' | c -> c)
-           (Sim.Signal.name track.signal)))
+           track.name))
     t.tracks;
   line "$upscope $end";
   line "$enddefinitions $end";

@@ -1,55 +1,54 @@
 type t = {
-  addr : Sim.Signal.t;
-  be : Sim.Signal.t;
-  wdata : Sim.Signal.t;
-  rdata : Sim.Signal.t;
-  ctrl : Sim.Signal.t array;  (* indexed like Ec.Signals.all_ctrl *)
-  sel : Sim.Signal.t;
+  mutable addr : int;
+  mutable addr_next : int;
+  mutable be : int;
+  mutable be_next : int;
+  mutable wdata : int;
+  mutable wdata_next : int;
+  mutable rdata : int;
+  mutable rdata_next : int;
+  mutable ctrl : int;  (* bit Ec.Signals.ctrl_index c is wire c *)
+  mutable ctrl_next : int;
+  mutable sel : int;
+  mutable sel_next : int;
+  sel_width : int;
 }
+
+let addr_mask = (1 lsl Ec.Signals.addr_wires) - 1
+let be_mask = (1 lsl Ec.Signals.be_wires) - 1
+let data_mask = (1 lsl Ec.Signals.data_wires) - 1
 
 let create ~n_slaves =
   if n_slaves < 1 || n_slaves > 62 then invalid_arg "Rtl.Wires.create";
-  {
-    addr = Sim.Signal.create ~name:"EB_A" ~width:Ec.Signals.addr_wires;
-    be = Sim.Signal.create ~name:"EB_BE" ~width:Ec.Signals.be_wires;
-    wdata = Sim.Signal.create ~name:"EB_WData" ~width:Ec.Signals.data_wires;
-    rdata = Sim.Signal.create ~name:"EB_RData" ~width:Ec.Signals.data_wires;
-    ctrl =
-      Array.of_list
-        (List.map
-           (fun c -> Sim.Signal.create ~name:(Ec.Signals.to_string (Ec.Signals.Ctrl c)) ~width:1)
-           Ec.Signals.all_ctrl);
-    sel = Sim.Signal.create ~name:"SEL" ~width:n_slaves;
-  }
+  { addr = 0; addr_next = 0; be = 0; be_next = 0; wdata = 0; wdata_next = 0;
+    rdata = 0; rdata_next = 0; ctrl = 0; ctrl_next = 0; sel = 0;
+    sel_next = 0; sel_width = n_slaves }
 
-let addr t = t.addr
-let be t = t.be
-let wdata t = t.wdata
-let rdata t = t.rdata
-let sel t = t.sel
-let ctrl t c = t.ctrl.(Ec.Signals.ctrl_index c)
-let set_ctrl t c v = Sim.Signal.set (ctrl t c) (if v then 1 else 0)
-let interface_groups t =
-  [
-    (Ec.Signals.Addr 0, t.addr);
-    (Ec.Signals.Be 0, t.be);
-    (Ec.Signals.Wdata 0, t.wdata);
-    (Ec.Signals.Rdata 0, t.rdata);
-  ]
-  @ List.map (fun c -> (Ec.Signals.Ctrl c, ctrl t c)) Ec.Signals.all_ctrl
+let set_addr t v = t.addr_next <- v land addr_mask
+let set_be t v = t.be_next <- v land be_mask
+let set_wdata t v = t.wdata_next <- v land data_mask
+let set_rdata t v = t.rdata_next <- v land data_mask
+let set_sel t v = t.sel_next <- v land ((1 lsl t.sel_width) - 1)
+
+let set_ctrl t c v =
+  let bit = 1 lsl Ec.Signals.ctrl_index c in
+  t.ctrl_next <- (if v then t.ctrl_next lor bit else t.ctrl_next land lnot bit)
+
+let clear_ctrl t mask = t.ctrl_next <- t.ctrl_next land lnot mask
 
 let commit_all t =
-  ignore (Sim.Signal.commit t.addr);
-  ignore (Sim.Signal.commit t.be);
-  ignore (Sim.Signal.commit t.wdata);
-  ignore (Sim.Signal.commit t.rdata);
-  Array.iter (fun s -> ignore (Sim.Signal.commit s)) t.ctrl;
-  ignore (Sim.Signal.commit t.sel)
+  t.addr <- t.addr_next;
+  t.be <- t.be_next;
+  t.wdata <- t.wdata_next;
+  t.rdata <- t.rdata_next;
+  t.ctrl <- t.ctrl_next;
+  t.sel <- t.sel_next
 
 let reset t =
-  Sim.Signal.reset t.addr;
-  Sim.Signal.reset t.be;
-  Sim.Signal.reset t.wdata;
-  Sim.Signal.reset t.rdata;
-  Array.iter Sim.Signal.reset t.ctrl;
-  Sim.Signal.reset t.sel
+  t.addr_next <- 0;
+  t.be_next <- 0;
+  t.wdata_next <- 0;
+  t.rdata_next <- 0;
+  t.ctrl_next <- 0;
+  t.sel_next <- 0;
+  commit_all t

@@ -228,13 +228,12 @@ let test_rtl_strobes () =
   Soc.Memory.poke32 h.fast ~addr:fast_base 0xFFFFFFFF;
   ignore (run_one h (read fast_base));
   Sim.Kernel.run h.kernel ~cycles:2;
-  let wires = Rtl.Bus.wires bus in
-  let transitions c = Sim.Signal.transitions (Rtl.Wires.ctrl wires c) in
+  let per_wire = Rtl.Diesel.per_signal_transitions (Rtl.Bus.diesel bus) in
+  let transitions c = per_wire.(Ec.Signals.index (Ec.Signals.Ctrl c)) in
   check_int "rdval pulses once" 2 (transitions Ec.Signals.Rdval);
   check_int "ardy pulses once" 2 (transitions Ec.Signals.Ardy);
   check_int "no write strobes" 0 (transitions Ec.Signals.Wdrdy);
-  check_int "rdata holds value" 0xFFFFFFFF
-    (Sim.Signal.current (Rtl.Wires.rdata wires))
+  check_int "rdata holds value" 0xFFFFFFFF (Rtl.Bus.wires bus).Rtl.Wires.rdata
 
 (* The write data bus drives the pending beat during wait states. *)
 let test_rtl_wdata_during_waits () =
@@ -246,13 +245,29 @@ let test_rtl_wdata_during_waits () =
      data should be on the bus while WDRdy is still low. *)
   Sim.Kernel.run h.kernel ~cycles:4;
   let wires = Rtl.Bus.wires bus in
-  check_int "wdata driven early" 0x12345678
-    (Sim.Signal.current (Rtl.Wires.wdata wires));
+  check_int "wdata driven early" 0x12345678 wires.Rtl.Wires.wdata;
   check_bool "write not yet done" true
     (Ec.Port.completed h.port txn.Ec.Txn.id = false);
   ignore
     (Sim.Kernel.run_until h.kernel ~max_cycles:100 (fun () ->
          Ec.Port.completed h.port txn.Ec.Txn.id))
+
+(* An idle gate-level cycle — the kernel, the bus process clearing its
+   strobes, the estimator's observation and commit — allocates nothing:
+   a 1000-cycle run allocates what a 0-cycle run does (the run loop's
+   own closure). *)
+let test_rtl_idle_cycle_allocates_nothing () =
+  let system = Core.System.create ~level:Core.Level.Rtl () in
+  let kernel = Core.System.kernel system in
+  Sim.Kernel.run kernel ~cycles:8;
+  let minor_words run =
+    let before = Gc.minor_words () in
+    run ();
+    Gc.minor_words () -. before
+  in
+  let fixed = minor_words (fun () -> Sim.Kernel.run kernel ~cycles:0) in
+  Alcotest.(check (float 0.0)) "minor words over 1000 idle cycles" fixed
+    (minor_words (fun () -> Sim.Kernel.run kernel ~cycles:1000))
 
 let suite =
   [
@@ -270,4 +285,6 @@ let suite =
     Alcotest.test_case "l1 queue structure" `Quick test_l1_queue_depths;
     Alcotest.test_case "rtl strobe wires" `Quick test_rtl_strobes;
     Alcotest.test_case "rtl wdata during waits" `Quick test_rtl_wdata_during_waits;
+    Alcotest.test_case "rtl idle cycle allocates nothing" `Quick
+      test_rtl_idle_cycle_allocates_nothing;
   ]

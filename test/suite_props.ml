@@ -292,13 +292,15 @@ let prop_signal_commit_counts =
   QCheck.Test.make ~name:"signal commit counts = popcount(xor)" ~count:200
     QCheck.(pair (int_bound 0xFFFFFFFF) (int_bound 0xFFFFFFFF))
     (fun (a, b) ->
-      let s = Sim.Signal.create ~name:"p" ~width:32 in
-      Sim.Signal.set s a;
-      ignore (Sim.Signal.commit s);
-      Sim.Signal.set s b;
-      let toggles = Sim.Signal.commit s in
-      toggles = Sim.Signal.popcount (a lxor b)
-      && Sim.Signal.transitions s = Sim.Signal.popcount a + toggles)
+      let w = Rtl.Wires.create ~n_slaves:1 in
+      let d = Rtl.Diesel.create w in
+      Rtl.Wires.set_wdata w a;
+      Rtl.Diesel.observe_and_commit d;
+      let first = Rtl.Diesel.transitions_total d in
+      Rtl.Wires.set_wdata w b;
+      Rtl.Diesel.observe_and_commit d;
+      first = Sim.Bits.popcount a
+      && Rtl.Diesel.transitions_total d - first = Sim.Bits.popcount (a lxor b))
 
 let prop_rng_int_bounds =
   QCheck.Test.make ~name:"rng int stays in bounds" ~count:200
@@ -492,7 +494,7 @@ let prop_gray_coding_neighbours =
     ~count:300
     QCheck.(int_bound 100000)
     (fun v ->
-      Sim.Signal.popcount
+      Sim.Bits.popcount
         (Power.Coding.gray_encode v lxor Power.Coding.gray_encode (v + 1))
       = 1)
 
@@ -622,14 +624,14 @@ let diesel_params = [| Rtl.Params.default; Rtl.Params.ideal;
                          slope_rise = 1.2; slope_fall = 0.8 } |]
 
 let drive_random rng wires =
-  Sim.Signal.set (Rtl.Wires.addr wires) (Sim.Rng.bits rng 34);
-  if Sim.Rng.bool rng then Sim.Signal.set (Rtl.Wires.be wires) (Sim.Rng.bits rng 4);
-  Sim.Signal.set (Rtl.Wires.wdata wires) (Sim.Rng.bits rng 32);
-  if Sim.Rng.bool rng then Sim.Signal.set (Rtl.Wires.rdata wires) (Sim.Rng.bits rng 32);
+  Rtl.Wires.set_addr wires (Sim.Rng.bits rng 34);
+  if Sim.Rng.bool rng then Rtl.Wires.set_be wires (Sim.Rng.bits rng 4);
+  Rtl.Wires.set_wdata wires (Sim.Rng.bits rng 32);
+  if Sim.Rng.bool rng then Rtl.Wires.set_rdata wires (Sim.Rng.bits rng 32);
   List.iter
     (fun c -> Rtl.Wires.set_ctrl wires c (Sim.Rng.bool rng))
     Ec.Signals.all_ctrl;
-  Sim.Signal.set (Rtl.Wires.sel wires) (Sim.Rng.bits rng 4)
+  Rtl.Wires.set_sel wires (Sim.Rng.bits rng 4)
 
 let prop_diesel_fast_equals_reference =
   QCheck.Test.make

@@ -60,63 +60,77 @@ let test_kernel_process_names () =
   Sim.Kernel.on_falling k ~name:"f1" (fun _ -> ());
   Alcotest.(check (list string)) "names" [ "r1"; "f1" ] (Sim.Kernel.process_names k)
 
+(* Two-phase signals: the gate-level model's packed wire words
+   (Rtl.Wires), with the per-wire transitions its Diesel estimator counts
+   as each cycle commits. *)
+
+let wire_set () =
+  let w = Rtl.Wires.create ~n_slaves:4 in
+  (w, Rtl.Diesel.create w)
+
+let be_transitions d =
+  Array.sub (Rtl.Diesel.per_signal_transitions d)
+    (Ec.Signals.index (Ec.Signals.Be 0))
+    Ec.Signals.be_wires
+
 let test_signal_initial () =
-  let s = Sim.Signal.create ~name:"s" ~width:8 in
-  check_int "current 0" 0 (Sim.Signal.current s);
-  check_int "next 0" 0 (Sim.Signal.next s);
-  check_int "no transitions" 0 (Sim.Signal.transitions s)
+  let w, d = wire_set () in
+  check_int "current 0" 0 w.Rtl.Wires.wdata;
+  check_int "next 0" 0 w.Rtl.Wires.wdata_next;
+  check_int "no transitions" 0 (Rtl.Diesel.transitions_total d)
 
 let test_signal_commit_counts () =
-  let s = Sim.Signal.create ~name:"s" ~width:8 in
-  Sim.Signal.set s 0xFF;
-  check_int "eight toggles" 8 (Sim.Signal.commit s);
-  check_int "rises" 8 (Sim.Signal.rises s);
-  check_int "falls" 0 (Sim.Signal.falls s);
-  Sim.Signal.set s 0x0F;
-  ignore (Sim.Signal.commit s);
-  check_int "falls after clearing high nibble" 4 (Sim.Signal.falls s)
+  let w, d = wire_set () in
+  Rtl.Wires.set_be w 0xF;
+  Rtl.Diesel.observe_and_commit d;
+  check_int "four toggles" 4 (Rtl.Diesel.transitions_total d);
+  check_int "committed" 0xF w.Rtl.Wires.be;
+  Rtl.Wires.set_be w 0x3;
+  Rtl.Diesel.observe_and_commit d;
+  Alcotest.(check (array int)) "falls after clearing high half" [| 1; 1; 2; 2 |]
+    (be_transitions d)
 
 let test_signal_masking () =
-  let s = Sim.Signal.create ~name:"s" ~width:4 in
-  Sim.Signal.set s 0xFF;
-  ignore (Sim.Signal.commit s);
-  check_int "masked to width" 0xF (Sim.Signal.current s)
+  let w, _ = wire_set () in
+  Rtl.Wires.set_be w 0xFF;
+  Rtl.Wires.commit_all w;
+  check_int "masked to width" 0xF w.Rtl.Wires.be
 
 let test_signal_idempotent_commit () =
-  let s = Sim.Signal.create ~name:"s" ~width:8 in
-  Sim.Signal.set s 0xA5;
-  ignore (Sim.Signal.commit s);
-  check_int "no change, no toggle" 0 (Sim.Signal.commit s)
+  let w, d = wire_set () in
+  Rtl.Wires.set_wdata w 0xA5;
+  Rtl.Diesel.observe_and_commit d;
+  let after_first = Rtl.Diesel.transitions_total d in
+  Rtl.Diesel.observe_and_commit d;
+  check_int "no change, no toggle" after_first (Rtl.Diesel.transitions_total d)
 
 let test_signal_per_bit () =
-  let s = Sim.Signal.create ~name:"s" ~width:4 in
-  Sim.Signal.set s 0b0101;
-  ignore (Sim.Signal.commit s);
-  Sim.Signal.set s 0b0110;
-  ignore (Sim.Signal.commit s);
-  Alcotest.(check (array int)) "per bit" [| 2; 1; 1; 0 |] (Sim.Signal.bit_transitions s)
+  let w, d = wire_set () in
+  Rtl.Wires.set_be w 0b0101;
+  Rtl.Diesel.observe_and_commit d;
+  Rtl.Wires.set_be w 0b0110;
+  Rtl.Diesel.observe_and_commit d;
+  Alcotest.(check (array int)) "per bit" [| 2; 1; 1; 0 |] (be_transitions d)
 
 let test_signal_reset_counters () =
-  let s = Sim.Signal.create ~name:"s" ~width:8 in
-  Sim.Signal.set s 0xFF;
-  ignore (Sim.Signal.commit s);
-  Sim.Signal.reset_counters s;
-  check_int "cleared" 0 (Sim.Signal.transitions s);
-  check_int "value preserved" 0xFF (Sim.Signal.current s)
+  let w, d = wire_set () in
+  Rtl.Wires.set_wdata w 0xFF;
+  Rtl.Diesel.observe_and_commit d;
+  Rtl.Diesel.reset d;
+  check_int "cleared" 0 (Rtl.Diesel.transitions_total d);
+  check_int "value preserved" 0xFF w.Rtl.Wires.wdata
 
 let test_signal_width_validation () =
-  Alcotest.check_raises "width 0"
-    (Invalid_argument "Sim.Signal.create s: width 0") (fun () ->
-      ignore (Sim.Signal.create ~name:"s" ~width:0));
-  Alcotest.check_raises "width 63"
-    (Invalid_argument "Sim.Signal.create s: width 63") (fun () ->
-      ignore (Sim.Signal.create ~name:"s" ~width:63))
+  Alcotest.check_raises "no slave" (Invalid_argument "Rtl.Wires.create")
+    (fun () -> ignore (Rtl.Wires.create ~n_slaves:0));
+  Alcotest.check_raises "63 slaves" (Invalid_argument "Rtl.Wires.create")
+    (fun () -> ignore (Rtl.Wires.create ~n_slaves:63))
 
 let test_popcount () =
-  check_int "zero" 0 (Sim.Signal.popcount 0);
-  check_int "one bit" 1 (Sim.Signal.popcount 0x8000);
-  check_int "byte" 8 (Sim.Signal.popcount 0xFF);
-  check_int "alternating" 16 (Sim.Signal.popcount 0xAAAAAAAA)
+  check_int "zero" 0 (Sim.Bits.popcount 0);
+  check_int "one bit" 1 (Sim.Bits.popcount 0x8000);
+  check_int "byte" 8 (Sim.Bits.popcount 0xFF);
+  check_int "alternating" 16 (Sim.Bits.popcount 0xAAAAAAAA)
 
 let test_rng_determinism () =
   let a = Sim.Rng.create ~seed:42 and b = Sim.Rng.create ~seed:42 in
