@@ -676,7 +676,12 @@ let trace_replay_cmd =
              --level is ignored.")
   in
   let run level file serial adaptive trace_out metrics compiled =
-    let trace = Ec.Trace.load file in
+    let trace =
+      try Ec.Trace.load file
+      with Failure msg ->
+        Printf.eprintf "%s: %s\n" file msg;
+        exit 1
+    in
     let mode = if serial then `Serial else `Pipelined in
     let sink = make_sink ~trace_out ~metrics in
     let record_profile = trace_out <> None in
@@ -895,12 +900,15 @@ let workload_conv =
       | Some n -> Ok (Serve.Protocol.Mixed_phase n)
       | None -> bad ())
     | [ "characterization" ] -> Ok Serve.Protocol.Characterization
-    | "trace" :: rest when rest <> [] ->
+    | "trace" :: rest when rest <> [] -> (
       let path = String.concat ":" rest in
-      Ok
-        (Serve.Protocol.Inline
-           (String.split_on_char '\n' (read_file path)
-           |> List.filter (fun l -> String.trim l <> "")))
+      match read_file path with
+      | text ->
+        Ok
+          (Serve.Protocol.Inline
+             (String.split_on_char '\n' text
+             |> List.filter (fun l -> String.trim l <> "")))
+      | exception Sys_error msg -> Error (`Msg msg))
     | _ -> bad ()
   in
   let print ppf (w : Serve.Protocol.workload) =

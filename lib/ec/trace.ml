@@ -30,7 +30,7 @@ let width_of_code = function
   | 8 -> Txn.W8
   | 16 -> Txn.W16
   | 32 -> Txn.W32
-  | w -> failwith (Printf.sprintf "Ec.Trace: bad width %d" w)
+  | w -> failwith (Printf.sprintf "bad width %d" w)
 
 let item_to_line it =
   let txn = it.txn in
@@ -46,40 +46,51 @@ let item_to_line it =
 
 let to_lines t = List.map item_to_line t
 
+(* Raises [Failure] or, for a transaction or gap the constructors refuse,
+   [Invalid_argument]; [of_lines] turns both into one [Failure]. *)
 let item_of_line line =
-  match String.split_on_char ' ' (String.trim line) with
+  match String.split_on_char ' ' line with
   | gap :: dk :: width :: addr :: burst :: rest when String.length dk = 2 ->
-    let fail msg = failwith (Printf.sprintf "Ec.Trace: %s in %S" msg line) in
-    let gap = int_of_string gap in
+    let int s =
+      match int_of_string_opt s with
+      | Some v -> v
+      | None -> failwith (Printf.sprintf "bad number %S" s)
+    in
     let dir =
       match dk.[0] with
       | 'R' -> Txn.Read
       | 'W' -> Txn.Write
-      | _ -> fail "bad direction"
+      | _ -> failwith "bad direction"
     in
     let kind =
       match dk.[1] with
       | 'I' -> Txn.Instruction
       | 'D' -> Txn.Data
-      | _ -> fail "bad kind"
+      | _ -> failwith "bad kind"
     in
-    let width = width_of_code (int_of_string width) in
-    let addr = int_of_string addr in
-    let burst = int_of_string burst in
     let data =
       match dir with
-      | Txn.Read -> if rest <> [] then fail "payload on read" else None
-      | Txn.Write -> Some (Array.of_list (List.map int_of_string rest))
+      | Txn.Read -> if rest <> [] then failwith "payload on read" else None
+      | Txn.Write -> Some (Array.of_list (List.map int rest))
     in
-    item ~gap (Txn.create ~id:0 ~kind ~dir ~width ~addr ~burst ?data ())
-  | _ -> failwith (Printf.sprintf "Ec.Trace: malformed line %S" line)
+    item ~gap:(int gap)
+      (Txn.create ~id:0 ~kind ~dir ~width:(width_of_code (int width))
+         ~addr:(int addr) ~burst:(int burst) ?data ())
+  | _ -> failwith "malformed line"
 
 let of_lines lines =
-  let keep line =
-    let line = String.trim line in
-    String.length line > 0 && line.[0] <> '#'
+  let rec parse n acc = function
+    | [] -> List.rev acc
+    | line :: rest ->
+      let text = String.trim line in
+      if text = "" || text.[0] = '#' then parse (n + 1) acc rest
+      else
+        match item_of_line text with
+        | it -> parse (n + 1) (it :: acc) rest
+        | exception (Failure msg | Invalid_argument msg) ->
+          failwith (Printf.sprintf "Ec.Trace: line %d: %s in %S" n msg text)
   in
-  List.map item_of_line (List.filter keep lines)
+  parse 1 [] lines
 
 let save path t =
   let oc = open_out path in

@@ -24,7 +24,9 @@ val to_lines : t -> string list
 
 val of_lines : string list -> t
 (** Inverse of {!to_lines}; blank lines and [#] comments are skipped.
-    @raise Failure on a malformed line. *)
+    @raise Failure naming the first malformed line, by its 1-based index
+    in [lines] — including a line whose transaction {!Txn.create} or
+    gap {!item} would refuse; no other exception escapes. *)
 
 val save : string -> t -> unit
 val load : string -> t

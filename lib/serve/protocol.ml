@@ -71,27 +71,6 @@ type error_code =
   | Draining
   | Failed
 
-let error_code_to_string = function
-  | Bad_frame -> "bad_frame"
-  | Oversized -> "oversized"
-  | Bad_json -> "bad_json"
-  | Bad_request -> "bad_request"
-  | Unknown_type -> "unknown_type"
-  | Busy -> "busy"
-  | Draining -> "draining"
-  | Failed -> "failed"
-
-let error_code_of_string = function
-  | "bad_frame" -> Some Bad_frame
-  | "oversized" -> Some Oversized
-  | "bad_json" -> Some Bad_json
-  | "bad_request" -> Some Bad_request
-  | "unknown_type" -> Some Unknown_type
-  | "busy" -> Some Busy
-  | "draining" -> Some Draining
-  | "failed" -> Some Failed
-  | _ -> None
-
 type result_body = {
   level : Core.Level.t;
   cycles : int;
@@ -132,6 +111,7 @@ type row_body = {
 }
 
 let row_body_of_exploration (r : Core.Exploration.row) =
+  let splice f = Option.map f r.Core.Exploration.provenance in
   {
     config = r.Core.Exploration.config.Jcvm.Configs.name;
     applet = r.Core.Exploration.applet;
@@ -142,14 +122,8 @@ let row_body_of_exploration (r : Core.Exploration.row) =
     steps = r.Core.Exploration.steps;
     value = r.Core.Exploration.value;
     correct = r.Core.Exploration.correct;
-    switches =
-      Option.map
-        (fun (s : Hier.Splice.t) -> s.Hier.Splice.switches)
-        r.Core.Exploration.provenance;
-    error_bound_pj =
-      Option.map
-        (fun (s : Hier.Splice.t) -> s.Hier.Splice.error_bound_pj)
-        r.Core.Exploration.provenance;
+    switches = splice (fun s -> s.Hier.Splice.switches);
+    error_bound_pj = splice (fun s -> s.Hier.Splice.error_bound_pj);
   }
 
 type point_body = {
@@ -226,703 +200,479 @@ type frame =
   | Error of error_body
   | Done of done_body
 
-(* --- encoding --- *)
+(* --- the codec layer ---
 
-let level_to_wire = function
-  | Core.Level.Rtl -> "rtl"
-  | Core.Level.L1 -> "l1"
-  | Core.Level.L2 -> "l2"
-  | Core.Level.L3 -> "l3"
+   Each message's wire shape is declared once, as a codec, and both
+   directions are read off that declaration.  A decode error names the
+   member path that failed, outermost first, and what was wrong there.
+   ([Result.Error] is spelled out: [Error] is the error frame.) *)
 
-let level_of_wire = function
-  | "rtl" -> Some Core.Level.Rtl
-  | "l1" -> Some Core.Level.L1
-  | "l2" -> Some Core.Level.L2
-  | "l3" -> Some Core.Level.L3
-  | _ -> None
+type error = string list * string
+type 'a codec = { enc : 'a -> J.t; dec : J.t -> ('a, error) result }
 
-let mode_to_wire = function `Serial -> "serial" | `Pipelined -> "pipelined"
-
-let mode_of_wire = function
-  | "serial" -> Some `Serial
-  | "pipelined" -> Some `Pipelined
-  | _ -> None
-
-let stream_to_wire = function
-  | `Metrics -> "metrics"
-  | `Trace -> "trace"
-  | `Energy -> "energy"
-
-let stream_of_wire = function
-  | "metrics" -> Some `Metrics
-  | "trace" -> Some `Trace
-  | "energy" -> Some `Energy
-  | _ -> None
-
-let streams_to_json streams =
-  J.List (List.map (fun s -> J.String (stream_to_wire s)) streams)
-
-let workload_to_json = function
-  | Table3 n -> J.Obj [ ("kind", J.String "table3"); ("n", J.Int n) ]
-  | Mixed_phase n -> J.Obj [ ("kind", J.String "mixed"); ("n", J.Int n) ]
-  | Characterization -> J.Obj [ ("kind", J.String "characterization") ]
-  | Inline lines ->
-    J.Obj
-      [
-        ("kind", J.String "inline");
-        ("lines", J.List (List.map (fun l -> J.String l) lines));
-      ]
-
-let request_to_json ~id request =
-  let fields =
-    match request with
-    | Run r ->
-      [
-        ("type", J.String "run");
-        ("workload", workload_to_json r.workload);
-        ("level", J.String (level_to_wire r.level));
-        ("mode", J.String (mode_to_wire r.mode));
-        ("estimate", J.Bool r.estimate);
-        ("profile", J.Bool r.profile);
-        ("compiled", J.Bool r.compiled);
-      ]
-    | Explore e ->
-      [
-        ("type", J.String "explore");
-        ("applets", J.List (List.map (fun a -> J.String a) e.applets));
-        ("configs", J.List (List.map (fun c -> J.String c) e.configs));
-        ("level", J.String (level_to_wire e.level));
-        ("adaptive", J.Bool e.adaptive);
-      ]
-    | Replay r ->
-      [
-        ("type", J.String "replay");
-        ("workload", workload_to_json r.workload);
-        ("level", J.String (level_to_wire r.level));
-        ("mode", J.String (mode_to_wire r.mode));
-        ("scales", J.List (List.map (fun s -> J.Float s) r.scales));
-      ]
-      @ (match r.fabric with
-        | None -> []
-        | Some f ->
-          [
-            ( "fabric",
-              J.Obj
-                [
-                  ( "policy",
-                    J.String (Ec.Arbiter.policy_to_string f.fab_policy) );
-                  ( "topology",
-                    J.String
-                      (Core.Contention.topology_to_string f.fab_topology) );
-                ] );
-          ])
-    | Stats -> [ ("type", J.String "stats") ]
-    | Metrics -> [ ("type", J.String "metrics") ]
-    | Subscribe s ->
-      [
-        ("type", J.String "subscribe");
-        ("streams", streams_to_json s.streams);
-        ("interval_ms", J.Int s.interval_ms);
-      ]
-    | Unsubscribe -> [ ("type", J.String "unsubscribe") ]
-    | Shutdown -> [ ("type", J.String "shutdown") ]
-  in
-  J.Obj (("id", id) :: fields)
-
-(* --- request decoding / validation --- *)
-
-let request_id json = Option.value (J.member "id" json) ~default:J.Null
-
-(* Validation accumulates through [result]: the first bad field wins and
-   its path is named in the message. *)
 let ( let* ) = Result.bind
+let fail ?(path = []) msg = Result.Error (path, msg)
 
-let bad fmt = Printf.ksprintf (fun m -> Result.Error (Bad_request, m)) fmt
+let describe (path, msg) =
+  match path with
+  | [] -> msg
+  | _ -> Printf.sprintf "field %S: %s" (String.concat "." path) msg
 
-let field_string json name ~default =
-  match J.member name json with
-  | None -> Ok default
-  | Some (J.String s) -> Ok s
-  | Some _ -> bad "field %S must be a string" name
+let prim what get enc =
+  let err = fail ("expected " ^ what) in
+  { enc; dec = (fun j -> match get j with Some v -> Ok v | None -> err) }
 
-let field_bool json name ~default =
-  match J.member name json with
-  | None -> Ok default
-  | Some (J.Bool b) -> Ok b
-  | Some _ -> bad "field %S must be a boolean" name
+let int = prim "an integer" J.int_opt (fun n -> J.Int n)
+let float = prim "a number" J.number_opt (fun f -> J.Float f)
+let bool = prim "a boolean" J.bool_opt (fun b -> J.Bool b)
+let string = prim "a string" J.string_opt (fun s -> J.String s)
+let any = { enc = Fun.id; dec = Result.ok }
 
-let field_int json name ~default =
-  match J.member name json with
-  | None -> Ok default
-  | Some v -> (
-    match J.int_opt v with
-    | Some n -> Ok n
-    | None -> bad "field %S must be an integer" name)
+let list c =
+  let rec decode acc = function
+    | [] -> Ok (List.rev acc)
+    | item :: rest ->
+      let* v = c.dec item in
+      decode (v :: acc) rest
+  in
+  let dec = function
+    | J.List items -> decode [] items
+    | _ -> fail "expected a list"
+  in
+  { enc = (fun vs -> J.List (List.map c.enc vs)); dec }
 
-let field_level json ~default =
-  let* s = field_string json "level" ~default:(level_to_wire default) in
-  match level_of_wire s with
-  | Some l -> Ok l
-  | None -> bad "unknown level %S (rtl|l1|l2)" s
+(* Two ways to put an ['a option] on the wire: [nullable] spells [None]
+   as [null]; [some] refuses [null], for members left out when [None]. *)
+let nullable c =
+  let dec = function J.Null -> Ok None | j -> Result.map Option.some (c.dec j)
+  in
+  { enc = (function None -> J.Null | Some v -> c.enc v); dec }
 
-let field_mode json =
-  let* s = field_string json "mode" ~default:"serial" in
-  match mode_of_wire s with
-  | Some m -> Ok m
-  | None -> bad "unknown mode %S (serial|pipelined)" s
+let some c =
+  { (nullable c) with dec = (fun j -> Result.map Option.some (c.dec j)) }
 
-let field_string_list json name =
-  match J.member name json with
-  | None -> Ok []
-  | Some (J.List items) ->
-    let rec decode acc = function
-      | [] -> Ok (List.rev acc)
-      | J.String s :: rest -> decode (s :: acc) rest
-      | _ :: _ -> bad "field %S must be a list of strings" name
+(* A decoded value must also pass [ok]; encoding is unchecked. *)
+let check ok c =
+  let dec j =
+    let* v = c.dec j in
+    match ok v with Ok () -> Ok v | Result.Error msg -> fail msg
+  in
+  { c with dec }
+
+let within lo hi =
+  check
+    (fun n ->
+      if n >= lo && n <= hi then Ok ()
+      else Result.Error (Printf.sprintf "%d out of range [%d, %d]" n lo hi))
+    int
+
+let non_empty c =
+  check (function [] -> Result.Error "must not be empty" | _ -> Ok ()) c
+
+(* A string spelled by [to_string]/[of_string]; [hint] lists the accepted
+   spellings in the error. *)
+let conv what ~hint to_string of_string =
+  let dec j =
+    let* s = string.dec j in
+    match of_string s with
+    | Some v -> Ok v
+    | None -> fail (Printf.sprintf "unknown %s %S (%s)" what s hint)
+  in
+  { enc = (fun v -> J.String (to_string v)); dec }
+
+let wire_name table v = fst (List.find (fun (_, v') -> v' = v) table)
+
+let enum what table =
+  conv what
+    ~hint:(String.concat "|" (List.map fst table))
+    (wire_name table)
+    (fun s -> List.assoc_opt s table)
+
+(* An object under construction: [write] emits the members declared so
+   far, in order, ahead of [tail]; [read] decodes them into a constructor
+   ['k] still waiting for the members declared after them. *)
+type ('r, 'k) fields = {
+  write : 'r -> (string * J.t) list -> (string * J.t) list;
+  read : J.t -> ('k, error) result;
+}
+
+let fields k = { write = (fun _ tail -> tail); read = (fun _ -> Ok k) }
+
+(* One member: absent decodes to [default] (required without one), and
+   the member is left out of the encoding where [omit] holds. *)
+let field ?default ?omit name get c o =
+  let write r tail =
+    let v = get r in
+    let skip = match omit with Some omit -> omit v | None -> false in
+    o.write r (if skip then tail else (name, c.enc v) :: tail)
+  in
+  let read j =
+    let* k = o.read j in
+    match (J.member name j, default) with
+    | Some m, _ -> (
+      match c.dec m with
+      | Ok v -> Ok (k v)
+      | Result.Error (path, msg) -> Result.Error (name :: path, msg))
+    | None, Some v -> Ok (k v)
+    | None, None -> fail ~path:[ name ] "missing"
+  in
+  { write; read }
+
+let optional name get c =
+  field name get ~default:None ~omit:Option.is_none (some c)
+
+(* A body of one member, decoded as its value. *)
+let member name c = fields Fun.id |> field name Fun.id c
+
+let obj o =
+  let dec = function
+    | J.Obj _ as j -> o.read j
+    | _ -> fail "expected an object"
+  in
+  { enc = (fun r -> J.Obj (o.write r [])); dec }
+
+(* A variant tagged by a string member; each case's own members sit
+   beside the tag in the same object. *)
+type 'v case =
+  | Case : string * ('b, 'b) fields * ('b -> 'v) * ('v -> 'b option) -> 'v case
+
+let case tag body inj proj = Case (tag, body, inj, proj)
+
+let unit_case tag v =
+  case tag (fields ()) (fun () -> v) (fun w -> if w = v then Some () else None)
+
+let tagged tag what cases =
+  (* The cases cover the variant, so exactly one projection answers. *)
+  let write v tail =
+    let emit (Case (t, body, _, proj)) =
+      Option.map (fun b -> (tag, J.String t) :: body.write b tail) (proj v)
     in
-    decode [] items
-  | Some _ -> bad "field %S must be a list of strings" name
+    Option.get (List.find_map emit cases)
+  in
+  let kind =
+    member tag
+      (enum what (List.map (fun (Case (t, _, _, _) as c) -> (t, c)) cases))
+  in
+  let read j =
+    match kind.read j with
+    | Ok (Case (_, body, inj, _)) -> Result.map inj (body.read j)
+    | Result.Error e -> Result.Error e
+  in
+  { write; read }
+
+(* --- enums --- *)
+
+let level =
+  enum "level" Core.Level.[ ("rtl", Rtl); ("l1", L1); ("l2", L2); ("l3", L3) ]
+
+let mode : mode codec =
+  enum "mode" [ ("serial", `Serial); ("pipelined", `Pipelined) ]
+
+let streams : (string * stream) list =
+  [ ("metrics", `Metrics); ("trace", `Trace); ("energy", `Energy) ]
+
+let stream = enum "stream" streams
+let stream_to_wire = wire_name streams
+
+let error_codes =
+  [ ("bad_frame", Bad_frame); ("oversized", Oversized); ("bad_json", Bad_json);
+    ("bad_request", Bad_request); ("unknown_type", Unknown_type);
+    ("busy", Busy); ("draining", Draining); ("failed", Failed) ]
+
+let error_code = enum "error code" error_codes
+let error_code_to_string = wire_name error_codes
+
+(* --- requests --- *)
 
 let max_workload_txns = 1_000_000
+let txns = member "n" (within 1 max_workload_txns)
 
-let field_workload json =
-  match J.member "workload" json with
-  | None -> bad "field \"workload\" is required"
-  | Some w -> (
-    let* kind = field_string w "kind" ~default:"" in
-    let txns name =
-      match J.member "n" w with
-      | Some n -> (
-        match J.int_opt n with
-        | Some n when n >= 1 && n <= max_workload_txns -> Ok n
-        | Some n -> bad "workload %s: n = %d out of range [1, %d]" name n
-                      max_workload_txns
-        | None -> bad "workload %s: field \"n\" must be an integer" name)
-      | None -> bad "workload %s: field \"n\" is required" name
-    in
-    match kind with
-    | "table3" ->
-      let* n = txns "table3" in
-      Ok (Table3 n)
-    | "mixed" ->
-      let* n = txns "mixed" in
-      Ok (Mixed_phase n)
-    | "characterization" -> Ok Characterization
-    | "inline" ->
-      let* lines = field_string_list w "lines" in
-      if lines = [] then bad "inline workload: field \"lines\" is required"
-      else (
-        (* Validate now so a malformed trace is a [bad_request], not a
-           mid-job failure.  Any exception counts as malformed — the
-           parser signals [Failure], but e.g. a negative gap raises
-           [Invalid_argument], and none of them may escape into the
-           reader thread. *)
-        match Ec.Trace.of_lines lines with
-        | _ -> Ok (Inline lines)
-        | exception Failure msg -> bad "inline workload: %s" msg
-        | exception Invalid_argument msg -> bad "inline workload: %s" msg
-        | exception e -> bad "inline workload: %s" (Printexc.to_string e))
-    | "" -> bad "workload: field \"kind\" is required"
-    | k -> bad "unknown workload kind %S" k)
+(* Parsed now, so that a malformed trace is a [bad_request] rather than a
+   mid-job failure. *)
+let trace_lines =
+  check
+    (fun lines ->
+      match Ec.Trace.of_lines lines with
+      | _ -> Ok ()
+      | exception Failure msg -> Result.Error msg)
+    (non_empty (list string))
+
+let workload =
+  obj
+    (tagged "kind" "workload kind"
+       [
+         case "table3" txns (fun n -> Table3 n) (function
+           | Table3 n -> Some n | _ -> None);
+         case "mixed" txns (fun n -> Mixed_phase n) (function
+           | Mixed_phase n -> Some n | _ -> None);
+         unit_case "characterization" Characterization;
+         case "inline" (member "lines" trace_lines) (fun l -> Inline l)
+           (function Inline l -> Some l | _ -> None);
+       ])
+
+let run =
+  fields (fun workload level mode estimate profile compiled ->
+      { workload; level; mode; estimate; profile; compiled })
+  |> field "workload" (fun (r : run) -> r.workload) workload
+  |> field "level" (fun (r : run) -> r.level) level ~default:Core.Level.L1
+  |> field "mode" (fun (r : run) -> r.mode) mode ~default:`Serial
+  |> field "estimate" (fun r -> r.estimate) bool ~default:true
+  |> field "profile" (fun r -> r.profile) bool ~default:false
+  |> field "compiled" (fun r -> r.compiled) bool ~default:false
+
+let known what names =
+  conv what ~hint:(String.concat "|" names) Fun.id (fun s ->
+      List.find_opt (String.equal s) names)
+
+let explore =
+  let applets = List.map (fun a -> a.Jcvm.Applets.name) Jcvm.Applets.all in
+  let configs = List.map (fun c -> c.Jcvm.Configs.name) Jcvm.Configs.standard in
+  fields (fun applets configs level adaptive ->
+      { applets; configs; level; adaptive })
+  |> field "applets" (fun e -> e.applets) (list (known "applet" applets))
+       ~default:[]
+  |> field "configs" (fun e -> e.configs) (list (known "config" configs))
+       ~default:[]
+  |> field "level" (fun (e : explore) -> e.level) level ~default:Core.Level.L1
+  |> field "adaptive" (fun e -> e.adaptive) bool ~default:false
+
+let fabric_spec =
+  obj
+    (fields (fun fab_policy fab_topology -> { fab_policy; fab_topology })
+    |> field "policy" (fun f -> f.fab_policy) ~default:Ec.Arbiter.Round_robin
+         (conv "arbiter policy" ~hint:"fixed|rr|wrr:w,..."
+            Ec.Arbiter.policy_to_string Ec.Arbiter.policy_of_string)
+    |> field "topology" (fun f -> f.fab_topology)
+         ~default:Core.Contention.Single
+         (conv "topology" ~hint:"single|bridged"
+            Core.Contention.topology_to_string
+            Core.Contention.topology_of_string))
+
+let replayable =
+  check
+    (function
+      | Core.Level.Rtl ->
+        Result.Error "the gate-level reference has no compiled plan"
+      | Core.Level.L3 ->
+        Result.Error "bridged layer-3 runs are interpreted, not compiled"
+      | Core.Level.L1 | Core.Level.L2 -> Ok ())
+    level
+
+let positive =
+  check
+    (fun s ->
+      if Float.is_finite s && s > 0.0 then Ok ()
+      else Result.Error (Printf.sprintf "scale %g is not positive" s))
+    float
+
+let replay =
+  fields (fun workload level mode scales fabric ->
+      { workload; level; mode; scales; fabric })
+  |> field "workload" (fun (r : replay) -> r.workload) workload
+  |> field "level" (fun (r : replay) -> r.level) replayable
+       ~default:Core.Level.L1
+  |> field "mode" (fun (r : replay) -> r.mode) mode ~default:`Serial
+  |> field "scales" (fun r -> r.scales) (non_empty (list positive))
+       ~default:[ 1.0 ]
+  |> optional "fabric" (fun r -> r.fabric) fabric_spec
+
+let subscribe =
+  fields (fun streams interval_ms -> { streams; interval_ms })
+  |> field "streams" (fun s -> s.streams) (non_empty (list stream))
+  |> field "interval_ms" (fun s -> s.interval_ms) (within 10 60_000)
+       ~default:500
+
+let request_cases =
+  [
+    case "run" run (fun r -> Run r) (function Run r -> Some r | _ -> None);
+    case "explore" explore (fun e -> Explore e) (function
+      | Explore e -> Some e | _ -> None);
+    case "replay" replay (fun r -> Replay r) (function
+      | Replay r -> Some r | _ -> None);
+    unit_case "stats" Stats;
+    unit_case "metrics" Metrics;
+    case "subscribe" subscribe (fun s -> Subscribe s) (function
+      | Subscribe s -> Some s | _ -> None);
+    unit_case "unsubscribe" Unsubscribe;
+    unit_case "shutdown" Shutdown;
+  ]
+
+let requests = tagged "type" "request type" request_cases
+let request = obj requests
+let request_id json = Option.value (J.member "id" json) ~default:J.Null
+let request_to_json ~id r = J.Obj (("id", id) :: requests.write r [])
 
 let request_of_json json =
-  match json with
-  | J.Obj _ -> (
-    let* ty =
+  match request.dec json with
+  | Ok r -> Ok r
+  | Result.Error e ->
+    let code =
       match J.member "type" json with
-      | Some (J.String s) -> Ok s
-      | Some _ -> bad "field \"type\" must be a string"
-      | None -> bad "field \"type\" is required"
+      | Some (J.String t)
+        when List.for_all (fun (Case (t', _, _, _)) -> t' <> t) request_cases ->
+        Unknown_type
+      | _ -> Bad_request
     in
-    match ty with
-    | "run" ->
-      let* workload = field_workload json in
-      let* level = field_level json ~default:Core.Level.L1 in
-      let* mode = field_mode json in
-      let* estimate = field_bool json "estimate" ~default:true in
-      let* profile = field_bool json "profile" ~default:false in
-      let* compiled = field_bool json "compiled" ~default:false in
-      Ok (Run { workload; level; mode; estimate; profile; compiled })
-    | "explore" ->
-      let* applets = field_string_list json "applets" in
-      let* configs = field_string_list json "configs" in
-      let* level = field_level json ~default:Core.Level.L1 in
-      let* adaptive = field_bool json "adaptive" ~default:false in
-      let known_applets =
-        List.map (fun a -> a.Jcvm.Applets.name) Jcvm.Applets.all
-      in
-      let known_configs =
-        List.map (fun c -> c.Jcvm.Configs.name) Jcvm.Configs.standard
-      in
-      let* () =
-        match List.find_opt (fun a -> not (List.mem a known_applets)) applets with
-        | Some a -> bad "unknown applet %S" a
-        | None -> Ok ()
-      in
-      let* () =
-        match List.find_opt (fun c -> not (List.mem c known_configs)) configs with
-        | Some c -> bad "unknown config %S" c
-        | None -> Ok ()
-      in
-      Ok (Explore { applets; configs; level; adaptive })
-    | "replay" ->
-      let* workload = field_workload json in
-      let* level = field_level json ~default:Core.Level.L1 in
-      let* () =
-        match level with
-        | Core.Level.Rtl ->
-          bad "replay: the gate-level reference has no compiled plan"
-        | Core.Level.L3 ->
-          bad "replay: bridged layer-3 runs are interpreted, not compiled"
-        | Core.Level.L1 | Core.Level.L2 -> Ok ()
-      in
-      let* mode = field_mode json in
-      let* scales =
-        match J.member "scales" json with
-        | None -> Ok [ 1.0 ]
-        | Some (J.List items) when items <> [] ->
-          let rec decode acc = function
-            | [] -> Ok (List.rev acc)
-            | item :: rest -> (
-              match J.number_opt item with
-              | Some s when Float.is_finite s && s > 0.0 ->
-                decode (s :: acc) rest
-              | Some _ -> bad "field \"scales\" entries must be positive"
-              | None -> bad "field \"scales\" must be a list of numbers")
-          in
-          decode [] items
-        | Some _ -> bad "field \"scales\" must be a non-empty list of numbers"
-      in
-      let* fabric =
-        match J.member "fabric" json with
-        | None -> Ok None
-        | Some (J.Obj _ as f) ->
-          let* ps = field_string f "policy" ~default:"rr" in
-          let* fab_policy =
-            match Ec.Arbiter.policy_of_string ps with
-            | Some p -> Ok p
-            | None -> bad "unknown arbiter policy %S (fixed|rr|wrr:w,...)" ps
-          in
-          let* ts = field_string f "topology" ~default:"single" in
-          let* fab_topology =
-            match Core.Contention.topology_of_string ts with
-            | Some t -> Ok t
-            | None -> bad "unknown topology %S (single|bridged)" ts
-          in
-          Ok (Some { fab_policy; fab_topology })
-        | Some _ -> bad "field \"fabric\" must be an object"
-      in
-      Ok (Replay { workload; level; mode; scales; fabric })
-    | "stats" -> Ok Stats
-    | "metrics" -> Ok Metrics
-    | "subscribe" ->
-      let* names = field_string_list json "streams" in
-      let* streams =
-        if names = [] then
-          bad "subscribe: field \"streams\" is required (metrics|trace|energy)"
-        else
-          let rec decode acc = function
-            | [] -> Ok (List.rev acc)
-            | s :: rest -> (
-              match stream_of_wire s with
-              | Some v -> decode (v :: acc) rest
-              | None -> bad "unknown stream %S (metrics|trace|energy)" s)
-          in
-          decode [] names
-      in
-      let* interval_ms = field_int json "interval_ms" ~default:500 in
-      let* () =
-        if interval_ms < 10 || interval_ms > 60_000 then
-          bad "subscribe: interval_ms = %d out of range [10, 60000]" interval_ms
-        else Ok ()
-      in
-      Ok (Subscribe { streams; interval_ms })
-    | "unsubscribe" -> Ok Unsubscribe
-    | "shutdown" -> Ok Shutdown
-    | t -> Error (Unknown_type, Printf.sprintf "unknown request type %S" t))
-  | _ -> bad "request must be a JSON object"
+    Result.Error (code, describe e)
 
-(* --- frame encoding --- *)
+(* --- frames --- *)
 
-let pool_stats_to_json p =
-  J.Obj
+let pool_stats =
+  obj
+    (fields (fun session_hits session_builds plan_hits plan_builds ->
+         { session_hits; session_builds; plan_hits; plan_builds })
+    |> field "session_hits" (fun p -> p.session_hits) int
+    |> field "session_builds" (fun p -> p.session_builds) int
+    |> field "plan_hits" (fun p -> p.plan_hits) int
+    |> field "plan_builds" (fun p -> p.plan_builds) int)
+
+let result_body =
+  obj
+    (fields
+       (fun level cycles txns beats errors bus_pj component_pj transitions
+            wall_seconds ->
+         { level; cycles; txns; beats; errors; bus_pj; component_pj;
+           transitions; wall_seconds })
+    |> field "level" (fun (r : result_body) -> r.level) level
+    |> field "cycles" (fun (r : result_body) -> r.cycles) int
+    |> field "txns" (fun r -> r.txns) int
+    |> field "beats" (fun r -> r.beats) int
+    |> field "errors" (fun r -> r.errors) int
+    |> field "bus_pj" (fun r -> r.bus_pj) float
+    |> field "component_pj" (fun r -> r.component_pj) float
+    |> field "transitions" (fun r -> r.transitions) int
+    |> field "wall_seconds" (fun r -> r.wall_seconds) float)
+
+let row_body =
+  obj
+    (fields
+       (fun config applet row_level row_cycles row_bus_pj transactions steps
+            value correct switches error_bound_pj ->
+         { config; applet; row_level; row_cycles; row_bus_pj; transactions;
+           steps; value; correct; switches; error_bound_pj })
+    |> field "config" (fun r -> r.config) string
+    |> field "applet" (fun r -> r.applet) string
+    |> field "level" (fun r -> r.row_level) level
+    |> field "cycles" (fun r -> r.row_cycles) int
+    |> field "bus_pj" (fun r -> r.row_bus_pj) float
+    |> field "transactions" (fun r -> r.transactions) int
+    |> field "steps" (fun r -> r.steps) int
+    |> field "value" (fun r -> r.value) (nullable int) ~default:None
+    |> field "correct" (fun r -> r.correct) bool
+    |> field "switches" (fun r -> r.switches) (nullable int) ~default:None
+    |> field "error_bound_pj" (fun r -> r.error_bound_pj) (nullable float)
+         ~default:None)
+
+let point =
+  fields
+    (fun point_seq scale point_bus_pj point_cycles point_txns
+         point_transitions point_buckets ->
+      { point_seq; scale; point_bus_pj; point_cycles; point_txns;
+        point_transitions; point_buckets })
+  |> field "seq" (fun p -> p.point_seq) int
+  |> field "scale" (fun p -> p.scale) float
+  |> field "bus_pj" (fun p -> p.point_bus_pj) float
+  |> field "cycles" (fun p -> p.point_cycles) int
+  |> field "txns" (fun p -> p.point_txns) int
+  |> field "transitions" (fun p -> p.point_transitions) int
+  |> optional "buckets" (fun p -> p.point_buckets) (list float)
+
+let worker_stat =
+  obj
+    (fields (fun worker jobs -> { worker; jobs })
+    |> field "worker" (fun w -> w.worker) int
+    |> field "jobs" (fun w -> w.jobs) int)
+
+let stats =
+  fields
+    (fun queue_depth queue_capacity stats_draining uptime_s accepted rejected
+         completed failed spans_dropped workers pool rendered ->
+      { queue_depth; queue_capacity; stats_draining; uptime_s; accepted;
+        rejected; completed; failed; spans_dropped; workers; pool; rendered })
+  |> field "queue_depth" (fun s -> s.queue_depth) int
+  |> field "queue_capacity" (fun s -> s.queue_capacity) int
+  |> field "draining" (fun s -> s.stats_draining) bool
+  |> field "uptime_s" (fun s -> s.uptime_s) float
+  |> field "accepted" (fun s -> s.accepted) int
+  |> field "rejected" (fun s -> s.rejected) int
+  |> field "completed" (fun s -> s.completed) int
+  |> field "failed" (fun s -> s.failed) int
+  |> field "spans_dropped" (fun s -> s.spans_dropped) int
+  |> field "workers" (fun s -> s.workers) (list worker_stat)
+  |> field "pool" (fun s -> s.pool) pool_stats
+  |> field "rendered" (fun s -> s.rendered) string
+
+let metrics =
+  fields (fun metrics_seq snapshot metrics_rendered ->
+      { metrics_seq; snapshot; metrics_rendered })
+  |> field "seq" (fun m -> m.metrics_seq) int
+  |> field "snapshot" (fun m -> m.snapshot) any
+  |> field "rendered" (fun m -> m.metrics_rendered) string
+
+let trace =
+  fields (fun trace_seq trace_events trace_missed ->
+      { trace_seq; trace_events; trace_missed })
+  |> field "seq" (fun t -> t.trace_seq) int
+  |> field "events" (fun t -> t.trace_events) (list any)
+  |> field "missed" (fun t -> t.trace_missed) int
+
+let subscribed =
+  fields (fun sub_streams sub_interval_ms -> { sub_streams; sub_interval_ms })
+  |> field "streams" (fun s -> s.sub_streams) (list stream)
+  |> field "interval_ms" (fun s -> s.sub_interval_ms) int
+
+let error =
+  fields (fun code message retry_after_ms -> { code; message; retry_after_ms })
+  |> field "code" (fun e -> e.code) error_code
+  |> field "message" (fun e -> e.message) string
+  |> field "retry_after_ms" (fun e -> e.retry_after_ms) (nullable int)
+       ~default:None ~omit:Option.is_none
+
+let done_ =
+  fields (fun frames latency_ms done_worker done_pool ->
+      { frames; latency_ms; done_worker; done_pool })
+  |> field "frames" (fun d -> d.frames) int
+  |> field "latency_ms" (fun d -> d.latency_ms) float
+  |> field "worker" (fun d -> d.done_worker) int
+  |> field "pool" (fun d -> d.done_pool) pool_stats
+
+(* A sequence number beside one more member: row and energy frames. *)
+let seq_and name c =
+  fields (fun seq v -> (seq, v)) |> field "seq" fst int |> field name snd c
+
+let frames =
+  tagged "frame" "frame kind"
     [
-      ("session_hits", J.Int p.session_hits);
-      ("session_builds", J.Int p.session_builds);
-      ("plan_hits", J.Int p.plan_hits);
-      ("plan_builds", J.Int p.plan_builds);
+      case "accepted" (member "queue_depth" int) (fun d -> Accepted d)
+        (function Accepted d -> Some d | _ -> None);
+      case "result" (member "result" result_body) (fun r -> Result r)
+        (function Result r -> Some r | _ -> None);
+      case "row" (seq_and "row" row_body)
+        (fun (seq, r) -> Row (seq, r))
+        (function Row (seq, r) -> Some (seq, r) | _ -> None);
+      case "point" point (fun p -> Point p) (function
+        | Point p -> Some p | _ -> None);
+      case "energy" (seq_and "lines" (list string))
+        (fun (seq, lines) -> Energy (seq, lines))
+        (function Energy (seq, lines) -> Some (seq, lines) | _ -> None);
+      case "stats" stats (fun s -> Stats_reply s) (function
+        | Stats_reply s -> Some s | _ -> None);
+      case "metrics" metrics (fun m -> Metrics_reply m) (function
+        | Metrics_reply m -> Some m | _ -> None);
+      case "trace" trace (fun t -> Trace_chunk t) (function
+        | Trace_chunk t -> Some t | _ -> None);
+      case "subscribed" subscribed (fun s -> Subscribed s) (function
+        | Subscribed s -> Some s | _ -> None);
+      case "error" error (fun e -> Error e) (function
+        | Error e -> Some e | _ -> None);
+      case "done" done_ (fun d -> Done d) (function
+        | Done d -> Some d | _ -> None);
     ]
 
-let result_body_to_json r =
-  J.Obj
-    [
-      ("level", J.String (level_to_wire r.level));
-      ("cycles", J.Int r.cycles);
-      ("txns", J.Int r.txns);
-      ("beats", J.Int r.beats);
-      ("errors", J.Int r.errors);
-      ("bus_pj", J.Float r.bus_pj);
-      ("component_pj", J.Float r.component_pj);
-      ("transitions", J.Int r.transitions);
-      ("wall_seconds", J.Float r.wall_seconds);
-    ]
-
-let row_body_to_json r =
-  let opt_int = function None -> J.Null | Some v -> J.Int v in
-  let opt_float = function None -> J.Null | Some v -> J.Float v in
-  J.Obj
-    [
-      ("config", J.String r.config);
-      ("applet", J.String r.applet);
-      ("level", J.String (level_to_wire r.row_level));
-      ("cycles", J.Int r.row_cycles);
-      ("bus_pj", J.Float r.row_bus_pj);
-      ("transactions", J.Int r.transactions);
-      ("steps", J.Int r.steps);
-      ("value", opt_int r.value);
-      ("correct", J.Bool r.correct);
-      ("switches", opt_int r.switches);
-      ("error_bound_pj", opt_float r.error_bound_pj);
-    ]
-
-let frame_to_json ~id frame =
-  let fields =
-    match frame with
-    | Accepted depth ->
-      [ ("frame", J.String "accepted"); ("queue_depth", J.Int depth) ]
-    | Result r ->
-      [ ("frame", J.String "result"); ("result", result_body_to_json r) ]
-    | Row (seq, row) ->
-      [
-        ("frame", J.String "row");
-        ("seq", J.Int seq);
-        ("row", row_body_to_json row);
-      ]
-    | Point p ->
-      [
-        ("frame", J.String "point");
-        ("seq", J.Int p.point_seq);
-        ("scale", J.Float p.scale);
-        ("bus_pj", J.Float p.point_bus_pj);
-        ("cycles", J.Int p.point_cycles);
-        ("txns", J.Int p.point_txns);
-        ("transitions", J.Int p.point_transitions);
-      ]
-      @ (match p.point_buckets with
-        | None -> []
-        | Some bs ->
-          [ ("buckets", J.List (List.map (fun b -> J.Float b) bs)) ])
-    | Energy (seq, lines) ->
-      [
-        ("frame", J.String "energy");
-        ("seq", J.Int seq);
-        ("lines", J.List (List.map (fun l -> J.String l) lines));
-      ]
-    | Stats_reply s ->
-      [
-        ("frame", J.String "stats");
-        ("queue_depth", J.Int s.queue_depth);
-        ("queue_capacity", J.Int s.queue_capacity);
-        ("draining", J.Bool s.stats_draining);
-        ("uptime_s", J.Float s.uptime_s);
-        ("accepted", J.Int s.accepted);
-        ("rejected", J.Int s.rejected);
-        ("completed", J.Int s.completed);
-        ("failed", J.Int s.failed);
-        ("spans_dropped", J.Int s.spans_dropped);
-        ( "workers",
-          J.List
-            (List.map
-               (fun w ->
-                 J.Obj [ ("worker", J.Int w.worker); ("jobs", J.Int w.jobs) ])
-               s.workers) );
-        ("pool", pool_stats_to_json s.pool);
-        ("rendered", J.String s.rendered);
-      ]
-    | Metrics_reply m ->
-      [
-        ("frame", J.String "metrics");
-        ("seq", J.Int m.metrics_seq);
-        ("snapshot", m.snapshot);
-        ("rendered", J.String m.metrics_rendered);
-      ]
-    | Trace_chunk tc ->
-      [
-        ("frame", J.String "trace");
-        ("seq", J.Int tc.trace_seq);
-        ("events", J.List tc.trace_events);
-        ("missed", J.Int tc.trace_missed);
-      ]
-    | Subscribed s ->
-      [
-        ("frame", J.String "subscribed");
-        ("streams", streams_to_json s.sub_streams);
-        ("interval_ms", J.Int s.sub_interval_ms);
-      ]
-    | Error e ->
-      [
-        ("frame", J.String "error");
-        ("code", J.String (error_code_to_string e.code));
-        ("message", J.String e.message);
-      ]
-      @ (match e.retry_after_ms with
-        | None -> []
-        | Some ms -> [ ("retry_after_ms", J.Int ms) ])
-    | Done d ->
-      [
-        ("frame", J.String "done");
-        ("frames", J.Int d.frames);
-        ("latency_ms", J.Float d.latency_ms);
-        ("worker", J.Int d.done_worker);
-        ("pool", pool_stats_to_json d.done_pool);
-      ]
-  in
-  J.Obj (("id", id) :: fields)
-
-(* --- frame decoding --- *)
-
-let need_int json name =
-  match Option.bind (J.member name json) J.int_opt with
-  | Some v -> Ok v
-  | None -> Result.Error (Printf.sprintf "frame field %S missing" name)
-
-let need_float json name =
-  match Option.bind (J.member name json) J.number_opt with
-  | Some v -> Ok v
-  | None -> Result.Error (Printf.sprintf "frame field %S missing" name)
-
-let need_bool json name =
-  match Option.bind (J.member name json) J.bool_opt with
-  | Some v -> Ok v
-  | None -> Result.Error (Printf.sprintf "frame field %S missing" name)
-
-let need_string json name =
-  match Option.bind (J.member name json) J.string_opt with
-  | Some v -> Ok v
-  | None -> Result.Error (Printf.sprintf "frame field %S missing" name)
-
-let need_level json name =
-  let* s = need_string json name in
-  match level_of_wire s with
-  | Some l -> Ok l
-  | None -> Result.Error (Printf.sprintf "bad level %S" s)
-
-let pool_stats_of_json json =
-  let* session_hits = need_int json "session_hits" in
-  let* session_builds = need_int json "session_builds" in
-  let* plan_hits = need_int json "plan_hits" in
-  let* plan_builds = need_int json "plan_builds" in
-  Ok { session_hits; session_builds; plan_hits; plan_builds }
-
-let result_body_of_json json =
-  let* level = need_level json "level" in
-  let* cycles = need_int json "cycles" in
-  let* txns = need_int json "txns" in
-  let* beats = need_int json "beats" in
-  let* errors = need_int json "errors" in
-  let* bus_pj = need_float json "bus_pj" in
-  let* component_pj = need_float json "component_pj" in
-  let* transitions = need_int json "transitions" in
-  let* wall_seconds = need_float json "wall_seconds" in
-  Ok
-    {
-      level;
-      cycles;
-      txns;
-      beats;
-      errors;
-      bus_pj;
-      component_pj;
-      transitions;
-      wall_seconds;
-    }
-
-let row_body_of_json json =
-  let* config = need_string json "config" in
-  let* applet = need_string json "applet" in
-  let* row_level = need_level json "level" in
-  let* row_cycles = need_int json "cycles" in
-  let* row_bus_pj = need_float json "bus_pj" in
-  let* transactions = need_int json "transactions" in
-  let* steps = need_int json "steps" in
-  let value = Option.bind (J.member "value" json) J.int_opt in
-  let* correct = need_bool json "correct" in
-  let switches = Option.bind (J.member "switches" json) J.int_opt in
-  let error_bound_pj =
-    Option.bind (J.member "error_bound_pj" json) J.number_opt
-  in
-  Ok
-    {
-      config;
-      applet;
-      row_level;
-      row_cycles;
-      row_bus_pj;
-      transactions;
-      steps;
-      value;
-      correct;
-      switches;
-      error_bound_pj;
-    }
+let frame = obj frames
+let frame_to_json ~id f = J.Obj (("id", id) :: frames.write f [])
 
 let frame_of_json json =
-  let id = request_id json in
-  let* kind = need_string json "frame" in
-  let* frame =
-    match kind with
-    | "accepted" ->
-      let* depth = need_int json "queue_depth" in
-      Ok (Accepted depth)
-    | "result" -> (
-      match J.member "result" json with
-      | Some r ->
-        let* body = result_body_of_json r in
-        Ok (Result body)
-      | None -> Result.Error "result frame without \"result\"")
-    | "row" -> (
-      let* seq = need_int json "seq" in
-      match J.member "row" json with
-      | Some r ->
-        let* body = row_body_of_json r in
-        Ok (Row (seq, body))
-      | None -> Result.Error "row frame without \"row\"")
-    | "point" ->
-      let* point_seq = need_int json "seq" in
-      let* scale = need_float json "scale" in
-      let* point_bus_pj = need_float json "bus_pj" in
-      let* point_cycles = need_int json "cycles" in
-      let* point_txns = need_int json "txns" in
-      let* point_transitions = need_int json "transitions" in
-      let* point_buckets =
-        match J.member "buckets" json with
-        | None -> Ok None
-        | Some (J.List items) ->
-          let bs = List.filter_map J.number_opt items in
-          if List.length bs = List.length items then Ok (Some bs)
-          else Result.Error "point frame buckets must be numbers"
-        | Some _ -> Result.Error "point frame buckets must be a list"
-      in
-      Ok
-        (Point
-           {
-             point_seq;
-             scale;
-             point_bus_pj;
-             point_cycles;
-             point_txns;
-             point_transitions;
-             point_buckets;
-           })
-    | "energy" -> (
-      let* seq = need_int json "seq" in
-      match Option.bind (J.member "lines" json) J.to_list_opt with
-      | Some items ->
-        let lines = List.filter_map J.string_opt items in
-        if List.length lines = List.length items then Ok (Energy (seq, lines))
-        else Result.Error "energy frame lines must be strings"
-      | None -> Result.Error "energy frame without \"lines\"")
-    | "stats" ->
-      let* queue_depth = need_int json "queue_depth" in
-      let* queue_capacity = need_int json "queue_capacity" in
-      let* stats_draining = need_bool json "draining" in
-      let* uptime_s = need_float json "uptime_s" in
-      let* accepted = need_int json "accepted" in
-      let* rejected = need_int json "rejected" in
-      let* completed = need_int json "completed" in
-      let* failed = need_int json "failed" in
-      let* spans_dropped = need_int json "spans_dropped" in
-      let* workers =
-        match Option.bind (J.member "workers" json) J.to_list_opt with
-        | Some items ->
-          let rec decode acc = function
-            | [] -> Ok (List.rev acc)
-            | item :: rest ->
-              let* worker = need_int item "worker" in
-              let* jobs = need_int item "jobs" in
-              decode ({ worker; jobs } :: acc) rest
-          in
-          decode [] items
-        | None -> Result.Error "stats frame without \"workers\""
-      in
-      let* pool =
-        match J.member "pool" json with
-        | Some p -> pool_stats_of_json p
-        | None -> Result.Error "stats frame without \"pool\""
-      in
-      let* rendered = need_string json "rendered" in
-      Ok
-        (Stats_reply
-           {
-             queue_depth;
-             queue_capacity;
-             stats_draining;
-             uptime_s;
-             accepted;
-             rejected;
-             completed;
-             failed;
-             spans_dropped;
-             workers;
-             pool;
-             rendered;
-           })
-    | "metrics" -> (
-      let* metrics_seq = need_int json "seq" in
-      match J.member "snapshot" json with
-      | Some snapshot ->
-        let* metrics_rendered = need_string json "rendered" in
-        Ok (Metrics_reply { metrics_seq; snapshot; metrics_rendered })
-      | None -> Result.Error "metrics frame without \"snapshot\"")
-    | "trace" -> (
-      let* trace_seq = need_int json "seq" in
-      let* trace_missed = need_int json "missed" in
-      match Option.bind (J.member "events" json) J.to_list_opt with
-      | Some trace_events ->
-        Ok (Trace_chunk { trace_seq; trace_events; trace_missed })
-      | None -> Result.Error "trace frame without \"events\"")
-    | "subscribed" -> (
-      let* names =
-        match Option.bind (J.member "streams" json) J.to_list_opt with
-        | Some items ->
-          let names = List.filter_map J.string_opt items in
-          if List.length names = List.length items then Ok names
-          else Result.Error "subscribed frame streams must be strings"
-        | None -> Result.Error "subscribed frame without \"streams\""
-      in
-      let* sub_interval_ms = need_int json "interval_ms" in
-      let rec decode acc = function
-        | [] -> Ok (List.rev acc)
-        | s :: rest -> (
-          match stream_of_wire s with
-          | Some v -> decode (v :: acc) rest
-          | None -> Result.Error (Printf.sprintf "unknown stream %S" s))
-      in
-      match decode [] names with
-      | Ok sub_streams -> Ok (Subscribed { sub_streams; sub_interval_ms })
-      | Error _ as e -> e)
-    | "error" ->
-      let* code_s = need_string json "code" in
-      let* code =
-        match error_code_of_string code_s with
-        | Some c -> Ok c
-        | None -> Result.Error (Printf.sprintf "unknown error code %S" code_s)
-      in
-      let* message = need_string json "message" in
-      let retry_after_ms =
-        Option.bind (J.member "retry_after_ms" json) J.int_opt
-      in
-      Ok (Error { code; message; retry_after_ms })
-    | "done" ->
-      let* frames = need_int json "frames" in
-      let* latency_ms = need_float json "latency_ms" in
-      let* done_worker = need_int json "worker" in
-      let* done_pool =
-        match J.member "pool" json with
-        | Some p -> pool_stats_of_json p
-        | None -> Result.Error "done frame without \"pool\""
-      in
-      Ok (Done { frames; latency_ms; done_worker; done_pool })
-    | k -> Result.Error (Printf.sprintf "unknown frame kind %S" k)
-  in
-  Ok (id, frame)
+  match frame.dec json with
+  | Ok f -> Ok (request_id json, f)
+  | Result.Error e -> Result.Error (describe e)

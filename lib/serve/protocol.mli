@@ -6,7 +6,16 @@
     stream for one request always terminates with a [done] or [error]
     frame.  Floats cross the wire through {!Obs.Json}'s printer, which
     round-trips IEEE doubles exactly — a decoded energy figure is
-    bit-identical to the one the simulation produced. *)
+    bit-identical to the one the simulation produced.
+
+    The implementation declares each message's wire shape once — its
+    tag, and each member's name, codec and default — and derives both
+    the encoder and the decoder from that declaration.  An optional
+    member is either left out when [None] ([fabric], [buckets],
+    [retry_after_ms]) or sent as [null] ([value], [switches],
+    [error_bound_pj]); either way an absent member decodes to [None],
+    and a present member of the wrong type is a decode error.  Decode
+    errors name the member path, e.g. [field "workload.n": ...]. *)
 
 (** {1 Job descriptions} *)
 
@@ -222,8 +231,12 @@ val request_to_json : id:Obs.Json.t -> request -> Obs.Json.t
 val request_of_json :
   Obs.Json.t -> (request, error_code * string) result
 (** Validation lives here: unknown ["type"] is [Unknown_type], any
-    missing or ill-typed field (including malformed inline trace lines
-    and an [Rtl] replay) is [Bad_request]. *)
+    missing or ill-typed field is [Bad_request], and so are the checks
+    on meaning: a workload [n] outside [1, 1000000], malformed inline
+    trace lines, unknown applet or config names, an [Rtl] or [L3]
+    replay, a scale that is not positive, an empty [streams] list and an
+    [interval_ms] outside [10, 60000].  Hints list what the enum tables
+    accept. *)
 
 val frame_to_json : id:Obs.Json.t -> frame -> Obs.Json.t
 

@@ -5,7 +5,8 @@
    against the processes the kernel actually steps.  The gate-level wires
    are checked the same way: per-wire transitions and energies and a VCD
    dump against copies recorded from the per-signal wire objects they
-   replaced. *)
+   replaced, and the service's wire codec against a transcript recorded
+   from the hand-written encoders and decoders it replaced. *)
 
 module Gen = QCheck.Gen
 
@@ -42,6 +43,11 @@ let test_vcd_matches () =
   Alcotest.(check string) "vcd text"
     (In_channel.with_open_text "golden.vcd" In_channel.input_all)
     (Wire_ledger.vcd_text ())
+
+let test_protocol_transcript_matches () =
+  Alcotest.(check string) "protocol transcript"
+    (In_channel.with_open_text "protocol_golden.txt" In_channel.input_all)
+    (Protocol_transcript.text ())
 
 (* --- active + idle = rising edges --- *)
 
@@ -193,4 +199,6 @@ let suite =
       test_wire_ledger_matches;
     Alcotest.test_case "vcd dump = recorded golden dump" `Quick
       test_vcd_matches;
+    Alcotest.test_case "protocol wire = recorded golden transcript" `Quick
+      test_protocol_transcript_matches;
   ]

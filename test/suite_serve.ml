@@ -135,52 +135,72 @@ let test_framing_stop () =
 
 (* --- request codec --- *)
 
+(* Requests over every field's whole domain — each one set off its
+   default as often as not — within what validation accepts. *)
+let gen_request =
+  let open QCheck.Gen in
+  let any_level = oneofl Core.Level.[ Rtl; L1; L2; L3 ] in
+  let mode = oneofl [ `Serial; `Pipelined ] in
+  let workload =
+    oneof
+      [
+        map (fun n -> P.Table3 n) (int_range 1 1_000_000);
+        map (fun n -> P.Mixed_phase n) (int_range 1 1_000_000);
+        return P.Characterization;
+        map
+          (fun (seed, n) ->
+            let rng = Sim.Rng.create ~seed in
+            P.Inline (Ec.Trace.to_lines (Core.Workloads.random_trace ~rng ~n ())))
+          (pair small_nat (int_range 1 6));
+      ]
+  in
+  let names all = list_size (int_bound 3) (oneofl all) in
+  let scale = map (fun i -> float_of_int i /. 8.0) (int_range 1 1000) in
+  let fabric =
+    let policy =
+      oneof
+        [
+          return Ec.Arbiter.Fixed_priority;
+          return Ec.Arbiter.Round_robin;
+          map
+            (fun ws -> Ec.Arbiter.Weighted (Array.of_list ws))
+            (list_size (int_range 1 4) (int_range 1 8));
+        ]
+    in
+    opt
+      (map2
+         (fun fab_policy fab_topology -> { P.fab_policy; fab_topology })
+         policy
+         (oneofl Core.Contention.[ Single; Bridged ]))
+  in
+  oneof
+    [
+      (let* workload = workload and* level = any_level and* mode = mode in
+       let* estimate = bool and* profile = bool and* compiled = bool in
+       return (P.Run { P.workload; level; mode; estimate; profile; compiled }));
+      (let* applets =
+         names (List.map (fun a -> a.Jcvm.Applets.name) Jcvm.Applets.all)
+       and* configs =
+         names (List.map (fun c -> c.Jcvm.Configs.name) Jcvm.Configs.standard)
+       and* level = any_level
+       and* adaptive = bool in
+       return (P.Explore { P.applets; configs; level; adaptive }));
+      (let* workload = workload
+       and* level = oneofl Core.Level.[ L1; L2 ]
+       and* mode = mode
+       and* scales = list_size (int_range 1 4) scale
+       and* fabric = fabric in
+       return (P.Replay { P.workload; level; mode; scales; fabric }));
+      (let* streams =
+         list_size (int_range 1 3) (oneofl [ `Metrics; `Trace; `Energy ])
+       and* interval_ms = int_range 10 60_000 in
+       return (P.Subscribe { P.streams; interval_ms }));
+      oneofl P.[ Stats; Metrics; Unsubscribe; Shutdown ];
+    ]
+
 let test_request_codec () =
   let reqs =
-    [
-      P.Run
-        {
-          P.workload = P.Table3 48;
-          level = Core.Level.L2;
-          mode = `Pipelined;
-          estimate = true;
-          profile = true;
-          compiled = false;
-        };
-      P.Replay
-        {
-          P.workload = P.Mixed_phase 100;
-          level = Core.Level.L1;
-          mode = `Serial;
-          scales = [ 0.5; 1.0; 2.0 ];
-          fabric = None;
-        };
-      P.Replay
-        {
-          P.workload = P.Table3 48;
-          level = Core.Level.L2;
-          mode = `Pipelined;
-          scales = [ 1.0; 1.5 ];
-          fabric =
-            Some
-              {
-                P.fab_policy = Ec.Arbiter.Weighted [| 4; 2; 1 |];
-                fab_topology = Core.Contention.Bridged;
-              };
-        };
-      P.Explore
-        {
-          P.applets = [ "fib" ];
-          configs = [ "w16-dedicated" ];
-          level = Core.Level.L1;
-          adaptive = false;
-        };
-      P.Stats;
-      P.Metrics;
-      P.Subscribe { P.streams = [ `Metrics; `Trace; `Energy ]; interval_ms = 50 };
-      P.Unsubscribe;
-      P.Shutdown;
-    ]
+    QCheck.Gen.generate ~n:300 ~rand:(Random.State.make [| 18 |]) gen_request
   in
   List.iter
     (fun req ->
@@ -222,22 +242,38 @@ let test_request_codec () =
                 ] );
           ])
     = P.Bad_request);
-  (* A negative gap parses field-by-field but raises Invalid_argument
-     (not Failure) in Ec.Trace.item — validation must catch that too,
-     not let it escape into the reader thread. *)
-  check_bool "negative-gap inline trace" true
-    (rejects
-       (Obj
-          [
-            ("type", String "run");
-            ( "workload",
-              Obj
-                [
-                  ("kind", String "inline");
-                  ("lines", List [ String "-1 RI 8 0x0 1" ]);
-                ] );
-          ])
-    = P.Bad_request)
+  (* A negative gap or a sub-word fetch parses field by field but is
+     refused by the trace and transaction constructors; Ec.Trace.of_lines
+     reports either as a Failure naming the line, so validation rejects
+     it rather than letting it escape into the reader thread. *)
+  List.iter
+    (fun line ->
+      check_bool ("refused inline trace " ^ line) true
+        (rejects
+           (Obj
+              [
+                ("type", String "run");
+                ( "workload",
+                  Obj
+                    [
+                      ("kind", String "inline"); ("lines", List [ String line ]);
+                    ] );
+              ])
+        = P.Bad_request))
+    [ "-1 RI 8 0x0 1"; "0 RI 8 0x0 1"; "0 RD 32 0x0 1 0x5" ];
+  (* Hints list what the enum tables accept, layer 3 included. *)
+  match
+    P.request_of_json
+      (Obj
+         [
+           ("type", String "explore");
+           ("level", String "l4");
+         ])
+  with
+  | Error (P.Bad_request, msg) ->
+    Alcotest.(check string)
+      "level hint" {|field "level": unknown level "l4" (rtl|l1|l2|l3)|} msg
+  | _ -> Alcotest.fail "expected a bad_request for an unknown level"
 
 (* --- malformed wire input --- *)
 
@@ -274,10 +310,9 @@ let test_malformed_frames () =
           | _ -> Alcotest.fail "expected an oversized error frame");
           let frames = frames_exn (Serve.Client.request c P.Stats) in
           check_bool "stats after oversized" true (has_done frames));
-      (* A trace line whose gap is negative blows up with
-         Invalid_argument, not Failure, inside validation: the reader
-         must answer bad_request and survive, not die with the
-         exception and orphan the connection. *)
+      (* A trace line whose gap is negative is refused inside
+         validation: the reader must answer bad_request and survive,
+         not die with an exception and orphan the connection. *)
       with_client path (fun c ->
           Serve.Client.send_json c
             (Obs.Json.Obj
@@ -1304,75 +1339,176 @@ let test_round_robin_wire_fairness () =
             true
             (b_done < !a_last_done)))
 
-(* --- telemetry frame codecs (property) --- *)
+(* --- frame codecs (property) --- *)
 
-let gen_stream =
-  QCheck.Gen.oneofl ([ `Metrics; `Trace; `Energy ] : P.stream list)
-
-let gen_telemetry_frame =
+(* Every frame constructor, each optional member both present and
+   absent, with arbitrary finite floats and strings that need escaping. *)
+let gen_frame =
   let open QCheck.Gen in
   let small = int_bound 10_000 in
-  let name = string_size ~gen:(char_range 'a' 'z') (int_range 1 8) in
-  let sane_float = map (fun i -> float_of_int i /. 16.0) small in
-  let flat_json =
+  let text =
+    string_size ~gen:(oneofl [ 'a'; 'z'; '0'; ' '; '"'; '\\'; '\n'; '\t' ])
+      (int_bound 8)
+  in
+  let finite =
+    map (fun f -> if Float.is_finite f then f else 0.5) QCheck.Gen.float
+  in
+  let level = oneofl Core.Level.[ Rtl; L1; L2; L3 ] in
+  let stream = oneofl [ `Metrics; `Trace; `Energy ] in
+  let json =
     oneof
       [
         return Obs.Json.Null;
+        map (fun b -> Obs.Json.Bool b) bool;
         map (fun i -> Obs.Json.Int i) small;
-        map (fun f -> Obs.Json.Float f) sane_float;
-        map (fun s -> Obs.Json.String s) name;
-        map (fun kvs -> Obs.Json.Obj kvs) (list_size (int_bound 4) (pair name (map (fun i -> Obs.Json.Int i) small)));
+        map (fun f -> Obs.Json.Float f) finite;
+        map (fun s -> Obs.Json.String s) text;
+        map
+          (fun kvs -> Obs.Json.Obj kvs)
+          (list_size (int_bound 4)
+             (pair text (map (fun i -> Obs.Json.Int i) small)));
       ]
   in
-  let trace_event =
-    map2
-      (fun n (ts, tid) ->
-        Obs.Json.Obj
-          [
-            ("name", Obs.Json.String n);
-            ("ph", Obs.Json.String "B");
-            ("ts", Obs.Json.Int ts);
-            ("pid", Obs.Json.Int 1);
-            ("tid", Obs.Json.Int tid);
-          ])
-      name (pair small small)
+  let pool =
+    let* session_hits = small and* session_builds = small in
+    let* plan_hits = small and* plan_builds = small in
+    return { P.session_hits; session_builds; plan_hits; plan_builds }
   in
   oneof
     [
+      map (fun d -> P.Accepted d) small;
+      (let* level = level and* cycles = small and* txns = small in
+       let* beats = small and* errors = small and* bus_pj = finite in
+       let* component_pj = finite and* transitions = small in
+       let* wall_seconds = finite in
+       return
+         (P.Result
+            { P.level; cycles; txns; beats; errors; bus_pj; component_pj;
+              transitions; wall_seconds }));
+      (let* seq = small and* config = text and* applet = text in
+       let* row_level = level and* row_cycles = small in
+       let* row_bus_pj = finite in
+       let* transactions = small and* steps = small in
+       let* value = opt (int_range (-100) 100) and* correct = bool in
+       let* switches = opt small and* error_bound_pj = opt finite in
+       return
+         (P.Row
+            ( seq,
+              { P.config; applet; row_level; row_cycles; row_bus_pj;
+                transactions; steps; value; correct; switches;
+                error_bound_pj } )));
+      (let* point_seq = small and* scale = finite and* point_bus_pj = finite in
+       let* point_cycles = small and* point_txns = small in
+       let* point_transitions = small in
+       let* point_buckets = opt (list_size (int_bound 4) finite) in
+       return
+         (P.Point
+            { P.point_seq; scale; point_bus_pj; point_cycles; point_txns;
+              point_transitions; point_buckets }));
+      map2 (fun seq lines -> P.Energy (seq, lines)) small
+        (list_size (int_bound 4) text);
+      (let* queue_depth = small and* queue_capacity = small in
+       let* stats_draining = bool and* uptime_s = finite in
+       let* accepted = small and* rejected = small and* completed = small in
+       let* failed = small and* spans_dropped = small in
+       let* workers =
+         list_size (int_bound 3)
+           (map2 (fun worker jobs -> { P.worker; jobs }) small small)
+       in
+       let* pool = pool and* rendered = text in
+       return
+         (P.Stats_reply
+            { P.queue_depth; queue_capacity; stats_draining; uptime_s;
+              accepted; rejected; completed; failed; spans_dropped; workers;
+              pool; rendered }));
+      map3
+        (fun metrics_seq snapshot metrics_rendered ->
+          P.Metrics_reply { P.metrics_seq; snapshot; metrics_rendered })
+        small json text;
+      map3
+        (fun trace_seq trace_events trace_missed ->
+          P.Trace_chunk { P.trace_seq; trace_events; trace_missed })
+        small (list_size (int_bound 5) json) small;
       map2
-        (fun seq (snapshot, rendered) ->
-          P.Metrics_reply
-            { P.metrics_seq = seq; snapshot; metrics_rendered = rendered })
-        small
-        (pair flat_json name);
-      map2
-        (fun (seq, missed) events ->
-          P.Trace_chunk
-            { P.trace_seq = seq; trace_events = events; trace_missed = missed })
-        (pair small small)
-        (list_size (int_bound 5) trace_event);
-      map2
-        (fun streams interval ->
-          P.Subscribed
-            { P.sub_streams = streams; sub_interval_ms = 10 + interval })
-        (list_size (int_range 1 3) gen_stream)
+        (fun sub_streams sub_interval_ms ->
+          P.Subscribed { P.sub_streams; sub_interval_ms })
+        (list_size (int_range 1 3) stream)
         small;
+      map3
+        (fun code message retry_after_ms ->
+          P.Error { P.code; message; retry_after_ms })
+        (oneofl
+           P.[ Bad_frame; Oversized; Bad_json; Bad_request; Unknown_type;
+               Busy; Draining; Failed ])
+        text (opt small);
+      (let* frames = small and* latency_ms = finite in
+       let* done_worker = small and* done_pool = pool in
+       return (P.Done { P.frames; latency_ms; done_worker; done_pool }));
     ]
 
-let prop_telemetry_frame_roundtrip =
-  QCheck.Test.make ~name:"telemetry frames round-trip the wire codec"
-    ~count:500
-    (QCheck.make gen_telemetry_frame)
+(* Through the printed bytes and back, as a frame crosses the socket. *)
+let prop_frame_roundtrip =
+  QCheck.Test.make ~name:"frames round-trip the wire codec" ~count:1000
+    (QCheck.make gen_frame)
     (fun frame ->
       let doc = P.frame_to_json ~id:(Obs.Json.Int 9) frame in
-      match P.frame_of_json doc with
+      let text = Obs.Json.to_string doc in
+      match Result.bind (Obs.Json.of_string text) P.frame_of_json with
       | Ok (id, frame') ->
         (id = Obs.Json.Int 9 && frame = frame')
-        || QCheck.Test.fail_reportf "decoded differently: %s"
-             (Obs.Json.to_string doc)
-      | Error e ->
-        QCheck.Test.fail_reportf "does not decode: %s (%s)" e
-          (Obs.Json.to_string doc))
+        || QCheck.Test.fail_reportf "decoded differently: %s" text
+      | Error e -> QCheck.Test.fail_reportf "does not decode: %s (%s)" e text)
+
+(* An optional member that is absent or null decodes to [None]; one that
+   is present with the wrong type is a decode error, not [None]. *)
+let test_frame_optional_members () =
+  let decodes text =
+    match Obs.Json.of_string text with
+    | Error e -> Alcotest.failf "bad test document %s: %s" text e
+    | Ok doc -> P.frame_of_json doc
+  in
+  let row extra =
+    Printf.sprintf
+      {|{"frame":"row","seq":1,"row":{"config":"c","applet":"a","level":"l1","cycles":1,"bus_pj":2,"transactions":3,"steps":4,"correct":true%s}}|}
+      extra
+  in
+  let error extra =
+    Printf.sprintf {|{"frame":"error","code":"busy","message":"m"%s}|} extra
+  in
+  let point extra =
+    Printf.sprintf
+      {|{"frame":"point","seq":0,"scale":1,"bus_pj":2,"cycles":3,"txns":4,"transitions":5%s}|}
+      extra
+  in
+  (match decodes (row "") with
+  | Ok (_, P.Row (_, r)) ->
+    check_bool "absent row members are None" true
+      (r.P.value = None && r.P.switches = None && r.P.error_bound_pj = None)
+  | _ -> Alcotest.fail "row without optional members");
+  let nulls = {|,"value":null,"switches":null,"error_bound_pj":null|} in
+  (match decodes (row nulls) with
+  | Ok (_, P.Row (_, r)) ->
+    check_bool "null row members are None" true
+      (r.P.value = None && r.P.switches = None && r.P.error_bound_pj = None)
+  | _ -> Alcotest.fail "row with null optional members");
+  (match decodes (error {|,"retry_after_ms":null|}) with
+  | Ok (_, P.Error e) ->
+    check_bool "null retry_after_ms is None" true (e.P.retry_after_ms = None)
+  | _ -> Alcotest.fail "error with null retry_after_ms");
+  List.iter
+    (fun text ->
+      match decodes text with
+      | Ok _ -> Alcotest.failf "ill-typed member decoded: %s" text
+      | Error _ -> ())
+    [
+      row {|,"value":"7"|};
+      row {|,"value":1.5|};
+      row {|,"switches":true|};
+      row {|,"error_bound_pj":"x"|};
+      error {|,"retry_after_ms":"x"|};
+      point {|,"buckets":null|};
+      point {|,"buckets":[1,"x"]|};
+    ]
 
 (* Once the daemon has drained and closed the connection, every client
    call on the still-open handle answers [Error]; none raises the
@@ -1419,7 +1555,7 @@ let suite =
     Alcotest.test_case "jobq bounded/drain semantics" `Quick test_jobq;
     Alcotest.test_case "jobq per-client round-robin" `Quick
       test_jobq_round_robin;
-    QCheck_alcotest.to_alcotest prop_telemetry_frame_roundtrip;
+    QCheck_alcotest.to_alcotest prop_frame_roundtrip;
     Alcotest.test_case "malformed frames get error frames" `Quick
       test_malformed_frames;
     Alcotest.test_case "failed error does not desync the stream" `Quick
@@ -1451,4 +1587,6 @@ let suite =
     Alcotest.test_case "explore at l3 answers a row" `Quick test_explore_l3_row;
     Alcotest.test_case "closed connection is an error, not a raise" `Quick
       test_closed_connection_is_error;
+    Alcotest.test_case "frame optional members: absent, null or typed" `Quick
+      test_frame_optional_members;
   ]
