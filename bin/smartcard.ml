@@ -48,58 +48,6 @@ let level_arg =
           "Abstraction level: rtl (gate-level reference), l1, l2 or l3 \
            (bridged layer 3).")
 
-(* --pool / --no-pool: session pooling on the commands that run whole
-   simulations.  Sweeps default to pooled (rows are bit-identical either
-   way, per the Pool acceptance tests); single runs default to fresh. *)
-let pool_flag ~default =
-  Arg.(
-    value
-    & vflag default
-        [
-          ( true,
-            info [ "pool" ]
-              ~doc:
-                "Draw simulation sessions from a pool and reset them in \
-                 place instead of rebuilding (default for sweeps; results \
-                 are bit-identical either way)." );
-          ( false,
-            info [ "no-pool" ] ~doc:"Build every simulation session fresh." );
-        ])
-
-(* --compiled / --no-compiled: compiled trace replay (DESIGN.md §14) on
-   the commands that replay recorded or grid-cell traffic.  The sweep
-   default is compiled; single replays default to interpreted. *)
-let compiled_flag ~default =
-  Arg.(
-    value
-    & vflag default
-        [
-          ( true,
-            info [ "compiled" ]
-              ~doc:
-                "Compile the traffic into a replay plan once and fold the \
-                 energy off it (default for sweeps; results are \
-                 bit-identical to interpretation).  Plans exist at layers \
-                 1 and 2 without an event sink: a sweep interprets its \
-                 other cells, and a single replay at rtl or l3 or with \
-                 --trace-out/--metrics says so on stderr and interprets." );
-          ( false,
-            info [ "no-compiled" ]
-              ~doc:"Interpret every replay through the full bus model." );
-        ])
-
-(* Whether a single --compiled replay can take the plan path; when it
-   cannot, the run interprets and says so. *)
-let plan_path ~compiled ~sink level =
-  match level with
-  | (Core.Level.L1 | Core.Level.L2) when sink = None -> compiled
-  | Core.Level.Rtl | Core.Level.L1 | Core.Level.L2 | Core.Level.L3 ->
-    if compiled then
-      prerr_endline
-        "--compiled: plans need --level l1 or l2 and no \
-         --trace-out/--metrics; interpreting";
-    false
-
 let read_file path =
   let ic = open_in path in
   Fun.protect
@@ -216,10 +164,14 @@ let tables_cmd =
 let explore_cmd =
   let doc = "HW/SW interface exploration of the Java Card VM (section 4.3)." in
   let applet =
+    let names = List.map (fun a -> a.Jcvm.Applets.name) Jcvm.Applets.all in
     Arg.(
-      value & opt (some string) None
+      value
+      & opt (some (enum (List.combine names Jcvm.Applets.all))) None
       & info [ "applet" ] ~docv:"NAME"
-          ~doc:"Restrict to one applet (wallet, crc16, sort, fib).")
+          ~doc:
+            (Printf.sprintf "Restrict to one applet (%s)."
+               (String.concat ", " names)))
   in
   let adaptive =
     Arg.(
@@ -250,18 +202,9 @@ let explore_cmd =
              adaptive sweep back to back and print the wall-clock/energy \
              comparison table (EXPERIMENTS.md).")
   in
-  let run level applet adaptive policy compare trace_out pool compiled =
+  let run level applet adaptive policy compare trace_out =
     let applets =
-      match applet with
-      | None -> Jcvm.Applets.all
-      | Some name -> (
-        match
-          List.find_opt (fun a -> a.Jcvm.Applets.name = name) Jcvm.Applets.all
-        with
-        | Some a -> [ a ]
-        | None ->
-          Printf.eprintf "unknown applet %S\n" name;
-          exit 1)
+      match applet with None -> Jcvm.Applets.all | Some a -> [ a ]
     in
     let policy =
       if not (adaptive || policy <> None) then None
@@ -275,15 +218,14 @@ let explore_cmd =
     if compare then
       print_endline
         (Core.Experiments.render_exploration_comparison
-           (Core.Experiments.run_exploration_comparison ~applets ?policy ~pool
-              ()))
+           (Core.Experiments.run_exploration_comparison ~applets ?policy ()))
     else
       let rows =
         match trace_out with
         | None -> (
           match policy with
-          | None -> Core.Exploration.run ~level ~compiled ~applets ~pool ()
-          | Some policy -> Core.Exploration.run ~policy ~applets ~pool ())
+          | None -> Core.Exploration.run ~level ~applets ()
+          | Some policy -> Core.Exploration.run ~policy ~applets ())
         | Some stem ->
           (* Per-row Chrome traces: give each grid cell its own sink and
              write <stem>-<applet>-<config>.json, so one row's window
@@ -318,7 +260,7 @@ let explore_cmd =
   Cmd.v (Cmd.info "explore" ~doc)
     Term.(
       const run $ level_arg $ applet $ adaptive $ policy $ compare
-      $ trace_out_arg $ pool_flag ~default:true $ compiled_flag ~default:true)
+      $ trace_out_arg)
 
 (* --- run --- *)
 
@@ -376,7 +318,7 @@ let render_contention (r : Core.Contention.result) =
         ])
       r.Core.Contention.rows
   in
-  print_string
+  print_endline
     (Core.Report.table
        ~header:[ "Master"; "Txns"; "Beats"; "Errors"; "Grants"; "pJ"; "Share" ]
        body)
@@ -403,17 +345,6 @@ let run_cmd =
       & info [ "vcd" ] ~docv:"FILE"
           ~doc:"Write a VCD waveform of the run (gate-level only).")
   in
-  let compiled =
-    Arg.(
-      value & flag
-      & info [ "compiled" ]
-          ~doc:
-            "After the run, capture the program's bus trace, compile it \
-             into a replay plan and print the compiled-replay figures at \
-             --level (l1 or l2) — the microsecond-scale path a sweep over \
-             this program's traffic would take.  With --masters, evaluate \
-             the contention run off a compiled fabric plan instead.")
-  in
   let masters_arg =
     Arg.(
       value & opt (list masters_conv) []
@@ -421,7 +352,9 @@ let run_cmd =
           ~doc:
             "Comma-separated extra bus masters (dma, crypto) contending \
              with the program's traffic through the arbitrated fabric. \
-             The program's captured bus trace drives master 0 (the CPU).")
+             The program's captured bus trace drives master 0 (the CPU). \
+             Cannot be combined with --vcd, --profile, --trace-out or \
+             --metrics.")
   in
   let arbiter_arg =
     Arg.(
@@ -438,48 +371,30 @@ let run_cmd =
             "Bus topology for --masters runs: single (one shared bus) or \
              bridged (DMA source behind a bridged far bus).")
   in
-  let run level file profile_out vcd_out trace_out metrics pool compiled
-      masters arbiter topology =
-    if masters <> [] then begin
-      let program = Soc.Asm.assemble (read_file file) in
-      let cpu_trace = Core.Runner.capture_cpu_trace program in
-      let n = List.length masters + 1 in
-      let extra =
-        List.filter
-          (fun (k, _) -> List.mem k masters)
-          (Core.Contention.default_masters
-             ~n:(max 64 (Ec.Trace.total_txns cpu_trace))
-             topology)
-      in
-      Printf.printf "level:        %s (%d masters)\n"
-        (Core.Level.to_string level) n;
-      let spool = if pool then Some (Core.Pool.create ()) else None in
-      let masters = (Core.Contention.Cpu, cpu_trace) :: extra in
-      render_contention
-        (if plan_path ~compiled ~sink:None level then
-           Core.Contention.replay_plan ~level ~policy:arbiter ~topology
-             ~kinds:(List.map fst masters)
-             (Core.Contention.compile ~level ~policy:arbiter ~topology
-                ?pool:spool masters)
-         else
-           Core.Contention.run ~level ~policy:arbiter ~topology ?pool:spool
-             masters);
-      match spool with
-      | Some p when metrics ->
-        print_newline ();
-        print_endline (Core.Report.pool_stats p)
-      | Some _ | None -> ()
-    end
-    else begin
+  (* One program is one run: it interprets a fresh session; only a
+     sweep replays enough to pay for compiling a plan. *)
+  let run_masters level file masters arbiter topology =
+    let program = Soc.Asm.assemble (read_file file) in
+    let cpu_trace = Core.Runner.capture_cpu_trace program in
+    let extra =
+      List.filter
+        (fun (k, _) -> List.mem k masters)
+        (Core.Contention.default_masters
+           ~n:(max 64 (Ec.Trace.total_txns cpu_trace))
+           topology)
+    in
+    Printf.printf "level:        %s (%d masters)\n"
+      (Core.Level.to_string level) (List.length masters + 1);
+    render_contention
+      (Core.Contention.run ~level ~policy:arbiter ~topology
+         ((Core.Contention.Cpu, cpu_trace) :: extra))
+  in
+  let run_single level file profile_out vcd_out trace_out metrics =
     let program = Soc.Asm.assemble (read_file file) in
     let record_profile = profile_out <> None || trace_out <> None in
     let sink = make_sink ~trace_out ~metrics in
-    (* One run draws one session; the flag mainly proves the pooled path
-       reports the same numbers (a VCD or sink forces a fresh build). *)
-    let spool = if pool then Some (Core.Pool.create ()) else None in
     let result =
-      Core.Runner.run_program ~level ~record_profile ?vcd:vcd_out ?sink
-        ?pool:spool program
+      Core.Runner.run_program ~level ~record_profile ?vcd:vcd_out ?sink program
     in
     let r = result.Core.Runner.result in
     Printf.printf "level:        %s\n" (Core.Level.to_string level);
@@ -510,36 +425,30 @@ let run_cmd =
       Printf.printf "profile written to %s (%d cycles)\n" path
         (Power.Profile.length p)
     | Some _, None | None, _ -> ());
-    finish_obs ?profile:r.Core.Runner.profile ~trace_out ~metrics sink;
-    (match spool with
-    | Some p when metrics ->
-      print_newline ();
-      print_endline (Core.Report.pool_stats p)
-    | Some _ | None -> ());
-    if compiled then begin
-      match level with
-      | Core.Level.Rtl | Core.Level.L3 ->
-        prerr_endline "--compiled needs --level l1 or l2; skipping"
-      | Core.Level.L1 | Core.Level.L2 ->
-        let trace = Core.Runner.capture_cpu_trace program in
-        let plan =
-          Core.Runner.compile_trace ~level ~init:Core.Runner.fill_memories
-            ?pool:spool trace
-        in
-        let cr = Core.Runner.replay_compiled plan in
-        Printf.printf
-          "compiled replay (%s): %d txns, %d cycles, %.1f pJ bus in %.1f us\n"
-          (Core.Level.to_string level) cr.Core.Runner.txns
-          cr.Core.Runner.cycles cr.Core.Runner.bus_pj
-          (cr.Core.Runner.wall_seconds *. 1e6)
-    end
-    end
+    finish_obs ?profile:r.Core.Runner.profile ~trace_out ~metrics sink
+  in
+  let run level file profile_out vcd_out trace_out metrics masters arbiter
+      topology =
+    if masters = [] then
+      `Ok (run_single level file profile_out vcd_out trace_out metrics)
+    else
+      (* A contention run writes no waveform, profile, trace or metrics:
+         asking for one is a usage error, not a silently missing file. *)
+      match
+        List.find_opt fst
+          [ (vcd_out <> None, "--vcd"); (profile_out <> None, "--profile");
+            (trace_out <> None, "--trace-out"); (metrics, "--metrics") ]
+      with
+      | Some (_, flag) ->
+        `Error
+          (true, Printf.sprintf "option '%s' cannot be used with --masters" flag)
+      | None -> `Ok (run_masters level file masters arbiter topology)
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ level_arg $ file $ profile $ vcd $ trace_out_arg
-      $ metrics_arg $ pool_flag ~default:false $ compiled $ masters_arg
-      $ arbiter_arg $ topology_arg)
+      ret
+        (const run $ level_arg $ file $ profile $ vcd $ trace_out_arg
+       $ metrics_arg $ masters_arg $ arbiter_arg $ topology_arg))
 
 (* --- fabric --- *)
 
@@ -623,25 +532,23 @@ let fabric_cmd =
                r.Core.Contention.rows) );
       ]
   in
-  let run n level json domains pooled compiled =
+  let run n level json domains =
     let levels =
       match level with Some l -> [ l ] | None -> Core.Level.timed
     in
-    let pool = if pooled then Some (Core.Pool.create ()) else None in
+    (* A sweep: pooled sessions, and plans wherever the level has one. *)
     let results =
-      Core.Contention.study ~n ~levels ~compiled ?pool ?domains ()
+      Core.Contention.study ~n ~levels ~compiled:true
+        ~pool:(Core.Pool.create ()) ?domains ()
     in
     if json then
       List.iter
         (fun r -> print_endline (Obs.Json.to_string (cell_json r)))
         results
-    else print_string (Core.Contention.render_study results)
+    else print_endline (Core.Contention.render_study results)
   in
   Cmd.v (Cmd.info "fabric" ~doc)
-    Term.(
-      const run $ n $ level_opt $ json_flag $ domains_opt
-      $ pool_flag ~default:true
-      $ compiled_flag ~default:true)
+    Term.(const run $ n $ level_opt $ json_flag $ domains_opt)
 
 (* --- trace --- *)
 
@@ -675,7 +582,7 @@ let trace_replay_cmd =
              policy of the experiments) instead of a single level; \
              --level is ignored.")
   in
-  let run level file serial adaptive trace_out metrics compiled =
+  let run level file serial adaptive trace_out metrics =
     let trace =
       try Ec.Trace.load file
       with Failure msg ->
@@ -705,13 +612,9 @@ let trace_replay_cmd =
       finish_obs ?profile ~trace_out ~metrics sink
     end
     else begin
-      let init = Core.Runner.fill_memories in
       let r =
-        if plan_path ~compiled ~sink level then
-          Core.Runner.replay_compiled ~record_profile
-            (Core.Runner.compile_trace ~level ~mode ~init trace)
-        else
-          Core.Runner.run_trace ~level ~mode ~record_profile ~init ?sink trace
+        Core.Runner.run_trace ~level ~mode ~record_profile
+          ~init:Core.Runner.fill_memories ?sink trace
       in
       Printf.printf "level:      %s\n" (Core.Level.to_string level);
       Printf.printf "txns:       %d (%d errors)\n" r.Core.Runner.txns
@@ -724,7 +627,7 @@ let trace_replay_cmd =
   Cmd.v (Cmd.info "replay" ~doc)
     Term.(
       const run $ level_arg $ file $ serial $ adaptive $ trace_out_arg
-      $ metrics_arg $ compiled_flag ~default:false)
+      $ metrics_arg)
 
 let trace_cmd =
   let doc = "Capture or replay bus transaction traces." in
@@ -1208,8 +1111,8 @@ let client_cmd =
             "Accumulate watched trace chunks and write them as one Chrome \
              trace-event document on exit (implies the trace stream).")
   in
-  let run kind socket host port level workload serial profile compiled scales
-      applets configs adaptive raw interval_ms streams count trace_out =
+  let run kind socket host port level workload serial profile scales applets
+      configs adaptive raw interval_ms streams count trace_out =
     let endpoint =
       match (socket, port) with
       | Some path, _ -> `Unix path
@@ -1247,9 +1150,10 @@ let client_cmd =
             | `Metrics -> Serve.Protocol.Metrics
             | `Shutdown -> Serve.Protocol.Shutdown
             | `Run ->
+              (* compiled: use a plan wherever the level has one. *)
               Serve.Protocol.Run
                 { Serve.Protocol.workload; level; mode; estimate = true;
-                  profile; compiled }
+                  profile; compiled = true }
             | `Replay ->
               Serve.Protocol.Replay
                 { Serve.Protocol.workload; level; mode; scales; fabric = None }
@@ -1284,10 +1188,8 @@ let client_cmd =
   Cmd.v (Cmd.info "client" ~doc)
     Term.(
       const run $ kind $ socket_arg $ host $ port_arg $ level_arg $ workload
-      $ serial $ profile
-      $ compiled_flag ~default:true
-      $ scales $ applets $ configs $ adaptive $ raw $ interval $ streams
-      $ count $ trace_out)
+      $ serial $ profile $ scales $ applets $ configs $ adaptive $ raw
+      $ interval $ streams $ count $ trace_out)
 
 let () =
   let doc =

@@ -95,7 +95,10 @@ type far_side = {
   far_reset : unit -> unit;  (* bus, energy model and RAM store *)
 }
 
-let build_far ~kernel ~level ~table ~bridge_pj_per_beat =
+(* Energy of one beat crossing the bridge, in pJ. *)
+let crossing_pj_per_beat = 1.5
+
+let build_far ~kernel ~level ~table =
   let slave, reset_store = far_slave () in
   let decoder = Ec.Decoder.create [ slave ] in
   let far_port, far_tap, far_bus, far_busy, far_pj, reset_bus =
@@ -136,7 +139,7 @@ let build_far ~kernel ~level ~table ~bridge_pj_per_beat =
         far_tap;
         window = far_window;
         latency = 2;
-        crossing_pj_per_beat = bridge_pj_per_beat;
+        crossing_pj_per_beat;
       };
     far_bus;
     far_busy;
@@ -167,15 +170,13 @@ let validate ~level masters =
     invalid_arg
       "Core.Contention.run: fabric masters drive timed buses (rtl/l1/l2)"
 
-let build_session ~level ~policy ~topology ?mode ~table ~bridge_pj_per_beat
-    masters =
+let build_session ~level ~policy ~topology ?mode ~table masters =
   let system = System.create ~level ~table () in
   let kernel = System.kernel system in
   let far =
     match topology with
     | Single -> None
-    | Bridged ->
-      Some (build_far ~kernel ~level ~table ~bridge_pj_per_beat)
+    | Bridged -> Some (build_far ~kernel ~level ~table)
   in
   let n = List.length masters in
   let fabric =
@@ -220,9 +221,6 @@ let drained s () =
 
 (* Deadline of a fabric run, in cycles. *)
 let max_cycles = 4_000_000
-
-(* Energy of one beat crossing the bridge, in pJ. *)
-let crossing_pj_per_beat = 1.5
 
 let execute ~level ~policy ~topology s masters =
   let kernel = System.kernel s.s_system in
@@ -273,10 +271,7 @@ let compile ?(level = Level.L1) ?(policy = Ec.Arbiter.Round_robin)
   validate ~level masters;
   let build () =
     let table = Power.Characterization.default in
-    let s =
-      build_session ~level ~policy ~topology ?mode ~table
-        ~bridge_pj_per_beat:crossing_pj_per_beat masters
-    in
+    let s = build_session ~level ~policy ~topology ?mode ~table masters in
     let n = Array.length s.s_masters in
     let near_plan = System.capture s.s_system in
     let far_plan =
@@ -374,13 +369,10 @@ let replay_plan ~level ~policy ~topology ~kinds (plan : Compile.Plan.fabric) =
 (* ------------------------------------------------------------------ *)
 
 let run ?(level = Level.L1) ?(policy = Ec.Arbiter.Round_robin)
-    ?(topology = Single) ?mode ?(bridge_pj_per_beat = crossing_pj_per_beat)
-    ?(table = Power.Characterization.default) ?pool masters =
+    ?(topology = Single) ?mode ?(table = Power.Characterization.default) ?pool
+    masters =
   validate ~level masters;
-  let build () =
-    build_session ~level ~policy ~topology ?mode ~table ~bridge_pj_per_beat
-      masters
-  in
+  let build () = build_session ~level ~policy ~topology ?mode ~table masters in
   let execute s = execute ~level ~policy ~topology s masters in
   match pool with
   | Some p ->
@@ -388,13 +380,7 @@ let run ?(level = Level.L1) ?(policy = Ec.Arbiter.Round_robin)
        Traces and issue mode are re-armed per checkout. *)
     let key =
       "fabric:"
-      ^ Pool.fingerprint
-          ( level,
-            table,
-            policy,
-            topology,
-            bridge_pj_per_beat,
-            List.map fst masters )
+      ^ Pool.fingerprint (level, table, policy, topology, List.map fst masters)
     in
     Pool.with_session p session_kind ~key ~build
       ~reset:(fun s -> reset_session ?mode s masters)
@@ -432,17 +418,15 @@ let study ?(n = 512) ?(levels = Level.timed) ?(compiled = false) ?pool
   (* Grid cells are fully independent simulations, so the sweep maps
      across domains; with a pool, plans and sessions persist in each
      domain's cache, so a second sweep replays from memoized plans.
-     Gate-level cells interpret even in a compiled sweep: Diesel has no
-     integer tap. *)
+     Cells without a plan (Level.has_plan) interpret even in a compiled
+     sweep: Diesel has no integer tap. *)
   Parallel.map ?domains
     (fun (level, policy, topology) ->
       let masters = default_masters ~n topology in
-      match level with
-      | (Level.L1 | Level.L2) when compiled ->
+      if compiled && Level.has_plan level then
         replay_plan ~level ~policy ~topology ~kinds:(List.map fst masters)
           (compile ~level ~policy ~topology ?pool masters)
-      | Level.Rtl | Level.L1 | Level.L2 | Level.L3 ->
-        run ~level ~policy ~topology ?pool masters)
+      else run ~level ~policy ~topology ?pool masters)
     (study_cells ~levels ~policies)
 
 let render_study results =

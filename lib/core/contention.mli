@@ -63,7 +63,6 @@ val run :
   ?policy:Ec.Arbiter.policy ->
   ?topology:topology ->
   ?mode:Soc.Trace_master.mode ->
-  ?bridge_pj_per_beat:float ->
   ?table:Power.Characterization.t ->
   ?pool:Pool.t ->
   (kind * Ec.Trace.t) list ->
@@ -74,15 +73,16 @@ val run :
     [Weighted] policy is in list order.
 
     Defaults: [level = L1] (any timed level works), [policy =
-    Round_robin], [topology = Single], pipelined masters, 1.5 pJ/beat
-    per bridge crossing.  Bus estimation is always on, the bridge latency
-    is 2 cycles and a run must drain within 4 000 000 cycles.
+    Round_robin], [topology = Single], pipelined masters.  Bus
+    estimation is always on, a bridge crossing costs 1.5 pJ per beat
+    with a latency of 2 cycles, and a run must drain within 4 000 000
+    cycles.
 
     With [?pool] the run checks out a pooled fabric session (keyed by
-    level, policy, topology, bridge parameters and master kinds; traces
-    and issue mode re-arm per checkout).  For the compiled path call
-    {!compile} + {!replay_plan}: bit-identical results for layer-1/2
-    estimation runs.
+    level, table, policy, topology and master kinds; traces and issue
+    mode re-arm per checkout).  For the compiled path call {!compile} +
+    {!replay_plan}: bit-identical results at levels with a plan
+    ({!Level.has_plan}).
 
     @raise Invalid_argument on an empty master list, on [level = L3]
     (the message layer replays serially through a carrier — there is
@@ -141,10 +141,11 @@ val study :
 (** The full exploration grid: arbiter policy x topology x level (default
     levels {!Level.timed}; policies fixed / rr / wrr 4:2:1) over
     {!default_masters}.  Cells are independent simulations mapped across
-    [?domains] {!Parallel} domains.  With [~compiled:true] the layer-1/2
-    cells go through {!compile} + {!replay_plan} and the gate-level
-    cells through {!run}; [?pool] reaches both, so a pooled compiled
-    sweep replays its grid from memoized plans on the second pass. *)
+    [?domains] {!Parallel} domains.  With [~compiled:true] the cells at
+    levels with a plan ({!Level.has_plan}) go through {!compile} +
+    {!replay_plan} and the others through {!run}; [?pool] reaches both,
+    so a pooled compiled sweep replays its grid from memoized plans on
+    the second pass. *)
 
 val render_study : result list -> string
 (** Markdown-ish table of a {!study}, one row per run with per-master

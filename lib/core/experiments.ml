@@ -303,7 +303,7 @@ type exploration_comparison = {
   within_budget : bool;
 }
 
-let run_exploration_comparison ~applets ?policy ?(pool = true) () =
+let run_exploration_comparison ~applets ?policy () =
   let policy =
     match policy with Some p -> p | None -> Hier.Policy.for_exploration ()
   in
@@ -315,24 +315,20 @@ let run_exploration_comparison ~applets ?policy ?(pool = true) () =
     (rows, Unix.gettimeofday () -. t0)
   in
   let l1_rows, l1_wall =
-    timed (fun () ->
-        Exploration.run ~level:Level.L1 ~applets ~domains:1 ~pool ())
+    timed (fun () -> Exploration.run ~level:Level.L1 ~applets ~domains:1 ())
   in
-  (* The same sweep again: with [pool] every cell's compiled plan is now
-     warm, so this pass is pure energy folding — the compile-once-
-     sweep-many figure the trace compiler exists for.  Rows must be
-     bit-identical to the cold sweep. *)
+  (* The same sweep again: every cell's compiled plan is now warm, so
+     this pass is pure energy folding — the compile-once-sweep-many
+     figure the trace compiler exists for.  Rows must be bit-identical
+     to the cold sweep. *)
   let l1_warm_rows, l1_warm_wall =
-    timed (fun () ->
-        Exploration.run ~level:Level.L1 ~applets ~domains:1 ~pool ())
+    timed (fun () -> Exploration.run ~level:Level.L1 ~applets ~domains:1 ())
   in
   let l2_rows, l2_wall =
-    timed (fun () ->
-        Exploration.run ~level:Level.L2 ~applets ~domains:1 ~pool ())
+    timed (fun () -> Exploration.run ~level:Level.L2 ~applets ~domains:1 ())
   in
   let ad_rows, ad_wall =
-    timed (fun () ->
-        Exploration.run ~policy ~applets ~domains:1 ~pool ())
+    timed (fun () -> Exploration.run ~policy ~applets ~domains:1 ())
   in
   let grid_pj rows =
     List.fold_left (fun acc r -> acc +. r.Exploration.bus_pj) 0.0 rows

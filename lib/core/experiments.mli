@@ -125,7 +125,6 @@ type exploration_comparison = {
 val run_exploration_comparison :
   applets:Jcvm.Applets.t list ->
   ?policy:Hier.Policy.t ->
-  ?pool:bool ->
   unit ->
   exploration_comparison
 (** Runs the section 4.3 sweep over {!Jcvm.Configs.standard} three

@@ -109,8 +109,7 @@ type live_session = {
 
 let live_kind : live_session Pool.kind = Pool.kind ()
 
-let run_fixed ?(level = Level.L1) ?(compiled = true) ?sink ?pool ~config
-    applet =
+let run_fixed ?(level = Level.L1) ?sink ?pool ~config applet =
   let execute system =
     let kernel = System.kernel system in
     let result, transactions, correct =
@@ -136,12 +135,11 @@ let run_fixed ?(level = Level.L1) ?(compiled = true) ?sink ?pool ~config
     in
     { fs_hw = hw; fs_system = system }
   in
-  match (pool, level) with
-  | Some p, (Level.L1 | Level.L2) when sink = None && compiled ->
+  match pool with
+  | Some p when sink = None && Level.has_plan level ->
     (* Compiled cell: the plan memoizes per (level, applet,
        configuration) — the table is folded off it afterwards, so a
-       table sweep over one cell interprets the applet exactly once.
-       Plans exist at layers 1 and 2 only; other cells interpret. *)
+       table sweep over one cell interprets the applet exactly once. *)
     let key =
       Printf.sprintf "explore-plan:%s:%s:%s" (Level.to_string level)
         applet.Jcvm.Applets.name
@@ -166,7 +164,7 @@ let run_fixed ?(level = Level.L1) ?(compiled = true) ?sink ?pool ~config
       correct = cp.cp_correct;
       provenance = None;
     }
-  | Some p, _ when sink = None ->
+  | Some p when sink = None ->
     let key =
       Printf.sprintf "explore:%s:%s" (Level.to_string level)
         (Pool.fingerprint config)
@@ -176,7 +174,7 @@ let run_fixed ?(level = Level.L1) ?(compiled = true) ?sink ?pool ~config
         Jcvm.Hw_stack.reset s.fs_hw;
         System.reset s.fs_system)
       (fun s -> execute s.fs_system)
-  | (Some _ | None), _ -> execute (build ()).fs_system
+  | Some _ | None -> execute (build ()).fs_system
 
 let run_adaptive ?sink ?pool ~policy ~config applet =
   let execute (live : Runner.live) =
@@ -224,9 +222,9 @@ let run_adaptive ?sink ?pool ~policy ~config applet =
     in
     execute live
 
-let run_one ?level ?compiled ?policy ?sink ?pool ~config applet =
+let run_one ?level ?policy ?sink ?pool ~config applet =
   match policy with
-  | None -> run_fixed ?level ?compiled ?sink ?pool ~config applet
+  | None -> run_fixed ?level ?sink ?pool ~config applet
   | Some policy ->
     (match level with
     | Some _ ->
@@ -239,17 +237,14 @@ let run_one ?level ?compiled ?policy ?sink ?pool ~config applet =
    cache private anyway. *)
 let default_pool = lazy (Pool.create ())
 
-let run ?level ?compiled ?policy ?(applets = Jcvm.Applets.all) ?domains
-    ?workers ?(pool = true) () =
+let run ?level ?policy ?(applets = Jcvm.Applets.all) ?domains ?workers () =
   (* Every applet x configuration cell is an independent system; fan the
-     flattened grid out on the domain pool.  With [pool] (the default)
-     each domain keeps one reset session per configuration shape — and,
-     in compiled mode, one plan per grid cell — so repeated grids rerun
-     nothing but the energy fold. *)
-  let spool = if pool then Some (Lazy.force default_pool) else None in
+     flattened grid out on the domain pool.  Each domain keeps one reset
+     session per configuration shape and one plan per layer-1/2 grid
+     cell, so repeated grids rerun nothing but the energy fold. *)
+  let pool = Lazy.force default_pool in
   Parallel.map ?domains ?pool:workers
-    (fun (applet, config) ->
-      run_one ?level ?compiled ?policy ?pool:spool ~config applet)
+    (fun (applet, config) -> run_one ?level ?policy ~pool ~config applet)
     (List.concat_map
        (fun applet ->
          List.map (fun config -> (applet, config)) Jcvm.Configs.standard)

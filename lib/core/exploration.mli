@@ -33,7 +33,6 @@ type row = {
 
 val run_one :
   ?level:Level.t ->
-  ?compiled:bool ->
   ?policy:Hier.Policy.t ->
   ?sink:Obs.Sink.t ->
   ?pool:Pool.t ->
@@ -53,23 +52,21 @@ val run_one :
     materials) for the cell's configuration shape; rows are
     bit-identical to fresh builds.  Cells with a [sink] never pool.
 
-    [compiled] (default [true]) applies to pooled layer-1/2 cells: the
-    cell's interpretation is captured once into a {!Compile.Plan.t}
-    memoized in [pool] (tag ["explore"]) per (level, applet,
-    configuration) — the energy folds off the plan afterwards, so
-    repeating a cell skips the JCVM interpretation entirely.  Rows are
-    bit-identical to the interpreted cell.  Cells without a [pool], with a [sink], at
-    {!Level.Rtl} or {!Level.L3}, or under a [policy] always interpret.
+    A pooled cell at a level with a plan ({!Level.has_plan}), without a
+    [sink] and without a [policy], is captured once into a
+    {!Compile.Plan.t} memoized in [pool] (tag ["explore"]) per (level,
+    applet, configuration) — the energy folds off the plan afterwards,
+    so repeating a cell skips the JCVM interpretation entirely.  Rows
+    are bit-identical to the interpreted cell.  Every other cell
+    interprets; without [pool] this is the reference path.
     @raise Invalid_argument if both [level] and [policy] are given. *)
 
 val run :
   ?level:Level.t ->
-  ?compiled:bool ->
   ?policy:Hier.Policy.t ->
   ?applets:Jcvm.Applets.t list ->
   ?domains:int ->
   ?workers:Parallel.pool ->
-  ?pool:bool ->
   unit ->
   row list
 (** Full sweep over {!Jcvm.Configs.standard}; defaults: layer 1 bus and
@@ -78,11 +75,11 @@ val run :
     contents match the serial sweep.  [policy] makes every cell
     adaptive, e.g. [Hier.Policy.for_exploration ()].
 
-    [pool] (default [true]) draws sessions — and compiled cell plans,
-    see [compiled] on {!run_one} — from a process-wide pool shared by
-    every [run] call, so after warmup the grid rebuilds nothing and a
-    {e repeated} grid reruns nothing but the energy fold; rows are
-    bit-identical either way.  [workers] runs the grid on a persistent
+    A sweep always draws sessions — and compiled cell plans, see
+    {!run_one} — from a process-wide pool shared by every [run] call,
+    so after warmup the grid rebuilds nothing and a {e repeated} grid
+    reruns nothing but the energy fold; rows are bit-identical to
+    unpooled {!run_one} cells.  [workers] runs the grid on a persistent
     {!Parallel.with_pool} crew instead of spawning domains — pooled
     sessions and plans live in domain-local storage, so the crew's warm
     state also persists across sweeps. *)

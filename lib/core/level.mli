@@ -19,5 +19,11 @@ val all : t list
 val timed : t list
 (** Levels with their own timed bus model: [Rtl; L1; L2]. *)
 
+val has_plan : t -> bool
+(** Whether runs at this level can compile into a replay plan
+    (DESIGN.md section 14): true at [L1] and [L2], whose energy models
+    have an integer tap; false at [Rtl] and [L3].  Sweeps fold such
+    cells off a memoized plan; every other run interprets. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -48,15 +48,14 @@ let send_profile ~send profile =
 
 let execute_run ~pool ~send (r : Protocol.run) =
   let result =
-    match r.Protocol.level with
-    | (Core.Level.L1 | Core.Level.L2) when r.Protocol.compiled ->
+    if r.Protocol.compiled && Core.Level.has_plan r.Protocol.level then
       let plan =
         compiled_plan ~pool ~level:r.Protocol.level ~mode:r.Protocol.mode
           r.Protocol.workload
       in
       Core.Runner.replay_compiled ~estimate:r.Protocol.estimate
         ~record_profile:r.Protocol.profile plan
-    | _ ->
+    else
       Core.Runner.run_trace ~level:r.Protocol.level ~mode:r.Protocol.mode
         ~estimate:r.Protocol.estimate ~record_profile:r.Protocol.profile
         ~init:Core.Runner.fill_memories ~pool

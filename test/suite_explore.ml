@@ -278,6 +278,46 @@ let test_pooled_cell_every_level () =
       done)
     Core.Level.[ Rtl; L1; L2; L3 ]
 
+(* The one rule for the execution path (DESIGN.md section 14): a sweep
+   folds a cell off a memoized plan exactly where Level.has_plan holds,
+   and interprets every other cell — at rtl and l3, with a sink, or
+   under a policy. *)
+let test_plan_path_rule () =
+  let config = config () in
+  let plan_builds tag pool =
+    List.fold_left
+      (fun acc (t, _hits, builds) -> if t = tag then acc + builds else acc)
+      0
+      (Core.Pool.memo_tag_stats pool)
+  in
+  let explore_plans ?level ?policy ?sink () =
+    let pool = Core.Pool.create () in
+    ignore (Core.Exploration.run_one ?level ?policy ?sink ~pool ~config fib);
+    plan_builds "explore" pool
+  in
+  List.iter
+    (fun (level, expected) ->
+      let name = Core.Level.to_string level in
+      Alcotest.(check bool)
+        (name ^ " has_plan") (expected = 1) (Core.Level.has_plan level);
+      Alcotest.(check int)
+        (name ^ " explore plans") expected (explore_plans ~level ()))
+    Core.Level.[ (Rtl, 0); (L1, 1); (L2, 1); (L3, 0) ];
+  Alcotest.(check int)
+    "explore plans with a sink" 0
+    (explore_plans ~level:Core.Level.L1 ~sink:(Obs.Sink.create ()) ());
+  Alcotest.(check int)
+    "explore plans under a policy" 0
+    (explore_plans ~policy:(Hier.Policy.constant Hier.Level.L1) ());
+  let pool = Core.Pool.create () in
+  let cells =
+    Core.Contention.study ~n:48 ~levels:Core.Level.[ Rtl; L1 ] ~compiled:true
+      ~pool ~domains:1 ()
+  in
+  Alcotest.(check int) "rtl and l1 cells" 12 (List.length cells);
+  Alcotest.(check int)
+    "fabric plans: one per l1 cell" 6 (plan_builds "fabric" pool)
+
 (* The exploration comparison on one applet: the adaptive rows match
    layer 1, the warm compiled sweep reproduces the cold one, and every
    spliced row is within its budget. *)
@@ -310,4 +350,6 @@ let suite =
       test_pooled_cell_every_level;
     Alcotest.test_case "exploration comparison (one applet)" `Quick
       test_exploration_comparison;
+    Alcotest.test_case "sweeps take the plan path exactly where Level.has_plan"
+      `Quick test_plan_path_rule;
   ]

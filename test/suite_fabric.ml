@@ -257,7 +257,7 @@ let test_bridge_routing () =
   in
   let r =
     Core.Contention.run ~level:Core.Level.L1 ~topology:Core.Contention.Bridged
-      ~bridge_pj_per_beat:1.5 masters
+      masters
   in
   check_int "four crossings" 4 r.Core.Contention.crossings;
   check_pj "crossing energy per beat" (1.5 *. 16.0) r.Core.Contention.bridge_pj;

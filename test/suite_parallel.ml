@@ -176,15 +176,24 @@ let test_pooled_no_cross_run_leak () =
   check_int "one session built per level" 3 (Core.Pool.builds pool);
   check_int "replays were resets, not rebuilds" 6 (Core.Pool.hits pool)
 
+(* The reference a sweep must reproduce: every grid cell interpreted on
+   its own fresh session, in the sweep's row order. *)
+let unpooled_sweep applets =
+  List.concat_map
+    (fun applet ->
+      List.map
+        (fun config -> Core.Exploration.run_one ~config applet)
+        Jcvm.Configs.standard)
+    applets
+
 let test_exploration_pooled_matches_unpooled () =
   let applets = [ Jcvm.Applets.fib; Jcvm.Applets.gcd ] in
   check_bool "pooled sweep rows = unpooled sweep rows" true
-    (Core.Exploration.run ~applets ~pool:false ()
-    = Core.Exploration.run ~applets ~pool:true ())
+    (unpooled_sweep applets = Core.Exploration.run ~applets ())
 
 let test_exploration_on_worker_pool () =
   let applets = [ Jcvm.Applets.gcd ] in
-  let serial = Core.Exploration.run ~applets ~domains:1 ~pool:false () in
+  let serial = unpooled_sweep applets in
   let pooled =
     Core.Parallel.with_pool ~domains:4 (fun w ->
         Core.Exploration.run ~applets ~workers:w ())
