@@ -6,7 +6,9 @@
    are checked the same way: per-wire transitions and energies and a VCD
    dump against copies recorded from the per-signal wire objects they
    replaced, and the service's wire codec against a transcript recorded
-   from the hand-written encoders and decoders it replaced. *)
+   from the hand-written encoders and decoders it replaced, and the bus
+   lifecycle events against a ledger recorded before the three bus models
+   shared one master-interface module. *)
 
 module Gen = QCheck.Gen
 
@@ -43,6 +45,11 @@ let test_vcd_matches () =
   Alcotest.(check string) "vcd text"
     (In_channel.with_open_text "golden.vcd" In_channel.input_all)
     (Wire_ledger.vcd_text ())
+
+let test_event_ledger_matches () =
+  Alcotest.(check string) "event ledger"
+    (In_channel.with_open_text "event_ledger.txt" In_channel.input_all)
+    (Event_ledger.text ())
 
 let test_protocol_transcript_matches () =
   Alcotest.(check string) "protocol transcript"
@@ -201,4 +208,6 @@ let suite =
       test_vcd_matches;
     Alcotest.test_case "protocol wire = recorded golden transcript" `Quick
       test_protocol_transcript_matches;
+    Alcotest.test_case "bus lifecycle events = recorded event ledger" `Quick
+      test_event_ledger_matches;
   ]
