@@ -89,65 +89,31 @@ let far_slave () =
    the same clock, decoding only the far RAM. *)
 type far_side = {
   far_attach : Ec.Fabric.far;
-  far_bus : System.bus;  (* for plan recorders and counters *)
-  far_busy : unit -> bool;
-  far_pj : unit -> float;
-  far_reset : unit -> unit;  (* bus, energy model and RAM store *)
+  far_bus : System.bus;
+  far_reset_store : unit -> unit;
 }
 
 (* Energy of one beat crossing the bridge, in pJ. *)
 let crossing_pj_per_beat = 1.5
 
 let build_far ~kernel ~level ~table =
-  let slave, reset_store = far_slave () in
-  let decoder = Ec.Decoder.create [ slave ] in
-  let far_port, far_tap, far_bus, far_busy, far_pj, reset_bus =
-    match level with
-    | Level.Rtl ->
-      let b = Rtl.Bus.create ~kernel ~decoder ~record_profile:false () in
-      let meter = Rtl.Diesel.meter (Rtl.Bus.diesel b) in
-      ( Rtl.Bus.port b,
-        tap_of_meter (Some meter),
-        System.Rtl_bus b,
-        (fun () -> Rtl.Bus.busy b),
-        (fun () -> Power.Meter.total_pj meter),
-        fun () -> Rtl.Bus.reset b )
-    | Level.L1 ->
-      let energy = Tlm1.Energy.create ~record_profile:false table in
-      let b = Tlm1.Bus.create ~kernel ~decoder ~energy () in
-      ( Tlm1.Bus.port b,
-        tap_of_meter (Some (Tlm1.Energy.meter energy)),
-        System.L1_bus b,
-        (fun () -> Tlm1.Bus.busy b),
-        (fun () -> Tlm1.Energy.total_pj energy),
-        fun () -> Tlm1.Bus.reset b )
-    | Level.L2 ->
-      let energy = Tlm2.Energy.create ~record_profile:false table in
-      let b = Tlm2.Bus.create ~kernel ~decoder ~energy () in
-      ( Tlm2.Bus.port b,
-        tap_of_meter (Some (Tlm2.Energy.meter energy)),
-        System.L2_bus b,
-        (fun () -> Tlm2.Bus.busy b),
-        (fun () -> Tlm2.Energy.total_pj energy),
-        fun () -> Tlm2.Bus.reset b )
-    | Level.L3 -> assert false
+  let slave, far_reset_store = far_slave () in
+  let far_bus =
+    System.create_bus ~kernel ~decoder:(Ec.Decoder.create [ slave ]) ~level
+      ~estimate:true ~record_profile:false ~table ~rtl_params:None
+      ~l2_params:None ~sink:None
   in
   {
     far_attach =
       {
-        Ec.Fabric.far_port;
-        far_tap;
+        Ec.Fabric.far_port = Iface.port (System.iface far_bus);
+        far_tap = tap_of_meter (System.bus_meter far_bus);
         window = far_window;
         latency = 2;
         crossing_pj_per_beat;
       };
     far_bus;
-    far_busy;
-    far_pj;
-    far_reset =
-      (fun () ->
-        reset_bus ();
-        reset_store ());
+    far_reset_store;
   }
 
 (* A fabric session: the durable hardware of one contention
@@ -164,11 +130,10 @@ type session = {
 let session_kind : session Pool.kind = Pool.kind ()
 let fabric_plan_kind : Compile.Plan.fabric Pool.kind = Pool.kind ()
 
-let validate ~level masters =
-  if masters = [] then invalid_arg "Core.Contention.run: no masters";
-  if level = Level.L3 then
-    invalid_arg
-      "Core.Contention.run: fabric masters drive timed buses (rtl/l1/l2)"
+let validate ~fn ~level masters =
+  let fail why = invalid_arg ("Core.Contention." ^ fn ^ ": " ^ why) in
+  if masters = [] then fail "no masters";
+  if level = Level.L3 then fail "fabric masters drive timed buses (rtl/l1/l2)"
 
 let build_session ~level ~policy ~topology ?mode ~table masters =
   let system = System.create ~level ~table () in
@@ -207,7 +172,11 @@ let build_session ~level ~policy ~topology ?mode ~table masters =
 
 let reset_session ?mode s masters =
   System.reset s.s_system;
-  (match s.s_far with Some f -> f.far_reset () | None -> ());
+  (match s.s_far with
+  | Some f ->
+    System.reset_bus f.far_bus;
+    f.far_reset_store ()
+  | None -> ());
   Ec.Fabric.reset s.s_fabric;
   List.iteri
     (fun m (_, trace) -> Soc.Trace_master.reset ?mode s.s_masters.(m) trace)
@@ -217,7 +186,9 @@ let drained s () =
   Array.for_all Soc.Trace_master.finished s.s_masters
   && (not (Ec.Fabric.busy s.s_fabric))
   && (not (System.bus_busy s.s_system))
-  && match s.s_far with Some f -> not (f.far_busy ()) | None -> true
+  && match s.s_far with
+     | Some f -> not (Iface.busy (System.iface f.far_bus))
+     | None -> true
 
 (* Deadline of a fabric run, in cycles. *)
 let max_cycles = 4_000_000
@@ -249,7 +220,9 @@ let execute ~level ~policy ~topology s masters =
     fabric_pj = Ec.Fabric.total_pj fabric;
     bus_pj =
       (System.bus_energy_pj s.s_system
-      +. match s.s_far with Some f -> f.far_pj () | None -> 0.0);
+      +. match Option.bind s.s_far (fun f -> System.bus_meter f.far_bus) with
+         | Some m -> Power.Meter.total_pj m
+         | None -> 0.0);
     bridge_pj = Ec.Fabric.bridge_pj fabric;
     crossings = Ec.Fabric.crossings fabric;
     rows;
@@ -268,7 +241,7 @@ let execute ~level ~policy ~topology s masters =
    bit. *)
 let compile ?(level = Level.L1) ?(policy = Ec.Arbiter.Round_robin)
     ?(topology = Single) ?mode ?pool masters =
-  validate ~level masters;
+  validate ~fn:"compile" ~level masters;
   let build () =
     let table = Power.Characterization.default in
     let s = build_session ~level ~policy ~topology ?mode ~table masters in
@@ -371,7 +344,7 @@ let replay_plan ~level ~policy ~topology ~kinds (plan : Compile.Plan.fabric) =
 let run ?(level = Level.L1) ?(policy = Ec.Arbiter.Round_robin)
     ?(topology = Single) ?mode ?(table = Power.Characterization.default) ?pool
     masters =
-  validate ~level masters;
+  validate ~fn:"run" ~level masters;
   let build () = build_session ~level ~policy ~topology ?mode ~table masters in
   let execute s = execute ~level ~policy ~topology s masters in
   match pool with

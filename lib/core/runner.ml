@@ -568,30 +568,25 @@ let live_adaptive ?sink ?extra_slaves ?materials ~policy () =
   in
   let measure (level : Hier.Level.t) =
     let component_pj = Soc.Platform.components_energy_pj platform in
-    match level with
-    | Hier.Level.L1 ->
-      {
-        Hier.Engine.cycles = Sim.Kernel.now kernel;
-        txns = Tlm1.Bus.completed_txns b1;
-        beats = Tlm1.Bus.completed_beats b1;
-        errors = Tlm1.Bus.error_txns b1;
-        bus_pj = Tlm1.Energy.total_pj e1;
-        component_pj;
-        profile = None;
-      }
-    | Hier.Level.L2 ->
-      let b2, e2 = Lazy.force l2 in
-      {
-        Hier.Engine.cycles = Sim.Kernel.now kernel;
-        txns = Tlm2.Bus.completed_txns b2;
-        beats = Tlm2.Bus.completed_beats b2;
-        errors = Tlm2.Bus.error_txns b2;
-        bus_pj = Tlm2.Energy.total_pj e2;
-        component_pj;
-        profile = None;
-      }
-    | Hier.Level.Rtl | Hier.Level.L3 ->
-      invalid_arg "Core.Runner.live_adaptive: live sessions switch L1/L2 only"
+    let iface, bus_pj =
+      match level with
+      | Hier.Level.L1 -> (Tlm1.Bus.iface b1, Tlm1.Energy.total_pj e1)
+      | Hier.Level.L2 ->
+        let b2, e2 = Lazy.force l2 in
+        (Tlm2.Bus.iface b2, Tlm2.Energy.total_pj e2)
+      | Hier.Level.Rtl | Hier.Level.L3 ->
+        invalid_arg
+          "Core.Runner.live_adaptive: live sessions switch L1/L2 only"
+    in
+    {
+      Hier.Engine.cycles = Sim.Kernel.now kernel;
+      txns = Iface.completed_txns iface;
+      beats = Iface.completed_beats iface;
+      errors = Iface.error_txns iface;
+      bus_pj;
+      component_pj;
+      profile = None;
+    }
   in
   (* Hierarchical in-run calibration (DESIGN.md section 12): during
      refined windows every completed transaction is also fed to two
@@ -649,11 +644,11 @@ let live_adaptive ?sink ?extra_slaves ?materials ~policy () =
   in
   let port_of (level : Hier.Level.t) =
     match level with
-    | Hier.Level.L1 -> Tlm1.Bus.port b1
-    | Hier.Level.L2 -> Tlm2.Bus.port (fst (Lazy.force l2))
+    | Hier.Level.L1 -> Iface.port (Tlm1.Bus.iface b1)
+    | Hier.Level.L2 -> Iface.port (Tlm2.Bus.iface (fst (Lazy.force l2)))
     | Hier.Level.Rtl | Hier.Level.L3 -> assert false
   in
-  let active = ref (Tlm1.Bus.port b1) in
+  let active = ref (Iface.port (Tlm1.Bus.iface b1)) in
   let routed = ref None in
   (* Park the inactive front-end: both buses share the kernel, and the
      one not carrying the window's traffic is quiescent, so skipping its

@@ -10,6 +10,34 @@ type t = {
   level : Level.t;
 }
 
+let create_bus ~kernel ~decoder ~level ~estimate ~record_profile ~table
+    ~rtl_params ~l2_params ~sink =
+  match level with
+  | Level.Rtl ->
+    Rtl_bus
+      (Rtl.Bus.create ~kernel ~decoder ?params:rtl_params ~record_profile ?sink
+         ())
+  | Level.L1 ->
+    let energy =
+      if estimate then Some (Tlm1.Energy.create ~record_profile table)
+      else None
+    in
+    L1_bus (Tlm1.Bus.create ~kernel ~decoder ?energy ?sink ())
+  | Level.L2 | Level.L3 ->
+    (* Layer 3 has no bus model of its own: an L3 system is the layer-2
+       carrier bus driven through the Tlm3 bridge (DESIGN.md 17.4). *)
+    let energy =
+      if estimate then
+        Some (Tlm2.Energy.create ~record_profile ?params:l2_params table)
+      else None
+    in
+    L2_bus (Tlm2.Bus.create ~kernel ~decoder ?energy ?sink ())
+
+let iface = function
+  | Rtl_bus b -> Rtl.Bus.iface b
+  | L1_bus b -> Tlm1.Bus.iface b
+  | L2_bus b -> Tlm2.Bus.iface b
+
 let create ?(level = Level.L1) ?(estimate = true) ?(record_profile = false)
     ?(table = Power.Characterization.default) ?rtl_params ?l2_params ?seed
     ?extra_slaves ?peripheral_clock ?sink () =
@@ -17,73 +45,22 @@ let create ?(level = Level.L1) ?(estimate = true) ?(record_profile = false)
   let platform =
     Soc.Platform.create ~kernel ?seed ?extra_slaves ?peripheral_clock ()
   in
-  let decoder = Soc.Platform.decoder platform in
   let bus =
-    match level with
-    | Level.Rtl ->
-      Rtl_bus
-        (Rtl.Bus.create ~kernel ~decoder ?params:rtl_params ~record_profile
-           ?sink ())
-    | Level.L1 ->
-      let energy =
-        if estimate then Some (Tlm1.Energy.create ~record_profile table)
-        else None
-      in
-      L1_bus (Tlm1.Bus.create ~kernel ~decoder ?energy ?sink ())
-    | Level.L2 | Level.L3 ->
-      (* Layer 3 has no bus model of its own: an L3 system is the layer-2
-         carrier bus driven through the Tlm3 bridge (DESIGN.md 17.4). *)
-      let energy =
-        if estimate then
-          Some (Tlm2.Energy.create ~record_profile ?params:l2_params table)
-        else None
-      in
-      L2_bus (Tlm2.Bus.create ~kernel ~decoder ?energy ?sink ())
+    create_bus ~kernel ~decoder:(Soc.Platform.decoder platform) ~level
+      ~estimate ~record_profile ~table ~rtl_params ~l2_params ~sink
   in
-  let t = { kernel; platform; bus; level } in
-  let port =
-    match bus with
-    | Rtl_bus b -> Rtl.Bus.port b
-    | L1_bus b -> Tlm1.Bus.port b
-    | L2_bus b -> Tlm2.Bus.port b
-  in
-  Soc.Platform.connect_bus platform port;
-  t
+  Soc.Platform.connect_bus platform (Iface.port (iface bus));
+  { kernel; platform; bus; level }
 
 let kernel t = t.kernel
 let platform t = t.platform
 let bus t = t.bus
 let level t = t.level
-
-let port t =
-  match t.bus with
-  | Rtl_bus b -> Rtl.Bus.port b
-  | L1_bus b -> Tlm1.Bus.port b
-  | L2_bus b -> Tlm2.Bus.port b
-
-let bus_busy t =
-  match t.bus with
-  | Rtl_bus b -> Rtl.Bus.busy b
-  | L1_bus b -> Tlm1.Bus.busy b
-  | L2_bus b -> Tlm2.Bus.busy b
-
-let completed_txns t =
-  match t.bus with
-  | Rtl_bus b -> Rtl.Bus.completed_txns b
-  | L1_bus b -> Tlm1.Bus.completed_txns b
-  | L2_bus b -> Tlm2.Bus.completed_txns b
-
-let completed_beats t =
-  match t.bus with
-  | Rtl_bus b -> Rtl.Bus.completed_beats b
-  | L1_bus b -> Tlm1.Bus.completed_beats b
-  | L2_bus b -> Tlm2.Bus.completed_beats b
-
-let error_txns t =
-  match t.bus with
-  | Rtl_bus b -> Rtl.Bus.error_txns b
-  | L1_bus b -> Tlm1.Bus.error_txns b
-  | L2_bus b -> Tlm2.Bus.error_txns b
+let port t = Iface.port (iface t.bus)
+let bus_busy t = Iface.busy (iface t.bus)
+let completed_txns t = Iface.completed_txns (iface t.bus)
+let completed_beats t = Iface.completed_beats (iface t.bus)
+let error_txns t = Iface.error_txns (iface t.bus)
 
 let bus_energy_pj t =
   match t.bus with
@@ -112,11 +89,12 @@ let bus_transitions t =
 let component_energy_pj t = Soc.Platform.components_energy_pj t.platform
 let total_energy_pj t = bus_energy_pj t +. component_energy_pj t
 
-let meter t =
-  match t.bus with
+let bus_meter = function
   | Rtl_bus b -> Some (Rtl.Diesel.meter (Rtl.Bus.diesel b))
   | L1_bus b -> Option.map Tlm1.Energy.meter (Tlm1.Bus.energy b)
   | L2_bus b -> Option.map Tlm2.Energy.meter (Tlm2.Bus.energy b)
+
+let meter t = bus_meter t.bus
 
 let profile t = Option.bind (meter t) Power.Meter.profile
 
@@ -175,10 +153,12 @@ let capture ?bus t =
             (if Option.is_none bus then component_energy_pj t else 0.0);
         }
 
-let reset t =
-  Sim.Kernel.reset t.kernel;
-  Soc.Platform.reset t.platform;
-  match t.bus with
+let reset_bus = function
   | Rtl_bus b -> Rtl.Bus.reset b
   | L1_bus b -> Tlm1.Bus.reset b
   | L2_bus b -> Tlm2.Bus.reset b
+
+let reset t =
+  Sim.Kernel.reset t.kernel;
+  Soc.Platform.reset t.platform;
+  reset_bus t.bus

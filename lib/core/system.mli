@@ -6,6 +6,30 @@ type bus =
   | L1_bus of Tlm1.Bus.t
   | L2_bus of Tlm2.Bus.t
 
+val create_bus :
+  kernel:Sim.Kernel.t ->
+  decoder:Ec.Decoder.t ->
+  level:Level.t ->
+  estimate:bool ->
+  record_profile:bool ->
+  table:Power.Characterization.t ->
+  rtl_params:Rtl.Params.t option ->
+  l2_params:Tlm2.Energy.params option ->
+  sink:Obs.Sink.t option ->
+  bus
+(** The one place a bus is built, by {!create} and by the contention
+    study's far side: [level]'s model ({!Level.L3}: the layer-2 carrier)
+    with its energy model when [estimate] holds (rtl always estimates). *)
+
+val iface : bus -> Iface.t
+(** The bus's master interface: port, traffic counters, [busy]. *)
+
+val bus_meter : bus -> Power.Meter.t option
+(** The bus energy model's accumulator, [None] without estimation. *)
+
+val reset_bus : bus -> unit
+(** The bus and its energy model back to their creation state. *)
+
 type t
 
 val create :
@@ -42,6 +66,7 @@ val platform : t -> Soc.Platform.t
 val bus : t -> bus
 val level : t -> Level.t
 val port : t -> Ec.Port.t
+(** [Iface.port (iface (bus t))]; likewise the four readers below. *)
 
 val bus_busy : t -> bool
 val completed_txns : t -> int

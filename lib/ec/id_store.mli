@@ -1,10 +1,13 @@
 (** Flat integer-keyed store over parallel preallocated arrays.
 
-    Replaces the per-transaction-id [Hashtbl.t]s on the bus completion
-    path.  The population is bounded by the outstanding-transaction
-    limits (a handful of entries), where a linear scan over an int array
-    beats hashing and allocates nothing; lookups with a default avoid
-    the [option] allocation of [Hashtbl.find_opt].  Removal swaps with
+    The per-transaction-id store of the bus completion path: the finish
+    store of [Iface] (shared by the rtl, layer-1 and layer-2 buses), the
+    trace master's outstanding set, the fabric's per-master maps and the
+    sink's issue cycles.  The population is bounded by the
+    outstanding-transaction limits (a handful of entries), where a
+    linear scan over an int array beats hashing and allocates nothing;
+    lookups with a default avoid the [option] allocation of
+    [Hashtbl.find_opt].  Removal swaps with
     the last entry, so sweeping with [value_at]/[remove_at] is
     allocation-free too (do not advance the index after removing).
 

@@ -26,42 +26,10 @@ type t = {
   mutable addr_cur : addr_job option;
   mutable read_cur : data_job option;
   mutable write_cur : data_job option;
-  outstanding : int array;  (* per Txn.category *)
-  finished : Ec.Port.poll Ec.Id_store.t;  (* by transaction id *)
-  mutable completed_txns : int;
-  mutable completed_beats : int;
-  mutable error_txns : int;
+  iface : Iface.t;
 }
 
-let cat_index = function
-  | Ec.Txn.Cat_instr_read -> 0
-  | Ec.Txn.Cat_data_read -> 1
-  | Ec.Txn.Cat_write -> 2
-
-let max_outstanding = 4
-
 let pop_opt q = Ec.Ring.pop_opt q
-
-let release t (txn : Ec.Txn.t) outcome =
-  let c = cat_index (Ec.Txn.category txn) in
-  t.outstanding.(c) <- t.outstanding.(c) - 1;
-  Ec.Id_store.set t.finished txn.Ec.Txn.id outcome;
-  (match outcome with
-  | Ec.Port.Done ->
-    t.completed_txns <- t.completed_txns + 1;
-    t.completed_beats <- t.completed_beats + txn.Ec.Txn.burst;
-    (match t.sink with
-    | None -> ()
-    | Some s ->
-      Obs.Sink.txn_finished s ~cycle:(Sim.Kernel.now t.kernel)
-        ~id:txn.Ec.Txn.id ~beats:txn.Ec.Txn.burst)
-  | Ec.Port.Failed ->
-    t.error_txns <- t.error_txns + 1;
-    (match t.sink with
-    | None -> ()
-    | Some s ->
-      Obs.Sink.txn_error s ~cycle:(Sim.Kernel.now t.kernel) ~id:txn.Ec.Txn.id)
-  | Ec.Port.Pending -> assert false)
 
 (* Drive the address-group wires with a transaction's attributes. *)
 let drive_addr_wires t (txn : Ec.Txn.t) =
@@ -115,7 +83,7 @@ let start_request t =
         | Ec.Txn.Write -> Ec.Signals.Wberr
       in
       Wires.set_ctrl w err true;
-      release t txn Ec.Port.Failed
+      Iface.finish t.iface txn Ec.Port.Failed
     | Ec.Decoder.Mapped (i, slave) ->
       let job =
         { a_txn = txn; a_sel = i; a_slave = slave;
@@ -174,7 +142,7 @@ let read_phase t =
           ~id:txn.Ec.Txn.id ~beat:job.d_beat ~slave:job.d_sel);
       job.d_beat <- job.d_beat + 1;
       if job.d_beat = txn.Ec.Txn.burst then begin
-        release t txn Ec.Port.Done;
+        Iface.finish t.iface txn Ec.Port.Done;
         t.read_cur <- None
       end
       else job.d_wait <- job.d_wait_states
@@ -214,7 +182,7 @@ let write_phase t =
           ~id:txn.Ec.Txn.id ~beat:job.d_beat ~slave:job.d_sel);
       job.d_beat <- job.d_beat + 1;
       if job.d_beat = txn.Ec.Txn.burst then begin
-        release t txn Ec.Port.Done;
+        Iface.finish t.iface txn Ec.Port.Done;
         t.write_cur <- None
       end
       else begin
@@ -243,9 +211,9 @@ let cycle t _kernel =
   write_phase t;
   Diesel.observe_and_commit t.diesel
 
-(* Inert placeholders for the preallocated ring slots.  The category
-   limits cap each queue at 3 * max_outstanding entries, so a capacity of
-   16 means the rings never grow. *)
+(* Inert placeholders for the preallocated ring slots.  The interface's
+   category limits cap each queue at 3 * 4 entries, so a capacity of 16
+   means the rings never grow. *)
 let dummy_txn = Ec.Txn.single_read ~id:(-1) 0
 
 let dummy_slave =
@@ -261,6 +229,11 @@ let dummy_job =
 let create ~kernel ~decoder ?params ?record_profile ?sink () =
   let wires = Wires.create ~n_slaves:(max 1 (Ec.Decoder.count decoder)) in
   let diesel = Diesel.create ?params ?record_profile wires in
+  let requests = Ec.Ring.create ~dummy:dummy_txn () in
+  let enqueue txn =
+    Ec.Ring.push requests txn;
+    Ec.Ring.length requests
+  in
   let t =
     {
       kernel;
@@ -268,59 +241,22 @@ let create ~kernel ~decoder ?params ?record_profile ?sink () =
       decoder;
       wires;
       diesel;
-      requests = Ec.Ring.create ~dummy:dummy_txn ();
+      requests;
       read_q = Ec.Ring.create ~dummy:dummy_job ();
       write_q = Ec.Ring.create ~dummy:dummy_job ();
       addr_cur = None;
       read_cur = None;
       write_cur = None;
-      outstanding = Array.make 3 0;
-      finished = Ec.Id_store.create ~dummy:Ec.Port.Pending ();
-      completed_txns = 0;
-      completed_beats = 0;
-      error_txns = 0;
+      iface = Iface.create ~kernel ~sink ~enqueue;
     }
   in
   Sim.Kernel.on_falling kernel ~name:"rtl-bus" (cycle t);
   t
 
-let port t =
-  let try_submit txn =
-    let c = cat_index (Ec.Txn.category txn) in
-    if t.outstanding.(c) >= max_outstanding then begin
-      (match t.sink with
-      | None -> ()
-      | Some s ->
-        Obs.Sink.txn_rejected s ~cycle:(Sim.Kernel.now t.kernel)
-          ~id:txn.Ec.Txn.id ~cat:c);
-      false
-    end
-    else begin
-      t.outstanding.(c) <- t.outstanding.(c) + 1;
-      Ec.Ring.push t.requests txn;
-      (match t.sink with
-      | None -> ()
-      | Some s ->
-        Obs.Sink.txn_issued s ~cycle:(Sim.Kernel.now t.kernel)
-          ~id:txn.Ec.Txn.id ~cat:c ~queue_depth:(Ec.Ring.length t.requests));
-      true
-    end
-  in
-  let poll id = Ec.Id_store.find_default t.finished id ~default:Ec.Port.Pending in
-  let retire id = Ec.Id_store.remove t.finished id in
-  { Ec.Port.try_submit; poll; retire }
-
+let iface t = t.iface
 let wires t = t.wires
 let diesel t = t.diesel
-let busy t =
-  t.addr_cur <> None || t.read_cur <> None || t.write_cur <> None
-  || not (Ec.Ring.is_empty t.requests)
-  || not (Ec.Ring.is_empty t.read_q)
-  || not (Ec.Ring.is_empty t.write_q)
 
-let completed_txns t = t.completed_txns
-let completed_beats t = t.completed_beats
-let error_txns t = t.error_txns
 let reset t =
   Ec.Ring.clear t.requests;
   Ec.Ring.clear t.read_q;
@@ -328,10 +264,6 @@ let reset t =
   t.addr_cur <- None;
   t.read_cur <- None;
   t.write_cur <- None;
-  Array.fill t.outstanding 0 3 0;
-  Ec.Id_store.clear t.finished;
-  t.completed_txns <- 0;
-  t.completed_beats <- 0;
-  t.error_txns <- 0;
+  Iface.reset t.iface;
   Wires.reset t.wires;
   Diesel.reset t.diesel

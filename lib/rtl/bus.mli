@@ -3,11 +3,11 @@
     Implements the micro-protocol of DESIGN.md section 3 cycle by cycle
     over the physical wire set: a serialized address channel with slave
     wait states, independent in-order read and write data engines (one
-    beat per cycle each, separate buses), per-category outstanding limits
-    of four, pipelined address/data phases, and bus errors on unmapped or
-    right-violating accesses.  The attached {!Diesel} estimator provides
-    the golden timing and energy reference for the transaction-level
-    models.
+    beat per cycle each, separate buses), pipelined address/data phases,
+    and bus errors on unmapped or right-violating accesses; the master
+    side, with its per-category outstanding limits of four, is the shared
+    {!Iface}.  The attached {!Diesel} estimator provides the golden timing
+    and energy reference for the transaction-level models.
 
     The bus process runs on the falling clock edge; masters drive the
     {!Ec.Port.t} on the rising edge. *)
@@ -29,19 +29,14 @@ val create :
     per-cycle path is untouched (a single option match, no allocation),
     and energy figures are bit-identical either way. *)
 
-val port : t -> Ec.Port.t
+val iface : t -> Iface.t
+(** The master side: port, outstanding limits, traffic counters. *)
+
 val wires : t -> Wires.t
 val diesel : t -> Diesel.t
 
-val busy : t -> bool
-(** True while any transaction is queued or in flight. *)
-
-val completed_txns : t -> int
-val completed_beats : t -> int
-val error_txns : t -> int
-
 val reset : t -> unit
-(** Back to the freshly created state: queues, in-flight phases,
-    outstanding counters, completion store, traffic counters, wires and
-    the estimator all clear.  The kernel registration and the decoder are
+(** Back to the freshly created state: queues, in-flight phases, the
+    master interface ({!Iface.reset}), wires and the estimator all
+    clear.  The kernel registration and the decoder are
     kept — reset exists so a wired-up session can be reused. *)

@@ -1,8 +1,8 @@
 (* The four-queue, four-phase structure of the paper's Figure 3: requests
    enter the request queue; the address phase FSM consumes them and passes
    them to the read or write queue; the data phases complete beats and
-   deliver finished transactions to the finish store, where the master's
-   next interface call picks them up. *)
+   deliver finished transactions to the finish store of the shared
+   [Iface], where the master's next interface call picks them up. *)
 
 type addr_state = {
   a_txn : Ec.Txn.t;
@@ -28,45 +28,13 @@ type t = {
   request_q : Ec.Txn.t Queue.t;
   read_q : data_state Queue.t;
   write_q : data_state Queue.t;
-  finish : (int, Ec.Port.poll) Hashtbl.t;
   mutable addr_cur : addr_state option;
   mutable read_cur : data_state option;
   mutable write_cur : data_state option;
-  outstanding : int array;
-  mutable completed_txns : int;
-  mutable completed_beats : int;
-  mutable error_txns : int;
+  iface : Iface.t;
 }
 
-let cat_index = function
-  | Ec.Txn.Cat_instr_read -> 0
-  | Ec.Txn.Cat_data_read -> 1
-  | Ec.Txn.Cat_write -> 2
-
-let max_outstanding = 4
-
 let with_energy t f = match t.energy with Some e -> f e | None -> ()
-
-let finish_txn t (txn : Ec.Txn.t) outcome =
-  let c = cat_index (Ec.Txn.category txn) in
-  t.outstanding.(c) <- t.outstanding.(c) - 1;
-  Hashtbl.replace t.finish txn.Ec.Txn.id outcome;
-  match outcome with
-  | Ec.Port.Done ->
-    t.completed_txns <- t.completed_txns + 1;
-    t.completed_beats <- t.completed_beats + txn.Ec.Txn.burst;
-    (match t.sink with
-    | None -> ()
-    | Some s ->
-      Obs.Sink.txn_finished s ~cycle:(Sim.Kernel.now t.kernel)
-        ~id:txn.Ec.Txn.id ~beats:txn.Ec.Txn.burst)
-  | Ec.Port.Failed ->
-    t.error_txns <- t.error_txns + 1;
-    (match t.sink with
-    | None -> ()
-    | Some s ->
-      Obs.Sink.txn_error s ~cycle:(Sim.Kernel.now t.kernel) ~id:txn.Ec.Txn.id)
-  | Ec.Port.Pending -> assert false
 
 (* Phase 2 of the bus process: the address phase finite state machine. *)
 let address_phase t =
@@ -121,7 +89,7 @@ let address_phase t =
               (match txn.Ec.Txn.dir with
               | Ec.Txn.Read -> Ec.Signals.Rberr
               | Ec.Txn.Write -> Ec.Signals.Wberr));
-        finish_txn t txn Ec.Port.Failed
+        Iface.finish t.iface txn Ec.Port.Failed
       | Ec.Decoder.Mapped (i, slave) ->
         let st =
           { a_txn = txn; a_slave = slave; a_sel = i;
@@ -171,7 +139,7 @@ let read_phase t =
           ~id:txn.Ec.Txn.id ~beat:st.d_beat ~slave:st.d_sel);
       st.d_beat <- st.d_beat + 1;
       if st.d_beat = txn.Ec.Txn.burst then begin
-        finish_txn t txn Ec.Port.Done;
+        Iface.finish t.iface txn Ec.Port.Done;
         t.read_cur <- None
       end
       else st.d_wait <- st.d_wait_states
@@ -213,7 +181,7 @@ let write_phase t =
           ~id:txn.Ec.Txn.id ~beat:st.d_beat ~slave:st.d_sel);
       st.d_beat <- st.d_beat + 1;
       if st.d_beat = txn.Ec.Txn.burst then begin
-        finish_txn t txn Ec.Port.Done;
+        Iface.finish t.iface txn Ec.Port.Done;
         t.write_cur <- None
       end
       else begin
@@ -232,68 +200,32 @@ let bus_process t _kernel =
   with_energy t Energy.end_cycle
 
 let create ~kernel ~decoder ?energy ?sink () =
+  let request_q = Queue.create () in
+  let enqueue txn =
+    Queue.push txn request_q;
+    Queue.length request_q
+  in
   let t =
     {
       kernel;
       sink;
       decoder;
       energy;
-      request_q = Queue.create ();
+      request_q;
       read_q = Queue.create ();
       write_q = Queue.create ();
-      finish = Hashtbl.create 64;
       addr_cur = None;
       read_cur = None;
       write_cur = None;
-      outstanding = Array.make 3 0;
-      completed_txns = 0;
-      completed_beats = 0;
-      error_txns = 0;
+      iface = Iface.create ~kernel ~sink ~enqueue;
     }
   in
   Sim.Kernel.on_falling kernel ~name:"tlm1-bus" (bus_process t);
   t
 
-let port t =
-  let try_submit txn =
-    let c = cat_index (Ec.Txn.category txn) in
-    if t.outstanding.(c) >= max_outstanding then begin
-      (match t.sink with
-      | None -> ()
-      | Some s ->
-        Obs.Sink.txn_rejected s ~cycle:(Sim.Kernel.now t.kernel)
-          ~id:txn.Ec.Txn.id ~cat:c);
-      false
-    end
-    else begin
-      t.outstanding.(c) <- t.outstanding.(c) + 1;
-      Queue.push txn t.request_q;
-      (match t.sink with
-      | None -> ()
-      | Some s ->
-        Obs.Sink.txn_issued s ~cycle:(Sim.Kernel.now t.kernel)
-          ~id:txn.Ec.Txn.id ~cat:c ~queue_depth:(Queue.length t.request_q));
-      true
-    end
-  in
-  let poll id =
-    match Hashtbl.find_opt t.finish id with
-    | None -> Ec.Port.Pending
-    | Some outcome -> outcome
-  in
-  let retire id = Hashtbl.remove t.finish id in
-  { Ec.Port.try_submit; poll; retire }
-
+let iface t = t.iface
 let energy t = t.energy
-let busy t =
-  t.addr_cur <> None || t.read_cur <> None || t.write_cur <> None
-  || not (Queue.is_empty t.request_q)
-  || not (Queue.is_empty t.read_q)
-  || not (Queue.is_empty t.write_q)
 
-let completed_txns t = t.completed_txns
-let completed_beats t = t.completed_beats
-let error_txns t = t.error_txns
 let queue_depths t =
   (Queue.length t.request_q, Queue.length t.read_q, Queue.length t.write_q)
 
@@ -301,12 +233,8 @@ let reset t =
   Queue.clear t.request_q;
   Queue.clear t.read_q;
   Queue.clear t.write_q;
-  Hashtbl.reset t.finish;
   t.addr_cur <- None;
   t.read_cur <- None;
   t.write_cur <- None;
-  Array.fill t.outstanding 0 3 0;
-  t.completed_txns <- 0;
-  t.completed_beats <- 0;
-  t.error_txns <- 0;
+  Iface.reset t.iface;
   with_energy t Energy.reset

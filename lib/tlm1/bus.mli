@@ -3,7 +3,8 @@
     Cycle-accurate ("transfer layer"): the bus process runs on every clock
     edge in four phases — slave state query, address phase FSM, read
     phase, write phase — moving requests through the internal request,
-    read, write and finish queues.  Master and slave interfaces are
+    read and write queues to the finish store of the shared {!Iface}.
+    Master and slave interfaces are
     non-blocking; a transaction transports one data item per interface
     call.  The optional layer-1 {!Energy} model is updated by the phases
     and closed after the write phase, exactly as in the paper's Figure 5.
@@ -26,19 +27,15 @@ val create :
     [sink] attaches lifecycle/stall/occupancy instrumentation; estimation
     results are bit-identical with or without it. *)
 
-val port : t -> Ec.Port.t
-val energy : t -> Energy.t option
+val iface : t -> Iface.t
+(** The master side: port, outstanding limits, traffic counters. *)
 
-val busy : t -> bool
-val completed_txns : t -> int
-val completed_beats : t -> int
-val error_txns : t -> int
+val energy : t -> Energy.t option
 
 val queue_depths : t -> int * int * int
 (** Current (request, read, write) queue depths, for structural tests. *)
 
 val reset : t -> unit
-(** Queues, in-flight phases, outstanding counters, completion store,
-    traffic counters and the attached energy model back to the freshly
-    created state; the kernel registration and decoder are kept so the
+(** Queues, in-flight phases, the master interface ({!Iface.reset}) and
+    the attached energy model back to the freshly created state; the kernel registration and decoder are kept so the
     session can be reused. *)

@@ -27,15 +27,12 @@ val create :
     burst share one timestamp; beat counts still match the other
     levels. *)
 
-val port : t -> Ec.Port.t
+val iface : t -> Iface.t
+(** The master side: port, outstanding limits, traffic counters. *)
+
 val energy : t -> Energy.t option
 
-val busy : t -> bool
-val completed_txns : t -> int
-val completed_beats : t -> int
-val error_txns : t -> int
-
 val reset : t -> unit
-(** Queues, outstanding counters, completion store, traffic counters and
-    the attached energy model back to the freshly created state; kernel
+(** Queues, the master interface ({!Iface.reset}) and the attached
+    energy model back to the freshly created state; kernel
     registration and decoder are kept for reuse. *)

@@ -18,9 +18,7 @@ type t = {
   fast : Soc.Memory.t;
   slow : Soc.Memory.t;
   rom : Soc.Memory.t;
-  busy : unit -> bool;
-  completed : unit -> int;
-  errors : unit -> int;
+  iface : Iface.t;
   energy_pj : unit -> float;
   transitions : unit -> int;
   profile : unit -> Power.Profile.t option;
@@ -54,13 +52,11 @@ let build ?(rtl_params = Rtl.Params.default)
     let bus = Rtl.Bus.create ~kernel ~decoder ~params:rtl_params ~record_profile () in
     {
       kernel;
-      port = Rtl.Bus.port bus;
+      port = Iface.port (Rtl.Bus.iface bus);
       fast;
       slow;
       rom;
-      busy = (fun () -> Rtl.Bus.busy bus);
-      completed = (fun () -> Rtl.Bus.completed_txns bus);
-      errors = (fun () -> Rtl.Bus.error_txns bus);
+      iface = Rtl.Bus.iface bus;
       energy_pj = (fun () -> Rtl.Diesel.total_pj (Rtl.Bus.diesel bus));
       transitions = (fun () -> Rtl.Diesel.transitions_total (Rtl.Bus.diesel bus));
       profile = (fun () -> Power.Meter.profile (Rtl.Diesel.meter (Rtl.Bus.diesel bus)));
@@ -72,13 +68,11 @@ let build ?(rtl_params = Rtl.Params.default)
     let bus = Tlm1.Bus.create ~kernel ~decoder ~energy () in
     {
       kernel;
-      port = Tlm1.Bus.port bus;
+      port = Iface.port (Tlm1.Bus.iface bus);
       fast;
       slow;
       rom;
-      busy = (fun () -> Tlm1.Bus.busy bus);
-      completed = (fun () -> Tlm1.Bus.completed_txns bus);
-      errors = (fun () -> Tlm1.Bus.error_txns bus);
+      iface = Tlm1.Bus.iface bus;
       energy_pj = (fun () -> Tlm1.Energy.total_pj energy);
       transitions = (fun () -> Tlm1.Energy.transitions_total energy);
       profile = (fun () -> Power.Meter.profile (Tlm1.Energy.meter energy));
@@ -90,13 +84,11 @@ let build ?(rtl_params = Rtl.Params.default)
     let bus = Tlm2.Bus.create ~kernel ~decoder ~energy () in
     {
       kernel;
-      port = Tlm2.Bus.port bus;
+      port = Iface.port (Tlm2.Bus.iface bus);
       fast;
       slow;
       rom;
-      busy = (fun () -> Tlm2.Bus.busy bus);
-      completed = (fun () -> Tlm2.Bus.completed_txns bus);
-      errors = (fun () -> Tlm2.Bus.error_txns bus);
+      iface = Tlm2.Bus.iface bus;
       energy_pj = (fun () -> Tlm2.Energy.total_pj energy);
       transitions = (fun () -> 0);
       profile = (fun () -> Power.Meter.profile (Tlm2.Energy.meter energy));

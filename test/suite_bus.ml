@@ -50,7 +50,7 @@ let test_back_to_back_throughput () =
   List.iter
     (fun level ->
       let h, cycles = run_trace level trace in
-      check_int (level_name level ^ " completed") 16 (h.completed ());
+      check_int (level_name level ^ " completed") 16 (Iface.completed_txns h.iface);
       check_bool
         (level_name level ^ " near one per cycle")
         true
@@ -124,10 +124,10 @@ let test_bus_errors () =
              Ec.Port.completed h.port rom_write.Ec.Txn.id));
       check_bool (level_name level ^ " rom write fails") true
         (Ec.Port.take h.port rom_write.Ec.Txn.id = Ec.Port.Failed);
-      check_int (level_name level ^ " error count") 2 (h.errors ());
+      check_int (level_name level ^ " error count") 2 (Iface.error_txns h.iface);
       let ok = read fast_base in
       ignore (run_one h ok);
-      check_int (level_name level ^ " still works") 1 (h.completed ()))
+      check_int (level_name level ^ " still works") 1 (Iface.completed_txns h.iface))
     all_levels
 
 (* Execute-right enforcement: instruction fetch from a non-executable
@@ -138,7 +138,7 @@ let test_execute_rights () =
       let h = build level in
       let fetch_rom = read ~kind:Ec.Txn.Instruction rom_base in
       ignore (run_one h fetch_rom);
-      check_int (level_name level ^ " rom fetch ok") 1 (h.completed ());
+      check_int (level_name level ^ " rom fetch ok") 1 (Iface.completed_txns h.iface);
       let fetch_slow = read ~kind:Ec.Txn.Instruction slow_base in
       assert (h.port.Ec.Port.try_submit fetch_slow);
       ignore
@@ -167,8 +167,8 @@ let test_outstanding_limit () =
         (h.port.Ec.Port.try_submit (write fast_base 1));
       check_bool (level_name level ^ " instr accepted") true
         (h.port.Ec.Port.try_submit (read ~kind:Ec.Txn.Instruction rom_base));
-      ignore (Sim.Kernel.run_until h.kernel ~max_cycles:1000 (fun () -> not (h.busy ())));
-      check_int (level_name level ^ " all done") 6 (h.completed ()))
+      ignore (Sim.Kernel.run_until h.kernel ~max_cycles:1000 (fun () -> not (Iface.busy h.iface)));
+      check_int (level_name level ^ " all done") 6 (Iface.completed_txns h.iface))
     all_levels
 
 (* After completion the bus goes idle and stays idle. *)
@@ -176,12 +176,12 @@ let test_busy_clears () =
   List.iter
     (fun level ->
       let h = build level in
-      check_bool "idle initially" false (h.busy ());
+      check_bool "idle initially" false (Iface.busy h.iface);
       ignore (run_one h (bread slow_base));
-      check_bool "idle after" false (h.busy ());
+      check_bool "idle after" false (Iface.busy h.iface);
       let before = Sim.Kernel.now h.kernel in
       Sim.Kernel.run h.kernel ~cycles:5;
-      check_int "still no txns" 1 (h.completed ());
+      check_int "still no txns" 1 (Iface.completed_txns h.iface);
       check_int "time advanced" (before + 5) (Sim.Kernel.now h.kernel))
     all_levels
 
@@ -216,7 +216,7 @@ let test_l1_queue_depths () =
   Sim.Kernel.run h.kernel ~cycles:3;
   let req, rd, _wr = Tlm1.Bus.queue_depths bus in
   check_bool "request queue occupied" true (req >= 1 || rd >= 1);
-  ignore (Sim.Kernel.run_until h.kernel ~max_cycles:200 (fun () -> not (h.busy ())));
+  ignore (Sim.Kernel.run_until h.kernel ~max_cycles:200 (fun () -> not (Iface.busy h.iface)));
   let req, rd, wr = Tlm1.Bus.queue_depths bus in
   check_int "queues drained" 0 (req + rd + wr)
 

@@ -274,13 +274,15 @@ let test_bridge_routing () =
   check_pj "no bridge energy" 0.0 single.Core.Contention.bridge_pj
 
 let test_contention_rejects_l3 () =
+  let masters = [ (Core.Contention.Cpu, Core.Workloads.table3_trace ~n:4) ] in
   Alcotest.check_raises "L3 has nothing to arbitrate"
     (Invalid_argument
        "Core.Contention.run: fabric masters drive timed buses (rtl/l1/l2)")
-    (fun () ->
-      ignore
-        (Core.Contention.run ~level:Core.Level.L3
-           [ (Core.Contention.Cpu, Core.Workloads.table3_trace ~n:4) ]))
+    (fun () -> ignore (Core.Contention.run ~level:Core.Level.L3 masters));
+  Alcotest.check_raises "compile names itself"
+    (Invalid_argument
+       "Core.Contention.compile: fabric masters drive timed buses (rtl/l1/l2)")
+    (fun () -> ignore (Core.Contention.compile ~level:Core.Level.L3 masters))
 
 (* --- layer-3 adaptive windows --- *)
 

@@ -345,7 +345,7 @@ let replay_words ?sink () =
   in
   let decoder = Ec.Decoder.create [ slave ] in
   let bus = Rtl.Bus.create ~kernel ~decoder ?sink () in
-  let port = Rtl.Bus.port bus in
+  let port = Iface.port (Rtl.Bus.iface bus) in
   let txns =
     Array.init 64 (fun i -> Ec.Txn.single_read ~id:(i land 3) (4 * (i land 255)))
   in

@@ -91,7 +91,9 @@ let prop_all_complete_no_errors =
       List.for_all
         (fun level ->
           let h, _ = run_trace level trace in
-          h.completed () = List.length trace && h.errors () = 0 && not (h.busy ()))
+          Iface.completed_txns h.iface = List.length trace
+          && Iface.error_txns h.iface = 0
+          && not (Iface.busy h.iface))
         all_levels)
 
 let prop_energy_monotone_with_estimation =
@@ -265,7 +267,7 @@ let prop_packed_adapter_equals_soft =
           ()
       in
       let adapter =
-        Jcvm.Master_adapter.create ~kernel ~port:(Tlm1.Bus.port bus) config
+        Jcvm.Master_adapter.create ~kernel ~port:(Iface.port (Tlm1.Bus.iface bus)) config
       in
       let hw_ops = Jcvm.Master_adapter.ops adapter in
       let soft = Jcvm.Soft_stack.create ~capacity:256 () in
@@ -324,24 +326,29 @@ let prop_profile_lumps_cover =
 
 (* Zero-gap traces keep the request rings and the outstanding store at
    the category limits, exercising the preallocated-buffer rework of the
-   rtl bus and trace master where it wraps and swaps the most. *)
+   rtl bus and trace master where it wraps and swaps the most.  Layer 2
+   shares the master interface but serializes data phases by design
+   (Table 1), so it matches on counts and drains, not on cycles. *)
 let gen_pressure_trace =
   Gen.list_size (Gen.int_range 20 60)
     (Gen.map (fun txn -> Ec.Trace.item ~gap:0 txn) gen_txn)
 
 let prop_l1_equals_rtl_under_queue_pressure =
-  QCheck.Test.make ~name:"L1 = RTL cycles/counts under queue pressure"
+  QCheck.Test.make
+    ~name:"L1 = RTL cycles/counts under queue pressure, L2 = RTL counts"
     ~count:40
     (QCheck.make gen_pressure_trace
        ~print:(fun t -> String.concat "\n" (Ec.Trace.to_lines t)))
     (fun trace ->
       let h_rtl, rtl_cycles = run_trace ~mode:`Pipelined Rtl_l trace in
       let h_l1, l1_cycles = run_trace ~mode:`Pipelined L1_l trace in
+      let h_l2, _ = run_trace ~mode:`Pipelined L2_l trace in
+      let counts h = (Iface.completed_txns h.iface, Iface.error_txns h.iface) in
       rtl_cycles = l1_cycles
-      && h_rtl.completed () = h_l1.completed ()
-      && h_rtl.completed () = List.length trace
-      && h_rtl.errors () = h_l1.errors ()
-      && not (h_rtl.busy ()))
+      && counts h_rtl = counts h_l1
+      && counts h_rtl = counts h_l2
+      && Iface.completed_txns h_rtl.iface = List.length trace
+      && not (Iface.busy h_rtl.iface || Iface.busy h_l2.iface))
 
 (* The preallocated structures against their library models. *)
 let gen_ring_ops =
