@@ -6,13 +6,13 @@
    off the shared decode, so N points cost one walk of the plan instead
    of N interpreted replays.
 
-   Bit-exactness contract: for each lane, every float operation happens
-   in exactly the order the interpreted estimator performs it — per-bit
-   sums ascend from bit 0, signal groups add left-associatively in
-   addr/be/wdata/rdata/ctrl order, lumps of one cycle group into the
-   meter's in-cycle accumulator before joining the total.  Elided quiet
-   cycles add a literal 0.0 in the interpreted model, a float identity
-   for the non-negative energies involved. *)
+   Bit-exactness holds by construction: each lane folds with the
+   interpreted estimator's own code — [Tlm1.Energy.fold] per active
+   cycle, [Tlm2.Energy]'s lane and data lump per event.  What stays here
+   is the cycle grouping: one cycle's lumps group before joining the
+   total, and an elided quiet cycle adds a literal 0.0 in the
+   interpreted model, a float identity for the non-negative energies
+   involved. *)
 
 type point = {
   table : Power.Characterization.t;
@@ -22,54 +22,6 @@ type point = {
 }
 
 type outcome = { bus_pj : float; profile : Power.Profile.t option }
-
-(* --- layer 1 lanes: per-bit pJ arrays, as Tlm1.Energy builds them ---- *)
-
-type l1_lane = {
-  a_pj : float array;
-  b_pj : float array;
-  w_pj : float array;
-  r_pj : float array;
-  c_pj : float array;
-}
-
-let l1_lane table =
-  let per id = Power.Characterization.energy_per_transition table id in
-  {
-    a_pj = Array.init Ec.Signals.addr_wires (fun i -> per (Ec.Signals.Addr i));
-    b_pj = Array.init Ec.Signals.be_wires (fun i -> per (Ec.Signals.Be i));
-    w_pj = Array.init Ec.Signals.data_wires (fun i -> per (Ec.Signals.Wdata i));
-    r_pj = Array.init Ec.Signals.data_wires (fun i -> per (Ec.Signals.Rdata i));
-    c_pj =
-      Array.of_list
-        (List.map (fun c -> per (Ec.Signals.Ctrl c)) Ec.Signals.all_ctrl);
-  }
-
-(* --- layer 2 lanes: parameters plus the cached averages --------------- *)
-
-type l2_lane = {
-  p : Tlm2.Energy.params;
-  avg_wdata : float;
-  avg_rdata : float;
-  avg_ctrl : float;
-  addr_lump : float;  (* the address-phase lump is lane-constant *)
-}
-
-let l2_lane table params =
-  let avg_addr = Power.Characterization.avg_addr_bit table in
-  let avg_be = Power.Characterization.avg_be_bit table in
-  let avg_ctrl = Power.Characterization.avg_ctrl_bit table in
-  {
-    p = params;
-    avg_wdata = Power.Characterization.avg_wdata_bit table;
-    avg_rdata = Power.Characterization.avg_rdata_bit table;
-    avg_ctrl;
-    addr_lump =
-      (params.Tlm2.Energy.boundary_addr_toggles *. avg_addr)
-      +. (params.Tlm2.Energy.attr_toggles *. avg_be)
-      +. (3.0 *. params.Tlm2.Energy.attr_toggles *. avg_ctrl)
-      +. (2.0 *. params.Tlm2.Energy.strobe_pulses_per_phase *. avg_ctrl);
-  }
 
 (* --- evaluation ------------------------------------------------------- *)
 
@@ -91,65 +43,35 @@ let finish totals profs l =
    The dense array doubles as the per-cycle profile and as the lookup
    table fabric op streams sample from. *)
 
-let eval_l1 (meta : Plan.meta) (d : Plan.l1_data) lanes ~dense =
-  let k = Array.length lanes in
-  let totals = Array.make k 0.0 in
-  let profs =
-    if dense then
-      Some (Array.init k (fun _ -> Array.make meta.Plan.cycles 0.0))
-    else None
-  in
-  let n = Array.length d.Plan.d_cycle in
-  (* Shared decode: the set-bit positions of one group's transition word,
-     found once and reused by every lane. *)
-  let idx = Array.make Ec.Signals.addr_wires 0 in
+let dense_profiles (meta : Plan.meta) k dense =
+  if dense then Some (Array.init k (fun _ -> Array.make meta.Plan.cycles 0.0))
+  else None
+
+(* Cycle [c] closes with lane energies [pj]: they join the totals and,
+   when kept, the dense profiles. *)
+let close_cycle totals profs c (pj : float array) =
+  for l = 0 to Array.length totals - 1 do
+    totals.(l) <- totals.(l) +. pj.(l);
+    match profs with Some ps -> ps.(l).(c) <- pj.(l) | None -> ()
+  done
+
+let eval_l1 (meta : Plan.meta) (d : Plan.l1_data) lanes ~k ~dense =
+  let totals = Array.make k 0.0 and profs = dense_profiles meta k dense in
   let pj = Array.make k 0.0 in
-  let group w sel =
-    if w <> 0 then begin
-      let m = ref 0 and bits = ref w and i = ref 0 in
-      while !bits <> 0 do
-        if !bits land 1 = 1 then begin
-          idx.(!m) <- !i;
-          incr m
-        end;
-        bits := !bits lsr 1;
-        incr i
-      done;
-      for l = 0 to k - 1 do
-        let arr = sel lanes.(l) in
-        let s = ref 0.0 in
-        for j = 0 to !m - 1 do
-          s := !s +. Array.unsafe_get arr (Array.unsafe_get idx j)
-        done;
-        pj.(l) <- pj.(l) +. !s
-      done
-    end
-  in
-  for e = 0 to n - 1 do
-    Array.fill pj 0 k 0.0;
-    group d.Plan.d_addr.(e) (fun l -> l.a_pj);
-    group d.Plan.d_be.(e) (fun l -> l.b_pj);
-    group d.Plan.d_wdata.(e) (fun l -> l.w_pj);
-    group d.Plan.d_rdata.(e) (fun l -> l.r_pj);
-    group d.Plan.d_ctrl.(e) (fun l -> l.c_pj);
-    let c = d.Plan.d_cycle.(e) in
-    for l = 0 to k - 1 do
-      totals.(l) <- totals.(l) +. pj.(l);
-      match profs with Some ps -> ps.(l).(c) <- pj.(l) | None -> ()
-    done
+  for e = 0 to Array.length d.Plan.d_cycle - 1 do
+    ignore
+      (Tlm1.Energy.fold lanes pj ~addr:d.Plan.d_addr.(e) ~be:d.Plan.d_be.(e)
+         ~wdata:d.Plan.d_wdata.(e) ~rdata:d.Plan.d_rdata.(e)
+         ~ctrl:d.Plan.d_ctrl.(e));
+    close_cycle totals profs d.Plan.d_cycle.(e) pj
   done;
   (totals, profs)
 
 let eval_l2 (meta : Plan.meta) (d : Plan.l2_data) lanes ~dense =
   let k = Array.length lanes in
-  let totals = Array.make k 0.0 in
-  let profs =
-    if dense then
-      Some (Array.init k (fun _ -> Array.make meta.Plan.cycles 0.0))
-    else None
-  in
+  let totals = Array.make k 0.0 and profs = dense_profiles meta k dense in
   let n = Array.length d.Plan.ev_cycle in
-  let cur = Array.make k 0.0 in
+  let cur = Array.make k 0.0 and lump = Array.make k 0.0 in
   let i = ref 0 in
   while !i < n do
     let c = d.Plan.ev_cycle.(!i) in
@@ -158,32 +80,19 @@ let eval_l2 (meta : Plan.meta) (d : Plan.l2_data) lanes ~dense =
       let e = !i in
       if d.Plan.ev_kind.(e) = 0 then
         for l = 0 to k - 1 do
-          cur.(l) <- cur.(l) +. lanes.(l).addr_lump
+          cur.(l) <- cur.(l) +. lanes.(l).Tlm2.Energy.addr_lump
         done
       else begin
-        let burst = d.Plan.ev_burst.(e) in
-        let off = d.Plan.ev_pop_off.(e) in
-        let dir = d.Plan.ev_dir.(e) in
+        let read = d.Plan.ev_dir.(e) = 0 in
         for l = 0 to k - 1 do
-          let ln = lanes.(l) in
-          let toggles = ref ln.p.Tlm2.Energy.boundary_data_toggles in
-          for j = 0 to burst - 2 do
-            toggles := !toggles +. float_of_int d.Plan.pops.(off + j)
-          done;
-          let strobes =
-            ln.p.Tlm2.Energy.strobe_pulses_per_beat *. float_of_int burst
-            +. (if burst > 1 then 4.0 else 0.0)
-          in
-          let avg_bit = if dir = 0 then ln.avg_rdata else ln.avg_wdata in
-          cur.(l) <- cur.(l) +. ((!toggles *. avg_bit) +. (strobes *. ln.avg_ctrl))
+          Tlm2.Energy.data_lump lanes.(l) ~read ~burst:d.Plan.ev_burst.(e)
+            ~pops:d.Plan.pops ~off:d.Plan.ev_pop_off.(e) lump l;
+          cur.(l) <- cur.(l) +. lump.(l)
         done
       end;
       incr i
     done;
-    for l = 0 to k - 1 do
-      totals.(l) <- totals.(l) +. cur.(l);
-      match profs with Some ps -> ps.(l).(c) <- cur.(l) | None -> ()
-    done
+    close_cycle totals profs c cur
   done;
   (totals, profs)
 
@@ -192,16 +101,15 @@ let eval_l2 (meta : Plan.meta) (d : Plan.l2_data) lanes ~dense =
 let eval_raw plan ~points ~dense =
   match plan.Plan.body with
   | Plan.L1 d ->
-    let lanes =
-      Array.of_list (List.map (fun pt -> l1_lane pt.table) points)
-    in
-    eval_l1 plan.Plan.meta d lanes ~dense
+    let tables = Array.of_list (List.map (fun pt -> pt.table) points) in
+    eval_l1 plan.Plan.meta d (Tlm1.Energy.lanes tables)
+      ~k:(Array.length tables) ~dense
   | Plan.L2 d ->
     let lanes =
       Array.of_list
         (List.map
            (fun pt ->
-             l2_lane pt.table
+             Tlm2.Energy.lane pt.table
                (Option.value pt.l2_params
                   ~default:Tlm2.Energy.default_params))
            points)

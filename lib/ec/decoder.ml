@@ -22,18 +22,21 @@ let create slaves =
 let count t = Array.length t
 let slaves t = Array.to_list t
 
+(* Index of the slave mapped at [addr], or -1: no closure, no option. *)
+let rec index t addr i =
+  if i >= Array.length t then -1
+  else if Slave_cfg.contains (Array.unsafe_get t i).Slave.cfg addr then i
+  else index t addr (i + 1)
+
 let find t addr =
-  let rec loop i =
-    if i >= Array.length t then None
-    else if Slave_cfg.contains t.(i).Slave.cfg addr then Some (i, t.(i))
-    else loop (i + 1)
-  in
-  loop 0
+  let i = index t addr 0 in
+  if i < 0 then None else Some (i, t.(i))
 
 let check t (txn : Txn.t) =
-  match find t txn.addr with
-  | None -> Unmapped
-  | Some (i, s) ->
+  let i = index t txn.addr 0 in
+  if i < 0 then Unmapped
+  else
+    let s = t.(i) in
     let last = Txn.beat_addr txn (txn.burst - 1) + Txn.bytes_per_beat txn - 1 in
     if not (Slave_cfg.contains s.Slave.cfg last) then Unmapped
     else if Slave_cfg.allows s.Slave.cfg txn then Mapped (i, s)

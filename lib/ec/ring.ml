@@ -25,6 +25,10 @@ let push t x =
   t.slots.((t.head + t.len) mod Array.length t.slots) <- x;
   t.len <- t.len + 1
 
+let peek t =
+  if t.len = 0 then invalid_arg "Ec.Ring.peek: empty";
+  t.slots.(t.head)
+
 let pop t =
   if t.len = 0 then invalid_arg "Ec.Ring.pop: empty";
   let x = t.slots.(t.head) in

@@ -21,6 +21,15 @@ val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 (** Append at the tail; grows the buffer when full. *)
 
+val peek : 'a t -> 'a
+(** The oldest element, left in place.
+    @raise Invalid_argument if the ring is empty. *)
+
+val pop : 'a t -> 'a
+(** Removes and returns the oldest element; unlike {!pop_opt} it
+    allocates nothing.
+    @raise Invalid_argument if the ring is empty. *)
+
 val pop_opt : 'a t -> 'a option
 
 val clear : 'a t -> unit

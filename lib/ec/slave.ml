@@ -6,6 +6,12 @@ type t = {
 
 let make ~cfg ~read ~write = { cfg; read; write }
 
+let placeholder =
+  make
+    ~cfg:(Slave_cfg.make ~name:"(empty slot)" ~base:0 ~size:4 ())
+    ~read:(fun ~addr:_ ~width:_ -> 0)
+    ~write:(fun ~addr:_ ~width:_ ~value:_ -> ())
+
 let read_beat s (txn : Txn.t) i =
   s.read ~addr:(Txn.beat_addr txn i) ~width:txn.width
 

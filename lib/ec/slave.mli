@@ -20,6 +20,10 @@ val make :
   write:(addr:int -> width:Txn.width -> value:int -> unit) ->
   t
 
+val placeholder : t
+(** An inert slave (reads 0, ignores writes) for the empty slots of the
+    bus models' preallocated queues; never decoded to. *)
+
 val read_beat : t -> Txn.t -> int -> int
 (** [read_beat s txn i] performs beat [i] of read transaction [txn]. *)
 

@@ -216,15 +216,9 @@ let cycle t _kernel =
    means the rings never grow. *)
 let dummy_txn = Ec.Txn.single_read ~id:(-1) 0
 
-let dummy_slave =
-  Ec.Slave.make
-    ~cfg:(Ec.Slave_cfg.make ~name:"(empty slot)" ~base:0 ~size:4 ())
-    ~read:(fun ~addr:_ ~width:_ -> 0)
-    ~write:(fun ~addr:_ ~width:_ ~value:_ -> ())
-
 let dummy_job =
-  { d_txn = dummy_txn; d_slave = dummy_slave; d_sel = -1; d_wait_states = 0;
-    d_beat = 0; d_wait = 0 }
+  { d_txn = dummy_txn; d_slave = Ec.Slave.placeholder; d_sel = -1;
+    d_wait_states = 0; d_beat = 0; d_wait = 0 }
 
 let create ~kernel ~decoder ?params ?record_profile ?sink () =
   let wires = Wires.create ~n_slaves:(max 1 (Ec.Decoder.count decoder)) in

@@ -13,6 +13,28 @@
     combinations) are invisible at this layer, which is precisely the
     systematic error against the gate-level reference. *)
 
+(** {1 The layer-1 lane and fold}
+
+    One estimator, two executors: the interpreted model below folds one
+    lane per cycle, [Compile.Eval] k lanes per plan row. *)
+
+type lanes
+(** Every interface wire's energy per transition under k tables,
+    lane-major, plus a scratch buffer: fold one value on one domain. *)
+
+val lanes : Power.Characterization.t array -> lanes
+
+val fold :
+  lanes -> float array -> addr:int -> be:int -> wdata:int -> rdata:int ->
+  ctrl:int -> int
+(** [fold ln out ~addr ~be ~wdata ~rdata ~ctrl] stores in [out.(l)] lane
+    [l]'s energy of a cycle whose groups toggled the set bits of these
+    old-xor-new words, and returns the set-bit count.  Only set bits are
+    visited, lowest first; each group sums from 0.0 in ascending bit
+    order and groups join in addr/be/wdata/rdata/ctrl order.
+    @raise Invalid_argument if [out] is shorter than the lane count or a
+    word has a bit beyond its group's width (34, 4, 32, 32, 11). *)
+
 type t
 
 val create : ?record_profile:bool -> Power.Characterization.t -> t

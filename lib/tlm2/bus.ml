@@ -15,46 +15,44 @@ type t = {
   kernel : Sim.Kernel.t;
   sink : Obs.Sink.t option;
   energy : Energy.t option;
-  pending : job Queue.t;  (* awaiting or inside their address phase *)
-  data_q : job Queue.t;  (* address phase finished, data phase pending *)
+  pending : job Ec.Ring.t;  (* awaiting or inside their address phase *)
+  data_q : job Ec.Ring.t;  (* address phase finished, data phase pending *)
   iface : Iface.t;
 }
 
-let with_energy t f = match t.energy with Some e -> f e | None -> ()
+let stall t job =
+  match t.sink with None -> () | Some s -> Obs.Sink.wait_stall s ~slave:job.sel
 
 let address_phase t =
-  match Queue.peek_opt t.pending with
-  | None -> ()
-  | Some job ->
+  if not (Ec.Ring.is_empty t.pending) then begin
+    let job = Ec.Ring.peek t.pending in
     if job.addr_left > 0 then begin
       job.addr_left <- job.addr_left - 1;
-      match t.sink with
-      | None -> ()
-      | Some s -> Obs.Sink.wait_stall s ~slave:job.sel
+      stall t job
     end
     else begin
-      ignore (Queue.pop t.pending);
-      with_energy t (fun e -> ignore (Energy.address_phase_pj e job.txn));
+      ignore (Ec.Ring.pop t.pending);
+      (match t.energy with
+      | Some e -> ignore (Energy.address_phase_pj e job.txn)
+      | None -> ());
       (match t.sink with
       | None -> ()
       | Some s ->
         Obs.Sink.txn_granted s ~cycle:(Sim.Kernel.now t.kernel)
           ~id:job.txn.Ec.Txn.id ~slave:job.sel);
-      Queue.push job t.data_q
+      Ec.Ring.push t.data_q job
     end
+  end
 
 let data_phase t =
-  match Queue.peek_opt t.data_q with
-  | None -> ()
-  | Some job ->
+  if not (Ec.Ring.is_empty t.data_q) then begin
+    let job = Ec.Ring.peek t.data_q in
     if job.data_left > 0 then begin
       job.data_left <- job.data_left - 1;
-      match t.sink with
-      | None -> ()
-      | Some s -> Obs.Sink.wait_stall s ~slave:job.sel
+      stall t job
     end
     else begin
-      ignore (Queue.pop t.data_q);
+      ignore (Ec.Ring.pop t.data_q);
       match job.slave with
       | None -> Iface.finish t.iface job.txn Ec.Port.Failed
       | Some slave ->
@@ -62,7 +60,9 @@ let data_phase t =
         (match job.txn.Ec.Txn.dir with
         | Ec.Txn.Read -> Ec.Slave.read_block slave job.txn
         | Ec.Txn.Write -> Ec.Slave.write_block slave job.txn);
-        with_energy t (fun e -> ignore (Energy.data_phase_pj e job.txn));
+        (match t.energy with
+        | Some e -> ignore (Energy.data_phase_pj e job.txn)
+        | None -> ());
         (match t.sink with
         | None -> ()
         | Some s ->
@@ -73,11 +73,12 @@ let data_phase t =
           done);
         Iface.finish t.iface job.txn Ec.Port.Done
     end
+  end
 
 let bus_process t _kernel =
   address_phase t;
   data_phase t;
-  with_energy t Energy.end_cycle
+  match t.energy with Some e -> Energy.end_cycle e | None -> ()
 
 (* The wait states of the addressed slave are read when the transaction
    is created, during the first interface call. *)
@@ -95,11 +96,16 @@ let job_of decoder txn =
   | Ec.Decoder.Unmapped | Ec.Decoder.Rights_violation _ ->
     { txn; slave = None; sel = -1; addr_left = 0; data_left = 0 }
 
+(* Inert placeholder for the preallocated ring slots. *)
+let dummy_job =
+  { txn = Ec.Txn.single_read ~id:(-1) 0; slave = None; sel = -1;
+    addr_left = 0; data_left = 0 }
+
 let create ~kernel ~decoder ?energy ?sink () =
-  let pending = Queue.create () in
+  let pending = Ec.Ring.create ~dummy:dummy_job () in
   let enqueue txn =
-    Queue.push (job_of decoder txn) pending;
-    Queue.length pending
+    Ec.Ring.push pending (job_of decoder txn);
+    Ec.Ring.length pending
   in
   let t =
     {
@@ -107,7 +113,7 @@ let create ~kernel ~decoder ?energy ?sink () =
       sink;
       energy;
       pending;
-      data_q = Queue.create ();
+      data_q = Ec.Ring.create ~dummy:dummy_job ();
       iface = Iface.create ~kernel ~sink ~enqueue;
     }
   in
@@ -118,7 +124,7 @@ let iface t = t.iface
 let energy t = t.energy
 
 let reset t =
-  Queue.clear t.pending;
-  Queue.clear t.data_q;
+  Ec.Ring.clear t.pending;
+  Ec.Ring.clear t.data_q;
   Iface.reset t.iface;
-  with_energy t Energy.reset
+  match t.energy with Some e -> Energy.reset e | None -> ()

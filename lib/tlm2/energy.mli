@@ -36,6 +36,29 @@ type params = {
 
 val default_params : params
 
+(** {1 The layer-2 lane and lumps}
+
+    One estimator, two executors: the interpreted model below and
+    [Compile.Eval] read the same lane and data-lump formula. *)
+
+type lane = private {
+  params : params;
+  avg_wdata : float;
+  avg_rdata : float;
+  avg_ctrl : float;  (** per-bit averages of the table *)
+  addr_lump : float;  (** the address-phase lump, the same for every txn *)
+}
+
+val lane : Power.Characterization.t -> params -> lane
+
+val data_lump :
+  lane -> read:bool -> burst:int -> pops:int array -> off:int ->
+  float array -> int -> unit
+(** [data_lump ln ~read ~burst ~pops ~off out i] stores in [out.(i)] the
+    lump of a [burst]-beat data phase whose inter-beat toggle counts are
+    [pops.(off)] .. [pops.(off + burst - 2)], summed in beat order after
+    the boundary toggles. *)
+
 type t
 
 val create :

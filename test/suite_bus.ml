@@ -252,12 +252,13 @@ let test_rtl_wdata_during_waits () =
     (Sim.Kernel.run_until h.kernel ~max_cycles:100 (fun () ->
          Ec.Port.completed h.port txn.Ec.Txn.id))
 
-(* An idle gate-level cycle — the kernel, the bus process clearing its
-   strobes, the estimator's observation and commit — allocates nothing:
-   a 1000-cycle run allocates what a 0-cycle run does (the run loop's
-   own closure). *)
-let test_rtl_idle_cycle_allocates_nothing () =
-  let system = Core.System.create ~level:Core.Level.Rtl () in
+(* An idle bus cycle allocates nothing: a 1000-cycle run allocates what a
+   0-cycle run does (the run loop's own closure).  At the gate level that
+   covers the kernel, the bus process clearing its strobes and the
+   estimator's observation and commit; at layers 1 and 2 the bus phases
+   and the estimator's cycle fold. *)
+let idle_cycle_allocates_nothing level () =
+  let system = Core.System.create ~level () in
   let kernel = Core.System.kernel system in
   Sim.Kernel.run kernel ~cycles:8;
   let minor_words run =
@@ -286,5 +287,9 @@ let suite =
     Alcotest.test_case "rtl strobe wires" `Quick test_rtl_strobes;
     Alcotest.test_case "rtl wdata during waits" `Quick test_rtl_wdata_during_waits;
     Alcotest.test_case "rtl idle cycle allocates nothing" `Quick
-      test_rtl_idle_cycle_allocates_nothing;
+      (idle_cycle_allocates_nothing Core.Level.Rtl);
+    Alcotest.test_case "l1 idle cycle allocates nothing" `Quick
+      (idle_cycle_allocates_nothing Core.Level.L1);
+    Alcotest.test_case "l2 idle cycle allocates nothing" `Quick
+      (idle_cycle_allocates_nothing Core.Level.L2);
   ]
