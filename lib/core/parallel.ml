@@ -140,5 +140,3 @@ let map ?domains ?pool f xs =
          (function Some v -> v | None -> assert false (* all indices claimed *))
          results)
   end
-
-let iter ~pool f xs = ignore (map ~pool (fun x -> f x; ()) xs)

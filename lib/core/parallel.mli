@@ -36,6 +36,3 @@ val map : ?domains:int -> ?pool:pool -> ('a -> 'b) -> 'a list -> 'b list
     stopped.  With [?pool] the batch runs on the pool's persistent
     domains and [?domains] is ignored; results, ordering and failure
     semantics are identical. *)
-
-val iter : pool:pool -> ('a -> unit) -> 'a list -> unit
-(** {!map} on [pool] for effects only. *)

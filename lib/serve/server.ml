@@ -10,9 +10,10 @@
        receive timeout and re-check the stop conditions on each expiry,
        so they need no select (no FD_SETSIZE cap) and stay cancellable
        even against a peer stalled in the middle of a frame;
-     - [domains] worker participants on a [Core.Parallel.with_pool]
-       domain set (the [serve] caller is worker 0): pop, execute via
-       [Scheduler], stream frames, append the [done] summary;
+     - [domains] workers, each on a domain of its own: pop, execute
+       via [Scheduler], stream frames, append the [done] summary.  The
+       [serve] caller runs no job, so the threads above share the
+       daemon's domain (and its runtime lock) with I/O only;
      - one watcher thread on a self-pipe, so a signal handler only has
        to write one byte to trigger the drain.
 
@@ -59,8 +60,57 @@ type sub = {
   mutable sub_meta_sent : bool;
 }
 
+(* The test latch: the [n]th job a worker dequeues waits here until
+   [n] jobs are admitted or the latch is released.  Tickets follow
+   arrival order, so admitting one job lets the earliest-held one run. *)
+module Latch = struct
+  type t = {
+    mutex : Mutex.t;
+    changed : Condition.t;  (* an arrival, an admission or the release *)
+    mutable arrived : int;
+    mutable admitted : int;
+    mutable released : bool;
+  }
+
+  let create () =
+    {
+      mutex = Mutex.create ();
+      changed = Condition.create ();
+      arrived = 0;
+      admitted = 0;
+      released = false;
+    }
+
+  let update l f =
+    Mutex.lock l.mutex;
+    f ();
+    Condition.broadcast l.changed;
+    Mutex.unlock l.mutex
+
+  let admit l n = update l (fun () -> l.admitted <- l.admitted + n)
+  let release l = update l (fun () -> l.released <- true)
+
+  let await_arrivals l n =
+    Mutex.lock l.mutex;
+    while l.arrived < n do
+      Condition.wait l.changed l.mutex
+    done;
+    Mutex.unlock l.mutex
+
+  let pass l =
+    Mutex.lock l.mutex;
+    l.arrived <- l.arrived + 1;
+    let ticket = l.arrived in
+    Condition.broadcast l.changed;
+    while not (l.released || l.admitted >= ticket) do
+      Condition.wait l.changed l.mutex
+    done;
+    Mutex.unlock l.mutex
+end
+
 type t = {
   domains : int;
+  latch : Latch.t option;
   queue_depth : int;
   max_frame : int;
   handle_signals : bool;
@@ -135,7 +185,8 @@ let bind_tcp port =
   (fd, bound)
 
 let create ?unix_path ?tcp_port ~domains ?(queue_depth = 64)
-    ?(max_frame = Framing.default_max_frame) ?(handle_signals = false) () =
+    ?(max_frame = Framing.default_max_frame) ?(handle_signals = false) ?latch
+    () =
   if domains < 1 then invalid_arg "Serve.Server.create: domains < 1";
   if queue_depth < 1 then invalid_arg "Serve.Server.create: queue_depth < 1";
   if unix_path = None && tcp_port = None then
@@ -158,6 +209,7 @@ let create ?unix_path ?tcp_port ~domains ?(queue_depth = 64)
   let signal_r, signal_w = Unix.pipe () in
   {
     domains;
+    latch;
     queue_depth;
     max_frame;
     handle_signals;
@@ -620,10 +672,28 @@ let worker_loop t worker =
     | Some job ->
       Telemetry.span_dequeued t.telemetry job.span ~worker
         ~queue_depth:(Jobq.depth t.queue);
+      Option.iter Latch.pass t.latch;
       run_job t ~worker job;
       loop ()
   in
   loop ()
+
+(* One domain per worker.  A spawn can fail (the runtime caps the number
+   of domains): the queue then drains at once, the workers already
+   running exit, and [serve] tears down as after any drain before it
+   re-raises. *)
+let spawn_workers t =
+  let rec spawn w acc =
+    if w = t.domains then (acc, None)
+    else
+      match Domain.spawn (fun () -> worker_loop t w) with
+      | d -> spawn (w + 1) (d :: acc)
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        drain t;
+        (acc, Some (e, bt))
+  in
+  spawn 0 []
 
 (* --- signals --- *)
 
@@ -654,17 +724,13 @@ let serve t =
   if t.served then invalid_arg "Serve.Server.serve: already served";
   t.served <- true;
   let restore = if t.handle_signals then install_signals t else [] in
+  let workers, spawn_failure = spawn_workers t in
   let watcher = Thread.create signal_watcher t in
   let ticker = Thread.create ticker_loop t in
   let acceptors = List.map (fun l -> Thread.create (accept_loop t) l) t.listeners in
-  (* Worker 0 is this thread; the rest are pool domains.  [iter] returns
-     once every worker saw the queue drained and empty. *)
-  (if t.domains = 1 then worker_loop t 0
-   else
-     Core.Parallel.with_pool ~domains:t.domains (fun pool ->
-         Core.Parallel.iter ~pool
-           (fun worker -> worker_loop t worker)
-           (List.init t.domains Fun.id)));
+  (* This thread runs no job.  A worker returns once it has seen the
+     queue drained and empty. *)
+  List.iter Domain.join workers;
   (* Drained.  Tear down in dependency order: acceptors (no new
      connections), readers (no new requests), then the descriptors. *)
   Atomic.set t.stopped true;
@@ -696,4 +762,7 @@ let serve t =
   (try Unix.close t.signal_w with Unix.Unix_error _ -> ());
   Thread.join watcher;
   (try Unix.close t.signal_r with Unix.Unix_error _ -> ());
-  List.iter (fun (signum, previous) -> Sys.set_signal signum previous) restore
+  List.iter (fun (signum, previous) -> Sys.set_signal signum previous) restore;
+  Option.iter
+    (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
+    spawn_failure
