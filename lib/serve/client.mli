@@ -16,7 +16,11 @@ val connect : ?max_frame:int -> endpoint -> t
 val close : t -> unit
 
 val fd : t -> Unix.file_descr
-(** The raw descriptor, for tests that need to write malformed bytes. *)
+(** The raw descriptor, for tests that need to write malformed bytes or
+    shut a direction down.  Only write to it: responses are read through
+    the connection's buffered {!Framing.reader}, which may already hold
+    bytes the descriptor no longer shows, so reading (or [select]ing)
+    the descriptor directly desynchronizes the stream. *)
 
 val send : ?id:int -> t -> Protocol.request -> int
 (** Frames one request and returns the id used (auto-allocated when

@@ -23,12 +23,23 @@ type read_result =
           reachable when the caller passed [stop] {e and} armed
           [SO_RCVTIMEO] on the descriptor *)
 
-val read : ?max_frame:int -> ?stop:(unit -> bool) -> Unix.file_descr -> read_result
-(** Blocking read of one frame.  When the descriptor carries a receive
-    timeout ([SO_RCVTIMEO]), each expiry consults [stop] (default:
-    never stop): the read keeps waiting while it returns [false] and
-    answers {!Stopped} once it returns [true] — even in the middle of a
-    frame, so one stalled peer cannot pin a reader forever. *)
+type reader
+(** The receiving end of one connection: frames are cut out of a 64 KiB
+    buffer, and one [Unix.read] takes every frame the peer has already
+    sent.  A connection has exactly one reader, and nothing else may read
+    its descriptor: bytes the reader has buffered would be lost to the
+    other party, and the stream would lose its frame boundaries. *)
+
+val reader : Unix.file_descr -> reader
+
+val read : ?max_frame:int -> ?stop:(unit -> bool) -> reader -> read_result
+(** Blocking read of one frame, from the buffer when it already holds
+    one.  When the descriptor carries a receive timeout
+    ([SO_RCVTIMEO]), each expiry consults [stop] (default: never stop):
+    the read keeps waiting while it returns [false] and answers
+    {!Stopped} once it returns [true] — even in the middle of a frame,
+    so one stalled peer cannot pin a reader forever.  After [Stopped]
+    the frame in progress may be lost: abandon the connection. *)
 
 val write : Unix.file_descr -> string -> unit
 (** Writes one frame (prefix + payload), looping over short writes.
@@ -38,8 +49,8 @@ val write : Unix.file_descr -> string -> unit
 val write_json : Unix.file_descr -> Obs.Json.t -> unit
 (** [write] of the document's canonical print. *)
 
-val discard : ?stop:(unit -> bool) -> Unix.file_descr -> int -> bool
-(** Consumes and drops exactly [n] payload bytes, so a connection can
-    survive an {!Oversized} frame and stay synchronized on the next
-    prefix.  [false] if EOF arrived first, or if a receive timeout
-    expired with [stop] returning [true]. *)
+val discard : ?stop:(unit -> bool) -> reader -> int -> bool
+(** Consumes and drops exactly [n] payload bytes, buffered ones first,
+    so a connection can survive an {!Oversized} frame and stay
+    synchronized on the next prefix.  [false] if EOF arrived first, or
+    if a receive timeout expired with [stop] returning [true]. *)

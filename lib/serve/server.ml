@@ -4,7 +4,8 @@
        so drain never races a blocking accept; listener fds are created
        at startup so their numbers sit far below FD_SETSIZE, no matter
        how many connections are live);
-     - one reader thread per connection: framing, validation, enqueue,
+     - one reader thread per connection: framing (through the
+       connection's one buffered [Framing.reader]), validation, enqueue,
        error frames — and the accepted/busy/draining backpressure
        answers.  Readers block in [Framing.read] under a SO_RCVTIMEO
        receive timeout and re-check the stop conditions on each expiry,
@@ -520,10 +521,11 @@ let handle_payload t conn payload =
 
 let reader_loop t conn =
   let stop () = Atomic.get t.stopped || not conn.alive in
+  let frames = Framing.reader conn.fd in
   let rec loop () =
     if stop () then ()
     else
-      match Framing.read ~max_frame:t.max_frame ~stop conn.fd with
+      match Framing.read ~max_frame:t.max_frame ~stop frames with
       | Framing.Frame payload ->
         (try handle_payload t conn payload
          with e ->
@@ -544,7 +546,7 @@ let reader_loop t conn =
         send_frame conn ~id:Obs.Json.Null
           (error_frame Protocol.Bad_frame "truncated frame" ())
       | Framing.Oversized len ->
-        if Framing.discard ~stop conn.fd len then begin
+        if Framing.discard ~stop frames len then begin
           send_frame conn ~id:Obs.Json.Null
             (error_frame Protocol.Oversized
                (Printf.sprintf "frame of %d bytes exceeds limit %d" len

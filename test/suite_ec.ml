@@ -233,6 +233,82 @@ let test_trace_malformed () =
     | _ -> false
     | exception Failure _ -> true)
 
+(* The one-pass line scan against the old split-and-convert parser
+   (Trace_oracle): the same items, or a [Failure] with the same text, on
+   lines of random traces, as printed and with mutated tokens. *)
+
+let odd_tokens =
+  [ "0b1"; "0o7"; "1_0"; "+0"; "-1"; "-0x10"; "0x"; "0X1f"; "0xg"; "";
+    "007"; "1e3"; "0x0123456789abcdef"; "0xFFFFFFFFFFFFFFFF";
+    "0x10000000000000000"; "0x000000000000001f"; "0x00000000000000001";
+    "999999999999999"; "9999999999999999"; "99999999999999999999";
+    "0x7fffffffffffffff"; "0xfffffffffffffff"; "RX"; "XD"; "WI"; "RDD"; "R";
+    "8"; "16"; "4"; "#"; "0\t1" ]
+
+let mutate_line st line =
+  let tokens = String.split_on_char ' ' line in
+  let n = List.length tokens in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let at = Random.State.int st n and other = Random.State.int st n in
+  let join = String.concat " " in
+  match Random.State.int st 10 with
+  | 0 | 1 -> line
+  | 2 -> join (List.mapi (fun i t -> if i = at then pick odd_tokens else t) tokens)
+  | 3 ->
+    (* two tokens: which of two bad fields fails first *)
+    join
+      (List.mapi
+         (fun i t -> if i = at || i = other then pick odd_tokens else t)
+         tokens)
+  | 4 -> join (List.filteri (fun i _ -> i <> at) tokens)
+  | 5 -> join (tokens @ [ pick odd_tokens ])
+  | 6 ->
+    (* a double space, or a tab for a separator *)
+    let sep = pick [ "  "; "\t"; " \t" ] in
+    List.fold_left
+      (fun (i, acc) t -> (i + 1, if i = 0 then t else acc ^ (if i = at then sep else " ") ^ t))
+      (0, "") tokens
+    |> snd
+  | 7 -> pick [ " "; "\t"; "  " ] ^ line ^ pick [ " "; "\t"; "\r"; "  "; "\012" ]
+  | 8 -> pick [ "#"; "# "; "" ] ^ line
+  | _ -> pick [ ""; " "; "\t"; "#" ]
+
+let gen_trace_lines =
+  QCheck.make
+    ~print:(fun lines -> String.concat "\n" lines)
+    (fun st ->
+      let trace =
+        Core.Workloads.random_trace
+          ~rng:(Sim.Rng.create ~seed:(Random.State.bits st))
+          ~n:(1 + Random.State.int st 12)
+          ~write_ratio:(Random.State.float st 1.0)
+          ~burst_ratio:(Random.State.float st 1.0)
+          ~subword_ratio:(Random.State.float st 1.0)
+          ()
+      in
+      List.map (mutate_line st) (Ec.Trace.to_lines trace))
+
+let parsed f lines =
+  match f lines with
+  | items -> Ok items
+  | exception Failure msg -> Error msg
+
+let same_items a b =
+  List.equal
+    (fun (x : Ec.Trace.item) (y : Ec.Trace.item) ->
+      x.gap = y.gap && x.txn = y.txn)
+    a b
+
+let prop_trace_lines_oracle =
+  QCheck.Test.make ~name:"trace lines: one-pass scan = split-and-convert oracle"
+    ~count:2000 gen_trace_lines (fun lines ->
+      match (parsed Ec.Trace.of_lines lines, parsed Trace_oracle.of_lines lines) with
+      | Ok a, Ok b -> same_items a b || QCheck.Test.fail_report "different items"
+      | Error a, Error b ->
+        String.equal a b || QCheck.Test.fail_reportf "%S <> oracle %S" a b
+      | Ok _, Error e -> QCheck.Test.fail_reportf "accepted; oracle: %s" e
+      | Error e, Ok _ -> QCheck.Test.fail_reportf "oracle accepted; %s" e)
+
 let test_trace_instantiate_fresh () =
   let gen = Ec.Txn.Id_gen.create () in
   let item = List.hd sample_trace in
@@ -305,4 +381,5 @@ let suite =
     Alcotest.test_case "trace totals" `Quick test_trace_totals;
     Alcotest.test_case "trace file roundtrip" `Quick test_trace_file_roundtrip;
     Alcotest.test_case "port take retires" `Quick test_port_take_retires;
+    QCheck_alcotest.to_alcotest prop_trace_lines_oracle;
   ]

@@ -71,61 +71,75 @@ let response_id id =
 
 (* --- framing --- *)
 
-let test_framing_roundtrip () =
+let with_socketpair f =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () ->
-      Unix.close a;
-      Unix.close b)
-    (fun () ->
+      (try Unix.close a with Unix.Unix_error _ -> ());
+      try Unix.close b with Unix.Unix_error _ -> ())
+    (fun () -> f a b)
+
+(* The bytes [Framing.write] puts on the wire for [payload]. *)
+let frame_bytes payload =
+  let header = Bytes.create 4 in
+  Bytes.set_int32_be header 0 (Int32.of_int (String.length payload));
+  Bytes.to_string header ^ payload
+
+let write_all fd s =
+  let n = Unix.write_substring fd s 0 (String.length s) in
+  check_int "whole write" (String.length s) n
+
+let expect_frame what expected = function
+  | Serve.Framing.Frame got -> check_bool what true (String.equal expected got)
+  | _ -> Alcotest.failf "%s: expected a frame" what
+
+let readable fd =
+  let r, _, _ = Unix.select [ fd ] [] [] 0.0 in
+  r <> []
+
+let test_framing_roundtrip () =
+  with_socketpair (fun a b ->
+      let r = Serve.Framing.reader b in
       let payloads =
         [ ""; "x"; "null"; String.make 4096 'j'; String.make 100_000 '\xff' ]
       in
       List.iter (fun p -> Serve.Framing.write a p) payloads;
       List.iter
         (fun expected ->
-          match Serve.Framing.read b with
-          | Serve.Framing.Frame got ->
-            check_bool "payload round-trips" true (String.equal expected got)
-          | _ -> Alcotest.fail "expected a frame")
+          expect_frame "payload round-trips" expected (Serve.Framing.read r))
         payloads;
       (* An oversized frame is rejected by announced length, and after a
          discard the stream is usable again. *)
       Serve.Framing.write a (String.make 2048 'z');
       Serve.Framing.write a "after";
-      (match Serve.Framing.read ~max_frame:1024 b with
+      (match Serve.Framing.read ~max_frame:1024 r with
       | Serve.Framing.Oversized n ->
         check_int "announced length" 2048 n;
-        check_bool "resync discards the body" true (Serve.Framing.discard b 2048)
+        check_bool "resync discards the body" true (Serve.Framing.discard r 2048)
       | _ -> Alcotest.fail "expected oversized");
-      (match Serve.Framing.read ~max_frame:1024 b with
-      | Serve.Framing.Frame got -> check_bool "next frame intact" true (got = "after")
-      | _ -> Alcotest.fail "expected the follow-up frame");
-      (* A header cut short is Truncated, a clean EOF is Closed. *)
-      let c, d = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      ignore (Unix.write_substring c "\000\000" 0 2);
+      expect_frame "next frame intact" "after"
+        (Serve.Framing.read ~max_frame:1024 r));
+  (* A header cut short is Truncated, a clean EOF is Closed. *)
+  with_socketpair (fun c d ->
+      let r = Serve.Framing.reader d in
+      write_all c "\000\000";
       Unix.close c;
-      (match Serve.Framing.read d with
+      (match Serve.Framing.read r with
       | Serve.Framing.Truncated -> ()
       | _ -> Alcotest.fail "expected truncated");
-      (match Serve.Framing.read d with
+      match Serve.Framing.read r with
       | Serve.Framing.Closed -> ()
-      | _ -> Alcotest.fail "expected closed");
-      Unix.close d)
+      | _ -> Alcotest.fail "expected closed")
 
 let test_framing_stop () =
   (* A receive timeout plus [stop] makes a read abandonable mid-frame:
      this is what keeps one stalled peer from pinning a server reader
      (and with it, graceful drain) forever. *)
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.close a;
-      Unix.close b)
-    (fun () ->
+  with_socketpair (fun a b ->
       Unix.setsockopt_float b Unix.SO_RCVTIMEO 0.02;
+      let r = Serve.Framing.reader b in
       (* Nothing sent at all: the idle read gives up on the first expiry. *)
-      (match Serve.Framing.read ~stop:(fun () -> true) b with
+      (match Serve.Framing.read ~stop:(fun () -> true) r with
       | Serve.Framing.Stopped -> ()
       | _ -> Alcotest.fail "expected stopped on an idle read");
       (* A half-sent frame: header promises 100 bytes, 5 arrive, the
@@ -140,11 +154,118 @@ let test_framing_stop () =
            ~stop:(fun () ->
              incr polls;
              !polls >= 3)
-           b
+           r
        with
       | Serve.Framing.Stopped -> ()
       | _ -> Alcotest.fail "expected stopped mid-frame");
       check_bool "stop was consulted on expiries" true (!polls >= 3))
+
+(* Each receive timeout writes the next byte from [stop], so every read
+   syscall of the reader sees exactly one new byte. *)
+let test_framing_byte_at_a_time () =
+  with_socketpair (fun a b ->
+      Unix.setsockopt_float b Unix.SO_RCVTIMEO 0.001;
+      let r = Serve.Framing.reader b in
+      let wire = frame_bytes "one byte at a time" ^ frame_bytes "" in
+      let sent = ref 0 in
+      let stop () =
+        if !sent < String.length wire then begin
+          write_all a (String.sub wire !sent 1);
+          incr sent
+        end;
+        false
+      in
+      expect_frame "frame assembled from single bytes" "one byte at a time"
+        (Serve.Framing.read ~stop r);
+      expect_frame "empty frame after it" "" (Serve.Framing.read ~stop r);
+      check_int "every byte was sent one by one" (String.length wire) !sent)
+
+let test_framing_one_write () =
+  with_socketpair (fun a b ->
+      let r = Serve.Framing.reader b in
+      let payloads = [ "accepted"; String.make 3000 'r'; ""; "done" ] in
+      write_all a (String.concat "" (List.map frame_bytes payloads));
+      expect_frame "first frame" "accepted" (Serve.Framing.read r);
+      (* The first read took every frame already sent. *)
+      check_bool "descriptor drained by the first read" false (readable b);
+      List.iter
+        (fun p -> expect_frame "buffered frame" p (Serve.Framing.read r))
+        (List.tl payloads);
+      Unix.close a;
+      match Serve.Framing.read r with
+      | Serve.Framing.Closed -> ()
+      | _ -> Alcotest.fail "expected closed after the last frame")
+
+let test_framing_oversized_buffered () =
+  with_socketpair (fun a b ->
+      let r = Serve.Framing.reader b in
+      (* Oversized frame, its whole payload and the next frame in one
+         write: the discard is served from the buffer. *)
+      write_all a (frame_bytes (String.make 2048 'z') ^ frame_bytes "next");
+      (match Serve.Framing.read ~max_frame:1024 r with
+      | Serve.Framing.Oversized 2048 ->
+        check_bool "discard from the buffer" true (Serve.Framing.discard r 2048)
+      | _ -> Alcotest.fail "expected oversized 2048");
+      expect_frame "frame after the discard" "next" (Serve.Framing.read r);
+      (* Only part of the oversized payload has arrived: the discard
+         drops the buffered part, then reads the rest. *)
+      let big = frame_bytes (String.make 5000 'y') in
+      write_all a (String.sub big 0 1000);
+      (match Serve.Framing.read ~max_frame:1024 r with
+      | Serve.Framing.Oversized 5000 -> ()
+      | _ -> Alcotest.fail "expected oversized 5000");
+      write_all a
+        (String.sub big 1000 (String.length big - 1000) ^ frame_bytes "later");
+      check_bool "discard across the buffer and the descriptor" true
+        (Serve.Framing.discard r 5000);
+      expect_frame "frame after the split discard" "later"
+        (Serve.Framing.read r);
+      (* The peer dies inside an oversized payload: the discard fails. *)
+      write_all a (String.sub big 0 2000);
+      (match Serve.Framing.read ~max_frame:1024 r with
+      | Serve.Framing.Oversized 5000 -> ()
+      | _ -> Alcotest.fail "expected oversized 5000 again");
+      Unix.close a;
+      check_bool "discard hits EOF" false (Serve.Framing.discard r 5000))
+
+let test_framing_eof () =
+  let after wire =
+    with_socketpair (fun a b ->
+        let r = Serve.Framing.reader b in
+        write_all a wire;
+        Unix.close a;
+        let first = Serve.Framing.read r in
+        (first, Serve.Framing.read r))
+  in
+  let frame = frame_bytes "payload" in
+  (match after (String.sub frame 0 3) with
+  | Serve.Framing.Truncated, Serve.Framing.Closed -> ()
+  | _ -> Alcotest.fail "EOF in the header: expected truncated, then closed");
+  (match after (String.sub frame 0 6) with
+  | Serve.Framing.Truncated, Serve.Framing.Closed -> ()
+  | _ -> Alcotest.fail "EOF in the payload: expected truncated, then closed");
+  (match after (frame ^ String.sub frame 0 2) with
+  | Serve.Framing.Frame "payload", Serve.Framing.Truncated -> ()
+  | _ -> Alcotest.fail "EOF in the second header: expected frame, truncated");
+  (match after frame with
+  | Serve.Framing.Frame "payload", Serve.Framing.Closed -> ()
+  | _ -> Alcotest.fail "EOF on a boundary: expected frame, then closed");
+  match after "" with
+  | Serve.Framing.Closed, Serve.Framing.Closed -> ()
+  | _ -> Alcotest.fail "EOF before any byte: expected closed"
+
+let test_framing_stop_buffered () =
+  with_socketpair (fun a b ->
+      Unix.setsockopt_float b Unix.SO_RCVTIMEO 0.02;
+      let r = Serve.Framing.reader b in
+      (* One write: a whole frame and half of the next. *)
+      let second = frame_bytes (String.make 200 'h') in
+      write_all a (frame_bytes "whole" ^ String.sub second 0 100);
+      let stop () = true in
+      expect_frame "whole frame despite stop" "whole" (Serve.Framing.read ~stop r);
+      match Serve.Framing.read ~stop r with
+      | Serve.Framing.Stopped -> ()
+      | _ -> Alcotest.fail "expected stopped with half a frame buffered")
 
 (* --- request codec --- *)
 
@@ -1173,22 +1294,26 @@ let test_subscribe_lifecycle () =
           (match Serve.Client.unsubscribe sub with
           | Ok () -> ()
           | Error e -> Alcotest.failf "unsubscribe failed: %s" e);
-          let rec drain_trailing n =
-            let readable, _, _ =
-              Unix.select [ Serve.Client.fd sub ] [] [] 0.15
-            in
-            if readable <> [] then begin
-              check_bool "bounded trailing frames" true (n < 3);
-              (match Serve.Client.read_typed sub with
-              | Ok (_, (P.Metrics_reply _ | P.Trace_chunk _)) -> ()
-              | Ok (_, _) -> Alcotest.fail "unexpected trailing frame"
-              | Error e -> Alcotest.failf "trailing read: %s" e);
-              drain_trailing (n + 1)
-            end
-          in
-          drain_trailing 0;
+          (* A tick still in flight lands within the wait, so it reads
+             ahead of the next reply: the client reads only through its
+             buffered reader, never by polling the descriptor. *)
+          Thread.delay 0.15;
           (* The connection stays aligned for ordinary requests. *)
           let frames = frames_exn (Serve.Client.request sub P.Stats) in
+          let trailing =
+            List.filter
+              (function P.Metrics_reply _ | P.Trace_chunk _ -> true | _ -> false)
+              frames
+          in
+          check_bool "bounded trailing frames" true (List.length trailing < 3);
+          check_bool "only stream frames trail the ack" true
+            (List.for_all
+               (function
+                 | P.Metrics_reply _ | P.Trace_chunk _ | P.Stats_reply _
+                 | P.Done _ ->
+                   true
+                 | _ -> false)
+               frames);
           check_bool "stats after unsubscribe" true (has_done frames)))
 
 let test_subscriber_disconnect () =
@@ -1616,4 +1741,14 @@ let suite =
       test_closed_connection_is_error;
     Alcotest.test_case "frame optional members: absent, null or typed" `Quick
       test_frame_optional_members;
+    Alcotest.test_case "framing: a frame written one byte at a time" `Quick
+      test_framing_byte_at_a_time;
+    Alcotest.test_case "framing: several frames in one write" `Quick
+      test_framing_one_write;
+    Alcotest.test_case "framing: oversized discard with the payload buffered"
+      `Quick test_framing_oversized_buffered;
+    Alcotest.test_case "framing: EOF is truncated mid-frame, closed on a boundary"
+      `Quick test_framing_eof;
+    Alcotest.test_case "framing: stopped with half a frame buffered" `Quick
+      test_framing_stop_buffered;
   ]
