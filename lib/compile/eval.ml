@@ -8,11 +8,11 @@
 
    Bit-exactness holds by construction: each lane folds with the
    interpreted estimator's own code — [Tlm1.Energy.fold] per active
-   cycle, [Tlm2.Energy]'s lane and data lump per event.  What stays here
-   is the cycle grouping: one cycle's lumps group before joining the
-   total, and an elided quiet cycle adds a literal 0.0 in the
-   interpreted model, a float identity for the non-negative energies
-   involved. *)
+   cycle, [Tlm2.Energy]'s lanes and one [data_lumps] call per data
+   event.  What stays here is the cycle grouping: one cycle's lumps
+   group before joining the total, and an elided quiet cycle adds a
+   literal 0.0 in the interpreted model, a float identity for the
+   non-negative energies involved. *)
 
 type point = {
   table : Power.Characterization.t;
@@ -50,10 +50,17 @@ let dense_profiles (meta : Plan.meta) k dense =
 (* Cycle [c] closes with lane energies [pj]: they join the totals and,
    when kept, the dense profiles. *)
 let close_cycle totals profs c (pj : float array) =
-  for l = 0 to Array.length totals - 1 do
-    totals.(l) <- totals.(l) +. pj.(l);
-    match profs with Some ps -> ps.(l).(c) <- pj.(l) | None -> ()
-  done
+  let k = Array.length totals in
+  match profs with
+  | None ->
+    for l = 0 to k - 1 do
+      totals.(l) <- totals.(l) +. pj.(l)
+    done
+  | Some ps ->
+    for l = 0 to k - 1 do
+      totals.(l) <- totals.(l) +. pj.(l);
+      ps.(l).(c) <- pj.(l)
+    done
 
 let eval_l1 (meta : Plan.meta) (d : Plan.l1_data) lanes ~k ~dense =
   let totals = Array.make k 0.0 and profs = dense_profiles meta k dense in
@@ -67,8 +74,10 @@ let eval_l1 (meta : Plan.meta) (d : Plan.l1_data) lanes ~k ~dense =
   done;
   (totals, profs)
 
-let eval_l2 (meta : Plan.meta) (d : Plan.l2_data) lanes ~dense =
-  let k = Array.length lanes in
+let eval_l2 (meta : Plan.meta) (d : Plan.l2_data) (lanes : Tlm2.Energy.lanes)
+    ~dense =
+  let addr_lump = lanes.Tlm2.Energy.addr_lump in
+  let k = Array.length addr_lump in
   let totals = Array.make k 0.0 and profs = dense_profiles meta k dense in
   let n = Array.length d.Plan.ev_cycle in
   let cur = Array.make k 0.0 and lump = Array.make k 0.0 in
@@ -80,13 +89,13 @@ let eval_l2 (meta : Plan.meta) (d : Plan.l2_data) lanes ~dense =
       let e = !i in
       if d.Plan.ev_kind.(e) = 0 then
         for l = 0 to k - 1 do
-          cur.(l) <- cur.(l) +. lanes.(l).Tlm2.Energy.addr_lump
+          cur.(l) <- cur.(l) +. addr_lump.(l)
         done
       else begin
-        let read = d.Plan.ev_dir.(e) = 0 in
+        Tlm2.Energy.data_lumps lanes ~read:(d.Plan.ev_dir.(e) = 0)
+          ~burst:d.Plan.ev_burst.(e) ~pops:d.Plan.pops
+          ~off:d.Plan.ev_pop_off.(e) lump;
         for l = 0 to k - 1 do
-          Tlm2.Energy.data_lump lanes.(l) ~read ~burst:d.Plan.ev_burst.(e)
-            ~pops:d.Plan.pops ~off:d.Plan.ev_pop_off.(e) lump l;
           cur.(l) <- cur.(l) +. lump.(l)
         done
       end;
@@ -106,13 +115,14 @@ let eval_raw plan ~points ~dense =
       ~k:(Array.length tables) ~dense
   | Plan.L2 d ->
     let lanes =
-      Array.of_list
-        (List.map
-           (fun pt ->
-             Tlm2.Energy.lane pt.table
-               (Option.value pt.l2_params
-                  ~default:Tlm2.Energy.default_params))
-           points)
+      Tlm2.Energy.lanes
+        (Array.of_list
+           (List.map
+              (fun pt ->
+                ( pt.table,
+                  Option.value pt.l2_params
+                    ~default:Tlm2.Energy.default_params ))
+              points))
     in
     eval_l2 plan.Plan.meta d lanes ~dense
 

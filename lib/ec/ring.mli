@@ -13,7 +13,8 @@
 type 'a t
 
 val create : ?capacity:int -> dummy:'a -> unit -> 'a t
-(** [capacity] defaults to 16 slots. *)
+(** [capacity] defaults to 16 slots and is rounded up to a power of
+    two. *)
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool

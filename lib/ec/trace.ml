@@ -6,17 +6,7 @@ let item ?(gap = 0) txn =
   { gap; txn }
 
 let instantiate gen it =
-  let txn = it.txn in
-  let data =
-    match txn.Txn.dir with
-    | Txn.Write -> Some (Array.copy txn.Txn.data)
-    | Txn.Read -> None
-  in
-  let txn =
-    Txn.create ~id:(Txn.Id_gen.fresh gen) ~kind:txn.Txn.kind ~dir:txn.Txn.dir
-      ~width:txn.Txn.width ~addr:txn.Txn.addr ~burst:txn.Txn.burst ?data ()
-  in
-  { it with txn }
+  { it with txn = Txn.renumber ~id:(Txn.Id_gen.fresh gen) it.txn }
 
 let total_txns t = List.length t
 let total_beats t = List.fold_left (fun acc it -> acc + it.txn.Txn.burst) 0 t

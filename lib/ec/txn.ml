@@ -39,6 +39,16 @@ let create ~id ~kind ~dir ~width ~addr ~burst ?data () =
   in
   { id; kind; dir; width; addr; burst; data }
 
+(* The transaction is already well formed: only the id and a payload of
+   its own change. *)
+let renumber ~id t =
+  let data =
+    match t.dir with
+    | Write -> Array.copy t.data
+    | Read -> Array.make t.burst 0
+  in
+  { t with id; data }
+
 let single_read ~id ?(kind = Data) ?(width = W32) addr =
   create ~id ~kind ~dir:Read ~width ~addr ~burst:1 ()
 

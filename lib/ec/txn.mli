@@ -49,6 +49,11 @@ val create :
     misaligned for the width, instruction writes, or write payload length
     not matching [burst]. *)
 
+val renumber : id:int -> t -> t
+(** [renumber ~id txn] is [txn] under a new [id] with a payload of its
+    own: a copy of the write data, or fresh zeroed read results.  No
+    re-validation — [txn] was validated when it was created. *)
+
 val single_read : id:int -> ?kind:kind -> ?width:width -> int -> t
 (** [single_read ~id addr] is a 32-bit single data read by default. *)
 

@@ -1,48 +1,80 @@
-(* The layer-1 lane: every interface wire's energy per transition, for
-   [k] characterization tables laid out lane-major — lane [l]'s wire [w]
-   (dense Ec.Signals.index) at [l * Ec.Signals.count + w].  The interpreter
-   folds one lane per cycle, Compile.Eval k lanes per plan row. *)
+(* The layer-1 lanes: every interface wire's energy per transition, for
+   [k] characterization tables laid out wire-major — wire [w] (dense
+   Ec.Signals.index) of lane [l] at [w * k + l], so one toggled wire's k
+   energies sit side by side.  The interpreter folds one lane per cycle,
+   Compile.Eval k lanes per plan row. *)
 type lanes = {
   k : int;
   pj : float array;
-  sums : float array;  (* scratch: each lane's sum over one group *)
+  idx : int array;  (* scratch: one group's set wires, each times [k] *)
 }
 
 let lanes tables =
-  let k = Array.length tables and n = Ec.Signals.count in
+  let k = Array.length tables in
   let per j =
-    Power.Characterization.energy_per_transition tables.(j / n)
-      (Ec.Signals.of_index (j mod n))
+    Power.Characterization.energy_per_transition tables.(j mod k)
+      (Ec.Signals.of_index (j / k))
   in
-  { k; pj = Array.init (k * n) per; sums = Array.make k 0.0 }
+  {
+    k;
+    pj = Array.init (Ec.Signals.count * k) per;
+    idx = Array.make Ec.Signals.addr_wires 0;
+  }
 
 (* One signal group: each lane sums the energy of the set bits of [bits]
    — wire [base + bit] — from 0.0, lowest bit first, and the sum joins
-   that lane's cycle energy in [out]; returns the set-bit count.  The k
-   running sums live in a float array, stored unboxed. *)
+   that lane's cycle energy in [out]; returns the set-bit count.  The set
+   bits are decoded once into [idx]; the lanes then sum in blocks of four,
+   each block's sums in local float refs that ocamlopt keeps in
+   registers, and a remainder loop takes the last [k mod 4] lanes.  One
+   lane sums while decoding, without the index buffer. *)
 let group ln (out : float array) base bits =
   if bits = 0 then 0
-  else begin
-    let k = ln.k and pj = ln.pj and sums = ln.sums in
-    for l = 0 to k - 1 do
-      Array.unsafe_set sums l 0.0
-    done;
-    let rest = ref bits and n = ref 0 in
+  else if ln.k = 1 then begin
+    let pj = ln.pj and rest = ref bits and n = ref 0 and s = ref 0.0 in
     while !rest <> 0 do
       let low = !rest land - !rest in
-      let w = ref (base + Sim.Bits.popcount (low - 1)) in
-      for l = 0 to k - 1 do
-        Array.unsafe_set sums l
-          (Array.unsafe_get sums l +. Array.unsafe_get pj !w);
-        w := !w + Ec.Signals.count
-      done;
+      s := !s +. Array.unsafe_get pj (base + Sim.Bits.popcount (low - 1));
       rest := !rest lxor low;
       incr n
     done;
-    for l = 0 to k - 1 do
-      Array.unsafe_set out l (Array.unsafe_get out l +. Array.unsafe_get sums l)
-    done;
+    Array.unsafe_set out 0 (Array.unsafe_get out 0 +. !s);
     !n
+  end
+  else begin
+    let k = ln.k and pj = ln.pj and idx = ln.idx in
+    let rest = ref bits and n = ref 0 in
+    while !rest <> 0 do
+      let low = !rest land - !rest in
+      Array.unsafe_set idx !n ((base + Sim.Bits.popcount (low - 1)) * k);
+      rest := !rest lxor low;
+      incr n
+    done;
+    let n = !n and l = ref 0 in
+    while !l + 4 <= k do
+      let l0 = !l in
+      let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
+      for i = 0 to n - 1 do
+        let w = Array.unsafe_get idx i + l0 in
+        s0 := !s0 +. Array.unsafe_get pj w;
+        s1 := !s1 +. Array.unsafe_get pj (w + 1);
+        s2 := !s2 +. Array.unsafe_get pj (w + 2);
+        s3 := !s3 +. Array.unsafe_get pj (w + 3)
+      done;
+      Array.unsafe_set out l0 (Array.unsafe_get out l0 +. !s0);
+      Array.unsafe_set out (l0 + 1) (Array.unsafe_get out (l0 + 1) +. !s1);
+      Array.unsafe_set out (l0 + 2) (Array.unsafe_get out (l0 + 2) +. !s2);
+      Array.unsafe_set out (l0 + 3) (Array.unsafe_get out (l0 + 3) +. !s3);
+      l := l0 + 4
+    done;
+    for l = !l to k - 1 do
+      let s = ref 0.0 in
+      for i = 0 to n - 1 do
+        s := !s +. Array.unsafe_get pj (Array.unsafe_get idx i + l)
+      done;
+      Array.unsafe_set out l (Array.unsafe_get out l +. !s)
+    done;
+    n
   end
 
 let be_base = Ec.Signals.index (Ec.Signals.Be 0)

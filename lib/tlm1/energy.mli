@@ -20,7 +20,9 @@
 
 type lanes
 (** Every interface wire's energy per transition under k tables,
-    lane-major, plus a scratch buffer: fold one value on one domain. *)
+    wire-major (wire [w] of lane [l] at [w * k + l], so a toggled wire's
+    k energies are adjacent), plus a scratch index buffer: fold one value
+    on one domain. *)
 
 val lanes : Power.Characterization.t array -> lanes
 
@@ -29,9 +31,12 @@ val fold :
   ctrl:int -> int
 (** [fold ln out ~addr ~be ~wdata ~rdata ~ctrl] stores in [out.(l)] lane
     [l]'s energy of a cycle whose groups toggled the set bits of these
-    old-xor-new words, and returns the set-bit count.  Only set bits are
-    visited, lowest first; each group sums from 0.0 in ascending bit
-    order and groups join in addr/be/wdata/rdata/ctrl order.
+    old-xor-new words, and returns the set-bit count.  Each group's set
+    bits are decoded once, lowest first, and the lanes sum them in blocks
+    of four held in registers; each lane's group sum starts from 0.0 and
+    adds in ascending bit order, and groups join in
+    addr/be/wdata/rdata/ctrl order, so every lane's figure equals a
+    one-lane fold of its table bit for bit.
     @raise Invalid_argument if [out] is shorter than the lane count or a
     word has a bit beyond its group's width (34, 4, 32, 32, 11). *)
 

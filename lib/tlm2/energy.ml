@@ -18,49 +18,63 @@ let default_params =
     strobe_pulses_per_beat = 1.5;
   }
 
-(* The layer-2 lane: one point's parameters with the averages the lumps
-   read.  The address lump does not depend on the transaction, so it is
-   computed once per lane. *)
-type lane = {
-  params : params;
-  avg_wdata : float;
-  avg_rdata : float;
-  avg_ctrl : float;
-  addr_lump : float;
+(* The layer-2 lanes: k points' lump operands, one float array per
+   operand, lane [l] at index [l].  The address lump does not depend on
+   the transaction, so it is computed once per lane. *)
+type lanes = {
+  addr_lump : float array;
+  boundary_data_toggles : float array;
+  strobe_pulses_per_beat : float array;
+  avg_rdata : float array;
+  avg_wdata : float array;
+  avg_ctrl : float array;
 }
 
-let lane table params =
-  let avg_ctrl = Power.Characterization.avg_ctrl_bit table in
+let lanes points =
+  let per f = Array.map (fun (table, params) -> f table params) points in
+  let open Power.Characterization in
   {
-    params;
-    avg_wdata = Power.Characterization.avg_wdata_bit table;
-    avg_rdata = Power.Characterization.avg_rdata_bit table;
-    avg_ctrl;
     addr_lump =
-      (params.boundary_addr_toggles
-       *. Power.Characterization.avg_addr_bit table)
-      +. (params.attr_toggles *. Power.Characterization.avg_be_bit table)
-      (* Instr, Write, Burst attribute wires. *)
-      +. (3.0 *. params.attr_toggles *. avg_ctrl)
-      (* AValid and ARdy handshake pulses. *)
-      +. (2.0 *. params.strobe_pulses_per_phase *. avg_ctrl);
+      per (fun table params ->
+          let avg_ctrl = avg_ctrl_bit table in
+          (params.boundary_addr_toggles *. avg_addr_bit table)
+          +. (params.attr_toggles *. avg_be_bit table)
+          (* Instr, Write, Burst attribute wires. *)
+          +. (3.0 *. params.attr_toggles *. avg_ctrl)
+          (* AValid and ARdy handshake pulses. *)
+          +. (2.0 *. params.strobe_pulses_per_phase *. avg_ctrl));
+    boundary_data_toggles = per (fun _ params -> params.boundary_data_toggles);
+    strobe_pulses_per_beat =
+      per (fun _ params -> params.strobe_pulses_per_beat);
+    avg_rdata = per (fun table _ -> avg_rdata_bit table);
+    avg_wdata = per (fun table _ -> avg_wdata_bit table);
+    avg_ctrl = per (fun table _ -> avg_ctrl_bit table);
   }
 
-(* First beat against an unknown bus state, then the exact Hamming
-   distances between consecutive beats of the burst, in beat order. *)
-let data_lump ln ~read ~burst ~pops ~off (out : float array) i =
-  let p = ln.params in
-  let toggles = ref p.boundary_data_toggles in
-  for j = 0 to burst - 2 do
-    toggles := !toggles +. float_of_int pops.(off + j)
-  done;
-  let strobes =
-    p.strobe_pulses_per_beat *. float_of_int burst
-    +. (if burst > 1 then 4.0 else 0.0)
-    (* BFirst and BLast pulses on bursts. *)
-  in
+(* Per lane: the first beat against an unknown bus state, then the exact
+   Hamming distances between consecutive beats of the burst, in beat
+   order.  The toggle sum stays in a register; the operands are checked
+   once, so the lane loop reads unchecked. *)
+let data_lumps ln ~read ~burst ~pops ~off (out : float array) =
+  let k = Array.length ln.addr_lump in
+  if Array.length out < k || off < 0 || off + burst - 1 > Array.length pops
+  then invalid_arg "Tlm2.Energy.data_lumps";
+  let fburst = float_of_int burst
+  (* BFirst and BLast pulses on bursts. *)
+  and bursts = if burst > 1 then 4.0 else 0.0 in
   let avg_bit = if read then ln.avg_rdata else ln.avg_wdata in
-  out.(i) <- (!toggles *. avg_bit) +. (strobes *. ln.avg_ctrl)
+  for l = 0 to k - 1 do
+    let toggles = ref (Array.unsafe_get ln.boundary_data_toggles l) in
+    for j = 0 to burst - 2 do
+      toggles := !toggles +. float_of_int (Array.unsafe_get pops (off + j))
+    done;
+    let strobes =
+      (Array.unsafe_get ln.strobe_pulses_per_beat l *. fburst) +. bursts
+    in
+    Array.unsafe_set out l
+      ((!toggles *. Array.unsafe_get avg_bit l)
+      +. (strobes *. Array.unsafe_get ln.avg_ctrl l))
+  done
 
 (* What the trace compiler needs to replay a lump stream: which phase
    finished on which transaction, and where the cycle boundaries fall.
@@ -70,8 +84,8 @@ type event = Addr_lump of Ec.Txn.t | Data_lump of Ec.Txn.t | Cycle
 
 type t = {
   table : Power.Characterization.t;
-  mutable lane : lane;
-  created_lane : lane;  (* what [reset] restores after calibration *)
+  mutable lane : lanes;  (* one lane: this model's point *)
+  created_lane : lanes;  (* what [reset] restores after calibration *)
   meter : Power.Meter.t;
   pops : int array;  (* inter-beat toggle counts; bursts are 1 or 4 beats *)
   lump : float array;  (* the last data lump, unboxed *)
@@ -80,7 +94,7 @@ type t = {
 }
 
 let create ?(record_profile = false) ?(params = default_params) table =
-  let ln = lane table params in
+  let ln = lanes [| (table, params) |] in
   {
     table;
     lane = ln;
@@ -92,7 +106,7 @@ let create ?(record_profile = false) ?(params = default_params) table =
     lumps = 0;
   }
 
-let set_params t params = t.lane <- lane t.table params
+let set_params t params = t.lane <- lanes [| (t.table, params) |]
 let set_observer t f = t.observer <- Some f
 let clear_observer t = t.observer <- None
 
@@ -108,7 +122,7 @@ let reset t =
 let address_phase_pj t (txn : Ec.Txn.t) =
   observe t (Addr_lump txn);
   t.lumps <- t.lumps + 1;
-  let pj = t.lane.addr_lump in
+  let pj = t.lane.addr_lump.(0) in
   Power.Meter.add t.meter pj;
   pj
 
@@ -122,7 +136,7 @@ let data_phase_pj t (txn : Ec.Txn.t) =
   let read =
     match txn.Ec.Txn.dir with Ec.Txn.Read -> true | Ec.Txn.Write -> false
   in
-  data_lump t.lane ~read ~burst ~pops:t.pops ~off:0 t.lump 0;
+  data_lumps t.lane ~read ~burst ~pops:t.pops ~off:0 t.lump;
   let pj = t.lump.(0) in
   Power.Meter.add t.meter pj;
   pj

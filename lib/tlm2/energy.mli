@@ -36,28 +36,36 @@ type params = {
 
 val default_params : params
 
-(** {1 The layer-2 lane and lumps}
+(** {1 The layer-2 lanes and lumps}
 
-    One estimator, two executors: the interpreted model below and
-    [Compile.Eval] read the same lane and data-lump formula. *)
+    One estimator, two executors: the interpreted model below holds a
+    one-lane value, [Compile.Eval] a k-lane value per plan, and both
+    read the same lump formula. *)
 
-type lane = private {
-  params : params;
-  avg_wdata : float;
-  avg_rdata : float;
-  avg_ctrl : float;  (** per-bit averages of the table *)
-  addr_lump : float;  (** the address-phase lump, the same for every txn *)
+type lanes = private {
+  addr_lump : float array;
+      (** the address-phase lump, the same for every txn *)
+  boundary_data_toggles : float array;
+  strobe_pulses_per_beat : float array;  (** the data-lump {!params} *)
+  avg_rdata : float array;
+  avg_wdata : float array;
+  avg_ctrl : float array;  (** per-bit averages of the table *)
 }
+(** k points' lump operands, one float array per operand, lane [l] at
+    index [l]. *)
 
-val lane : Power.Characterization.t -> params -> lane
+val lanes : (Power.Characterization.t * params) array -> lanes
 
-val data_lump :
-  lane -> read:bool -> burst:int -> pops:int array -> off:int ->
-  float array -> int -> unit
-(** [data_lump ln ~read ~burst ~pops ~off out i] stores in [out.(i)] the
-    lump of a [burst]-beat data phase whose inter-beat toggle counts are
-    [pops.(off)] .. [pops.(off + burst - 2)], summed in beat order after
-    the boundary toggles. *)
+val data_lumps :
+  lanes -> read:bool -> burst:int -> pops:int array -> off:int ->
+  float array -> unit
+(** [data_lumps ln ~read ~burst ~pops ~off out] stores in [out.(l)] lane
+    [l]'s lump of a [burst]-beat data phase whose inter-beat toggle counts
+    are [pops.(off)] .. [pops.(off + burst - 2)]: the boundary toggles
+    plus the counts in beat order, times the data-bit average, plus the
+    strobe pulses times the control-bit average.
+    @raise Invalid_argument if [out] is shorter than the lane count or
+    the counts lie outside [pops]. *)
 
 type t
 

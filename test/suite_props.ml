@@ -363,18 +363,21 @@ let gen_ring_ops =
 
 let prop_ring_models_queue =
   QCheck.Test.make ~name:"Ec.Ring behaves like Queue" ~count:200
-    (QCheck.make gen_ring_ops
-       ~print:(fun ops ->
+    (QCheck.make
+       Gen.(pair (int_range 1 5) gen_ring_ops)
+       ~print:(fun (capacity, ops) ->
          String.concat ";"
-           (List.map
-              (function
-                | `Push v -> Printf.sprintf "push %d" v
-                | `Pop -> "pop"
-                | `Peek -> "peek")
-              ops)))
-    (fun ops ->
-      (* Capacity 2 forces growth and wrap-around early. *)
-      let ring = Ec.Ring.create ~capacity:2 ~dummy:(-1) () in
+           (Printf.sprintf "capacity %d" capacity
+           :: List.map
+                (function
+                  | `Push v -> Printf.sprintf "push %d" v
+                  | `Pop -> "pop"
+                  | `Peek -> "peek")
+                ops)))
+    (fun (capacity, ops) ->
+      (* Small start capacities round up to a power of two, then force
+         growth and wrap-around early. *)
+      let ring = Ec.Ring.create ~capacity ~dummy:(-1) () in
       let queue = Queue.create () in
       List.for_all
         (function
@@ -1030,7 +1033,7 @@ let gen_l1_fold_case =
   let table =
     array_size (return Ec.Signals.count) (float_bound_inclusive 5.0)
   in
-  pair (list_size (int_range 1 4) table) (list_size (int_range 1 20) cycle)
+  pair (list_size (int_range 1 17) table) (list_size (int_range 1 20) cycle)
 
 (* The estimator as first written: each group's toggled bits summed from
    0.0 by scanning every bit position, groups added left to right. *)
@@ -1096,6 +1099,127 @@ let prop_l1_fold_lanes =
       | _ -> false
       | exception Invalid_argument _ -> true)
 
+(* The layer-2 data lump written out from its definition (DESIGN.md
+   section 14): boundary toggles plus the inter-beat counts in beat order,
+   times the data-bit average, plus the strobe pulses times the
+   control-bit average; and the address lump likewise. *)
+let reference_l2_lumps table (p : Tlm2.Energy.params) ~read ~burst pops off =
+  let module C = Power.Characterization in
+  let toggles = ref p.Tlm2.Energy.boundary_data_toggles in
+  for j = 0 to burst - 2 do
+    toggles := !toggles +. float_of_int pops.(off + j)
+  done;
+  let strobes =
+    (p.Tlm2.Energy.strobe_pulses_per_beat *. float_of_int burst)
+    +. if burst > 1 then 4.0 else 0.0
+  in
+  let avg_bit = if read then C.avg_rdata_bit table else C.avg_wdata_bit table in
+  let data = (!toggles *. avg_bit) +. (strobes *. C.avg_ctrl_bit table) in
+  let addr =
+    (p.Tlm2.Energy.boundary_addr_toggles *. C.avg_addr_bit table)
+    +. (p.Tlm2.Energy.attr_toggles *. C.avg_be_bit table)
+    +. (3.0 *. p.Tlm2.Energy.attr_toggles *. C.avg_ctrl_bit table)
+    +. (2.0 *. p.Tlm2.Energy.strobe_pulses_per_phase *. C.avg_ctrl_bit table)
+  in
+  (addr, data)
+
+let gen_l2_lump_case =
+  let open Gen in
+  let toggles = float_bound_inclusive 40.0 in
+  let point =
+    pair
+      (array_size (return Ec.Signals.count) (float_bound_inclusive 5.0))
+      (map
+         (fun (a, d, t, ph, b) ->
+           {
+             Tlm2.Energy.boundary_addr_toggles = a;
+             boundary_data_toggles = d;
+             attr_toggles = t;
+             strobe_pulses_per_phase = ph;
+             strobe_pulses_per_beat = b;
+           })
+         (tup5 toggles toggles toggles toggles toggles))
+  in
+  let event =
+    let* burst = oneofl [ 1; 4 ] and* read = bool in
+    let* pops = array_size (int_range 3 8) (int_bound 32) in
+    let* off = int_bound (Array.length pops - 3) in
+    return (read, burst, pops, off)
+  in
+  pair (list_size (int_range 1 17) point) (list_size (int_range 1 20) event)
+
+let prop_l2_lumps_lanes =
+  QCheck.Test.make
+    ~name:"l2 lumps over k lanes = k single-lane lumps = reference formula"
+    ~count:200 (QCheck.make gen_l2_lump_case)
+    (fun (points, events) ->
+      let points =
+        Array.of_list
+          (List.map
+             (fun (energy_pj, params) ->
+               ( Power.Characterization.derive ~name:"random" ~energy_pj
+                   ~transitions:(Array.make Ec.Signals.count 1),
+                 params ))
+             points)
+      in
+      let k = Array.length points in
+      let all = Tlm2.Energy.lanes points and out = Array.make k 0.0 in
+      let single = Array.map (fun p -> Tlm2.Energy.lanes [| p |]) points in
+      let one = Array.make 1 0.0 in
+      let bits = Int64.bits_of_float in
+      List.for_all
+        (fun (read, burst, pops, off) ->
+          Tlm2.Energy.data_lumps all ~read ~burst ~pops ~off out;
+          List.for_all
+            (fun l ->
+              let table, params = points.(l) in
+              Tlm2.Energy.data_lumps single.(l) ~read ~burst ~pops ~off one;
+              let ref_addr, ref_data =
+                reference_l2_lumps table params ~read ~burst pops off
+              in
+              let addr = all.Tlm2.Energy.addr_lump.(l) in
+              bits out.(l) = bits one.(0)
+              && bits out.(l) = bits ref_data
+              && bits addr = bits single.(l).Tlm2.Energy.addr_lump.(0)
+              && bits addr = bits ref_addr)
+            (List.init k Fun.id))
+        events
+      && (* Counts past the end of [pops] are refused, not read. *)
+      match
+        Tlm2.Energy.data_lumps all ~read:true ~burst:4 ~pops:[| 1; 2 |] ~off:0
+          out
+      with
+      | () -> false
+      | exception Invalid_argument _ -> true)
+
+(* A warm 16-point fold allocates per pass, never per plan row: the
+   lanes, outcomes and results, the same words for a 500- and a
+   4,000-transaction plan.  A boxed lane accumulator would allocate on
+   every row and show as a difference. *)
+let test_fold_alloc_flat level () =
+  let points =
+    List.init 16 (fun i ->
+        {
+          Compile.Eval.table =
+            Power.Characterization.scale Power.Characterization.default
+              (0.5 +. (0.0625 *. float_of_int i));
+          l2_params = None;
+        })
+  in
+  let words n =
+    let plan =
+      Core.Runner.compile_trace ~level (Core.Workloads.table3_trace ~n)
+    in
+    ignore (Core.Runner.replay_multi ~points plan);
+    let before = Gc.minor_words () in
+    ignore (Core.Runner.replay_multi ~points plan);
+    Gc.minor_words () -. before
+  in
+  let small = words 500 and large = words 4000 in
+  if small <> large then
+    Alcotest.failf "replay_multi allocates %.0f words at 500 txns, %.0f at 4000"
+      small large
+
 let compiled_props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1109,6 +1233,11 @@ let compiled_props =
       Alcotest.test_case "memo tag rows sum to the totals" `Quick
         test_memo_tags_sum;
       QCheck_alcotest.to_alcotest prop_l1_fold_lanes;
+      QCheck_alcotest.to_alcotest prop_l2_lumps_lanes;
+      Alcotest.test_case "l1 warm fold allocates the same at any plan size"
+        `Quick (test_fold_alloc_flat Core.Level.L1);
+      Alcotest.test_case "l2 warm fold allocates the same at any plan size"
+        `Quick (test_fold_alloc_flat Core.Level.L2);
     ]
 
 let suite = suite @ compiled_props
