@@ -34,7 +34,11 @@ let () =
     Core.Runner.fill_memories system;
     Soc.Platform.load_program (Core.System.platform system) program
   in
-  let results = Core.Runner.run_levels ~table ~mode:`Pipelined ~init trace in
+  let results =
+    List.map
+      (fun level -> Core.Runner.run_trace ~level ~table ~mode:`Pipelined ~init trace)
+      Core.Level.all
+  in
   let reference = List.hd results in
   List.iter
     (fun (r : Core.Runner.result) ->

@@ -132,11 +132,6 @@ let eval_multi ~record_profile plan ~points =
     let totals, profs = eval_raw plan ~points ~dense:record_profile in
     List.init (List.length points) (finish totals profs)
 
-let eval ?(record_profile = false) ?l2_params ~table plan =
-  match eval_multi ~record_profile plan ~points:[ { table; l2_params } ] with
-  | [ o ] -> o
-  | _ -> assert false
-
 (* --- fabric plans (DESIGN.md section 18) ------------------------------ *)
 
 type fabric_outcome = {
@@ -202,8 +197,3 @@ let eval_fabric_multi (f : Plan.fabric) ~points =
           fabric_bridge_pj = bridge_pj;
         })
   end
-
-let eval_fabric ~table f =
-  match eval_fabric_multi f ~points:[ { table; l2_params = None } ] with
-  | [ o ] -> o
-  | _ -> assert false

@@ -26,14 +26,6 @@ val eval_multi :
   record_profile:bool -> Plan.t -> points:point list -> outcome list
 (** One pass over the plan, one outcome per point, in order. *)
 
-val eval :
-  ?record_profile:bool ->
-  ?l2_params:Tlm2.Energy.params ->
-  table:Power.Characterization.t ->
-  Plan.t ->
-  outcome
-(** Single-point convenience; identical to a one-element {!eval_multi}. *)
-
 (** {1 Fabric plans (DESIGN.md §18)} *)
 
 type fabric_outcome = {
@@ -56,7 +48,3 @@ val eval_fabric_multi :
     energies evaluated from the shared decode, so buckets, totals and
     bridge energy are bit-identical to an interpreted run at each
     point. *)
-
-val eval_fabric :
-  table:Power.Characterization.t -> Plan.fabric -> fabric_outcome
-(** Single-point convenience over {!eval_fabric_multi}. *)

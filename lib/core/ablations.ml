@@ -66,7 +66,9 @@ let rtl_reference ?pool segments =
 (* Table variants are a pure evaluation sweep: each stimulus segment
    compiles once (the plan is table-independent) and both tables fold
    off it in a single multi-point replay — the interpreted layer-1 run
-   happens twice fewer times, bit-identically. *)
+   happens twice fewer times, bit-identically.  Segments carry an
+   [init] closure, which the plan memo cannot fingerprint, so plans
+   compile unpooled; [pool] serves the gate-level reference only. *)
 let characterization_quality ?pool () =
   let derived = Runner.characterize () in
   let segments = Experiments.accuracy_stimulus () in
@@ -83,7 +85,7 @@ let characterization_quality ?pool () =
   let totals = Array.make (List.length tables) 0.0 in
   List.iter
     (fun (_, trace, mode, init) ->
-      let plan = Runner.compile_trace ~level:Level.L1 ~mode ~init ?pool trace in
+      let plan = Runner.compile_trace ~level:Level.L1 ~mode ~init trace in
       List.iteri
         (fun i (r : Runner.result) -> totals.(i) <- totals.(i) +. r.Runner.bus_pj)
         (Runner.replay_multi ~points plan))
@@ -121,7 +123,7 @@ let l2_boundary_sensitivity ~pool () =
   let totals = Array.make (List.length bds) 0.0 in
   List.iter
     (fun (_, trace, mode, init) ->
-      let plan = Runner.compile_trace ~level:Level.L2 ~mode ~init ~pool trace in
+      let plan = Runner.compile_trace ~level:Level.L2 ~mode ~init trace in
       List.iteri
         (fun i (r : Runner.result) -> totals.(i) <- totals.(i) +. r.Runner.bus_pj)
         (Runner.replay_multi ~points plan))
@@ -179,7 +181,7 @@ let render ~title rows =
 
 let run_all () =
   (* The five studies are independent (each characterizes and simulates
-     its own systems); fan them out on the domain pool.  One session
+     its own systems); fan them out with Parallel.map.  One session
      pool is shared: its free-lists are domain-local, so studies on
      different domains never contend. *)
   let pool = Pool.create () in

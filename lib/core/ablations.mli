@@ -25,7 +25,7 @@ val store_buffer_effect : unit -> row list
     program (layer-1 bus). *)
 
 val run_all : unit -> string
-(** Every study, rendered; the five studies are independent and run on
-    the {!Parallel} pool.  They share one session pool, so each study's
+(** Every study, rendered; the five studies are independent and fan out
+    with {!Parallel.map}.  They share one session pool, so each study's
     reference and layer runs reuse reset sessions (pooled runs are
     bit-identical to fresh ones). *)

@@ -280,7 +280,11 @@ let compile ?(level = Level.L1) ?(policy = Ec.Arbiter.Round_robin)
     (* Replay cross-check: the compiled schedule replayed at the capture
        table must be bit-identical to the interpreted pass it was
        recorded from. *)
-    let o = Compile.Eval.eval_fabric ~table plan in
+    let o =
+      List.hd
+        (Compile.Eval.eval_fabric_multi plan
+           ~points:[ { Compile.Eval.table; l2_params = None } ])
+    in
     for m = 0 to n - 1 do
       if o.Compile.Eval.buckets.(m) <> Ec.Fabric.master_pj fabric m then
         failwith
@@ -309,7 +313,11 @@ let compile ?(level = Level.L1) ?(policy = Ec.Arbiter.Round_robin)
 let replay_plan ~level ~policy ~topology ~kinds (plan : Compile.Plan.fabric) =
   let t0 = Unix.gettimeofday () in
   let o =
-    Compile.Eval.eval_fabric ~table:Power.Characterization.default plan
+    List.hd
+      (Compile.Eval.eval_fabric_multi plan
+         ~points:
+           [ { Compile.Eval.table = Power.Characterization.default;
+               l2_params = None } ])
   in
   let wall_seconds = Unix.gettimeofday () -. t0 in
   let m = plan.Compile.Plan.f_meta in

@@ -143,9 +143,11 @@ val study :
     {!default_masters}.  Cells are independent simulations mapped across
     [?domains] {!Parallel} domains.  With [~compiled:true] the cells at
     levels with a plan ({!Level.has_plan}) go through {!compile} +
-    {!replay_plan} and the others through {!run}; [?pool] reaches both,
-    so a pooled compiled sweep replays its grid from memoized plans on
-    the second pass. *)
+    {!replay_plan} and the others through {!run}; [?pool] reaches both.
+    The pool's sessions and plans are domain-local and {!Parallel.map}
+    spawns fresh workers per sweep, so a repeated pooled compiled sweep
+    replays from memoized plans only the cells the calling domain ran —
+    every cell with [~domains:1]. *)
 
 val render_study : result list -> string
 (** Markdown-ish table of a {!study}, one row per run with per-master

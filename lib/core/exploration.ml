@@ -150,7 +150,11 @@ let run_fixed ?(level = Level.L1) ?sink ?pool ~config applet =
           compile_cell ~level ~config applet)
     in
     let o =
-      Compile.Eval.eval ~table:Power.Characterization.default cp.cp_plan
+      List.hd
+        (Compile.Eval.eval_multi ~record_profile:false cp.cp_plan
+           ~points:
+             [ { Compile.Eval.table = Power.Characterization.default;
+                 l2_params = None } ])
     in
     {
       config;
@@ -233,17 +237,17 @@ let run_one ?level ?policy ?sink ?pool ~config applet =
 
 (* The default session/plan pool shared by every [run] call of the
    process: compiled cell plans are only worth caching if they survive
-   from one grid to the next, and the DLS store keeps each domain's
-   cache private anyway. *)
+   from one grid to the next.  The store is domain-local, so what
+   survives is the calling domain's share (see [run]). *)
 let default_pool = lazy (Pool.create ())
 
-let run ?level ?policy ?(applets = Jcvm.Applets.all) ?domains ?workers () =
+let run ?level ?policy ?(applets = Jcvm.Applets.all) ?domains () =
   (* Every applet x configuration cell is an independent system; fan the
-     flattened grid out on the domain pool.  Each domain keeps one reset
-     session per configuration shape and one plan per layer-1/2 grid
-     cell, so repeated grids rerun nothing but the energy fold. *)
+     flattened grid out over [domains].  Spawned workers' pool stores
+     die at join, so only the calling domain's cells stay warm for the
+     next grid. *)
   let pool = Lazy.force default_pool in
-  Parallel.map ?domains ?pool:workers
+  Parallel.map ?domains
     (fun (applet, config) -> run_one ?level ?policy ~pool ~config applet)
     (List.concat_map
        (fun applet ->

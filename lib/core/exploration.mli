@@ -66,23 +66,22 @@ val run :
   ?policy:Hier.Policy.t ->
   ?applets:Jcvm.Applets.t list ->
   ?domains:int ->
-  ?workers:Parallel.pool ->
   unit ->
   row list
 (** Full sweep over {!Jcvm.Configs.standard}; defaults: layer 1 bus and
-    all sample applets.  The applet x
-    configuration grid runs on the {!Parallel} pool; row order and
-    contents match the serial sweep.  [policy] makes every cell
-    adaptive, e.g. [Hier.Policy.for_exploration ()].
+    all sample applets.  The applet x configuration grid fans out over
+    [domains] with {!Parallel.map}; row order and contents match the
+    serial sweep.  [policy] makes every cell adaptive, e.g.
+    [Hier.Policy.for_exploration ()].
 
     A sweep always draws sessions — and compiled cell plans, see
-    {!run_one} — from a process-wide pool shared by every [run] call,
-    so after warmup the grid rebuilds nothing and a {e repeated} grid
-    reruns nothing but the energy fold; rows are bit-identical to
-    unpooled {!run_one} cells.  [workers] runs the grid on a persistent
-    {!Parallel.with_pool} crew instead of spawning domains — pooled
-    sessions and plans live in domain-local storage, so the crew's warm
-    state also persists across sweeps. *)
+    {!run_one} — from a process-wide pool shared by every [run] call;
+    rows are bit-identical to unpooled {!run_one} cells.  That pool
+    lives in domain-local storage and every {!Parallel.map} spawns
+    fresh worker domains, so a {e repeated} grid finds warm sessions
+    and plans only for the cells the calling domain ran: with
+    [~domains:1] it reruns nothing but the energy fold, with more
+    domains the workers' cells build and interpret again. *)
 
 val render : row list -> string
 (** One table per applet: best correct configuration (energy) marked

@@ -83,8 +83,8 @@ let compile_trace ?(level = Level.L1) ?(mode = `Pipelined) ?init ?pool trace =
   | _ -> build ()
 
 (* A result off a plan: the scalars come from the capture run, the
-   energy from one evaluation — or none, like an estimator-less system. *)
-let result_of_plan plan ~wall_seconds (o : Compile.Eval.outcome option) =
+   energy from one point of the evaluation. *)
+let result_of_plan plan ~wall_seconds (o : Compile.Eval.outcome) =
   let m = Compile.Plan.meta plan in
   {
     level = (match m.Compile.Plan.level with `L1 -> Level.L1 | `L2 -> Level.L2);
@@ -92,29 +92,18 @@ let result_of_plan plan ~wall_seconds (o : Compile.Eval.outcome option) =
     txns = m.Compile.Plan.txns;
     beats = m.Compile.Plan.beats;
     errors = m.Compile.Plan.errors;
-    bus_pj = (match o with Some o -> o.Compile.Eval.bus_pj | None -> 0.0);
+    bus_pj = o.Compile.Eval.bus_pj;
     component_pj = m.Compile.Plan.component_pj;
-    transitions = (if Option.is_some o then m.Compile.Plan.transitions else 0);
-    profile = Option.bind o (fun o -> o.Compile.Eval.profile);
+    transitions = m.Compile.Plan.transitions;
+    profile = o.Compile.Eval.profile;
     wall_seconds;
   }
-
-let replay_compiled ?(estimate = true) ?(record_profile = false) ?table
-    ?l2_params plan =
-  let t0 = Unix.gettimeofday () in
-  let o =
-    if estimate then
-      let table = Option.value table ~default:Power.Characterization.default in
-      Some (Compile.Eval.eval ~record_profile ?l2_params ~table plan)
-    else None
-  in
-  result_of_plan plan o ~wall_seconds:(Unix.gettimeofday () -. t0)
 
 let replay_multi ?(record_profile = false) ~points plan =
   let t0 = Unix.gettimeofday () in
   let outs = Compile.Eval.eval_multi ~record_profile plan ~points in
   let wall_seconds = Unix.gettimeofday () -. t0 in
-  List.map (fun o -> result_of_plan plan (Some o) ~wall_seconds) outs
+  List.map (result_of_plan plan ~wall_seconds) outs
 
 (* Message-layer replay (DESIGN.md section 17.4): the trace's
    transactions pushed one by one through the Tlm3 bridge onto the
@@ -192,11 +181,6 @@ let run_trace ~level ?(estimate = true) ?(record_profile = false)
           Soc.Trace_master.reset ~mode s.ts_master trace)
         execute
     | None -> execute (build ())
-
-let run_levels ?table ~mode ?init ?domains trace =
-  Parallel.map ?domains
-    (fun level -> run_trace ~level ?table ~mode ?init trace)
-    Level.all
 
 (* Deterministic content for memories read by replayed traces, so the
    read-data bus carries realistic values instead of zeros. *)

@@ -46,9 +46,9 @@ val run_trace :
     must set state (fill memories, poke registers), not register kernel
     processes.
 
-    For the compiled path call {!compile_trace} + {!replay_compiled}:
-    bit-identical results, including the per-cycle profile, at layers 1
-    and 2 without a sink. *)
+    For the compiled path call {!compile_trace} + {!replay_multi} (one
+    point per parameter set): bit-identical results, including the
+    per-cycle profile, at layers 1 and 2 without a sink. *)
 
 (** {1 Compiled trace replay}
 
@@ -78,41 +78,19 @@ val compile_trace :
     no transition-word tap) and at {!Level.L3} (bridged replay is
     interpreted). *)
 
-val replay_compiled :
-  ?estimate:bool ->
-  ?record_profile:bool ->
-  ?table:Power.Characterization.t ->
-  ?l2_params:Tlm2.Energy.params ->
-  Compile.Plan.t ->
-  result
-(** Evaluates one parameter point over the plan.  [cycles], [txns],
-    [beats], [errors], [transitions] and [component_pj] come from the
-    plan's capture run; [bus_pj] and the optional [profile] are folded
-    for this [table]/[l2_params] — all bit-identical to
-    {!run_trace} with the same arguments.  [estimate:false] skips the
-    fold ([bus_pj = 0.], [transitions = 0]), like an estimator-less
-    system. *)
-
 val replay_multi :
   ?record_profile:bool ->
   points:Compile.Eval.point list ->
   Compile.Plan.t ->
   result list
 (** One {!result} per point, in order, from a single walk of the plan —
-    the sweep primitive.  [wall_seconds] of every result is the wall
-    time of the whole batch. *)
-
-val run_levels :
-  ?table:Power.Characterization.t ->
-  mode:Soc.Trace_master.mode ->
-  ?init:(System.t -> unit) ->
-  ?domains:int ->
-  Ec.Trace.t ->
-  result list
-(** The same trace through the gate-level reference, layer 1 and layer 2
-    (Tables 1 and 2 in one call).  The three runs are independent systems
-    and execute on the {!Parallel} pool; results are in {!Level.all}
-    order and identical to three serial calls. *)
+    the one compiled replay entry; a single point is a one-element
+    [points].  [cycles], [txns], [beats], [errors], [transitions] and
+    [component_pj] come from the plan's capture run; [bus_pj] and the
+    optional [profile] are folded for each point's table and
+    [l2_params] — all bit-identical to {!run_trace} with the same
+    arguments.  [wall_seconds] of every result is the wall time of the
+    whole batch. *)
 
 val fill_memories : System.t -> unit
 (** Writes a deterministic pattern into the first KiBs of every memory, so

@@ -5,7 +5,7 @@ let random_word_addr rng base size =
   base + (4 * Sim.Rng.int rng (size / 4))
 
 let random_trace ~rng ~n ?(max_gap = 3) ?(write_ratio = 0.4)
-    ?(burst_ratio = 0.25) ?(subword_ratio = 0.2) ?(instr_ratio = 0.2) () =
+    ?(burst_ratio = 0.25) ?(subword_ratio = 0.2) () =
   let item _ =
     let gap = Sim.Rng.int rng (max_gap + 1) in
     let is_write = Sim.Rng.float rng < write_ratio in
@@ -35,7 +35,7 @@ let random_trace ~rng ~n ?(max_gap = 3) ?(write_ratio = 0.4)
             ~value:(Sim.Rng.bits rng 32)
       end
       else begin
-        let is_instr = Sim.Rng.float rng < instr_ratio in
+        let is_instr = Sim.Rng.float rng < 0.2 in
         if is_instr then begin
           (* Executable targets: ROM or FLASH. *)
           let base, size =

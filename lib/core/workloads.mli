@@ -13,14 +13,13 @@ val random_trace :
   ?write_ratio:float ->
   ?burst_ratio:float ->
   ?subword_ratio:float ->
-  ?instr_ratio:float ->
   unit ->
   Ec.Trace.t
 (** [n] transactions over the Figure-1 memory map, error-free by
     construction (writes only target writable slaves, fetches executable
     ones).  Ratios default to 0.4 writes, 0.25 bursts, 0.2 sub-word
-    singles, 0.2 instruction fetches among reads; gaps uniform in
-    [0, max_gap] (default 3). *)
+    singles; a fixed 0.2 of reads are instruction fetches; gaps uniform
+    in [0, max_gap] (default 3). *)
 
 val characterization_trace : Ec.Trace.t
 (** The standard training workload (seeded, 2000 transactions). *)

@@ -3,11 +3,10 @@ type endpoint = [ `Unix of string | `Tcp of string * int ]
 type t = {
   fd : Unix.file_descr;
   reader : Framing.reader;
-  max_frame : int;
   mutable next_id : int;
 }
 
-let connect ?(max_frame = Framing.default_max_frame) endpoint =
+let connect endpoint =
   (* A daemon that drops the connection must surface as EPIPE, not kill
      the client process with SIGPIPE. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -36,7 +35,7 @@ let connect ?(max_frame = Framing.default_max_frame) endpoint =
          raise e);
       fd
   in
-  { fd; reader = Framing.reader fd; max_frame; next_id = 1 }
+  { fd; reader = Framing.reader fd; next_id = 1 }
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 let fd t = t.fd
@@ -57,7 +56,7 @@ let send ?id t request =
 let send_json t json = Framing.write_json t.fd json
 
 let read_frame t =
-  match Framing.read ~max_frame:t.max_frame t.reader with
+  match Framing.read t.reader with
   | Framing.Frame payload -> Obs.Json.of_string payload
   | Framing.Closed -> Error "connection closed"
   | Framing.Truncated -> Error "truncated response frame"

@@ -10,8 +10,9 @@ type endpoint = [ `Unix of string | `Tcp of string * int ]
 
 type t
 
-val connect : ?max_frame:int -> endpoint -> t
-(** @raise Unix.Unix_error when nothing listens on the endpoint. *)
+val connect : endpoint -> t
+(** Responses are read with {!Framing.default_max_frame}.
+    @raise Unix.Unix_error when nothing listens on the endpoint. *)
 
 val close : t -> unit
 

@@ -38,7 +38,9 @@ type run = {
   mode : mode;
   estimate : bool;  (** default [true] *)
   profile : bool;  (** stream the per-cycle energy profile as jsonl chunks *)
-  compiled : bool;  (** evaluate off a memoized compiled plan (L1/L2) *)
+  compiled : bool;
+      (** evaluate off a memoized compiled plan (L1/L2, with [estimate];
+          an estimation-off run interprets) *)
 }
 
 (** Multi-master replay target: the workload trace drives the CPU

@@ -46,15 +46,26 @@ let send_profile ~send profile =
   in
   chunks 0 (Power.Profile.to_jsonl_lines profile)
 
+(* A compiled run folds one point off the memoized plan.  With
+   estimation off there is nothing to fold, so the run interprets: an
+   estimator-less system reports the same scalars, [bus_pj = 0.] and
+   [transitions = 0]. *)
 let execute_run ~pool ~send (r : Protocol.run) =
   let result =
-    if r.Protocol.compiled && Core.Level.has_plan r.Protocol.level then
+    if
+      r.Protocol.compiled && r.Protocol.estimate
+      && Core.Level.has_plan r.Protocol.level
+    then
       let plan =
         compiled_plan ~pool ~level:r.Protocol.level ~mode:r.Protocol.mode
           r.Protocol.workload
       in
-      Core.Runner.replay_compiled ~estimate:r.Protocol.estimate
-        ~record_profile:r.Protocol.profile plan
+      List.hd
+        (Core.Runner.replay_multi ~record_profile:r.Protocol.profile
+           ~points:
+             [ { Compile.Eval.table = Power.Characterization.default;
+                 l2_params = None } ]
+           plan)
     else
       Core.Runner.run_trace ~level:r.Protocol.level ~mode:r.Protocol.mode
         ~estimate:r.Protocol.estimate ~record_profile:r.Protocol.profile

@@ -436,7 +436,9 @@ let test_fabric_multipoint () =
       let multi = Compile.Eval.eval_fabric_multi plan ~points in
       List.iter2
         (fun (pt : Compile.Eval.point) (o : Compile.Eval.fabric_outcome) ->
-          let single = Compile.Eval.eval_fabric ~table:pt.Compile.Eval.table plan in
+          let single =
+            List.hd (Compile.Eval.eval_fabric_multi plan ~points:[ pt ])
+          in
           check_pj "multi total = single" single.Compile.Eval.fabric_pj
             o.Compile.Eval.fabric_pj;
           check_pj "multi bridge = single" single.Compile.Eval.fabric_bridge_pj
@@ -499,9 +501,14 @@ let test_degenerate_plan_equals_trace_plan () =
       check_int
         (Core.Level.to_string level ^ " beats")
         tm.Compile.Plan.beats nm.Compile.Plan.beats;
-      let table = Power.Characterization.default in
-      let fo = Compile.Eval.eval_fabric ~table fplan in
-      let to_ = Compile.Eval.eval ~table tplan in
+      let points =
+        [ { Compile.Eval.table = Power.Characterization.default;
+            l2_params = None } ]
+      in
+      let fo = List.hd (Compile.Eval.eval_fabric_multi fplan ~points) in
+      let to_ =
+        List.hd (Compile.Eval.eval_multi ~record_profile:false tplan ~points)
+      in
       check_pj
         (Core.Level.to_string level ^ " bucket = trace plan energy")
         to_.Compile.Eval.bus_pj

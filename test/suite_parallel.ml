@@ -35,19 +35,6 @@ let strip (r : Core.Runner.result) =
     r.Core.Runner.component_pj,
     r.Core.Runner.transitions )
 
-let test_run_levels_deterministic () =
-  let trace = Core.Workloads.table3_trace ~n:64 in
-  let serial = Core.Runner.run_levels ~mode:`Serial ~domains:1 trace in
-  let parallel = Core.Runner.run_levels ~mode:`Serial ~domains:4 trace in
-  check_int "three levels" 3 (List.length parallel);
-  List.iter2
-    (fun s p ->
-      check_bool
-        (Core.Level.to_string s.Core.Runner.level ^ " field-for-field equal")
-        true
-        (strip s = strip p))
-    serial parallel
-
 let test_run_accuracy_deterministic () =
   let table = Core.Runner.characterize () in
   let serial = Core.Experiments.run_accuracy ~table ~domains:1 () in
@@ -60,33 +47,7 @@ let test_exploration_deterministic () =
   let parallel = Core.Exploration.run ~applets ~domains:4 () in
   check_bool "exploration rows identical" true (serial = parallel)
 
-(* --- persistent worker pool --- *)
-
-let test_with_pool_map () =
-  Core.Parallel.with_pool ~domains:4 (fun p ->
-      let xs = List.init 50 (fun i -> i) in
-      check_bool "pooled map preserves order" true
-        (Core.Parallel.map ~pool:p (fun i -> i * 3) xs
-        = List.map (fun i -> i * 3) xs);
-      check_bool "pool is reusable across maps" true
-        (Core.Parallel.map ~pool:p string_of_int xs = List.map string_of_int xs);
-      (match
-         Core.Parallel.map ~pool:p
-           (fun i -> if i = 7 then raise (Boom i) else i)
-           xs
-       with
-      | _ -> Alcotest.fail "expected Boom"
-      | exception Boom 7 -> ());
-      check_bool "pool survives a failed batch" true
-        (Core.Parallel.map ~pool:p (fun i -> i + 1) xs
-        = List.map (fun i -> i + 1) xs))
-
-let test_with_pool_propagates_from_f () =
-  match Core.Parallel.with_pool ~domains:2 (fun _ -> raise (Boom 1)) with
-  | _ -> Alcotest.fail "expected Boom"
-  | exception Boom 1 -> ()
-
-(* --- session pool under the worker pool --- *)
+(* --- session pool under the parallel map --- *)
 
 (* Sessions are domain-local: a checkout under Parallel.map must never be
    observed on a different domain than built it, and never concurrently
@@ -191,31 +152,15 @@ let test_exploration_pooled_matches_unpooled () =
   check_bool "pooled sweep rows = unpooled sweep rows" true
     (unpooled_sweep applets = Core.Exploration.run ~applets ())
 
-let test_exploration_on_worker_pool () =
-  let applets = [ Jcvm.Applets.gcd ] in
-  let serial = unpooled_sweep applets in
-  let pooled =
-    Core.Parallel.with_pool ~domains:4 (fun w ->
-        Core.Exploration.run ~applets ~workers:w ())
-  in
-  check_bool "session-pooled sweep on the worker pool = serial fresh sweep"
-    true (serial = pooled)
-
 let suite =
   [
     Alcotest.test_case "map preserves order" `Quick test_map_preserves_order;
     Alcotest.test_case "map propagates the first failure" `Quick
       test_map_propagates_failure;
-    Alcotest.test_case "parallel run_levels = serial run_levels" `Quick
-      test_run_levels_deterministic;
     Alcotest.test_case "parallel run_accuracy = serial run_accuracy" `Slow
       test_run_accuracy_deterministic;
     Alcotest.test_case "parallel exploration = serial exploration" `Quick
       test_exploration_deterministic;
-    Alcotest.test_case "with_pool: reusable ordered map" `Quick
-      test_with_pool_map;
-    Alcotest.test_case "with_pool propagates the caller's exception" `Quick
-      test_with_pool_propagates_from_f;
     Alcotest.test_case "session pool never shares across domains" `Quick
       test_pool_affinity_under_map;
     Alcotest.test_case "session pool keeps at most 4 free sessions per key"
@@ -224,6 +169,4 @@ let suite =
       test_pooled_no_cross_run_leak;
     Alcotest.test_case "pooled exploration = unpooled exploration" `Quick
       test_exploration_pooled_matches_unpooled;
-    Alcotest.test_case "exploration on worker pool + session pool" `Quick
-      test_exploration_on_worker_pool;
   ]

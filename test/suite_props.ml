@@ -855,6 +855,13 @@ let suite = suite @ pool_props
 let profile_bits (r : Core.Runner.result) =
   Option.map Power.Profile.to_array r.Core.Runner.profile
 
+(* One compiled point: a one-element [replay_multi]. *)
+let replay_one ?(record_profile = false)
+    ?(point =
+      { Compile.Eval.table = Power.Characterization.default; l2_params = None })
+    plan =
+  List.hd (Core.Runner.replay_multi ~record_profile ~points:[ point ] plan)
+
 let prop_compiled_trace_bit_exact =
   QCheck.Test.make
     ~name:"compiled run_trace = interpreted run_trace (L1/L2 x cadence)"
@@ -867,7 +874,7 @@ let prop_compiled_trace_bit_exact =
             Core.Runner.run_trace ~level ~mode ~record_profile:true trace
           in
           let c =
-            Core.Runner.replay_compiled ~record_profile:true
+            replay_one ~record_profile:true
               (Core.Runner.compile_trace ~level ~mode trace)
           in
           strip_result i = strip_result c && profile_bits i = profile_bits c)
@@ -916,9 +923,7 @@ let prop_compiled_multi_point =
           List.for_all2
             (fun (pt : Compile.Eval.point) m ->
               let single =
-                Core.Runner.replay_compiled ~record_profile:true
-                  ~table:pt.Compile.Eval.table
-                  ?l2_params:pt.Compile.Eval.l2_params plan
+                replay_one ~record_profile:true ~point:pt plan
               in
               let interp =
                 Core.Runner.run_trace ~level ~record_profile:true
@@ -940,7 +945,7 @@ let prop_plan_memo_counters =
       let pool = Core.Pool.create () in
       let run () =
         strip_result
-          (Core.Runner.replay_compiled
+          (replay_one
              (Core.Runner.compile_trace ~level:Core.Level.L1 ~pool trace))
       in
       let a = run () in

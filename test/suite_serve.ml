@@ -586,6 +586,42 @@ let test_run_bit_exact () =
               (Core.Level.Rtl, `Serial, false, P.Table3 16);
             ]))
 
+(* Estimation off: a compiled [run] has no energy to fold, so its reply
+   equals an estimator-less interpreted run — the plan-free scalars,
+   [bus_pj = 0.], [transitions = 0], and no profile even when one is
+   asked for. *)
+let test_run_estimate_off () =
+  with_server (fun _server path ->
+      with_client path (fun c ->
+          List.iter
+            (fun (level, mode, workload) ->
+              let name = Core.Level.to_string level ^ " estimate off" in
+              let frames =
+                frames_exn
+                  (Serve.Client.request c
+                     (P.Run
+                        { P.workload; level; mode; estimate = false;
+                          profile = true; compiled = true }))
+              in
+              let direct =
+                Core.Runner.run_trace ~level ~mode ~estimate:false
+                  ~init:Core.Runner.fill_memories
+                  (P.trace_of_workload workload)
+              in
+              check_bool (name ^ ": direct bus_pj = 0.") true
+                (direct.Core.Runner.bus_pj = 0.);
+              check_int (name ^ ": direct transitions") 0
+                direct.Core.Runner.transitions;
+              check_bool (name ^ ": no profile frames") false
+                (List.exists (function P.Energy _ -> true | _ -> false) frames);
+              match find_result frames with
+              | None -> Alcotest.fail "no result frame"
+              | Some wire -> check_result_matches name direct wire)
+            [
+              (Core.Level.L1, `Pipelined, P.Table3 64);
+              (Core.Level.L2, `Serial, P.Mixed_phase 120);
+            ]))
+
 let test_profile_stream () =
   with_server (fun _server path ->
       with_client path (fun c ->
@@ -1751,4 +1787,6 @@ let suite =
       `Quick test_framing_eof;
     Alcotest.test_case "framing: stopped with half a frame buffered" `Quick
       test_framing_stop_buffered;
+    Alcotest.test_case "compiled run with estimation off = interpreted"
+      `Quick test_run_estimate_off;
   ]
