@@ -1,7 +1,8 @@
 (* Multi-point plan evaluation (DESIGN.md section 14).
 
    A lane is one parameter point — a characterization table at layer 1,
-   a table plus lump parameters at layer 2.  The evaluator decodes the
+   a table plus lump parameters at layers 2 and 3 (none of it reaches the
+   gate level, whose plan is its energy record).  The evaluator decodes the
    plan's transition words once per pass and folds every lane's energy
    off the shared decode, so N points cost one walk of the plan instead
    of N interpreted replays.
@@ -106,9 +107,14 @@ let eval_l2 (meta : Plan.meta) (d : Plan.l2_data) (lanes : Tlm2.Energy.lanes)
   (totals, profs)
 
 (* One pass over a body plan: per-lane totals, plus the dense per-cycle
-   energies when asked for. *)
+   energies when asked for.  A gate-level body already is that pair, the
+   same for every lane. *)
 let eval_raw plan ~points ~dense =
   match plan.Plan.body with
+  | Plan.Rtl d ->
+    let k = List.length points in
+    ( Array.make k d.Plan.total_pj,
+      if dense then Some (Array.make k d.Plan.cycle_pj) else None )
   | Plan.L1 d ->
     let tables = Array.of_list (List.map (fun pt -> pt.table) points) in
     eval_l1 plan.Plan.meta d (Tlm1.Energy.lanes tables)

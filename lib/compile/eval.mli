@@ -2,9 +2,11 @@
 
     A {!point} is one parameter point of the exploration space — a
     characterization table at layer 1, a table plus lump parameters at
-    layer 2.  {!eval_multi} decodes the plan's transition words once and
-    folds every point's energy off the shared decode, so N points cost
-    one walk of the plan instead of N interpreted replays.
+    layers 2 and 3.  Neither reaches the gate level: an rtl plan folds
+    to its recorded energies at every point.  {!eval_multi} decodes the
+    plan's transition words once and folds every point's energy off the
+    shared decode, so N points cost one walk of the plan instead of N
+    interpreted replays.
 
     Bit-exactness: for each point, every float operation happens in the
     order the interpreted estimator performs it (per-bit sums ascend
@@ -33,8 +35,8 @@ type fabric_outcome = {
   fabric_pj : float;
       (** bucket sum in index order — the interpreted
           {!Ec.Fabric.total_pj} *)
-  near_bus_pj : float;  (** the near bus meter's total *)
-  far_bus_pj : float;  (** the far bus meter's total; 0.0 unbridged *)
+  near_bus_pj : float;  (** the near bus model's total *)
+  far_bus_pj : float;  (** the far bus model's total; 0.0 unbridged *)
   fabric_bridge_pj : float;
       (** crossing energy in global acceptance order — the interpreted
           {!Ec.Fabric.bridge_pj}; already inside the buckets *)

@@ -4,10 +4,11 @@
    wait-state schedules and burst decisions have already been played out
    by the bus model, and what remains is the flat integer record of what
    the energy estimator would see — per-cycle signal transition words at
-   layer 1, the lump event stream at layer 2 — plus the table-independent
-   scalar results of the run.  Re-evaluating a plan under a new
-   characterization table or parameter point is then a branch-free array
-   sweep (see Eval), with no kernel, queues or slave calls involved. *)
+   layer 1, the lump event stream at layers 2 and 3, the energy record
+   itself at the gate level — plus the table-independent scalar results
+   of the run.  Re-evaluating a plan under a new characterization table
+   or parameter point is then a branch-free array sweep (see Eval), with
+   no kernel, queues or slave calls involved. *)
 
 module Ivec = struct
   type t = { mutable a : int array; mutable n : int }
@@ -27,12 +28,12 @@ module Ivec = struct
 end
 
 type meta = {
-  level : [ `L1 | `L2 ];
+  level : Hier.Level.t;
   cycles : int;
   txns : int;
   beats : int;
   errors : int;
-  transitions : int;  (** layer 1 only; 0 at layer 2, as interpreted *)
+  transitions : int;  (** 0 at layers 2 and 3, as interpreted *)
   component_pj : float;
       (** platform component energy of the run — independent of the
           characterization table, so captured once at compile time *)
@@ -64,7 +65,11 @@ type l2_data = {
   pops : int array;  (* burst-1 inter-beat popcounts per data lump *)
 }
 
-type body = L1 of l1_data | L2 of l2_data
+(* Gate level: Diesel's total and the meter's per-cycle energies, which
+   no point parameter reaches. *)
+type rtl_data = { total_pj : float; cycle_pj : float array }
+
+type body = L1 of l1_data | L2 of l2_data | Rtl of rtl_data
 type t = { meta : meta; body : body }
 
 let meta t = t.meta

@@ -5,17 +5,18 @@
     {!Ec.Slave_cfg}) and burst decisions have already been played out by
     the bus model, and the plan keeps the flat integer record of what
     the energy estimator saw — per-cycle transition words at layer 1,
-    the lump event stream at layer 2 — plus the table-independent scalar
-    results of the run.  {!Eval} sweeps a plan under any number of
-    parameter points without a kernel, queues or slave calls. *)
+    the lump event stream at layer 2 and at layer 3 (the carrier's), the
+    energy record itself at the gate level — plus the table-independent
+    scalar results of the run.  {!Eval} sweeps a plan under any number
+    of parameter points without a kernel, queues or slave calls. *)
 
 type meta = {
-  level : [ `L1 | `L2 ];
+  level : Hier.Level.t;
   cycles : int;
   txns : int;
   beats : int;
   errors : int;
-  transitions : int;  (** layer 1 only; 0 at layer 2, as interpreted *)
+  transitions : int;  (** 0 at layers 2 and 3, as interpreted *)
   component_pj : float;
       (** platform component energy of the run — independent of the
           characterization table, so captured once at compile time *)
@@ -45,7 +46,15 @@ type l2_data = {
   pops : int array;  (** burst-1 inter-beat popcounts per data lump *)
 }
 
-type body = L1 of l1_data | L2 of l2_data
+(** Gate-level body: the point parameters of {!Eval} play no role at the
+    gate level, so the residue is the energy record itself — Diesel's
+    total and the meter's per-cycle energies. *)
+type rtl_data = {
+  total_pj : float;  (** interface plus internal, as Diesel sums them *)
+  cycle_pj : float array;  (** one entry per closed meter cycle *)
+}
+
+type body = L1 of l1_data | L2 of l2_data | Rtl of rtl_data
 type t = { meta : meta; body : body }
 
 val meta : t -> meta

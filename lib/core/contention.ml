@@ -220,9 +220,7 @@ let execute ~level ~policy ~topology s masters =
     fabric_pj = Ec.Fabric.total_pj fabric;
     bus_pj =
       (System.bus_energy_pj s.s_system
-      +. match Option.bind s.s_far (fun f -> System.bus_meter f.far_bus) with
-         | Some m -> Power.Meter.total_pj m
-         | None -> 0.0);
+      +. match s.s_far with Some f -> System.bus_pj f.far_bus | None -> 0.0);
     bridge_pj = Ec.Fabric.bridge_pj fabric;
     crossings = Ec.Fabric.crossings fabric;
     rows;
@@ -397,14 +395,13 @@ let study ?(n = 512) ?(levels = Level.timed) ?(compiled = false) ?pool
     ]
   in
   (* Grid cells are fully independent simulations, so the sweep maps
-     across domains; with a pool, plans and sessions persist in each
-     domain's cache, so a second sweep replays from memoized plans.
-     Cells without a plan (Level.has_plan) interpret even in a compiled
-     sweep: Diesel has no integer tap. *)
+     across domains.  The pool's plans and sessions are domain-local and
+     every sweep spawns fresh workers, so a second pooled sweep replays
+     from memoized plans only the cells the calling domain ran. *)
   Parallel.map ?domains
     (fun (level, policy, topology) ->
       let masters = default_masters ~n topology in
-      if compiled && Level.has_plan level then
+      if compiled then
         replay_plan ~level ~policy ~topology ~kinds:(List.map fst masters)
           (compile ~level ~policy ~topology ?pool masters)
       else run ~level ~policy ~topology ?pool masters)

@@ -50,8 +50,9 @@ type result = {
       (** total attributed energy — by construction the exact float sum
           of the rows' [energy_pj] *)
   bus_pj : float;
-      (** what the bus energy models themselves report (near plus far),
-          for cross-checking the attribution against the meters *)
+      (** what the bus energy models themselves report (near plus far,
+          each as {!System.bus_pj}), for cross-checking the attribution
+          against the meters *)
   bridge_pj : float;  (** crossing energy, included in [fabric_pj] *)
   crossings : int;
   rows : master_row list;
@@ -81,8 +82,8 @@ val run :
     With [?pool] the run checks out a pooled fabric session (keyed by
     level, table, policy, topology and master kinds; traces and issue
     mode re-arm per checkout).  For the compiled path call {!compile} +
-    {!replay_plan}: bit-identical results at levels with a plan
-    ({!Level.has_plan}).
+    {!replay_plan}: bit-identical results at every level [run]
+    accepts.
 
     @raise Invalid_argument on an empty master list, on [level = L3]
     (the message layer replays serially through a carrier — there is
@@ -108,8 +109,7 @@ val compile :
     {!System.capture}.  The bridge runs at {!run}'s defaults.  With
     [?pool] the plan is memoized under the ["fabric"] tag.
 
-    @raise Invalid_argument on [level = Rtl] (Diesel has no integer tap)
-    or [level = L3], and as {!run} otherwise.
+    @raise Invalid_argument as {!run}.
     @raise Failure if the cross-check diverges. *)
 
 val replay_plan :
@@ -141,9 +141,9 @@ val study :
 (** The full exploration grid: arbiter policy x topology x level (default
     levels {!Level.timed}; policies fixed / rr / wrr 4:2:1) over
     {!default_masters}.  Cells are independent simulations mapped across
-    [?domains] {!Parallel} domains.  With [~compiled:true] the cells at
-    levels with a plan ({!Level.has_plan}) go through {!compile} +
-    {!replay_plan} and the others through {!run}; [?pool] reaches both.
+    [?domains] {!Parallel} domains.  With [~compiled:true] every cell
+    goes through {!compile} + {!replay_plan}, otherwise through {!run};
+    [?pool] reaches both.
     The pool's sessions and plans are domain-local and {!Parallel.map}
     spawns fresh workers per sweep, so a repeated pooled compiled sweep
     replays from memoized plans only the cells the calling domain ran —

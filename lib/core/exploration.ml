@@ -50,58 +50,45 @@ let nominal_level (policy : Hier.Policy.t) =
   | Hier.Policy.Script [] -> Level.L1
   | Hier.Policy.Triggered { base; _ } -> base
 
-(* Pooled grid-cell sessions: the hardware stack rides with the system
-   (fixed level) or the live materials (adaptive), because its slave is
-   wired into the decoder at creation.  Keys fingerprint the interface
-   configuration and the characterization table — the two things reset
-   does not undo. *)
-type fixed_session = { fs_hw : Jcvm.Hw_stack.t; fs_system : System.t }
-
-let fixed_kind : fixed_session Pool.kind = Pool.kind ()
-
-(* A compiled grid cell: the trace plan of one (configuration, applet)
-   interpretation plus the row fields the characterization table cannot
-   change.  Everything that is table-dependent (bus_pj, and nothing
-   else) folds off the plan per evaluation, so re-running a cell — a
-   sweep over tables, a repeated grid — skips the JCVM interpretation
-   entirely. *)
-type cell_plan = {
-  cp_plan : Compile.Plan.t;
-  cp_cycles : int;
-  cp_transactions : int;
-  cp_steps : int;
-  cp_value : int option;
-  cp_correct : bool;
-}
-
-let cell_kind : cell_plan Pool.kind = Pool.kind ()
-
-(* One capture run: interpret the applet on a fresh system with the
-   energy model's integer taps attached, and keep the plan.  The table
-   passed here is irrelevant — the taps never read a float — so the
-   cell compiles once and serves every table. *)
-let compile_cell ~level ~config applet =
+(* One fixed-level cell interpreted on a fresh system.  With [capture]
+   the energy model's taps record the run too, and its plan comes back
+   with the row; nothing they record depends on the table, so one
+   capture serves every table. *)
+let interpret_cell ?sink ~capture ~level ~config applet =
   let hw = Jcvm.Hw_stack.create config in
   let system =
-    System.create ~level ~estimate:true
-      ~extra_slaves:[ Jcvm.Hw_stack.slave hw ]
-      ()
+    System.create ~level ~extra_slaves:[ Jcvm.Hw_stack.slave hw ] ?sink ()
   in
-  let finish = System.capture system in
+  let finish = if capture then Some (System.capture system) else None in
   let kernel = System.kernel system in
   let result, transactions, correct =
     interpret ~kernel ~port:(System.port system) ~config applet
   in
   let cycles = Sim.Kernel.now kernel in
-  {
-    cp_plan = finish ~cycles;
-    cp_cycles = cycles;
-    cp_transactions = transactions;
-    cp_steps = result.Jcvm.Interp.steps;
-    cp_value = result.Jcvm.Interp.value;
-    cp_correct = correct;
-  }
+  ( {
+      config;
+      applet = applet.Jcvm.Applets.name;
+      level;
+      cycles;
+      bus_pj = System.bus_energy_pj system;
+      transactions;
+      steps = result.Jcvm.Interp.steps;
+      value = result.Jcvm.Interp.value;
+      correct;
+      provenance = None;
+    },
+    Option.map (fun finish -> finish ~cycles) finish )
 
+(* A compiled grid cell: the row and plan of one (configuration, applet)
+   capture.  Only the row's [bus_pj] depends on the table, and it folds
+   off the plan per evaluation, so re-running a cell — a sweep over
+   tables, a repeated grid — skips the JCVM interpretation entirely. *)
+let cell_kind : (row * Compile.Plan.t option) Pool.kind = Pool.kind ()
+
+(* Pooled adaptive sessions: the hardware stack rides with the live
+   materials, because its slave is wired into the decoder at creation.
+   The key fingerprints the interface configuration, which reset does
+   not undo. *)
 type live_session = {
   ls_hw : Jcvm.Hw_stack.t;
   ls_materials : Runner.live_materials;
@@ -110,33 +97,8 @@ type live_session = {
 let live_kind : live_session Pool.kind = Pool.kind ()
 
 let run_fixed ?(level = Level.L1) ?sink ?pool ~config applet =
-  let execute system =
-    let kernel = System.kernel system in
-    let result, transactions, correct =
-      interpret ~kernel ~port:(System.port system) ~config applet
-    in
-    {
-      config;
-      applet = applet.Jcvm.Applets.name;
-      level;
-      cycles = Sim.Kernel.now kernel;
-      bus_pj = System.bus_energy_pj system;
-      transactions;
-      steps = result.Jcvm.Interp.steps;
-      value = result.Jcvm.Interp.value;
-      correct;
-      provenance = None;
-    }
-  in
-  let build () =
-    let hw = Jcvm.Hw_stack.create config in
-    let system =
-      System.create ~level ~extra_slaves:[ Jcvm.Hw_stack.slave hw ] ?sink ()
-    in
-    { fs_hw = hw; fs_system = system }
-  in
   match pool with
-  | Some p when sink = None && Level.has_plan level ->
+  | Some p when sink = None ->
     (* Compiled cell: the plan memoizes per (level, applet,
        configuration) — the table is folded off it afterwards, so a
        table sweep over one cell interprets the applet exactly once. *)
@@ -145,40 +107,20 @@ let run_fixed ?(level = Level.L1) ?sink ?pool ~config applet =
         applet.Jcvm.Applets.name
         (Pool.fingerprint config)
     in
-    let cp =
+    let row, plan =
       Pool.memo p cell_kind ~tag:"explore" ~key (fun () ->
-          compile_cell ~level ~config applet)
+          interpret_cell ~capture:true ~level ~config applet)
     in
     let o =
       List.hd
-        (Compile.Eval.eval_multi ~record_profile:false cp.cp_plan
+        (Compile.Eval.eval_multi ~record_profile:false (Option.get plan)
            ~points:
              [ { Compile.Eval.table = Power.Characterization.default;
                  l2_params = None } ])
     in
-    {
-      config;
-      applet = applet.Jcvm.Applets.name;
-      level;
-      cycles = cp.cp_cycles;
-      bus_pj = o.Compile.Eval.bus_pj;
-      transactions = cp.cp_transactions;
-      steps = cp.cp_steps;
-      value = cp.cp_value;
-      correct = cp.cp_correct;
-      provenance = None;
-    }
-  | Some p when sink = None ->
-    let key =
-      Printf.sprintf "explore:%s:%s" (Level.to_string level)
-        (Pool.fingerprint config)
-    in
-    Pool.with_session p fixed_kind ~key ~build
-      ~reset:(fun s ->
-        Jcvm.Hw_stack.reset s.fs_hw;
-        System.reset s.fs_system)
-      (fun s -> execute s.fs_system)
-  | Some _ | None -> execute (build ()).fs_system
+    { row with bus_pj = o.Compile.Eval.bus_pj }
+  | Some _ | None ->
+    fst (interpret_cell ?sink ~capture:false ~level ~config applet)
 
 let run_adaptive ?sink ?pool ~policy ~config applet =
   let execute (live : Runner.live) =

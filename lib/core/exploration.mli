@@ -48,17 +48,17 @@ val run_one :
     [bus_pj] moves, within the splice's error budget).  [sink] records
     the cell's bus traffic and, on the adaptive path, its window
     lifecycle — feed it to {!Obs.Chrome} for a per-row Perfetto trace.
-    [pool] reuses a reset session (hardware stack + system, or live
-    materials) for the cell's configuration shape; rows are
-    bit-identical to fresh builds.  Cells with a [sink] never pool.
+    Cells with a [sink] never pool.
 
-    A pooled cell at a level with a plan ({!Level.has_plan}), without a
-    [sink] and without a [policy], is captured once into a
-    {!Compile.Plan.t} memoized in [pool] (tag ["explore"]) per (level,
-    applet, configuration) — the energy folds off the plan afterwards,
-    so repeating a cell skips the JCVM interpretation entirely.  Rows
-    are bit-identical to the interpreted cell.  Every other cell
-    interprets; without [pool] this is the reference path.
+    A pooled cell at any level, without a [sink] and without a
+    [policy], is captured once into a {!Compile.Plan.t} memoized in
+    [pool] (tag ["explore"]) per (level, applet, configuration) — the
+    energy folds off the plan afterwards, so repeating a cell skips the
+    JCVM interpretation entirely.  Rows are bit-identical to the
+    interpreted cell.  A pooled cell under a [policy] reuses reset live
+    materials (hardware stack included) for its configuration; rows are
+    bit-identical to fresh builds.  Without [pool] the cell interprets:
+    this is the reference path.
     @raise Invalid_argument if both [level] and [policy] are given. *)
 
 val run :

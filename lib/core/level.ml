@@ -4,5 +4,3 @@ let all = Hier.Level.all
 let timed = Hier.Level.timed
 let to_string = Hier.Level.to_string
 let pp = Hier.Level.pp
-
-let has_plan = function L1 | L2 -> true | Rtl | L3 -> false

@@ -4,7 +4,9 @@
     role Diesel plays in the paper), [L1] the cycle-accurate transaction
     level layer one, [L2] the timing-estimation layer two, and [L3] the
     untimed message layer replaying through the {!Tlm3} bridge onto a
-    timed carrier bus (DESIGN.md section 17.4).
+    timed carrier bus (DESIGN.md section 17.4).  Runs at every level
+    compile into replay plans (DESIGN.md section 14): sweeps fold their
+    cells off memoized plans, single runs interpret.
 
     The type itself lives in {!Hier.Level} (the mixed-level subsystem
     names levels without depending on [Core]); this module re-exports it,
@@ -18,12 +20,6 @@ val all : t list
 
 val timed : t list
 (** Levels with their own timed bus model: [Rtl; L1; L2]. *)
-
-val has_plan : t -> bool
-(** Whether runs at this level can compile into a replay plan
-    (DESIGN.md section 14): true at [L1] and [L2], whose energy models
-    have an integer tap; false at [Rtl] and [L3].  Sweeps fold such
-    cells off a memoized plan; every other run interprets. *)
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

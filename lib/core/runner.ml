@@ -53,20 +53,43 @@ let system_kind : System.t Pool.kind = Pool.kind ()
 
 let plan_kind : Compile.Plan.t Pool.kind = Pool.kind ()
 
-(* One interpreted resolution run with the energy model's integer taps
+(* Message-layer replay (DESIGN.md section 17.4): the trace's
+   transactions pushed one by one through the Tlm3 bridge onto the
+   system's layer-2 carrier bus.  Gaps are honoured as idle cycles;
+   issue is inherently serial — the bridge blocks per message — which is
+   the layer-3 timing abstraction (no pipelining, no read/write
+   overlap).  Energy comes from the carrier's layer-2 model. *)
+let replay_bridged system trace =
+  let kernel = System.kernel system in
+  let bridge = Tlm3.Bridge.create ~kernel ~port:(System.port system) in
+  let ids = Ec.Txn.Id_gen.create () in
+  let t0 = Sim.Kernel.now kernel in
+  List.iter
+    (fun item ->
+      let item = Ec.Trace.instantiate ids item in
+      Tlm3.Bridge.idle bridge ~cycles:item.Ec.Trace.gap;
+      ignore (Tlm3.Bridge.transact bridge item.Ec.Trace.txn))
+    trace;
+  Sim.Kernel.now kernel - t0
+
+(* One interpreted resolution run with the energy model's taps
    attached; everything the evaluator needs — transition words, lump
-   events, the table-independent scalar results — lands in the plan.
-   The capture table is irrelevant: the taps never see a float. *)
+   events, the gate-level energy record, the table-independent scalar
+   results — lands in the plan.  The capture table is irrelevant: no
+   point parameter reaches what the taps record.  Layer 3 drives the
+   capture system through the bridge, as [run_trace] does. *)
 let compile_trace ?(level = Level.L1) ?(mode = `Pipelined) ?init ?pool trace =
   let build () =
     let system = System.create ~level ~estimate:true () in
     let finish = System.capture system in
     (match init with Some f -> f system | None -> ());
-    let kernel = System.kernel system in
-    let master =
-      Soc.Trace_master.create ~kernel ~port:(System.port system) ~mode trace
-    in
-    finish ~cycles:(Soc.Trace_master.run master ~kernel ())
+    if level = Level.L3 then finish ~cycles:(replay_bridged system trace)
+    else
+      let kernel = System.kernel system in
+      let master =
+        Soc.Trace_master.create ~kernel ~port:(System.port system) ~mode trace
+      in
+      finish ~cycles:(Soc.Trace_master.run master ~kernel ())
   in
   match (pool, init) with
   | Some p, None ->
@@ -87,7 +110,7 @@ let compile_trace ?(level = Level.L1) ?(mode = `Pipelined) ?init ?pool trace =
 let result_of_plan plan ~wall_seconds (o : Compile.Eval.outcome) =
   let m = Compile.Plan.meta plan in
   {
-    level = (match m.Compile.Plan.level with `L1 -> Level.L1 | `L2 -> Level.L2);
+    level = m.Compile.Plan.level;
     cycles = m.Compile.Plan.cycles;
     txns = m.Compile.Plan.txns;
     beats = m.Compile.Plan.beats;
@@ -104,25 +127,6 @@ let replay_multi ?(record_profile = false) ~points plan =
   let outs = Compile.Eval.eval_multi ~record_profile plan ~points in
   let wall_seconds = Unix.gettimeofday () -. t0 in
   List.map (result_of_plan plan ~wall_seconds) outs
-
-(* Message-layer replay (DESIGN.md section 17.4): the trace's
-   transactions pushed one by one through the Tlm3 bridge onto the
-   system's layer-2 carrier bus.  Gaps are honoured as idle cycles;
-   issue is inherently serial — the bridge blocks per message — which is
-   the layer-3 timing abstraction (no pipelining, no read/write
-   overlap).  Energy comes from the carrier's layer-2 model. *)
-let replay_bridged system trace =
-  let kernel = System.kernel system in
-  let bridge = Tlm3.Bridge.create ~kernel ~port:(System.port system) in
-  let ids = Ec.Txn.Id_gen.create () in
-  let t0 = Sim.Kernel.now kernel in
-  List.iter
-    (fun item ->
-      let item = Ec.Trace.instantiate ids item in
-      Tlm3.Bridge.idle bridge ~cycles:item.Ec.Trace.gap;
-      ignore (Tlm3.Bridge.transact bridge item.Ec.Trace.txn))
-    trace;
-  Sim.Kernel.now kernel - t0
 
 let run_trace ~level ?(estimate = true) ?(record_profile = false)
     ?table ?rtl_params ?l2_params ?(mode = `Pipelined) ?init ?sink ?pool trace =

@@ -48,14 +48,16 @@ val run_trace :
 
     For the compiled path call {!compile_trace} + {!replay_multi} (one
     point per parameter set): bit-identical results, including the
-    per-cycle profile, at layers 1 and 2 without a sink. *)
+    per-cycle profile, at every level without a sink ([Rtl] with the
+    default [rtl_params]). *)
 
 (** {1 Compiled trace replay}
 
     A {!Compile.Plan.t} is the one-shot resolution of a trace at a
     level: routing, wait states and merge/burst decisions are already
-    taken, and what remains is pure integer transition data plus the
-    table-independent scalar results.  Replaying it costs microseconds,
+    taken, and what remains is integer transition data (at the gate
+    level, the energy record itself) plus the table-independent scalar
+    results.  Replaying it costs microseconds,
     and a multi-point replay evaluates many characterization points off
     one shared decode (DESIGN.md section 14). *)
 
@@ -66,17 +68,16 @@ val compile_trace :
   ?pool:Pool.t ->
   Ec.Trace.t ->
   Compile.Plan.t
-(** One interpreted resolution run with integer observers tapped into
-    the level's energy model; the characterization table plays no role,
-    so one plan serves every parameter point.  With [pool] the plan is
-    memoized under the (level, mode, trace) fingerprint —
-    see {!Pool.memo} — unless [init] is given (closures cannot be
+(** One interpreted resolution run with observers tapped into the
+    level's energy model (at {!Level.L3}, its layer-2 carrier's, driven
+    through the bridge as {!run_trace} does); the characterization
+    table plays no role, so one plan serves every parameter point.  At
+    {!Level.Rtl} the plan is the run's gate-level energy record under
+    the default {!Rtl.Params}, the same at every point.  With [pool] the
+    plan is memoized under the (level, mode, trace) fingerprint — see
+    {!Pool.memo} — unless [init] is given (closures cannot be
     fingerprinted, so such runs always compile fresh).  The plan is
-    recorded by {!System.capture}.
-
-    @raise Invalid_argument at {!Level.Rtl} (the gate-level reference has
-    no transition-word tap) and at {!Level.L3} (bridged replay is
-    interpreted). *)
+    recorded by {!System.capture}. *)
 
 val replay_multi :
   ?record_profile:bool ->

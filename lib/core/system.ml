@@ -62,8 +62,7 @@ let completed_txns t = Iface.completed_txns (iface t.bus)
 let completed_beats t = Iface.completed_beats (iface t.bus)
 let error_txns t = Iface.error_txns (iface t.bus)
 
-let bus_energy_pj t =
-  match t.bus with
+let bus_pj = function
   | Rtl_bus b -> Rtl.Diesel.total_pj (Rtl.Bus.diesel b)
   | L1_bus b -> begin
     match Tlm1.Bus.energy b with
@@ -75,6 +74,8 @@ let bus_energy_pj t =
     | Some e -> Tlm2.Energy.total_pj e
     | None -> 0.0
   end
+
+let bus_energy_pj t = bus_pj t.bus
 
 let bus_transitions t =
   match t.bus with
@@ -106,44 +107,52 @@ let energy_since_last_call_pj t =
 (* Compiled-plan capture (DESIGN.md section 14): the integer taps of the
    layer-1/2 energy models record everything the evaluator needs, and the
    table-independent scalars are read off the bus once the run is over.
-   [bus] is a second bus of the same level on this system's clock (a
-   bridged far side); it owns no platform, so its component energy is 0. *)
+   Layer 3 is its layer-2 carrier, so it taps the same observer.  At the
+   gate level the energy record itself is the residue: Diesel's total and
+   the meter's per-cycle energies, recorded from cycle 0.  [bus] is a
+   second bus of the same level on this system's clock (a bridged far
+   side); it owns no platform, so its component energy is 0. *)
 let capture ?bus t =
   let on = match bus with Some bus -> { t with bus } | None -> t in
-  let no_tap why = invalid_arg ("Core.System.capture: " ^ why) in
-  let level, finish =
-    match (t.level, on.bus) with
-    | Level.L1, L1_bus b -> (
+  let off () = invalid_arg "Core.System.capture: estimation is off" in
+  let finish =
+    match on.bus with
+    | Rtl_bus b ->
+      let d = Rtl.Bus.diesel b in
+      let m = Rtl.Diesel.meter d in
+      Power.Meter.start_profile m;
+      fun () ->
+        Compile.Plan.Rtl
+          {
+            total_pj = Rtl.Diesel.total_pj d;
+            cycle_pj =
+              Power.Profile.to_array (Option.get (Power.Meter.profile m));
+          }
+    | L1_bus b -> (
       match Tlm1.Bus.energy b with
       | Some e ->
         let r = Compile.Plan.l1_recorder () in
         Tlm1.Energy.set_observer e (Compile.Plan.l1_observe r);
-        ( `L1,
-          fun () ->
-            Tlm1.Energy.clear_observer e;
-            Compile.Plan.l1_finish r )
-      | None -> no_tap "estimation is off")
-    | Level.L2, L2_bus b -> (
+        fun () ->
+          Tlm1.Energy.clear_observer e;
+          Compile.Plan.l1_finish r
+      | None -> off ())
+    | L2_bus b -> (
       match Tlm2.Bus.energy b with
       | Some e ->
         let r = Compile.Plan.l2_recorder () in
         Tlm2.Energy.set_observer e (Compile.Plan.l2_observe r);
-        ( `L2,
-          fun () ->
-            Tlm2.Energy.clear_observer e;
-            Compile.Plan.l2_finish r )
-      | None -> no_tap "estimation is off")
-    | _ ->
-      no_tap
-        "plans exist for layers 1 and 2 only (Diesel has no integer tap, \
-         layer 3 replays through the bridge)"
+        fun () ->
+          Tlm2.Energy.clear_observer e;
+          Compile.Plan.l2_finish r
+      | None -> off ())
   in
   fun ~cycles ->
     let body = finish () in
     Compile.Plan.make ~body
       ~meta:
         {
-          Compile.Plan.level;
+          Compile.Plan.level = t.level;
           cycles;
           txns = completed_txns on;
           beats = completed_beats on;

@@ -27,6 +27,11 @@ val iface : bus -> Iface.t
 val bus_meter : bus -> Power.Meter.t option
 (** The bus energy model's accumulator, [None] without estimation. *)
 
+val bus_pj : bus -> float
+(** What the bus energy model reports (0 without estimation): the
+    meter's total at layers 1 and 2, {!Rtl.Diesel.total_pj} at the gate
+    level. *)
+
 val reset_bus : bus -> unit
 (** The bus and its energy model back to their creation state. *)
 
@@ -103,11 +108,12 @@ val capture : ?bus:bus -> t -> cycles:int -> Compile.Plan.t
     the bus's counters, with [cycles] as the run length.  Component
     energy comes from [t]'s platform, or is 0 for a [bus] given
     separately.  The one place compiled plans are recorded (DESIGN.md
-    section 14).
+    section 14), at every level: layer 3 taps its layer-2 carrier, and
+    at the gate level the plan is Diesel's total plus the meter's
+    per-cycle energies, for which [capture] turns the meter's profile on
+    ({!Power.Meter.start_profile}).  Call it before the run starts.
 
-    @raise Invalid_argument at {!Level.Rtl} (Diesel has no integer tap),
-    at {!Level.L3} (bridged replay is interpreted) and without
-    estimation. *)
+    @raise Invalid_argument without estimation. *)
 
 val reset : t -> unit
 (** Puts the whole session back to its creation state in place: kernel

@@ -448,16 +448,6 @@ let fabric_spec =
             Core.Contention.topology_to_string
             Core.Contention.topology_of_string))
 
-let replayable =
-  check
-    (function
-      | Core.Level.Rtl ->
-        Result.Error "the gate-level reference has no compiled plan"
-      | Core.Level.L3 ->
-        Result.Error "bridged layer-3 runs are interpreted, not compiled"
-      | Core.Level.L1 | Core.Level.L2 -> Ok ())
-    level
-
 let positive =
   check
     (fun s ->
@@ -465,16 +455,29 @@ let positive =
       else Result.Error (Printf.sprintf "scale %g is not positive" s))
     float
 
+(* [Core.Contention.validate]'s refusal of layer 3, at decode time, so
+   that a fabric replay there is a [bad_request] rather than a failed
+   job. *)
 let replay =
-  fields (fun workload level mode scales fabric ->
-      { workload; level; mode; scales; fabric })
-  |> field "workload" (fun (r : replay) -> r.workload) workload
-  |> field "level" (fun (r : replay) -> r.level) replayable
-       ~default:Core.Level.L1
-  |> field "mode" (fun (r : replay) -> r.mode) mode ~default:`Serial
-  |> field "scales" (fun r -> r.scales) (non_empty (list positive))
-       ~default:[ 1.0 ]
-  |> optional "fabric" (fun r -> r.fabric) fabric_spec
+  let body =
+    fields (fun workload level mode scales fabric ->
+        { workload; level; mode; scales; fabric })
+    |> field "workload" (fun (r : replay) -> r.workload) workload
+    |> field "level" (fun (r : replay) -> r.level) level
+         ~default:Core.Level.L1
+    |> field "mode" (fun (r : replay) -> r.mode) mode ~default:`Serial
+    |> field "scales" (fun r -> r.scales) (non_empty (list positive))
+         ~default:[ 1.0 ]
+    |> optional "fabric" (fun r -> r.fabric) fabric_spec
+  in
+  let read j =
+    let* r = body.read j in
+    match (r.fabric, r.level) with
+    | Some _, Core.Level.L3 ->
+      fail ~path:[ "level" ] "fabric masters drive timed buses (rtl/l1/l2)"
+    | _ -> Ok r
+  in
+  { body with read }
 
 let subscribe =
   fields (fun streams interval_ms -> { streams; interval_ms })

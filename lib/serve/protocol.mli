@@ -39,8 +39,8 @@ type run = {
   estimate : bool;  (** default [true] *)
   profile : bool;  (** stream the per-cycle energy profile as jsonl chunks *)
   compiled : bool;
-      (** evaluate off a memoized compiled plan (L1/L2, with [estimate];
-          an estimation-off run interprets) *)
+      (** evaluate off a memoized compiled plan (at any level, with
+          [estimate]; an estimation-off run interprets) *)
 }
 
 (** Multi-master replay target: the workload trace drives the CPU
@@ -54,11 +54,12 @@ type fabric_spec = {
 
 type replay = {
   workload : workload;
-  level : Core.Level.t;  (** [L1] or [L2]; [Rtl] is rejected *)
+  level : Core.Level.t;  (** any level; a [fabric] replay not at [L3] *)
   mode : mode;
   scales : float list;
       (** one evaluation point per entry: the default characterization
-          table scaled by the factor *)
+          table scaled by the factor.  The table has no role at [Rtl],
+          so there every scale answers the same figures. *)
   fabric : fabric_spec option;
       (** [None] replays the single-master trace plan, as before *)
 }
@@ -235,10 +236,10 @@ val request_of_json :
 (** Validation lives here: unknown ["type"] is [Unknown_type], any
     missing or ill-typed field is [Bad_request], and so are the checks
     on meaning: a workload [n] outside [1, 1000000], malformed inline
-    trace lines, unknown applet or config names, an [Rtl] or [L3]
-    replay, a scale that is not positive, an empty [streams] list and an
-    [interval_ms] outside [10, 60000].  Hints list what the enum tables
-    accept. *)
+    trace lines, unknown applet or config names, a [fabric] replay at
+    [L3] (fabric masters drive timed buses), a scale that is not
+    positive, an empty [streams] list and an [interval_ms] outside
+    [10, 60000].  Hints list what the enum tables accept. *)
 
 val frame_to_json : id:Obs.Json.t -> frame -> Obs.Json.t
 

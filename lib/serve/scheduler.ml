@@ -52,10 +52,7 @@ let send_profile ~send profile =
    [transitions = 0]. *)
 let execute_run ~pool ~send (r : Protocol.run) =
   let result =
-    if
-      r.Protocol.compiled && r.Protocol.estimate
-      && Core.Level.has_plan r.Protocol.level
-    then
+    if r.Protocol.compiled && r.Protocol.estimate then
       let plan =
         compiled_plan ~pool ~level:r.Protocol.level ~mode:r.Protocol.mode
           r.Protocol.workload

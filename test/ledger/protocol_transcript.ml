@@ -115,7 +115,8 @@ let request_docs =
     {|{"type":"metrics","id":[1,2]}|};
     {|{"type":"unsubscribe","id":null}|};
     {|{"type":"shutdown","id":{"k":1}}|};
-    (* rejections: test_request_codec and test_malformed_frames *)
+    (* rejections: test_request_codec and test_malformed_frames (and an
+       rtl replay, which decodes now that every level has a plan) *)
     {|{definitely not json|};
     {|{"type":"frobnicate","id":7}|};
     {|{"id":1}|};
@@ -160,6 +161,7 @@ let request_docs =
     {|{"type":"explore","level":"x"}|};
     {|{"type":"explore","adaptive":"x"}|};
     {|{"type":"replay","workload":{"kind":"table3","n":8},"level":"l3"}|};
+    {|{"type":"replay","workload":{"kind":"table3","n":8},"level":"l3","fabric":{}}|};
     {|{"type":"replay","workload":{"kind":"table3","n":8},"mode":"x"}|};
     {|{"type":"replay","workload":{"kind":"table3","n":8},"scales":[]}|};
     {|{"type":"replay","workload":{"kind":"table3","n":8},"scales":[0]}|};

@@ -252,9 +252,9 @@ let test_cache_study_adaptive () =
       (cached.Core.Cache_study.hit_rate_pct > 0.0)
   | _ -> Alcotest.fail "unexpected row count"
 
-(* Plans exist at layers 1 and 2 only, so a pooled cell at any other
-   level interprets on a pooled session — the same row as a fresh cell,
-   never a failed capture. *)
+(* A pooled cell folds off a memoized plan at every level, the gate
+   level and layer 3 included: the same row as a fresh, interpreted
+   cell, on the first call (which captures) and on a memo hit. *)
 let test_pooled_cell_every_level () =
   let config = config () in
   let pool = Core.Pool.create () in
@@ -279,9 +279,8 @@ let test_pooled_cell_every_level () =
     Core.Level.[ Rtl; L1; L2; L3 ]
 
 (* The one rule for the execution path (DESIGN.md section 14): a sweep
-   folds a cell off a memoized plan exactly where Level.has_plan holds,
-   and interprets every other cell — at rtl and l3, with a sink, or
-   under a policy. *)
+   folds a cell off a memoized plan at every level, and interprets a
+   cell with a sink or under a policy. *)
 let test_plan_path_rule () =
   let config = config () in
   let plan_builds tag pool =
@@ -296,13 +295,11 @@ let test_plan_path_rule () =
     plan_builds "explore" pool
   in
   List.iter
-    (fun (level, expected) ->
-      let name = Core.Level.to_string level in
-      Alcotest.(check bool)
-        (name ^ " has_plan") (expected = 1) (Core.Level.has_plan level);
+    (fun level ->
       Alcotest.(check int)
-        (name ^ " explore plans") expected (explore_plans ~level ()))
-    Core.Level.[ (Rtl, 0); (L1, 1); (L2, 1); (L3, 0) ];
+        (Core.Level.to_string level ^ " explore plans")
+        1 (explore_plans ~level ()))
+    Core.Level.[ Rtl; L1; L2; L3 ];
   Alcotest.(check int)
     "explore plans with a sink" 0
     (explore_plans ~level:Core.Level.L1 ~sink:(Obs.Sink.create ()) ());
@@ -316,7 +313,7 @@ let test_plan_path_rule () =
   in
   Alcotest.(check int) "rtl and l1 cells" 12 (List.length cells);
   Alcotest.(check int)
-    "fabric plans: one per l1 cell" 6 (plan_builds "fabric" pool)
+    "fabric plans: one per cell" 12 (plan_builds "fabric" pool)
 
 (* The exploration comparison on one applet: the adaptive rows match
    layer 1, the warm compiled sweep reproduces the cold one, and every
@@ -350,6 +347,6 @@ let suite =
       test_pooled_cell_every_level;
     Alcotest.test_case "exploration comparison (one applet)" `Quick
       test_exploration_comparison;
-    Alcotest.test_case "sweeps take the plan path exactly where Level.has_plan"
-      `Quick test_plan_path_rule;
+    Alcotest.test_case "sweeps take the plan path at every level" `Quick
+      test_plan_path_rule;
   ]

@@ -412,6 +412,21 @@ let test_compiled_grid_bit_exact () =
          ~domains:1 ())
   done
 
+(* The gate-level grid compiles too: the study's compiled rtl cells,
+   cold and then warm off the memoized plans, equal the interpreted grid
+   — buckets, bus_pj and bridge_pj, single and bridged, every policy. *)
+let test_rtl_study_compiled () =
+  let levels = [ Core.Level.Rtl ] in
+  let interp = Core.Contention.study ~n:48 ~levels ~domains:1 () in
+  check_int "rtl cells" 6 (List.length interp);
+  let pool = Core.Pool.create () in
+  for pass = 1 to 2 do
+    List.iter2
+      (check_result_bit_exact (Printf.sprintf "rtl study pass %d" pass))
+      interp
+      (Core.Contention.study ~n:48 ~levels ~compiled:true ~pool ~domains:1 ())
+  done
+
 (* Multi-point evaluation must equal N single-point evaluations. *)
 let test_fabric_multipoint () =
   let masters =
@@ -669,6 +684,8 @@ let suite =
     Alcotest.test_case "L3 window provenance" `Quick test_l3_window_provenance;
     Alcotest.test_case "compiled grid bit-exact" `Quick
       test_compiled_grid_bit_exact;
+    Alcotest.test_case "rtl study: compiled = interpreted" `Quick
+      test_rtl_study_compiled;
     Alcotest.test_case "fabric multi-point = N single points" `Quick
       test_fabric_multipoint;
     Alcotest.test_case "pooled fabric session replays" `Quick

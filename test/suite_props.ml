@@ -955,33 +955,64 @@ let prop_plan_memo_counters =
       && Core.Pool.memo_builds pool = 1
       && Core.Pool.memo_hits pool = 1)
 
-(* Plans exist at layers 1 and 2 only: every capture entry point refuses
-   the gate level, layer 3 and estimation-off systems with a typed
-   error instead of falling back or failing an assertion. *)
+(* Every level has a plan, so the one capture refusal left is a system
+   without an energy model: a typed error instead of an empty plan.  The
+   gate level always estimates. *)
 let test_capture_refusals () =
-  let trace = Core.Workloads.table3_trace ~n:16 in
-  let refuses f =
-    match f () with _ -> false | exception Invalid_argument _ -> true
-  in
-  let capture ?estimate level () =
-    Core.System.capture (Core.System.create ~level ?estimate ())
-  in
   List.iter
     (fun level ->
-      let name = Core.Level.to_string level in
-      Alcotest.(check bool) (name ^ " capture") true (refuses (capture level));
       Alcotest.(check bool)
-        (name ^ " compile_trace") true
-        (refuses (fun () -> Core.Runner.compile_trace ~level trace)))
-    [ Core.Level.Rtl; Core.Level.L3 ];
-  Alcotest.(check bool)
-    "rtl fabric compile" true
-    (refuses (fun () ->
-         Core.Contention.compile ~level:Core.Level.Rtl
-           [ (Core.Contention.Cpu, trace) ]));
-  Alcotest.(check bool)
-    "estimation off" true
-    (refuses (capture ~estimate:false Core.Level.L1))
+        (Core.Level.to_string level ^ " estimation off")
+        true
+        (match
+           Core.System.capture (Core.System.create ~level ~estimate:false ())
+             ~cycles:0
+         with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    Core.Level.[ L1; L2; L3 ]
+
+(* A result down to the bits of its floats: the scalars, [bus_pj],
+   [component_pj] and every profile entry. *)
+let result_bits (r : Core.Runner.result) =
+  let bits = Int64.bits_of_float in
+  ( ( r.Core.Runner.level,
+      r.Core.Runner.cycles,
+      r.Core.Runner.txns,
+      r.Core.Runner.beats,
+      r.Core.Runner.errors,
+      r.Core.Runner.transitions ),
+    bits r.Core.Runner.bus_pj,
+    bits r.Core.Runner.component_pj,
+    Option.map
+      (fun p -> Array.map bits (Power.Profile.to_array p))
+      r.Core.Runner.profile )
+
+(* The gate-level plan is the run's energy record and the layer-3 plan
+   its carrier's lump stream; either replays to the interpreted run bit
+   for bit, in both issue modes, profiles included. *)
+let prop_compiled_rtl_l3_bit_exact =
+  QCheck.Test.make
+    ~name:"compiled = interpreted at rtl and l3, bit for bit (both modes)"
+    ~count:8 arb_seeded_trace
+    (fun seeded ->
+      let trace = seeded_trace seeded in
+      List.for_all
+        (fun (level, mode) ->
+          let i =
+            Core.Runner.run_trace ~level ~mode ~record_profile:true trace
+          in
+          let c =
+            replay_one ~record_profile:true
+              (Core.Runner.compile_trace ~level ~mode trace)
+          in
+          i.Core.Runner.profile <> None && result_bits i = result_bits c)
+        [
+          (Core.Level.Rtl, `Serial);
+          (Core.Level.Rtl, `Pipelined);
+          (Core.Level.L3, `Serial);
+          (Core.Level.L3, `Pipelined);
+        ])
 
 (* The per-tag memo rows of [Report.pool_stats] add up to the totals:
    every plan kind is tagged, the exploration cell included. *)
@@ -1231,10 +1262,11 @@ let compiled_props =
       prop_compiled_trace_bit_exact;
       prop_compiled_multi_point;
       prop_plan_memo_counters;
+      prop_compiled_rtl_l3_bit_exact;
     ]
   @ [
-      Alcotest.test_case "plan capture refuses rtl, l3, estimation off"
-        `Quick test_capture_refusals;
+      Alcotest.test_case "plan capture refuses estimation off" `Quick
+        test_capture_refusals;
       Alcotest.test_case "memo tag rows sum to the totals" `Quick
         test_memo_tags_sum;
       QCheck_alcotest.to_alcotest prop_l1_fold_lanes;

@@ -320,10 +320,12 @@ let gen_request =
        and* adaptive = bool in
        return (P.Explore { P.applets; configs; level; adaptive }));
       (let* workload = workload
-       and* level = oneofl Core.Level.[ L1; L2 ]
+       and* level = any_level
        and* mode = mode
        and* scales = list_size (int_range 1 4) scale
        and* fabric = fabric in
+       (* A fabric replay needs a timed bus. *)
+       let fabric = if level = Core.Level.L3 then None else fabric in
        return (P.Replay { P.workload; level; mode; scales; fabric }));
       (let* streams =
          list_size (int_range 1 3) (oneofl [ `Metrics; `Trace; `Energy ])
@@ -354,15 +356,22 @@ let test_request_codec () =
     (rejects (Obj [ ("type", String "frobnicate") ]) = P.Unknown_type);
   check_bool "missing type" true
     (rejects (Obj [ ("id", Int 1) ]) = P.Bad_request);
-  check_bool "rtl replay refused" true
-    (rejects
+  (* Every level replays, but a fabric needs a timed bus. *)
+  (match
+     P.request_of_json
        (Obj
           [
             ("type", String "replay");
             ("workload", Obj [ ("kind", String "table3"); ("n", Int 8) ]);
-            ("level", String "rtl");
+            ("level", String "l3");
+            ("fabric", Obj []);
           ])
-    = P.Bad_request);
+   with
+  | Error (P.Bad_request, msg) ->
+    Alcotest.(check string)
+      "l3 fabric replay refused"
+      {|field "level": fabric masters drive timed buses (rtl/l1/l2)|} msg
+  | _ -> Alcotest.fail "expected a bad_request for a fabric replay at l3");
   check_bool "malformed inline trace" true
     (rejects
        (Obj
@@ -703,6 +712,58 @@ let test_replay_bit_exact () =
                 (w.P.point_bus_pj = d.Core.Runner.bus_pj))
             (List.combine (List.combine scales direct) wire)))
 
+(* Every level replays over the wire, and each point equals a direct
+   interpreted run at its scale — the oracle the serve load of perfbench
+   checks against.  At the gate level the table has no role, so every
+   scale answers the same figures. *)
+let test_replay_rtl_l3 () =
+  with_server (fun _server path ->
+      with_client path (fun c ->
+          let scales = [ 0.5; 1.0; 2.0 ] in
+          let workload = P.Table3 40 in
+          List.iter
+            (fun (level, mode) ->
+              let name = Core.Level.to_string level in
+              let wire =
+                points_of
+                  (frames_exn
+                     (Serve.Client.request c
+                        (P.Replay
+                           { P.workload; level; mode; scales; fabric = None })))
+              in
+              check_int (name ^ " one point per scale") (List.length scales)
+                (List.length wire);
+              List.iter2
+                (fun scale (w : P.point_body) ->
+                  let d =
+                    Core.Runner.run_trace ~level ~mode
+                      ~table:
+                        (Power.Characterization.scale
+                           Power.Characterization.default scale)
+                      ~init:Core.Runner.fill_memories
+                      (P.trace_of_workload workload)
+                  in
+                  check_int (name ^ " cycles") d.Core.Runner.cycles
+                    w.P.point_cycles;
+                  check_int (name ^ " txns") d.Core.Runner.txns w.P.point_txns;
+                  check_int (name ^ " transitions") d.Core.Runner.transitions
+                    w.P.point_transitions;
+                  check_bool (name ^ " bus_pj bit-identical") true
+                    (Int64.bits_of_float w.P.point_bus_pj
+                    = Int64.bits_of_float d.Core.Runner.bus_pj))
+                scales wire;
+              if level = Core.Level.Rtl then
+                check_bool "rtl: one figure at every scale" true
+                  (List.for_all
+                     (fun (w : P.point_body) ->
+                       w.P.point_bus_pj = (List.hd wire).P.point_bus_pj)
+                     wire))
+            [
+              (Core.Level.Rtl, `Serial);
+              (Core.Level.Rtl, `Pipelined);
+              (Core.Level.L3, `Serial);
+            ]))
+
 let test_fabric_replay_bit_exact () =
   with_server (fun _server path ->
       with_client path (fun c ->
@@ -827,8 +888,8 @@ let test_explore_bit_exact () =
               (row.P.switches <> None && row.P.error_bound_pj <> None)
           | rows -> Alcotest.failf "expected 1 adaptive row, got %d" (List.length rows)))
 
-(* The protocol accepts layer 3 for explore; the pooled server cell must
-   interpret it (plans exist at layers 1 and 2 only) and answer a row. *)
+(* The protocol accepts layer 3 for explore; the pooled server cell
+   folds it off its carrier's plan and answers the interpreted row. *)
 let test_explore_l3_row () =
   with_server (fun _server path ->
       with_client path (fun c ->
@@ -1173,6 +1234,110 @@ let test_jobq () =
   check_bool "drained pop yields accepted item" true (Serve.Jobq.pop q = Some 2);
   (* ... and only then does the queue report empty. *)
   check_bool "then signals exhaustion" true (Serve.Jobq.pop q = None)
+
+(* [Serve.Jobq] against a model: per-client FIFOs in round-robin order
+   (the head of [rotation] is the cursor), the capacity and the draining
+   flag.  Every push result, every depth and every popped item must
+   match. *)
+type jobq_model = {
+  rotation : (int * int list) list;  (* clients with pending jobs *)
+  size : int;
+  capacity : int;
+  draining : bool;
+}
+
+let model_push m ~client job =
+  if m.draining then (m, Serve.Jobq.Draining)
+  else if m.size >= m.capacity then (m, Serve.Jobq.Full)
+  else
+    let rotation =
+      if List.mem_assoc client m.rotation then
+        List.map
+          (fun (c, jobs) ->
+            if c = client then (c, jobs @ [ job ]) else (c, jobs))
+          m.rotation
+      else m.rotation @ [ (client, [ job ]) ]
+    in
+    ({ m with rotation; size = m.size + 1 }, Serve.Jobq.Enqueued (m.size + 1))
+
+let model_pop m =
+  match m.rotation with
+  | [] -> (m, None)
+  | (c, job :: rest) :: others ->
+    let rotation = if rest = [] then others else others @ [ (c, rest) ] in
+    ({ m with rotation; size = m.size - 1 }, Some job)
+  | (_, []) :: _ -> invalid_arg "model_pop: empty client queue"
+
+(* A capacity and a command script.  [pop] blocks on an empty queue, so
+   the generator tracks the model's depth and draining flag and offers a
+   pop only when the queue holds a job or is draining. *)
+let gen_jobq_script =
+  let open QCheck.Gen in
+  let rec script n ~capacity ~size ~draining acc =
+    if n = 0 then return (List.rev acc)
+    else
+      let* cmd =
+        frequency
+          ([ (8, map (fun c -> `Push c) (int_bound 3)); (1, return `Drain) ]
+          @ if size > 0 || draining then [ (6, return `Pop) ] else [])
+      in
+      let size, draining =
+        match cmd with
+        | `Push _ when draining || size >= capacity -> (size, draining)
+        | `Push _ -> (size + 1, draining)
+        | `Pop -> (max 0 (size - 1), draining)
+        | `Drain -> (size, true)
+      in
+      script (n - 1) ~capacity ~size ~draining (cmd :: acc)
+  in
+  let* capacity = int_range 1 5 and* n = int_range 1 60 in
+  let* cmds = script n ~capacity ~size:0 ~draining:false [] in
+  return (capacity, cmds)
+
+let prop_jobq_model =
+  let print (capacity, cmds) =
+    Printf.sprintf "capacity %d: %s" capacity
+      (String.concat " "
+         (List.map
+            (function
+              | `Push c -> Printf.sprintf "push(%d)" c
+              | `Pop -> "pop"
+              | `Drain -> "drain")
+            cmds))
+  in
+  QCheck.Test.make ~name:"jobq = per-client round-robin model" ~count:300
+    (QCheck.make ~print gen_jobq_script)
+    (fun (capacity, cmds) ->
+      let q = Serve.Jobq.create ~capacity in
+      let step (m, next) cmd =
+        let m, ok =
+          match cmd with
+          | `Push client ->
+            let m, expected = model_push m ~client next in
+            (m, Serve.Jobq.push q ~client next = expected)
+          | `Pop ->
+            (* Never block: the script only pops a queue that has a job
+               or drains, so a real queue that would block has diverged. *)
+            if Serve.Jobq.depth q = 0 && not (Serve.Jobq.draining q) then
+              (m, false)
+            else
+              let m, expected = model_pop m in
+              (m, Serve.Jobq.pop q = expected)
+          | `Drain ->
+            Serve.Jobq.drain q;
+            ({ m with draining = true }, Serve.Jobq.draining q)
+        in
+        if not (ok && Serve.Jobq.depth q = m.size) then
+          QCheck.Test.fail_reportf "diverged at %s, model depth %d, queue %d"
+            (print (capacity, [ cmd ]))
+            m.size (Serve.Jobq.depth q);
+        (m, next + 1)
+      in
+      ignore
+        (List.fold_left step
+           ({ rotation = []; size = 0; capacity; draining = false }, 0)
+           cmds);
+      true)
 
 let test_jobq_round_robin () =
   (* Client 10 piles up a backlog before clients 20 and 30 arrive with a
@@ -1789,4 +1954,7 @@ let suite =
       test_framing_stop_buffered;
     Alcotest.test_case "compiled run with estimation off = interpreted"
       `Quick test_run_estimate_off;
+    Alcotest.test_case "rtl and l3 replays = direct runs per scale" `Quick
+      test_replay_rtl_l3;
+    QCheck_alcotest.to_alcotest prop_jobq_model;
   ]
