@@ -181,9 +181,8 @@ let render ~title rows =
 
 let run_all () =
   (* The five studies are independent (each characterizes and simulates
-     its own systems); fan them out with Parallel.map.  One session
-     pool is shared: its free-lists are domain-local, so studies on
-     different domains never contend. *)
+     its own systems); fan them out with Parallel.map over one shared
+     session pool. *)
   let pool = Pool.create () in
   String.concat "\n\n"
     (Parallel.map

@@ -395,9 +395,7 @@ let study ?(n = 512) ?(levels = Level.timed) ?(compiled = false) ?pool
     ]
   in
   (* Grid cells are fully independent simulations, so the sweep maps
-     across domains.  The pool's plans and sessions are domain-local and
-     every sweep spawns fresh workers, so a second pooled sweep replays
-     from memoized plans only the cells the calling domain ran. *)
+     across domains, all sharing the pool's plans and sessions. *)
   Parallel.map ?domains
     (fun (level, policy, topology) ->
       let masters = default_masters ~n topology in

@@ -143,11 +143,8 @@ val study :
     {!default_masters}.  Cells are independent simulations mapped across
     [?domains] {!Parallel} domains.  With [~compiled:true] every cell
     goes through {!compile} + {!replay_plan}, otherwise through {!run};
-    [?pool] reaches both.
-    The pool's sessions and plans are domain-local and {!Parallel.map}
-    spawns fresh workers per sweep, so a repeated pooled compiled sweep
-    replays from memoized plans only the cells the calling domain ran —
-    every cell with [~domains:1]. *)
+    [?pool] reaches both; every domain shares its store, so a repeated
+    pooled compiled sweep replays every cell from memoized plans. *)
 
 val render_study : result list -> string
 (** Markdown-ish table of a {!study}, one row per run with per-master

@@ -179,15 +179,12 @@ let run_one ?level ?policy ?sink ?pool ~config applet =
 
 (* The default session/plan pool shared by every [run] call of the
    process: compiled cell plans are only worth caching if they survive
-   from one grid to the next.  The store is domain-local, so what
-   survives is the calling domain's share (see [run]). *)
+   from one grid to the next. *)
 let default_pool = lazy (Pool.create ())
 
 let run ?level ?policy ?(applets = Jcvm.Applets.all) ?domains () =
   (* Every applet x configuration cell is an independent system; fan the
-     flattened grid out over [domains].  Spawned workers' pool stores
-     die at join, so only the calling domain's cells stay warm for the
-     next grid. *)
+     flattened grid out over [domains], all sharing the one pool. *)
   let pool = Lazy.force default_pool in
   Parallel.map ?domains
     (fun (applet, config) -> run_one ?level ?policy ~pool ~config applet)

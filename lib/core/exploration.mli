@@ -76,12 +76,9 @@ val run :
 
     A sweep always draws sessions — and compiled cell plans, see
     {!run_one} — from a process-wide pool shared by every [run] call;
-    rows are bit-identical to unpooled {!run_one} cells.  That pool
-    lives in domain-local storage and every {!Parallel.map} spawns
-    fresh worker domains, so a {e repeated} grid finds warm sessions
-    and plans only for the cells the calling domain ran: with
-    [~domains:1] it reruns nothing but the energy fold, with more
-    domains the workers' cells build and interpret again. *)
+    rows are bit-identical to unpooled {!run_one} cells.  Every domain
+    shares that pool's store, so a {e repeated} grid reruns nothing but
+    the energy fold, on any number of domains. *)
 
 val render : row list -> string
 (** One table per applet: best correct configuration (energy) marked

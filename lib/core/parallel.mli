@@ -20,5 +20,4 @@ val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel map.  If any application raises, the first
     failure (in claim order) is re-raised after all workers have
     stopped.  Every call spawns its worker domains and joins them before
-    returning, so [Domain.DLS] state a worker builds ({!Pool}'s session
-    store) dies with it; only the calling domain's share stays warm. *)
+    returning. *)

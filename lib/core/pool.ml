@@ -1,27 +1,27 @@
-(* Per-domain pools of resettable simulation sessions.
+(* Pools of resettable simulation sessions and memoized plans.
 
    A pool maps a configuration key (a string fingerprint of everything
    that shapes a session: level, estimator params, platform options) to
    a free-list of previously built sessions.  [with_session] checks one
    out, resets it, runs the workload, and returns it to the free list on
-   success.  The store lives in [Domain.DLS], so each worker domain of
-   [Parallel.map] owns a private free-list and the hot path takes no
-   lock — pooled reuse composes with domain parallelism for free, at the
-   cost of one warmup build per (domain, key). *)
+   success.  The store belongs to the pool: one table behind one mutex,
+   shared by every domain that holds the pool and collected with it.
+   The lock covers only table reads and writes — builds, resets and
+   workloads run outside it. *)
 
 type entry = { kind_id : int; value : exn }
 
+(* Memo counters of one tag (trace, fabric and exploration-cell plans,
+   see Report.pool_stats); the totals are their sums. *)
+type tag_counts = { mutable tag_hits : int; mutable tag_builds : int }
+
 type t = {
-  id : int;
-  hits : int Atomic.t;
-  builds : int Atomic.t;
-  (* Memo counters per tag (trace, fabric and exploration-cell plans,
-     see Report.pool_stats); the totals are their sums.  The table only
-     ever grows by a handful of tags, so a mutex around the lookup is
-     cheap; the counters themselves are atomics, bumped lock-free once
-     found. *)
-  memo_tags : (string, int Atomic.t * int Atomic.t) Hashtbl.t;
-  memo_tags_lock : Mutex.t;
+  lock : Mutex.t;
+  (* key -> free sessions, or memo key -> memoized values *)
+  store : (string, entry list) Hashtbl.t;
+  mutable hits : int;
+  mutable builds : int;
+  memo_tags : (string, tag_counts) Hashtbl.t;
 }
 
 (* Sessions are arbitrary, session-kind-specific records.  They are
@@ -46,64 +46,59 @@ let kind (type a) () =
     prj = (function M.E x -> Some x | _ -> None);
   }
 
-let next_pool_id = Atomic.make 0
-
-(* Free-list cap per (domain, key). *)
+(* Free-list cap per key. *)
 let capacity = 4
 
 let create () =
   {
-    id = Atomic.fetch_and_add next_pool_id 1;
-    hits = Atomic.make 0;
-    builds = Atomic.make 0;
+    lock = Mutex.create ();
+    store = Hashtbl.create 16;
+    hits = 0;
+    builds = 0;
     memo_tags = Hashtbl.create 4;
-    memo_tags_lock = Mutex.create ();
   }
 
-(* Domain-local store: pool id -> key -> free entries.  One flat
-   hashtable per domain; distinct pools and keys never interfere. *)
-let store : (int * string, entry list ref) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+let locked t f = Mutex.protect t.lock f
 
-let slot t ~key =
-  let tbl = Domain.DLS.get store in
-  let k = (t.id, key) in
-  match Hashtbl.find_opt tbl k with
-  | Some r -> r
-  | None ->
-    let r = ref [] in
-    Hashtbl.add tbl k r;
-    r
+(* The table accessors below run with the lock held. *)
+let entries t key = Option.value (Hashtbl.find_opt t.store key) ~default:[]
+
+let project kind (e : entry) =
+  if e.kind_id = kind.kind_id then kind.prj e.value else None
+
+let add t kind ~key v =
+  Hashtbl.replace t.store key
+    ({ kind_id = kind.kind_id; value = kind.inj v } :: entries t key)
 
 let take t kind ~key =
-  let r = slot t ~key in
   let rec pick acc = function
     | [] -> None
-    | (e : entry) :: rest -> (
-      match if e.kind_id = kind.kind_id then kind.prj e.value else None with
+    | e :: rest -> (
+      match project kind e with
       | Some v ->
-        r := List.rev_append acc rest;
+        Hashtbl.replace t.store key (List.rev_append acc rest);
         Some v
       | None -> pick (e :: acc) rest)
   in
-  pick [] !r
-
-let put t kind ~key v =
-  let r = slot t ~key in
-  if List.length !r < capacity then
-    r := { kind_id = kind.kind_id; value = kind.inj v } :: !r
+  pick [] (entries t key)
 
 let acquire t kind ~key ~build ~reset =
-  match take t kind ~key with
+  let pooled =
+    locked t (fun () ->
+        let s = take t kind ~key in
+        if Option.is_some s then t.hits <- t.hits + 1
+        else t.builds <- t.builds + 1;
+        s)
+  in
+  match pooled with
   | Some s ->
-    Atomic.incr t.hits;
     reset s;
     s
-  | None ->
-    Atomic.incr t.builds;
-    build ()
+  | None -> build ()
 
-let release t kind ~key v = put t kind ~key v
+let release t kind ~key v =
+  locked t (fun () ->
+      if List.length (entries t key) < capacity then add t kind ~key v)
 
 let with_session t kind ~key ~build ~reset f =
   let session = acquire t kind ~key ~build ~reset in
@@ -114,67 +109,56 @@ let with_session t kind ~key ~build ~reset f =
   release t kind ~key session;
   result
 
-let hits t = Atomic.get t.hits
-let builds t = Atomic.get t.builds
+let hits t = locked t (fun () -> t.hits)
+let builds t = locked t (fun () -> t.builds)
 
 (* Memoized values (compiled trace plans, mostly): unlike sessions they
    are immutable, so a hit reads the entry without checking it out and
    the entry lives for the pool's lifetime — no capacity bound.  The
    namespace byte keeps memo keys from ever colliding with free-list
-   keys. *)
-let tag_counters t tag =
-  Mutex.lock t.memo_tags_lock;
-  let c =
-    match Hashtbl.find_opt t.memo_tags tag with
-    | Some c -> c
-    | None ->
-      let c = (Atomic.make 0, Atomic.make 0) in
-      Hashtbl.add t.memo_tags tag c;
-      c
-  in
-  Mutex.unlock t.memo_tags_lock;
-  c
-
+   keys.  A miss builds outside the lock; when two domains miss on one
+   key, both count a build and the first insert wins. *)
 let memo t kind ~tag ~key build =
-  let r = slot t ~key:("memo\x00" ^ key) in
-  let rec find = function
-    | [] -> None
-    | (e : entry) :: rest -> (
-      match if e.kind_id = kind.kind_id then kind.prj e.value else None with
-      | Some v -> Some v
-      | None -> find rest)
+  let key = "memo\x00" ^ key in
+  let find () = List.find_map (project kind) (entries t key) in
+  let cached =
+    locked t (fun () ->
+        let c =
+          match Hashtbl.find_opt t.memo_tags tag with
+          | Some c -> c
+          | None ->
+            let c = { tag_hits = 0; tag_builds = 0 } in
+            Hashtbl.add t.memo_tags tag c;
+            c
+        in
+        let v = find () in
+        if Option.is_some v then c.tag_hits <- c.tag_hits + 1
+        else c.tag_builds <- c.tag_builds + 1;
+        v)
   in
-  let hits, builds = tag_counters t tag in
-  match find !r with
-  | Some v ->
-    Atomic.incr hits;
-    v
+  match cached with
+  | Some v -> v
   | None ->
-    Atomic.incr builds;
     let v = build () in
-    r := { kind_id = kind.kind_id; value = kind.inj v } :: !r;
-    v
+    locked t (fun () ->
+        match find () with
+        | Some first -> first
+        | None ->
+          add t kind ~key v;
+          v)
 
 let memo_tag_stats t =
-  Mutex.lock t.memo_tags_lock;
-  let rows =
-    Hashtbl.fold
-      (fun tag (h, b) acc -> (tag, Atomic.get h, Atomic.get b) :: acc)
-      t.memo_tags []
-  in
-  Mutex.unlock t.memo_tags_lock;
-  List.sort compare rows
+  locked t (fun () ->
+      Hashtbl.fold
+        (fun tag c acc -> (tag, c.tag_hits, c.tag_builds) :: acc)
+        t.memo_tags [])
+  |> List.sort compare
 
 let memo_total t sel =
-  Mutex.lock t.memo_tags_lock;
-  let n =
-    Hashtbl.fold (fun _ c acc -> acc + Atomic.get (sel c)) t.memo_tags 0
-  in
-  Mutex.unlock t.memo_tags_lock;
-  n
+  locked t (fun () -> Hashtbl.fold (fun _ c acc -> acc + sel c) t.memo_tags 0)
 
-let memo_hits t = memo_total t fst
-let memo_builds t = memo_total t snd
+let memo_hits t = memo_total t (fun c -> c.tag_hits)
+let memo_builds t = memo_total t (fun c -> c.tag_builds)
 
 (* Pool keys fingerprint configuration values (characterization tables,
    electrical parameter records, interface configurations) — pure data,

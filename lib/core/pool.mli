@@ -1,4 +1,4 @@
-(** Per-domain pools of resettable simulation sessions.
+(** Pools of resettable simulation sessions and memoized plans.
 
     Building a session ({!System.create} and friends) allocates a
     kernel, the full platform, a bus model and its energy estimator —
@@ -9,11 +9,11 @@
 
     Check-out is keyed by a caller-supplied string fingerprinting the
     configuration shape (level, estimator parameters, platform options —
-    everything {i not} undone by reset).  Free-lists are domain-local
-    ([Domain.DLS]): each worker of {!Parallel.map} keeps its own
-    sessions, the hot path takes no lock, and a session is never shared
-    across domains concurrently.  The price is one warmup build per
-    (domain, key). *)
+    everything {i not} undone by reset).  The store belongs to the pool:
+    one table behind one mutex, shared by every domain that holds the
+    pool (each worker of {!Parallel.map}, each serve worker) and
+    garbage-collected with it.  A checked-out session is held by one
+    caller at a time; no build, reset or workload runs under the lock. *)
 
 type t
 
@@ -26,7 +26,7 @@ type 'a kind
 val kind : unit -> 'a kind
 
 val create : unit -> t
-(** Each (domain, key) free-list holds at most 4 sessions — beyond that,
+(** Each key's free-list holds at most 4 sessions — beyond that,
     released sessions are dropped for the GC. *)
 
 val with_session :
@@ -47,32 +47,33 @@ val acquire :
   t -> 'a kind -> key:string -> build:(unit -> 'a) -> reset:('a -> unit) -> 'a
 (** Unscoped checkout, for sessions whose lifetime is not lexical (the
     adaptive engine retires a window's system only after the next
-    window's handoff).  Pair with {!release} on the same domain; a
-    session that errors should simply not be released. *)
+    window's handoff).  Pair with {!release}; a session that errors
+    should simply not be released. *)
 
 val release : t -> 'a kind -> key:string -> 'a -> unit
 
 val hits : t -> int
-(** Checkouts served from the pool (across all domains). *)
+(** Checkouts served from the pool. *)
 
 val builds : t -> int
-(** Checkouts that had to build fresh (across all domains). *)
+(** Checkouts that had to build fresh. *)
 
 val memo : t -> 'a kind -> tag:string -> key:string -> (unit -> 'a) -> 'a
 (** [memo t k ~tag ~key build] caches an immutable value (a compiled
-    plan, typically) in the pool's domain-local store: the first call
-    per (domain, key) runs [build], later calls return the cached value
-    without checkout or reset.  Memo entries are exempt from the
-    capacity bound and live for the pool's lifetime; their keys never
-    collide with session keys.  Since the value is shared, callers must
-    not mutate it.
+    plan, typically) in the pool's store: the first call per key runs
+    [build], later calls on any domain return the cached value without
+    checkout or reset.  [build] runs outside the lock; if two domains
+    miss on one key at once, both count a build and the first value
+    stored is the one kept and returned.  Memo entries are exempt from
+    the capacity bound and live for the pool's lifetime; their keys
+    never collide with session keys.  Since the value is shared, callers
+    must not mutate it.
 
     [tag] names the plan kind (["trace"], ["fabric"], ["explore"]) for
     the per-kind hit/build breakout of {!memo_tag_stats}. *)
 
 val memo_tag_stats : t -> (string * int * int) list
-(** Per-tag memo counters as [(tag, hits, builds)], sorted by tag
-    (across all domains). *)
+(** Per-tag memo counters as [(tag, hits, builds)], sorted by tag. *)
 
 val memo_hits : t -> int
 (** Memo lookups served from cache: the sum of the per-tag hits. *)

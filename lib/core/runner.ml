@@ -72,6 +72,14 @@ let replay_bridged system trace =
     trace;
   Sim.Kernel.now kernel - t0
 
+(* [replay_bridged] has no issue discipline, so an L3 key drops the
+   mode and both modes share one plan. *)
+let plan_key ~level ~mode =
+  match (level : Level.t), mode with
+  | L3, _ -> Level.to_string level
+  | _, `Serial -> Level.to_string level ^ ":serial"
+  | _, `Pipelined -> Level.to_string level ^ ":pipelined"
+
 (* One interpreted resolution run with the energy model's taps
    attached; everything the evaluator needs — transition words, lump
    events, the gate-level energy record, the table-independent scalar
@@ -98,8 +106,7 @@ let compile_trace ?(level = Level.L1) ?(mode = `Pipelined) ?init ?pool trace =
        shapes the resolution run.  [init] closures cannot be
        fingerprinted — runs with one compile fresh. *)
     let key =
-      Printf.sprintf "plan:%s:%s:%s" (Level.to_string level)
-        (match mode with `Serial -> "serial" | `Pipelined -> "pipelined")
+      Printf.sprintf "plan:%s:%s" (plan_key ~level ~mode)
         (Pool.fingerprint trace)
     in
     Pool.memo p plan_kind ~tag:"trace" ~key build

@@ -74,10 +74,16 @@ val compile_trace :
     table plays no role, so one plan serves every parameter point.  At
     {!Level.Rtl} the plan is the run's gate-level energy record under
     the default {!Rtl.Params}, the same at every point.  With [pool] the
-    plan is memoized under the (level, mode, trace) fingerprint — see
+    plan is memoized under {!plan_key} and the trace fingerprint — see
     {!Pool.memo} — unless [init] is given (closures cannot be
     fingerprinted, so such runs always compile fresh).  The plan is
     recorded by {!System.capture}. *)
+
+val plan_key : level:Level.t -> mode:Soc.Trace_master.mode -> string
+(** The run-shaping part of a memoized plan's key: the level and the
+    issue mode, except at {!Level.L3}, whose bridge replay has no issue
+    discipline — both modes compile the same plan, so its key carries
+    no mode. *)
 
 val replay_multi :
   ?record_profile:bool ->

@@ -88,7 +88,6 @@ let bus_transitions t =
   | L2_bus _ -> 0
 
 let component_energy_pj t = Soc.Platform.components_energy_pj t.platform
-let total_energy_pj t = bus_energy_pj t +. component_energy_pj t
 
 let bus_meter = function
   | Rtl_bus b -> Some (Rtl.Diesel.meter (Rtl.Bus.diesel b))

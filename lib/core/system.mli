@@ -86,7 +86,6 @@ val bus_transitions : t -> int
     layer 2 and for estimation-off runs). *)
 
 val component_energy_pj : t -> float
-val total_energy_pj : t -> float
 
 val meter : t -> Power.Meter.t option
 (** The per-cycle accumulator behind this system's bus energy estimate

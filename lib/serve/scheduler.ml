@@ -1,8 +1,9 @@
 let energy_chunk_lines = 512
 
-(* Compiled plans are memoized per (domain, key) in the server pool.
-   The key fingerprints the wire descriptor of the workload, not the
-   materialized trace, so a memo hit never builds or parses the trace.
+(* Compiled plans are memoized in the server pool, shared by every
+   worker.  The key fingerprints the wire descriptor of the workload,
+   not the materialized trace, so a memo hit never builds or parses the
+   trace.
    Release build on a 2-core Xeon VM: for a 192-line inline trace,
    parsing (~55 us) plus fingerprinting the parsed trace (~25 us) costs
    four times fingerprinting its lines (~19 us); for [Table3 64],
@@ -22,10 +23,7 @@ let workload_key (w : Protocol.workload) =
 let compiled_plan ~pool ~level ~mode workload =
   let key =
     Core.Pool.fingerprint
-      ( "serve-plan",
-        Core.Level.to_string level,
-        (match mode with `Serial -> "serial" | `Pipelined -> "pipelined"),
-        workload_key workload )
+      ("serve-plan", Core.Runner.plan_key ~level ~mode, workload_key workload)
   in
   Core.Pool.memo pool plan_kind ~tag:"trace" ~key (fun () ->
       Core.Runner.compile_trace ~level ~mode ~init:Core.Runner.fill_memories

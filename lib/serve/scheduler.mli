@@ -1,9 +1,9 @@
 (** Job execution: one validated request against the simulation stack.
 
-    Every worker domain calls {!execute} with the {e same} {!Core.Pool.t};
-    the pool's [Domain.DLS] storage gives each worker a private free-list
-    of reset sessions and a private compiled-plan memo, so repeat queries
-    on a warm worker rebuild nothing and re-interpret nothing.  Response
+    Every worker domain calls {!execute} with the {e same} {!Core.Pool.t},
+    whose one store of reset sessions and compiled plans they all share,
+    so a repeat query rebuilds nothing and re-interprets nothing on any
+    worker.  Response
     frames stream through [send] as they are produced (per-row
     exploration results, per-point replay results, energy-profile
     chunks); the server appends the terminating [done] frame.

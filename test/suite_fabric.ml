@@ -400,17 +400,30 @@ let test_compiled_grid_bit_exact () =
   check_int "plans built" 12 (Core.Pool.memo_builds pool);
   check_int "plan hits" 12 (Core.Pool.memo_hits pool);
   (* The study sweep: its compiled grid, cold and then warm off the
-     memoized plans, equals the interpreted grid cell for cell. *)
+     memoized plans, equals the interpreted grid cell for cell.  Each
+     sweep spawns its own workers, so on two domains the warm pass finds
+     plans that other domains built. *)
   let levels = [ Core.Level.L1; Core.Level.L2 ] in
   let interp = Core.Contention.study ~n:48 ~levels ~domains:1 () in
-  let study_pool = Core.Pool.create () in
-  for pass = 1 to 2 do
-    List.iter2
-      (check_result_bit_exact (Printf.sprintf "study pass %d" pass))
-      interp
-      (Core.Contention.study ~n:48 ~levels ~compiled:true ~pool:study_pool
-         ~domains:1 ())
-  done
+  List.iter
+    (fun domains ->
+      let study_pool = Core.Pool.create () in
+      let pass n =
+        List.iter2
+          (check_result_bit_exact
+             (Printf.sprintf "study pass %d on %d domains" n domains))
+          interp
+          (Core.Contention.study ~n:48 ~levels ~compiled:true
+             ~pool:study_pool ~domains ())
+      in
+      pass 1;
+      let built = Core.Pool.memo_builds study_pool in
+      pass 2;
+      check_int
+        (Printf.sprintf "warm pass on %d domains builds no plan" domains)
+        built
+        (Core.Pool.memo_builds study_pool))
+    [ 1; 2 ]
 
 (* The gate-level grid compiles too: the study's compiled rtl cells,
    cold and then warm off the memoized plans, equal the interpreted grid

@@ -49,28 +49,24 @@ let test_exploration_deterministic () =
 
 (* --- session pool under the parallel map --- *)
 
-(* Sessions are domain-local: a checkout under Parallel.map must never be
-   observed on a different domain than built it, and never concurrently
-   by two workers.  The probe session records its birth domain and flags
-   overlapping checkouts with an atomic in-use marker. *)
-type probe = { created_on : int; busy : bool Atomic.t }
+(* Every domain shares the pool's one store, but a checked-out session
+   belongs to one worker until it is released: a checkout under
+   Parallel.map is never observed by two workers at once.  The probe
+   session flags overlapping checkouts with an atomic in-use marker. *)
+type probe = { busy : bool Atomic.t }
 
 let probe_kind : probe Core.Pool.kind = Core.Pool.kind ()
 
 let test_pool_affinity_under_map () =
   let pool = Core.Pool.create () in
   let overlaps = Atomic.make 0 in
-  let migrations = Atomic.make 0 in
   let work _ =
     Core.Pool.with_session pool probe_kind ~key:"probe"
-      ~build:(fun () ->
-        { created_on = (Domain.self () :> int); busy = Atomic.make false })
+      ~build:(fun () -> { busy = Atomic.make false })
       ~reset:(fun _ -> ())
       (fun s ->
         if not (Atomic.compare_and_set s.busy false true) then
           Atomic.incr overlaps;
-        if s.created_on <> (Domain.self () :> int) then
-          Atomic.incr migrations;
         (* Hold the session across some real work so an aliasing bug has
            a window to overlap in. *)
         let acc = ref 0 in
@@ -82,13 +78,12 @@ let test_pool_affinity_under_map () =
   in
   ignore (Core.Parallel.map ~domains:4 work (List.init 200 (fun i -> i)));
   check_int "no session checked out concurrently" 0 (Atomic.get overlaps);
-  check_int "no session crossed domains" 0 (Atomic.get migrations);
-  check_bool "every domain built its own session" true
+  check_bool "at most one session built per worker" true
     (Core.Pool.builds pool <= 4 && Core.Pool.builds pool >= 1);
   check_int "every checkout accounted for" 200
     (Core.Pool.builds pool + Core.Pool.hits pool)
 
-(* The free-list bound: a (domain, key) keeps at most 4 released
+(* The free-list bound: a key keeps at most 4 released
    sessions.  Six sessions checked out at once all build; once all six
    are released, the next six checkouts find exactly the 4 kept ones and
    build the 2 that were dropped. *)
@@ -98,7 +93,7 @@ let test_pool_free_list_bound () =
     let held =
       List.init 6 (fun _ ->
           Core.Pool.acquire pool probe_kind ~key:"bound"
-            ~build:(fun () -> { created_on = 0; busy = Atomic.make false })
+            ~build:(fun () -> { busy = Atomic.make false })
             ~reset:(fun _ -> ()))
     in
     List.iter (Core.Pool.release pool probe_kind ~key:"bound") held
@@ -109,6 +104,64 @@ let test_pool_free_list_bound () =
   round ();
   check_int "second round reuses the 4 kept sessions" 4 (Core.Pool.hits pool);
   check_int "and builds the 2 dropped ones" 8 (Core.Pool.builds pool)
+
+(* The store belongs to the pool: once the pool is dropped, the
+   sessions it kept are garbage.  The pooled run happens in a function
+   of its own, so no stack slot of the test keeps the pool alive. *)
+let pooled_run_into weak =
+  let pool = Core.Pool.create () in
+  ignore
+    (Core.Runner.run_trace ~level:Core.Level.L1 ~pool
+       ~init:(fun system -> Weak.set weak 0 (Some system))
+       (Core.Workloads.table3_trace ~n:16));
+  check_bool "the run saw its system" true (Weak.check weak 0);
+  check_int "one session built" 1 (Core.Pool.builds pool)
+[@@inline never]
+
+let test_dropped_pool_is_collected () =
+  let weak = Weak.create 1 in
+  pooled_run_into weak;
+  Gc.full_major ();
+  check_bool "the pooled system is collected with its pool" false
+    (Weak.check weak 0)
+
+(* A plan memoized on the calling domain is a hit on the workers of a
+   later Parallel.map.  The two items wait for each other, so they run
+   on two domains at once: one of them on a spawned worker. *)
+let test_plans_cross_domains () =
+  let pool = Core.Pool.create () in
+  let trace = Core.Workloads.table3_trace ~n:32 in
+  let compile () = Core.Runner.compile_trace ~level:Core.Level.L1 ~pool trace in
+  let plan = compile () in
+  let arrived = Atomic.make 0 in
+  let plans =
+    Core.Parallel.map ~domains:2
+      (fun _ ->
+        Atomic.incr arrived;
+        while Atomic.get arrived < 2 do
+          Domain.cpu_relax ()
+        done;
+        compile ())
+      [ 1; 2 ]
+  in
+  check_int "one plan built" 1 (Core.Pool.memo_builds pool);
+  check_int "both workers hit" 2 (Core.Pool.memo_hits pool);
+  check_bool "every worker got the memoized plan" true
+    (List.for_all (fun p -> p == plan) plans)
+
+(* Layer 3 replays through the bridge, which has no issue discipline:
+   a serial and a pipelined compile share one plan. *)
+let test_l3_plan_ignores_mode () =
+  let pool = Core.Pool.create () in
+  let trace = Core.Workloads.table3_trace ~n:32 in
+  let compile mode =
+    Core.Runner.compile_trace ~level:Core.Level.L3 ~mode ~pool trace
+  in
+  let serial = compile `Serial in
+  let pipelined = compile `Pipelined in
+  check_int "one plan built" 1 (Core.Pool.memo_builds pool);
+  check_int "one plan hit" 1 (Core.Pool.memo_hits pool);
+  check_bool "the same plan" true (serial == pipelined)
 
 (* --- cross-run state leaks --- *)
 
@@ -165,6 +218,12 @@ let suite =
       test_pool_affinity_under_map;
     Alcotest.test_case "session pool keeps at most 4 free sessions per key"
       `Quick test_pool_free_list_bound;
+    Alcotest.test_case "dropped pool is collected with its sessions" `Quick
+      test_dropped_pool_is_collected;
+    Alcotest.test_case "memoized plans are hits on every domain" `Quick
+      test_plans_cross_domains;
+    Alcotest.test_case "l3 plans carry no issue mode" `Quick
+      test_l3_plan_ignores_mode;
     Alcotest.test_case "pooled session leaks nothing across runs" `Quick
       test_pooled_no_cross_run_leak;
     Alcotest.test_case "pooled exploration = unpooled exploration" `Quick

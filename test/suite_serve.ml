@@ -914,43 +914,77 @@ let test_explore_l3_row () =
 
 (* --- stats and the plan memo --- *)
 
-let test_stats_and_plan_memo () =
-  with_server ~domains:1 (fun _server path ->
+(* The same compiled run, repeated: the second and later runs hit the
+   serve-layer plan memo.  With two workers the runs repeat (up to 16)
+   until both workers have served one, so a plan built by one worker
+   must be a hit for the other. *)
+let test_stats_and_plan_memo ~domains () =
+  with_server ~domains (fun server path ->
       with_client path (fun c ->
           let run () =
-            frames_exn
-              (Serve.Client.request c
-                 (P.Run
-                    { P.workload = P.Table3 64; level = Core.Level.L1;
-                      mode = `Serial; estimate = true; profile = false;
-                      compiled = true }))
+            ignore
+              (frames_exn
+                 (Serve.Client.request c
+                    (P.Run
+                       { P.workload = P.Table3 64; level = Core.Level.L1;
+                         mode = `Serial; estimate = true; profile = false;
+                         compiled = true })))
           in
-          ignore (run ());
-          ignore (run ());
-          let frames = frames_exn (Serve.Client.request c P.Stats) in
-          match
-            List.find_map
-              (function P.Stats_reply s -> Some s | _ -> None)
-              frames
-          with
-          | None -> Alcotest.fail "no stats frame"
-          | Some s ->
-            check_int "both jobs accepted" 2 s.P.accepted;
-            check_int "both jobs completed" 2 s.P.completed;
-            check_int "nothing rejected" 0 s.P.rejected;
-            check_int "nothing failed" 0 s.P.failed;
-            check_int "queue idle" 0 s.P.queue_depth;
+          let stats () =
+            match
+              List.find_map
+                (function P.Stats_reply s -> Some s | _ -> None)
+                (frames_exn (Serve.Client.request c P.Stats))
+            with
+            | None -> Alcotest.fail "no stats frame"
+            | Some s -> s
+          in
+          let rec settle runs =
+            let s = stats () in
+            if runs < 16 && List.exists (fun w -> w.P.jobs = 0) s.P.workers
+            then (
+              run ();
+              settle (runs + 1))
+            else (runs, s)
+          in
+          run ();
+          run ();
+          let runs, s = settle 2 in
+          check_int "every job accepted" runs s.P.accepted;
+          check_int "every job completed" runs s.P.completed;
+          check_int "nothing rejected" 0 s.P.rejected;
+          check_int "nothing failed" 0 s.P.failed;
+          check_int "queue idle" 0 s.P.queue_depth;
+          if domains = 1 then
             check_bool "single worker served both" true
               (List.exists (fun w -> w.P.jobs = 2) s.P.workers);
-            (* Same workload twice on one domain: the second run must hit
-               the serve-layer plan memo (satellite 6 wires
-               Core.Report.pool_stats through as the rendered table). *)
-            check_int "one plan build" 1 s.P.pool.P.plan_builds;
-            check_bool "plan memo hit" true (s.P.pool.P.plan_hits >= 1);
-            check_bool "rendered report present" true
-              (String.length s.P.rendered > 0
-              && String.length (Core.Report.pool_stats (Serve.Server.pool _server))
-                 > 0)))
+          check_int "one plan build" 1 s.P.pool.P.plan_builds;
+          check_int "every other run hit the plan memo" (runs - 1)
+            s.P.pool.P.plan_hits;
+          check_bool "rendered report present" true
+            (String.length s.P.rendered > 0
+            && String.length (Core.Report.pool_stats (Serve.Server.pool server))
+               > 0)))
+
+(* A layer-3 replay drives the bridge, which has no issue discipline:
+   the serial and the pipelined request share one plan. *)
+let test_l3_plan_ignores_mode () =
+  with_server ~domains:1 (fun server path ->
+      with_client path (fun c ->
+          let replay mode =
+            points_of
+              (frames_exn
+                 (Serve.Client.request c
+                    (P.Replay
+                       { P.workload = P.Table3 40; level = Core.Level.L3; mode;
+                         scales = [ 1.0 ]; fabric = None })))
+          in
+          let serial = replay `Serial in
+          check_bool "same points in both modes" true
+            (serial = replay `Pipelined);
+          let pool = Serve.Server.pool server in
+          check_int "one plan build" 1 (Core.Pool.memo_builds pool);
+          check_int "one plan hit" 1 (Core.Pool.memo_hits pool)))
 
 (* --- concurrency --- *)
 
@@ -1920,7 +1954,8 @@ let suite =
     Alcotest.test_case "fabric replay buckets bit-exact" `Quick
       test_fabric_replay_bit_exact;
     Alcotest.test_case "explore rows bit-exact" `Quick test_explore_bit_exact;
-    Alcotest.test_case "stats and plan-memo hit" `Quick test_stats_and_plan_memo;
+    Alcotest.test_case "stats and plan-memo hit" `Quick
+      (test_stats_and_plan_memo ~domains:1);
     Alcotest.test_case "8 concurrent clients bit-exact" `Quick
       test_concurrent_clients_bit_exact;
     Alcotest.test_case "backpressure: busy with retry_after" `Quick
@@ -1957,4 +1992,8 @@ let suite =
     Alcotest.test_case "rtl and l3 replays = direct runs per scale" `Quick
       test_replay_rtl_l3;
     QCheck_alcotest.to_alcotest prop_jobq_model;
+    Alcotest.test_case "stats and plan-memo hit, two workers" `Quick
+      (test_stats_and_plan_memo ~domains:2);
+    Alcotest.test_case "l3 replays build one plan in both modes" `Quick
+      test_l3_plan_ignores_mode;
   ]
