@@ -40,7 +40,7 @@ let () =
       (fun level ->
         let run = Core.Runner.run_program ~level ~record_profile:true program in
         (level, run))
-      Core.Level.all
+      Core.Level.timed
   in
   List.iter
     (fun (level, run) ->

@@ -37,7 +37,7 @@ let () =
   let results =
     List.map
       (fun level -> Core.Runner.run_trace ~level ~table ~mode:`Pipelined ~init trace)
-      Core.Level.all
+      Core.Level.timed
   in
   let reference = List.hd results in
   List.iter

@@ -29,7 +29,7 @@ val run :
   t
 (** Defaults: layer-1 bus; sizes [none; 1; 2; 4; 16] lines.  The sweep
     runs on a session pool — fixed-level rows keep one session per cache
-    size, adaptive rows reuse one system per level across windows;
+    size, adaptive rows reuse one live session's materials;
     pooled rows are bit-identical to fresh ones.
 
     [policy] switches each size to the adaptive route: the program runs

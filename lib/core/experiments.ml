@@ -35,8 +35,8 @@ let run_accuracy ?table ?domains () =
       (0, 0.0) segments
   in
   (* One independent simulation chain per level, fanned out on the domain
-     pool.  The gate-level reference is the head of [Level.all]. *)
-  let per_level = Parallel.map ?domains totals Level.all in
+     pool.  The gate-level reference is the head of [Level.timed]. *)
+  let per_level = Parallel.map ?domains totals Level.timed in
   let ref_cycles, ref_pj =
     match per_level with r :: _ -> r | [] -> assert false
   in
@@ -50,7 +50,7 @@ let run_accuracy ?table ?domains () =
         energy_pj = pj;
         energy_err_pct = (pj -. ref_pj) /. ref_pj *. 100.0;
       })
-    Level.all per_level
+    Level.timed per_level
 
 let render_table1 rows =
   let body =

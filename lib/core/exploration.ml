@@ -86,15 +86,11 @@ let interpret_cell ?sink ~capture ~level ~config applet =
 let cell_kind : (row * Compile.Plan.t option) Pool.kind = Pool.kind ()
 
 (* Pooled adaptive sessions: the hardware stack rides with the live
-   materials, because its slave is wired into the decoder at creation.
-   The key fingerprints the interface configuration, which reset does
+   materials (its slave is wired into the decoder at creation, its
+   reset is the materials' extra reset).  The key fingerprints the
+   policy's levels and the interface configuration, which reset does
    not undo. *)
-type live_session = {
-  ls_hw : Jcvm.Hw_stack.t;
-  ls_materials : Runner.live_materials;
-}
-
-let live_kind : live_session Pool.kind = Pool.kind ()
+let live_kind : Runner.live_materials Pool.kind = Pool.kind ()
 
 let run_fixed ?(level = Level.L1) ?sink ?pool ~config applet =
   match pool with
@@ -142,31 +138,29 @@ let run_adaptive ?sink ?pool ~policy ~config applet =
       provenance = Some run.Runner.splice;
     }
   in
+  (* The peripherals sit on the gated clock tree: exploration traffic
+     never reaches them. *)
+  let materials ?sink ?extra_reset hw =
+    Runner.live_materials ?sink ~peripheral_clock:`Gated
+      ~extra_slaves:[ Jcvm.Hw_stack.slave hw ]
+      ?extra_reset ~policy ()
+  in
   match pool with
   | Some p when sink = None ->
-    let key = Printf.sprintf "explore-live:%s" (Pool.fingerprint config) in
+    let key =
+      Printf.sprintf "explore-live:%s"
+        (Pool.fingerprint (Hier.Policy.levels policy, config))
+    in
     Pool.with_session p live_kind ~key
       ~build:(fun () ->
         let hw = Jcvm.Hw_stack.create config in
-        let materials =
-          Runner.live_materials
-            ~extra_slaves:[ Jcvm.Hw_stack.slave hw ]
-            ~extra_reset:(fun () -> Jcvm.Hw_stack.reset hw)
-            ()
-        in
-        { ls_hw = hw; ls_materials = materials })
-      ~reset:(fun s -> Runner.reset_live_materials s.ls_materials)
-      (fun s ->
-        execute
-          (Runner.live_adaptive ~materials:s.ls_materials ~policy ()))
+        materials ~extra_reset:(fun () -> Jcvm.Hw_stack.reset hw) hw)
+      ~reset:Runner.reset_live_materials
+      (fun m -> execute (Runner.live_adaptive ~policy m))
   | Some _ | None ->
-    let hw = Jcvm.Hw_stack.create config in
-    let live =
-      Runner.live_adaptive ?sink
-        ~extra_slaves:[ Jcvm.Hw_stack.slave hw ]
-        ~policy ()
-    in
-    execute live
+    execute
+      (Runner.live_adaptive ~policy
+         (materials ?sink (Jcvm.Hw_stack.create config)))
 
 let run_one ?level ?policy ?sink ?pool ~config applet =
   match policy with

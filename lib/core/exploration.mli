@@ -11,8 +11,8 @@
 
     The sweep runs either at one fixed level or adaptively
     ([~policy], DESIGN.md section 12): a {!Runner.live_adaptive} session
-    routes the adapter's traffic between the layer-1 and layer-2
-    front-ends window by window, and the row carries the spliced
+    routes the adapter's traffic between the front-ends of the levels
+    the policy names, window by window, and the row carries the spliced
     provenance of its energy figure. *)
 
 type row = {

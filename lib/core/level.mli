@@ -14,12 +14,10 @@
 
 type t = Hier.Level.t = Rtl | L1 | L2 | L3
 
-val all : t list
-(** The three directly comparable estimation levels of the paper's
-    tables, [Rtl; L1; L2]; see {!Hier.Level.all}. *)
-
 val timed : t list
-(** Levels with their own timed bus model: [Rtl; L1; L2]. *)
+(** Levels with their own timed bus model, [Rtl; L1; L2] — the three
+    directly comparable estimation levels of the paper's tables and the
+    levels a mixed-level run can switch between. *)
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

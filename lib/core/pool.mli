@@ -43,15 +43,6 @@ val with_session :
     free-list; if [f] raises, the session is dropped (its half-run
     state is not trusted to reset) and the exception propagates. *)
 
-val acquire :
-  t -> 'a kind -> key:string -> build:(unit -> 'a) -> reset:('a -> unit) -> 'a
-(** Unscoped checkout, for sessions whose lifetime is not lexical (the
-    adaptive engine retires a window's system only after the next
-    window's handoff).  Pair with {!release}; a session that errors
-    should simply not be released. *)
-
-val release : t -> 'a kind -> key:string -> 'a -> unit
-
 val hits : t -> int
 (** Checkouts served from the pool. *)
 

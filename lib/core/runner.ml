@@ -209,136 +209,6 @@ let fill_memories system =
   fill (Soc.Platform.eeprom p) 4096;
   fill (Soc.Platform.flash p) 4096
 
-type adaptive_run = {
-  splice : Hier.Splice.t;
-  cycles : int;
-  txns : int;
-  beats : int;
-  errors : int;
-  bus_pj : float;
-  component_pj : float;
-  switches : int;
-  wall_seconds : float;
-  final_system : System.t option;
-}
-
-let adaptive_txns_per_second r =
-  if r.wall_seconds <= 0.0 then 0.0 else float_of_int r.txns /. r.wall_seconds
-
-(* Architectural state handoff across a switch point: the previous
-   system is quiescent (trace drained, no outstanding bursts), so the
-   memories are the whole state the replayed traffic can observe.  The
-   decoder map and wait-state parameters are configuration, rebuilt
-   identically by System.create; peripheral-internal registers reset —
-   see DESIGN.md section 10 for the rule. *)
-let handoff_state ~prev ~next =
-  let copy get =
-    Soc.Memory.copy_contents
-      ~src:(get (System.platform prev))
-      ~dst:(get (System.platform next))
-  in
-  copy Soc.Platform.rom;
-  copy Soc.Platform.ram;
-  copy Soc.Platform.eeprom;
-  copy Soc.Platform.flash
-
-(* A window's hardware: the system and, below layer 3, the trace master
-   registered on its kernel, re-armed with each window's segment.  The
-   pair is what a pooled checkout reuses — a master registered per window
-   would stay on the pooled kernel after its segment drained. *)
-type adaptive_session = {
-  as_system : System.t;
-  as_master : Soc.Trace_master.t option;
-}
-
-let adaptive_kind : adaptive_session Pool.kind = Pool.kind ()
-
-let run_adaptive ?record_profile ?table ?peripheral_clock ?(mode = `Pipelined)
-    ?init ?sink ?pool ~policy trace =
-  (* A sink is wired in at creation, so runs with one are never pooled. *)
-  let pool = if sink = None then pool else None in
-  let key_of level =
-    Printf.sprintf "adaptive:%s:%s" (Level.to_string level)
-      (Pool.fingerprint (record_profile, table, peripheral_clock))
-  in
-  let build level () =
-    let system =
-      System.create ~level ?record_profile ?table ?peripheral_clock ?sink ()
-    in
-    let master =
-      if level = Level.L3 then None
-      else
-        Some
-          (Soc.Trace_master.create ~kernel:(System.kernel system)
-             ~port:(System.port system) ~mode ?sink [])
-    in
-    { as_system = system; as_master = master }
-  in
-  let reset s = System.reset s.as_system in
-  let ops =
-    {
-      Hier.Engine.create =
-        (fun level ->
-          match pool with
-          | None -> build level ()
-          | Some p ->
-            Pool.acquire p adaptive_kind ~key:(key_of level)
-              ~build:(build level) ~reset);
-      init =
-        (fun s -> match init with Some f -> f s.as_system | None -> ());
-      handoff =
-        (fun ~prev ~next ->
-          handoff_state ~prev:prev.as_system ~next:next.as_system);
-      run_segment =
-        (fun s seg ->
-          let system = s.as_system in
-          let kernel = System.kernel system in
-          let cycles =
-            match s.as_master with
-            | None ->
-              (* L3 window: message-layer replay through the Tlm3 bridge
-                 onto this window's layer-2 carrier bus. *)
-              replay_bridged system seg
-            | Some master ->
-              Soc.Trace_master.reset ~mode master seg;
-              Soc.Trace_master.run master ~kernel ()
-          in
-          {
-            Hier.Engine.cycles;
-            txns = System.completed_txns system;
-            beats = System.completed_beats system;
-            errors = System.error_txns system;
-            bus_pj = System.bus_energy_pj system;
-            component_pj = System.component_energy_pj system;
-            profile = System.profile system;
-          });
-    }
-  in
-  let retire =
-    Option.map
-      (fun p s ->
-        Pool.release p adaptive_kind
-          ~key:(key_of (System.level s.as_system))
-          s)
-      pool
-  in
-  let t0 = Unix.gettimeofday () in
-  let r = Hier.Engine.run ?sink ?retire ~ops ~policy trace in
-  let wall_seconds = Unix.gettimeofday () -. t0 in
-  let s = r.Hier.Engine.splice in
-  {
-    splice = s;
-    cycles = s.Hier.Splice.total_cycles;
-    txns = s.Hier.Splice.total_txns;
-    beats = s.Hier.Splice.total_beats;
-    errors = s.Hier.Splice.total_errors;
-    bus_pj = s.Hier.Splice.total_bus_pj;
-    component_pj = s.Hier.Splice.total_component_pj;
-    switches = s.Hier.Splice.switches;
-    wall_seconds;
-    final_system = Option.map (fun s -> s.as_system) r.Hier.Engine.last_system;
-  }
-
 type program_run = {
   result : result;
   instructions : int;
@@ -470,7 +340,22 @@ let characterize ?rtl_params () =
   | System.L1_bus _ | System.L2_bus _ -> assert false
 
 (* ------------------------------------------------------------------ *)
-(* Live adaptive sessions                                              *)
+(* Mixed-level runs (DESIGN.md sections 10 and 12)                     *)
+
+type adaptive_run = {
+  splice : Hier.Splice.t;
+  cycles : int;
+  txns : int;
+  beats : int;
+  errors : int;
+  bus_pj : float;
+  component_pj : float;
+  switches : int;
+  wall_seconds : float;
+}
+
+let adaptive_txns_per_second r =
+  if r.wall_seconds <= 0.0 then 0.0 else float_of_int r.txns /. r.wall_seconds
 
 let scale_l2_params f (p : Tlm2.Energy.params) =
   {
@@ -484,136 +369,149 @@ let scale_l2_params f (p : Tlm2.Energy.params) =
 type live = {
   kernel : Sim.Kernel.t;
   port : Ec.Port.t;
-  platform : Soc.Platform.t;
-  session : Hier.Engine.Live.t;
+  front_pj : Level.t -> float;
   finish : unit -> adaptive_run;
 }
 
-(* The durable hardware of a live session: one kernel, the platform, and
-   a bus front-end per level — everything a pooled live run can reuse
-   after a reset, and what an unpooled session builds for itself.  Both
-   front-ends are built eagerly: an idle bus process steps to no effect
-   and adds no energy, so the layer-2 front-end is behaviour- and
-   measurement-neutral until a window routes to it. *)
+(* One bus front-end of a live session: a level's bus on the shared
+   kernel and decoder, and its bus process, which routing parks. *)
+type front = { level : Level.t; bus : System.bus; proc : Sim.Kernel.handle }
+
+(* The durable hardware of a live session — everything a pooled run
+   reuses after a reset, and what an unpooled one builds for itself.
+   [m_port] is the port masters hold for the materials' lifetime; each
+   session re-points it: submissions and retirements to its router,
+   polls straight to the routed front-end. *)
 type live_materials = {
-  m_kernel : Sim.Kernel.t;
-  m_platform : Soc.Platform.t;
-  m_e1 : Tlm1.Energy.t;
-  m_b1 : Tlm1.Bus.t;
-  m_e2 : Tlm2.Energy.t;
-  m_b2 : Tlm2.Bus.t;
-  m_front : Sim.Kernel.handle * Sim.Kernel.handle;
-      (* the layer-1 and layer-2 bus processes, parked by routing *)
+  m_system : System.t;  (* kernel, platform and the finest front's bus *)
+  m_fronts : front list;  (* one per level the policy names, finest first *)
+  m_table : Power.Characterization.t;
+  m_sink : Obs.Sink.t option;
+  m_port : Ec.Port.t;
+  mutable m_master : Soc.Trace_master.t option;
+      (* registered by the first trace replay, re-armed by later ones *)
   m_extra_reset : unit -> unit;
 }
 
-let live_materials ?sink ?(extra_slaves = []) ?(extra_reset = fun () -> ())
-    () =
-  let kernel = Sim.Kernel.create () in
-  let platform =
-    Soc.Platform.create ~kernel ~extra_slaves ~peripheral_clock:`Gated ()
+let timed_levels ~fn policy =
+  let levels = Hier.Policy.levels policy in
+  if List.mem Level.L3 levels then
+    invalid_arg
+      ("Core.Runner." ^ fn ^ ": adaptive windows drive timed buses (rtl/l1/l2)");
+  levels
+
+let bus_process_name = function
+  | System.Rtl_bus _ -> "rtl-bus"
+  | System.L1_bus _ -> "tlm1-bus"
+  | System.L2_bus _ -> "tlm2-bus"
+
+let live_materials ?(table = Power.Characterization.default)
+    ?(record_profile = false) ?peripheral_clock ?sink ?extra_slaves
+    ?(extra_reset = fun () -> ()) ~policy () =
+  let first, rest =
+    match timed_levels ~fn:"live_materials" policy with
+    | first :: rest -> (first, rest)
+    | [] -> assert false (* a policy decides at least one level *)
   in
-  let decoder = Soc.Platform.decoder platform in
-  let table = Power.Characterization.default in
-  let e1 = Tlm1.Energy.create table in
-  let b1 = Tlm1.Bus.create ~kernel ~decoder ~energy:e1 ?sink () in
-  let e2 = Tlm2.Energy.create table in
-  let b2 = Tlm2.Bus.create ~kernel ~decoder ~energy:e2 ?sink () in
+  let system =
+    System.create ~level:first ~record_profile ~table ?peripheral_clock
+      ?extra_slaves ?sink ()
+  in
+  let kernel = System.kernel system in
+  let decoder = Soc.Platform.decoder (System.platform system) in
+  let front level bus =
+    { level; bus; proc = Sim.Kernel.find kernel ~name:(bus_process_name bus) }
+  in
+  let fronts =
+    front first (System.bus system)
+    :: List.map
+         (fun level ->
+           front level
+             (System.create_bus ~kernel ~decoder ~level ~estimate:true
+                ~record_profile ~table ~rtl_params:None ~l2_params:None ~sink))
+         rest
+  in
+  (* A copy: sessions re-point it, never the bus's own port. *)
+  let port =
+    let p = System.port system in
+    { Ec.Port.try_submit = p.try_submit; poll = p.poll; retire = p.retire }
+  in
+  (* The bus-mastering peripherals are routed like any other master. *)
+  Soc.Platform.connect_bus (System.platform system) port;
   {
-    m_kernel = kernel;
-    m_platform = platform;
-    m_e1 = e1;
-    m_b1 = b1;
-    m_e2 = e2;
-    m_b2 = b2;
-    m_front =
-      ( Sim.Kernel.find kernel ~name:"tlm1-bus",
-        Sim.Kernel.find kernel ~name:"tlm2-bus" );
+    m_system = system;
+    m_fronts = fronts;
+    m_table = table;
+    m_sink = sink;
+    m_port = port;
+    m_master = None;
     m_extra_reset = extra_reset;
   }
 
 let reset_live_materials m =
-  Sim.Kernel.reset m.m_kernel;
-  Soc.Platform.reset m.m_platform;
+  Sim.Kernel.reset (System.kernel m.m_system);
+  Soc.Platform.reset (System.platform m.m_system);
   (* The bus resets also rewind their energy models; the layer-2 model
      returns to its creation parameters, undoing in-run calibration. *)
-  Tlm1.Bus.reset m.m_b1;
-  Tlm2.Bus.reset m.m_b2;
+  List.iter (fun f -> System.reset_bus f.bus) m.m_fronts;
   m.m_extra_reset ()
 
-let live_adaptive ?sink ?extra_slaves ?materials ~policy () =
-  let m =
-    match materials with
-    | Some m -> m
-    | None -> live_materials ?sink ?extra_slaves ()
-  in
-  let kernel = m.m_kernel and platform = m.m_platform in
-  let e1 = m.m_e1 and b1 = m.m_b1 in
-  let table = Power.Characterization.default
-  and base_params = Tlm2.Energy.default_params in
-  (* The layer-2 calibration scale: re-derived from every refined window
-     (see [on_close] below) and applied to the layer-2 model when its
-     front-end is first routed to. *)
-  let l2_scale = ref 1.0 in
-  let have_scale = ref false in
-  let l2 =
-    lazy
-      (Tlm2.Energy.set_params m.m_e2 (scale_l2_params !l2_scale base_params);
-       (m.m_b2, m.m_e2))
-  in
-  let measure (level : Hier.Level.t) =
-    let component_pj = Soc.Platform.components_energy_pj platform in
-    let iface, bus_pj =
-      match level with
-      | Hier.Level.L1 -> (Tlm1.Bus.iface b1, Tlm1.Energy.total_pj e1)
-      | Hier.Level.L2 ->
-        let b2, e2 = Lazy.force l2 in
-        (Tlm2.Bus.iface b2, Tlm2.Energy.total_pj e2)
-      | Hier.Level.Rtl | Hier.Level.L3 ->
-        invalid_arg
-          "Core.Runner.live_adaptive: live sessions switch L1/L2 only"
-    in
+let no_txn = Ec.Txn.single_read ~id:(-1) 0
+
+let live_adaptive ~policy m =
+  let levels = timed_levels ~fn:"live_adaptive" policy in
+  if levels <> List.map (fun f -> f.level) m.m_fronts then
+    invalid_arg
+      "Core.Runner.live_adaptive: materials built for another policy's levels";
+  let kernel = System.kernel m.m_system in
+  let platform = System.platform m.m_system in
+  let front_of level = List.find (fun f -> f.level = level) m.m_fronts in
+  let measure level =
+    let f = front_of level in
+    let iface = System.iface f.bus in
     {
       Hier.Engine.cycles = Sim.Kernel.now kernel;
       txns = Iface.completed_txns iface;
       beats = Iface.completed_beats iface;
       errors = Iface.error_txns iface;
-      bus_pj;
-      component_pj;
-      profile = None;
+      bus_pj = System.bus_pj f.bus;
+      component_pj = Soc.Platform.components_energy_pj platform;
+      profile = Option.bind (System.bus_meter f.bus) Power.Meter.profile;
     }
   in
-  (* Hierarchical in-run calibration (DESIGN.md section 12): during
-     refined windows every completed transaction is also fed to two
-     scratch layer-2 models — the base parameters and all-zero
-     parameters.  At each refined-window close the window satisfies
-     E_L1 = X + f x A (X the traffic-driven part, A the
-     assumption-driven part), so f rescales the lump constants to what
-     layer 1 actually measured on this workload. *)
-  let zero_params = scale_l2_params 0.0 base_params in
-  let cal_full = Tlm2.Energy.create ~params:base_params table in
-  let cal_zero = Tlm2.Energy.create ~params:zero_params table in
-  let cal_full_pj = ref 0.0 in
-  let cal_zero_pj = ref 0.0 in
-  let win_cal_full = ref 0.0 in
-  let win_cal_zero = ref 0.0 in
-  let pending_cal = ref None in
-  let feed_cal () =
-    match !pending_cal with
-    | None -> ()
-    | Some txn ->
-      pending_cal := None;
-      cal_full_pj :=
-        !cal_full_pj
-        +. Tlm2.Energy.address_phase_pj cal_full txn
-        +. Tlm2.Energy.data_phase_pj cal_full txn;
-      cal_zero_pj :=
-        !cal_zero_pj
-        +. Tlm2.Energy.address_phase_pj cal_zero txn
-        +. Tlm2.Energy.data_phase_pj cal_zero txn
+  (* Hierarchical in-run calibration (DESIGN.md section 12): every
+     transaction retired in a layer-1 window is also fed to two scratch
+     layer-2 models — the base parameters and all-zero parameters.  At
+     each layer-1 window close the window satisfies E_L1 = X + f x A (X
+     the traffic-driven part, A the assumption-driven part), so f
+     rescales the layer-2 lump constants to what layer 1 actually
+     measured on this workload. *)
+  let base_params = Tlm2.Energy.default_params in
+  let l2_energy =
+    List.find_map
+      (fun f ->
+        match f.bus with System.L2_bus b -> Tlm2.Bus.energy b | _ -> None)
+      m.m_fronts
+  in
+  let cal_full = Tlm2.Energy.create ~params:base_params m.m_table in
+  let cal_zero =
+    Tlm2.Energy.create ~params:(scale_l2_params 0.0 base_params) m.m_table
+  in
+  let cal_full_pj = ref 0.0 and cal_zero_pj = ref 0.0 in
+  let win_cal_full = ref 0.0 and win_cal_zero = ref 0.0 in
+  let l2_scale = ref 1.0 and have_scale = ref false in
+  let feed_cal txn =
+    cal_full_pj :=
+      !cal_full_pj
+      +. Tlm2.Energy.address_phase_pj cal_full txn
+      +. Tlm2.Energy.data_phase_pj cal_full txn;
+    cal_zero_pj :=
+      !cal_zero_pj
+      +. Tlm2.Energy.address_phase_pj cal_zero txn
+      +. Tlm2.Energy.data_phase_pj cal_zero txn
   in
   let on_close (seg : Hier.Splice.seg) =
-    if seg.Hier.Splice.level = Hier.Level.L1 then begin
+    if seg.Hier.Splice.level = Level.L1 then begin
       let x = !cal_zero_pj -. !win_cal_zero in
       let a = !cal_full_pj -. !win_cal_full -. x in
       win_cal_full := !cal_full_pj;
@@ -626,70 +524,89 @@ let live_adaptive ?sink ?extra_slaves ?materials ~policy () =
           (if !have_scale then (0.1 *. !l2_scale) +. (0.9 *. f_window)
            else f_window);
         have_scale := true;
-        if Lazy.is_val l2 then
-          Tlm2.Energy.set_params (snd (Lazy.force l2))
-            (scale_l2_params !l2_scale base_params)
+        Option.iter
+          (fun e ->
+            Tlm2.Energy.set_params e (scale_l2_params !l2_scale base_params))
+          l2_energy
       end
     end
   in
   let session =
-    Hier.Engine.Live.create ?sink
+    Hier.Engine.Live.create ?sink:m.m_sink
       ~now:(fun () -> Sim.Kernel.now kernel)
       ~on_close ~policy ~measure ()
   in
-  let port_of (level : Hier.Level.t) =
-    match level with
-    | Hier.Level.L1 -> Iface.port (Tlm1.Bus.iface b1)
-    | Hier.Level.L2 -> Iface.port (Tlm2.Bus.iface (fst (Lazy.force l2)))
-    | Hier.Level.Rtl | Hier.Level.L3 -> assert false
-  in
-  let active = ref (Iface.port (Tlm1.Bus.iface b1)) in
+  (* Every front-end runs until the first transaction is routed, so the
+     one that takes it has run from cycle 0 exactly as in a pure run;
+     the others then rewind to never having run and stay parked until a
+     window is routed to them.  From then on exactly one front-end
+     steps: the routed one. *)
+  List.iter (fun f -> Sim.Kernel.unpark f.proc) m.m_fronts;
+  let port = m.m_port in
   let routed = ref None in
-  (* Park the inactive front-end: both buses share the kernel, and the
-     one not carrying the window's traffic is quiescent, so skipping its
-     idle steps is behaviour- and measurement-neutral.  Both run until
-     the first transaction is routed. *)
-  let h1, h2 = m.m_front in
-  Sim.Kernel.unpark h1;
-  Sim.Kernel.unpark h2;
+  let active = ref (System.port m.m_system) in
   let route level =
-    if !routed <> Some level then begin
-      (match (level : Hier.Level.t) with
-      | Hier.Level.L1 ->
-        Sim.Kernel.park h2;
-        Sim.Kernel.unpark h1
-      | Hier.Level.L2 ->
-        Sim.Kernel.park h1;
-        Sim.Kernel.unpark h2
-      | Hier.Level.Rtl | Hier.Level.L3 -> ());
-      routed := Some level;
-      active := port_of level
-    end
+    match !routed with
+    | Some cur when cur.level = level -> ()
+    | cur ->
+      let f = front_of level in
+      (match cur with
+      | Some cur ->
+        Sim.Kernel.park cur.proc;
+        Sim.Kernel.unpark f.proc
+      | None ->
+        List.iter
+          (fun g ->
+            if g != f then begin
+              Sim.Kernel.park g.proc;
+              System.reset_bus g.bus
+            end)
+          m.m_fronts);
+      routed := Some f;
+      active := Iface.port (System.iface f.bus);
+      port.Ec.Port.poll <- !active.Ec.Port.poll
   in
+  (* The transactions accepted by the routed front-end and not yet
+     retired: a window closes only once this is empty. *)
+  let inflight = Ec.Id_store.create ~dummy:no_txn () in
   let last_seen = ref (-1) in
-  let port =
-    {
-      Ec.Port.try_submit =
-        (fun txn ->
-          (* try_submit repeats while the bus is busy; route and account
-             each transaction once, on first sight. *)
-          if txn.Ec.Txn.id <> !last_seen then begin
-            last_seen := txn.Ec.Txn.id;
-            feed_cal ();
-            let level =
-              Hier.Engine.Live.next_level session ~addr:txn.Ec.Txn.addr
-            in
-            route level;
-            if level = Hier.Level.L1 then pending_cal := Some txn
-          end;
-          !active.Ec.Port.try_submit txn);
-      poll = (fun id -> !active.Ec.Port.poll id);
-      retire = (fun id -> !active.Ec.Port.retire id);
-    }
+  let admit txn =
+    (* try_submit repeats while refused; route and account each
+       transaction once, when the session first admits it. *)
+    txn.Ec.Txn.id = !last_seen
+    ||
+    match
+      Hier.Engine.Live.next_level session ~addr:txn.Ec.Txn.addr
+        ~quiesced:(Ec.Id_store.is_empty inflight)
+    with
+    | None -> false
+    | Some level ->
+      last_seen := txn.Ec.Txn.id;
+      route level;
+      true
   in
+  let retire id =
+    let txn = Ec.Id_store.find_default inflight id ~default:no_txn in
+    if txn != no_txn then begin
+      (match !routed with
+      | Some { level = Level.L1; _ } -> feed_cal txn
+      | _ -> ());
+      Ec.Id_store.remove inflight id
+    end;
+    !active.Ec.Port.retire id
+  in
+  port.Ec.Port.try_submit <-
+    (fun txn ->
+      admit txn
+      && !active.Ec.Port.try_submit txn
+      && begin
+        Ec.Id_store.set inflight txn.Ec.Txn.id txn;
+        true
+      end);
+  port.Ec.Port.poll <- !active.Ec.Port.poll;
+  port.Ec.Port.retire <- retire;
   let t0 = Unix.gettimeofday () in
   let finish () =
-    feed_cal ();
     let s = Hier.Engine.Live.finish session in
     let wall_seconds = Unix.gettimeofday () -. t0 in
     {
@@ -702,7 +619,51 @@ let live_adaptive ?sink ?extra_slaves ?materials ~policy () =
       component_pj = s.Hier.Splice.total_component_pj;
       switches = s.Hier.Splice.switches;
       wall_seconds;
-      final_system = None;
     }
   in
-  { kernel; port; platform; session; finish }
+  let front_pj level = System.bus_pj (front_of level).bus in
+  { kernel; port; front_pj; finish }
+
+let live_kind : live_materials Pool.kind = Pool.kind ()
+
+(* The replaying master rides in the materials: registered once, after
+   the front-ends as in a pure run, and re-armed by every later replay,
+   so a pooled kernel never stacks masters. *)
+let trace_master m ~mode trace =
+  match m.m_master with
+  | Some master ->
+    Soc.Trace_master.reset ~mode master trace;
+    master
+  | None ->
+    let master =
+      Soc.Trace_master.create ~kernel:(System.kernel m.m_system) ~port:m.m_port
+        ~mode ?sink:m.m_sink trace
+    in
+    m.m_master <- Some master;
+    master
+
+let run_adaptive ?record_profile ?table ?peripheral_clock ?(mode = `Pipelined)
+    ?init ?sink ?pool ~policy trace =
+  let levels = timed_levels ~fn:"run_adaptive" policy in
+  let build () =
+    live_materials ?table ?record_profile ?peripheral_clock ?sink ~policy ()
+  in
+  let execute m =
+    let master = trace_master m ~mode trace in
+    (match init with Some f -> f m.m_system | None -> ());
+    let live = live_adaptive ~policy m in
+    ignore (Soc.Trace_master.run master ~kernel:live.kernel ());
+    live.finish ()
+  in
+  match pool with
+  | Some p when sink = None ->
+    (* A sink is wired in at creation, so runs with one are never
+       pooled.  The key holds what a reset does not undo. *)
+    let key =
+      Printf.sprintf "adaptive:%s:%s"
+        (String.concat "," (List.map Level.to_string levels))
+        (Pool.fingerprint (record_profile, table, peripheral_clock))
+    in
+    Pool.with_session p live_kind ~key ~build ~reset:reset_live_materials
+      execute
+  | Some _ | None -> execute (build ())

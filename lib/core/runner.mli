@@ -103,7 +103,18 @@ val fill_memories : System.t -> unit
 (** Writes a deterministic pattern into the first KiBs of every memory, so
     replayed read traffic carries realistic data values. *)
 
-(** {1 Adaptive mixed-level runs} *)
+(** {1 Adaptive mixed-level runs}
+
+    One engine serves every mixed-level run (DESIGN.md sections 10 and
+    12): a live session keeps one kernel and one platform with a bus
+    front-end per level its policy names, and routes each transaction
+    through the level a {!Hier.Engine.Live} session decides.  A trace
+    master replaying a trace ({!run_adaptive}) and a master generating
+    traffic as it goes ({!live_adaptive}, the JCVM exploration) drive it
+    alike.  Only timed levels switch: a policy naming {!Level.L3} is
+    refused with [Invalid_argument] before any cycle runs — a layer-3
+    run is serial issue onto the layer-2 carrier and has no bus of its
+    own to switch to ({!run_trace} runs it directly). *)
 
 type adaptive_run = {
   splice : Hier.Splice.t;  (** per-window provenance and error budget *)
@@ -115,12 +126,83 @@ type adaptive_run = {
   component_pj : float;
   switches : int;
   wall_seconds : float;
-  final_system : System.t option;
-      (** the last window's system (memories reflect the whole run);
-          [None] only for an empty trace *)
 }
 
 val adaptive_txns_per_second : adaptive_run -> float
+
+type live = {
+  kernel : Sim.Kernel.t;  (** the one kernel every level shares *)
+  port : Ec.Port.t;
+      (** the switching master port: drive any bus master through it *)
+  front_pj : Level.t -> float;
+      (** the bus energy a level's front-end has counted so far; every
+          pJ of it lies in one of that level's windows *)
+  finish : unit -> adaptive_run;
+      (** call once, after the driving master has retired its last
+          transaction *)
+}
+
+type live_materials
+(** The durable hardware of a live session — kernel, platform, a bus
+    front-end per level the policy names (built by
+    {!System.create_bus} on the shared kernel and decoder) and the
+    switching port — separated out so a pool can reuse it across runs.
+    A trace replay also registers its master here once and re-arms it
+    on later replays ({!Soc.Trace_master.reset}), so a pooled kernel
+    never stacks masters. *)
+
+val live_materials :
+  ?table:Power.Characterization.t ->
+  ?record_profile:bool ->
+  ?peripheral_clock:[ `Running | `Gated ] ->
+  ?sink:Obs.Sink.t ->
+  ?extra_slaves:Ec.Slave.t list ->
+  ?extra_reset:(unit -> unit) ->
+  policy:Hier.Policy.t ->
+  unit ->
+  live_materials
+(** Front-ends for the levels [policy] names, estimating with [table]
+    (default {!Power.Characterization.default}) and recording per-cycle
+    profiles with [record_profile]; the other arguments reach
+    {!System.create}.  The platform's bus-mastering peripherals are
+    connected to the switching port.  [extra_reset] is the caller's
+    hook for rewinding its [extra_slaves] (e.g. [Jcvm.Hw_stack.reset]);
+    {!reset_live_materials} calls it last.
+    @raise Invalid_argument if [policy] names {!Level.L3}. *)
+
+val reset_live_materials : live_materials -> unit
+(** Rewinds kernel, platform, every front-end (including its energy
+    model — the layer-2 model returns to its creation parameters,
+    undoing in-run calibration) and finally the caller's extra slaves,
+    so the next run on these materials is bit-identical to one on
+    freshly built materials. *)
+
+val live_adaptive : policy:Hier.Policy.t -> live_materials -> live
+(** A mixed-level session on fresh or reset materials built for
+    [policy]'s levels: the returned {!live.port} routes each submitted
+    transaction through the level the session decides — so a master
+    (the JCVM adapter, a trace master) pays layer-1 or gate-level cost
+    only inside refined windows.  A switch waits for the routed
+    front-end to quiesce: the transaction that would switch is refused
+    (the master retries) until every transaction that front-end
+    accepted has been retired.  Only the routed front-end steps; the
+    one that takes the first transaction has run from cycle 0, so a
+    {!Hier.Policy.constant} session measures exactly like the pure run
+    at its level.  Windows splice against the default error budgets
+    ({!Hier.Splice.splice}); with [record_profile] materials each
+    window carries its front-end's per-cycle profile.
+
+    The session calibrates the layer-2 lump parameters in-run,
+    hierarchically: every transaction retired in a layer-1 window is
+    replayed into scratch layer-2 models, and at every layer-1 window
+    close the scale [f = (E_L1 - X) / A] — measured layer-1 energy
+    against the traffic-driven ([X]) and assumption-driven ([A]) parts
+    of the layer-2 estimate — rescales the {!Tlm2.Energy} default
+    parameters ({!Tlm2.Energy.set_params}) for the layer-2 windows that
+    follow.  The blend is latest-window-dominant so the calibration
+    tracks workload phases.
+    @raise Invalid_argument if [policy] names {!Level.L3} or other
+    levels than the materials were built for. *)
 
 val run_adaptive :
   ?record_profile:bool ->
@@ -133,110 +215,25 @@ val run_adaptive :
   policy:Hier.Policy.t ->
   Ec.Trace.t ->
   adaptive_run
-(** Mixed-level replay: {!Hier.Engine} partitions the trace into windows
-    per [policy], runs each window on a fresh system at the decided
-    level (same configuration arguments as {!run_trace}; [peripheral_clock]
-    reaches every window's {!System.create}), hands the memory state
-    across each quiesced switch point and splices the per-window energies
-    against the default error budgets ({!Hier.Splice.splice}).  With a
-    {!Hier.Policy.constant} policy the single window is driven exactly
-    like {!run_trace} at that level: cycles, transaction counts and
-    energies match bit-for-bit.
+(** Mixed-level replay: a trace master issues the trace ([mode], as in
+    {!run_trace}) through a {!live_adaptive} session on
+    {!live_materials} built from the same arguments.  [init] runs
+    against a {!System.t} view of the materials — their kernel and
+    platform — before the first cycle (load images, fill memories).
+    With a {!Hier.Policy.constant} policy the run matches {!run_trace}
+    at that level bit for bit: cycles, transaction counts, bus and
+    component energy, and the profile.
 
-    [sink] is shared by every window's system: the engine shifts the
-    sink's timeline base so bus events from each fresh kernel land on
-    the spliced timeline, and brackets each window with
-    [Window_open]/[Window_close] events (see {!Hier.Engine.run}).
+    [sink] is attached to every front-end and the master; the session
+    brackets each window with [Window_open]/[Window_close] events on
+    the run's one timeline.
 
-    [pool] draws each window's session — the system plus, below layer 3,
-    the trace master registered on its kernel — from the session pool
-    (keyed per level) and returns it right after the next window's
-    handoff, so a long mixed-level run allocates at most one system per
-    level.  Each window re-arms the session's master with its segment
-    ({!Soc.Trace_master.reset}), so however many calls reuse a pooled
-    system its kernel steps one master; layer-3 windows replay through
-    a fresh bridge instead.  The final window's system escapes via
-    [final_system] and stays out of the pool.  [init] runs on the first
-    window's system before its segment, pooled or fresh.  Runs with a
-    [sink] always build fresh (it wires in at creation). *)
-
-type live = {
-  kernel : Sim.Kernel.t;  (** the one kernel every level shares *)
-  port : Ec.Port.t;
-      (** the switching master port: drive any bus master through it *)
-  platform : Soc.Platform.t;
-  session : Hier.Engine.Live.t;
-  finish : unit -> adaptive_run;
-      (** call once, after the driving master has drained (its
-          [final_system] is always [None]: the session owns no
-          {!System.t}) *)
-}
-
-type live_materials
-(** The durable hardware of a live session — kernel, platform, and an
-    eagerly built bus front-end per level — separated out so a pool can
-    reuse it across {!live_adaptive} runs.  The eager layer-2 front-end
-    is measurement-neutral: an idle bus process steps to no effect and
-    adds no energy, so a session that never routes to layer 2 reports
-    exactly what a layer-1-only platform would.  Each {!live_adaptive}
-    run parks the front-end its windows are not routed to
-    ({!Sim.Kernel.park}) and starts with both running. *)
-
-val live_materials :
-  ?sink:Obs.Sink.t ->
-  ?extra_slaves:Ec.Slave.t list ->
-  ?extra_reset:(unit -> unit) ->
-  unit ->
-  live_materials
-(** Same construction arguments as {!live_adaptive}.  [extra_reset] is
-    the caller's hook for rewinding its [extra_slaves] (e.g.
-    [Jcvm.Hw_stack.reset]); {!reset_live_materials} calls it last. *)
-
-val reset_live_materials : live_materials -> unit
-(** Rewinds kernel, platform, both bus front-ends (including their
-    energy models — the layer-2 model returns to its creation
-    parameters, undoing in-run calibration) and finally the caller's
-    extra slaves, so the next {!live_adaptive} run on these materials is
-    bit-identical to one on freshly built materials. *)
-
-val live_adaptive :
-  ?sink:Obs.Sink.t ->
-  ?extra_slaves:Ec.Slave.t list ->
-  ?materials:live_materials ->
-  policy:Hier.Policy.t ->
-  unit ->
-  live
-(** A mixed-level session for {e generated} traffic (DESIGN.md
-    section 12): one shared kernel carries a platform plus a bus
-    front-end per level ([Rtl] is not available live), and the returned
-    {!live.port} routes each submitted transaction through the level a
-    {!Hier.Engine.Live} session decides — so a master (the JCVM adapter,
-    a CPU) can run a workload whose future depends on read results while
-    still paying layer-1 cost only inside refined windows.  Cycle and
-    transaction counts are bit-identical to running the same master
-    against a single fixed-level system.
-
-    Both front-ends estimate with the default characterization table.
-    The peripherals sit on the gated clock tree: exploration traffic
-    never reaches them.  Windows splice against the default error
-    budgets ({!Hier.Splice.splice}).
-
-    The session calibrates the layer-2 lump parameters in-run,
-    hierarchically: during refined windows each
-    completed transaction is replayed into scratch layer-2 models, and
-    at every refined-window close the scale [f = (E_L1 - X) / A] —
-    measured layer-1 energy against the traffic-driven ([X]) and
-    assumption-driven ([A]) parts of the layer-2 estimate — rescales the
-    {!Tlm2.Energy} default parameters ({!Tlm2.Energy.set_params}) for
-    the fast windows that follow.  The blend is latest-window-dominant so the
-    calibration tracks workload phases.
-
-    [materials] runs the session on pre-built (typically pooled and
-    reset) hardware; without it the session builds its own with
-    {!live_materials} from [sink] and [extra_slaves], which are ignored
-    when [materials] is given.
-    Each run still gets fresh calibration state and a fresh
-    {!Hier.Engine.Live} session. *)
+    [pool] reuses reset materials (keyed by the policy's levels,
+    [record_profile], [table] and [peripheral_clock]); results are
+    bit-identical to a fresh build.  [init] then runs once per checkout,
+    after the reset.  Runs with a [sink] always build fresh (it wires
+    in at creation).
+    @raise Invalid_argument if [policy] names {!Level.L3}. *)
 
 type program_run = {
   result : result;
@@ -266,9 +263,9 @@ val run_program :
     [pool] reuses a reset CPU session (system + core + optional cache);
     runs with [vcd] or [sink] always build fresh.  The [system], [cpu]
     and [icache] handles in the returned record then stay valid only
-    until the next pooled run with the same configuration on the calling
-    domain — read any per-run figures off them before starting another
-    run. *)
+    until the next pooled run with the same configuration on any domain
+    holding the pool — read any per-run figures off them before starting
+    another run. *)
 
 val capture_cpu_trace : Soc.Asm.program -> Ec.Trace.t
 (** The paper's tracing step: runs the program on the gate-level system

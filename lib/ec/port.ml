@@ -1,9 +1,9 @@
 type poll = Pending | Done | Failed
 
 type t = {
-  try_submit : Txn.t -> bool;
-  poll : int -> poll;
-  retire : int -> unit;
+  mutable try_submit : Txn.t -> bool;
+  mutable poll : int -> poll;
+  mutable retire : int -> unit;
 }
 
 let submit_exn t txn =

@@ -5,20 +5,25 @@
     paper's single repeated call into [try_submit] (the first call, whose
     answer is the [Request]/[Wait] acceptance) and [poll] (the repeated
     calls, whose answer is [Wait]/[Ok]/[Error]).  Masters written against
-    this record run unchanged on the RTL, layer-1 and layer-2 models. *)
+    this record run unchanged on the RTL, layer-1 and layer-2 models.
+
+    The fields are mutable for one owner only: a router that hands a
+    port of its own to masters (the mixed-level session, DESIGN.md
+    section 10) re-points it in place, so a master polls the routed bus
+    with no forwarding call.  Everyone else treats a port as fixed. *)
 
 type poll = Pending | Done | Failed
 
 type t = {
-  try_submit : Txn.t -> bool;
+  mutable try_submit : Txn.t -> bool;
       (** [true] when the request was accepted (queue space available in
           its outstanding category); the master must retry next cycle
           otherwise. *)
-  poll : int -> poll;
+  mutable poll : int -> poll;
       (** Completion state of an accepted transaction by id.  For reads,
           [Done] implies the transaction's data array has been filled.
           Non-destructive: keeps answering until {!field-retire}. *)
-  retire : int -> unit;
+  mutable retire : int -> unit;
       (** Releases the bus-side completion record of a finished
           transaction.  Masters call it once they have consumed the
           result, keeping the bus bookkeeping bounded. *)

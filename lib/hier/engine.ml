@@ -8,125 +8,6 @@ type stats = {
   profile : Power.Profile.t option;
 }
 
-type 'sys ops = {
-  create : Level.t -> 'sys;
-  init : 'sys -> unit;
-  handoff : prev:'sys -> next:'sys -> unit;
-  run_segment : 'sys -> Ec.Trace.t -> stats;
-}
-
-type 'sys result = {
-  splice : Splice.t;
-  last_system : 'sys option;
-}
-
-(* Exclusive end of the window starting at [i], given the level decided
-   there.  Address-based decisions are re-evaluated per item (with the
-   window-start cycle and rates, the only ones known before simulating);
-   cycle- and rate-triggers change decisions only at window boundaries,
-   which [max_window] forces often enough to matter. *)
-let window_end policy level items i obs =
-  let n = Array.length items in
-  match (policy : Policy.t) with
-  | Policy.Constant _ -> n
-  | Policy.Script _ ->
-    let j = ref (i + 1) in
-    while !j < n && Policy.decide policy (obs !j) = level do
-      incr j
-    done;
-    !j
-  | Policy.Triggered { min_window; max_window; _ } ->
-    let cap = match max_window with Some m -> min n (i + m) | None -> n in
-    let j = ref (i + 1) in
-    while
-      !j < cap
-      && (!j - i < min_window || Policy.decide policy (obs !j) = level)
-    do
-      incr j
-    done;
-    min cap (max !j (min n (i + min_window)))
-
-let run ?sink ?retire ~ops ~policy trace =
-  let items = Array.of_list trace in
-  let n = Array.length items in
-  let segs_rev = ref [] in
-  let prev_sys = ref None in
-  let prev_level = ref None in
-  let window = ref 0 in
-  let cycle = ref 0 in
-  let txns_per_kcycle = ref 0.0 in
-  let pj_per_cycle = ref 0.0 in
-  let i = ref 0 in
-  while !i < n do
-    let obs j =
-      {
-        Policy.txn_index = j;
-        addr = items.(j).Ec.Trace.txn.Ec.Txn.addr;
-        cycle = !cycle;
-        txns_per_kcycle = !txns_per_kcycle;
-        pj_per_cycle = !pj_per_cycle;
-      }
-    in
-    let level = Policy.decide policy (obs !i) in
-    let stop = window_end policy level items !i obs in
-    let seg_trace = Array.to_list (Array.sub items !i (stop - !i)) in
-    (match sink with
-    | None -> ()
-    | Some s ->
-      (* Every window runs on a fresh kernel from cycle 0; shift its
-         events onto the spliced timeline.  Set the base first so the
-         window bookkeeping below lands at the window start. *)
-      Obs.Sink.set_base s !cycle;
-      (match !prev_level with
-      | Some prev when prev <> level ->
-        Obs.Sink.level_switch s ~cycle:0 ~index:!window
-          ~prev:(Level.to_code prev) ~next:(Level.to_code level)
-      | Some _ | None -> ());
-      Obs.Sink.window_open s ~cycle:0 ~index:!window
-        ~level:(Level.to_code level));
-    prev_level := Some level;
-    let sys = ops.create level in
-    (* Quiescence is structural: the previous segment ran until its
-       trace drained and all outstanding bursts completed, so the
-       architectural state handed off here is the whole state. *)
-    (match !prev_sys with
-    | None -> ops.init sys
-    | Some prev ->
-      ops.handoff ~prev ~next:sys;
-      (* The previous window's state has been copied out; its system can
-         go back to a session pool. *)
-      (match retire with None -> () | Some r -> r prev));
-    prev_sys := Some sys;
-    let st = ops.run_segment sys seg_trace in
-    cycle := !cycle + st.cycles;
-    (match sink with
-    | None -> ()
-    | Some s ->
-      Obs.Sink.set_base s 0;
-      Obs.Sink.window_close s ~cycle:!cycle ~index:!window
-        ~level:(Level.to_code level) ~beats:st.beats ~pj:st.bus_pj;
-      Obs.Sink.energy_sample s ~cycle:!cycle ~pj:st.bus_pj);
-    incr window;
-    if st.cycles > 0 then begin
-      txns_per_kcycle := float_of_int st.txns *. 1000.0 /. float_of_int st.cycles;
-      pj_per_cycle := st.bus_pj /. float_of_int st.cycles
-    end;
-    segs_rev :=
-      {
-        Splice.level;
-        cycles = st.cycles;
-        txns = st.txns;
-        beats = st.beats;
-        errors = st.errors;
-        bus_pj = st.bus_pj;
-        component_pj = st.component_pj;
-        profile = st.profile;
-      }
-      :: !segs_rev;
-    i := stop
-  done;
-  { splice = Splice.splice (List.rev !segs_rev); last_system = !prev_sys }
-
 module Live = struct
   type t = {
     policy : Policy.t;
@@ -161,15 +42,29 @@ module Live = struct
       profile = None;
     }
 
+  (* The front-end ran on exactly the window's cycles, so the window's
+     profile is the tail of the cumulative one. *)
+  let window_profile cumulative ~cycles =
+    Option.map
+      (fun p ->
+        let w = Power.Profile.create () in
+        let n = Power.Profile.length p in
+        for i = max 0 (n - cycles) to n - 1 do
+          Power.Profile.push w (Power.Profile.get p i)
+        done;
+        w)
+      cumulative
+
   let diff a b =
+    let cycles = b.cycles - a.cycles in
     {
-      cycles = b.cycles - a.cycles;
+      cycles;
       txns = b.txns - a.txns;
       beats = b.beats - a.beats;
       errors = b.errors - a.errors;
       bus_pj = b.bus_pj -. a.bus_pj;
       component_pj = b.component_pj -. a.component_pj;
-      profile = None;
+      profile = window_profile b.profile ~cycles;
     }
 
   let create ?sink ~now ~on_close ~policy ~measure () =
@@ -232,7 +127,7 @@ module Live = struct
           errors = d.errors;
           bus_pj = d.bus_pj;
           component_pj = d.component_pj;
-          profile = None;
+          profile = d.profile;
         }
       in
       t.segs_rev <- seg :: t.segs_rev;
@@ -241,8 +136,10 @@ module Live = struct
       t.on_close seg
     end
 
+  (* The first window opens at cycle 0, before any front-end has
+     counted anything, whenever its first transaction arrives. *)
   let open_window t level =
-    let snap = t.measure level in
+    let snap = if t.started then t.measure level else zero_stats in
     (match t.sink with
     | None -> ()
     | Some s ->
@@ -257,25 +154,34 @@ module Live = struct
     t.cur_level <- level;
     t.open_snap <- snap
 
-  let next_level t ~addr =
+  let admit t =
+    t.total_txns <- t.total_txns + 1;
+    t.win_len <- t.win_len + 1;
+    Some t.cur_level
+
+  let next_level t ~addr ~quiesced =
     let cycle =
       if t.needs_cycle && t.started then t.now () else 0
     in
     let want = t.decide_win ~txn_index:t.total_txns ~addr ~cycle in
     if not t.started then begin
+      open_window t want;
       t.started <- true;
-      open_window t want
+      admit t
     end
     else if
       t.win_len >= t.max_window
       || (t.win_len >= t.min_window && want <> t.cur_level)
     then begin
-      close_window t;
-      open_window t want
-    end;
-    t.total_txns <- t.total_txns + 1;
-    t.win_len <- t.win_len + 1;
-    t.cur_level
+      (* A close waits for the front-end to drain: refuse until then. *)
+      if quiesced then begin
+        close_window t;
+        open_window t want;
+        admit t
+      end
+      else None
+    end
+    else admit t
 
   let finish t =
     close_window t;

@@ -1,6 +1,5 @@
 type t = Rtl | L1 | L2 | L3
 
-let all = [ Rtl; L1; L2 ]
 let timed = [ Rtl; L1; L2 ]
 
 let to_string = function

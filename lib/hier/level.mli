@@ -3,9 +3,10 @@
     [Rtl] is the register-transfer/gate-level reference ("layer 0", the
     role Diesel plays in the paper), [L1] the cycle-accurate transaction
     level layer one, [L2] the timing-estimation layer two, and [L3] the
-    untimed message layer (the OCP taxonomy's layer three), first-class
-    in adaptive runs: an [L3] window replays its transactions through the
-    {!Tlm3} bridge onto a timed carrier bus (DESIGN.md section 17.4).
+    untimed message layer (the OCP taxonomy's layer three), which replays
+    its transactions through the {!Tlm3} bridge onto a timed carrier bus
+    (DESIGN.md section 17.4) and so is no level an adaptive window can
+    switch to.
 
     This is the home of the type; {!Core.Level} re-exports it so existing
     call sites keep working while the mixed-level machinery in [Hier] can
@@ -13,13 +14,10 @@
 
 type t = Rtl | L1 | L2 | L3
 
-val all : t list
-(** The three directly comparable estimation levels of the paper's
-    tables, [Rtl; L1; L2] — [L3] estimates through a carrier bus and is
-    deliberately excluded from table sweeps. *)
-
 val timed : t list
-(** Levels with their own timed bus model: [Rtl; L1; L2]. *)
+(** Levels with their own timed bus model, [Rtl; L1; L2]: the paper's
+    table sweeps and the levels an adaptive window can run at.  [L3]
+    estimates through a carrier bus and is in neither. *)
 
 val to_string : t -> string
 

@@ -59,6 +59,15 @@ let trigger_level = function
   | Txn_rate_above { level; _ }
   | Energy_rate_above { level; _ } -> level
 
+let levels t =
+  let named =
+    match t with
+    | Constant level -> [ level ]
+    | Script segments -> List.map snd segments
+    | Triggered { base; triggers; _ } -> base :: List.map trigger_level triggers
+  in
+  List.filter (fun l -> List.mem l named) Level.[ Rtl; L1; L2; L3 ]
+
 let script_level segments index =
   let rec walk acc = function
     | [] -> assert false

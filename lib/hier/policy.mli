@@ -96,6 +96,10 @@ val for_exploration :
 
 val decide : t -> observation -> Level.t
 
+val levels : t -> Level.t list
+(** The distinct levels [t] can decide, finest first — the front-ends a
+    mixed-level session needs. *)
+
 val needs_cycle : t -> bool
 (** Whether any decision depends on the current cycle (a
     [Cycle_window] trigger exists) — callers on hot paths skip

@@ -1,4 +1,4 @@
-type provenance = Cycle_accurate | Lumped | Bridged
+type provenance = Cycle_accurate | Lumped
 
 type seg = {
   level : Level.t;
@@ -41,21 +41,22 @@ type t = {
 (* Per-level fractional energy-error bounds vs the gate-level reference.
    They envelope the Table 2 error bands of the reproduction (layer 1
    down to -12%, layer 2 up to +25%, depending on the burst mix). *)
+let no_l3 () = invalid_arg "Hier.Splice.splice: layer 3 opens no windows"
+
 let budget = function
   | Level.Rtl -> 0.0
   | Level.L1 -> 0.12
   | Level.L2 -> 0.25
-  | Level.L3 -> 0.35
+  | Level.L3 -> no_l3 ()
 
 let provenance_of_level = function
   | Level.Rtl | Level.L1 -> Cycle_accurate
   | Level.L2 -> Lumped
-  | Level.L3 -> Bridged
+  | Level.L3 -> no_l3 ()
 
 let provenance_string = function
   | Cycle_accurate -> "cycle-accurate"
   | Lumped -> "lumped"
-  | Bridged -> "bridged"
 
 let splice segs =
   let _, windows_rev =

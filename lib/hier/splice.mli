@@ -13,9 +13,6 @@
 type provenance =
   | Cycle_accurate  (** per-cycle energies (gate level, layer 1) *)
   | Lumped  (** phase-lumped estimates spread over the window (layer 2) *)
-  | Bridged
-      (** message-layer replay priced through a timed carrier bus (layer
-          3 windows; DESIGN.md section 17.4) *)
 
 type seg = {
   level : Level.t;
@@ -58,8 +55,10 @@ type t = {
 val splice : seg list -> t
 (** Windows are laid out in list order; totals are exact sums of the
     window figures.  The fractional bound per level is 0 for the
-    reference, 12% for layer 1, 25% for layer 2 and 35% for the bridged
-    layer 3 — enveloping the Table 2 error bands with margin. *)
+    reference, 12% for layer 1 and 25% for layer 2 — enveloping the
+    Table 2 error bands with margin.
+    @raise Invalid_argument on a layer-3 segment: layer 3 is no bus a
+    window can be routed to. *)
 
 val profile : t -> Power.Profile.t
 (** The reconciled per-cycle series over the whole spliced timeline:

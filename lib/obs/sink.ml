@@ -8,7 +8,6 @@ type t = {
   values : float array;
   mutable len : int;
   mutable dropped : int;
-  mutable base : int;
   issue_cycles : int Ec.Id_store.t;
   metrics : Metrics.t;
 }
@@ -25,14 +24,12 @@ let create ?(capacity = 65536) () =
     values = Array.make capacity 0.0;
     len = 0;
     dropped = 0;
-    base = 0;
     issue_cycles = Ec.Id_store.create ~dummy:0 ();
     metrics = Metrics.create ();
   }
 
 let metrics t = t.metrics
 
-let set_base t base = t.base <- base
 let length t = t.len
 let dropped t = t.dropped
 
@@ -45,7 +42,7 @@ let[@inline] record t kind ~cycle ~id ~arg ~arg2 ~value =
   else begin
     let i = t.len in
     t.kinds.(i) <- Event.kind_code kind;
-    t.cycles.(i) <- cycle + t.base;
+    t.cycles.(i) <- cycle;
     t.ids.(i) <- id;
     t.args.(i) <- arg;
     t.args2.(i) <- arg2;
@@ -68,7 +65,7 @@ let events t = List.init t.len (event_at t)
 let txn_issued t ~cycle ~id ~cat ~queue_depth =
   Metrics.incr_issued t.metrics;
   Metrics.observe_occupancy t.metrics ~depth:queue_depth;
-  Ec.Id_store.set t.issue_cycles id (cycle + t.base);
+  Ec.Id_store.set t.issue_cycles id cycle;
   record t Event.Txn_issued ~cycle ~id ~arg:cat ~arg2:queue_depth ~value:0.0
 
 let txn_rejected t ~cycle ~id ~cat =
@@ -87,7 +84,7 @@ let finish_latency t ~cycle ~id =
   Ec.Id_store.remove t.issue_cycles id;
   if issue < 0 then -1
   else begin
-    let latency = cycle + t.base - issue in
+    let latency = cycle - issue in
     Metrics.observe_latency t.metrics ~cycles:latency;
     latency
   end

@@ -11,10 +11,8 @@
     rest as dropped (metrics keep aggregating regardless), which
     preserves the start of the timeline for span reconstruction.
 
-    Timestamps: recording sites pass their kernel-local cycle; {!set_base}
-    lets the mixed-level engine shift each window onto the spliced
-    timeline, since every window runs on a fresh kernel starting at
-    cycle 0. *)
+    Timestamps are the recording site's kernel cycle: a mixed-level run
+    keeps every level on one kernel, so its windows share one timeline. *)
 
 type t
 
@@ -22,9 +20,6 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] is the event-ring size, default 65536. *)
 
 val metrics : t -> Metrics.t
-
-val set_base : t -> int -> unit
-(** Cycle offset added to every subsequently recorded timestamp. *)
 
 val length : t -> int
 (** Events currently held (at most [capacity]). *)
@@ -38,8 +33,7 @@ val events : t -> Event.t list
 
 (** {1 Recording}
 
-    All cycle arguments are kernel-local; the sink adds the offset set by
-    {!set_base}. *)
+    All cycle arguments are kernel cycles, recorded as given. *)
 
 val txn_issued : t -> cycle:int -> id:int -> cat:int -> queue_depth:int -> unit
 (** Also feeds the occupancy histogram and stamps the issue cycle used

@@ -58,12 +58,6 @@ let peek32 t ~addr =
   assert (addr mod 4 = 0);
   Int32.to_int (Bytes.get_int32_le t.bytes (offset t addr)) land 0xFFFFFFFF
 
-let copy_contents ~src ~dst =
-  if Bytes.length src.bytes <> Bytes.length dst.bytes then
-    invalid_arg "Soc.Memory.copy_contents: size mismatch";
-  Bytes.blit src.bytes 0 dst.bytes 0 (Bytes.length src.bytes);
-  mark_dirty dst 0 (Bytes.length dst.bytes)
-
 let load_words t ~addr words =
   Array.iteri (fun i w -> poke32 t ~addr:(addr + (4 * i)) w) words
 

@@ -28,10 +28,6 @@ val component : t -> Power.Component.t
 val peek8 : t -> addr:int -> int
 val poke32 : t -> addr:int -> int -> unit
 val peek32 : t -> addr:int -> int
-val copy_contents : src:t -> dst:t -> unit
-(** Whole-array backdoor copy between same-size memories — the
-    architectural state handoff of a mixed-level switch point.
-    @raise Invalid_argument on a size mismatch. *)
 
 val load_words : t -> addr:int -> int array -> unit
 val load_program : t -> Asm.program -> unit

@@ -75,7 +75,11 @@ let program_runs () =
         Core.Level.[ Rtl; L1; L2 ])
     Core.Test_programs.all
 
-let adaptive prefix (r : Core.Runner.adaptive_run) =
+(* One adaptive run's totals, windows and final platform state: [init]
+   hands out the session's system, whose platform every window shares. *)
+let adaptive prefix run =
+  let sys = ref None in
+  let r = run ~init:(fun s -> sys := Some s) in
   let s = r.Core.Runner.splice in
   ( prefix,
     Printf.sprintf "cycles=%d txns=%d switches=%d bus=%s component=%s"
@@ -91,7 +95,7 @@ let adaptive prefix (r : Core.Runner.adaptive_run) =
              (hex w.Hier.Splice.component_pj) ))
        s.Hier.Splice.windows
   @
-  match r.Core.Runner.final_system with
+  match !sys with
   | Some sys -> platform (prefix ^ "/final") (Core.System.platform sys)
   | None -> []
 
@@ -100,10 +104,12 @@ let adaptive_runs () =
   let policy = Core.Experiments.adaptive_policy in
   let pool = Core.Pool.create () in
   ignore (Core.Runner.run_adaptive ~pool ~policy trace);
-  adaptive "adaptive/fresh" (Core.Runner.run_adaptive ~policy trace)
-  @ adaptive "adaptive/pooled" (Core.Runner.run_adaptive ~pool ~policy trace)
-  @ adaptive "adaptive/gated"
-      (Core.Runner.run_adaptive ~peripheral_clock:`Gated ~policy trace)
+  adaptive "adaptive/fresh" (fun ~init ->
+      Core.Runner.run_adaptive ~init ~policy trace)
+  @ adaptive "adaptive/pooled" (fun ~init ->
+        Core.Runner.run_adaptive ~init ~pool ~policy trace)
+  @ adaptive "adaptive/gated" (fun ~init ->
+        Core.Runner.run_adaptive ~init ~peripheral_clock:`Gated ~policy trace)
 
 let contention_runs () =
   let r =

@@ -11,7 +11,7 @@ let test_system_levels () =
       check_bool "level kept" true (Core.System.level s = level);
       check_bool "not busy" false (Core.System.bus_busy s);
       check_int "nothing done" 0 (Core.System.completed_txns s))
-    Core.Level.all
+    Core.Level.timed
 
 let test_system_estimate_off () =
   let s = Core.System.create ~level:Core.Level.L1 ~estimate:false () in
@@ -268,7 +268,7 @@ let suite = suite @ extension_suite
 (* Odds and ends across the facade. *)
 
 let test_level_helpers () =
-  check_int "three levels" 3 (List.length Core.Level.all);
+  check_int "three levels" 3 (List.length Core.Level.timed);
   Alcotest.(check string) "names" "gate-level" (Core.Level.to_string Core.Level.Rtl);
   Alcotest.(check string) "pp" "TL layer 2"
     (Format.asprintf "%a" Core.Level.pp Core.Level.L2)

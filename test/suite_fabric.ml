@@ -284,55 +284,6 @@ let test_contention_rejects_l3 () =
        "Core.Contention.compile: fabric masters drive timed buses (rtl/l1/l2)")
     (fun () -> ignore (Core.Contention.compile ~level:Core.Level.L3 masters))
 
-(* --- layer-3 adaptive windows --- *)
-
-let test_l3_constant_equals_direct () =
-  let trace = Core.Workloads.table3_trace ~n:128 in
-  let direct = Core.Runner.run_trace ~level:Core.Level.L3 trace in
-  let adaptive =
-    Core.Runner.run_adaptive
-      ~policy:(Hier.Policy.constant Core.Level.L3)
-      trace
-  in
-  check_int "cycles" direct.Core.Runner.cycles adaptive.Core.Runner.cycles;
-  check_int "txns" direct.Core.Runner.txns adaptive.Core.Runner.txns;
-  check_pj "bus energy" direct.Core.Runner.bus_pj adaptive.Core.Runner.bus_pj
-
-let test_l3_window_provenance () =
-  let trace = Core.Workloads.table3_trace ~n:96 in
-  let adaptive =
-    Core.Runner.run_adaptive
-      ~policy:
-        (Hier.Policy.script
-           [ (32, Core.Level.L2); (32, Core.Level.L3); (32, Core.Level.L1) ])
-      trace
-  in
-  let splice = adaptive.Core.Runner.splice in
-  let windows = splice.Hier.Splice.windows in
-  check_int "three windows" 3 (List.length windows);
-  List.iter
-    (fun (w : Hier.Splice.window) ->
-      let expect =
-        match w.Hier.Splice.level with
-        | Core.Level.Rtl | Core.Level.L1 -> Hier.Splice.Cycle_accurate
-        | Core.Level.L2 -> Hier.Splice.Lumped
-        | Core.Level.L3 -> Hier.Splice.Bridged
-      in
-      check_bool
-        (Printf.sprintf "window %d provenance" w.Hier.Splice.index)
-        true
-        (w.Hier.Splice.provenance = expect);
-      if w.Hier.Splice.level = Core.Level.L3 then
-        check_pj "bridged error budget"
-          (0.35 *. w.Hier.Splice.bus_pj)
-          w.Hier.Splice.err_bound_pj)
-    windows;
-  check_bool "an L3 window ran" true
-    (List.exists
-       (fun (w : Hier.Splice.window) -> w.Hier.Splice.level = Core.Level.L3)
-       windows);
-  check_int "all transactions accounted" 96 splice.Hier.Splice.total_txns
-
 (* --- compiled fabric plans (DESIGN.md section 18) --- *)
 
 let check_result_bit_exact msg (a : Core.Contention.result)
@@ -692,9 +643,6 @@ let suite =
       test_conservation_all_levels;
     Alcotest.test_case "bridge routing and energy" `Quick test_bridge_routing;
     Alcotest.test_case "contention rejects L3" `Quick test_contention_rejects_l3;
-    Alcotest.test_case "constant L3 = direct L3" `Quick
-      test_l3_constant_equals_direct;
-    Alcotest.test_case "L3 window provenance" `Quick test_l3_window_provenance;
     Alcotest.test_case "compiled grid bit-exact" `Quick
       test_compiled_grid_bit_exact;
     Alcotest.test_case "rtl study: compiled = interpreted" `Quick

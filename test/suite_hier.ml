@@ -1,6 +1,7 @@
 (* The adaptive mixed-level engine: policy decisions, energy splicing,
-   switch-point handoff, and the degenerate-policy equivalences that pin
-   run_adaptive to the pure runs. *)
+   the shared platform across switches, the quiesce rule, and the
+   degenerate-policy equivalences that pin run_adaptive to the pure
+   runs. *)
 
 module Gen = QCheck.Gen
 
@@ -136,9 +137,9 @@ let test_degenerate_l2 () =
   check_run_equal "l2" (run_pure Core.Level.L2) (run_const Hier.Level.L2)
 
 let test_handoff_carries_memory () =
-  (* A value written during the first (layer 1) window must be visible in
-     the systems of every later window: the quiesced switch hands the
-     memory contents across. *)
+  (* A value written during the first (layer 1) window is read back by
+     every later read, the layer-2 ones included: both front-ends drive
+     the one platform, so nothing has to cross the switch. *)
   let addr = Soc.Platform.Map.ram_base + 0x40 in
   let value = 0x5EC0DE in
   let ids = ref 0 in
@@ -149,20 +150,52 @@ let test_handoff_carries_memory () =
     :: List.init 40 (fun _ ->
            item (Ec.Txn.single_read ~id:(fresh ()) addr))
   in
-  let r =
-    Core.Runner.run_adaptive
-      ~policy:(Hier.Policy.script [ (8, Hier.Level.L1); (8, Hier.Level.L2) ])
-      trace
+  let policy = Hier.Policy.script [ (8, Hier.Level.L1); (8, Hier.Level.L2) ] in
+  let live =
+    Core.Runner.live_adaptive ~policy (Core.Runner.live_materials ~policy ())
   in
+  let master =
+    Soc.Trace_master.create ~kernel:live.Core.Runner.kernel
+      ~port:live.Core.Runner.port ~mode:`Serial ~keep_results:true trace
+  in
+  ignore (Soc.Trace_master.run master ~kernel:live.Core.Runner.kernel ());
+  let r = live.Core.Runner.finish () in
   check_int "two windows" 2 (List.length r.Core.Runner.splice.Hier.Splice.windows);
   check_int "one switch" 1 r.Core.Runner.switches;
   check_int "no errors" 0 r.Core.Runner.errors;
-  match r.Core.Runner.final_system with
-  | None -> Alcotest.fail "no final system"
-  | Some system ->
-    let ram = Soc.Platform.ram (Core.System.platform system) in
-    check_int "written value visible after the switch" value
-      (Soc.Memory.peek32 ram ~addr)
+  let reads = List.tl (Soc.Trace_master.results master) in
+  check_int "every read completed" 40 (List.length reads);
+  List.iteri
+    (fun i txn ->
+      check_int
+        (Printf.sprintf "read %d (%s) returns the written value" (i + 1)
+           (if i + 1 < 8 then "layer 1" else "layer 2"))
+        value txn.Ec.Txn.data.(0))
+    reads
+
+let test_l3_policy_refused () =
+  (* Layer 3 has no bus of its own to switch to: a policy naming it is
+     refused before anything is built or run. *)
+  let trace = Core.Workloads.table3_trace ~n:32 in
+  let inits = ref 0 in
+  List.iter
+    (fun policy ->
+      Alcotest.check_raises (Hier.Policy.to_string policy)
+        (Invalid_argument
+           "Core.Runner.run_adaptive: adaptive windows drive timed buses \
+            (rtl/l1/l2)")
+        (fun () ->
+          ignore
+            (Core.Runner.run_adaptive ~init:(fun _ -> incr inits) ~policy
+               trace)))
+    [
+      Hier.Policy.constant Hier.Level.L3;
+      Hier.Policy.script [ (8, Hier.Level.L2); (8, Hier.Level.L3) ];
+    ];
+  check_int "no run started" 0 !inits;
+  Alcotest.check_raises "no layer-3 windows to splice"
+    (Invalid_argument "Hier.Splice.splice: layer 3 opens no windows")
+    (fun () -> ignore (Hier.Splice.splice [ seg Hier.Level.L3 10 1 1.0 ]))
 
 let test_adaptive_policy_refines_eeprom () =
   (* The experiment's policy: base L2, L1 while traffic hits the EEPROM.
@@ -218,26 +251,93 @@ let prop_script_splice_sums =
          < 1e-9
       && r.Core.Runner.errors = 0)
 
+let modes = [ `Serial; `Pipelined ]
+
+let mode_name = function `Serial -> "serial" | `Pipelined -> "pipelined"
+
+let profile_bits p =
+  Option.map
+    (fun p -> Array.map Int64.bits_of_float (Power.Profile.to_array p))
+    p
+
 let prop_constant_equals_pure =
-  QCheck.Test.make ~name:"constant policy = pure run (both TL levels)"
-    ~count:8
+  QCheck.Test.make
+    ~name:
+      "constant policy = pure run (both TL levels and the gate level, either \
+       issue mode)"
+    ~count:12
     (QCheck.make
-       Gen.(pair (oneofl [ Hier.Level.L1; Hier.Level.L2 ]) (int_range 32 160))
-       ~print:(fun (l, n) -> Printf.sprintf "%s n=%d" (Hier.Level.to_string l) n))
-    (fun (level, n) ->
+       Gen.(
+         triple (oneofl Core.Level.timed) (oneofl modes) (int_range 32 160))
+       ~print:(fun (l, mode, n) ->
+         Printf.sprintf "%s %s n=%d" (Hier.Level.to_string l) (mode_name mode)
+           n))
+    (fun (level, mode, n) ->
       let trace = Core.Workloads.mixed_phase_trace ~phase:16 ~n () in
       let pure =
-        Core.Runner.run_trace ~level ~init:Core.Runner.fill_memories trace
+        Core.Runner.run_trace ~level ~mode ~record_profile:true
+          ~init:Core.Runner.fill_memories trace
       in
       let a =
-        Core.Runner.run_adaptive ~init:Core.Runner.fill_memories
+        Core.Runner.run_adaptive ~mode ~record_profile:true
+          ~init:Core.Runner.fill_memories
           ~policy:(Hier.Policy.constant level) trace
       in
       pure.Core.Runner.cycles = a.Core.Runner.cycles
       && pure.Core.Runner.txns = a.Core.Runner.txns
       && pure.Core.Runner.beats = a.Core.Runner.beats
-      && pure.Core.Runner.bus_pj = a.Core.Runner.bus_pj
-      && pure.Core.Runner.component_pj = a.Core.Runner.component_pj)
+      && pure.Core.Runner.errors = a.Core.Runner.errors
+      && Int64.bits_of_float pure.Core.Runner.bus_pj
+         = Int64.bits_of_float a.Core.Runner.bus_pj
+      && Int64.bits_of_float pure.Core.Runner.component_pj
+         = Int64.bits_of_float a.Core.Runner.component_pj
+      && profile_bits pure.Core.Runner.profile
+         = profile_bits (Some (Hier.Splice.profile a.Core.Runner.splice)))
+
+(* No energy outside a window: whatever the script, every pJ a
+   front-end counts lands in one of its level's windows, so the spliced
+   total is the front-ends' sum — up to the rounding of the per-window
+   differences.  Pipelined issue keeps bursts in flight at every switch
+   request, which the quiesce rule must drain first; random gaps (the
+   first one included) leave idle cycles, where a gate-level front-end
+   that steps outside its windows would count leakage.  The recorded
+   profiles add up to the same total. *)
+let prop_windows_hold_all_energy =
+  QCheck.Test.make
+    ~name:"spliced energy = sum of front-end totals (pipelined scripts)"
+    ~count:16
+    (QCheck.pair arb_script (QCheck.int_bound 1_000_000))
+    (fun (script, seed) ->
+      let trace =
+        Core.Workloads.random_trace ~rng:(Sim.Rng.create ~seed) ~n:96
+          ~max_gap:4 ()
+      in
+      let policy = Hier.Policy.script script in
+      let live =
+        Core.Runner.live_adaptive ~policy
+          (Core.Runner.live_materials ~record_profile:true ~policy ())
+      in
+      let master =
+        Soc.Trace_master.create ~kernel:live.Core.Runner.kernel
+          ~port:live.Core.Runner.port ~mode:`Pipelined trace
+      in
+      ignore (Soc.Trace_master.run master ~kernel:live.Core.Runner.kernel ());
+      let r = live.Core.Runner.finish () in
+      let fronts =
+        List.fold_left
+          (fun acc level -> acc +. live.Core.Runner.front_pj level)
+          0.0 (Hier.Policy.levels policy)
+      in
+      r.Core.Runner.txns + r.Core.Runner.errors = 96
+      && r.Core.Runner.cycles = Sim.Kernel.now live.Core.Runner.kernel
+      && Float.abs (r.Core.Runner.bus_pj -. fronts)
+         <= 1e-9 *. Float.abs fronts
+      (* Each window's profile is its own cycles' slice of its
+         front-end's recording. *)
+      && Float.abs
+           (Power.Profile.total (Hier.Splice.profile r.Core.Runner.splice)
+           -. fronts)
+         <= 1e-9 *. Float.abs fronts)
 
 (* The adaptive mixed-level comparison at reduced size: 2048
    transactions reach the EEPROM phase, so the run switches levels. *)
@@ -262,11 +362,17 @@ let suite =
     Alcotest.test_case "degenerate L1 = pure L1" `Quick test_degenerate_l1;
     Alcotest.test_case "degenerate L2 = pure L2" `Quick test_degenerate_l2;
     Alcotest.test_case "handoff carries memory" `Quick test_handoff_carries_memory;
+    Alcotest.test_case "layer-3 policy refused before cycle 0" `Quick
+      test_l3_policy_refused;
     Alcotest.test_case "triggered policy refines EEPROM windows" `Quick
       test_adaptive_policy_refines_eeprom;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_script_splice_sums; prop_constant_equals_pure ]
+      [
+        prop_script_splice_sums;
+        prop_constant_equals_pure;
+        prop_windows_hold_all_energy;
+      ]
   @ [
       Alcotest.test_case "adaptive comparison (reduced)" `Quick
         test_adaptive_comparison;

@@ -173,9 +173,9 @@ let strip (r : Core.Runner.adaptive_run) =
       r.Core.Runner.splice.Hier.Splice.windows )
 
 let test_pooled_adaptive_no_stacking () =
-  (* The first window's layer-2 system goes back to the pool at the
-     switch to layer 1, so every later call starts on it: [init] sees it
-     as the call found it. *)
+  (* Every call checks out the same pooled live materials, trace master
+     included: [init] sees their kernel's processes as the call found
+     them, so a later call must see no more than the first. *)
   let trace = Core.Workloads.mixed_phase_trace ~phase:64 ~n:512 () in
   let policy = Core.Experiments.adaptive_policy in
   let fresh = strip (Core.Runner.run_adaptive ~policy trace) in

@@ -48,7 +48,7 @@ let test_event_ordering () =
         (Core.Level.to_string level ^ " lifecycle ordered")
         true
         (lifecycle_ordered (Obs.Sink.events sink)))
-    Core.Level.all
+    Core.Level.timed
 
 let prop_event_ordering =
   QCheck.Test.make ~name:"issue <= grant <= finish on random traffic"
@@ -504,7 +504,7 @@ let test_bit_exact_with_sink () =
         (Core.Level.to_string level ^ " bit-identical with sink")
         true
         (fingerprint plain = fingerprint instrumented))
-    Core.Level.all
+    Core.Level.timed
 
 let test_bit_exact_adaptive () =
   let trace = Core.Workloads.mixed_phase_trace ~phase:64 ~sensitive_every:2 ~n:256 () in

@@ -89,15 +89,15 @@ let test_pool_affinity_under_map () =
    build the 2 that were dropped. *)
 let test_pool_free_list_bound () =
   let pool = Core.Pool.create () in
-  let round () =
-    let held =
-      List.init 6 (fun _ ->
-          Core.Pool.acquire pool probe_kind ~key:"bound"
-            ~build:(fun () -> { busy = Atomic.make false })
-            ~reset:(fun _ -> ()))
-    in
-    List.iter (Core.Pool.release pool probe_kind ~key:"bound") held
+  (* Nested checkouts: all six are held at once, then released. *)
+  let rec round held =
+    if held < 6 then
+      Core.Pool.with_session pool probe_kind ~key:"bound"
+        ~build:(fun () -> { busy = Atomic.make false })
+        ~reset:(fun _ -> ())
+        (fun _ -> round (held + 1))
   in
+  let round () = round 0 in
   round ();
   check_int "first round builds every session" 6 (Core.Pool.builds pool);
   check_int "first round finds nothing pooled" 0 (Core.Pool.hits pool);

@@ -776,22 +776,35 @@ let prop_pooled_program_bit_exact =
 
 let prop_pooled_adaptive_bit_exact =
   QCheck.Test.make
-    ~name:"pooled run_adaptive = fresh run_adaptive (spliced totals)"
-    ~count:5
+    ~name:
+      "pooled run_adaptive = fresh run_adaptive (spliced totals, any timed \
+       script, either issue mode)"
+    ~count:8
     (QCheck.make
-       Gen.(pair (int_range 200 900) (int_range 48 128))
-       ~print:(fun (n, phase) -> Printf.sprintf "n=%d phase=%d" n phase))
-    (fun (n, phase) ->
+       Gen.(
+         triple
+           (pair (int_range 200 600) (int_range 48 128))
+           (list_size (int_range 1 5)
+              (pair (int_range 16 160) (oneofl Core.Level.timed)))
+           (oneofl [ `Serial; `Pipelined ]))
+       ~print:(fun ((n, phase), script, mode) ->
+         Printf.sprintf "n=%d phase=%d %s %s" n phase
+           (Hier.Policy.to_string (Hier.Policy.script script))
+           (match mode with `Serial -> "serial" | `Pipelined -> "pipelined")))
+    (fun ((n, phase), script, mode) ->
       let trace = Core.Workloads.mixed_phase_trace ~phase ~n () in
-      let policy = Core.Experiments.adaptive_policy in
-      let fresh = strip_adaptive (Core.Runner.run_adaptive ~policy trace) in
+      let policy = Hier.Policy.script script in
+      let fresh =
+        strip_adaptive (Core.Runner.run_adaptive ~mode ~policy trace)
+      in
       let pool = Core.Pool.create () in
       let pooled () =
-        strip_adaptive (Core.Runner.run_adaptive ~pool ~policy trace)
+        strip_adaptive (Core.Runner.run_adaptive ~mode ~pool ~policy trace)
       in
-      (* Twice on the pool: the second replay reuses the systems the
-         engine released window by window during the first. *)
-      pooled () = fresh && pooled () = fresh)
+      (* Twice on the pool: the second replay runs on the materials the
+         first one reset and returned, master and calibrated layer-2
+         model included. *)
+      pooled () = fresh && pooled () = fresh && Core.Pool.builds pool = 1)
 
 let strip_row (r : Core.Exploration.row) =
   ( r.Core.Exploration.config.Jcvm.Configs.name,
