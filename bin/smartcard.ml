@@ -229,9 +229,12 @@ let explore_cmd =
         | Some stem ->
           (* Per-row Chrome traces: give each grid cell its own sink and
              write <stem>-<applet>-<config>.json, so one row's window
-             lifecycle can be inspected in Perfetto in isolation. *)
+             lifecycle can be inspected in Perfetto in isolation.  The
+             cells share one pool, as the sweep's do: a sink is a run
+             input, so traced adaptive cells reuse their sessions. *)
           let stem = Filename.remove_extension stem in
           let slave_names = platform_slave_names () in
+          let pool = Core.Pool.create () in
           List.concat_map
             (fun applet ->
               List.map
@@ -240,9 +243,11 @@ let explore_cmd =
                   let row =
                     match policy with
                     | None ->
-                      Core.Exploration.run_one ~level ~sink ~config applet
+                      Core.Exploration.run_one ~level ~sink ~pool ~config
+                        applet
                     | Some policy ->
-                      Core.Exploration.run_one ~policy ~sink ~config applet
+                      Core.Exploration.run_one ~policy ~sink ~pool ~config
+                        applet
                   in
                   let path =
                     Printf.sprintf "%s-%s-%s.json" stem

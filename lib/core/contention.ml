@@ -101,7 +101,7 @@ let build_far ~kernel ~level ~table =
   let far_bus =
     System.create_bus ~kernel ~decoder:(Ec.Decoder.create [ slave ]) ~level
       ~estimate:true ~record_profile:false ~table ~rtl_params:None
-      ~l2_params:None ~sink:None
+      ~l2_params:None
   in
   {
     far_attach =
@@ -179,7 +179,8 @@ let reset_session ?mode s masters =
   | None -> ());
   Ec.Fabric.reset s.s_fabric;
   List.iteri
-    (fun m (_, trace) -> Soc.Trace_master.reset ?mode s.s_masters.(m) trace)
+    (fun m (_, trace) ->
+      Soc.Trace_master.reset ?mode ~sink:None s.s_masters.(m) trace)
     masters
 
 let drained s () =

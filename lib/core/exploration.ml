@@ -53,12 +53,13 @@ let nominal_level (policy : Hier.Policy.t) =
 (* One fixed-level cell interpreted on a fresh system.  With [capture]
    the energy model's taps record the run too, and its plan comes back
    with the row; nothing they record depends on the table, so one
-   capture serves every table. *)
+   capture serves every table.  [sink] goes to the bus's interface. *)
 let interpret_cell ?sink ~capture ~level ~config applet =
   let hw = Jcvm.Hw_stack.create config in
   let system =
-    System.create ~level ~extra_slaves:[ Jcvm.Hw_stack.slave hw ] ?sink ()
+    System.create ~level ~extra_slaves:[ Jcvm.Hw_stack.slave hw ] ()
   in
+  Iface.set_sink (System.iface (System.bus system)) sink;
   let finish = if capture then Some (System.capture system) else None in
   let kernel = System.kernel system in
   let result, transactions, correct =
@@ -93,11 +94,13 @@ let cell_kind : (row * Compile.Plan.t option) Pool.kind = Pool.kind ()
 let live_kind : Runner.live_materials Pool.kind = Pool.kind ()
 
 let run_fixed ?(level = Level.L1) ?sink ?pool ~config applet =
-  match pool with
-  | Some p when sink = None ->
+  match (pool, sink) with
+  | Some p, None ->
     (* Compiled cell: the plan memoizes per (level, applet,
        configuration) — the table is folded off it afterwards, so a
-       table sweep over one cell interprets the applet exactly once. *)
+       table sweep over one cell interprets the applet exactly once.  A
+       plan records no lifecycle events, so a cell with a sink
+       interprets. *)
     let key =
       Printf.sprintf "explore-plan:%s:%s:%s" (Level.to_string level)
         applet.Jcvm.Applets.name
@@ -115,8 +118,7 @@ let run_fixed ?(level = Level.L1) ?sink ?pool ~config applet =
                  l2_params = None } ])
     in
     { row with bus_pj = o.Compile.Eval.bus_pj }
-  | Some _ | None ->
-    fst (interpret_cell ?sink ~capture:false ~level ~config applet)
+  | _, _ -> fst (interpret_cell ?sink ~capture:false ~level ~config applet)
 
 let run_adaptive ?sink ?pool ~policy ~config applet =
   let execute (live : Runner.live) =
@@ -140,13 +142,13 @@ let run_adaptive ?sink ?pool ~policy ~config applet =
   in
   (* The peripherals sit on the gated clock tree: exploration traffic
      never reaches them. *)
-  let materials ?sink ?extra_reset hw =
-    Runner.live_materials ?sink ~peripheral_clock:`Gated
+  let materials ?extra_reset hw =
+    Runner.live_materials ~peripheral_clock:`Gated
       ~extra_slaves:[ Jcvm.Hw_stack.slave hw ]
       ?extra_reset ~policy ()
   in
   match pool with
-  | Some p when sink = None ->
+  | Some p ->
     let key =
       Printf.sprintf "explore-live:%s"
         (Pool.fingerprint (Hier.Policy.levels policy, config))
@@ -156,11 +158,11 @@ let run_adaptive ?sink ?pool ~policy ~config applet =
         let hw = Jcvm.Hw_stack.create config in
         materials ~extra_reset:(fun () -> Jcvm.Hw_stack.reset hw) hw)
       ~reset:Runner.reset_live_materials
-      (fun m -> execute (Runner.live_adaptive ~policy m))
-  | Some _ | None ->
+      (fun m -> execute (Runner.live_adaptive ?sink ~policy m))
+  | None ->
     execute
-      (Runner.live_adaptive ~policy
-         (materials ?sink (Jcvm.Hw_stack.create config)))
+      (Runner.live_adaptive ?sink ~policy
+         (materials (Jcvm.Hw_stack.create config)))
 
 let run_one ?level ?policy ?sink ?pool ~config applet =
   match policy with

@@ -48,7 +48,9 @@ val run_one :
     [bus_pj] moves, within the splice's error budget).  [sink] records
     the cell's bus traffic and, on the adaptive path, its window
     lifecycle — feed it to {!Obs.Chrome} for a per-row Perfetto trace.
-    Cells with a [sink] never pool.
+    It is a run input, attached when the cell arms its session, so an
+    adaptive cell with a [sink] pools like one without.  A fixed-level
+    cell with a [sink] interprets: a plan records no lifecycle events.
 
     A pooled cell at any level, without a [sink] and without a
     [policy], is captured once into a {!Compile.Plan.t} memoized in

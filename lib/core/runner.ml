@@ -139,9 +139,13 @@ let run_trace ~level ?(estimate = true) ?(record_profile = false)
     ?table ?rtl_params ?l2_params ?(mode = `Pipelined) ?init ?sink ?pool trace =
   let build_system () =
     System.create ~level ~estimate ~record_profile ?table ?rtl_params
-      ?l2_params ?sink ()
+      ?l2_params ()
   in
+  (* A run arms its session the same way on a fresh build and on a
+     reset checkout: the run's sink onto the bus's interface, then
+     [init]. *)
   let execute system run =
+    Iface.set_sink (System.iface (System.bus system)) sink;
     (match init with Some f -> f system | None -> ());
     let t0 = Unix.gettimeofday () in
     let cycles = run () in
@@ -149,11 +153,8 @@ let run_trace ~level ?(estimate = true) ?(record_profile = false)
     record_run_energy sink system ~cycles;
     collect system ~cycles ~wall_seconds
   in
-  (* Sessions with a sink are never pooled: the sink is wired into the
-     bus at creation and its event stream spans the session.  Everything
-     reset does not undo goes into the key; issue mode and the trace
-     itself are re-armed per checkout. *)
-  let pool = if sink = None then pool else None in
+  (* Everything reset does not undo goes into the key; the sink, the
+     issue mode and the trace itself are armed per run. *)
   let key () =
     Printf.sprintf "trace:%s:%b:%b:%s" (Level.to_string level) estimate
       record_profile
@@ -172,25 +173,24 @@ let run_trace ~level ?(estimate = true) ?(record_profile = false)
         ~reset:System.reset execute
     | None -> execute (build_system ())
   else
+    (* The master is registered with the session and armed per run. *)
     let build () =
       let system = build_system () in
       let master =
         Soc.Trace_master.create ~kernel:(System.kernel system)
-          ~port:(System.port system) ~mode ?sink trace
+          ~port:(System.port system) []
       in
       { ts_system = system; ts_master = master }
     in
     let execute s =
+      Soc.Trace_master.reset ~mode ~sink s.ts_master trace;
       let kernel = System.kernel s.ts_system in
       execute s.ts_system (fun () -> Soc.Trace_master.run s.ts_master ~kernel ())
     in
     match pool with
     | Some p ->
-      Pool.with_session p trace_kind ~key:(key ()) ~build
-        ~reset:(fun s ->
-          System.reset s.ts_system;
-          Soc.Trace_master.reset ~mode s.ts_master trace)
-        execute
+      Pool.with_session p trace_kind ~key:(key ())
+        ~build ~reset:(fun s -> System.reset s.ts_system) execute
     | None -> execute (build ())
 
 (* Deterministic content for memories read by replayed traces, so the
@@ -230,7 +230,7 @@ let program_kind : program_session Pool.kind = Pool.kind ()
 let run_program ?(level = Level.L1) ?(record_profile = false) ?icache_lines
     ?vcd ?sink ?pool program =
   let build () =
-    let system = System.create ~level ~record_profile ?sink () in
+    let system = System.create ~level ~record_profile () in
     let kernel = System.kernel system in
     Soc.Platform.load_program (System.platform system) program;
     let platform = System.platform system in
@@ -252,6 +252,7 @@ let run_program ?(level = Level.L1) ?(record_profile = false) ?icache_lines
   in
   let execute s =
     let system = s.ps_system in
+    Iface.set_sink (System.iface (System.bus system)) sink;
     let kernel = System.kernel system in
     let t0 = Unix.gettimeofday () in
     let cycles = Soc.Cpu.run_to_halt s.ps_cpu ~kernel () in
@@ -269,7 +270,7 @@ let run_program ?(level = Level.L1) ?(record_profile = false) ?icache_lines
     }
   in
   match pool with
-  | Some p when sink = None && vcd = None ->
+  | Some p when vcd = None ->
     let key =
       Printf.sprintf "program:%s:%b:%s" (Level.to_string level) record_profile
         (Pool.fingerprint icache_lines)
@@ -282,8 +283,8 @@ let run_program ?(level = Level.L1) ?(record_profile = false) ?icache_lines
         Soc.Platform.load_program (System.platform s.ps_system) program)
       execute
   | Some _ | None -> (
-    (* VCD recording and sinks hook the session for its whole life —
-       such runs always build fresh.  The recorder's falling-edge sampler
+    (* VCD recording hooks the session for its whole life — such runs
+       always build fresh.  The recorder's falling-edge sampler
        only has to follow the bus process, which [System.create]
        registers, so it can attach after the build. *)
     let s = build () in
@@ -386,10 +387,9 @@ type live_materials = {
   m_system : System.t;  (* kernel, platform and the finest front's bus *)
   m_fronts : front list;  (* one per level the policy names, finest first *)
   m_table : Power.Characterization.t;
-  m_sink : Obs.Sink.t option;
   m_port : Ec.Port.t;
   mutable m_master : Soc.Trace_master.t option;
-      (* registered by the first trace replay, re-armed by later ones *)
+      (* registered by the first trace replay, armed by every one *)
   m_extra_reset : unit -> unit;
 }
 
@@ -406,7 +406,7 @@ let bus_process_name = function
   | System.L2_bus _ -> "tlm2-bus"
 
 let live_materials ?(table = Power.Characterization.default)
-    ?(record_profile = false) ?peripheral_clock ?sink ?extra_slaves
+    ?(record_profile = false) ?peripheral_clock ?extra_slaves
     ?(extra_reset = fun () -> ()) ~policy () =
   let first, rest =
     match timed_levels ~fn:"live_materials" policy with
@@ -415,7 +415,7 @@ let live_materials ?(table = Power.Characterization.default)
   in
   let system =
     System.create ~level:first ~record_profile ~table ?peripheral_clock
-      ?extra_slaves ?sink ()
+      ?extra_slaves ()
   in
   let kernel = System.kernel system in
   let decoder = Soc.Platform.decoder (System.platform system) in
@@ -428,7 +428,7 @@ let live_materials ?(table = Power.Characterization.default)
          (fun level ->
            front level
              (System.create_bus ~kernel ~decoder ~level ~estimate:true
-                ~record_profile ~table ~rtl_params:None ~l2_params:None ~sink))
+                ~record_profile ~table ~rtl_params:None ~l2_params:None))
          rest
   in
   (* A copy: sessions re-point it, never the bus's own port. *)
@@ -442,7 +442,6 @@ let live_materials ?(table = Power.Characterization.default)
     m_system = system;
     m_fronts = fronts;
     m_table = table;
-    m_sink = sink;
     m_port = port;
     m_master = None;
     m_extra_reset = extra_reset;
@@ -458,7 +457,7 @@ let reset_live_materials m =
 
 let no_txn = Ec.Txn.single_read ~id:(-1) 0
 
-let live_adaptive ~policy m =
+let live_adaptive ?sink ~policy m =
   let levels = timed_levels ~fn:"live_adaptive" policy in
   if levels <> List.map (fun f -> f.level) m.m_fronts then
     invalid_arg
@@ -532,7 +531,7 @@ let live_adaptive ~policy m =
     end
   in
   let session =
-    Hier.Engine.Live.create ?sink:m.m_sink
+    Hier.Engine.Live.create ?sink
       ~now:(fun () -> Sim.Kernel.now kernel)
       ~on_close ~policy ~measure ()
   in
@@ -540,7 +539,7 @@ let live_adaptive ~policy m =
      one that takes it has run from cycle 0 exactly as in a pure run;
      the others then rewind to never having run and stay parked until a
      window is routed to them.  From then on exactly one front-end
-     steps: the routed one. *)
+     steps: the routed one, and it carries the run's sink. *)
   List.iter (fun f -> Sim.Kernel.unpark f.proc) m.m_fronts;
   let port = m.m_port in
   let routed = ref None in
@@ -563,6 +562,7 @@ let live_adaptive ~policy m =
             end)
           m.m_fronts);
       routed := Some f;
+      Iface.set_sink (System.iface f.bus) sink;
       active := Iface.port (System.iface f.bus);
       port.Ec.Port.poll <- !active.Ec.Port.poll
   in
@@ -627,17 +627,15 @@ let live_adaptive ~policy m =
 let live_kind : live_materials Pool.kind = Pool.kind ()
 
 (* The replaying master rides in the materials: registered once, after
-   the front-ends as in a pure run, and re-armed by every later replay,
-   so a pooled kernel never stacks masters. *)
-let trace_master m ~mode trace =
+   the front-ends as in a pure run, and armed by every replay, so a
+   pooled kernel never stacks masters. *)
+let trace_master m =
   match m.m_master with
-  | Some master ->
-    Soc.Trace_master.reset ~mode master trace;
-    master
+  | Some master -> master
   | None ->
     let master =
       Soc.Trace_master.create ~kernel:(System.kernel m.m_system) ~port:m.m_port
-        ~mode ?sink:m.m_sink trace
+        []
     in
     m.m_master <- Some master;
     master
@@ -646,19 +644,19 @@ let run_adaptive ?record_profile ?table ?peripheral_clock ?(mode = `Pipelined)
     ?init ?sink ?pool ~policy trace =
   let levels = timed_levels ~fn:"run_adaptive" policy in
   let build () =
-    live_materials ?table ?record_profile ?peripheral_clock ?sink ~policy ()
+    live_materials ?table ?record_profile ?peripheral_clock ~policy ()
   in
   let execute m =
-    let master = trace_master m ~mode trace in
+    let master = trace_master m in
+    Soc.Trace_master.reset ~mode ~sink master trace;
     (match init with Some f -> f m.m_system | None -> ());
-    let live = live_adaptive ~policy m in
+    let live = live_adaptive ?sink ~policy m in
     ignore (Soc.Trace_master.run master ~kernel:live.kernel ());
     live.finish ()
   in
   match pool with
-  | Some p when sink = None ->
-    (* A sink is wired in at creation, so runs with one are never
-       pooled.  The key holds what a reset does not undo. *)
+  | Some p ->
+    (* The key holds what a reset does not undo. *)
     let key =
       Printf.sprintf "adaptive:%s:%s"
         (String.concat "," (List.map Level.to_string levels))
@@ -666,4 +664,4 @@ let run_adaptive ?record_profile ?table ?peripheral_clock ?(mode = `Pipelined)
     in
     Pool.with_session p live_kind ~key ~build ~reset:reset_live_materials
       execute
-  | Some _ | None -> execute (build ())
+  | None -> execute (build ())

@@ -34,17 +34,16 @@ val run_trace :
   result
 (** Interprets the trace through the full bus model.  [init] runs
     against the system before simulation starts (load images, fill
-    memories).  [sink] attaches the instrumentation sink to the bus and
-    the trace master and records one final [Energy_sample] (plus the
-    run's pJ/beat) when the workload drains; simulated results are
+    memories).  [sink] is attached to the bus and the trace master for
+    this run and records one final [Energy_sample] (plus the run's
+    pJ/beat) when the workload drains; simulated results are
     bit-identical with and without it.
 
     [pool] reuses a reset session of the same configuration instead of
-    building one — results are bit-identical to a fresh build.  Sessions
-    with a [sink] are never pooled (the sink wires in at creation).
-    When pooling, [init] runs once per checkout, after the reset; it
-    must set state (fill memories, poke registers), not register kernel
-    processes.
+    building one — results and events are bit-identical to a fresh
+    build.  When pooling, [init] runs once per checkout, after the
+    reset; it must set state (fill memories, poke registers), not
+    register kernel processes.
 
     For the compiled path call {!compile_trace} + {!replay_multi} (one
     point per parameter set): bit-identical results, including the
@@ -147,15 +146,14 @@ type live_materials
     front-end per level the policy names (built by
     {!System.create_bus} on the shared kernel and decoder) and the
     switching port — separated out so a pool can reuse it across runs.
-    A trace replay also registers its master here once and re-arms it
-    on later replays ({!Soc.Trace_master.reset}), so a pooled kernel
-    never stacks masters. *)
+    A trace replay also registers its master here once and arms it on
+    every replay ({!Soc.Trace_master.reset}), so a pooled kernel never
+    stacks masters. *)
 
 val live_materials :
   ?table:Power.Characterization.t ->
   ?record_profile:bool ->
   ?peripheral_clock:[ `Running | `Gated ] ->
-  ?sink:Obs.Sink.t ->
   ?extra_slaves:Ec.Slave.t list ->
   ?extra_reset:(unit -> unit) ->
   policy:Hier.Policy.t ->
@@ -177,7 +175,8 @@ val reset_live_materials : live_materials -> unit
     so the next run on these materials is bit-identical to one on
     freshly built materials. *)
 
-val live_adaptive : policy:Hier.Policy.t -> live_materials -> live
+val live_adaptive :
+  ?sink:Obs.Sink.t -> policy:Hier.Policy.t -> live_materials -> live
 (** A mixed-level session on fresh or reset materials built for
     [policy]'s levels: the returned {!live.port} routes each submitted
     transaction through the level the session decides — so a master
@@ -190,7 +189,9 @@ val live_adaptive : policy:Hier.Policy.t -> live_materials -> live
     {!Hier.Policy.constant} session measures exactly like the pure run
     at its level.  Windows splice against the default error budgets
     ({!Hier.Splice.splice}); with [record_profile] materials each
-    window carries its front-end's per-cycle profile.
+    window carries its front-end's per-cycle profile.  The routed
+    front-end carries [sink], and the session brackets each window with
+    [Window_open]/[Window_close] events on the run's one timeline.
 
     The session calibrates the layer-2 lump parameters in-run,
     hierarchically: every transaction retired in a layer-1 window is
@@ -224,15 +225,12 @@ val run_adaptive :
     at that level bit for bit: cycles, transaction counts, bus and
     component energy, and the profile.
 
-    [sink] is attached to every front-end and the master; the session
-    brackets each window with [Window_open]/[Window_close] events on
-    the run's one timeline.
+    [sink] goes to the master and the session ({!live_adaptive}).
 
     [pool] reuses reset materials (keyed by the policy's levels,
-    [record_profile], [table] and [peripheral_clock]); results are
-    bit-identical to a fresh build.  [init] then runs once per checkout,
-    after the reset.  Runs with a [sink] always build fresh (it wires
-    in at creation).
+    [record_profile], [table] and [peripheral_clock]); results and
+    events are bit-identical to a fresh build.  [init] then runs once
+    per checkout, after the reset.
     @raise Invalid_argument if [policy] names {!Level.L3}. *)
 
 type program_run = {
@@ -261,7 +259,7 @@ val run_program :
     @raise Invalid_argument otherwise).
 
     [pool] reuses a reset CPU session (system + core + optional cache);
-    runs with [vcd] or [sink] always build fresh.  The [system], [cpu]
+    runs with [vcd] always build fresh.  The [system], [cpu]
     and [icache] handles in the returned record then stay valid only
     until the next pooled run with the same configuration on any domain
     holding the pool — read any per-run figures off them before starting

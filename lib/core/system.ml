@@ -11,18 +11,17 @@ type t = {
 }
 
 let create_bus ~kernel ~decoder ~level ~estimate ~record_profile ~table
-    ~rtl_params ~l2_params ~sink =
+    ~rtl_params ~l2_params =
   match level with
   | Level.Rtl ->
     Rtl_bus
-      (Rtl.Bus.create ~kernel ~decoder ?params:rtl_params ~record_profile ?sink
-         ())
+      (Rtl.Bus.create ~kernel ~decoder ?params:rtl_params ~record_profile ())
   | Level.L1 ->
     let energy =
       if estimate then Some (Tlm1.Energy.create ~record_profile table)
       else None
     in
-    L1_bus (Tlm1.Bus.create ~kernel ~decoder ?energy ?sink ())
+    L1_bus (Tlm1.Bus.create ~kernel ~decoder ?energy ())
   | Level.L2 | Level.L3 ->
     (* Layer 3 has no bus model of its own: an L3 system is the layer-2
        carrier bus driven through the Tlm3 bridge (DESIGN.md 17.4). *)
@@ -31,7 +30,7 @@ let create_bus ~kernel ~decoder ~level ~estimate ~record_profile ~table
         Some (Tlm2.Energy.create ~record_profile ?params:l2_params table)
       else None
     in
-    L2_bus (Tlm2.Bus.create ~kernel ~decoder ?energy ?sink ())
+    L2_bus (Tlm2.Bus.create ~kernel ~decoder ?energy ())
 
 let iface = function
   | Rtl_bus b -> Rtl.Bus.iface b
@@ -40,14 +39,14 @@ let iface = function
 
 let create ?(level = Level.L1) ?(estimate = true) ?(record_profile = false)
     ?(table = Power.Characterization.default) ?rtl_params ?l2_params ?seed
-    ?extra_slaves ?peripheral_clock ?sink () =
+    ?extra_slaves ?peripheral_clock () =
   let kernel = Sim.Kernel.create () in
   let platform =
     Soc.Platform.create ~kernel ?seed ?extra_slaves ?peripheral_clock ()
   in
   let bus =
     create_bus ~kernel ~decoder:(Soc.Platform.decoder platform) ~level
-      ~estimate ~record_profile ~table ~rtl_params ~l2_params ~sink
+      ~estimate ~record_profile ~table ~rtl_params ~l2_params
   in
   Soc.Platform.connect_bus platform (Iface.port (iface bus));
   { kernel; platform; bus; level }

@@ -15,7 +15,6 @@ val create_bus :
   table:Power.Characterization.t ->
   rtl_params:Rtl.Params.t option ->
   l2_params:Tlm2.Energy.params option ->
-  sink:Obs.Sink.t option ->
   bus
 (** The one place a bus is built, by {!create} and by the contention
     study's far side: [level]'s model ({!Level.L3}: the layer-2 carrier)
@@ -47,17 +46,12 @@ val create :
   ?seed:int ->
   ?extra_slaves:Ec.Slave.t list ->
   ?peripheral_clock:[ `Running | `Gated ] ->
-  ?sink:Obs.Sink.t ->
   unit ->
   t
 (** [peripheral_clock] is forwarded to {!Soc.Platform.create}: [`Gated]
     freezes the peripherals (and their cycle counts) while keeping every
     slave bus-addressable.  Either way idle peripherals cost no
     simulation time; they differ only in what the components count.
-
-    [sink] attaches the instrumentation sink to whichever bus model the
-    level selects; the bus then records transaction lifecycle events and
-    metrics on it.  Without it the buses skip instrumentation entirely.
 
     Defaults: [level = L1], energy estimation on, no profile recording,
     the capacitance-based default characterization table for the
@@ -119,5 +113,5 @@ val reset : t -> unit
     clock, every platform memory and peripheral, and the bus
     model with its energy estimator.  The wiring (decoder, registered
     processes, connected masters) is kept, so a reset system replays any
-    workload bit-identically to a freshly built one.  Sessions built
-    with a [sink] keep the sink attached; reset does not clear it. *)
+    workload bit-identically to a freshly built one.  Reset detaches
+    the bus's sink ({!Iface.reset}), as a fresh build has none. *)

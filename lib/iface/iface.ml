@@ -1,6 +1,6 @@
 type t = {
   kernel : Sim.Kernel.t;
-  sink : Obs.Sink.t option;
+  mutable sink : Obs.Sink.t option;  (* the run's, set by [set_sink] *)
   enqueue : Ec.Txn.t -> int;
   outstanding : int array;  (* per Txn.category *)
   finished : Ec.Port.poll Ec.Id_store.t;  (* by transaction id *)
@@ -38,13 +38,13 @@ let try_submit t txn =
     true
   end
 
-let create ~kernel ~sink ~enqueue =
+let create ~kernel ~enqueue =
   let outstanding = Array.make 3 0
   and finished = Ec.Id_store.create ~dummy:Ec.Port.Pending () in
   let rec t =
     {
       kernel;
-      sink;
+      sink = None;
       enqueue;
       outstanding;
       finished;
@@ -64,6 +64,8 @@ let create ~kernel ~sink ~enqueue =
   t
 
 let port t = t.port
+let sink t = t.sink
+let set_sink t sink = t.sink <- sink
 
 let finish t (txn : Ec.Txn.t) outcome =
   let c = cat_index (Ec.Txn.category txn) in
@@ -92,6 +94,7 @@ let completed_beats t = t.completed_beats
 let error_txns t = t.error_txns
 
 let reset t =
+  t.sink <- None;
   Array.fill t.outstanding 0 3 0;
   Ec.Id_store.clear t.finished;
   t.completed_txns <- 0;

@@ -12,17 +12,20 @@
 
 type t
 
-val create :
-  kernel:Sim.Kernel.t ->
-  sink:Obs.Sink.t option ->
-  enqueue:(Ec.Txn.t -> int) ->
-  t
+val create : kernel:Sim.Kernel.t -> enqueue:(Ec.Txn.t -> int) -> t
 (** [enqueue txn] pushes an accepted transaction onto the model's request
-    queue and returns the queue depth the issue event reports.  [sink]
-    receives the lifecycle events; [kernel] timestamps them. *)
+    queue and returns the queue depth the issue event reports.  [kernel]
+    timestamps the events. *)
 
 val port : t -> Ec.Port.t
 (** The masters' interface, built once at {!create}. *)
+
+val sink : t -> Obs.Sink.t option
+(** The run's instrumentation sink, the one place a bus holds it. *)
+
+val set_sink : t -> Obs.Sink.t option -> unit
+(** A run attaches its sink here when it arms its session; a field
+    write. *)
 
 val finish : t -> Ec.Txn.t -> Ec.Port.poll -> unit
 (** The bus is done with an accepted transaction: [Done] after its last
@@ -37,4 +40,4 @@ val completed_beats : t -> int
 val error_txns : t -> int
 
 val reset : t -> unit
-(** No transaction outstanding or stored, counters at zero. *)
+(** No transaction outstanding or stored, counters at zero, no sink. *)

@@ -16,7 +16,6 @@ type data_job = {
 
 type t = {
   kernel : Sim.Kernel.t;
-  sink : Obs.Sink.t option;
   decoder : Ec.Decoder.t;
   wires : Wires.t;
   diesel : Diesel.t;
@@ -52,12 +51,26 @@ let dispatch t (job : addr_job) =
   | Ec.Txn.Read -> Ec.Ring.push t.read_q (make cfg.Ec.Slave_cfg.read_wait)
   | Ec.Txn.Write -> Ec.Ring.push t.write_q (make cfg.Ec.Slave_cfg.write_wait)
 
+(* Sink calls of the phases: top-level helpers taking [t], not closures,
+   so a cycle allocates nothing. *)
+let[@inline] stall t sel =
+  match Iface.sink t.iface with
+  | None -> ()
+  | Some s -> Obs.Sink.wait_stall s ~slave:sel
+
+let[@inline] beat_event t (job : data_job) =
+  match Iface.sink t.iface with
+  | None -> ()
+  | Some s ->
+    Obs.Sink.data_beat s ~cycle:(Sim.Kernel.now t.kernel)
+      ~id:job.d_txn.Ec.Txn.id ~beat:job.d_beat ~slave:job.d_sel
+
 (* The address phase of [job] completes: ARdy, the slave's select line,
    and the job moves on to its data engine. *)
 let complete t job =
   Wires.set_ctrl t.wires Ec.Signals.Ardy true;
   Wires.set_sel t.wires (1 lsl job.a_sel);
-  (match t.sink with
+  (match Iface.sink t.iface with
   | None -> ()
   | Some s ->
     Obs.Sink.txn_granted s ~cycle:(Sim.Kernel.now t.kernel)
@@ -105,9 +118,7 @@ let addr_phase t =
   | Some job ->
     if job.a_wait > 0 then begin
       job.a_wait <- job.a_wait - 1;
-      match t.sink with
-      | None -> ()
-      | Some s -> Obs.Sink.wait_stall s ~slave:job.a_sel
+      stall t job.a_sel
     end
     else complete t job
   | None -> start_request t
@@ -120,9 +131,7 @@ let read_phase t =
   | Some job ->
     if job.d_wait > 0 then begin
       job.d_wait <- job.d_wait - 1;
-      match t.sink with
-      | None -> ()
-      | Some s -> Obs.Sink.wait_stall s ~slave:job.d_sel
+      stall t job.d_sel
     end
     else begin
       let txn = job.d_txn in
@@ -135,11 +144,7 @@ let read_phase t =
         if job.d_beat = txn.Ec.Txn.burst - 1 then
           Wires.set_ctrl w Ec.Signals.Blast true
       end;
-      (match t.sink with
-      | None -> ()
-      | Some s ->
-        Obs.Sink.data_beat s ~cycle:(Sim.Kernel.now t.kernel)
-          ~id:txn.Ec.Txn.id ~beat:job.d_beat ~slave:job.d_sel);
+      beat_event t job;
       job.d_beat <- job.d_beat + 1;
       if job.d_beat = txn.Ec.Txn.burst then begin
         Iface.finish t.iface txn Ec.Port.Done;
@@ -161,9 +166,7 @@ let write_phase t =
   | Some job ->
     if job.d_wait > 0 then begin
       job.d_wait <- job.d_wait - 1;
-      match t.sink with
-      | None -> ()
-      | Some s -> Obs.Sink.wait_stall s ~slave:job.d_sel
+      stall t job.d_sel
     end
     else begin
       let txn = job.d_txn in
@@ -175,11 +178,7 @@ let write_phase t =
         if job.d_beat = txn.Ec.Txn.burst - 1 then
           Wires.set_ctrl w Ec.Signals.Blast true
       end;
-      (match t.sink with
-      | None -> ()
-      | Some s ->
-        Obs.Sink.data_beat s ~cycle:(Sim.Kernel.now t.kernel)
-          ~id:txn.Ec.Txn.id ~beat:job.d_beat ~slave:job.d_sel);
+      beat_event t job;
       job.d_beat <- job.d_beat + 1;
       if job.d_beat = txn.Ec.Txn.burst then begin
         Iface.finish t.iface txn Ec.Port.Done;
@@ -220,7 +219,7 @@ let dummy_job =
   { d_txn = dummy_txn; d_slave = Ec.Slave.placeholder; d_sel = -1;
     d_wait_states = 0; d_beat = 0; d_wait = 0 }
 
-let create ~kernel ~decoder ?params ?record_profile ?sink () =
+let create ~kernel ~decoder ?params ?record_profile () =
   let wires = Wires.create ~n_slaves:(max 1 (Ec.Decoder.count decoder)) in
   let diesel = Diesel.create ?params ?record_profile wires in
   let requests = Ec.Ring.create ~dummy:dummy_txn () in
@@ -231,7 +230,6 @@ let create ~kernel ~decoder ?params ?record_profile ?sink () =
   let t =
     {
       kernel;
-      sink;
       decoder;
       wires;
       diesel;
@@ -241,7 +239,7 @@ let create ~kernel ~decoder ?params ?record_profile ?sink () =
       addr_cur = None;
       read_cur = None;
       write_cur = None;
-      iface = Iface.create ~kernel ~sink ~enqueue;
+      iface = Iface.create ~kernel ~enqueue;
     }
   in
   Sim.Kernel.on_falling kernel ~name:"rtl-bus" (cycle t);

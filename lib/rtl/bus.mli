@@ -19,11 +19,11 @@ val create :
   decoder:Ec.Decoder.t ->
   ?params:Params.t ->
   ?record_profile:bool ->
-  ?sink:Obs.Sink.t ->
   unit ->
   t
 (** Creates the bus, its wires and its estimator, and registers the bus
-    process with [kernel].  [sink] attaches instrumentation: transaction
+    process with [kernel].  The sink its {!iface} holds
+    ({!Iface.set_sink}) receives the instrumentation: transaction
     lifecycle events (issue/reject/grant/beat/finish/error), wait-state
     stalls per slave and request-queue occupancy.  Without a sink the
     per-cycle path is untouched (a single option match, no allocation),

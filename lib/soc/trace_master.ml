@@ -2,7 +2,7 @@ type mode = [ `Serial | `Pipelined ]
 
 type t = {
   port : Ec.Port.t;
-  sink : Obs.Sink.t option;
+  mutable sink : Obs.Sink.t option;  (* the run's, set when armed *)
   mutable mode : mode;
   keep_results : bool;
   ids : Ec.Txn.Id_gen.gen;
@@ -65,11 +65,11 @@ let step t _kernel =
   | `Serial -> if Ec.Id_store.is_empty t.outstanding then try_submit t
 
 let create ~kernel ~port ?(name = "trace-master") ?(mode = `Pipelined)
-    ?(keep_results = false) ?sink trace =
+    ?(keep_results = false) trace =
   let t =
     {
       port;
-      sink;
+      sink = None;
       mode;
       keep_results;
       ids = Ec.Txn.Id_gen.create ();
@@ -87,8 +87,9 @@ let create ~kernel ~port ?(name = "trace-master") ?(mode = `Pipelined)
 
 let results t = List.rev t.results_rev
 
-let reset ?mode t trace =
+let reset ?mode ~sink t trace =
   (match mode with Some m -> t.mode <- m | None -> ());
+  t.sink <- sink;
   Ec.Txn.Id_gen.reset t.ids;
   t.remaining <- trace;
   t.gap_left <- 0;

@@ -21,17 +21,13 @@ val create :
   ?name:string ->
   ?mode:mode ->
   ?keep_results:bool ->
-  ?sink:Obs.Sink.t ->
   Ec.Trace.t ->
   t
 (** [name] labels the kernel process (default ["trace-master"]); give
     each master a distinct name when several share one kernel, so
     {!Sim.Kernel.process_names} and {!Sim.Kernel.runs} tell them apart.
     [mode] defaults to [`Pipelined].  With [keep_results] the completed
-    transactions (with read data) are retained for inspection.  [sink]
-    records the master-side outstanding-transaction occupancy on every
-    accepted submission (the bus-side events come from the bus's own
-    sink argument). *)
+    transactions (with read data) are retained for inspection. *)
 
 val finished : t -> bool
 val results : t -> Ec.Txn.t list
@@ -42,8 +38,11 @@ val run : t -> kernel:Sim.Kernel.t -> ?max_cycles:int -> unit -> int
 (** Steps the kernel until the trace is fully processed; returns the
     cycles consumed by this call. *)
 
-val reset : ?mode:mode -> t -> Ec.Trace.t -> unit
+val reset : ?mode:mode -> sink:Obs.Sink.t option -> t -> Ec.Trace.t -> unit
 (** Re-arms the master with a new trace exactly as {!create} would: id
     supply restarted, in-flight bookkeeping cleared, first item loaded
     into the submit slot.  [mode] switches the issue discipline for the
-    new run (kept otherwise); the kernel registration and port stay. *)
+    new run (kept otherwise); the kernel registration and port stay.
+    The run's [sink] records the master-side outstanding-transaction
+    occupancy on every accepted submission (the bus-side events go to
+    the bus's [Iface.sink]). *)

@@ -22,7 +22,6 @@ type data_state = {
 
 type t = {
   kernel : Sim.Kernel.t;
-  sink : Obs.Sink.t option;
   decoder : Ec.Decoder.t;
   energy : Energy.t option;
   request_q : Ec.Txn.t Ec.Ring.t;
@@ -40,13 +39,15 @@ type t = {
 let with_energy t f x = match t.energy with Some e -> f e x | None -> ()
 
 let stall t sel =
-  match t.sink with None -> () | Some s -> Obs.Sink.wait_stall s ~slave:sel
+  match Iface.sink t.iface with
+  | None -> ()
+  | Some s -> Obs.Sink.wait_stall s ~slave:sel
 
 (* The address phase of [st] completes: ARdy, and the transaction moves
    on to its data queue. *)
 let complete t (st : addr_state) =
   with_energy t Energy.strobe Ec.Signals.Ardy;
-  (match t.sink with
+  (match Iface.sink t.iface with
   | None -> ()
   | Some s ->
     Obs.Sink.txn_granted s ~cycle:(Sim.Kernel.now t.kernel)
@@ -123,7 +124,7 @@ let beat_strobes t st c =
    the last beat and the transaction finished. *)
 let end_beat t st =
   let txn = st.d_txn in
-  (match t.sink with
+  (match Iface.sink t.iface with
   | None -> ()
   | Some s ->
     Obs.Sink.data_beat s ~cycle:(Sim.Kernel.now t.kernel) ~id:txn.Ec.Txn.id
@@ -193,7 +194,7 @@ let dummy_state =
   { d_txn = Ec.Txn.single_read ~id:(-1) 0; d_slave = Ec.Slave.placeholder;
     d_sel = -1; d_wait_states = 0; d_beat = 0; d_wait = 0 }
 
-let create ~kernel ~decoder ?energy ?sink () =
+let create ~kernel ~decoder ?energy () =
   let request_q = Ec.Ring.create ~dummy:dummy_state.d_txn () in
   let enqueue txn =
     Ec.Ring.push request_q txn;
@@ -202,7 +203,6 @@ let create ~kernel ~decoder ?energy ?sink () =
   let t =
     {
       kernel;
-      sink;
       decoder;
       energy;
       request_q;
@@ -211,7 +211,7 @@ let create ~kernel ~decoder ?energy ?sink () =
       addr_cur = None;
       read_cur = None;
       write_cur = None;
-      iface = Iface.create ~kernel ~sink ~enqueue;
+      iface = Iface.create ~kernel ~enqueue;
     }
   in
   Sim.Kernel.on_falling kernel ~name:"tlm1-bus" (bus_process t);

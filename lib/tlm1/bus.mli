@@ -19,13 +19,13 @@ val create :
   kernel:Sim.Kernel.t ->
   decoder:Ec.Decoder.t ->
   ?energy:Energy.t ->
-  ?sink:Obs.Sink.t ->
   unit ->
   t
 (** Registers the bus process with [kernel].  When [energy] is omitted the
     model runs without estimation (the faster configuration of Table 3).
-    [sink] attaches lifecycle/stall/occupancy instrumentation; estimation
-    results are bit-identical with or without it. *)
+    The sink its {!iface} holds records lifecycle/stall/occupancy
+    instrumentation; estimation results are bit-identical with or
+    without it. *)
 
 val iface : t -> Iface.t
 (** The master side: port, outstanding limits, traffic counters. *)

@@ -13,7 +13,6 @@ type job = {
 
 type t = {
   kernel : Sim.Kernel.t;
-  sink : Obs.Sink.t option;
   energy : Energy.t option;
   pending : job Ec.Ring.t;  (* awaiting or inside their address phase *)
   data_q : job Ec.Ring.t;  (* address phase finished, data phase pending *)
@@ -21,7 +20,9 @@ type t = {
 }
 
 let stall t job =
-  match t.sink with None -> () | Some s -> Obs.Sink.wait_stall s ~slave:job.sel
+  match Iface.sink t.iface with
+  | None -> ()
+  | Some s -> Obs.Sink.wait_stall s ~slave:job.sel
 
 let address_phase t =
   if not (Ec.Ring.is_empty t.pending) then begin
@@ -35,7 +36,7 @@ let address_phase t =
       (match t.energy with
       | Some e -> ignore (Energy.address_phase_pj e job.txn)
       | None -> ());
-      (match t.sink with
+      (match Iface.sink t.iface with
       | None -> ()
       | Some s ->
         Obs.Sink.txn_granted s ~cycle:(Sim.Kernel.now t.kernel)
@@ -63,7 +64,7 @@ let data_phase t =
         (match t.energy with
         | Some e -> ignore (Energy.data_phase_pj e job.txn)
         | None -> ());
-        (match t.sink with
+        (match Iface.sink t.iface with
         | None -> ()
         | Some s ->
           let cycle = Sim.Kernel.now t.kernel in
@@ -101,7 +102,7 @@ let dummy_job =
   { txn = Ec.Txn.single_read ~id:(-1) 0; slave = None; sel = -1;
     addr_left = 0; data_left = 0 }
 
-let create ~kernel ~decoder ?energy ?sink () =
+let create ~kernel ~decoder ?energy () =
   let pending = Ec.Ring.create ~dummy:dummy_job () in
   let enqueue txn =
     Ec.Ring.push pending (job_of decoder txn);
@@ -110,11 +111,10 @@ let create ~kernel ~decoder ?energy ?sink () =
   let t =
     {
       kernel;
-      sink;
       energy;
       pending;
       data_q = Ec.Ring.create ~dummy:dummy_job ();
-      iface = Iface.create ~kernel ~sink ~enqueue;
+      iface = Iface.create ~kernel ~enqueue;
     }
   in
   Sim.Kernel.on_falling kernel ~name:"tlm2-bus" (bus_process t);

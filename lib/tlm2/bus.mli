@@ -19,13 +19,12 @@ val create :
   kernel:Sim.Kernel.t ->
   decoder:Ec.Decoder.t ->
   ?energy:Energy.t ->
-  ?sink:Obs.Sink.t ->
   unit ->
   t
-(** [sink] attaches lifecycle/stall instrumentation.  Layer 2 moves a
-    burst in one block call, so its {!Obs.Event.Data_beat} events for a
-    burst share one timestamp; beat counts still match the other
-    levels. *)
+(** The sink its {!iface} holds records lifecycle/stall
+    instrumentation.  Layer 2 moves a burst in one block call, so its
+    {!Obs.Event.Data_beat} events for a burst share one timestamp; beat
+    counts still match the other levels. *)
 
 val iface : t -> Iface.t
 (** The master side: port, outstanding limits, traffic counters. *)

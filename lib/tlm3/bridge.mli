@@ -21,9 +21,10 @@ val transact : t -> Ec.Txn.t -> Ec.Port.poll
 (** Blocking replay of one prepared EC transaction through the timed
     port: retries submission until accepted, steps the clock to
     completion, retires, and returns the outcome.  This is the primitive
-    behind first-class [L3] adaptive windows (DESIGN.md section 17.4):
-    a trace's transactions pushed one by one keep their widths, kinds
-    and bursts, but issue serially — the message layer has no
+    behind layer-3 trace replay ([Core.Runner.replay_bridged], which
+    [run_trace] and [compile_trace] use at [L3]; DESIGN.md section
+    17.4): a trace's transactions pushed one by one keep their widths,
+    kinds and bursts, but issue serially — the message layer has no
     pipelining, which is exactly its timing abstraction. *)
 
 val idle : t -> cycles:int -> unit

@@ -57,14 +57,15 @@ let errors =
 let traces = [ ("pressure", pressure); ("errors", errors) ]
 let levels = Core.Level.[ (Rtl, "rtl"); (L1, "l1"); (L2, "l2"); (L3, "l3") ]
 
-let text () =
+let text ?pool () =
   let b = Buffer.create 65536 in
   List.iter
     (fun (name, trace) ->
       List.iter
         (fun (level, level_name) ->
           let sink = Obs.Sink.create () in
-          ignore (Core.Runner.run_trace ~level ~sink ~mode:`Pipelined trace);
+          ignore
+            (Core.Runner.run_trace ~level ~sink ?pool ~mode:`Pipelined trace);
           if Obs.Sink.dropped sink <> 0 then
             failwith "Event_ledger.text: the sink dropped events";
           List.iter

@@ -7,9 +7,11 @@
     recorded copy pins the exact cycles, categories, queue depths and
     payloads the buses emit. *)
 
-val text : unit -> string
+val text : ?pool:Core.Pool.t -> unit -> string
 (** One line per event:
     [trace level kind cycle id arg arg2 value], with [value] as a hex
-    float, in record order per run.
+    float, in record order per run.  With [pool] every run draws its
+    session from it, so the second trace's runs, and all runs of a
+    second call, replay on reset sessions of earlier runs.
 
     @raise Failure when a run's sink dropped events. *)

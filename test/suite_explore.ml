@@ -280,7 +280,8 @@ let test_pooled_cell_every_level () =
 
 (* The one rule for the execution path (DESIGN.md section 14): a sweep
    folds a cell off a memoized plan at every level, and interprets a
-   cell with a sink or under a policy. *)
+   cell with a sink or under a policy (an adaptive cell on a pooled
+   session, sink or not). *)
 let test_plan_path_rule () =
   let config = config () in
   let plan_builds tag pool =
@@ -306,6 +307,23 @@ let test_plan_path_rule () =
   Alcotest.(check int)
     "explore plans under a policy" 0
     (explore_plans ~policy:(Hier.Policy.constant Hier.Level.L1) ());
+  (* A sink is a run input: a traced adaptive cell reuses its session,
+     and the reused session records what the fresh one did. *)
+  let pool = Core.Pool.create () in
+  let traced () =
+    let sink = Obs.Sink.create () in
+    let row =
+      Core.Exploration.run_one ~policy:(Hier.Policy.for_exploration ()) ~sink
+        ~pool ~config fib
+    in
+    (row.Core.Exploration.cycles, row.Core.Exploration.bus_pj,
+     Obs.Sink.length sink)
+  in
+  let first = traced () in
+  Alcotest.(check bool) "traced adaptive cell, reused = fresh" true
+    (traced () = first);
+  Alcotest.(check int) "traced adaptive cells share a session" 1
+    (Core.Pool.hits pool);
   let pool = Core.Pool.create () in
   let cells =
     Core.Contention.study ~n:48 ~levels:Core.Level.[ Rtl; L1 ] ~compiled:true

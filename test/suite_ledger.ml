@@ -47,9 +47,17 @@ let test_vcd_matches () =
     (Wire_ledger.vcd_text ())
 
 let test_event_ledger_matches () =
-  Alcotest.(check string) "event ledger"
-    (In_channel.with_open_text "event_ledger.txt" In_channel.input_all)
-    (Event_ledger.text ())
+  let recorded =
+    In_channel.with_open_text "event_ledger.txt" In_channel.input_all
+  in
+  Alcotest.(check string) "event ledger" recorded (Event_ledger.text ());
+  (* A sink is a run input: the same runs on one shared pool, twice, so
+     each traced run arms a session a traced run has used before. *)
+  let pool = Core.Pool.create () in
+  Alcotest.(check string) "event ledger, pooled" recorded
+    (Event_ledger.text ~pool ());
+  Alcotest.(check string) "event ledger, pooled again" recorded
+    (Event_ledger.text ~pool ())
 
 let test_protocol_transcript_matches () =
   Alcotest.(check string) "protocol transcript"

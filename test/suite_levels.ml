@@ -138,6 +138,109 @@ let test_read_results_equal_across_levels () =
     check_bool "rtl = l2" true (rtl = l2)
   | _ -> assert false
 
+(* The four checks above as properties over the shared generator of
+   platform traffic (the Figure-1 map, [Core.Workloads.random_trace]'s
+   knobs, blank or filled memories, either issue mode); the fixed-seed
+   tests stay as examples. *)
+
+module Traffic = Platform_traffic
+
+let run_platform ?rtl_params level (c : Traffic.t) =
+  Core.Runner.run_trace ~level ?rtl_params ~mode:c.Traffic.mode
+    ?init:(Traffic.init c) (Traffic.trace c)
+
+let prop_l1_cycles =
+  QCheck.Test.make ~name:"l1 cycles = rtl cycles on platform traffic"
+    ~count:40 (Traffic.arb ()) (fun c ->
+      (run_platform Core.Level.L1 c).Core.Runner.cycles
+      = (run_platform Core.Level.Rtl c).Core.Runner.cycles)
+
+let prop_l1_transitions =
+  QCheck.Test.make ~name:"l1 transitions = rtl transitions on platform traffic"
+    ~count:40 (Traffic.arb ()) (fun c ->
+      (run_platform Core.Level.L1 c).Core.Runner.transitions
+      = (run_platform Core.Level.Rtl c).Core.Runner.transitions)
+
+let prop_l1_ideal_energy =
+  QCheck.Test.make ~name:"l1 energy = ideal rtl energy on platform traffic"
+    ~count:40 (Traffic.arb ()) (fun c ->
+      let e_rtl =
+        (run_platform ~rtl_params:Rtl.Params.ideal Core.Level.Rtl c)
+          .Core.Runner.bus_pj
+      and e_l1 = (run_platform Core.Level.L1 c).Core.Runner.bus_pj in
+      Float.abs (e_rtl -. e_l1) < 1e-6 *. Float.max 1.0 e_rtl)
+
+(* Every read's address, width and data, as a sorted multiset: the levels
+   complete transactions in different orders, not with different data. *)
+let platform_reads ?init ~mode level trace =
+  let system = Core.System.create ~level () in
+  Option.iter (fun init -> init system) init;
+  let kernel = Core.System.kernel system in
+  let master =
+    Soc.Trace_master.create ~kernel ~port:(Core.System.port system) ~mode
+      ~keep_results:true trace
+  in
+  ignore (Soc.Trace_master.run master ~kernel ());
+  List.filter_map
+    (fun (txn : Ec.Txn.t) ->
+      match txn.Ec.Txn.dir with
+      | Ec.Txn.Read ->
+        Some (txn.Ec.Txn.addr, txn.Ec.Txn.width, Array.to_list txn.Ec.Txn.data)
+      | Ec.Txn.Write -> None)
+    (Soc.Trace_master.results master)
+  |> List.sort compare
+
+let traffic_reads level (c : Traffic.t) =
+  platform_reads ?init:(Traffic.init c) ~mode:c.Traffic.mode level
+    (Traffic.trace c)
+
+(* Layer 1 moves every beat in the gate level's cycle, so it reads what
+   the gate level reads in either mode.  Layer 2 serializes all data
+   phases in one engine: pipelined, a read granted while an earlier
+   burst write to its word is still moving returns the written word,
+   where the gate level's separate read bus returns the old one
+   (test/l2_raw_hazard.trace).  Its reads equal the gate level's in
+   serial issue only. *)
+let prop_read_results_l1 =
+  QCheck.Test.make ~name:"read results rtl = l1 on platform traffic"
+    ~count:40 (Traffic.arb ()) (fun c ->
+      traffic_reads Core.Level.Rtl c = traffic_reads Core.Level.L1 c)
+
+let prop_read_results_l2 =
+  QCheck.Test.make ~name:"serial read results rtl = l2 on platform traffic"
+    ~count:40 (Traffic.arb ~mode:`Serial ()) (fun c ->
+      traffic_reads Core.Level.Rtl c = traffic_reads Core.Level.L2 c)
+
+let test_l2_raw_hazard () =
+  let trace = Ec.Trace.load "l2_raw_hazard.trace" in
+  let reads ~mode level = platform_reads ~mode level trace in
+  let rtl = reads ~mode:`Pipelined Core.Level.Rtl in
+  check_bool "pipelined rtl = l1" true
+    (rtl = reads ~mode:`Pipelined Core.Level.L1);
+  check_bool "pipelined l2 reads the written word" true
+    (rtl <> reads ~mode:`Pipelined Core.Level.L2);
+  check_bool "serial rtl = l2" true
+    (reads ~mode:`Serial Core.Level.Rtl = reads ~mode:`Serial Core.Level.L2)
+
+let prop_l2_serial_cycles =
+  QCheck.Test.make ~name:"serial l2 cycles = l1 cycles on platform traffic"
+    ~count:40 (Traffic.arb ~mode:`Serial ()) (fun c ->
+      (run_platform Core.Level.L2 c).Core.Runner.cycles
+      = (run_platform Core.Level.L1 c).Core.Runner.cycles)
+
+let platform_props =
+  Alcotest.test_case "pipelined l2 read-after-write hazard (saved case)"
+    `Quick test_l2_raw_hazard
+  :: List.map QCheck_alcotest.to_alcotest
+    [
+      prop_l1_cycles;
+      prop_l1_transitions;
+      prop_l1_ideal_energy;
+      prop_read_results_l1;
+      prop_read_results_l2;
+      prop_l2_serial_cycles;
+    ]
+
 (* Power interface semantics (paper 3.3): last-cycle energy and
    energy-since-last-call. *)
 let test_meter_interface () =
@@ -196,6 +299,7 @@ let suite =
     Alcotest.test_case "power interface semantics" `Quick test_meter_interface;
     Alcotest.test_case "l2 lumped vs l1 profile" `Quick test_l2_lumped_profile;
   ]
+  @ platform_props
 
 (* VCD waveform dumping on the RTL model. *)
 let test_vcd_dump () =

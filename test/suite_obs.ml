@@ -451,6 +451,10 @@ let test_chrome_adaptive_windows () =
   check_int "one close per window" windows (count Obs.Event.Window_close);
   check_int "one switch event per splice switch" r.Core.Runner.switches
     (count Obs.Event.Level_switch);
+  (* Each routed front-end carries the run's sink: every transaction's
+     lifecycle is recorded, whichever level carried it. *)
+  check_int "one finish event per transaction" r.Core.Runner.txns
+    (count Obs.Event.Txn_finished);
   (* Window closes carry the spliced energies: their sum is the run's. *)
   let close_pj =
     List.fold_left
@@ -522,12 +526,14 @@ let test_bit_exact_adaptive () =
 
 (* --- the sink-less path stays allocation-free --- *)
 
-(* The instrumentation contract: the [match t.sink] arms add no
-   allocation — neither disabled (the [None] arm) nor enabled (recording
-   writes into preallocated arrays).  Measured comparatively on a bare
-   gate-level bus, because the bus's own per-cycle energy accounting
-   allocates a constant amount regardless; the instrumented replays must
-   allocate exactly as many minor-heap words as the plain one. *)
+(* The instrumentation contract: the [match Iface.sink t.iface] arms add
+   no allocation — neither disabled (the [None] arm) nor enabled
+   (recording writes into preallocated arrays), and attaching the sink
+   at the run's attach point ([Iface.set_sink]) is a field write.
+   Measured comparatively on a bare gate-level bus, because the bus's
+   own per-cycle energy accounting allocates a constant amount
+   regardless; the instrumented replays must allocate exactly as many
+   minor-heap words as the plain one. *)
 let replay_words ?sink () =
   let kernel = Sim.Kernel.create () in
   let slave =
@@ -537,13 +543,14 @@ let replay_words ?sink () =
       ~write:(fun ~addr:_ ~width:_ ~value:_ -> ())
   in
   let decoder = Ec.Decoder.create [ slave ] in
-  let bus = Rtl.Bus.create ~kernel ~decoder ?sink () in
+  let bus = Rtl.Bus.create ~kernel ~decoder () in
   let port = Iface.port (Rtl.Bus.iface bus) in
   let txns =
     Array.init 64 (fun i -> Ec.Txn.single_read ~id:(i land 3) (4 * (i land 255)))
   in
   Sim.Kernel.run kernel ~cycles:64;
   let w0 = Gc.minor_words () in
+  Iface.set_sink (Rtl.Bus.iface bus) sink;
   Array.iter
     (fun txn ->
       check_bool "serial submit accepted" true (port.Ec.Port.try_submit txn);
@@ -569,7 +576,8 @@ let test_sinkless_no_alloc () =
 
 let test_monitor_rejected () =
   let sink = Obs.Sink.create () in
-  let system = Core.System.create ~level:Core.Level.L1 ~sink () in
+  let system = Core.System.create ~level:Core.Level.L1 () in
+  Iface.set_sink (Core.System.iface (Core.System.bus system)) (Some sink);
   let kernel = Core.System.kernel system in
   let monitor = Soc.Monitor.create ~kernel (Core.System.port system) in
   (* Pipelined issue against the 4+4+4 outstanding limits congests. *)

@@ -857,6 +857,112 @@ let pool_props =
 
 let suite = suite @ pool_props
 
+(* --- a sink is a run input: traced runs keep their pooled path --- *)
+
+module Traffic = Platform_traffic
+
+let bits = Int64.bits_of_float
+
+let profile_bits =
+  Option.map (fun p -> Array.map bits (Power.Profile.to_array p))
+
+(* Every result field but the wall clock, floats and profile by bits. *)
+let result_bits (r : Core.Runner.result) =
+  ( r.Core.Runner.level, r.cycles, r.txns, r.beats, r.errors, r.transitions,
+    bits r.bus_pj, bits r.component_pj, profile_bits r.profile )
+
+let adaptive_bits (a : Core.Runner.adaptive_run) =
+  ( strip_adaptive a,
+    bits a.Core.Runner.bus_pj,
+    List.map
+      (fun (w : Hier.Splice.window) ->
+        (bits w.Hier.Splice.bus_pj, profile_bits w.Hier.Splice.profile))
+      a.Core.Runner.splice.Hier.Splice.windows )
+
+(* What a sink holds: every event (value by bits), the drop count and
+   the metrics. *)
+let recorded sink =
+  ( List.map
+      (fun (e : Obs.Event.t) ->
+        ( Obs.Event.kind_code e.kind, e.cycle, e.id, e.arg, e.arg2,
+          bits e.value ))
+      (Obs.Sink.events sink),
+    Obs.Sink.dropped sink,
+    Obs.Metrics.view (Obs.Sink.metrics sink) )
+
+(* The shape both properties check, for a [run ?sink ?pool case]: after
+   a traced warm-up run on a pool, a traced checkout equals a traced
+   fresh build in its results and in its sink; then an untraced checkout
+   equals an untraced fresh build, and neither earlier sink records
+   anything more. *)
+let sink_keeps_pooled_path ~strip
+    (run : ?sink:Obs.Sink.t -> ?pool:Core.Pool.t -> Traffic.t -> 'r) ~warm
+    case =
+  let pool = Core.Pool.create () in
+  let traced ?pool c =
+    let sink = Obs.Sink.create () in
+    let r = run ~sink ?pool c in
+    (sink, r)
+  in
+  let warm_sink, _ = traced ~pool warm in
+  let hits = Core.Pool.hits pool in
+  let pooled_sink, pooled = traced ~pool case in
+  let fresh_sink, fresh = traced case in
+  let warm_log = recorded warm_sink and pooled_log = recorded pooled_sink in
+  let plain_pooled = run ?sink:None ~pool case in
+  strip pooled = strip fresh
+  && pooled_log = recorded fresh_sink
+  && strip plain_pooled = strip (run ?sink:None ?pool:None case)
+  && recorded pooled_sink = pooled_log
+  && recorded warm_sink = warm_log
+  && Core.Pool.hits pool = hits + 2
+
+let prop_pooled_sink_trace =
+  QCheck.Test.make
+    ~name:
+      "pooled traced run_trace = fresh traced run_trace, events too (rtl, \
+       l1, l2, l3)"
+    ~count:10
+    (QCheck.pair (Traffic.arb ~max_n:40 ()) (Traffic.arb ~max_n:40 ()))
+    (fun (warm, case) ->
+      List.for_all
+        (fun level ->
+          let run ?sink ?pool (c : Traffic.t) =
+            Core.Runner.run_trace ~level ~record_profile:true
+              ~mode:c.Traffic.mode ?init:(Traffic.init c) ?sink ?pool
+              (Traffic.trace c)
+          in
+          sink_keeps_pooled_path ~strip:result_bits run ~warm case)
+        Core.Level.[ Rtl; L1; L2; L3 ])
+
+let prop_pooled_sink_adaptive =
+  QCheck.Test.make
+    ~name:
+      "pooled traced run_adaptive = fresh traced run_adaptive, events too \
+       (random timed scripts)"
+    ~count:8
+    (QCheck.triple
+       (Traffic.arb ~max_n:200 ())
+       (Traffic.arb ~max_n:200 ())
+       (QCheck.make
+          Gen.(
+            list_size (int_range 1 5)
+              (pair (int_range 8 80) (oneofl Core.Level.timed)))
+          ~print:(fun script ->
+            Hier.Policy.to_string (Hier.Policy.script script))))
+    (fun (warm, case, script) ->
+      let policy = Hier.Policy.script script in
+      let run ?sink ?pool (c : Traffic.t) =
+        Core.Runner.run_adaptive ~record_profile:true ~mode:c.Traffic.mode
+          ?init:(Traffic.init c) ?sink ?pool ~policy (Traffic.trace c)
+      in
+      sink_keeps_pooled_path ~strip:adaptive_bits run ~warm case)
+
+let suite =
+  suite
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_pooled_sink_trace; prop_pooled_sink_adaptive ]
+
 (* --- compiled trace replay: plan evaluation = interpretation --- *)
 
 (* The trace compiler's whole contract is bit-exactness (DESIGN.md
