@@ -22,11 +22,7 @@ let encrypt_and_measure ~seed ~masked ~careless pt =
   let port = Core.System.port system in
   let ids = Ec.Txn.Id_gen.create () in
   let transact txn =
-    Ec.Port.submit_exn port txn;
-    ignore
-      (Sim.Kernel.run_until kernel ~max_cycles:10_000 (fun () ->
-           Ec.Port.completed port txn.Ec.Txn.id));
-    port.Ec.Port.retire txn.Ec.Txn.id;
+    ignore (Ec.Port.transact ~kernel port txn);
     txn.Ec.Txn.data.(0)
   in
   let base = Soc.Platform.Map.crypto_base in

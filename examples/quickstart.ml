@@ -71,13 +71,8 @@ let () =
   let kernel = Core.System.kernel system in
   let port = Core.System.port system in
   let ids = Ec.Txn.Id_gen.create () in
-  let submit_and_wait txn =
-    Ec.Port.submit_exn port txn;
-    ignore
-      (Sim.Kernel.run_until kernel ~max_cycles:1000 (fun () ->
-           Ec.Port.completed port txn.Ec.Txn.id));
-    port.Ec.Port.retire txn.Ec.Txn.id
-  in
+  (* [Ec.Port.transact] blocks until the bus answers ok or error. *)
+  let submit_and_wait txn = ignore (Ec.Port.transact ~kernel port txn) in
   submit_and_wait
     (Ec.Txn.single_write ~id:(Ec.Txn.Id_gen.fresh ids) Soc.Platform.Map.ram_base
        ~value:0xDEADBEEF);

@@ -3,10 +3,11 @@
     [Rtl] is the register-transfer/gate-level reference ("layer 0", the
     role Diesel plays in the paper), [L1] the cycle-accurate transaction
     level layer one, [L2] the timing-estimation layer two, and [L3] the
-    untimed message layer replaying through the {!Tlm3} bridge onto a
-    timed carrier bus (DESIGN.md section 17.4).  Runs at every level
-    compile into replay plans (DESIGN.md section 14): sweeps fold their
-    cells off memoized plans, single runs interpret.
+    untimed message layer: serial blocking replay through
+    {!Ec.Port.transact} on the layer-2 carrier bus (DESIGN.md section
+    17.4).  Runs at every level compile into replay plans (DESIGN.md
+    section 14): sweeps fold their cells off memoized plans, single runs
+    interpret.
 
     The type itself lives in {!Hier.Level} (the mixed-level subsystem
     names levels without depending on [Core]); this module re-exports it,

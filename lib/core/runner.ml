@@ -53,22 +53,23 @@ let system_kind : System.t Pool.kind = Pool.kind ()
 
 let plan_kind : Compile.Plan.t Pool.kind = Pool.kind ()
 
-(* Message-layer replay (DESIGN.md section 17.4): the trace's
-   transactions pushed one by one through the Tlm3 bridge onto the
+(* Message-layer replay (DESIGN.md section 17.4): serial blocking
+   replay of the trace's transactions through [Ec.Port.transact] on the
    system's layer-2 carrier bus.  Gaps are honoured as idle cycles;
-   issue is inherently serial — the bridge blocks per message — which is
-   the layer-3 timing abstraction (no pipelining, no read/write
-   overlap).  Energy comes from the carrier's layer-2 model. *)
+   issue is inherently serial — each transaction blocks until it
+   finishes — which is the layer-3 timing abstraction (no pipelining,
+   no read/write overlap).  Energy comes from the carrier's layer-2
+   model. *)
 let replay_bridged system trace =
   let kernel = System.kernel system in
-  let bridge = Tlm3.Bridge.create ~kernel ~port:(System.port system) in
+  let port = System.port system in
   let ids = Ec.Txn.Id_gen.create () in
   let t0 = Sim.Kernel.now kernel in
   List.iter
     (fun item ->
       let item = Ec.Trace.instantiate ids item in
-      Tlm3.Bridge.idle bridge ~cycles:item.Ec.Trace.gap;
-      ignore (Tlm3.Bridge.transact bridge item.Ec.Trace.txn))
+      Sim.Kernel.run kernel ~cycles:item.Ec.Trace.gap;
+      ignore (Ec.Port.transact ~kernel port item.Ec.Trace.txn))
     trace;
   Sim.Kernel.now kernel - t0
 
@@ -84,8 +85,9 @@ let plan_key ~level ~mode =
    attached; everything the evaluator needs — transition words, lump
    events, the gate-level energy record, the table-independent scalar
    results — lands in the plan.  The capture table is irrelevant: no
-   point parameter reaches what the taps record.  Layer 3 drives the
-   capture system through the bridge, as [run_trace] does. *)
+   point parameter reaches what the taps record.  Layer 3 replays
+   serially through [Ec.Port.transact] on the capture system's carrier,
+   as [run_trace] does. *)
 let compile_trace ?(level = Level.L1) ?(mode = `Pipelined) ?init ?pool trace =
   let build () =
     let system = System.create ~level ~estimate:true () in
@@ -161,9 +163,8 @@ let run_trace ~level ?(estimate = true) ?(record_profile = false)
       (Pool.fingerprint (table, rtl_params, l2_params))
   in
   if level = Level.L3 then
-    (* Bridged replay needs no kernel-registered master, so a pooled L3
-       run reuses a bare carrier system and rebuilds the (stateless
-       beyond its counters) bridge per run. *)
+    (* Serial blocking replay needs no kernel-registered master, so a
+       pooled L3 run reuses a bare carrier system. *)
     let execute system =
       execute system (fun () -> replay_bridged system trace)
     in

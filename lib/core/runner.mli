@@ -69,8 +69,9 @@ val compile_trace :
   Compile.Plan.t
 (** One interpreted resolution run with observers tapped into the
     level's energy model (at {!Level.L3}, its layer-2 carrier's, driven
-    through the bridge as {!run_trace} does); the characterization
-    table plays no role, so one plan serves every parameter point.  At
+    by serial blocking replay through {!Ec.Port.transact} as
+    {!run_trace} does); the characterization table plays no role, so
+    one plan serves every parameter point.  At
     {!Level.Rtl} the plan is the run's gate-level energy record under
     the default {!Rtl.Params}, the same at every point.  With [pool] the
     plan is memoized under {!plan_key} and the trace fingerprint — see
@@ -80,9 +81,9 @@ val compile_trace :
 
 val plan_key : level:Level.t -> mode:Soc.Trace_master.mode -> string
 (** The run-shaping part of a memoized plan's key: the level and the
-    issue mode, except at {!Level.L3}, whose bridge replay has no issue
-    discipline — both modes compile the same plan, so its key carries
-    no mode. *)
+    issue mode, except at {!Level.L3}, whose serial blocking replay has
+    no issue discipline — both modes compile the same plan, so its key
+    carries no mode. *)
 
 val replay_multi :
   ?record_profile:bool ->

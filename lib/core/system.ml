@@ -24,7 +24,8 @@ let create_bus ~kernel ~decoder ~level ~estimate ~record_profile ~table
     L1_bus (Tlm1.Bus.create ~kernel ~decoder ?energy ())
   | Level.L2 | Level.L3 ->
     (* Layer 3 has no bus model of its own: an L3 system is the layer-2
-       carrier bus driven through the Tlm3 bridge (DESIGN.md 17.4). *)
+       carrier bus, driven by serial blocking replay through
+       [Ec.Port.transact] (DESIGN.md 17.4). *)
     let energy =
       if estimate then
         Some (Tlm2.Energy.create ~record_profile ?params:l2_params table)

@@ -6,10 +6,6 @@ type t = {
   mutable retire : int -> unit;
 }
 
-let submit_exn t txn =
-  if not (t.try_submit txn) then
-    failwith (Format.asprintf "Ec.Port.submit_exn: bus refused %a" Txn.pp txn)
-
 let completed t id =
   match t.poll id with Pending -> false | Done | Failed -> true
 
@@ -19,3 +15,13 @@ let take t id =
   | (Done | Failed) as outcome ->
     t.retire id;
     outcome
+
+let transact ~kernel t txn =
+  let accepted = ref (t.try_submit txn) in
+  ignore
+    (Sim.Kernel.run_until kernel ~max_cycles:100_000 (fun () ->
+         if not !accepted then accepted := t.try_submit txn;
+         !accepted && completed t txn.Txn.id));
+  let outcome = t.poll txn.Txn.id in
+  t.retire txn.Txn.id;
+  outcome

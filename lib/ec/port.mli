@@ -29,11 +29,20 @@ type t = {
           result, keeping the bus bookkeeping bounded. *)
 }
 
-val submit_exn : t -> Txn.t -> unit
-(** Submit that raises on back-pressure, for traffic known to fit. *)
-
 val completed : t -> int -> bool
 (** [completed p id] is true once [poll] answers [Done] or [Failed]. *)
 
 val take : t -> int -> poll
 (** [take p id] polls and, when finished, retires in one step. *)
+
+val transact : kernel:Sim.Kernel.t -> t -> Txn.t -> poll
+(** [transact ~kernel p txn] is the blocking master adapter of the
+    paper's Java Card case study: it drives the non-blocking interface
+    for an untimed caller until [txn] finishes.  It submits once, then
+    steps [kernel] cycle by cycle, resubmitting while the bus refuses,
+    until the transaction is accepted and complete; it then polls the
+    outcome, retires the transaction and returns [Done] or [Failed]
+    ([Pending] only when a process stops [kernel] first).
+    For a read, [Done] means [txn]'s data array holds the result.
+    Raises [Failure] (from {!Sim.Kernel.run_until}) when the transaction
+    has not finished after 100 000 cycles. *)

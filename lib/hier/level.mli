@@ -3,10 +3,10 @@
     [Rtl] is the register-transfer/gate-level reference ("layer 0", the
     role Diesel plays in the paper), [L1] the cycle-accurate transaction
     level layer one, [L2] the timing-estimation layer two, and [L3] the
-    untimed message layer (the OCP taxonomy's layer three), which replays
-    its transactions through the {!Tlm3} bridge onto a timed carrier bus
-    (DESIGN.md section 17.4) and so is no level an adaptive window can
-    switch to.
+    untimed message layer (the OCP taxonomy's layer three): serial
+    blocking replay of its transactions through {!Ec.Port.transact} on
+    the layer-2 carrier bus (DESIGN.md section 17.4), and so no level an
+    adaptive window can switch to.
 
     This is the home of the type; {!Core.Level} re-exports it so existing
     call sites keep working while the mixed-level machinery in [Hier] can

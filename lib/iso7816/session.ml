@@ -11,8 +11,9 @@ type stats = {
   firmware_txns : int;
 }
 
-(* Firmware-side blocking bus access (the same bridging the JCVM master
-   adapter uses: the untimed model advances the clock inside each call). *)
+(* Firmware-side blocking bus access through [Ec.Port.transact], as the
+   JCVM master adapter does: the untimed model advances the clock inside
+   each call. *)
 type firmware = {
   kernel : Sim.Kernel.t;
   port : Ec.Port.t;
@@ -22,12 +23,7 @@ type firmware = {
 
 let transact fw txn =
   fw.txns <- fw.txns + 1;
-  let accepted = ref (fw.port.Ec.Port.try_submit txn) in
-  ignore
-    (Sim.Kernel.run_until fw.kernel ~max_cycles:100_000 (fun () ->
-         if not !accepted then accepted := fw.port.Ec.Port.try_submit txn;
-         !accepted && Ec.Port.completed fw.port txn.Ec.Txn.id));
-  fw.port.Ec.Port.retire txn.Ec.Txn.id;
+  ignore (Ec.Port.transact ~kernel:fw.kernel fw.port txn);
   txn.Ec.Txn.data.(0)
 
 let bus_read8 fw addr =

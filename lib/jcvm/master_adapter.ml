@@ -23,16 +23,11 @@ let create ~kernel ~port config =
 
 let reg_addr t reg = t.config.Configs.base + (reg * t.config.Configs.stride)
 
-(* One blocking transaction: submit, then advance the clock until the bus
-   reports completion. *)
+(* One blocking transaction; the result is the read word (ignored for
+   writes). *)
 let transact t txn =
   t.transactions <- t.transactions + 1;
-  let accepted = ref (t.port.Ec.Port.try_submit txn) in
-  ignore
-    (Sim.Kernel.run_until t.kernel ~max_cycles:100_000 (fun () ->
-         if not !accepted then accepted := t.port.Ec.Port.try_submit txn;
-         !accepted && Ec.Port.completed t.port txn.Ec.Txn.id));
-  t.port.Ec.Port.retire txn.Ec.Txn.id;
+  ignore (Ec.Port.transact ~kernel:t.kernel t.port txn);
   txn.Ec.Txn.data.(0)
 
 let write t ~reg ~lane ~width value =

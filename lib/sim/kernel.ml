@@ -142,14 +142,12 @@ let step k =
   run_lane k k.falling_lane;
   k.now <- k.now + 1
 
-let run k ~cycles =
-  let rec loop remaining =
-    if remaining > 0 && not k.stop_requested then begin
-      step k;
-      loop (remaining - 1)
-    end
-  in
-  loop cycles
+(* Recursive at top level, so a call allocates no loop closure. *)
+let rec run k ~cycles =
+  if cycles > 0 && not k.stop_requested then begin
+    step k;
+    run k ~cycles:(cycles - 1)
+  end
 
 let run_until k ?(max_cycles = 1_000_000) done_ =
   let start = k.now in

@@ -11,7 +11,12 @@
     Two deliberate abstractions produce the small timing error of Table 1:
     data phases of all transactions are serialized in one engine (layer 1
     overlaps independent read and write data phases), while address phases
-    still pipeline ahead of data phases. *)
+    still pipeline ahead of data phases.  The one data engine also orders
+    data: in pipelined issue, a read granted while an earlier burst write
+    to its word is still moving returns the written word, where the gate
+    level's separate read bus returns the old one.  Layer-2 read data
+    equal the gate level's in serial issue only
+    ([test/l2_raw_hazard.trace], [suite_levels]). *)
 
 type t
 

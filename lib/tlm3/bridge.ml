@@ -7,21 +7,9 @@ type t = {
 
 let create ~kernel ~port = { kernel; port; ids = Ec.Txn.Id_gen.create (); transactions = 0 }
 
-let idle t ~cycles =
-  for _ = 1 to cycles do
-    Sim.Kernel.step t.kernel
-  done
-
 let transact t txn =
   t.transactions <- t.transactions + 1;
-  let accepted = ref (t.port.Ec.Port.try_submit txn) in
-  ignore
-    (Sim.Kernel.run_until t.kernel ~max_cycles:100_000 (fun () ->
-         if not !accepted then accepted := t.port.Ec.Port.try_submit txn;
-         !accepted && Ec.Port.completed t.port txn.Ec.Txn.id));
-  let outcome = t.port.Ec.Port.poll txn.Ec.Txn.id in
-  t.port.Ec.Port.retire txn.Ec.Txn.id;
-  outcome
+  Ec.Port.transact ~kernel:t.kernel t.port txn
 
 (* Chop a [words]-long window into 4-word bursts plus single words. *)
 let rec chunks addr words =

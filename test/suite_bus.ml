@@ -270,6 +270,68 @@ let idle_cycle_allocates_nothing level () =
   Alcotest.(check (float 0.0)) "minor words over 1000 idle cycles" fixed
     (minor_words (fun () -> Sim.Kernel.run kernel ~cycles:1000))
 
+(* [Ec.Port.transact], the one blocking adapter of untimed callers: a
+   submission refused for a full category is retried until the bus takes
+   it.  Four zero-gap burst writes to the slow memory fill the write
+   category; the fifth write's first submission is refused, and the
+   counting port shows it was submitted again. *)
+let test_transact_retries () =
+  List.iter
+    (fun level ->
+      let name = level_name level in
+      let h = build level in
+      for i = 0 to 3 do
+        assert (
+          h.port.Ec.Port.try_submit
+            (bwrite (slow_base + (16 * i)) [| i; i; i; i |]))
+      done;
+      let submissions = ref 0 in
+      let port =
+        {
+          h.port with
+          Ec.Port.try_submit =
+            (fun txn ->
+              incr submissions;
+              h.port.Ec.Port.try_submit txn);
+        }
+      in
+      let fifth = write (slow_base + 0x100) 0xCAFE in
+      check_bool (name ^ " fifth write done") true
+        (Ec.Port.transact ~kernel:h.kernel port fifth = Ec.Port.Done);
+      check_bool (name ^ " refused first") true (!submissions > 1);
+      check_int (name ^ " fifth write landed") 0xCAFE
+        (Soc.Memory.peek32 h.slow ~addr:(slow_base + 0x100)))
+    all_levels
+
+(* An unmapped address answers [Failed], and the bus is idle after. *)
+let test_transact_unmapped () =
+  List.iter
+    (fun level ->
+      let name = level_name level in
+      let h = build level in
+      check_bool (name ^ " failed") true
+        (Ec.Port.transact ~kernel:h.kernel h.port (read 0x8000) = Ec.Port.Failed);
+      check_bool (name ^ " idle after") false (Iface.busy h.iface))
+    all_levels
+
+(* A port that never finishes: [transact] gives up after 100 000 cycles
+   with [Failure].  The kernel has no processes, so the cycles are
+   cheap. *)
+let test_transact_deadline () =
+  let kernel = Sim.Kernel.create () in
+  let port =
+    {
+      Ec.Port.try_submit = (fun _ -> true);
+      poll = (fun _ -> Ec.Port.Pending);
+      retire = ignore;
+    }
+  in
+  check_bool "raises Failure" true
+    (match Ec.Port.transact ~kernel port (read fast_base) with
+    | _ -> false
+    | exception Failure _ -> true);
+  check_int "after 100 000 cycles" 100_000 (Sim.Kernel.now kernel)
+
 let suite =
   [
     Alcotest.test_case "isolated latencies match timing rules" `Quick
@@ -292,4 +354,10 @@ let suite =
       (idle_cycle_allocates_nothing Core.Level.L1);
     Alcotest.test_case "l2 idle cycle allocates nothing" `Quick
       (idle_cycle_allocates_nothing Core.Level.L2);
+    Alcotest.test_case "port transact retries a refused submission" `Quick
+      test_transact_retries;
+    Alcotest.test_case "port transact fails on an unmapped address" `Quick
+      test_transact_unmapped;
+    Alcotest.test_case "port transact gives up after 100 000 cycles" `Quick
+      test_transact_deadline;
   ]

@@ -1,5 +1,5 @@
 (* Multi-master fabric: arbitration policies, per-master energy
-   attribution, bridged topologies, and first-class layer-3 windows. *)
+   attribution and bridged topologies. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

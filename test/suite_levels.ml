@@ -228,6 +228,36 @@ let prop_l2_serial_cycles =
       (run_platform Core.Level.L2 c).Core.Runner.cycles
       = (run_platform Core.Level.L1 c).Core.Runner.cycles)
 
+(* The layer-3 contract: serial blocking replay on the layer-2 carrier
+   is serial layer-2 issue, one cycle shorter.  The trace master spends
+   one more cycle to see the last completion, an idle cycle that adds an
+   empty profile entry (and one idle peripheral cycle to [component_pj],
+   which is left out).  Layer 3 has no issue mode: the drawn one is
+   ignored there. *)
+let prop_l3_serial_l2 =
+  QCheck.Test.make ~name:"l3 = serial l2 less one idle cycle on platform traffic"
+    ~count:40 (Traffic.arb ()) (fun c ->
+      let run level mode =
+        Core.Runner.run_trace ~level ~record_profile:true ~mode
+          ?init:(Traffic.init c) (Traffic.trace c)
+      in
+      let l3 = run Core.Level.L3 c.Traffic.mode
+      and l2 = run Core.Level.L2 `Serial in
+      let profile (r : Core.Runner.result) =
+        Power.Profile.to_array (Option.get r.Core.Runner.profile)
+      in
+      let p3 = profile l3 and p2 = profile l2 in
+      let n = Array.length p3 in
+      l3.Core.Runner.bus_pj = l2.Core.Runner.bus_pj
+      && l3.Core.Runner.txns = l2.Core.Runner.txns
+      && l3.Core.Runner.beats = l2.Core.Runner.beats
+      && l3.Core.Runner.errors = l2.Core.Runner.errors
+      && l3.Core.Runner.transitions = l2.Core.Runner.transitions
+      && l3.Core.Runner.cycles = l2.Core.Runner.cycles - 1
+      && Array.length p2 = n + 1
+      && Array.sub p2 0 n = p3
+      && p2.(n) = 0.0)
+
 let platform_props =
   Alcotest.test_case "pipelined l2 read-after-write hazard (saved case)"
     `Quick test_l2_raw_hazard
@@ -239,6 +269,7 @@ let platform_props =
       prop_read_results_l1;
       prop_read_results_l2;
       prop_l2_serial_cycles;
+      prop_l3_serial_l2;
     ]
 
 (* Power interface semantics (paper 3.3): last-cycle energy and

@@ -149,8 +149,8 @@ let test_plans_cross_domains () =
   check_bool "every worker got the memoized plan" true
     (List.for_all (fun p -> p == plan) plans)
 
-(* Layer 3 replays through the bridge, which has no issue discipline:
-   a serial and a pipelined compile share one plan. *)
+(* Layer 3 replays serially through [Ec.Port.transact], which has no
+   issue discipline: a serial and a pipelined compile share one plan. *)
 let test_l3_plan_ignores_mode () =
   let pool = Core.Pool.create () in
   let trace = Core.Workloads.table3_trace ~n:32 in

@@ -966,8 +966,9 @@ let test_stats_and_plan_memo ~domains () =
             && String.length (Core.Report.pool_stats (Serve.Server.pool server))
                > 0)))
 
-(* A layer-3 replay drives the bridge, which has no issue discipline:
-   the serial and the pipelined request share one plan. *)
+(* A layer-3 replay blocks on [Ec.Port.transact] per transaction, which
+   has no issue discipline: the serial and the pipelined request share
+   one plan. *)
 let test_l3_plan_ignores_mode () =
   with_server ~domains:1 (fun server path ->
       with_client path (fun c ->
