@@ -189,9 +189,11 @@ let explore_cmd =
       & info [ "policy" ] ~docv:"POLICY"
           ~doc:
             "Adaptive policy (implies --adaptive): auto is the exploration \
-             preset (layer 2 base, layer-1 refinement windows); l1/l2 pin \
-             the session to one level — the degenerate check that must \
-             reproduce the fixed-level rows bit-for-bit.")
+             preset (layer 2 base, refined to layer 1 for the first 512 \
+             transactions, 192 of every 768 and after any window above 8 \
+             pJ/cycle); l1/l2 are the policy with no triggers at that \
+             level — the degenerate check that must reproduce the \
+             fixed-level rows bit-for-bit.")
   in
   let compare =
     Arg.(

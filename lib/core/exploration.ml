@@ -41,15 +41,6 @@ let interpret ~kernel ~port ~config (applet : Jcvm.Applets.t) =
   in
   (result, Jcvm.Master_adapter.transactions adapter, correct)
 
-(* The level a row reports when a policy mixes several: the level the
-   policy rests at when nothing fires. *)
-let nominal_level (policy : Hier.Policy.t) =
-  match policy with
-  | Hier.Policy.Constant level -> level
-  | Hier.Policy.Script ((_, level) :: _) -> level
-  | Hier.Policy.Script [] -> Level.L1
-  | Hier.Policy.Triggered { base; _ } -> base
-
 (* One fixed-level cell interpreted on a fresh system.  With [capture]
    the energy model's taps record the run too, and its plan comes back
    with the row; nothing they record depends on the table, so one
@@ -130,7 +121,7 @@ let run_adaptive ?sink ?pool ~policy ~config applet =
     {
       config;
       applet = applet.Jcvm.Applets.name;
-      level = nominal_level policy;
+      level = policy.Hier.Policy.base;
       cycles = Sim.Kernel.now live.Runner.kernel;
       bus_pj = run.Runner.bus_pj;
       transactions;

@@ -19,7 +19,7 @@ type row = {
   config : Jcvm.Configs.t;
   applet : string;
   level : Level.t;
-      (** the fixed level, or an adaptive policy's resting level *)
+      (** the fixed level, or an adaptive policy's [base] level *)
   cycles : int;  (** kernel cycles consumed by the applet's bus traffic *)
   bus_pj : float;
   transactions : int;  (** bus transactions the adapter issued *)

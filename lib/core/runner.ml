@@ -470,7 +470,8 @@ let live_adaptive ?sink ~policy m =
     let f = front_of level in
     let iface = System.iface f.bus in
     {
-      Hier.Engine.cycles = Sim.Kernel.now kernel;
+      Hier.Splice.level;
+      cycles = Sim.Kernel.now kernel;
       txns = Iface.completed_txns iface;
       beats = Iface.completed_beats iface;
       errors = Iface.error_txns iface;
@@ -532,9 +533,7 @@ let live_adaptive ?sink ~policy m =
     end
   in
   let session =
-    Hier.Engine.Live.create ?sink
-      ~now:(fun () -> Sim.Kernel.now kernel)
-      ~on_close ~policy ~measure ()
+    Hier.Engine.Live.create ?sink ~on_close ~policy ~measure ()
   in
   (* Every front-end runs until the first transaction is routed, so the
      one that takes it has run from cycle 0 exactly as in a pure run;

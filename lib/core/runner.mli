@@ -185,10 +185,14 @@ val live_adaptive :
     only inside refined windows.  A switch waits for the routed
     front-end to quiesce: the transaction that would switch is refused
     (the master retries) until every transaction that front-end
-    accepted has been retired.  Only the routed front-end steps; the
-    one that takes the first transaction has run from cycle 0, so a
-    {!Hier.Policy.constant} session measures exactly like the pure run
-    at its level.  Windows splice against the default error budgets
+    accepted has been retired.  The session opens windows within the
+    policy's [min_window]/[max_window] bounds and decides each
+    transaction from its index and address and the previous window's
+    power; it never reads the clock between windows.  Only the routed
+    front-end steps; the one that takes the first transaction has run
+    from cycle 0, so a {!Hier.Policy.constant} session — a base level
+    with no triggers, hence one window — measures exactly like the pure
+    run at its level.  Windows splice against the default error budgets
     ({!Hier.Splice.splice}); with [record_profile] materials each
     window carries its front-end's per-cycle profile.  The routed
     front-end carries [sink], and the session brackets each window with

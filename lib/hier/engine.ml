@@ -1,38 +1,24 @@
-type stats = {
-  cycles : int;
-  txns : int;
-  beats : int;
-  errors : int;
-  bus_pj : float;
-  component_pj : float;
-  profile : Power.Profile.t option;
-}
-
 module Live = struct
   type t = {
     policy : Policy.t;
     sink : Obs.Sink.t option;
-    measure : Level.t -> stats;
-    now : unit -> int;
+    measure : Level.t -> Splice.seg;
     on_close : Splice.seg -> unit;
-    min_window : int;
     max_window : int;
     mutable started : bool;
     mutable cur_level : Level.t;
     mutable prev_level : Level.t option;
-    mutable open_snap : stats;
+    mutable open_snap : Splice.seg;
     mutable win_len : int;
     mutable total_txns : int;
     mutable window : int;
-    mutable txns_per_kcycle : float;
-    mutable pj_per_cycle : float;
     mutable segs_rev : Splice.seg list;
-    needs_cycle : bool;
-    mutable decide_win : txn_index:int -> addr:int -> cycle:int -> Level.t;
+    mutable decide_win : txn_index:int -> addr:int -> Level.t;
   }
 
-  let zero_stats =
+  let zero =
     {
+      Splice.level = Level.L1;
       cycles = 0;
       txns = 0;
       beats = 0;
@@ -55,9 +41,10 @@ module Live = struct
         w)
       cumulative
 
-  let diff a b =
+  let diff (a : Splice.seg) (b : Splice.seg) =
     let cycles = b.cycles - a.cycles in
     {
+      Splice.level = b.level;
       cycles;
       txns = b.txns - a.txns;
       beats = b.beats - a.beats;
@@ -67,69 +54,40 @@ module Live = struct
       profile = window_profile b.profile ~cycles;
     }
 
-  let create ?sink ~now ~on_close ~policy ~measure () =
-    let min_window, max_window =
-      match (policy : Policy.t) with
-      | Policy.Constant _ -> (max_int, max_int)
-      | Policy.Script _ -> (1, max_int)
-      | Policy.Triggered { min_window; max_window; _ } ->
-        (min_window, Option.value max_window ~default:max_int)
-    in
+  let create ?sink ~on_close ~policy ~measure () =
     {
       policy;
       sink;
       measure;
-      now;
       on_close;
-      min_window;
-      max_window;
+      max_window = Option.value policy.Policy.max_window ~default:max_int;
       started = false;
       cur_level = Level.L1;
       prev_level = None;
-      open_snap = zero_stats;
+      open_snap = zero;
       win_len = 0;
       total_txns = 0;
       window = 0;
-      txns_per_kcycle = 0.0;
-      pj_per_cycle = 0.0;
       segs_rev = [];
-      needs_cycle = Policy.needs_cycle policy;
-      decide_win =
-        Policy.compile_window policy ~txns_per_kcycle:0.0 ~pj_per_cycle:0.0;
+      decide_win = Policy.compile_window policy ~pj_per_cycle:0.0;
     }
 
   let close_window t =
     if t.win_len > 0 then begin
       let now = t.measure t.cur_level in
-      let d = diff t.open_snap now in
+      let seg = diff t.open_snap now in
       (match t.sink with
       | None -> ()
       | Some s ->
         Obs.Sink.window_close s ~cycle:now.cycles ~index:t.window
-          ~level:(Level.to_code t.cur_level) ~beats:d.beats ~pj:d.bus_pj;
-        Obs.Sink.energy_sample s ~cycle:now.cycles ~pj:d.bus_pj);
-      if d.cycles > 0 then begin
-        t.txns_per_kcycle <-
-          float_of_int d.txns *. 1000.0 /. float_of_int d.cycles;
-        t.pj_per_cycle <- d.bus_pj /. float_of_int d.cycles;
-        (* Rates feed the rate triggers; recompile the window decision
-           function they are baked into. *)
+          ~level:(Level.to_code t.cur_level) ~beats:seg.beats ~pj:seg.bus_pj;
+        Obs.Sink.energy_sample s ~cycle:now.cycles ~pj:seg.bus_pj);
+      if seg.cycles > 0 then
+        (* The window's power feeds the energy-rate trigger; recompile
+           the window decision function it is baked into. *)
         t.decide_win <-
-          Policy.compile_window t.policy ~txns_per_kcycle:t.txns_per_kcycle
-            ~pj_per_cycle:t.pj_per_cycle
-      end;
-      let seg =
-        {
-          Splice.level = t.cur_level;
-          cycles = d.cycles;
-          txns = d.txns;
-          beats = d.beats;
-          errors = d.errors;
-          bus_pj = d.bus_pj;
-          component_pj = d.component_pj;
-          profile = d.profile;
-        }
-      in
+          Policy.compile_window t.policy
+            ~pj_per_cycle:(seg.bus_pj /. float_of_int seg.cycles);
       t.segs_rev <- seg :: t.segs_rev;
       t.window <- t.window + 1;
       t.win_len <- 0;
@@ -139,7 +97,7 @@ module Live = struct
   (* The first window opens at cycle 0, before any front-end has
      counted anything, whenever its first transaction arrives. *)
   let open_window t level =
-    let snap = if t.started then t.measure level else zero_stats in
+    let snap = if t.started then t.measure level else zero in
     (match t.sink with
     | None -> ()
     | Some s ->
@@ -160,10 +118,7 @@ module Live = struct
     Some t.cur_level
 
   let next_level t ~addr ~quiesced =
-    let cycle =
-      if t.needs_cycle && t.started then t.now () else 0
-    in
-    let want = t.decide_win ~txn_index:t.total_txns ~addr ~cycle in
+    let want = t.decide_win ~txn_index:t.total_txns ~addr in
     if not t.started then begin
       open_window t want;
       t.started <- true;
@@ -171,7 +126,7 @@ module Live = struct
     end
     else if
       t.win_len >= t.max_window
-      || (t.win_len >= t.min_window && want <> t.cur_level)
+      || (t.win_len >= t.policy.Policy.min_window && want <> t.cur_level)
     then begin
       (* A close waits for the front-end to drain: refuse until then. *)
       if quiesced then begin

@@ -4,11 +4,12 @@
     bus front-end per level attached to it, and asks {!Live.next_level}
     before every transaction which front-end to route it through.  The
     session does the policy bookkeeping — window lengths, level
-    decisions, per-window measurement diffs — and {!Live.finish} splices
-    the windows with {!Splice}.  The traffic may be replayed (a trace
-    master) or generated (a JCVM interpreter pushing hardware-stack
-    operations while the sweep is still deciding what happens next);
-    the session cannot tell the difference.
+    decisions, each window's {!Splice.seg} as the difference of two
+    front-end snapshots — and {!Live.finish} splices the windows with
+    {!Splice}.  The traffic may be replayed (a trace master) or
+    generated (a JCVM interpreter pushing hardware-stack operations
+    while the sweep is still deciding what happens next); the session
+    cannot tell the difference.
 
     {b Quiesce rule.}  A window closes only at a quiesced front-end: a
     transaction that would close the window is refused until every
@@ -20,42 +21,33 @@
     {b One timeline.}  The first window opens at cycle 0 of a fresh or
     reset kernel and each later one where its predecessor closed, so the
     windows tile the run and sink events carry true kernel cycles.  A
-    policy that never switches yields one window measured exactly like
-    the pure run, which is what pins the degenerate cases bit-for-bit. *)
-
-type stats = {
-  cycles : int;
-  txns : int;
-  beats : int;
-  errors : int;
-  bus_pj : float;
-  component_pj : float;
-  profile : Power.Profile.t option;
-}
+    policy without triggers ({!Policy.constant}) never switches and
+    yields one window measured exactly like the pure run, which is what
+    pins the degenerate cases bit-for-bit. *)
 
 module Live : sig
   type t
 
   val create :
     ?sink:Obs.Sink.t ->
-    now:(unit -> int) ->
     on_close:(Splice.seg -> unit) ->
     policy:Policy.t ->
-    measure:(Level.t -> stats) ->
+    measure:(Level.t -> Splice.seg) ->
     unit ->
     t
   (** [measure level] must return the cumulative traffic and energy
-      counters of [level]'s bus front-end, with [cycles] the shared
-      kernel's current cycle (identical whichever level is asked) and
-      [profile] the front-end's recorded per-cycle profile, if any.  A
-      front-end must run on exactly the cycles of its windows (parked
-      otherwise), so a window's profile is the last [cycles] entries of
-      its front-end's profile at the close.  {!finish} splices the
-      windows with {!Splice.splice}.
+      counters of [level]'s bus front-end as a segment of that [level],
+      with [cycles] the shared kernel's current cycle (identical
+      whichever level is asked) and [profile] the front-end's recorded
+      per-cycle profile, if any.  A front-end must run on exactly the
+      cycles of its windows (parked otherwise), so a window's profile is
+      the last [cycles] entries of its front-end's profile at the close.
+      {!finish} splices the windows with {!Splice.splice}.
 
-      [now] is the cheap clock for per-transaction policy observations
-      (cycle-window and rate triggers): the kernel's own counter, not a
-      full [measure] snapshot, which typically sums energy meters.
+      The window bounds are the policy's [min_window] and [max_window];
+      a policy's decisions read only the next transaction's index and
+      address and the previous window's power, so the session never
+      reads the clock between windows.
 
       [on_close] is invoked with each window's segment the moment the
       window closes — the hook live calibration hangs off: a refined

@@ -158,72 +158,83 @@ let test_render_marks () =
     "wrong row never best" false
     (contains ~sub:"* w8-dedicated" rendered)
 
-(* compile_window agrees with decide for every trigger shape, including
-   the two scheduling triggers the exploration preset is built from. *)
-let test_compile_window_agrees () =
-  let policies =
-    [
-      Hier.Policy.constant Hier.Level.L2;
-      Hier.Policy.script [ (10, Hier.Level.L2); (5, Hier.Level.L1) ];
-      Hier.Policy.triggered ~base:Hier.Level.L2
-        [
-          Hier.Policy.Txn_window { lo = 0; hi = 8; level = Hier.Level.L1 };
-          Hier.Policy.Every { period = 16; length = 4; level = Hier.Level.L1 };
-          Hier.Policy.Addr_range
-            { lo = 0x1000; hi = 0x2000; level = Hier.Level.L1 };
-          Hier.Policy.Cycle_window { lo = 40; hi = 60; level = Hier.Level.L1 };
-          Hier.Policy.Energy_rate_above
-            { pj_per_cycle = 4.0; level = Hier.Level.L1 };
-          Hier.Policy.Txn_rate_above
-            { txns_per_kcycle = 900.0; level = Hier.Level.L1 };
-        ];
-      Hier.Policy.for_exploration ~warmup:4 ~period:8 ~refine:2 ();
-    ]
+(* compile_window agrees with decide on any policy: random trigger lists
+   of every kind (the trigger-less constant and the exploration preset
+   included), random window bounds, random observations and a random
+   previous-window power.  Thresholds and powers share a grid point now
+   and then, so the strict [>] of the energy-rate trigger is exercised
+   at equality. *)
+let prop_compile_window_agrees =
+  let open QCheck.Gen in
+  let level = oneofl Hier.Level.[ Rtl; L1; L2; L3 ] in
+  let power = oneof [ float_range 0.0 16.0; oneofl [ 0.0; 4.0; 8.0 ] ] in
+  let range bound =
+    let* lo = int_bound bound in
+    let* len = int_bound bound in
+    return (lo, lo + len)
   in
-  List.iter
-    (fun policy ->
-      List.iter
-        (fun (txns_per_kcycle, pj_per_cycle) ->
-          let fast =
-            Hier.Policy.compile_window policy ~txns_per_kcycle ~pj_per_cycle
-          in
-          for txn_index = 0 to 40 do
-            List.iter
-              (fun addr ->
-                List.iter
-                  (fun cycle ->
-                    let slow =
-                      Hier.Policy.decide policy
-                        {
-                          Hier.Policy.txn_index;
-                          addr;
-                          cycle;
-                          txns_per_kcycle;
-                          pj_per_cycle;
-                        }
-                    in
-                    Alcotest.(check string)
-                      (Printf.sprintf "%s @txn=%d addr=%#x cyc=%d"
-                         (Hier.Policy.to_string policy)
-                         txn_index addr cycle)
-                      (Hier.Level.to_string slow)
-                      (Hier.Level.to_string
-                         (fast ~txn_index ~addr ~cycle)))
-                  [ 0; 50; 45; 100 ])
-              [ 0x0; 0x1800; 0x2000 ]
-          done)
-        [ (0.0, 0.0); (1000.0, 10.0) ])
-    policies
-
-(* The preset validates its schedule. *)
-let test_preset_validation () =
-  let bad f = match f () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail "expected Invalid_argument"
+  let trigger =
+    oneof
+      [
+        (let* lo, hi = range 0x3000 and* level = level in
+         return (Hier.Policy.Addr_range { lo; hi; level }));
+        (let* lo, hi = range 64 and* level = level in
+         return (Hier.Policy.Txn_window { lo; hi; level }));
+        (let* period = int_range 1 32 and* level = level in
+         let* length = int_bound period in
+         return (Hier.Policy.Every { period; length; level }));
+        (let* pj_per_cycle = power and* level = level in
+         return (Hier.Policy.Energy_rate_above { pj_per_cycle; level }));
+      ]
   in
-  bad (fun () -> Hier.Policy.for_exploration ~warmup:(-1) ());
-  bad (fun () -> Hier.Policy.for_exploration ~period:0 ());
-  bad (fun () -> Hier.Policy.for_exploration ~period:8 ~refine:9 ())
+  let policy =
+    frequency
+      [
+        (1, map Hier.Policy.constant level);
+        (1, return (Hier.Policy.for_exploration ()));
+        ( 4,
+          let* base = level
+          and* triggers = list_size (int_bound 5) trigger
+          and* min_window = int_range 1 64
+          and* slack = opt (int_bound 64) in
+          let max_window = Option.map (( + ) min_window) slack in
+          return (Hier.Policy.triggered ~min_window ?max_window ~base triggers)
+        );
+      ]
+  in
+  let observations =
+    list_size (int_range 1 24) (pair (int_bound 200) (int_bound 0x5000))
+  in
+  let print (policy, pj_per_cycle, _) =
+    Printf.sprintf "%s [%s] pj_per_cycle=%g" (Hier.Policy.to_string policy)
+      (String.concat "; "
+         (List.map
+            (function
+              | Hier.Policy.Addr_range { lo; hi; level } ->
+                Printf.sprintf "addr %#x..%#x %s" lo hi
+                  (Hier.Level.to_string level)
+              | Hier.Policy.Txn_window { lo; hi; level } ->
+                Printf.sprintf "txn %d..%d %s" lo hi
+                  (Hier.Level.to_string level)
+              | Hier.Policy.Every { period; length; level } ->
+                Printf.sprintf "every %d/%d %s" length period
+                  (Hier.Level.to_string level)
+              | Hier.Policy.Energy_rate_above { pj_per_cycle; level } ->
+                Printf.sprintf "pj>%g %s" pj_per_cycle
+                  (Hier.Level.to_string level))
+            policy.Hier.Policy.triggers))
+      pj_per_cycle
+  in
+  QCheck.Test.make ~name:"compile_window agrees with decide" ~count:300
+    (QCheck.make ~print (triple policy power observations))
+    (fun (policy, pj_per_cycle, observations) ->
+      let fast = Hier.Policy.compile_window policy ~pj_per_cycle in
+      List.for_all
+        (fun (txn_index, addr) ->
+          fast ~txn_index ~addr
+          = Hier.Policy.decide policy
+              { Hier.Policy.txn_index; addr; pj_per_cycle })
+        observations)
 
 (* The adaptive cache study: same knee, rows carry provenance, and the
    captured post-cache traffic means fewer bus transactions as the cache
@@ -355,10 +366,7 @@ let suite =
       test_level_policy_exclusive;
     Alcotest.test_case "renderer marks best and wrong rows" `Quick
       test_render_marks;
-    Alcotest.test_case "compile_window agrees with decide" `Quick
-      test_compile_window_agrees;
-    Alcotest.test_case "for_exploration validates its schedule" `Quick
-      test_preset_validation;
+    QCheck_alcotest.to_alcotest prop_compile_window_agrees;
     Alcotest.test_case "cache study over the adaptive route" `Quick
       test_cache_study_adaptive;
     Alcotest.test_case "pooled cell = fresh cell at every level" `Quick

@@ -9,9 +9,8 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-let obs ?(addr = 0) ?(cycle = 0) ?(txns_per_kcycle = 0.0) ?(pj_per_cycle = 0.0)
-    txn_index =
-  { Hier.Policy.txn_index; addr; cycle; txns_per_kcycle; pj_per_cycle }
+let obs ?(addr = 0) ?(pj_per_cycle = 0.0) txn_index =
+  { Hier.Policy.txn_index; addr; pj_per_cycle }
 
 (* --- policy --- *)
 
@@ -22,17 +21,16 @@ let test_policy_constant () =
         (Hier.Level.to_string (Hier.Policy.decide p (obs i))))
     [ 0; 1; 1000 ]
 
-let test_policy_script () =
-  let p = Hier.Policy.script [ (3, Hier.Level.L2); (2, Hier.Level.L1) ] in
-  let at i = Hier.Policy.decide p (obs i) in
-  check_string "first segment" "TL layer 2" (Hier.Level.to_string (at 0));
-  check_string "segment edge" "TL layer 2" (Hier.Level.to_string (at 2));
-  check_string "second segment" "TL layer 1" (Hier.Level.to_string (at 3));
-  (* Past the script end the last level holds. *)
-  check_string "held" "TL layer 1" (Hier.Level.to_string (at 99));
-  Alcotest.check_raises "empty script"
-    (Invalid_argument "Hier.Policy.script: empty script") (fun () ->
-      ignore (Hier.Policy.script []))
+let test_policy_schedule () =
+  let p =
+    Schedule.policy
+      [ (3, Hier.Level.L2); (2, Hier.Level.L1); (4, Hier.Level.Rtl) ]
+  in
+  let at i = Hier.Level.to_string (Hier.Policy.decide p (obs i)) in
+  check_string "first segment" "TL layer 2" (at 0);
+  check_string "segment edge" "TL layer 2" (at 2);
+  check_string "second segment" "TL layer 1" (at 3);
+  check_string "last segment" "gate-level" (at 5)
 
 let test_policy_triggered () =
   let p =
@@ -150,7 +148,7 @@ let test_handoff_carries_memory () =
     :: List.init 40 (fun _ ->
            item (Ec.Txn.single_read ~id:(fresh ()) addr))
   in
-  let policy = Hier.Policy.script [ (8, Hier.Level.L1); (8, Hier.Level.L2) ] in
+  let policy = Schedule.policy [ (8, Hier.Level.L1); (8, Hier.Level.L2) ] in
   let live =
     Core.Runner.live_adaptive ~policy (Core.Runner.live_materials ~policy ())
   in
@@ -190,7 +188,7 @@ let test_l3_policy_refused () =
                trace)))
     [
       Hier.Policy.constant Hier.Level.L3;
-      Hier.Policy.script [ (8, Hier.Level.L2); (8, Hier.Level.L3) ];
+      Schedule.policy [ (8, Hier.Level.L2); (8, Hier.Level.L3) ];
     ];
   check_int "no run started" 0 !inits;
   Alcotest.check_raises "no layer-3 windows to splice"
@@ -227,9 +225,7 @@ let gen_script =
      let* level = gen_level in
      return (n, level))
 
-let arb_script =
-  QCheck.make gen_script ~print:(fun s ->
-      Hier.Policy.to_string (Hier.Policy.script s))
+let arb_script = QCheck.make gen_script ~print:Schedule.to_string
 
 let prop_script_splice_sums =
   QCheck.Test.make ~name:"spliced totals = sum of window stats (any script)"
@@ -237,7 +233,7 @@ let prop_script_splice_sums =
       let trace = Core.Workloads.mixed_phase_trace ~phase:16 ~n:96 () in
       let r =
         Core.Runner.run_adaptive ~init:Core.Runner.fill_memories
-          ~policy:(Hier.Policy.script script) trace
+          ~policy:(Schedule.policy script) trace
       in
       let s = r.Core.Runner.splice in
       let windows = s.Hier.Splice.windows in
@@ -312,7 +308,7 @@ let prop_windows_hold_all_energy =
         Core.Workloads.random_trace ~rng:(Sim.Rng.create ~seed) ~n:96
           ~max_gap:4 ()
       in
-      let policy = Hier.Policy.script script in
+      let policy = Schedule.policy script in
       let live =
         Core.Runner.live_adaptive ~policy
           (Core.Runner.live_materials ~record_profile:true ~policy ())
@@ -355,7 +351,7 @@ let test_adaptive_comparison () =
 let suite =
   [
     Alcotest.test_case "policy constant" `Quick test_policy_constant;
-    Alcotest.test_case "policy script" `Quick test_policy_script;
+    Alcotest.test_case "policy schedule" `Quick test_policy_schedule;
     Alcotest.test_case "policy triggered" `Quick test_policy_triggered;
     Alcotest.test_case "splice totals" `Quick test_splice_totals;
     Alcotest.test_case "splice profile" `Quick test_splice_profile;

@@ -17,7 +17,7 @@ let check_int = Alcotest.(check int)
 (* --- the recorded ledger --- *)
 
 let recorded file =
-  In_channel.with_open_text file In_channel.input_all
+  Test_data.read file
   |> String.split_on_char '\n'
   |> List.filter (fun l -> l <> "")
   |> List.map (fun l ->
@@ -43,13 +43,11 @@ let test_wire_ledger_matches () =
 
 let test_vcd_matches () =
   Alcotest.(check string) "vcd text"
-    (In_channel.with_open_text "golden.vcd" In_channel.input_all)
+    (Test_data.read "golden.vcd")
     (Wire_ledger.vcd_text ())
 
 let test_event_ledger_matches () =
-  let recorded =
-    In_channel.with_open_text "event_ledger.txt" In_channel.input_all
-  in
+  let recorded = Test_data.read "event_ledger.txt" in
   Alcotest.(check string) "event ledger" recorded (Event_ledger.text ());
   (* A sink is a run input: the same runs on one shared pool, twice, so
      each traced run arms a session a traced run has used before. *)
@@ -61,7 +59,7 @@ let test_event_ledger_matches () =
 
 let test_protocol_transcript_matches () =
   Alcotest.(check string) "protocol transcript"
-    (In_channel.with_open_text "protocol_golden.txt" In_channel.input_all)
+    (Test_data.read "protocol_golden.txt")
     (Protocol_transcript.text ())
 
 (* --- active + idle = rising edges --- *)

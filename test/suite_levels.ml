@@ -212,7 +212,7 @@ let prop_read_results_l2 =
       traffic_reads Core.Level.Rtl c = traffic_reads Core.Level.L2 c)
 
 let test_l2_raw_hazard () =
-  let trace = Ec.Trace.load "l2_raw_hazard.trace" in
+  let trace = Ec.Trace.load (Test_data.path "l2_raw_hazard.trace") in
   let reads ~mode level = platform_reads ~mode level trace in
   let rtl = reads ~mode:`Pipelined Core.Level.Rtl in
   check_bool "pipelined rtl = l1" true

@@ -789,11 +789,11 @@ let prop_pooled_adaptive_bit_exact =
            (oneofl [ `Serial; `Pipelined ]))
        ~print:(fun ((n, phase), script, mode) ->
          Printf.sprintf "n=%d phase=%d %s %s" n phase
-           (Hier.Policy.to_string (Hier.Policy.script script))
+           (Schedule.to_string script)
            (match mode with `Serial -> "serial" | `Pipelined -> "pipelined")))
     (fun ((n, phase), script, mode) ->
       let trace = Core.Workloads.mixed_phase_trace ~phase ~n () in
-      let policy = Hier.Policy.script script in
+      let policy = Schedule.policy script in
       let fresh =
         strip_adaptive (Core.Runner.run_adaptive ~mode ~policy trace)
       in
@@ -948,10 +948,9 @@ let prop_pooled_sink_adaptive =
           Gen.(
             list_size (int_range 1 5)
               (pair (int_range 8 80) (oneofl Core.Level.timed)))
-          ~print:(fun script ->
-            Hier.Policy.to_string (Hier.Policy.script script))))
+          ~print:Schedule.to_string))
     (fun (warm, case, script) ->
-      let policy = Hier.Policy.script script in
+      let policy = Schedule.policy script in
       let run ?sink ?pool (c : Traffic.t) =
         Core.Runner.run_adaptive ~record_profile:true ~mode:c.Traffic.mode
           ?init:(Traffic.init c) ?sink ?pool ~policy (Traffic.trace c)
