@@ -105,18 +105,6 @@ let fold ln out ~addr ~be ~wdata ~rdata ~ctrl =
   n + group ln out ctrl_base ctrl
 
 type t = {
-  (* Old (committed) and new values per signal group; control signals are
-     packed into one bit set ordered like Ec.Signals.all_ctrl. *)
-  mutable old_addr : int;
-  mutable new_addr : int;
-  mutable old_be : int;
-  mutable new_be : int;
-  mutable old_wdata : int;
-  mutable new_wdata : int;
-  mutable old_rdata : int;
-  mutable new_rdata : int;
-  mutable old_ctrl : int;
-  mutable new_ctrl : int;
   lane : lanes;  (* the one table's lane *)
   meter : Power.Meter.t;
   (* The meter's unboxed in-cycle accumulator and the cycle's folded
@@ -138,16 +126,6 @@ type t = {
 let create ?(record_profile = false) table =
   let meter = Power.Meter.create ~record_profile () in
   {
-    old_addr = 0;
-    new_addr = 0;
-    old_be = 0;
-    new_be = 0;
-    old_wdata = 0;
-    new_wdata = 0;
-    old_rdata = 0;
-    new_rdata = 0;
-    old_ctrl = 0;
-    new_ctrl = 0;
     lane = lanes [| table |];
     meter;
     meter_acc = Power.Meter.in_cycle_acc meter;
@@ -160,37 +138,14 @@ let create ?(record_profile = false) table =
 let set_observer t f = t.observer <- Some f
 let clear_observer t = t.observer <- None
 
-let set_ctrl_bit t c v =
-  let bit = 1 lsl Ec.Signals.ctrl_index c in
-  if v then t.new_ctrl <- t.new_ctrl lor bit
-  else t.new_ctrl <- t.new_ctrl land lnot bit
-
-let drive_addr_phase t (txn : Ec.Txn.t) =
-  t.new_addr <- txn.Ec.Txn.addr lsr 2;
-  t.new_be <- Ec.Txn.byte_enables txn 0;
-  set_ctrl_bit t Ec.Signals.Avalid true;
-  set_ctrl_bit t Ec.Signals.Instr (txn.Ec.Txn.kind = Ec.Txn.Instruction);
-  set_ctrl_bit t Ec.Signals.Write (txn.Ec.Txn.dir = Ec.Txn.Write);
-  set_ctrl_bit t Ec.Signals.Burst (txn.Ec.Txn.burst > 1)
-
-let strobe t c = set_ctrl_bit t c true
-let set_avalid t v = set_ctrl_bit t Ec.Signals.Avalid v
-let drive_rdata t v = t.new_rdata <- v land 0xFFFFFFFF
-let drive_wdata t v = t.new_wdata <- v land 0xFFFFFFFF
-
-let strobes_mask =
-  List.fold_left
-    (fun acc c -> acc lor (1 lsl Ec.Signals.ctrl_index c))
-    0
-    [ Ec.Signals.Ardy; Ec.Signals.Rdval; Ec.Signals.Wdrdy; Ec.Signals.Rberr;
-      Ec.Signals.Wberr; Ec.Signals.Bfirst; Ec.Signals.Blast ]
-
-let end_cycle t =
-  let addr = t.old_addr lxor t.new_addr
-  and be = t.old_be lxor t.new_be
-  and wdata = t.old_wdata lxor t.new_wdata
-  and rdata = t.old_rdata lxor t.new_rdata
-  and ctrl = t.old_ctrl lxor t.new_ctrl in
+(* Only the five interface groups count: the controller's select lines
+   are internal nets, invisible at this layer. *)
+let end_cycle t (w : Rtl.Wires.t) =
+  let addr = w.Rtl.Wires.addr lxor w.Rtl.Wires.addr_next
+  and be = w.Rtl.Wires.be lxor w.Rtl.Wires.be_next
+  and wdata = w.Rtl.Wires.wdata lxor w.Rtl.Wires.wdata_next
+  and rdata = w.Rtl.Wires.rdata lxor w.Rtl.Wires.rdata_next
+  and ctrl = w.Rtl.Wires.ctrl lxor w.Rtl.Wires.ctrl_next in
   (match t.observer with
   | None -> ()
   | Some f -> f ~addr ~be ~wdata ~rdata ~ctrl);
@@ -200,25 +155,9 @@ let end_cycle t =
     (Array.unsafe_get t.meter_acc 0 +. Array.unsafe_get t.cycle_pj 0);
   t.words <- t.words + 5;
   Power.Meter.end_cycle t.meter;
-  t.old_addr <- t.new_addr;
-  t.old_be <- t.new_be;
-  t.old_wdata <- t.new_wdata;
-  t.old_rdata <- t.new_rdata;
-  t.old_ctrl <- t.new_ctrl;
-  (* One-cycle strobes fall back to zero unless re-asserted next cycle. *)
-  t.new_ctrl <- t.new_ctrl land lnot strobes_mask
+  Rtl.Wires.commit_all w
 
 let reset t =
-  t.old_addr <- 0;
-  t.new_addr <- 0;
-  t.old_be <- 0;
-  t.new_be <- 0;
-  t.old_wdata <- 0;
-  t.new_wdata <- 0;
-  t.old_rdata <- 0;
-  t.new_rdata <- 0;
-  t.old_ctrl <- 0;
-  t.new_ctrl <- 0;
   t.transitions <- 0;
   t.words <- 0;
   t.observer <- None;

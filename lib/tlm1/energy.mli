@@ -8,10 +8,13 @@
     recognized and multiplied with the characterized average energy per
     transition per signal.
 
-    Only the EC interface signals are modelled: internal controller nets
-    (decoder, select, FSM) and analog effects (slopes, coupling
-    combinations) are invisible at this layer, which is precisely the
-    systematic error against the gate-level reference. *)
+    The old/new values are the gate level's own wire image, {!Rtl.Wires},
+    driven by the one cycle-accurate phase machine ({!Rtl.Bus}); this
+    model only closes the cycle.  Only the EC interface signals are
+    modelled: internal controller nets (decoder, select, FSM) and analog
+    effects (slopes, coupling combinations) are invisible at this layer,
+    which is precisely the systematic error against the gate-level
+    reference. *)
 
 (** {1 The layer-1 lane and fold}
 
@@ -44,22 +47,11 @@ type t
 
 val create : ?record_profile:bool -> Power.Characterization.t -> t
 
-(** Signal-update methods invoked by the bus phases. *)
-
-val drive_addr_phase : t -> Ec.Txn.t -> unit
-(** Address, byte enables, AValid/Instr/Write/Burst attributes. *)
-
-val strobe : t -> Ec.Signals.ctrl -> unit
-(** Asserts a one-cycle control strobe (ARdy, RdVal, WDRdy, errors,
-    BFirst/BLast). *)
-
-val set_avalid : t -> bool -> unit
-val drive_rdata : t -> int -> unit
-val drive_wdata : t -> int -> unit
-
-val end_cycle : t -> unit
-(** The energy calculation method: counts transitions between the old and
-    new signal values, accumulates energy, re-arms the strobes. *)
+val end_cycle : t -> Rtl.Wires.t -> unit
+(** The energy calculation method: counts the transitions between the
+    current and next values of the five interface groups of the wires
+    (address, byte enables, write data, read data, control), accumulates
+    their energy, then commits the wires ({!Rtl.Wires.commit_all}). *)
 
 val total_pj : t -> float
 
@@ -76,9 +68,9 @@ val transition_words : t -> int
     run. *)
 
 val reset : t -> unit
-(** Old/new signal images, the transition and word counts and the meter
-    back to their created state (the per-bit energy tables are
-    immutable).  Any attached observer is detached. *)
+(** The transition and word counts and the meter back to their created
+    state (the per-bit energy tables are immutable; the wires are the
+    bus's, reset by {!Bus.reset}).  Any attached observer is detached. *)
 
 (** {1 Compilation taps} *)
 

@@ -270,6 +270,29 @@ let idle_cycle_allocates_nothing level () =
   Alcotest.(check (float 0.0)) "minor words over 1000 idle cycles" fixed
     (minor_words (fun () -> Sim.Kernel.run kernel ~cycles:1000))
 
+(* The gate level and layer 1 run one phase machine and differ only in
+   the estimator closing each cycle, neither of which allocates: a warm
+   pooled replay of the same trace allocates as many minor words at both
+   levels.  A per-transaction allocation of one level's bus process (an
+   option per queue pop, a closure per dispatched data phase) shows as a
+   difference of thousands of words. *)
+let test_cycle_accurate_alloc_equal () =
+  let pool = Core.Pool.create () in
+  let trace = Core.Workloads.table3_trace ~n:2000 in
+  let words level =
+    let run () =
+      ignore
+        (Core.Runner.run_trace ~level ~mode:`Pipelined
+           ~init:Core.Runner.fill_memories ~pool trace)
+    in
+    run ();
+    let before = Gc.minor_words () in
+    run ();
+    Gc.minor_words () -. before
+  in
+  Alcotest.(check (float 0.0)) "l1 minor words = rtl minor words"
+    (words Core.Level.Rtl) (words Core.Level.L1)
+
 (* [Ec.Port.transact], the one blocking adapter of untimed callers: a
    submission refused for a full category is retried until the bus takes
    it.  Four zero-gap burst writes to the slow memory fill the write
@@ -360,4 +383,6 @@ let suite =
       test_transact_unmapped;
     Alcotest.test_case "port transact gives up after 100 000 cycles" `Quick
       test_transact_deadline;
+    Alcotest.test_case "rtl and l1 warm replays allocate the same" `Quick
+      test_cycle_accurate_alloc_equal;
   ]

@@ -145,8 +145,8 @@ let test_read_results_equal_across_levels () =
 
 module Traffic = Platform_traffic
 
-let run_platform ?rtl_params level (c : Traffic.t) =
-  Core.Runner.run_trace ~level ?rtl_params ~mode:c.Traffic.mode
+let run_platform ?estimate ?rtl_params level (c : Traffic.t) =
+  Core.Runner.run_trace ~level ?estimate ?rtl_params ~mode:c.Traffic.mode
     ?init:(Traffic.init c) (Traffic.trace c)
 
 let prop_l1_cycles =
@@ -172,8 +172,8 @@ let prop_l1_ideal_energy =
 
 (* Every read's address, width and data, as a sorted multiset: the levels
    complete transactions in different orders, not with different data. *)
-let platform_reads ?init ~mode level trace =
-  let system = Core.System.create ~level () in
+let platform_reads ?estimate ?init ~mode level trace =
+  let system = Core.System.create ~level ?estimate () in
   Option.iter (fun init -> init system) init;
   let kernel = Core.System.kernel system in
   let master =
@@ -190,8 +190,8 @@ let platform_reads ?init ~mode level trace =
     (Soc.Trace_master.results master)
   |> List.sort compare
 
-let traffic_reads level (c : Traffic.t) =
-  platform_reads ?init:(Traffic.init c) ~mode:c.Traffic.mode level
+let traffic_reads ?estimate level (c : Traffic.t) =
+  platform_reads ?estimate ?init:(Traffic.init c) ~mode:c.Traffic.mode level
     (Traffic.trace c)
 
 (* Layer 1 moves every beat in the gate level's cycle, so it reads what
@@ -221,6 +221,23 @@ let test_l2_raw_hazard () =
     (rtl <> reads ~mode:`Pipelined Core.Level.L2);
   check_bool "serial rtl = l2" true
     (reads ~mode:`Serial Core.Level.Rtl = reads ~mode:`Serial Core.Level.L2)
+
+(* Layer 1 without its estimator runs the same phase machine, which
+   drives the wires that nothing then commits: the traffic is the gate
+   level's, and no energy or transition is counted. *)
+let prop_l1_estimate_off =
+  QCheck.Test.make ~name:"estimate-off l1 traffic = rtl traffic on platform traffic"
+    ~count:40 (Traffic.arb ()) (fun c ->
+      let off = run_platform ~estimate:false Core.Level.L1 c
+      and rtl = run_platform Core.Level.Rtl c in
+      off.Core.Runner.cycles = rtl.Core.Runner.cycles
+      && off.Core.Runner.txns = rtl.Core.Runner.txns
+      && off.Core.Runner.beats = rtl.Core.Runner.beats
+      && off.Core.Runner.errors = rtl.Core.Runner.errors
+      && off.Core.Runner.bus_pj = 0.
+      && off.Core.Runner.transitions = 0
+      && traffic_reads ~estimate:false Core.Level.L1 c
+         = traffic_reads Core.Level.Rtl c)
 
 let prop_l2_serial_cycles =
   QCheck.Test.make ~name:"serial l2 cycles = l1 cycles on platform traffic"
@@ -266,6 +283,7 @@ let platform_props =
       prop_l1_cycles;
       prop_l1_transitions;
       prop_l1_ideal_energy;
+      prop_l1_estimate_off;
       prop_read_results_l1;
       prop_read_results_l2;
       prop_l2_serial_cycles;

@@ -21,4 +21,5 @@ let () =
       ("serve", Suite_serve.suite);
       ("properties", Suite_props.suite);
       ("ledger", Suite_ledger.suite);
+      ("iface", Suite_iface.suite);
     ]
