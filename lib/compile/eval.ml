@@ -2,18 +2,18 @@
 
    A lane is one parameter point — a characterization table at layer 1,
    a table plus lump parameters at layers 2 and 3 (none of it reaches the
-   gate level, whose plan is its energy record).  The evaluator decodes the
-   plan's transition words once per pass and folds every lane's energy
-   off the shared decode, so N points cost one walk of the plan instead
-   of N interpreted replays.
+   gate level, which folds once for every lane).  The evaluator decodes
+   the plan once per pass and folds every lane's energy off the shared
+   decode, so N points cost one walk of the plan instead of N
+   interpreted replays.
 
-   Bit-exactness holds by construction: each lane folds with the
-   interpreted estimator's own code — [Tlm1.Energy.fold] per active
-   cycle, [Tlm2.Energy]'s lanes and one [data_lumps] call per data
-   event.  What stays here is the cycle grouping: one cycle's lumps
-   group before joining the total, and an elided quiet cycle adds a
-   literal 0.0 in the interpreted model, a float identity for the
-   non-negative energies involved. *)
+   Bit-exactness holds by construction: each fold runs the interpreted
+   estimator's own code — [Rtl.Diesel] per closed cycle,
+   [Tlm1.Energy.fold] per wire row, [Tlm2.Energy]'s lanes and one
+   [data_lumps] call per data event.  What stays here is the cycle
+   grouping: one cycle's lumps group before joining the total, and an
+   elided quiet cycle adds a literal 0.0 at layers 1 and 2, a float
+   identity for the non-negative energies involved. *)
 
 type point = {
   table : Power.Characterization.t;
@@ -63,7 +63,7 @@ let close_cycle totals profs c (pj : float array) =
       ps.(l).(c) <- pj.(l)
     done
 
-let eval_l1 (meta : Plan.meta) (d : Plan.l1_data) lanes ~k ~dense =
+let eval_l1 (meta : Plan.meta) (d : Plan.wire_data) lanes ~k ~dense =
   let totals = Array.make k 0.0 and profs = dense_profiles meta k dense in
   let pj = Array.make k 0.0 in
   for e = 0 to Array.length d.Plan.d_cycle - 1 do
@@ -74,6 +74,28 @@ let eval_l1 (meta : Plan.meta) (d : Plan.l1_data) lanes ~k ~dense =
     close_cycle totals profs d.Plan.d_cycle.(e) pj
   done;
   (totals, profs)
+
+(* The gate level plays the rows back onto scratch wires (62 select lines
+   hold any select word) and closes every cycle, quiet ones too for their
+   leakage, with Diesel under the default parameters. *)
+let eval_gate (meta : Plan.meta) (d : Plan.wire_data) ~k ~dense =
+  let w = Rtl.Wires.create ~n_slaves:62 in
+  let g = Rtl.Diesel.create ~record_profile:dense w in
+  let e = ref 0 in
+  for c = 0 to meta.Plan.cycles - 1 do
+    let i = !e in
+    if i < Array.length d.Plan.d_cycle && d.Plan.d_cycle.(i) = c then begin
+      Rtl.Wires.toggle w ~addr:d.Plan.d_addr.(i) ~be:d.Plan.d_be.(i)
+        ~wdata:d.Plan.d_wdata.(i) ~rdata:d.Plan.d_rdata.(i)
+        ~ctrl:d.Plan.d_ctrl.(i) ~sel:d.Plan.d_sel.(i);
+      e := i + 1
+    end;
+    Rtl.Diesel.observe_and_commit g
+  done;
+  ( Array.make k (Rtl.Diesel.total_pj g),
+    Option.map
+      (fun p -> Array.make k (Power.Profile.to_array p))
+      (Power.Meter.profile (Rtl.Diesel.meter g)) )
 
 let eval_l2 (meta : Plan.meta) (d : Plan.l2_data) (lanes : Tlm2.Energy.lanes)
     ~dense =
@@ -107,15 +129,12 @@ let eval_l2 (meta : Plan.meta) (d : Plan.l2_data) (lanes : Tlm2.Energy.lanes)
   (totals, profs)
 
 (* One pass over a body plan: per-lane totals, plus the dense per-cycle
-   energies when asked for.  A gate-level body already is that pair, the
-   same for every lane. *)
+   energies when asked for. *)
 let eval_raw plan ~points ~dense =
   match plan.Plan.body with
-  | Plan.Rtl d ->
-    let k = List.length points in
-    ( Array.make k d.Plan.total_pj,
-      if dense then Some (Array.make k d.Plan.cycle_pj) else None )
-  | Plan.L1 d ->
+  | Plan.Wires d when plan.Plan.meta.Plan.level = Hier.Level.Rtl ->
+    eval_gate plan.Plan.meta d ~k:(List.length points) ~dense
+  | Plan.Wires d ->
     let tables = Array.of_list (List.map (fun pt -> pt.table) points) in
     eval_l1 plan.Plan.meta d (Tlm1.Energy.lanes tables)
       ~k:(Array.length tables) ~dense

@@ -2,18 +2,19 @@
 
     A {!point} is one parameter point of the exploration space — a
     characterization table at layer 1, a table plus lump parameters at
-    layers 2 and 3.  Neither reaches the gate level: an rtl plan folds
-    to its recorded energies at every point.  {!eval_multi} decodes the
-    plan's transition words once and folds every point's energy off the
-    shared decode, so N points cost one walk of the plan instead of N
+    layers 2 and 3.  Neither reaches the gate level: a plan at
+    {!Hier.Level.Rtl} plays its wire rows through {!Rtl.Diesel} under
+    the default {!Rtl.Params}, once for every point.  {!eval_multi}
+    decodes the plan once and folds every point's energy off the shared
+    decode, so N points cost one walk of the plan instead of N
     interpreted replays.
 
     Bit-exactness: for each point, every float operation happens in the
     order the interpreted estimator performs it (per-bit sums ascend
     from bit 0; groups add in addr/be/wdata/rdata/ctrl order; one
-    cycle's lumps group before joining the total), so the returned
-    energy — and the per-cycle profile, when requested — equals the
-    interpreted figure bit for bit. *)
+    cycle's lumps group before joining the total; Diesel runs its own
+    code), so the returned energy — and the per-cycle profile, when
+    requested — equals the interpreted figure bit for bit. *)
 
 type point = {
   table : Power.Characterization.t;

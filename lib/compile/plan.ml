@@ -3,12 +3,12 @@
    A plan is the one-shot residue of an interpreted replay: routing,
    wait-state schedules and burst decisions have already been played out
    by the bus model, and what remains is the flat integer record of what
-   the energy estimator would see — per-cycle signal transition words at
-   layer 1, the lump event stream at layers 2 and 3, the energy record
-   itself at the gate level — plus the table-independent scalar results
-   of the run.  Re-evaluating a plan under a new characterization table
-   or parameter point is then a branch-free array sweep (see Eval), with
-   no kernel, queues or slave calls involved. *)
+   the energy estimator would see — the wire image's per-cycle toggle
+   words at the gate level and layer 1, the lump event stream at layers
+   2 and 3 — plus the table-independent scalar results of the run.
+   Re-evaluating a plan under a new characterization table or parameter
+   point is then an array sweep (see Eval), with no kernel, queues or
+   slave calls involved. *)
 
 module Ivec = struct
   type t = { mutable a : int array; mutable n : int }
@@ -39,16 +39,16 @@ type meta = {
           characterization table, so captured once at compile time *)
 }
 
-(* Layer 1: sparse parallel arrays, one entry per cycle with at least one
-   signal transition.  Quiet cycles contribute exactly 0.0 pJ in the
-   interpreted model, so eliding them preserves bit-exact totals. *)
-type l1_data = {
-  d_cycle : int array;  (* ascending cycle index of each entry *)
+(* The gate level and layer 1: sparse parallel arrays, one row per
+   closed cycle in which a wire group toggled. *)
+type wire_data = {
+  d_cycle : int array;  (* ascending closed-cycle index of each row *)
   d_addr : int array;  (* old lxor new, per group *)
   d_be : int array;
   d_wdata : int array;
   d_rdata : int array;
   d_ctrl : int array;
+  d_sel : int array;
 }
 
 (* Layer 2: the lump event stream.  Address lumps depend only on the
@@ -65,54 +65,57 @@ type l2_data = {
   pops : int array;  (* burst-1 inter-beat popcounts per data lump *)
 }
 
-(* Gate level: Diesel's total and the meter's per-cycle energies, which
-   no point parameter reaches. *)
-type rtl_data = { total_pj : float; cycle_pj : float array }
-
-type body = L1 of l1_data | L2 of l2_data | Rtl of rtl_data
+type body = Wires of wire_data | L2 of l2_data
 type t = { meta : meta; body : body }
 
-let meta t = t.meta
-let make ~meta ~body = { meta; body }
+let at_level level t =
+  if t.meta.level = level then t else { t with meta = { t.meta with level } }
 
-(* --- recorders: what the energy-model observers feed ------------------ *)
+(* --- recorders: what the bus and energy-model taps feed -------------- *)
 
-type l1_recorder = {
-  mutable l1_cycle : int;
+type wire_recorder = {
+  mutable w_cycle : int;
   r_cycle : Ivec.t;
   r_addr : Ivec.t;
   r_be : Ivec.t;
   r_wdata : Ivec.t;
   r_rdata : Ivec.t;
   r_ctrl : Ivec.t;
+  r_sel : Ivec.t;
 }
 
-let l1_recorder () =
+let wire_recorder () =
   {
-    l1_cycle = 0;
+    w_cycle = 0;
     r_cycle = Ivec.create ();
     r_addr = Ivec.create ();
     r_be = Ivec.create ();
     r_wdata = Ivec.create ();
     r_rdata = Ivec.create ();
     r_ctrl = Ivec.create ();
+    r_sel = Ivec.create ();
   }
 
-(* The Tlm1.Energy observer: one call per falling edge, deltas of the
-   closing cycle. *)
-let l1_observe r ~addr ~be ~wdata ~rdata ~ctrl =
-  if addr lor be lor wdata lor rdata lor ctrl <> 0 then begin
-    Ivec.push r.r_cycle r.l1_cycle;
+(* The Rtl.Bus tap: one call per falling edge, before the estimator
+   commits the closing cycle's wires. *)
+let wire_observe r (w : Rtl.Wires.t) =
+  let open Rtl.Wires in
+  let addr = w.addr lxor w.addr_next and be = w.be lxor w.be_next in
+  let wdata = w.wdata lxor w.wdata_next and rdata = w.rdata lxor w.rdata_next in
+  let ctrl = w.ctrl lxor w.ctrl_next and sel = w.sel lxor w.sel_next in
+  if addr lor be lor wdata lor rdata lor ctrl lor sel <> 0 then begin
+    Ivec.push r.r_cycle r.w_cycle;
     Ivec.push r.r_addr addr;
     Ivec.push r.r_be be;
     Ivec.push r.r_wdata wdata;
     Ivec.push r.r_rdata rdata;
-    Ivec.push r.r_ctrl ctrl
+    Ivec.push r.r_ctrl ctrl;
+    Ivec.push r.r_sel sel
   end;
-  r.l1_cycle <- r.l1_cycle + 1
+  r.w_cycle <- r.w_cycle + 1
 
-let l1_finish r =
-  L1
+let wire_finish r =
+  Wires
     {
       d_cycle = Ivec.to_array r.r_cycle;
       d_addr = Ivec.to_array r.r_addr;
@@ -120,6 +123,7 @@ let l1_finish r =
       d_wdata = Ivec.to_array r.r_wdata;
       d_rdata = Ivec.to_array r.r_rdata;
       d_ctrl = Ivec.to_array r.r_ctrl;
+      d_sel = Ivec.to_array r.r_sel;
     }
 
 type l2_recorder = {

@@ -4,14 +4,16 @@
     routing ({!Ec.Decoder}), wait-state schedules ({!Ec.Timing},
     {!Ec.Slave_cfg}) and burst decisions have already been played out by
     the bus model, and the plan keeps the flat integer record of what
-    the energy estimator saw — per-cycle transition words at layer 1,
-    the lump event stream at layer 2 and at layer 3 (the carrier's), the
-    energy record itself at the gate level — plus the table-independent
-    scalar results of the run.  {!Eval} sweeps a plan under any number
-    of parameter points without a kernel, queues or slave calls. *)
+    the energy estimator saw — the per-cycle toggle words of the wire
+    image at the gate level and layer 1, which run one engine over one
+    {!Rtl.Wires}, the lump event stream at layer 2 and at layer 3 (the
+    carrier's) — plus the table-independent scalar results of the run.
+    {!Eval} sweeps a plan under any number of parameter points without a
+    kernel, queues or slave calls. *)
 
 type meta = {
   level : Hier.Level.t;
+      (** a {!Wires} body folds through {!Rtl.Diesel} at [Rtl] only *)
   cycles : int;
   txns : int;
   beats : int;
@@ -22,16 +24,18 @@ type meta = {
           characterization table, so captured once at compile time *)
 }
 
-(** Layer-1 body: sparse parallel arrays, one entry per cycle with at
-    least one signal transition.  Quiet cycles dissipate exactly 0.0 pJ
-    in the interpreted model, so eliding them keeps totals bit-exact. *)
-type l1_data = {
-  d_cycle : int array;  (** ascending cycle index of each entry *)
-  d_addr : int array;  (** old [lxor] new, per signal group *)
+(** The wire body of the gate level and layer 1: sparse parallel
+    arrays, one row per closed cycle in which a wire group toggled.  The
+    new words are the running xor of the rows from the reset zeros, so
+    the rows carry the whole wire image. *)
+type wire_data = {
+  d_cycle : int array;  (** ascending closed-cycle index of each row *)
+  d_addr : int array;  (** old [lxor] new, per wire group *)
   d_be : int array;
   d_wdata : int array;
   d_rdata : int array;
   d_ctrl : int array;
+  d_sel : int array;  (** the controller's slave selects: gate level only *)
 }
 
 (** Layer-2 body: the lump event stream, cycle-adjacent so the evaluator
@@ -46,35 +50,24 @@ type l2_data = {
   pops : int array;  (** burst-1 inter-beat popcounts per data lump *)
 }
 
-(** Gate-level body: the point parameters of {!Eval} play no role at the
-    gate level, so the residue is the energy record itself — Diesel's
-    total and the meter's per-cycle energies. *)
-type rtl_data = {
-  total_pj : float;  (** interface plus internal, as Diesel sums them *)
-  cycle_pj : float array;  (** one entry per closed meter cycle *)
-}
-
-type body = L1 of l1_data | L2 of l2_data | Rtl of rtl_data
+type body = Wires of wire_data | L2 of l2_data
 type t = { meta : meta; body : body }
 
-val meta : t -> meta
-val make : meta:meta -> body:body -> t
+val at_level : Hier.Level.t -> t -> t
+(** The plan folding at [level], body shared: one {!Wires} body serves
+    the gate level and layer 1.  A plan at [level] comes back as it is. *)
 
 (** {1 Recorders}
 
-    Attach {!l1_observe} as a {!Tlm1.Energy.set_observer} tap (or
-    {!l2_observe} as a {!Tlm2.Energy.set_observer} tap), run the
-    workload once interpreted, then take the finished body. *)
+    Attach {!wire_observe} with {!Rtl.Bus.set_tap} (or {!l2_observe}
+    with {!Tlm2.Energy.set_observer}), run the workload once
+    interpreted, then take the finished body. *)
 
-type l1_recorder
+type wire_recorder
 
-val l1_recorder : unit -> l1_recorder
-
-val l1_observe :
-  l1_recorder ->
-  addr:int -> be:int -> wdata:int -> rdata:int -> ctrl:int -> unit
-
-val l1_finish : l1_recorder -> body
+val wire_recorder : unit -> wire_recorder
+val wire_observe : wire_recorder -> Rtl.Wires.t -> unit
+val wire_finish : wire_recorder -> body
 
 type l2_recorder
 
@@ -86,13 +79,13 @@ val l2_finish : l2_recorder -> body
 
     A fabric plan extends the single-bus plan with the
     arbitration-resolved residue of a multi-master run: the near (and,
-    bridged, far) bus bodies recorded by the buses' own energy
-    observers, plus one integer {e op stream} per master replaying the
-    exact order of that master's bucket adds — bridge crossings (the
-    burst length) and sampled closed bus cycles (the cycle index into
-    the body).  The schedule is parameter-independent once the workload,
-    arbiter policy and topology are fixed, so one recording pass serves
-    every characterization table ({!Eval.eval_fabric_multi}). *)
+    bridged, far) bus bodies recorded by the buses' own taps, plus one
+    integer {e op stream} per master replaying the exact order of that
+    master's bucket adds — bridge crossings (the burst length) and
+    sampled closed bus cycles (the cycle index into the body).  The
+    schedule is parameter-independent once the workload, arbiter policy
+    and topology are fixed, so one recording pass serves every
+    characterization table ({!Eval.eval_fabric_multi}). *)
 
 val op_near : int
 (** Op kinds of the stream: a sampled near-bus cycle (arg = closed cycle
@@ -133,7 +126,7 @@ val fabric_recorder : masters:int -> fabric_recorder
 
 val fabric_observer : fabric_recorder -> Ec.Fabric.observer
 (** The {!Ec.Fabric.set_observer} tap feeding the recorder; attach it
-    together with the bus energy observers for one interpreted pass. *)
+    together with the bus taps for one interpreted pass. *)
 
 val fabric_finish :
   fabric_recorder -> meta:fabric_meta -> near:t -> far_plan:t option -> fabric

@@ -231,8 +231,8 @@ let execute ~level ~policy ~topology s masters =
 (* ------------------------------------------------------------------ *)
 (* Compiled fabric plans (DESIGN.md section 18)                        *)
 
-(* One instrumented interpreted pass: the bus energy observers record
-   the near (and far) bodies while the fabric observer records each
+(* One instrumented interpreted pass: the bus taps record the near (and
+   far) bodies while the fabric observer records each
    master's bucket-add order as pure integers.  The grant schedule is
    parameter-independent once workload, policy and topology are fixed,
    which the replay cross-check below asserts: evaluating the fresh plan
@@ -250,10 +250,11 @@ let compile ?(level = Level.L1) ?(policy = Ec.Arbiter.Round_robin)
       Option.map (fun f -> System.capture ~bus:f.far_bus s.s_system) s.s_far
     in
     let rec_ = Compile.Plan.fabric_recorder ~masters:n in
-    Ec.Fabric.set_observer s.s_fabric (Compile.Plan.fabric_observer rec_);
+    Ec.Fabric.set_observer s.s_fabric
+      (Some (Compile.Plan.fabric_observer rec_));
     let kernel = System.kernel s.s_system in
     let cycles = Sim.Kernel.run_until kernel ~max_cycles (drained s) in
-    Ec.Fabric.clear_observer s.s_fabric;
+    Ec.Fabric.set_observer s.s_fabric None;
     let near = near_plan ~cycles in
     let far_plan = Option.map (fun finish -> finish ~cycles) far_plan in
     let fabric = s.s_fabric in

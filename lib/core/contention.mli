@@ -99,7 +99,7 @@ val compile :
   (kind * Ec.Trace.t) list ->
   Compile.Plan.fabric
 (** One instrumented interpreted pass (DESIGN.md section 18): the bus
-    energy observers record the near/far bodies, the fabric's integer
+    taps record the near/far bodies, the fabric's integer
     observer records the arbitration-resolved per-master bucket-add
     order, and the result is a {!Compile.Plan.fabric} replayable under
     any characterization table.  Asserts the schedule's

@@ -73,24 +73,27 @@ let replay_bridged system trace =
     trace;
   Sim.Kernel.now kernel - t0
 
-(* [replay_bridged] has no issue discipline, so an L3 key drops the
-   mode and both modes share one plan. *)
-let plan_key ~level ~mode =
-  match (level : Level.t), mode with
-  | L3, _ -> Level.to_string level
-  | _, `Serial -> Level.to_string level ^ ":serial"
-  | _, `Pipelined -> Level.to_string level ^ ":pipelined"
+(* The gate level and layer 1 record one wire body, so an rtl plan is
+   captured at layer 1, the cheaper estimator, under layer 1's key.  An
+   L3 key drops the mode: [replay_bridged] has no issue discipline. *)
+let capture_level : Level.t -> Level.t = function Rtl -> L1 | l -> l
 
-(* One interpreted resolution run with the energy model's taps
-   attached; everything the evaluator needs — transition words, lump
-   events, the gate-level energy record, the table-independent scalar
-   results — lands in the plan.  The capture table is irrelevant: no
-   point parameter reaches what the taps record.  Layer 3 replays
+let plan_key ~level ~mode =
+  match capture_level level, mode with
+  | L3, _ -> Level.to_string level
+  | level, `Serial -> Level.to_string level ^ ":serial"
+  | level, `Pipelined -> Level.to_string level ^ ":pipelined"
+
+(* One interpreted resolution run with the taps attached; everything the
+   evaluator needs — the wire image, lump events, the table-independent
+   scalar results — lands in the plan.  The capture table is irrelevant:
+   no point parameter reaches what the taps record.  Layer 3 replays
    serially through [Ec.Port.transact] on the capture system's carrier,
-   as [run_trace] does. *)
+   as [run_trace] does.  The plan comes back at [level], which picks
+   its fold. *)
 let compile_trace ?(level = Level.L1) ?(mode = `Pipelined) ?init ?pool trace =
   let build () =
-    let system = System.create ~level ~estimate:true () in
+    let system = System.create ~level:(capture_level level) ~estimate:true () in
     let finish = System.capture system in
     (match init with Some f -> f system | None -> ());
     if level = Level.L3 then finish ~cycles:(replay_bridged system trace)
@@ -111,13 +114,13 @@ let compile_trace ?(level = Level.L1) ?(mode = `Pipelined) ?init ?pool trace =
       Printf.sprintf "plan:%s:%s" (plan_key ~level ~mode)
         (Pool.fingerprint trace)
     in
-    Pool.memo p plan_kind ~tag:"trace" ~key build
-  | _ -> build ()
+    Compile.Plan.at_level level (Pool.memo p plan_kind ~tag:"trace" ~key build)
+  | _ -> Compile.Plan.at_level level (build ())
 
 (* A result off a plan: the scalars come from the capture run, the
    energy from one point of the evaluation. *)
 let result_of_plan plan ~wall_seconds (o : Compile.Eval.outcome) =
-  let m = Compile.Plan.meta plan in
+  let m = plan.Compile.Plan.meta in
   {
     level = m.Compile.Plan.level;
     cycles = m.Compile.Plan.cycles;

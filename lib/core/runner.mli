@@ -54,9 +54,8 @@ val run_trace :
 
     A {!Compile.Plan.t} is the one-shot resolution of a trace at a
     level: routing, wait states and merge/burst decisions are already
-    taken, and what remains is integer transition data (at the gate
-    level, the energy record itself) plus the table-independent scalar
-    results.  Replaying it costs microseconds,
+    taken, and what remains is integer transition data plus the
+    table-independent scalar results.  Replaying it costs microseconds,
     and a multi-point replay evaluates many characterization points off
     one shared decode (DESIGN.md section 14). *)
 
@@ -67,23 +66,24 @@ val compile_trace :
   ?pool:Pool.t ->
   Ec.Trace.t ->
   Compile.Plan.t
-(** One interpreted resolution run with observers tapped into the
-    level's energy model (at {!Level.L3}, its layer-2 carrier's, driven
-    by serial blocking replay through {!Ec.Port.transact} as
-    {!run_trace} does); the characterization table plays no role, so
-    one plan serves every parameter point.  At
-    {!Level.Rtl} the plan is the run's gate-level energy record under
-    the default {!Rtl.Params}, the same at every point.  With [pool] the
-    plan is memoized under {!plan_key} and the trace fingerprint — see
-    {!Pool.memo} — unless [init] is given (closures cannot be
-    fingerprinted, so such runs always compile fresh).  The plan is
-    recorded by {!System.capture}. *)
+(** One interpreted resolution run with the plan taps attached (at
+    {!Level.L3}, its layer-2 carrier's, driven by serial blocking replay
+    through {!Ec.Port.transact} as {!run_trace} does); the
+    characterization table plays no role, so one plan serves every
+    parameter point.  {!Level.Rtl} and {!Level.L1} record one wire
+    body, captured at layer 1; the returned plan carries the requested
+    level, and an rtl plan folds through the gate level's estimator
+    under the default {!Rtl.Params}.  With [pool] the plan is memoized
+    under {!plan_key} and the trace fingerprint — see {!Pool.memo} —
+    unless [init] is given (closures cannot be fingerprinted, so such
+    runs always compile fresh).  The plan is recorded by
+    {!System.capture}. *)
 
 val plan_key : level:Level.t -> mode:Soc.Trace_master.mode -> string
 (** The run-shaping part of a memoized plan's key: the level and the
-    issue mode, except at {!Level.L3}, whose serial blocking replay has
-    no issue discipline — both modes compile the same plan, so its key
-    carries no mode. *)
+    issue mode.  {!Level.Rtl} and {!Level.L1} share one key per mode;
+    {!Level.L3}'s serial blocking replay has no issue discipline, so its
+    key carries no mode. *)
 
 val replay_multi :
   ?record_profile:bool ->

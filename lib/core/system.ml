@@ -35,7 +35,7 @@ let create_bus ~kernel ~decoder ~level ~estimate ~record_profile ~table
 
 let iface = function
   | Rtl_bus b -> Rtl.Bus.iface b
-  | L1_bus b -> Tlm1.Bus.iface b
+  | L1_bus b -> Rtl.Bus.iface (Tlm1.Bus.engine b)
   | L2_bus b -> Tlm2.Bus.iface b
 
 let create ?(level = Level.L1) ?(estimate = true) ?(record_profile = false)
@@ -103,55 +103,46 @@ let energy_since_last_call_pj t =
   | Some m -> Power.Meter.since_last_call_pj m
   | None -> 0.0
 
-(* Compiled-plan capture (DESIGN.md section 14): the integer taps of the
-   layer-1/2 energy models record everything the evaluator needs, and the
-   table-independent scalars are read off the bus once the run is over.
-   Layer 3 is its layer-2 carrier, so it taps the same observer.  At the
-   gate level the energy record itself is the residue: Diesel's total and
-   the meter's per-cycle energies, recorded from cycle 0.  [bus] is a
-   second bus of the same level on this system's clock (a bridged far
-   side); it owns no platform, so its component energy is 0. *)
+(* Compiled-plan capture (DESIGN.md section 14): integer taps record
+   everything the evaluator needs, and the table-independent scalars are
+   read off the bus once the run is over.  The gate level and layer 1 run
+   one engine, so one tap on it records the wire image at both (layer 1
+   without estimation never commits its wires).  Layer 3 taps its
+   layer-2 carrier.  [bus] is a second bus of the same level on this
+   system's clock (a bridged far side); it owns no platform, so its
+   component energy is 0. *)
 let capture ?bus t =
   let on = match bus with Some bus -> { t with bus } | None -> t in
   let off () = invalid_arg "Core.System.capture: estimation is off" in
+  let wires engine =
+    let r = Compile.Plan.wire_recorder () in
+    Rtl.Bus.set_tap engine (Some (Compile.Plan.wire_observe r));
+    fun () ->
+      Rtl.Bus.set_tap engine None;
+      Compile.Plan.wire_finish r
+  in
   let finish =
     match on.bus with
-    | Rtl_bus b ->
-      let d = Rtl.Bus.diesel b in
-      let m = Rtl.Diesel.meter d in
-      Power.Meter.start_profile m;
-      fun () ->
-        Compile.Plan.Rtl
-          {
-            total_pj = Rtl.Diesel.total_pj d;
-            cycle_pj =
-              Power.Profile.to_array (Option.get (Power.Meter.profile m));
-          }
-    | L1_bus b -> (
-      match Tlm1.Bus.energy b with
-      | Some e ->
-        let r = Compile.Plan.l1_recorder () in
-        Tlm1.Energy.set_observer e (Compile.Plan.l1_observe r);
-        fun () ->
-          Tlm1.Energy.clear_observer e;
-          Compile.Plan.l1_finish r
-      | None -> off ())
+    | Rtl_bus b -> wires b
+    | L1_bus b when Option.is_some (Tlm1.Bus.energy b) ->
+      wires (Tlm1.Bus.engine b)
+    | L1_bus _ -> off ()
     | L2_bus b -> (
       match Tlm2.Bus.energy b with
       | Some e ->
         let r = Compile.Plan.l2_recorder () in
-        Tlm2.Energy.set_observer e (Compile.Plan.l2_observe r);
+        Tlm2.Energy.set_observer e (Some (Compile.Plan.l2_observe r));
         fun () ->
-          Tlm2.Energy.clear_observer e;
+          Tlm2.Energy.set_observer e None;
           Compile.Plan.l2_finish r
       | None -> off ())
   in
   fun ~cycles ->
-    let body = finish () in
-    Compile.Plan.make ~body
-      ~meta:
+    {
+      Compile.Plan.body = finish ();
+      meta =
         {
-          Compile.Plan.level = t.level;
+          level = t.level;
           cycles;
           txns = completed_txns on;
           beats = completed_beats on;
@@ -159,7 +150,8 @@ let capture ?bus t =
           transitions = bus_transitions on;
           component_pj =
             (if Option.is_none bus then component_energy_pj t else 0.0);
-        }
+        };
+    }
 
 let reset_bus = function
   | Rtl_bus b -> Rtl.Bus.reset b

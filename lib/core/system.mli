@@ -94,17 +94,17 @@ val energy_since_last_call_pj : t -> float
     provides. *)
 
 val capture : ?bus:bus -> t -> cycles:int -> Compile.Plan.t
-(** [capture t] attaches a plan recorder to the energy model of [t]'s bus
-    — or of [bus], a second bus of [t]'s level on [t]'s clock — and
-    returns the closure to call once the run is over: it detaches the
-    recorder and builds the {!Compile.Plan.t} from the recorded body and
-    the bus's counters, with [cycles] as the run length.  Component
-    energy comes from [t]'s platform, or is 0 for a [bus] given
-    separately.  The one place compiled plans are recorded (DESIGN.md
-    section 14), at every level: layer 3 taps its layer-2 carrier, and
-    at the gate level the plan is Diesel's total plus the meter's
-    per-cycle energies, for which [capture] turns the meter's profile on
-    ({!Power.Meter.start_profile}).  Call it before the run starts.
+(** [capture t] attaches a plan recorder to [t]'s bus — or to [bus], a
+    second bus of [t]'s level on [t]'s clock — and returns the closure
+    to call once the run is over: it detaches the recorder and builds
+    the {!Compile.Plan.t} from the recorded body and the bus's counters,
+    with [cycles] as the run length and [t]'s level as the plan's.
+    Component energy comes from [t]'s platform, or is 0 for a [bus]
+    given separately.  The one place compiled plans are recorded
+    (DESIGN.md section 14), at every level: the gate level and layer 1
+    tap their shared engine ({!Rtl.Bus.set_tap}) for the same wire body,
+    layer 2 taps its energy model and layer 3 its layer-2 carrier's.
+    Call it before the run starts.
 
     @raise Invalid_argument without estimation. *)
 

@@ -95,8 +95,7 @@ let create ~masters ~policy ~bus ?tap ?far () =
     observer = None;
   }
 
-let set_observer t o = t.observer <- Some o
-let clear_observer t = t.observer <- None
+let set_observer t o = t.observer <- o
 
 let remap t txn =
   let open Txn in
@@ -227,8 +226,8 @@ let sample t tap owner seen notify =
   let c = tap.cycles () in
   if c > seen then begin
     t.buckets.(owner) <- t.buckets.(owner) +. tap.last_cycle_pj ();
-    (* The just-closed meter cycle has index [c - 1] in the energy
-       observers' numbering — what a compiled plan keys the sample by. *)
+    (* The just-closed meter cycle has index [c - 1] in the bus taps'
+       numbering — what a compiled plan keys the sample by. *)
     match t.observer with
     | Some o -> notify o ~owner ~cycle:(c - 1)
     | None -> ()

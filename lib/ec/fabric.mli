@@ -90,14 +90,13 @@ type observer = {
           the order the bucket receives it *)
   obs_near : owner:int -> cycle:int -> unit;
       (** the near tap advanced: closed meter cycle [cycle] (0-based in
-          the energy observers' numbering) sampled into [owner]'s
+          the bus taps' numbering) sampled into [owner]'s
           bucket *)
   obs_far : owner:int -> cycle:int -> unit;
       (** same, for the far (bridged) bus tap *)
 }
 
-val set_observer : t -> observer -> unit
-val clear_observer : t -> unit
+val set_observer : t -> observer option -> unit
 
 val on_rising : t -> unit
 (** Clock hook, before the masters' processes: decrements crossing

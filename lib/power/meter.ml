@@ -11,7 +11,7 @@ let marker_ = 3
 type t = {
   acc : float array;  (* current, total, last_cycle, marker *)
   mutable cycles : int;
-  mutable profile : Profile.t option;
+  profile : Profile.t option;
 }
 
 let create ~record_profile () =
@@ -48,9 +48,6 @@ let since_last_call_pj t =
   delta
 
 let profile t = t.profile
-
-let start_profile t =
-  if Option.is_none t.profile then t.profile <- Some (Profile.create ())
 
 let reset t =
   Array.fill t.acc 0 4 0.0;

@@ -37,11 +37,6 @@ val since_last_call_pj : t -> float
 val profile : t -> Profile.t option
 (** The recorded per-cycle profile, when enabled. *)
 
-val start_profile : t -> unit
-(** Turns profile recording on for a meter created without it (a no-op
-    otherwise): every cycle closed from now on is recorded, so call it
-    at cycle 0 for a profile of the whole run. *)
-
 val reset : t -> unit
 (** Back to the freshly created state: accumulators, cycle count, the
     since-last-call marker and the recorded profile (if any) all clear. *)

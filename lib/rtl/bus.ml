@@ -24,6 +24,7 @@ type t = {
   decoder : Ec.Decoder.t;
   wires : Wires.t;
   estimator : estimator;
+  mutable tap : (Wires.t -> unit) option;
   requests : Ec.Txn.t Ec.Ring.t;
   read_q : data_job Ec.Ring.t;
   write_q : data_job Ec.Ring.t;
@@ -214,6 +215,7 @@ let cycle t _kernel =
   addr_phase t;
   read_phase t;
   write_phase t;
+  (match t.tap with None -> () | Some f -> f t.wires);
   match t.estimator with
   | Gate d -> Diesel.observe_and_commit d
   | Transfer close -> close t.wires
@@ -231,6 +233,7 @@ let make ~kernel ~decoder ~name wires estimator =
       decoder;
       wires;
       estimator;
+      tap = None;
       requests;
       read_q = Ec.Ring.create ~dummy:idle ();
       write_q = Ec.Ring.create ~dummy:idle ();
@@ -260,6 +263,7 @@ let layer1 ~kernel ~decoder close =
 
 let iface t = t.iface
 let wires t = t.wires
+let set_tap t f = t.tap <- f
 
 let diesel t =
   match t.estimator with
@@ -279,6 +283,7 @@ let reset t =
   t.a_wait <- 0;
   t.read_cur <- idle;
   t.write_cur <- idle;
+  t.tap <- None;
   Iface.reset t.iface;
   Wires.reset t.wires;
   match t.estimator with

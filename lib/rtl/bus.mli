@@ -48,6 +48,11 @@ val iface : t -> Iface.t
 
 val wires : t -> Wires.t
 
+val set_tap : t -> (Wires.t -> unit) option -> unit
+(** Attaches ([Some f]) or detaches the plan recorder's tap: [f] reads
+    the wires after the write phase, before the estimator closes the
+    cycle. *)
+
 val diesel : t -> Diesel.t
 (** @raise Invalid_argument on a {!layer1} bus. *)
 
@@ -57,6 +62,6 @@ val queue_depths : t -> int * int * int
 
 val reset : t -> unit
 (** Back to the freshly created state: queues, in-flight phases, the
-    master interface ({!Iface.reset}), the wires and a gate-level
+    master interface ({!Iface.reset}), the wires, the tap and a gate-level
     estimator all clear.  The kernel registration and the decoder are
     kept — reset exists so a wired-up session can be reused. *)

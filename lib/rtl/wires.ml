@@ -36,6 +36,14 @@ let set_ctrl t c v =
 
 let clear_ctrl t mask = t.ctrl_next <- t.ctrl_next land lnot mask
 
+let toggle t ~addr ~be ~wdata ~rdata ~ctrl ~sel =
+  set_addr t (t.addr lxor addr);
+  set_be t (t.be lxor be);
+  set_wdata t (t.wdata lxor wdata);
+  set_rdata t (t.rdata lxor rdata);
+  t.ctrl_next <- (t.ctrl lxor ctrl) land ((1 lsl Ec.Signals.ctrl_count) - 1);
+  set_sel t (t.sel lxor sel)
+
 let commit_all t =
   t.addr <- t.addr_next;
   t.be <- t.be_next;

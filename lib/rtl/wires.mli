@@ -47,6 +47,12 @@ val clear_ctrl : t -> int -> unit
 (** [clear_ctrl t mask] drives low every control wire whose bit is set in
     [mask]. *)
 
+val toggle :
+  t -> addr:int -> be:int -> wdata:int -> rdata:int -> ctrl:int -> sel:int ->
+  unit
+(** Drives each group's next value to its current value [lxor] the
+    given word, masked to the group's width: a recorded cycle replayed. *)
+
 val commit_all : t -> unit
 
 val reset : t -> unit

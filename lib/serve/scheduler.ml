@@ -25,9 +25,11 @@ let compiled_plan ~pool ~level ~mode workload =
     Core.Pool.fingerprint
       ("serve-plan", Core.Runner.plan_key ~level ~mode, workload_key workload)
   in
-  Core.Pool.memo pool plan_kind ~tag:"trace" ~key (fun () ->
-      Core.Runner.compile_trace ~level ~mode ~init:Core.Runner.fill_memories
-        (Protocol.trace_of_workload workload))
+  (* The gate level and layer 1 share the key and the body. *)
+  Compile.Plan.at_level level
+    (Core.Pool.memo pool plan_kind ~tag:"trace" ~key (fun () ->
+         Core.Runner.compile_trace ~level ~mode ~init:Core.Runner.fill_memories
+           (Protocol.trace_of_workload workload)))
 
 let send_profile ~send profile =
   let rec chunks seq = function

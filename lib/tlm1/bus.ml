@@ -7,9 +7,8 @@ let create ~kernel ~decoder ?energy () =
   { engine = Rtl.Bus.layer1 ~kernel ~decoder (Option.map Energy.end_cycle energy);
     energy }
 
-let iface t = Rtl.Bus.iface t.engine
 let energy t = t.energy
-let queue_depths t = Rtl.Bus.queue_depths t.engine
+let engine t = t.engine
 
 let reset t =
   Rtl.Bus.reset t.engine;

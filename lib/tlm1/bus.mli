@@ -20,17 +20,15 @@ val create :
   t
 (** Registers the bus process ["tlm1-bus"] with [kernel].  When [energy]
     is omitted the model runs without estimation (the faster
-    configuration of Table 3).  The sink its {!iface} holds records
-    lifecycle/stall/occupancy instrumentation; estimation results are
-    bit-identical with or without it. *)
-
-val iface : t -> Iface.t
-(** The master side: port, outstanding limits, traffic counters. *)
+    configuration of Table 3).  The sink its engine's {!Rtl.Bus.iface}
+    holds records lifecycle/stall/occupancy instrumentation; estimation
+    results are bit-identical with or without it. *)
 
 val energy : t -> Energy.t option
 
-val queue_depths : t -> int * int * int
-(** Current (request, read, write) queue depths, for structural tests. *)
+val engine : t -> Rtl.Bus.t
+(** The cycle-accurate engine this bus runs: its master side
+    ({!Rtl.Bus.iface}), wires, queues and plan tap. *)
 
 val reset : t -> unit
 (** Queues, in-flight phases, the master interface ({!Iface.reset}), the

@@ -115,12 +115,6 @@ type t = {
   mutable transitions : int;
   (* Signal-group words compared per [end_cycle]: the model's work count. *)
   mutable words : int;
-  (* Per-cycle delta observer for the trace compiler: called once per
-     [end_cycle] with the old-xor-new word of every signal group, before
-     the commit.  Pure integer taps — the float path is untouched, so an
-     observed run stays bit-identical to an unobserved one. *)
-  mutable observer :
-    (addr:int -> be:int -> wdata:int -> rdata:int -> ctrl:int -> unit) option;
 }
 
 let create ?(record_profile = false) table =
@@ -132,11 +126,7 @@ let create ?(record_profile = false) table =
     cycle_pj = Array.make 1 0.0;
     transitions = 0;
     words = 0;
-    observer = None;
   }
-
-let set_observer t f = t.observer <- Some f
-let clear_observer t = t.observer <- None
 
 (* Only the five interface groups count: the controller's select lines
    are internal nets, invisible at this layer. *)
@@ -146,9 +136,6 @@ let end_cycle t (w : Rtl.Wires.t) =
   and wdata = w.Rtl.Wires.wdata lxor w.Rtl.Wires.wdata_next
   and rdata = w.Rtl.Wires.rdata lxor w.Rtl.Wires.rdata_next
   and ctrl = w.Rtl.Wires.ctrl lxor w.Rtl.Wires.ctrl_next in
-  (match t.observer with
-  | None -> ()
-  | Some f -> f ~addr ~be ~wdata ~rdata ~ctrl);
   t.transitions <-
     t.transitions + fold t.lane t.cycle_pj ~addr ~be ~wdata ~rdata ~ctrl;
   Array.unsafe_set t.meter_acc 0
@@ -160,7 +147,6 @@ let end_cycle t (w : Rtl.Wires.t) =
 let reset t =
   t.transitions <- 0;
   t.words <- 0;
-  t.observer <- None;
   Power.Meter.reset t.meter
 
 let total_pj t = Power.Meter.total_pj t.meter

@@ -70,15 +70,4 @@ val transition_words : t -> int
 val reset : t -> unit
 (** The transition and word counts and the meter back to their created
     state (the per-bit energy tables are immutable; the wires are the
-    bus's, reset by {!Bus.reset}).  Any attached observer is detached. *)
-
-(** {1 Compilation taps} *)
-
-val set_observer :
-  t -> (addr:int -> be:int -> wdata:int -> rdata:int -> ctrl:int -> unit) -> unit
-(** Registers a per-cycle delta tap for the trace compiler: on every
-    {!end_cycle} the observer receives the old-xor-new transition word of
-    each signal group, before the commit.  The taps are pure integers —
-    an observed run is bit-identical to an unobserved one. *)
-
-val clear_observer : t -> unit
+    bus's, reset by {!Bus.reset}). *)

@@ -107,8 +107,7 @@ let create ?(record_profile = false) ?(params = default_params) table =
   }
 
 let set_params t params = t.lane <- lanes [| (t.table, params) |]
-let set_observer t f = t.observer <- Some f
-let clear_observer t = t.observer <- None
+let set_observer t f = t.observer <- f
 
 let observe t ev =
   match t.observer with None -> () | Some f -> f ev

@@ -113,8 +113,7 @@ type event =
           live, so inter-beat Hamming distances can be taken exactly *)
   | Cycle  (** a falling edge closed (every cycle, lumps or not) *)
 
-val set_observer : t -> (event -> unit) -> unit
-(** Registers a lump-stream tap for the trace compiler.  The taps carry
-    no floats — an observed run is bit-identical to an unobserved one. *)
-
-val clear_observer : t -> unit
+val set_observer : t -> (event -> unit) option -> unit
+(** Attaches ([Some]) or detaches ([None]) the trace compiler's
+    lump-stream tap.  The taps carry no floats — an observed run is
+    bit-identical to an unobserved one. *)

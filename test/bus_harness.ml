@@ -68,11 +68,11 @@ let build ?(rtl_params = Rtl.Params.default)
     let bus = Tlm1.Bus.create ~kernel ~decoder ~energy () in
     {
       kernel;
-      port = Iface.port (Tlm1.Bus.iface bus);
+      port = Iface.port (Rtl.Bus.iface (Tlm1.Bus.engine bus));
       fast;
       slow;
       rom;
-      iface = Tlm1.Bus.iface bus;
+      iface = Rtl.Bus.iface (Tlm1.Bus.engine bus);
       energy_pj = (fun () -> Tlm1.Energy.total_pj energy);
       transitions = (fun () -> Tlm1.Energy.transitions_total energy);
       profile = (fun () -> Power.Meter.profile (Tlm1.Energy.meter energy));

@@ -214,10 +214,10 @@ let test_l1_queue_depths () =
   (* After a few cycles the first is in its data phase and at least one
      other waits in the request queue. *)
   Sim.Kernel.run h.kernel ~cycles:3;
-  let req, rd, _wr = Tlm1.Bus.queue_depths bus in
+  let req, rd, _wr = Rtl.Bus.queue_depths (Tlm1.Bus.engine bus) in
   check_bool "request queue occupied" true (req >= 1 || rd >= 1);
   ignore (Sim.Kernel.run_until h.kernel ~max_cycles:200 (fun () -> not (Iface.busy h.iface)));
-  let req, rd, wr = Tlm1.Bus.queue_depths bus in
+  let req, rd, wr = Rtl.Bus.queue_depths (Tlm1.Bus.engine bus) in
   check_int "queues drained" 0 (req + rd + wr)
 
 (* RTL wires: a single read pulses RdVal exactly once (two edge

@@ -274,7 +274,7 @@ let adapter_fixture config =
   let hw = Jcvm.Hw_stack.create config in
   let decoder = Ec.Decoder.create [ Jcvm.Hw_stack.slave hw ] in
   let bus = Tlm1.Bus.create ~kernel ~decoder () in
-  let adapter = Jcvm.Master_adapter.create ~kernel ~port:(Iface.port (Tlm1.Bus.iface bus)) config in
+  let adapter = Jcvm.Master_adapter.create ~kernel ~port:(Iface.port (Rtl.Bus.iface (Tlm1.Bus.engine bus))) config in
   (kernel, hw, adapter)
 
 let test_hw_stack_all_configs_lifo () =
