@@ -41,41 +41,34 @@ let interpret ~kernel ~port ~config (applet : Jcvm.Applets.t) =
   in
   (result, Jcvm.Master_adapter.transactions adapter, correct)
 
-(* One fixed-level cell interpreted on a fresh system.  With [capture]
-   the energy model's taps record the run too, and its plan comes back
-   with the row; nothing they record depends on the table, so one
-   capture serves every table.  [sink] goes to the bus's interface. *)
-let interpret_cell ?sink ~capture ~level ~config applet =
+(* One fixed-level cell interpreted on a fresh system at the default
+   table.  [sink] goes to the bus's interface. *)
+let interpret_cell ?sink ~level ~config applet =
   let hw = Jcvm.Hw_stack.create config in
   let system =
     System.create ~level ~extra_slaves:[ Jcvm.Hw_stack.slave hw ] ()
   in
   Iface.set_sink (System.iface (System.bus system)) sink;
-  let finish = if capture then Some (System.capture system) else None in
   let kernel = System.kernel system in
   let result, transactions, correct =
     interpret ~kernel ~port:(System.port system) ~config applet
   in
-  let cycles = Sim.Kernel.now kernel in
-  ( {
-      config;
-      applet = applet.Jcvm.Applets.name;
-      level;
-      cycles;
-      bus_pj = System.bus_energy_pj system;
-      transactions;
-      steps = result.Jcvm.Interp.steps;
-      value = result.Jcvm.Interp.value;
-      correct;
-      provenance = None;
-    },
-    Option.map (fun finish -> finish ~cycles) finish )
+  {
+    config;
+    applet = applet.Jcvm.Applets.name;
+    level;
+    cycles = Sim.Kernel.now kernel;
+    bus_pj = System.bus_energy_pj system;
+    transactions;
+    steps = result.Jcvm.Interp.steps;
+    value = result.Jcvm.Interp.value;
+    correct;
+    provenance = None;
+  }
 
-(* A compiled grid cell: the row and plan of one (configuration, applet)
-   capture.  Only the row's [bus_pj] depends on the table, and it folds
-   off the plan per evaluation, so re-running a cell — a sweep over
-   tables, a repeated grid — skips the JCVM interpretation entirely. *)
-let cell_kind : (row * Compile.Plan.t option) Pool.kind = Pool.kind ()
+(* A warm grid cell is its row: priced at the one table it is
+   interpreted with, it keeps no plan. *)
+let cell_kind : row Pool.kind = Pool.kind ()
 
 (* Pooled adaptive sessions: the hardware stack rides with the live
    materials (its slave is wired into the decoder at creation, its
@@ -87,29 +80,16 @@ let live_kind : Runner.live_materials Pool.kind = Pool.kind ()
 let run_fixed ?(level = Level.L1) ?sink ?pool ~config applet =
   match (pool, sink) with
   | Some p, None ->
-    (* Compiled cell: the plan memoizes per (level, applet,
-       configuration) — the table is folded off it afterwards, so a
-       table sweep over one cell interprets the applet exactly once.  A
-       plan records no lifecycle events, so a cell with a sink
-       interprets. *)
+    (* A repeated cell is one lookup.  A cell with a sink interprets,
+       so that its sink records the run. *)
     let key =
-      Printf.sprintf "explore-plan:%s:%s:%s" (Level.to_string level)
+      Printf.sprintf "explore:%s:%s:%s" (Level.to_string level)
         applet.Jcvm.Applets.name
         (Pool.fingerprint config)
     in
-    let row, plan =
-      Pool.memo p cell_kind ~tag:"explore" ~key (fun () ->
-          interpret_cell ~capture:true ~level ~config applet)
-    in
-    let o =
-      List.hd
-        (Compile.Eval.eval_multi ~record_profile:false (Option.get plan)
-           ~points:
-             [ { Compile.Eval.table = Power.Characterization.default;
-                 l2_params = None } ])
-    in
-    { row with bus_pj = o.Compile.Eval.bus_pj }
-  | _, _ -> fst (interpret_cell ?sink ~capture:false ~level ~config applet)
+    Pool.memo p cell_kind ~tag:"explore" ~key (fun () ->
+        interpret_cell ~level ~config applet)
+  | _, _ -> interpret_cell ?sink ~level ~config applet
 
 let run_adaptive ?sink ?pool ~policy ~config applet =
   let execute (live : Runner.live) =
@@ -164,9 +144,9 @@ let run_one ?level ?policy ?sink ?pool ~config applet =
       invalid_arg "Core.Exploration.run_one: pass either ~level or ~policy"
     | None -> run_adaptive ?sink ?pool ~policy ~config applet)
 
-(* The default session/plan pool shared by every [run] call of the
-   process: compiled cell plans are only worth caching if they survive
-   from one grid to the next. *)
+(* The default session/memo pool shared by every [run] call of the
+   process: memoized cells are only worth keeping if they survive from
+   one grid to the next. *)
 let default_pool = lazy (Pool.create ())
 
 let run ?level ?policy ?(applets = Jcvm.Applets.all) ?domains () =

@@ -13,7 +13,9 @@
     ([~policy], DESIGN.md section 12): a {!Runner.live_adaptive} session
     routes the adapter's traffic between the front-ends of the levels
     the policy names, window by window, and the row carries the spliced
-    provenance of its energy figure. *)
+    provenance of its energy figure.  A warm cell keeps its answer, not
+    a plan: priced at one table, a plan would fold only at its capture
+    point (DESIGN.md section 14). *)
 
 type row = {
   config : Jcvm.Configs.t;
@@ -50,14 +52,14 @@ val run_one :
     lifecycle — feed it to {!Obs.Chrome} for a per-row Perfetto trace.
     It is a run input, attached when the cell arms its session, so an
     adaptive cell with a [sink] pools like one without.  A fixed-level
-    cell with a [sink] interprets: a plan records no lifecycle events.
+    cell with a [sink] interprets, memoizing nothing, so the sink sees
+    every run.
 
     A pooled cell at any level, without a [sink] and without a
-    [policy], is captured once into a {!Compile.Plan.t} memoized in
-    [pool] (tag ["explore"]) per (level, applet, configuration) — the
-    energy folds off the plan afterwards, so repeating a cell skips the
-    JCVM interpretation entirely.  Rows are bit-identical to the
-    interpreted cell.  A pooled cell under a [policy] reuses reset live
+    [policy], interprets once and memoizes its row in [pool] (tag
+    ["explore"]) per (level, applet, configuration), so repeating a
+    cell is one memo lookup.  Rows are bit-identical to the unpooled
+    cell.  A pooled cell under a [policy] reuses reset live
     materials (hardware stack included) for its configuration; rows are
     bit-identical to fresh builds.  Without [pool] the cell interprets:
     this is the reference path.
@@ -76,11 +78,11 @@ val run :
     serial sweep.  [policy] makes every cell adaptive, e.g.
     [Hier.Policy.for_exploration ()].
 
-    A sweep always draws sessions — and compiled cell plans, see
+    A sweep always draws sessions — and memoized rows, see
     {!run_one} — from a process-wide pool shared by every [run] call;
     rows are bit-identical to unpooled {!run_one} cells.  Every domain
-    shares that pool's store, so a {e repeated} grid reruns nothing but
-    the energy fold, on any number of domains. *)
+    shares that pool's store, so a {e repeated} fixed-level grid is one
+    memo lookup per cell, on any number of domains. *)
 
 val render : row list -> string
 (** One table per applet: best correct configuration (energy) marked

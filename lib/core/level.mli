@@ -6,8 +6,8 @@
     untimed message layer: serial blocking replay through
     {!Ec.Port.transact} on the layer-2 carrier bus (DESIGN.md section
     17.4).  Runs at every level compile into replay plans (DESIGN.md
-    section 14): sweeps fold their cells off memoized plans, single runs
-    interpret.
+    section 14), kept where they fold at more than one point: grid cells
+    memoize their answer, single runs interpret.
 
     The type itself lives in {!Hier.Level} (the mixed-level subsystem
     names levels without depending on [Core]); this module re-exports it,

@@ -11,8 +11,8 @@
 
 type entry = { kind_id : int; value : exn }
 
-(* Memo counters of one tag (trace, fabric and exploration-cell plans,
-   see Report.pool_stats); the totals are their sums. *)
+(* Memo counters of one tag (trace and fabric plans, study and
+   exploration cells, see Report.pool_stats); the totals are their sums. *)
 type tag_counts = { mutable tag_hits : int; mutable tag_builds : int }
 
 type t = {

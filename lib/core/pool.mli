@@ -60,7 +60,7 @@ val memo : t -> 'a kind -> tag:string -> key:string -> (unit -> 'a) -> 'a
     never collide with session keys.  Since the value is shared, callers
     must not mutate it.
 
-    [tag] names the plan kind (["trace"], ["fabric"], ["explore"]) for
+    [tag] names the value's kind (["trace"], ["fabric"], ["explore"]) for
     the per-kind hit/build breakout of {!memo_tag_stats}. *)
 
 val memo_tag_stats : t -> (string * int * int) list

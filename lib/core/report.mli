@@ -18,9 +18,9 @@ val pool_stats : Pool.t -> string
     builds and hit rate for the resettable-session free-lists
     ({!Pool.hits}/{!Pool.builds}) and for the plan memo
     ({!Pool.memo_hits}/{!Pool.memo_builds}), followed by one
-    ["plans:<tag>"] row per plan kind (trace, fabric and exploration-cell
-    plans, {!Pool.memo_tag_stats}); the tag rows sum to the ["plans"]
-    row. *)
+    ["plans:<tag>"] row per memo tag (trace and fabric plans, study and
+    exploration cells, {!Pool.memo_tag_stats}); the tag rows sum to the
+    ["plans"] row. *)
 
 val pct : float -> string
 (** Signed percentage with one decimal ("+14.7%", "-7.8%", "0.0%"). *)

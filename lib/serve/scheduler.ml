@@ -87,23 +87,29 @@ let replay_points scales =
 (* Multi-master replay: the workload trace drives the CPU master with
    the standard DMA/crypto companions alongside, exactly the wiring of
    [smartcard run --masters].  The fabric plan memoizes in the server
-   pool (the ["fabric"] tag), so repeated replays of one configuration
-   pay only the multi-point evaluation. *)
+   pool (the ["fabric"] tag) keyed by the wire descriptor, as
+   [compiled_plan] is, so a repeated replay builds no trace. *)
+let fabric_plan_kind : Compile.Plan.fabric Core.Pool.kind = Core.Pool.kind ()
+
 let execute_fabric_replay ~pool ~send (r : Protocol.replay)
     (f : Protocol.fabric_spec) =
-  let trace = Protocol.trace_of_workload r.Protocol.workload in
-  let masters =
-    (Core.Contention.Cpu, trace)
-    :: List.filter
-         (fun (k, _) -> k <> Core.Contention.Cpu)
-         (Core.Contention.default_masters
-            ~n:(max 64 (Ec.Trace.total_txns trace))
-            f.Protocol.fab_topology)
+  let key =
+    Core.Pool.fingerprint
+      ("serve-fabric", r.Protocol.level, f, r.Protocol.mode,
+       workload_key r.Protocol.workload)
   in
   let plan =
-    Core.Contention.compile ~level:r.Protocol.level
-      ~policy:f.Protocol.fab_policy ~topology:f.Protocol.fab_topology
-      ~mode:r.Protocol.mode ~pool masters
+    Core.Pool.memo pool fabric_plan_kind ~tag:"fabric" ~key (fun () ->
+        let trace = Protocol.trace_of_workload r.Protocol.workload in
+        Core.Contention.compile ~level:r.Protocol.level
+          ~policy:f.Protocol.fab_policy ~topology:f.Protocol.fab_topology
+          ~mode:r.Protocol.mode
+          ((Core.Contention.Cpu, trace)
+          :: List.filter
+               (fun (k, _) -> k <> Core.Contention.Cpu)
+               (Core.Contention.default_masters
+                  ~n:(max 64 (Ec.Trace.total_txns trace))
+                  f.Protocol.fab_topology)))
   in
   let outcomes =
     Compile.Eval.eval_fabric_multi plan ~points:(replay_points r.Protocol.scales)

@@ -765,23 +765,37 @@ let test_replay_rtl_l3 () =
             ]))
 
 let test_fabric_replay_bit_exact () =
-  with_server (fun _server path ->
+  with_server (fun server path ->
       with_client path (fun c ->
           let scales = [ 0.5; 1.0; 2.0 ] in
           let workload = P.Table3 40 in
           let level = Core.Level.L2 and mode = `Pipelined in
           let policy = Ec.Arbiter.Round_robin
           and topology = Core.Contention.Bridged in
-          let frames =
-            frames_exn
-              (Serve.Client.request c
-                 (P.Replay
-                    { P.workload; level; mode; scales;
-                      fabric =
-                        Some { P.fab_policy = policy; fab_topology = topology }
-                    }))
+          let replay () =
+            points_of
+              (frames_exn
+                 (Serve.Client.request c
+                    (P.Replay
+                       { P.workload; level; mode; scales;
+                         fabric =
+                           Some
+                             { P.fab_policy = policy; fab_topology = topology }
+                       })))
           in
-          let wire = points_of frames in
+          let wire = replay () in
+          (* A repeated request finds the plan by its wire descriptor and
+             answers the same points, bit for bit. *)
+          let again = replay () in
+          let bits (w : P.point_body) =
+            ( Int64.bits_of_float w.P.point_bus_pj,
+              Option.map (List.map Int64.bits_of_float) w.P.point_buckets )
+          in
+          check_bool "repeated points bit-identical" true
+            (List.map bits wire = List.map bits again && wire = again);
+          check_bool "one fabric plan built, then one hit" true
+            (List.mem ("fabric", 1, 1)
+               (Core.Pool.memo_tag_stats (Serve.Server.pool server)));
           let trace = P.trace_of_workload workload in
           let masters =
             (Core.Contention.Cpu, trace)
