@@ -4,17 +4,20 @@
     characterization table at layer 1, a table plus lump parameters at
     layers 2 and 3.  Neither reaches the gate level: a plan at
     {!Hier.Level.Rtl} plays its wire rows through {!Rtl.Diesel} under
-    the default {!Rtl.Params}, once for every point.  {!eval_multi}
-    decodes the plan once and folds every point's energy off the shared
-    decode, so N points cost one walk of the plan instead of N
-    interpreted replays.
+    the default {!Rtl.Params}, once for every point.  At layers 1 to 3
+    {!eval_multi} prices each class of the plan ({!Plan.classes}) once
+    per point and one walk adds the class energies row by row, in cycle
+    order, so N points cost one pass over the class table and one walk
+    of the rows instead of N interpreted replays.
 
-    Bit-exactness: for each point, every float operation happens in the
-    order the interpreted estimator performs it (per-bit sums ascend
-    from bit 0; groups add in addr/be/wdata/rdata/ctrl order; one
-    cycle's lumps group before joining the total; Diesel runs its own
-    code), so the returned energy — and the per-cycle profile, when
-    requested — equals the interpreted figure bit for bit. *)
+    Bit-exactness: a class's energy is a pure function of its words or
+    lumps and the point, and for each point every float operation
+    happens in the order the interpreted estimator performs it (per-bit
+    sums ascend from bit 0; groups add in addr/be/wdata/rdata/ctrl
+    order; one cycle's lumps group before joining the total; cycles add
+    in cycle order; Diesel runs its own code), so the returned energy —
+    and the per-cycle profile, when requested — equals the interpreted
+    figure bit for bit. *)
 
 type point = {
   table : Power.Characterization.t;
@@ -45,9 +48,9 @@ type fabric_outcome = {
 
 val eval_fabric_multi :
   Plan.fabric -> points:point list -> fabric_outcome list
-(** One walk of the fabric plan per bus body, one outcome per point, in
+(** One pricing of each bus body's classes, one outcome per point, in
     order.  Each master's bucket replays that master's op stream — the
-    exact float-add order of the interpreted fabric — off dense per-cycle
-    energies evaluated from the shared decode, so buckets, totals and
-    bridge energy are bit-identical to an interpreted run at each
-    point. *)
+    exact float-add order of the interpreted fabric — reading a sampled
+    cycle's energy through a cycle-to-class index (the Diesel profile at
+    the gate level), so buckets, totals and bridge energy are
+    bit-identical to an interpreted run at each point. *)

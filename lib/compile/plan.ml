@@ -5,10 +5,12 @@
    by the bus model, and what remains is the flat integer record of what
    the energy estimator would see — the wire image's per-cycle toggle
    words at the gate level and layer 1, the lump event stream at layers
-   2 and 3 — plus the table-independent scalar results of the run.
-   Re-evaluating a plan under a new characterization table or parameter
-   point is then an array sweep (see Eval), with no kernel, queues or
-   slave calls involved. *)
+   2 and 3 — plus the table-independent scalar results of the run.  The
+   record is interned at capture: each distinct cycle is stored once as
+   a class, and the body keeps one (closed cycle, class) row per cycle
+   with something to price.  Re-evaluating a plan under a new
+   characterization table or parameter point is then an array sweep
+   (see Eval), with no kernel, queues or slave calls involved. *)
 
 module Ivec = struct
   type t = { mutable a : int array; mutable n : int }
@@ -27,6 +29,81 @@ module Ivec = struct
   let to_array v = Array.sub v.a 0 v.n
 end
 
+(* The class table of one capture: int-word keys of any length stored end
+   to end, found through an open-addressing table of class ids.  A probe
+   compares every word of the stored key, never the hash alone, so two
+   cycles share a class only when their keys are equal.  Ids count up in
+   first-occurrence order. *)
+module Intern = struct
+  type t = {
+    words : Ivec.t;  (* the keys, concatenated *)
+    off : Ivec.t;  (* classes + 1 offsets into [words] *)
+    mutable slots : int array;  (* class id or -1; a power of two long *)
+  }
+
+  let create () =
+    let off = Ivec.create () in
+    Ivec.push off 0;
+    { words = Ivec.create (); off; slots = Array.make 256 (-1) }
+
+  let count t = t.off.Ivec.n - 1
+
+  (* Multiply-xor over the words; the finish folds every bit into the
+     low ones the slot index keeps. *)
+  let hash (a : int array) pos len =
+    let h = ref len in
+    for i = pos to pos + len - 1 do
+      h := (!h lxor a.(i)) * 0x2545F4914F6CDD1D
+    done;
+    let h = (!h lxor (!h lsr 32)) * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 29)
+
+  let equal t c (key : int array) len =
+    let w = t.words.Ivec.a and o = t.off.Ivec.a.(c) in
+    t.off.Ivec.a.(c + 1) - o = len
+    &&
+    let i = ref 0 in
+    while !i < len && w.(o + !i) = key.(!i) do
+      incr i
+    done;
+    !i = len
+
+  let grow t =
+    let slots = Array.make (2 * Array.length t.slots) (-1) in
+    let mask = Array.length slots - 1 in
+    for c = 0 to count t - 1 do
+      let o = t.off.Ivec.a.(c) in
+      let len = t.off.Ivec.a.(c + 1) - o in
+      let s = ref (hash t.words.Ivec.a o len land mask) in
+      while slots.(!s) >= 0 do
+        s := (!s + 1) land mask
+      done;
+      slots.(!s) <- c
+    done;
+    t.slots <- slots
+
+  (* The class of the first [len] words of [key], a new one if no stored
+     key equals them. *)
+  let intern t key len =
+    let mask = Array.length t.slots - 1 in
+    let s = ref (hash key 0 len land mask) in
+    while t.slots.(!s) >= 0 && not (equal t t.slots.(!s) key len) do
+      s := (!s + 1) land mask
+    done;
+    let c = t.slots.(!s) in
+    if c >= 0 then c
+    else begin
+      let c = count t in
+      for i = 0 to len - 1 do
+        Ivec.push t.words key.(i)
+      done;
+      Ivec.push t.off t.words.Ivec.n;
+      t.slots.(!s) <- c;
+      if 2 * (c + 1) > Array.length t.slots then grow t;
+      c
+    end
+end
+
 type meta = {
   level : Hier.Level.t;
   cycles : int;
@@ -39,33 +116,23 @@ type meta = {
           characterization table, so captured once at compile time *)
 }
 
-(* The gate level and layer 1: sparse parallel arrays, one row per
-   closed cycle in which a wire group toggled. *)
-type wire_data = {
-  d_cycle : int array;  (* ascending closed-cycle index of each row *)
-  d_addr : int array;  (* old lxor new, per group *)
-  d_be : int array;
-  d_wdata : int array;
-  d_rdata : int array;
-  d_ctrl : int array;
-  d_sel : int array;
+(* The gate level and layer 1: six toggle words per class — old lxor new
+   of addr, be, wdata, rdata, ctrl and sel — class [c] at [6 * c].
+   Layer 2: a class is one closed cycle's lumps in event order, each an
+   address lump [0; 0; 0] or a data lump [1; dir; burst] followed by its
+   burst - 1 inter-beat popcounts (never pre-summed: the lump formula
+   adds them one by one), class [c] at [l2_off.(c)] ..
+   [l2_off.(c + 1) - 1] of [l2_words]. *)
+type classes =
+  | Wires of int array
+  | L2 of { l2_off : int array; l2_words : int array }
+
+type body = {
+  row_cycle : int array;  (* ascending closed-cycle index of each row *)
+  row_class : int array;  (* the row's class *)
+  classes : classes;
 }
 
-(* Layer 2: the lump event stream.  Address lumps depend only on the
-   parameter point; data lumps additionally carry the burst shape and
-   the exact inter-beat Hamming distances (flattened into [pops]).
-   Events of one cycle stay adjacent so the evaluator can reproduce the
-   meter's cycle grouping exactly. *)
-type l2_data = {
-  ev_cycle : int array;
-  ev_kind : int array;  (* 0 = address lump, 1 = data lump *)
-  ev_dir : int array;  (* 0 = read, 1 = write *)
-  ev_burst : int array;
-  ev_pop_off : int array;  (* start of this event's run in [pops] *)
-  pops : int array;  (* burst-1 inter-beat popcounts per data lump *)
-}
-
-type body = Wires of wire_data | L2 of l2_data
 type t = { meta : meta; body : body }
 
 let at_level level t =
@@ -73,28 +140,36 @@ let at_level level t =
 
 (* --- recorders: what the bus and energy-model taps feed -------------- *)
 
+(* Both recorders push one row per closed cycle that has something to
+   price, interning its key on the way. *)
+type rows = { r_cycle : Ivec.t; r_class : Ivec.t; r_intern : Intern.t }
+
+let rows () =
+  {
+    r_cycle = Ivec.create ();
+    r_class = Ivec.create ();
+    r_intern = Intern.create ();
+  }
+
+let push_row r ~cycle key len =
+  Ivec.push r.r_cycle cycle;
+  Ivec.push r.r_class (Intern.intern r.r_intern key len)
+
+let body_of r classes =
+  {
+    row_cycle = Ivec.to_array r.r_cycle;
+    row_class = Ivec.to_array r.r_class;
+    classes;
+  }
+
 type wire_recorder = {
   mutable w_cycle : int;
-  r_cycle : Ivec.t;
-  r_addr : Ivec.t;
-  r_be : Ivec.t;
-  r_wdata : Ivec.t;
-  r_rdata : Ivec.t;
-  r_ctrl : Ivec.t;
-  r_sel : Ivec.t;
+  w_rows : rows;
+  w_key : int array;  (* the closing cycle's six words *)
 }
 
 let wire_recorder () =
-  {
-    w_cycle = 0;
-    r_cycle = Ivec.create ();
-    r_addr = Ivec.create ();
-    r_be = Ivec.create ();
-    r_wdata = Ivec.create ();
-    r_rdata = Ivec.create ();
-    r_ctrl = Ivec.create ();
-    r_sel = Ivec.create ();
-  }
+  { w_cycle = 0; w_rows = rows (); w_key = Array.make 6 0 }
 
 (* The Rtl.Bus tap: one call per falling edge, before the estimator
    commits the closing cycle's wires. *)
@@ -104,79 +179,67 @@ let wire_observe r (w : Rtl.Wires.t) =
   let wdata = w.wdata lxor w.wdata_next and rdata = w.rdata lxor w.rdata_next in
   let ctrl = w.ctrl lxor w.ctrl_next and sel = w.sel lxor w.sel_next in
   if addr lor be lor wdata lor rdata lor ctrl lor sel <> 0 then begin
-    Ivec.push r.r_cycle r.w_cycle;
-    Ivec.push r.r_addr addr;
-    Ivec.push r.r_be be;
-    Ivec.push r.r_wdata wdata;
-    Ivec.push r.r_rdata rdata;
-    Ivec.push r.r_ctrl ctrl;
-    Ivec.push r.r_sel sel
+    let k = r.w_key in
+    k.(0) <- addr;
+    k.(1) <- be;
+    k.(2) <- wdata;
+    k.(3) <- rdata;
+    k.(4) <- ctrl;
+    k.(5) <- sel;
+    push_row r.w_rows ~cycle:r.w_cycle k 6
   end;
   r.w_cycle <- r.w_cycle + 1
 
 let wire_finish r =
-  Wires
-    {
-      d_cycle = Ivec.to_array r.r_cycle;
-      d_addr = Ivec.to_array r.r_addr;
-      d_be = Ivec.to_array r.r_be;
-      d_wdata = Ivec.to_array r.r_wdata;
-      d_rdata = Ivec.to_array r.r_rdata;
-      d_ctrl = Ivec.to_array r.r_ctrl;
-      d_sel = Ivec.to_array r.r_sel;
-    }
+  body_of r.w_rows (Wires (Ivec.to_array r.w_rows.r_intern.Intern.words))
 
+(* The open cycle's lumps accumulate as a class key and are interned
+   when the cycle closes. *)
 type l2_recorder = {
   mutable l2_cycle : int;
-  e_cycle : Ivec.t;
-  e_kind : Ivec.t;
-  e_dir : Ivec.t;
-  e_burst : Ivec.t;
-  e_pop_off : Ivec.t;
-  e_pops : Ivec.t;
+  l2_rows : rows;
+  l2_open : Ivec.t;
 }
 
 let l2_recorder () =
-  {
-    l2_cycle = 0;
-    e_cycle = Ivec.create ();
-    e_kind = Ivec.create ();
-    e_dir = Ivec.create ();
-    e_burst = Ivec.create ();
-    e_pop_off = Ivec.create ();
-    e_pops = Ivec.create ();
-  }
+  { l2_cycle = 0; l2_rows = rows (); l2_open = Ivec.create () }
+
+let l2_close r =
+  let o = r.l2_open in
+  if o.Ivec.n > 0 then begin
+    push_row r.l2_rows ~cycle:r.l2_cycle o.Ivec.a o.Ivec.n;
+    o.Ivec.n <- 0
+  end
 
 let l2_observe r (ev : Tlm2.Energy.event) =
+  let o = r.l2_open in
   match ev with
-  | Tlm2.Energy.Cycle -> r.l2_cycle <- r.l2_cycle + 1
+  | Tlm2.Energy.Cycle ->
+    l2_close r;
+    r.l2_cycle <- r.l2_cycle + 1
   | Tlm2.Energy.Addr_lump _ ->
-    Ivec.push r.e_cycle r.l2_cycle;
-    Ivec.push r.e_kind 0;
-    Ivec.push r.e_dir 0;
-    Ivec.push r.e_burst 0;
-    Ivec.push r.e_pop_off r.e_pops.Ivec.n
+    Ivec.push o 0;
+    Ivec.push o 0;
+    Ivec.push o 0
   | Tlm2.Energy.Data_lump txn ->
-    Ivec.push r.e_cycle r.l2_cycle;
-    Ivec.push r.e_kind 1;
-    Ivec.push r.e_dir (match txn.Ec.Txn.dir with Ec.Txn.Read -> 0 | Ec.Txn.Write -> 1);
-    Ivec.push r.e_burst txn.Ec.Txn.burst;
-    Ivec.push r.e_pop_off r.e_pops.Ivec.n;
+    Ivec.push o 1;
+    Ivec.push o
+      (match txn.Ec.Txn.dir with Ec.Txn.Read -> 0 | Ec.Txn.Write -> 1);
+    Ivec.push o txn.Ec.Txn.burst;
     for i = 1 to txn.Ec.Txn.burst - 1 do
-      Ivec.push r.e_pops
+      Ivec.push o
         (Sim.Bits.popcount (txn.Ec.Txn.data.(i) lxor txn.Ec.Txn.data.(i - 1)))
     done
 
 let l2_finish r =
-  L2
-    {
-      ev_cycle = Ivec.to_array r.e_cycle;
-      ev_kind = Ivec.to_array r.e_kind;
-      ev_dir = Ivec.to_array r.e_dir;
-      ev_burst = Ivec.to_array r.e_burst;
-      ev_pop_off = Ivec.to_array r.e_pop_off;
-      pops = Ivec.to_array r.e_pops;
-    }
+  l2_close r;
+  let i = r.l2_rows.r_intern in
+  body_of r.l2_rows
+    (L2
+       {
+         l2_off = Ivec.to_array i.Intern.off;
+         l2_words = Ivec.to_array i.Intern.words;
+       })
 
 (* --- fabric plans (DESIGN.md section 18) ------------------------------ *)
 

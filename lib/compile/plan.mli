@@ -6,10 +6,13 @@
     the bus model, and the plan keeps the flat integer record of what
     the energy estimator saw — the per-cycle toggle words of the wire
     image at the gate level and layer 1, which run one engine over one
-    {!Rtl.Wires}, the lump event stream at layer 2 and at layer 3 (the
+    {!Rtl.Wires}, the lumps of each cycle at layer 2 and at layer 3 (the
     carrier's) — plus the table-independent scalar results of the run.
-    {!Eval} sweeps a plan under any number of parameter points without a
-    kernel, queues or slave calls. *)
+    The record is interned at capture into a table of distinct cycle
+    {e classes} and one [(closed cycle, class)] row per priced cycle:
+    both estimators price a cycle from its own words or lumps alone, so
+    {!Eval} prices each class once per point and adds the class energies
+    in cycle order, without a kernel, queues or slave calls. *)
 
 type meta = {
   level : Hier.Level.t;
@@ -24,33 +27,32 @@ type meta = {
           characterization table, so captured once at compile time *)
 }
 
-(** The wire body of the gate level and layer 1: sparse parallel
-    arrays, one row per closed cycle in which a wire group toggled.  The
-    new words are the running xor of the rows from the reset zeros, so
-    the rows carry the whole wire image. *)
-type wire_data = {
-  d_cycle : int array;  (** ascending closed-cycle index of each row *)
-  d_addr : int array;  (** old [lxor] new, per wire group *)
-  d_be : int array;
-  d_wdata : int array;
-  d_rdata : int array;
-  d_ctrl : int array;
-  d_sel : int array;  (** the controller's slave selects: gate level only *)
-}
+(** The class table of a body.  [Wires] (the gate level and layer 1):
+    six toggle words per class — old [lxor] new of addr, be, wdata,
+    rdata, ctrl and the controller's slave selects, which only the gate
+    level reads — class [c] at [6 * c]; the new words are the running
+    xor of the rows' classes from the reset zeros, so the rows carry the
+    whole wire image.  [L2]: the lumps of one closed cycle in event
+    order, each an address lump [0; 0; 0] or a data lump
+    [1; dir; burst] (dir 0 = read, 1 = write) followed by its [burst - 1]
+    inter-beat popcounts; class [c] is [l2_words.(l2_off.(c))] ..
+    [l2_words.(l2_off.(c + 1) - 1)].  Classes are pairwise distinct. *)
+type classes =
+  | Wires of int array
+  | L2 of { l2_off : int array; l2_words : int array }
 
-(** Layer-2 body: the lump event stream, cycle-adjacent so the evaluator
-    reproduces the meter's cycle grouping exactly.  Data lumps carry the
-    burst shape and exact inter-beat Hamming distances. *)
-type l2_data = {
-  ev_cycle : int array;
-  ev_kind : int array;  (** 0 = address lump, 1 = data lump *)
-  ev_dir : int array;  (** 0 = read, 1 = write *)
-  ev_burst : int array;
-  ev_pop_off : int array;  (** start of this event's run in [pops] *)
-  pops : int array;  (** burst-1 inter-beat popcounts per data lump *)
+type body = {
+  row_cycle : int array;
+      (** ascending closed-cycle index of each row: one row per cycle in
+          which a wire group toggled ([Wires]) or a lump landed ([L2]) *)
+  row_class : int array;
+      (** each row's class; ids are numbered in order of first
+          occurrence *)
+  classes : classes;
 }
+(** {!Eval} reads rows and classes without bounds checks: build bodies
+    with the recorders below. *)
 
-type body = Wires of wire_data | L2 of l2_data
 type t = { meta : meta; body : body }
 
 val at_level : Hier.Level.t -> t -> t
@@ -61,7 +63,10 @@ val at_level : Hier.Level.t -> t -> t
 
     Attach {!wire_observe} with {!Rtl.Bus.set_tap} (or {!l2_observe}
     with {!Tlm2.Energy.set_observer}), run the workload once
-    interpreted, then take the finished body. *)
+    interpreted, then take the finished body.  A recorder interns each
+    cycle's key as the cycle closes, in an int-keyed open-addressing
+    table whose probe compares every word of a stored key, never the
+    hash alone. *)
 
 type wire_recorder
 

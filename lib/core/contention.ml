@@ -239,11 +239,15 @@ let execute ~level ~policy ~topology s masters =
    at the capture table must reproduce the interpreted buckets bit for
    bit. *)
 let compile ?(level = Level.L1) ?(policy = Ec.Arbiter.Round_robin)
-    ?(topology = Single) ?mode ?pool masters =
+    ?(topology = Single) ?(mode = `Pipelined) ?pool masters =
   validate ~fn:"compile" ~level masters;
+  (* As [Runner.compile_trace]: the gate level and layer 1 record the
+     same wire bodies, so an rtl plan is captured at layer 1, keyed by
+     [Runner.plan_key], and comes back at the requested level. *)
   let build () =
+    let level = if level = Level.Rtl then Level.L1 else level in
     let table = Power.Characterization.default in
-    let s = build_session ~level ~policy ~topology ?mode ~table masters in
+    let s = build_session ~level ~policy ~topology ~mode ~table masters in
     let n = Array.length s.s_masters in
     let near_plan = System.capture s.s_system in
     let far_plan =
@@ -301,14 +305,18 @@ let compile ?(level = Level.L1) ?(policy = Ec.Arbiter.Round_robin)
     then failwith "Core.Contention.compile: replay cross-check failed (totals)";
     plan
   in
-  match pool with
-  | Some p ->
-    let key =
-      "fabric-plan:"
-      ^ Pool.fingerprint (level, policy, topology, mode, masters)
-    in
-    Pool.memo p fabric_plan_kind ~tag:"fabric" ~key build
-  | None -> build ()
+  let plan =
+    match pool with
+    | Some p ->
+      let key =
+        Printf.sprintf "fabric-plan:%s:%s" (Runner.plan_key ~level ~mode)
+          (Pool.fingerprint (policy, topology, masters))
+      in
+      Pool.memo p fabric_plan_kind ~tag:"fabric" ~key build
+    | None -> build ()
+  in
+  let at = Compile.Plan.at_level level in
+  { plan with near = at plan.near; far_plan = Option.map at plan.far_plan }
 
 (* ------------------------------------------------------------------ *)
 

@@ -106,8 +106,13 @@ val compile :
     parameter-independence with a replay cross-check — the fresh plan
     evaluated at the capture table must reproduce the interpreted
     buckets bit for bit.  The near and far bodies are recorded by
-    {!System.capture}.  The bridge runs at {!run}'s defaults.  With
-    [?pool] the plan is memoized under the ["fabric"] tag.
+    {!System.capture}.  The bridge runs at {!run}'s defaults.  As in
+    {!Runner.compile_trace}, {!Level.Rtl} and {!Level.L1} record the
+    same wire bodies: an rtl plan is captured (and cross-checked) at
+    layer 1, and the near and far plans come back at the requested
+    level.  With [?pool] the plan is memoized under the ["fabric"] tag,
+    keyed by {!Runner.plan_key}, so an rtl and an L1 plan of one
+    workload share one capture.
 
     @raise Invalid_argument as {!run}.
     @raise Failure if the cross-check diverges. *)

@@ -381,7 +381,7 @@ let run_exploration_comparison ~applets ?policy () =
     modes =
       [
         mode "pure TL layer 1" l1_rows l1_wall;
-        mode "TL layer 1, warm compiled plans" l1_warm_rows l1_warm_wall;
+        mode "TL layer 1, warm memoized cells" l1_warm_rows l1_warm_wall;
         mode "pure TL layer 2" l2_rows l2_wall;
         mode "adaptive (for_exploration)" ad_rows ad_wall;
       ];
@@ -407,7 +407,7 @@ let render_exploration_comparison c =
     "Adaptive exploration sweep vs pure-level sweeps (%d cells: %s)
 %s
      adaptive rows %s vs pure layer 1; spliced energy %s
-     warm compiled sweep %s vs the cold layer-1 sweep"
+     warm memoized cells %s vs unpooled cells"
     c.cells
     (String.concat ", " c.applets)
     (Report.table

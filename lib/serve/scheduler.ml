@@ -87,29 +87,36 @@ let replay_points scales =
 (* Multi-master replay: the workload trace drives the CPU master with
    the standard DMA/crypto companions alongside, exactly the wiring of
    [smartcard run --masters].  The fabric plan memoizes in the server
-   pool (the ["fabric"] tag) keyed by the wire descriptor, as
-   [compiled_plan] is, so a repeated replay builds no trace. *)
+   pool (the ["fabric"] tag) keyed by [Runner.plan_key] and the wire
+   descriptor, as [compiled_plan] is, so a repeated replay builds no
+   trace and an rtl and an L1 replay share one capture. *)
 let fabric_plan_kind : Compile.Plan.fabric Core.Pool.kind = Core.Pool.kind ()
 
 let execute_fabric_replay ~pool ~send (r : Protocol.replay)
     (f : Protocol.fabric_spec) =
+  let level = r.Protocol.level in
   let key =
     Core.Pool.fingerprint
-      ("serve-fabric", r.Protocol.level, f, r.Protocol.mode,
-       workload_key r.Protocol.workload)
+      ( "serve-fabric",
+        Core.Runner.plan_key ~level ~mode:r.Protocol.mode,
+        f,
+        workload_key r.Protocol.workload )
   in
   let plan =
     Core.Pool.memo pool fabric_plan_kind ~tag:"fabric" ~key (fun () ->
         let trace = Protocol.trace_of_workload r.Protocol.workload in
-        Core.Contention.compile ~level:r.Protocol.level
-          ~policy:f.Protocol.fab_policy ~topology:f.Protocol.fab_topology
-          ~mode:r.Protocol.mode
+        Core.Contention.compile ~level ~policy:f.Protocol.fab_policy
+          ~topology:f.Protocol.fab_topology ~mode:r.Protocol.mode
           ((Core.Contention.Cpu, trace)
           :: List.filter
                (fun (k, _) -> k <> Core.Contention.Cpu)
                (Core.Contention.default_masters
                   ~n:(max 64 (Ec.Trace.total_txns trace))
                   f.Protocol.fab_topology)))
+  in
+  let at = Compile.Plan.at_level level in
+  let plan =
+    { plan with near = at plan.near; far_plan = Option.map at plan.far_plan }
   in
   let outcomes =
     Compile.Eval.eval_fabric_multi plan ~points:(replay_points r.Protocol.scales)

@@ -379,9 +379,10 @@ let test_compiled_grid_bit_exact () =
           Ec.Arbiter.Weighted [| 4; 2; 1 |];
         ])
     [ Core.Level.Rtl; Core.Level.L1; Core.Level.L2 ];
-  (* One capture per cell, then memo hits. *)
-  check_int "plans built" 18 (Core.Pool.memo_builds pool);
-  check_int "plan hits" 18 (Core.Pool.memo_hits pool);
+  (* One capture per cell, then memo hits; an rtl and an L1 cell share
+     one capture, so the 6 L1 cells hit the rtl cells' plans. *)
+  check_int "plans built" 12 (Core.Pool.memo_builds pool);
+  check_int "plan hits" 24 (Core.Pool.memo_hits pool);
   (* The study sweep: its pooled compiled grid, cold and then warm off
      the memoized results, equals the interpreted grid cell for cell.
      Each sweep spawns its own workers, so on two domains the warm pass
@@ -423,6 +424,43 @@ let test_rtl_study_compiled () =
       interp
       (Core.Contention.study ~n:48 ~levels ~compiled:true ~pool ~domains:1 ())
   done
+
+(* The gate level and layer 1 record the same wire bodies: a pooled
+   compile at rtl and then at L1 builds one fabric plan, each call gets
+   it back at its own level, and each folds to its interpreted run bit
+   for bit, single and bridged. *)
+let test_rtl_l1_share_fabric_plan () =
+  let pool = Core.Pool.create () in
+  let policy = Ec.Arbiter.Round_robin in
+  List.iter
+    (fun topology ->
+      let masters = Core.Contention.default_masters ~n:48 topology in
+      let built = Core.Pool.memo_builds pool in
+      List.iter
+        (fun level ->
+          let cell =
+            Core.Level.to_string level ^ "/"
+            ^ Core.Contention.topology_to_string topology
+          in
+          let plan =
+            Core.Contention.compile ~level ~policy ~topology ~pool masters
+          in
+          List.iter
+            (fun (p : Compile.Plan.t) ->
+              check_bool (cell ^ " plan level") true
+                (p.Compile.Plan.meta.Compile.Plan.level = level))
+            (plan.Compile.Plan.near
+            :: Option.to_list plan.Compile.Plan.far_plan);
+          check_result_bit_exact cell
+            (Core.Contention.run ~level ~policy ~topology masters)
+            (compiled_run ~pool ~level ~policy ~topology masters))
+        [ Core.Level.Rtl; Core.Level.L1 ];
+      check_int
+        (Core.Contention.topology_to_string topology ^ " one fabric plan")
+        (built + 1) (Core.Pool.memo_builds pool))
+    [ Core.Contention.Single; Core.Contention.Bridged ];
+  check_bool "fabric tag: 2 builds, 6 hits" true
+    (Core.Pool.memo_tag_stats pool = [ ("fabric", 6, 2) ])
 
 (* Multi-point evaluation must equal N single-point evaluations. *)
 let test_fabric_multipoint () =
@@ -690,6 +728,8 @@ let suite =
       test_compiled_grid_bit_exact;
     Alcotest.test_case "rtl study: compiled = interpreted" `Quick
       test_rtl_study_compiled;
+    Alcotest.test_case "rtl and l1 compile one fabric plan" `Quick
+      test_rtl_l1_share_fabric_plan;
     Alcotest.test_case "fabric multi-point = N single points" `Quick
       test_fabric_multipoint;
     Alcotest.test_case "pooled fabric session replays" `Quick
