@@ -8,13 +8,16 @@
    energies row by row, in cycle order: N points cost one pass over the
    class table plus one walk, instead of N interpreted replays.
 
-   Bit-exactness holds by construction: each class is priced by the
-   interpreted estimator's own code — [Tlm1.Energy.fold] per wire class,
-   [Tlm2.Energy]'s lanes and one [data_lumps] call per data lump — and
-   [Rtl.Diesel] closes every cycle at the gate level.  What stays here is
-   the cycle grouping: one cycle's lumps group before joining the total,
-   and an elided quiet cycle adds a literal 0.0 at layers 1 and 2, a
-   float identity for the non-negative energies involved. *)
+   The two k-lane loops — layer-1 class pricing and the walk — run in
+   lane_kernel.c, which does in every lane the additions of the one-lane
+   [Tlm1.Energy.fold] in its order, and adds each lane's rows in cycle
+   order; layer-2 classes are priced by [Tlm2.Energy]'s lanes and one
+   [data_lumps] call per data lump, and [Rtl.Diesel] closes every cycle
+   at the gate level.  So bit-exactness holds by construction.  What
+   stays here is the cycle grouping: one cycle's lumps group before
+   joining the total, and an elided quiet cycle adds a literal 0.0 at
+   layers 1 and 2, a float identity for the non-negative energies
+   involved. *)
 
 type point = {
   table : Power.Characterization.t;
@@ -39,28 +42,63 @@ let finish totals profs l =
         Some p);
   }
 
-(* The class energies of a pass go into scratch arrays kept per domain
-   and reused from pass to pass.  A fresh array of (classes + 1) x k
-   floats is too large for the minor heap, and on a warm sweep that
-   allocation paced the major collector: 155 major collections in 300
-   work cycles against 9 with reuse, and a slower pass than the per-row
-   fold it replaced.  A pass takes its array out of the domain's slot
-   and gives it back when done, so another thread of the same domain
-   finds the slot empty and allocates its own.  Slot 0 serves a plan's
-   body, slot 1 a fabric plan's far body. *)
-let scratch = Domain.DLS.new_key (fun () -> [| [||]; [||] |])
+(* The arrays a pass builds live in scratch slots kept per domain and
+   reused from pass to pass: the class energies ((classes + 1) x k
+   floats; [body_slot] for a plan's body, [far_slot] for a fabric plan's
+   far body), the layer-1 lane energies (113 x k floats, [lane_slot])
+   and a fabric body's cycle -> class index ([body_slot], [far_slot]).
+   Fresh arrays that large go to the major heap, and on a warm sweep
+   their allocation paced the major collector: 155 major collections in
+   300 work cycles against 9 with reuse.  A pass takes an array out of
+   its slot and gives it back when done, so another thread of the same
+   domain finds the slot empty and allocates its own. *)
+type slots = { floats : float array array; ints : int array array }
 
-let take slot n =
-  let s = Domain.DLS.get scratch in
-  let e = s.(slot) in
-  s.(slot) <- [||];
-  if Array.length e < n then Array.make n 0.0
-  else begin
-    Array.fill e 0 n 0.0;
-    e
-  end
+let body_slot = 0
+let far_slot = 1
+let lane_slot = 2
 
-let give slot e = (Domain.DLS.get scratch).(slot) <- e
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      { floats = Array.make 3 [||]; ints = Array.make 2 [||] })
+
+(* An array of at least [n] elements, holding what the last pass left:
+   [x] makes a fresh one. *)
+let take slots slot n x =
+  let a = slots.(slot) in
+  slots.(slot) <- [||];
+  if Array.length a < n then Array.make n x else a
+
+let give slots slot a = slots.(slot) <- a
+
+(* The k-lane loops, in lane_kernel.c.  [price_l1 ws pj e k] prices every
+   class of [ws] (six words each) under the wire-major lane energies
+   [pj] into [e]; [walk_rows row_class e k classes totals] adds each
+   lane's class energies over the rows into [totals].  Both return 0, or
+   the nonzero status of what they refused before reading past an
+   array: see [check]. *)
+external price_l1 : int array -> float array -> float array -> int -> int
+  = "compile_price_l1"
+[@@noalloc]
+
+external walk_rows :
+  int array -> float array -> int -> int -> float array -> int
+  = "compile_walk"
+[@@noalloc]
+
+let check = function
+  | 0 -> ()
+  | 1 -> invalid_arg "Compile.Eval: plan arrays shorter than their counts"
+  | 2 -> invalid_arg "Compile.Eval: class word wider than its signal group"
+  | _ -> invalid_arg "Compile.Eval: row class out of range"
+
+(* The kernel's group widths are Ec.Signals'. *)
+let () =
+  if
+    Ec.Signals.
+      [ addr_wires; be_wires; data_wires; data_wires; ctrl_count; count ]
+    <> [ 34; 4; 32; 32; 11; 113 ]
+  then failwith "Compile.Eval: signal groups differ from lane_kernel.c"
 
 let class_count = function
   | Plan.Wires ws -> Array.length ws / 6
@@ -68,27 +106,33 @@ let class_count = function
 
 (* Lane energies of every class, class [c] of lane [l] at [c * k + l],
    then one zero class for the quiet cycles fabric ops sample, in a
-   scratch array from [slot]. *)
-
-let l1_classes ~slot (ws : int array) lanes ~k =
+   scratch array from [slot].  At layer 1 the kernel prices them from
+   every wire's lane energies, wire [w] of lane [l] at [w * k + l], so a
+   toggled wire's k energies are adjacent. *)
+let l1_classes slots ~slot (ws : int array) points ~k =
   let n = Array.length ws / 6 in
-  let e = take slot ((n + 1) * k) and pj = Array.make k 0.0 in
-  for c = 0 to n - 1 do
-    let o = 6 * c in
-    ignore
-      (Tlm1.Energy.fold lanes pj ~addr:ws.(o) ~be:ws.(o + 1) ~wdata:ws.(o + 2)
-         ~rdata:ws.(o + 3) ~ctrl:ws.(o + 4));
-    Array.blit pj 0 e (c * k) k
-  done;
+  let e = take slots.floats slot ((n + 1) * k) 0.0 in
+  Array.fill e (n * k) k 0.0;
+  let pj = take slots.floats lane_slot (Ec.Signals.count * k) 0.0 in
+  List.iteri
+    (fun l pt ->
+      let t = Power.Characterization.to_array pt.table in
+      for w = 0 to Ec.Signals.count - 1 do
+        pj.((w * k) + l) <- t.(w)
+      done)
+    points;
+  check (price_l1 ws pj e k);
+  give slots.floats lane_slot pj;
   e
 
 (* A class's lumps add in event order onto 0.0, the interpreted cycle
    grouping. *)
-let l2_classes ~slot ~off ~(words : int array) (lanes : Tlm2.Energy.lanes)
-    ~k =
+let l2_classes slots ~slot ~off ~(words : int array)
+    (lanes : Tlm2.Energy.lanes) ~k =
   let addr_lump = lanes.Tlm2.Energy.addr_lump in
   let n = Array.length off - 1 in
-  let e = take slot ((n + 1) * k) and lump = Array.make k 0.0 in
+  let e = take slots.floats slot ((n + 1) * k) 0.0 and lump = Array.make k 0.0 in
+  Array.fill e 0 ((n + 1) * k) 0.0;
   for c = 0 to n - 1 do
     let o = c * k and i = ref off.(c) in
     while !i < off.(c + 1) do
@@ -112,14 +156,11 @@ let l2_classes ~slot ~off ~(words : int array) (lanes : Tlm2.Energy.lanes)
   done;
   e
 
-let class_energies ~slot (c : Plan.classes) ~points ~k =
+let class_energies slots ~slot (c : Plan.classes) ~points ~k =
   match c with
-  | Plan.Wires ws ->
-    l1_classes ~slot ws
-      (Tlm1.Energy.lanes (Array.of_list (List.map (fun pt -> pt.table) points)))
-      ~k
+  | Plan.Wires ws -> l1_classes slots ~slot ws points ~k
   | Plan.L2 { l2_off; l2_words } ->
-    l2_classes ~slot ~off:l2_off ~words:l2_words
+    l2_classes slots ~slot ~off:l2_off ~words:l2_words
       (Tlm2.Energy.lanes
          (Array.of_list
             (List.map
@@ -131,39 +172,13 @@ let class_energies ~slot (c : Plan.classes) ~points ~k =
       ~k
 
 (* The one walk of layers 1 and 2: each lane adds its energy of every
-   row's class onto 0.0, row by row in cycle order.  A class's k
-   energies are adjacent, so the lanes go four at a time in local
-   accumulators (unboxed, as in [Tlm1.Energy.fold]), then the last
-   [k mod 4] one by one.  With [~profile] each lane's dense per-cycle
-   profile is filled too, 0.0 at the cycles without a row. *)
+   row's class onto 0.0, row by row in cycle order, in the kernel.  With
+   [~profile] each lane's dense per-cycle profile is filled too, 0.0 at
+   the cycles without a row. *)
 let walk (meta : Plan.meta) (b : Plan.body) e ~k ~profile =
   let rk = b.Plan.row_class in
-  let n = Array.length rk in
   let totals = Array.make k 0.0 in
-  let l = ref 0 in
-  while !l + 4 <= k do
-    let l0 = !l in
-    let a0 = ref 0.0 and a1 = ref 0.0 and a2 = ref 0.0 and a3 = ref 0.0 in
-    for r = 0 to n - 1 do
-      let o = (Array.unsafe_get rk r * k) + l0 in
-      a0 := !a0 +. Array.unsafe_get e o;
-      a1 := !a1 +. Array.unsafe_get e (o + 1);
-      a2 := !a2 +. Array.unsafe_get e (o + 2);
-      a3 := !a3 +. Array.unsafe_get e (o + 3)
-    done;
-    totals.(l0) <- !a0;
-    totals.(l0 + 1) <- !a1;
-    totals.(l0 + 2) <- !a2;
-    totals.(l0 + 3) <- !a3;
-    l := l0 + 4
-  done;
-  for l = !l to k - 1 do
-    let a = ref 0.0 in
-    for r = 0 to n - 1 do
-      a := !a +. Array.unsafe_get e ((Array.unsafe_get rk r * k) + l)
-    done;
-    totals.(l) <- !a
-  done;
+  check (walk_rows rk e k (class_count b.Plan.classes) totals);
   let dense l =
     let p = Array.make meta.Plan.cycles 0.0 in
     Array.iteri (fun r c -> p.(c) <- e.((rk.(r) * k) + l)) b.Plan.row_cycle;
@@ -205,9 +220,10 @@ let eval_multi ~record_profile plan ~points =
         let total, prof = eval_gate meta b ws ~dense:record_profile in
         (Array.make k total, Option.map (Array.make k) prof)
       | c ->
-        let e = class_energies ~slot:0 c ~points ~k in
+        let slots = Domain.DLS.get scratch in
+        let e = class_energies slots ~slot:body_slot c ~points ~k in
         let r = walk meta b e ~k ~profile:record_profile in
-        give 0 e;
+        give slots.floats body_slot e;
         r
     in
     List.init k (finish totals profs)
@@ -235,7 +251,7 @@ type sampled = {
   lane : int;
 }
 
-let sampled ~slot (plan : Plan.t) ~points ~k =
+let sampled slots ~slot (plan : Plan.t) ~points ~k =
   let meta = plan.Plan.meta and b = plan.Plan.body in
   match b.Plan.classes with
   | Plan.Wires ws when meta.Plan.level = Hier.Level.Rtl ->
@@ -248,12 +264,14 @@ let sampled ~slot (plan : Plan.t) ~points ~k =
       lane = 0;
     }
   | c ->
-    let e = class_energies ~slot c ~points ~k in
-    let idx = Array.make meta.Plan.cycles (class_count c) in
+    let e = class_energies slots ~slot c ~points ~k in
+    let totals, _ = walk meta b e ~k ~profile:false in
+    (* After the walk has checked every row's class. *)
+    let idx = take slots.ints slot meta.Plan.cycles 0 in
+    Array.fill idx 0 meta.Plan.cycles (class_count c);
     Array.iteri
       (fun r cyc -> idx.(cyc) <- b.Plan.row_class.(r))
       b.Plan.row_cycle;
-    let totals, _ = walk meta b e ~k ~profile:false in
     { totals; idx; e; stride = k; lane = 1 }
 
 (* Per-master buckets replayed off the op streams.  Bit-exactness: each
@@ -269,10 +287,11 @@ let eval_fabric_multi (f : Plan.fabric) ~points =
   else begin
     let k = List.length points in
     let m = f.Plan.f_meta in
-    let near = sampled ~slot:0 f.Plan.near ~points ~k in
+    let slots = Domain.DLS.get scratch in
+    let near = sampled slots ~slot:body_slot f.Plan.near ~points ~k in
     let far =
       match f.Plan.far_plan with
-      | Some p -> sampled ~slot:1 p ~points ~k
+      | Some p -> sampled slots ~slot:far_slot p ~points ~k
       | None ->
         {
           totals = Array.make k 0.0;
@@ -283,10 +302,14 @@ let eval_fabric_multi (f : Plan.fabric) ~points =
         }
     in
     let cross = m.Plan.f_cross_pj_per_beat in
+    (* A local float ref, unboxed: a fold's accumulator would box one
+       float per crossing. *)
     let bridge_pj =
-      Array.fold_left
-        (fun acc burst -> acc +. (cross *. float_of_int burst))
-        0.0 f.Plan.cross_bursts
+      let cb = f.Plan.cross_bursts and s = ref 0.0 in
+      for i = 0 to Array.length cb - 1 do
+        s := !s +. (cross *. float_of_int cb.(i))
+      done;
+      !s
     in
     (* Op by op, every lane at once: a sampled cycle's k energies are
        adjacent, and each lane's bucket still adds in its master's op
@@ -317,8 +340,12 @@ let eval_fabric_multi (f : Plan.fabric) ~points =
         buckets.(l).(mi) <- acc.(l)
       done
     done;
-    give 0 near.e;
-    if Option.is_some f.Plan.far_plan then give 1 far.e;
+    let give_back slot s =
+      give slots.floats slot s.e;
+      give slots.ints slot s.idx
+    in
+    give_back body_slot near;
+    if Option.is_some f.Plan.far_plan then give_back far_slot far;
     List.init k (fun l ->
         let buckets = buckets.(l) in
         let fabric_pj = Array.fold_left ( +. ) 0.0 buckets in

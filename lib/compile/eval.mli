@@ -10,6 +10,10 @@
     order, so N points cost one pass over the class table and one walk
     of the rows instead of N interpreted replays.
 
+    Layer-1 class pricing and the walk run k lanes at once in one C
+    kernel; the interpreter's {!Tlm1.Energy.fold} is the one-lane form
+    of the same pricing.
+
     Bit-exactness: a class's energy is a pure function of its words or
     lumps and the point, and for each point every float operation
     happens in the order the interpreted estimator performs it (per-bit
@@ -17,7 +21,9 @@
     order; one cycle's lumps group before joining the total; cycles add
     in cycle order; Diesel runs its own code), so the returned energy —
     and the per-cycle profile, when requested — equals the interpreted
-    figure bit for bit. *)
+    figure bit for bit.  The kernel is compiled without floating-point
+    contraction, reassociation or host-specific instructions, so this
+    holds on any host. *)
 
 type point = {
   table : Power.Characterization.t;
@@ -30,7 +36,10 @@ type outcome = { bus_pj : float; profile : Power.Profile.t option }
 
 val eval_multi :
   record_profile:bool -> Plan.t -> points:point list -> outcome list
-(** One pass over the plan, one outcome per point, in order. *)
+(** One pass over the plan, one outcome per point, in order.
+    @raise Invalid_argument on a body the recorders cannot build: a
+    layer-1 class word wider than its signal group, or a row class
+    outside the class table. *)
 
 (** {1 Fabric plans (DESIGN.md §18)} *)
 

@@ -50,8 +50,9 @@ type body = {
           occurrence *)
   classes : classes;
 }
-(** {!Eval} reads rows and classes without bounds checks: build bodies
-    with the recorders below. *)
+(** {!Eval} refuses a row class outside the class table and a layer-1
+    class word wider than its signal group ([Invalid_argument]); build
+    bodies with the recorders below. *)
 
 type t = { meta : meta; body : body }
 

@@ -54,6 +54,7 @@ let derive ~name ~energy_pj ~transitions =
   of_per_signal ~name per_signal
 
 let energy_per_transition t id = t.per_signal.(Ec.Signals.index id)
+let to_array t = Array.copy t.per_signal
 
 let scale t k =
   of_per_signal

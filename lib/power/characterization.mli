@@ -28,6 +28,10 @@ val derive : name:string -> energy_pj:float array -> transitions:int array -> t
 val energy_per_transition : t -> Ec.Signals.id -> float
 (** Average energy per transition of one wire, picojoules. *)
 
+val to_array : t -> float array
+(** Every wire's {!energy_per_transition}, by {!Ec.Signals.index}, in a
+    fresh array. *)
+
 val scale : t -> float -> t
 (** [scale t k] multiplies every entry (for sensitivity studies). *)
 

@@ -16,32 +16,24 @@
     which is precisely the systematic error against the gate-level
     reference. *)
 
-(** {1 The layer-1 lane and fold}
+(** {1 The layer-1 fold}
 
-    One estimator, two executors: the interpreted model below folds one
-    lane per cycle, [Compile.Eval] k lanes per plan row. *)
-
-type lanes
-(** Every interface wire's energy per transition under k tables,
-    wire-major (wire [w] of lane [l] at [w * k + l], so a toggled wire's
-    k energies are adjacent), plus a scratch index buffer: fold one value
-    on one domain. *)
-
-val lanes : Power.Characterization.t array -> lanes
+    One table, one cycle: the interpreted model below folds each cycle
+    with it.  [Compile.Eval] prices k tables per plan class in its
+    kernel, each lane with this fold's additions in this fold's order. *)
 
 val fold :
-  lanes -> float array -> addr:int -> be:int -> wdata:int -> rdata:int ->
-  ctrl:int -> int
-(** [fold ln out ~addr ~be ~wdata ~rdata ~ctrl] stores in [out.(l)] lane
-    [l]'s energy of a cycle whose groups toggled the set bits of these
-    old-xor-new words, and returns the set-bit count.  Each group's set
-    bits are decoded once, lowest first, and the lanes sum them in blocks
-    of four held in registers; each lane's group sum starts from 0.0 and
-    adds in ascending bit order, and groups join in
-    addr/be/wdata/rdata/ctrl order, so every lane's figure equals a
-    one-lane fold of its table bit for bit.
-    @raise Invalid_argument if [out] is shorter than the lane count or a
-    word has a bit beyond its group's width (34, 4, 32, 32, 11). *)
+  float array -> float array -> addr:int -> be:int -> wdata:int ->
+  rdata:int -> ctrl:int -> int
+(** [fold pj out ~addr ~be ~wdata ~rdata ~ctrl] stores in [out.(0)] the
+    energy of a cycle whose groups toggled the set bits of these
+    old-xor-new words under the per-wire energies [pj]
+    ({!Power.Characterization.to_array}), and returns the set-bit count.
+    Each group's sum starts from 0.0 and adds its set bits lowest first,
+    and groups join in addr/be/wdata/rdata/ctrl order.
+    @raise Invalid_argument if [pj] is shorter than
+    {!Ec.Signals.count}, [out] is empty or a word has a bit beyond its
+    group's width (34, 4, 32, 32, 11). *)
 
 type t
 

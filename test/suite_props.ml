@@ -1318,35 +1318,85 @@ let test_memo_tags_sum () =
   Alcotest.(check int) "tag hits sum" (Core.Pool.memo_hits pool)
     (sum (fun (_, h, _) -> h))
 
-(* The shared layer-1 fold: k lanes folded at once equal k single-lane
-   folds and a per-bit reference scan, bit for bit, on random tables and
-   random toggle words over each group's full width. *)
-let gen_l1_fold_case =
+(* The layer-1 fold: the kernel's k lanes equal k single-lane folds of
+   the interpreter and a per-bit reference scan, bit for bit, on random
+   tables and random toggle words over each group's full width.  k runs
+   to 40, so the kernel's 16-lane blocks, its remainder and several
+   blocks together all run. *)
+let gen_l1_word width =
   let open Gen in
-  let word width =
-    frequency
-      [
-        (1, return 0);
-        ( 4,
-          map
-            (fun (a, b, c) ->
-              ((a lsl 32) lor (b lsl 16) lor c) land ((1 lsl width) - 1))
-            (triple (int_bound 0xFFFF) (int_bound 0xFFFF) (int_bound 0xFFFF))
-        );
-      ]
-  in
-  let cycle =
-    let* a = word Ec.Signals.addr_wires in
-    let* b = word Ec.Signals.be_wires in
-    let* w = word Ec.Signals.data_wires in
-    let* r = word Ec.Signals.data_wires in
-    let* c = word Ec.Signals.ctrl_count in
-    return [| a; b; w; r; c |]
-  in
-  let table =
-    array_size (return Ec.Signals.count) (float_bound_inclusive 5.0)
-  in
-  pair (list_size (int_range 1 17) table) (list_size (int_range 1 20) cycle)
+  frequency
+    [
+      (1, return 0);
+      ( 4,
+        map
+          (fun (a, b, c) ->
+            ((a lsl 32) lor (b lsl 16) lor c) land ((1 lsl width) - 1))
+          (triple (int_bound 0xFFFF) (int_bound 0xFFFF) (int_bound 0xFFFF)) );
+    ]
+
+let gen_l1_cycle =
+  let open Gen in
+  let word = gen_l1_word in
+  let* a = word Ec.Signals.addr_wires in
+  let* b = word Ec.Signals.be_wires in
+  let* w = word Ec.Signals.data_wires in
+  let* r = word Ec.Signals.data_wires in
+  let* c = word Ec.Signals.ctrl_count in
+  return [| a; b; w; r; c |]
+
+let gen_l1_tables =
+  Gen.(
+    list_size (int_range 1 40)
+      (array_size (return Ec.Signals.count) (float_bound_inclusive 5.0)))
+
+let gen_l1_fold_case =
+  Gen.pair gen_l1_tables (Gen.list_size (Gen.int_range 1 20) gen_l1_cycle)
+
+let l1_tables energies =
+  Array.of_list
+    (List.map
+       (fun energy_pj ->
+         Power.Characterization.derive ~name:"random" ~energy_pj
+           ~transitions:(Array.make Ec.Signals.count 1))
+       energies)
+
+(* A hand-built layer-1 plan over [cycles] closed cycles: class [c] is
+   [classes.(c)] (five toggle words) with a zero select word. *)
+let l1_plan ~cycles classes ~row_cycle ~row_class =
+  {
+    Compile.Plan.meta =
+      {
+        Compile.Plan.level = Core.Level.L1;
+        cycles;
+        txns = 0;
+        beats = 0;
+        errors = 0;
+        transitions = 0;
+        component_pj = 0.0;
+      };
+    body =
+      {
+        Compile.Plan.row_cycle;
+        row_class;
+        classes =
+          Compile.Plan.Wires
+            (Array.concat (List.map (fun w -> Array.append w [| 0 |]) classes));
+      };
+  }
+
+(* Each lane's total and dense profile. *)
+let eval_l1_lanes plan tables =
+  List.map
+    (fun (o : Compile.Eval.outcome) ->
+      ( o.Compile.Eval.bus_pj,
+        Power.Profile.to_array (Option.get o.Compile.Eval.profile) ))
+    (Compile.Eval.eval_multi ~record_profile:true plan
+       ~points:
+         (Array.to_list
+            (Array.map
+               (fun table -> { Compile.Eval.table; l2_params = None })
+               tables)))
 
 (* The estimator as first written: each group's toggled bits summed from
    0.0 by scanning every bit position, groups added left to right. *)
@@ -1378,39 +1428,132 @@ let prop_l1_fold_lanes =
     ~name:"l1 fold over k lanes = k single-lane folds = per-bit scan"
     ~count:200 (QCheck.make gen_l1_fold_case)
     (fun (energies, cycles) ->
-      let tables =
-        Array.of_list
-          (List.map
-             (fun energy_pj ->
-               Power.Characterization.derive ~name:"random" ~energy_pj
-                 ~transitions:(Array.make Ec.Signals.count 1))
-             energies)
+      let tables = l1_tables energies in
+      let n = List.length cycles in
+      (* One row per cycle, each its own class. *)
+      let plan =
+        l1_plan ~cycles:n cycles ~row_cycle:(Array.init n Fun.id)
+          ~row_class:(Array.init n Fun.id)
       in
-      let k = Array.length tables in
-      let fold lanes out w =
-        Tlm1.Energy.fold lanes out ~addr:w.(0) ~be:w.(1) ~wdata:w.(2)
+      let fold pj out w =
+        Tlm1.Energy.fold pj out ~addr:w.(0) ~be:w.(1) ~wdata:w.(2)
           ~rdata:w.(3) ~ctrl:w.(4)
       in
-      let all = Tlm1.Energy.lanes tables and out = Array.make k 0.0 in
-      let single = Array.map (fun t -> Tlm1.Energy.lanes [| t |]) tables in
       let one = Array.make 1 0.0 in
-      List.for_all
-        (fun w ->
-          let n = fold all out w in
-          List.for_all
-            (fun l ->
-              let n1 = fold single.(l) one w in
-              let ref_pj, ref_bits = reference_l1_fold tables.(l) w in
-              let bits = Int64.bits_of_float in
-              n = n1 && n = ref_bits
-              && bits out.(l) = bits one.(0)
-              && bits out.(l) = bits ref_pj)
-            (List.init k Fun.id))
-        cycles
+      let bits = Int64.bits_of_float in
+      List.for_all2
+        (fun table (_, profile) ->
+          let pj = Power.Characterization.to_array table in
+          List.for_all2
+            (fun w e ->
+              let n1 = fold pj one w in
+              let ref_pj, ref_bits = reference_l1_fold table w in
+              n1 = ref_bits && bits e = bits one.(0) && bits e = bits ref_pj)
+            cycles (Array.to_list profile))
+        (Array.to_list tables) (eval_l1_lanes plan tables)
       && (* A word wider than its group is refused, not read past. *)
-      match fold all out [| 0; 0; 0; 0; 1 lsl Ec.Signals.ctrl_count |] with
+      match
+        fold (Power.Characterization.to_array tables.(0)) one
+          [| 0; 0; 0; 0; 1 lsl Ec.Signals.ctrl_count |]
+      with
       | _ -> false
       | exception Invalid_argument _ -> true)
+
+(* The kernel's walk: random class tables and row streams — classes
+   repeat, cycles skip — against a sequential loop over the reference
+   class energies: each lane's total adds the rows' energies onto 0.0 in
+   cycle order, and its dense profile holds each row's energy at its
+   cycle, 0.0 elsewhere. *)
+let gen_walk_case =
+  let open Gen in
+  let* tables = gen_l1_tables in
+  let* classes = list_size (int_range 1 12) gen_l1_cycle in
+  let* rows =
+    list_size (int_range 0 60)
+      (pair (int_range 1 3) (int_bound (List.length classes - 1)))
+  in
+  return (tables, classes, rows)
+
+let prop_walk_sequential =
+  QCheck.Test.make ~name:"kernel walk = sequential walk" ~count:200
+    (QCheck.make gen_walk_case)
+    (fun (energies, classes, rows) ->
+      let tables = l1_tables energies in
+      (* Each row lands [gap] cycles after the previous one. *)
+      let row_cycle =
+        Array.of_list
+          (List.rev
+             (snd
+                (List.fold_left
+                   (fun (c, acc) (gap, _) -> (c + gap, (c + gap - 1) :: acc))
+                   (0, []) rows)))
+      in
+      let cycles =
+        if rows = [] then 3 else row_cycle.(Array.length row_cycle - 1) + 2
+      in
+      let row_class = Array.of_list (List.map snd rows) in
+      let plan = l1_plan ~cycles classes ~row_cycle ~row_class in
+      let classes = Array.of_list classes in
+      let bits = Int64.bits_of_float in
+      List.for_all2
+        (fun table (total, profile) ->
+          let e = Array.map (fun w -> fst (reference_l1_fold table w)) classes in
+          let t = ref 0.0 and p = Array.make cycles 0.0 in
+          Array.iteri
+            (fun r c ->
+              t := !t +. e.(row_class.(r));
+              p.(c) <- e.(row_class.(r)))
+            row_cycle;
+          bits total = bits !t
+          && Array.length profile = cycles
+          && Array.for_all2 (fun x y -> bits x = bits y) profile p)
+        (Array.to_list tables) (eval_l1_lanes plan tables))
+
+(* Hand-built bodies the kernel must refuse rather than read past: a
+   35-bit address word, and row classes outside the class table at
+   layers 1 and 2. *)
+let test_kernel_refuses_bad_bodies () =
+  let points =
+    [ { Compile.Eval.table = Power.Characterization.default;
+        l2_params = None } ]
+  in
+  let refused what plan =
+    match Compile.Eval.eval_multi ~record_profile:false plan ~points with
+    | _ -> Alcotest.failf "%s: evaluated" what
+    | exception Invalid_argument _ -> ()
+  in
+  let quiet = [| 0; 0; 0; 0; 0 |] in
+  refused "35-bit address word"
+    (l1_plan ~cycles:2 [ quiet; [| 1 lsl 34; 0; 0; 0; 0 |] ]
+       ~row_cycle:[| 0; 1 |] ~row_class:[| 0; 1 |]);
+  refused "negative address word"
+    (l1_plan ~cycles:1 [ [| -1; 0; 0; 0; 0 |] ] ~row_cycle:[| 0 |]
+       ~row_class:[| 0 |]);
+  List.iter
+    (fun row_class ->
+      refused
+        (Printf.sprintf "l1 row class %d of 1" row_class)
+        (l1_plan ~cycles:1 [ quiet ] ~row_cycle:[| 0 |]
+           ~row_class:[| row_class |]);
+      refused
+        (Printf.sprintf "l2 row class %d of 1" row_class)
+        {
+          Compile.Plan.meta =
+            {
+              (l1_plan ~cycles:1 [] ~row_cycle:[||] ~row_class:[||])
+                .Compile.Plan.meta
+              with
+              Compile.Plan.level = Core.Level.L2;
+            };
+          body =
+            {
+              Compile.Plan.row_cycle = [| 0 |];
+              row_class = [| row_class |];
+              classes =
+                Compile.Plan.L2 { l2_off = [| 0; 3 |]; l2_words = [| 0; 0; 0 |] };
+            };
+        })
+    [ 1; 1_000_000; -1 ]
 
 (* The layer-2 data lump written out from its definition (DESIGN.md
    section 14): boundary toggles plus the inter-beat counts in beat order,
@@ -1505,15 +1648,16 @@ let prop_l2_lumps_lanes =
       | () -> false
       | exception Invalid_argument _ -> true)
 
-(* A warm 16-point fold allocates per pass, never per plan row or
-   class: the lanes, outcomes and results, the same minor and major
-   words for a 500- and a 4,000-transaction plan.  The class energies
-   are one array of (classes + 1) x 16 floats, reused from pass to pass
-   (the warm-up pass sizes it), so it counts in neither; a fresh one per
-   pass would show in the major words.  A boxed lane accumulator would
-   allocate on every row or class and show in the minor words.  The
-   minor heap is emptied first, so no collection promotes words during
-   the measured pass. *)
+(* A warm 16-point fold allocates per pass, never per plan row, class
+   or cycle, and nothing on the major heap: the outcomes and results,
+   the same minor words for a 500- and a 4,000-transaction plan, and for
+   a bridged fabric plan of 64- and 512-transaction masters.  The class
+   energies, the layer-1 lane energies and a fabric body's cycle -> class
+   index are scratch arrays reused from pass to pass (the warm-up pass
+   sizes them); a fresh one per pass would show in the major words.  A
+   boxed lane or bridge accumulator would allocate on every row, class
+   or crossing and show in the minor words.  The minor heap is emptied
+   first, so no collection promotes words during the measured pass. *)
 let test_fold_alloc_flat level () =
   let points =
     List.init 16 (fun i ->
@@ -1524,25 +1668,38 @@ let test_fold_alloc_flat level () =
           l2_params = None;
         })
   in
-  let words n =
-    let plan =
-      Core.Runner.compile_trace ~level (Core.Workloads.table3_trace ~n)
-    in
-    ignore (Core.Runner.replay_multi ~points plan);
+  let words pass =
+    pass ();
     Gc.minor ();
     let minor = Gc.minor_words () and _, _, major = Gc.counters () in
-    ignore (Core.Runner.replay_multi ~points plan);
+    pass ();
     let _, _, major' = Gc.counters () in
     (Gc.minor_words () -. minor, major' -. major)
   in
-  let (small, small_major), (large, large_major) = (words 500, words 4000) in
-  if small <> large then
-    Alcotest.failf "replay_multi allocates %.0f words at 500 txns, %.0f at 4000"
-      small large;
-  if small_major <> large_major then
-    Alcotest.failf
-      "replay_multi allocates %.0f major words at 500 txns, %.0f at 4000"
-      small_major large_major
+  let flat what (small, small_major) (large, large_major) =
+    if small <> large then
+      Alcotest.failf "%s allocates %.0f words small, %.0f large" what small
+        large;
+    if small_major <> 0.0 || large_major <> 0.0 then
+      Alcotest.failf "%s allocates %.0f major words small, %.0f large" what
+        small_major large_major
+  in
+  let replay n =
+    let plan =
+      Core.Runner.compile_trace ~level (Core.Workloads.table3_trace ~n)
+    in
+    words (fun () -> ignore (Core.Runner.replay_multi ~points plan))
+  in
+  flat "replay_multi" (replay 500) (replay 4000);
+  let fabric n =
+    let topology = Core.Contention.Bridged in
+    let plan =
+      Core.Contention.compile ~level ~topology
+        (Core.Contention.default_masters ~n topology)
+    in
+    words (fun () -> ignore (Compile.Eval.eval_fabric_multi plan ~points))
+  in
+  flat "eval_fabric_multi" (fabric 64) (fabric 512)
 
 let compiled_props =
   List.map QCheck_alcotest.to_alcotest
@@ -1567,6 +1724,9 @@ let compiled_props =
         `Quick (test_fold_alloc_flat Core.Level.L1);
       Alcotest.test_case "l2 warm fold allocates the same at any plan size"
         `Quick (test_fold_alloc_flat Core.Level.L2);
+      QCheck_alcotest.to_alcotest prop_walk_sequential;
+      Alcotest.test_case "kernel refuses out-of-range bodies" `Quick
+        test_kernel_refuses_bad_bodies;
     ]
 
 let suite = suite @ compiled_props
