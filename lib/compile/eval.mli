@@ -10,9 +10,10 @@
     order, so N points cost one pass over the class table and one walk
     of the rows instead of N interpreted replays.
 
-    Layer-1 class pricing and the walk run k lanes at once in one C
-    kernel; the interpreter's {!Tlm1.Energy.fold} is the one-lane form
-    of the same pricing.
+    Layer-1 class pricing and the walk run k lanes at once in the lane
+    kernel ([lib/tlm1/lane_kernel.c]), which the interpreted
+    {!Tlm1.Energy} model runs at one lane: one layer-1 pricing routine
+    for both.
 
     Bit-exactness: a class's energy is a pure function of its words or
     lumps and the point, and for each point every float operation
@@ -22,8 +23,9 @@
     in cycle order; Diesel runs its own code), so the returned energy —
     and the per-cycle profile, when requested — equals the interpreted
     figure bit for bit.  The kernel is compiled without floating-point
-    contraction, reassociation or host-specific instructions, so this
-    holds on any host. *)
+    contraction or reassociation, and its per-CPU variants (AVX-512F,
+    AVX2, baseline x86-64, one chosen at load) differ only in how many
+    lanes one instruction adds, so this holds on any host. *)
 
 type point = {
   table : Power.Characterization.t;
@@ -62,4 +64,9 @@ val eval_fabric_multi :
     exact float-add order of the interpreted fabric — reading a sampled
     cycle's energy through a cycle-to-class index (the Diesel profile at
     the gate level), so buckets, totals and bridge energy are
-    bit-identical to an interpreted run at each point. *)
+    bit-identical to an interpreted run at each point.
+    @raise Invalid_argument if [op_off] is not [f_masters + 1]
+    non-decreasing offsets into the op streams, a near or far sample
+    names no closed cycle of its body ([0 .. meta.cycles - 1]), a far
+    sample appears without a far plan, or a bus body is refused as by
+    {!eval_multi}. *)

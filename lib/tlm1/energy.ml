@@ -1,51 +1,25 @@
 (* The layer-1 fold of one table, over its energy per transition of
    every interface wire by dense Ec.Signals index
-   (Power.Characterization.to_array).  The interpreter folds one cycle at
-   a time; Compile.Eval prices k tables per plan class in its kernel,
-   each lane with this fold's additions in this fold's order. *)
+   (Power.Characterization.to_array).  Each cycle's five toggle words
+   are priced by the lane kernel (lane_kernel.c) at one lane, the kernel
+   Compile.Eval runs over k tables per plan class. *)
 
-(* One signal group: the energy of the set bits of [bits] — wire
-   [base + bit] — summed from 0.0, lowest bit first, joins the cycle
-   energy in [out.(0)]; returns the set-bit count. *)
-let group pj (out : float array) base bits =
-  if bits = 0 then 0
-  else begin
-    let rest = ref bits and n = ref 0 and s = ref 0.0 in
-    while !rest <> 0 do
-      let low = !rest land - !rest in
-      s := !s +. Array.unsafe_get pj (base + Sim.Bits.popcount (low - 1));
-      rest := !rest lxor low;
-      incr n
-    done;
-    Array.unsafe_set out 0 (Array.unsafe_get out 0 +. !s);
-    !n
-  end
+(* [price ws pj e k] prices each class of [ws] (six words) under the
+   wire-major lane energies [pj] (wire [w] of lane [l] at [w * k + l])
+   into [e] (class [c] of lane [l] at [c * k + l]); it returns 0, or a
+   nonzero status for an array shorter than its counts or a word wider
+   than its group, refused before anything is read past. *)
+external price : int array -> float array -> float array -> int -> int
+  = "lane_price_l1"
+[@@noalloc]
 
-let be_base = Ec.Signals.index (Ec.Signals.Be 0)
-let wdata_base = Ec.Signals.index (Ec.Signals.Wdata 0)
-let rdata_base = Ec.Signals.index (Ec.Signals.Rdata 0)
-let ctrl_base = Ec.Signals.index (Ec.Signals.Ctrl Ec.Signals.Avalid)
-
-(* Groups add left to right in addr/be/wdata/rdata/ctrl order; a quiet
-   group adds nothing, which equals adding its 0.0 sum.  The one check
-   keeps every unchecked access above inside [pj] and [out]. *)
-let fold pj out ~addr ~be ~wdata ~rdata ~ctrl =
+(* The kernel's group widths are Ec.Signals'. *)
+let () =
   if
-    Array.length pj < Ec.Signals.count
-    || Array.length out < 1
-    || (addr lsr Ec.Signals.addr_wires)
-       lor (be lsr Ec.Signals.be_wires)
-       lor (wdata lsr Ec.Signals.data_wires)
-       lor (rdata lsr Ec.Signals.data_wires)
-       lor (ctrl lsr Ec.Signals.ctrl_count)
-       <> 0
-  then invalid_arg "Tlm1.Energy.fold";
-  Array.unsafe_set out 0 0.0;
-  let n = group pj out 0 addr in
-  let n = n + group pj out be_base be in
-  let n = n + group pj out wdata_base wdata in
-  let n = n + group pj out rdata_base rdata in
-  n + group pj out ctrl_base ctrl
+    Ec.Signals.
+      [ addr_wires; be_wires; data_wires; data_wires; ctrl_count; count ]
+    <> [ 34; 4; 32; 32; 11; 113 ]
+  then failwith "Tlm1.Energy: signal groups differ from lane_kernel.c"
 
 type t = {
   pj : float array;  (* the table's energy per wire *)
@@ -55,6 +29,9 @@ type t = {
      on every store in the per-cycle path. *)
   meter_acc : float array;
   cycle_pj : float array;
+  (* The cycle's one class: five toggle words and an unread select
+     word, filled in place every cycle. *)
+  cycle_words : int array;
   mutable transitions : int;
   (* Signal-group words compared per [end_cycle]: the model's work count. *)
   mutable words : int;
@@ -67,6 +44,7 @@ let create ?(record_profile = false) table =
     meter;
     meter_acc = Power.Meter.in_cycle_acc meter;
     cycle_pj = Array.make 1 0.0;
+    cycle_words = Array.make 6 0;
     transitions = 0;
     words = 0;
   }
@@ -79,8 +57,17 @@ let end_cycle t (w : Rtl.Wires.t) =
   and wdata = w.Rtl.Wires.wdata lxor w.Rtl.Wires.wdata_next
   and rdata = w.Rtl.Wires.rdata lxor w.Rtl.Wires.rdata_next
   and ctrl = w.Rtl.Wires.ctrl lxor w.Rtl.Wires.ctrl_next in
+  let d = t.cycle_words in
+  Array.unsafe_set d 0 addr;
+  Array.unsafe_set d 1 be;
+  Array.unsafe_set d 2 wdata;
+  Array.unsafe_set d 3 rdata;
+  Array.unsafe_set d 4 ctrl;
+  if price d t.pj t.cycle_pj 1 <> 0 then invalid_arg "Tlm1.Energy.end_cycle";
   t.transitions <-
-    t.transitions + fold t.pj t.cycle_pj ~addr ~be ~wdata ~rdata ~ctrl;
+    t.transitions + Sim.Bits.popcount addr + Sim.Bits.popcount be
+    + Sim.Bits.popcount wdata + Sim.Bits.popcount rdata
+    + Sim.Bits.popcount ctrl;
   Array.unsafe_set t.meter_acc 0
     (Array.unsafe_get t.meter_acc 0 +. Array.unsafe_get t.cycle_pj 0);
   t.words <- t.words + 5;

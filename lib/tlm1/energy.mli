@@ -14,26 +14,12 @@
     modelled: internal controller nets (decoder, select, FSM) and analog
     effects (slopes, coupling combinations) are invisible at this layer,
     which is precisely the systematic error against the gate-level
-    reference. *)
+    reference.
 
-(** {1 The layer-1 fold}
-
-    One table, one cycle: the interpreted model below folds each cycle
-    with it.  [Compile.Eval] prices k tables per plan class in its
-    kernel, each lane with this fold's additions in this fold's order. *)
-
-val fold :
-  float array -> float array -> addr:int -> be:int -> wdata:int ->
-  rdata:int -> ctrl:int -> int
-(** [fold pj out ~addr ~be ~wdata ~rdata ~ctrl] stores in [out.(0)] the
-    energy of a cycle whose groups toggled the set bits of these
-    old-xor-new words under the per-wire energies [pj]
-    ({!Power.Characterization.to_array}), and returns the set-bit count.
-    Each group's sum starts from 0.0 and adds its set bits lowest first,
-    and groups join in addr/be/wdata/rdata/ctrl order.
-    @raise Invalid_argument if [pj] is shorter than
-    {!Ec.Signals.count}, [out] is empty or a word has a bit beyond its
-    group's width (34, 4, 32, 32, 11). *)
+    Each cycle's five toggle words are priced by the lane kernel, the
+    same C routine that [Compile.Eval] runs over k tables per plan
+    class, here at one lane: so the interpreter and every plan fold do
+    one layer-1 pricing, with the same additions in the same order. *)
 
 type t
 
