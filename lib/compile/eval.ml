@@ -8,17 +8,22 @@
    energies row by row, in cycle order: N points cost one pass over the
    class table plus one walk, instead of N interpreted replays.
 
-   The two k-lane loops — layer-1 class pricing and the walk — run in
-   the lane kernel (lib/tlm1/lane_kernel.c), which the interpreter's
-   [Tlm1.Energy] runs at one lane: every lane does the interpreter's
-   additions in its order, and adds its rows in cycle order; layer-2
-   classes are priced by [Tlm2.Energy]'s lanes and one [data_lumps]
-   call per data lump, and [Rtl.Diesel] closes every cycle at the gate
-   level.  So bit-exactness holds by construction.  What
-   stays here is the cycle grouping: one cycle's lumps group before
-   joining the total, and an elided quiet cycle adds a literal 0.0 at
-   layers 1 and 2, a float identity for the non-negative energies
-   involved. *)
+   The k-lane loops — layer-1 class pricing, the walk and the fabric
+   op streams — run in the lane kernel (lib/tlm1/lane_kernel.c), whose
+   one-class pricing the interpreter's [Tlm1.Energy] runs.  A layer-1
+   plan is priced from its segment table (Plan.wires, recorded at
+   capture): each segment summed once per lane, consecutive segments of
+   equal length side by side as independent chains, then each class's
+   five sums joined in group order.  Every lane does the interpreter's
+   additions in its order, plus +0.0 where a quiet group joins its empty
+   segment, and adds its rows in cycle order; layer-2 classes are
+   priced by [Tlm2.Energy]'s lanes and one [data_lumps] call per data
+   lump, and [Rtl.Diesel] closes every cycle at the gate level.  So
+   bit-exactness holds by construction.  What stays here is the cycle
+   grouping: one cycle's lumps group before joining the total, and an
+   elided quiet cycle adds a literal 0.0 at layers 1 and 2, a float
+   identity for the non-negative energies involved.  The segment sums
+   live in a per-domain scratch slot like the other pass arrays. *)
 
 type point = {
   table : Power.Characterization.t;
@@ -46,22 +51,25 @@ let finish totals profs l =
 (* The arrays a pass builds live in scratch slots kept per domain and
    reused from pass to pass: the class energies ((classes + 1) x k
    floats; [body_slot] for a plan's body, [far_slot] for a fabric plan's
-   far body), the layer-1 lane energies (113 x k floats, [lane_slot])
-   and a fabric body's cycle -> class index ([body_slot], [far_slot]).
-   Fresh arrays that large go to the major heap, and on a warm sweep
-   their allocation paced the major collector: 155 major collections in
-   300 work cycles against 9 with reuse.  A pass takes an array out of
-   its slot and gives it back when done, so another thread of the same
-   domain finds the slot empty and allocates its own. *)
+   far body), the layer-1 lane energies (113 floats a lane, lanes padded
+   to a multiple of 16; [lane_slot]), the layer-1 segment sums (16
+   floats a segment; [seg_slot]) and a fabric body's cycle -> class index
+   ([body_slot], [far_slot]).  Fresh arrays that large go to the major
+   heap, and on a warm sweep their allocation paced the major collector:
+   155 major collections in 300 work cycles against 9 with reuse.  A pass
+   takes an array out of its slot and gives it back when done, so
+   another thread of the same domain finds the slot empty and allocates
+   its own. *)
 type slots = { floats : float array array; ints : int array array }
 
 let body_slot = 0
 let far_slot = 1
 let lane_slot = 2
+let seg_slot = 3
 
 let scratch =
   Domain.DLS.new_key (fun () ->
-      { floats = Array.make 3 [||]; ints = Array.make 2 [||] })
+      { floats = Array.make 4 [||]; ints = Array.make 2 [||] })
 
 (* An array of at least [n] elements, holding what the last pass left:
    [x] makes a fresh one. *)
@@ -72,16 +80,19 @@ let take slots slot n x =
 
 let give slots slot a = slots.(slot) <- a
 
-(* The k-lane loops: the lane kernel, lib/tlm1/lane_kernel.c, linked
-   with Tlm1, whose Energy module runs it at one lane and checks its
-   group widths against Ec.Signals when loaded.  [price_l1 ws pj e k]
-   prices every class of [ws] (six words each) under the wire-major
-   lane energies [pj] into [e]; [walk_rows row_class e k classes
-   totals] adds each lane's class energies over the rows into
-   [totals].  Both return 0, or the nonzero status of what they refused
-   before reading past an array: see [check]. *)
-external price_l1 : int array -> float array -> float array -> int -> int
-  = "lane_price_l1"
+(* The lane kernel, lib/tlm1/lane_kernel.c, linked with Tlm1, whose
+   Energy module runs its one-class pricing in the interpreter and checks
+   its group widths against Ec.Signals when loaded.
+   [price_segments t pj s e k] prices every class of [t] under the lane
+   energies [pj] (see [l1_classes]) into [e], summing each segment into
+   the scratch [s] (16 floats a segment); [walk_rows row_class e k
+   classes totals] adds each lane's class energies over the rows into
+   [totals]; [fold_ops] replays the fabric op streams (below).  All
+   return 0, or the nonzero status of what they refused before reading
+   past an array: see [check]. *)
+external price_segments :
+  Plan.wires -> float array -> float array -> float array -> int -> int
+  = "lane_price_segments"
 [@@noalloc]
 
 external walk_rows :
@@ -92,32 +103,44 @@ external walk_rows :
 let check = function
   | 0 -> ()
   | 1 -> invalid_arg "Compile.Eval: plan arrays shorter than their counts"
-  | 2 -> invalid_arg "Compile.Eval: class word wider than its signal group"
-  | _ -> invalid_arg "Compile.Eval: row class out of range"
+  | 3 -> invalid_arg "Compile.Eval: row class out of range"
+  | 4 -> invalid_arg "Compile.Eval: segment table out of range"
+  | _ -> invalid_arg "Compile.Eval: op stream out of range"
 
 let class_count = function
-  | Plan.Wires ws -> Array.length ws / 6
+  | Plan.Wires w -> Array.length w.Plan.words / 6
   | Plan.L2 { l2_off; _ } -> Array.length l2_off - 1
 
 (* Lane energies of every class, class [c] of lane [l] at [c * k + l],
    then one zero class for the quiet cycles fabric ops sample, in a
    scratch array from [slot].  At layer 1 the kernel prices them from
-   every wire's lane energies, wire [w] of lane [l] at [w * k + l], so a
-   toggled wire's k energies are adjacent. *)
-let l1_classes slots ~slot (ws : int array) points ~k =
-  let n = Array.length ws / 6 in
+   the segment table and every wire's lane energies, in blocks of 16
+   lanes: lane [l] of wire [w] at [(l / 16 * 113 + w) * 16 + l mod 16],
+   so a block's energies of one wire are adjacent; the padding lanes
+   are 0.0. *)
+let l1_classes slots ~slot (w : Plan.wires) points ~k =
+  let n = Array.length w.Plan.words / 6 in
   let e = take slots.floats slot ((n + 1) * k) 0.0 in
-  Array.fill e (n * k) k 0.0;
-  let pj = take slots.floats lane_slot (Ec.Signals.count * k) 0.0 in
+  let wires = Ec.Signals.count in
+  let npj = (k + 15) / 16 * wires * 16 in
+  let pj = take slots.floats lane_slot npj 0.0 in
+  let s =
+    take slots.floats seg_slot ((16 * (Array.length w.Plan.seg_off - 1)) + 8) 0.0
+  in
+  Array.fill pj 0 npj 0.0;
   List.iteri
     (fun l pt ->
       let t = Power.Characterization.to_array pt.table in
-      for w = 0 to Ec.Signals.count - 1 do
-        pj.((w * k) + l) <- t.(w)
+      let o = (l / 16 * wires * 16) + (l mod 16) in
+      for w = 0 to wires - 1 do
+        pj.(o + (w * 16)) <- t.(w)
       done)
     points;
-  check (price_l1 ws pj e k);
+  let status = price_segments w pj s e k in
   give slots.floats lane_slot pj;
+  give slots.floats seg_slot s;
+  check status;
+  Array.fill e (n * k) k 0.0;
   e
 
 (* A class's lumps add in event order onto 0.0, the interpreted cycle
@@ -153,7 +176,7 @@ let l2_classes slots ~slot ~off ~(words : int array)
 
 let class_energies slots ~slot (c : Plan.classes) ~points ~k =
   match c with
-  | Plan.Wires ws -> l1_classes slots ~slot ws points ~k
+  | Plan.Wires w -> l1_classes slots ~slot w points ~k
   | Plan.L2 { l2_off; l2_words } ->
     l2_classes slots ~slot ~off:l2_off ~words:l2_words
       (Tlm2.Energy.lanes
@@ -211,8 +234,8 @@ let eval_multi ~record_profile plan ~points =
     let meta = plan.Plan.meta and b = plan.Plan.body in
     let totals, profs =
       match b.Plan.classes with
-      | Plan.Wires ws when meta.Plan.level = Hier.Level.Rtl ->
-        let total, prof = eval_gate meta b ws ~dense:record_profile in
+      | Plan.Wires w when meta.Plan.level = Hier.Level.Rtl ->
+        let total, prof = eval_gate meta b w.Plan.words ~dense:record_profile in
         (Array.make k total, Option.map (Array.make k) prof)
       | c ->
         let slots = Domain.DLS.get scratch in
@@ -249,8 +272,8 @@ type sampled = {
 let sampled slots ~slot (plan : Plan.t) ~points ~k =
   let meta = plan.Plan.meta and b = plan.Plan.body in
   match b.Plan.classes with
-  | Plan.Wires ws when meta.Plan.level = Hier.Level.Rtl ->
-    let total, prof = eval_gate meta b ws ~dense:true in
+  | Plan.Wires w when meta.Plan.level = Hier.Level.Rtl ->
+    let total, prof = eval_gate meta b w.Plan.words ~dense:true in
     {
       totals = Array.make k total;
       idx = Array.init meta.Plan.cycles Fun.id;
@@ -269,12 +292,31 @@ let sampled slots ~slot (plan : Plan.t) ~points ~k =
       b.Plan.row_cycle;
     { totals; idx; e; stride = k; lane = 1 }
 
-(* What the op loop below reads without bounds checks, checked once per
-   pass: the offsets hold one stream per master inside the op arrays,
-   every sample names a closed cycle of its body, and only a bridged
-   plan samples the far bus.  A sample is checked against its body's
-   cycle count, not against the cycle -> class index, whose scratch
-   array may be longer and hold a stale class past the count. *)
+(* The op streams replayed in the kernel: [fold_ops kind arg off near far
+   cross k out] adds, for every master [m] and lane [l], the ops of [m]'s
+   stream onto 0.0 in stream order into [out.(l * masters + m)]: a near
+   or far sample adds [e.(idx.(arg) * stride + l * lane)] of that bus, a
+   crossing adds [cross *. float_of_int arg].  It reads the [idx], [e],
+   [stride] and [lane] fields of [near] and [far] and refuses an offset,
+   sample or class index outside its array. *)
+external fold_ops :
+  int array ->
+  int array ->
+  int array ->
+  sampled ->
+  sampled ->
+  float ->
+  int ->
+  float array ->
+  int = "lane_fold_ops_byte" "lane_fold_ops"
+[@@noalloc]
+
+(* What the kernel cannot know, checked once per pass: the offsets hold
+   one stream per master inside the op arrays, every sample names a
+   closed cycle of its body, and only a bridged plan samples the far bus.
+   A sample is checked against its body's cycle count, not against the
+   cycle -> class index, whose scratch array may be longer and hold a
+   stale class past the count. *)
 let check_ops (f : Plan.fabric) =
   let fail what = invalid_arg ("Compile.Eval.eval_fabric_multi: " ^ what) in
   let masters = f.Plan.f_meta.Plan.f_masters and off = f.Plan.op_off in
@@ -337,35 +379,11 @@ let eval_fabric_multi (f : Plan.fabric) ~points =
       done;
       !s
     in
-    (* Op by op, every lane at once: a sampled cycle's k energies are
-       adjacent, and each lane's bucket still adds in its master's op
-       order. *)
-    let buckets = Array.init k (fun _ -> Array.make m.Plan.f_masters 0.0) in
-    let acc = Array.make k 0.0 in
-    for mi = 0 to m.Plan.f_masters - 1 do
-      Array.fill acc 0 k 0.0;
-      for i = f.Plan.op_off.(mi) to f.Plan.op_off.(mi + 1) - 1 do
-        let arg = Array.unsafe_get f.Plan.op_arg i in
-        let kind = Array.unsafe_get f.Plan.op_kind i in
-        if kind = Plan.op_near || kind = Plan.op_far then begin
-          let s = if kind = Plan.op_near then near else far in
-          let o = Array.unsafe_get s.idx arg * s.stride and lane = s.lane in
-          for l = 0 to k - 1 do
-            Array.unsafe_set acc l
-              (Array.unsafe_get acc l +. Array.unsafe_get s.e (o + (l * lane)))
-          done
-        end
-        else begin
-          let x = cross *. float_of_int arg in
-          for l = 0 to k - 1 do
-            Array.unsafe_set acc l (Array.unsafe_get acc l +. x)
-          done
-        end
-      done;
-      for l = 0 to k - 1 do
-        buckets.(l).(mi) <- acc.(l)
-      done
-    done;
+    let masters = m.Plan.f_masters in
+    let out = Array.make (k * masters) 0.0 in
+    check
+      (fold_ops f.Plan.op_kind f.Plan.op_arg f.Plan.op_off near far
+         m.Plan.f_cross_pj_per_beat k out);
     let give_back slot s =
       give slots.floats slot s.e;
       give slots.ints slot s.idx
@@ -373,7 +391,7 @@ let eval_fabric_multi (f : Plan.fabric) ~points =
     give_back body_slot near;
     if Option.is_some f.Plan.far_plan then give_back far_slot far;
     List.init k (fun l ->
-        let buckets = buckets.(l) in
+        let buckets = Array.sub out (l * masters) masters in
         let fabric_pj = Array.fold_left ( +. ) 0.0 buckets in
         {
           buckets;

@@ -10,17 +10,24 @@
     order, so N points cost one pass over the class table and one walk
     of the rows instead of N interpreted replays.
 
-    Layer-1 class pricing and the walk run k lanes at once in the lane
-    kernel ([lib/tlm1/lane_kernel.c]), which the interpreted
-    {!Tlm1.Energy} model runs at one lane: one layer-1 pricing routine
-    for both.
+    Layer-1 class pricing, the walk and the fabric op streams run k
+    lanes at once in the lane kernel ([lib/tlm1/lane_kernel.c]).  A
+    layer-1 plan is priced from the segment table its capture recorded
+    ({!Plan.wires}): each distinct (group, toggle word) is summed once
+    per point, consecutive segments of equal length side by side as
+    independent chains, and each class joins its five sums.  The
+    interpreted {!Tlm1.Energy} model decodes its one class per cycle in
+    the same file.
 
     Bit-exactness: a class's energy is a pure function of its words or
     lumps and the point, and for each point every float operation
     happens in the order the interpreted estimator performs it (per-bit
     sums ascend from bit 0; groups add in addr/be/wdata/rdata/ctrl
     order; one cycle's lumps group before joining the total; cycles add
-    in cycle order; Diesel runs its own code), so the returned energy —
+    in cycle order; Diesel runs its own code).  The one addition the
+    interpreter skips, a quiet group's empty segment joining the class,
+    adds +0.0 to a sum that started at +0.0 and so is never -0.0, which
+    leaves it unchanged.  So the returned energy —
     and the per-cycle profile, when requested — equals the interpreted
     figure bit for bit.  The kernel is compiled without floating-point
     contraction or reassociation, and its per-CPU variants (AVX-512F,
@@ -40,8 +47,9 @@ val eval_multi :
   record_profile:bool -> Plan.t -> points:point list -> outcome list
 (** One pass over the plan, one outcome per point, in order.
     @raise Invalid_argument on a body the recorders cannot build: a
-    layer-1 class word wider than its signal group, or a row class
-    outside the class table. *)
+    segment table that names a wire outside the interface, an offset
+    outside or out of order, a segment id outside the table or a class
+    without its five ids, or a row class outside the class table. *)
 
 (** {1 Fabric plans (DESIGN.md §18)} *)
 

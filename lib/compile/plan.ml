@@ -8,9 +8,11 @@
    2 and 3 — plus the table-independent scalar results of the run.  The
    record is interned at capture: each distinct cycle is stored once as
    a class, and the body keeps one (closed cycle, class) row per cycle
-   with something to price.  Re-evaluating a plan under a new
-   characterization table or parameter point is then an array sweep
-   (see Eval), with no kernel, queues or slave calls involved. *)
+   with something to price.  A gate-level and layer-1 class table also
+   carries its segment table (one decode of each distinct group word,
+   see [wires]).  Re-evaluating a plan under a new characterization
+   table or parameter point is then an array sweep (see Eval), with no
+   kernel, queues or slave calls involved. *)
 
 module Ivec = struct
   type t = { mutable a : int array; mutable n : int }
@@ -117,14 +119,22 @@ type meta = {
 }
 
 (* The gate level and layer 1: six toggle words per class — old lxor new
-   of addr, be, wdata, rdata, ctrl and sel — class [c] at [6 * c].
-   Layer 2: a class is one closed cycle's lumps in event order, each an
+   of addr, be, wdata, rdata, ctrl and sel — class [c] at [6 * c], and
+   the segment table built from them (plan.mli; the lane kernel reads
+   the fields in this order).  Layer 2: a class is one closed cycle's lumps in event order, each an
    address lump [0; 0; 0] or a data lump [1; dir; burst] followed by its
    burst - 1 inter-beat popcounts (never pre-summed: the lump formula
    adds them one by one), class [c] at [l2_off.(c)] ..
    [l2_off.(c + 1) - 1] of [l2_words]. *)
+type wires = {
+  words : int array;
+  seg_off : int array;
+  seg_wire : Bytes.t;
+  class_seg : int array;
+}
+
 type classes =
-  | Wires of int array
+  | Wires of wires
   | L2 of { l2_off : int array; l2_words : int array }
 
 type body = {
@@ -134,6 +144,17 @@ type body = {
 }
 
 type t = { meta : meta; body : body }
+
+(* --- the layer-1 segment table ---------------------------------------- *)
+
+(* Built in the lane kernel (lib/tlm1/lane_kernel.c), which reads it:
+   (seg_off, seg_wire, class_seg) of six words a class. *)
+external build_segments : int array -> int array * Bytes.t * int array
+  = "lane_build_segments"
+
+let wires words =
+  let seg_off, seg_wire, class_seg = build_segments words in
+  { words; seg_off; seg_wire; class_seg }
 
 let at_level level t =
   if t.meta.level = level then t else { t with meta = { t.meta with level } }
@@ -191,7 +212,7 @@ let wire_observe r (w : Rtl.Wires.t) =
   r.w_cycle <- r.w_cycle + 1
 
 let wire_finish r =
-  body_of r.w_rows (Wires (Ivec.to_array r.w_rows.r_intern.Intern.words))
+  body_of r.w_rows (Wires (wires (Ivec.to_array r.w_rows.r_intern.Intern.words)))
 
 (* The open cycle's lumps accumulate as a class key and are interned
    when the cycle closes. *)

@@ -12,7 +12,11 @@
     {e classes} and one [(closed cycle, class)] row per priced cycle:
     both estimators price a cycle from its own words or lumps alone, so
     {!Eval} prices each class once per point and adds the class energies
-    in cycle order, without a kernel, queues or slave calls. *)
+    in cycle order, without a kernel, queues or slave calls.  The
+    capture also records the layer-1 bit decode of the class table once,
+    as a table of distinct (signal group, toggle word) {e segments}
+    ({!wires}), so a fold sums each distinct group word once per point
+    instead of decoding every class's words again. *)
 
 type meta = {
   level : Hier.Level.t;
@@ -27,19 +31,44 @@ type meta = {
           characterization table, so captured once at compile time *)
 }
 
-(** The class table of a body.  [Wires] (the gate level and layer 1):
-    six toggle words per class — old [lxor] new of addr, be, wdata,
-    rdata, ctrl and the controller's slave selects, which only the gate
-    level reads — class [c] at [6 * c]; the new words are the running
-    xor of the rows' classes from the reset zeros, so the rows carry the
-    whole wire image.  [L2]: the lumps of one closed cycle in event
-    order, each an address lump [0; 0; 0] or a data lump
-    [1; dir; burst] (dir 0 = read, 1 = write) followed by its [burst - 1]
-    inter-beat popcounts; class [c] is [l2_words.(l2_off.(c))] ..
-    [l2_words.(l2_off.(c + 1) - 1)].  Classes are pairwise distinct. *)
+(** The class table of a gate-level and layer-1 body, with its layer-1
+    bit decode recorded once: the {e segment table}.  A segment is one
+    distinct (signal group, toggle word) of the table, stored as the
+    group's toggled wires by dense {!Ec.Signals} index (below 113, so
+    one byte each), lowest bit first.  Segments lie end to end in
+    [seg_wire] in ascending length order (first occurrence within a
+    length); segment [x] is bytes [seg_off.(x)] .. [seg_off.(x + 1) - 1]
+    of [seg_wire], and segment 0 is the empty one.  {!Eval} sums each
+    segment once per point and joins each class's five sums. *)
+type wires = {
+  words : int array;
+      (** six toggle words per class — old [lxor] new of addr, be,
+          wdata, rdata, ctrl and the controller's slave selects, which
+          only the gate level reads — class [c] at [6 * c]; the new
+          words are the running xor of the rows' classes from the reset
+          zeros, so the rows carry the whole wire image *)
+  seg_off : int array;  (** segments + 1 non-decreasing offsets *)
+  seg_wire : Bytes.t;  (** one wire index a byte *)
+  class_seg : int array;
+      (** five segment ids per class, in addr/be/wdata/rdata/ctrl
+          order, class [c] at [5 * c]; 0 for a quiet group *)
+}
+
+(** The class table of a body.  [Wires]: the gate level and layer 1.
+    [L2]: the lumps of one closed cycle in event order, each an address
+    lump [0; 0; 0] or a data lump [1; dir; burst] (dir 0 = read, 1 =
+    write) followed by its [burst - 1] inter-beat popcounts; class [c]
+    is [l2_words.(l2_off.(c))] .. [l2_words.(l2_off.(c + 1) - 1)].
+    Classes are pairwise distinct. *)
 type classes =
-  | Wires of int array
+  | Wires of wires
   | L2 of { l2_off : int array; l2_words : int array }
+
+val wires : int array -> wires
+(** [wires words] builds the segment table of a class table of six words
+    per class.  The wire recorder and any hand-built body use it.
+    @raise Invalid_argument if [words] is not six words per class or a
+    group word is negative or wider than its signal group. *)
 
 type body = {
   row_cycle : int array;
@@ -50,9 +79,10 @@ type body = {
           occurrence *)
   classes : classes;
 }
-(** {!Eval} refuses a row class outside the class table and a layer-1
-    class word wider than its signal group ([Invalid_argument]); build
-    bodies with the recorders below. *)
+(** {!Eval} refuses a row class outside the class table and a segment
+    table that reads outside itself or the interface wires
+    ([Invalid_argument]); build bodies with the recorders below, or
+    classes with {!wires}. *)
 
 type t = { meta : meta; body : body }
 

@@ -1,8 +1,9 @@
 (* The layer-1 fold of one table, over its energy per transition of
    every interface wire by dense Ec.Signals index
    (Power.Characterization.to_array).  Each cycle's five toggle words
-   are priced by the lane kernel (lane_kernel.c) at one lane, the kernel
-   Compile.Eval runs over k tables per plan class. *)
+   are priced by the lane kernel (lane_kernel.c) at one lane; plan folds
+   price their recorded segment tables in the same file, with the same
+   additions in the same order. *)
 
 (* [price ws pj e k] prices each class of [ws] (six words) under the
    wire-major lane energies [pj] (wire [w] of lane [l] at [w * k + l])

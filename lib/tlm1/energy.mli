@@ -16,10 +16,11 @@
     which is precisely the systematic error against the gate-level
     reference.
 
-    Each cycle's five toggle words are priced by the lane kernel, the
-    same C routine that [Compile.Eval] runs over k tables per plan
-    class, here at one lane: so the interpreter and every plan fold do
-    one layer-1 pricing, with the same additions in the same order. *)
+    Each cycle's five toggle words are priced by the lane kernel, the C
+    file whose segment pricer [Compile.Eval] runs over k tables per
+    plan: the interpreter decodes its one class's words, a plan fold
+    reads the decode its capture recorded, and both do the same
+    additions in the same order. *)
 
 type t
 
