@@ -8,17 +8,19 @@
    energies row by row, in cycle order: N points cost one pass over the
    class table plus one walk, instead of N interpreted replays.
 
-   The k-lane loops — layer-1 class pricing, the walk and the fabric
-   op streams — run in the lane kernel (lib/tlm1/lane_kernel.c), whose
-   one-class pricing the interpreter's [Tlm1.Energy] runs.  A layer-1
-   plan is priced from its segment table (Plan.wires, recorded at
-   capture): each segment summed once per lane, consecutive segments of
-   equal length side by side as independent chains, then each class's
-   five sums joined in group order.  Every lane does the interpreter's
-   additions in its order, plus +0.0 where a quiet group joins its empty
-   segment, and adds its rows in cycle order; layer-2 classes are
-   priced by [Tlm2.Energy]'s lanes and one [data_lumps] call per data
-   lump, and [Rtl.Diesel] closes every cycle at the gate level.  So
+   The k-lane loops — layer-1 and layer-2 class pricing, the walk and
+   the fabric op streams — run in the lane kernel
+   (lib/power/lane_kernel.c), whose one-class pricing the interpreters,
+   [Tlm1.Energy] and [Tlm2.Energy], run at one lane.  A layer-1 plan is
+   priced from its segment table (Plan.wires, recorded at capture): each
+   segment summed once per lane, consecutive segments of equal length
+   side by side as independent chains, then each class's five sums
+   joined in group order.  A layer-2 class's lumps add onto 0.0 in event
+   order, each data lump by the interpreter's lump formula, in the same
+   kernel entry the interpreter prices its data phases with.  Every lane
+   does the interpreter's additions in its order, plus +0.0 where a
+   quiet group joins its empty segment, and adds its rows in cycle
+   order; [Rtl.Diesel] closes every cycle at the gate level.  So
    bit-exactness holds by construction.  What stays here is the cycle
    grouping: one cycle's lumps group before joining the total, and an
    elided quiet cycle adds a literal 0.0 at layers 1 and 2, a float
@@ -80,19 +82,26 @@ let take slots slot n x =
 
 let give slots slot a = slots.(slot) <- a
 
-(* The lane kernel, lib/tlm1/lane_kernel.c, linked with Tlm1, whose
-   Energy module runs its one-class pricing in the interpreter and checks
-   its group widths against Ec.Signals when loaded.
+(* The lane kernel, lib/power/lane_kernel.c, linked with Power; Tlm1's
+   Energy module runs its one-class layer-1 pricing in the interpreter
+   and checks its group widths against Ec.Signals when loaded, Tlm2's
+   runs its layer-2 entry on one lump.
    [price_segments t pj s e k] prices every class of [t] under the lane
    energies [pj] (see [l1_classes]) into [e], summing each segment into
-   the scratch [s] (16 floats a segment); [walk_rows row_class e k
-   classes totals] adds each lane's class energies over the rows into
-   [totals]; [fold_ops] replays the fabric op streams (below).  All
-   return 0, or the nonzero status of what they refused before reading
-   past an array: see [check]. *)
+   the scratch [s] (16 floats a segment); [price_l2 off words lanes e k]
+   prices every layer-2 class into [e]; [walk_rows row_class e k classes
+   totals] adds each lane's class energies over the rows into [totals];
+   [fold_ops] replays the fabric op streams (below).  All return 0, or
+   the nonzero status of what they refused before reading past an
+   array: see [check]. *)
 external price_segments :
   Plan.wires -> float array -> float array -> float array -> int -> int
   = "lane_price_segments"
+[@@noalloc]
+
+external price_l2 :
+  int array -> int array -> Tlm2.Energy.lanes -> float array -> int -> int
+  = "lane_price_l2"
 [@@noalloc]
 
 external walk_rows :
@@ -105,6 +114,7 @@ let check = function
   | 1 -> invalid_arg "Compile.Eval: plan arrays shorter than their counts"
   | 3 -> invalid_arg "Compile.Eval: row class out of range"
   | 4 -> invalid_arg "Compile.Eval: segment table out of range"
+  | 6 -> invalid_arg "Compile.Eval: layer-2 class table out of range"
   | _ -> invalid_arg "Compile.Eval: op stream out of range"
 
 let class_count = function
@@ -143,35 +153,15 @@ let l1_classes slots ~slot (w : Plan.wires) points ~k =
   Array.fill e (n * k) k 0.0;
   e
 
-(* A class's lumps add in event order onto 0.0, the interpreted cycle
-   grouping. *)
-let l2_classes slots ~slot ~off ~(words : int array)
-    (lanes : Tlm2.Energy.lanes) ~k =
-  let addr_lump = lanes.Tlm2.Energy.addr_lump in
+(* Lane energies of every layer-2 class, class [c] of lane [l] at
+   [c * k + l], then the zero class, in a scratch array from [slot]: the
+   kernel adds each class's lumps onto 0.0 in event order, the
+   interpreted cycle grouping, by the interpreter's lump formula. *)
+let l2_classes slots ~slot ~off ~words lanes ~k =
   let n = Array.length off - 1 in
-  let e = take slots.floats slot ((n + 1) * k) 0.0 and lump = Array.make k 0.0 in
-  Array.fill e 0 ((n + 1) * k) 0.0;
-  for c = 0 to n - 1 do
-    let o = c * k and i = ref off.(c) in
-    while !i < off.(c + 1) do
-      let w = !i in
-      if words.(w) = 0 then begin
-        for l = 0 to k - 1 do
-          e.(o + l) <- e.(o + l) +. addr_lump.(l)
-        done;
-        i := w + 3
-      end
-      else begin
-        let burst = words.(w + 2) in
-        Tlm2.Energy.data_lumps lanes ~read:(words.(w + 1) = 0) ~burst
-          ~pops:words ~off:(w + 3) lump;
-        for l = 0 to k - 1 do
-          e.(o + l) <- e.(o + l) +. lump.(l)
-        done;
-        i := w + 2 + burst
-      end
-    done
-  done;
+  let e = take slots.floats slot ((n + 1) * k) 0.0 in
+  check (price_l2 off words lanes e k);
+  Array.fill e (n * k) k 0.0;
   e
 
 let class_energies slots ~slot (c : Plan.classes) ~points ~k =

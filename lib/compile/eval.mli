@@ -10,14 +10,17 @@
     order, so N points cost one pass over the class table and one walk
     of the rows instead of N interpreted replays.
 
-    Layer-1 class pricing, the walk and the fabric op streams run k
-    lanes at once in the lane kernel ([lib/tlm1/lane_kernel.c]).  A
+    Layer-1 and layer-2 class pricing, the walk and the fabric op
+    streams run k lanes at once in the lane kernel
+    ([lib/power/lane_kernel.c]).  A
     layer-1 plan is priced from the segment table its capture recorded
     ({!Plan.wires}): each distinct (group, toggle word) is summed once
     per point, consecutive segments of equal length side by side as
-    independent chains, and each class joins its five sums.  The
-    interpreted {!Tlm1.Energy} model decodes its one class per cycle in
-    the same file.
+    independent chains, and each class joins its five sums.  A layer-2
+    class adds its lumps onto 0.0 in event order.  The interpreted
+    {!Tlm1.Energy} model decodes its one class per cycle in the same
+    file, and {!Tlm2.Energy} prices each data phase there as a one-lump
+    class.
 
     Bit-exactness: a class's energy is a pure function of its words or
     lumps and the point, and for each point every float operation
@@ -49,7 +52,10 @@ val eval_multi :
     @raise Invalid_argument on a body the recorders cannot build: a
     segment table that names a wire outside the interface, an offset
     outside or out of order, a segment id outside the table or a class
-    without its five ids, or a row class outside the class table. *)
+    without its five ids, a layer-2 offset that decreases or leaves the
+    lump words, a lump of a kind other than address or data, a burst
+    below 1 or past its class, or a row class outside the class
+    table. *)
 
 (** {1 Fabric plans (DESIGN.md §18)} *)
 

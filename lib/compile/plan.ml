@@ -147,7 +147,7 @@ type t = { meta : meta; body : body }
 
 (* --- the layer-1 segment table ---------------------------------------- *)
 
-(* Built in the lane kernel (lib/tlm1/lane_kernel.c), which reads it:
+(* Built in the lane kernel (lib/power/lane_kernel.c), which reads it:
    (seg_off, seg_wire, class_seg) of six words a class. *)
 external build_segments : int array -> int array * Bytes.t * int array
   = "lane_build_segments"

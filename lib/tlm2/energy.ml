@@ -1,3 +1,9 @@
+(* The layer-2 energy model (energy.mli).  Address lumps are one float per
+   lane, computed with the lanes; data lumps are priced by the lane kernel
+   (lib/power/lane_kernel.c), which plan folds run over k lanes and the
+   interpreter below runs on one lump at one lane: one formula, one
+   order of IEEE operations, for both. *)
+
 type params = {
   boundary_addr_toggles : float;
   boundary_data_toggles : float;
@@ -51,30 +57,19 @@ let lanes points =
     avg_ctrl = per (fun table _ -> avg_ctrl_bit table);
   }
 
-(* Per lane: the first beat against an unknown bus state, then the exact
-   Hamming distances between consecutive beats of the burst, in beat
-   order.  The toggle sum stays in a register; the operands are checked
-   once, so the lane loop reads unchecked. *)
-let data_lumps ln ~read ~burst ~pops ~off (out : float array) =
-  let k = Array.length ln.addr_lump in
-  if Array.length out < k || off < 0 || off + burst - 1 > Array.length pops
-  then invalid_arg "Tlm2.Energy.data_lumps";
-  let fburst = float_of_int burst
-  (* BFirst and BLast pulses on bursts. *)
-  and bursts = if burst > 1 then 4.0 else 0.0 in
-  let avg_bit = if read then ln.avg_rdata else ln.avg_wdata in
-  for l = 0 to k - 1 do
-    let toggles = ref (Array.unsafe_get ln.boundary_data_toggles l) in
-    for j = 0 to burst - 2 do
-      toggles := !toggles +. float_of_int (Array.unsafe_get pops (off + j))
-    done;
-    let strobes =
-      (Array.unsafe_get ln.strobe_pulses_per_beat l *. fburst) +. bursts
-    in
-    Array.unsafe_set out l
-      ((!toggles *. Array.unsafe_get avg_bit l)
-      +. (strobes *. Array.unsafe_get ln.avg_ctrl l))
-  done
+(* The lane kernel's layer-2 entry (lib/power/lane_kernel.c), the one
+   lump formula of the interpreter and plan folds: [price_l2 off words ln
+   e k] prices every class of a layer-2 class table (Compile.Plan.classes)
+   under the k lanes [ln], class [c] of lane [l] into [e.(c * k + l)]: its
+   lumps onto 0.0 in event order, a data lump as the lane's boundary
+   toggles plus the inter-beat counts in beat order, times the data-bit
+   average, plus the strobe pulses times the control-bit average.  It
+   returns 0, or nonzero if it refused the table or the arrays before
+   reading past one. *)
+external price_l2 :
+  int array -> int array -> lanes -> float array -> int -> int
+  = "lane_price_l2"
+[@@noalloc]
 
 (* What the trace compiler needs to replay a lump stream: which phase
    finished on which transaction, and where the cycle boundaries fall.
@@ -87,8 +82,11 @@ type t = {
   mutable lane : lanes;  (* one lane: this model's point *)
   created_lane : lanes;  (* what [reset] restores after calibration *)
   meter : Power.Meter.t;
-  pops : int array;  (* inter-beat toggle counts; bursts are 1 or 4 beats *)
-  lump : float array;  (* the last data lump, unboxed *)
+  lump_off : int array;  (* [| 0; 2 + burst |]: one class, one lump *)
+  lump : int array;
+      (* the last data lump as a class: [1; dir; burst] and its inter-beat
+         toggle counts; bursts are 1 or 4 beats *)
+  pj : float array;  (* its energy, unboxed *)
   mutable observer : (event -> unit) option;
   mutable lumps : int;  (* phase lumps estimated: the model's work count *)
 }
@@ -100,8 +98,9 @@ let create ?(record_profile = false) ?(params = default_params) table =
     lane = ln;
     created_lane = ln;
     meter = Power.Meter.create ~record_profile ();
-    pops = Array.make 3 0;
-    lump = Array.make 1 0.0;
+    lump_off = [| 0; 0 |];
+    lump = Array.make 6 0;
+    pj = Array.make 1 0.0;
     observer = None;
     lumps = 0;
   }
@@ -125,18 +124,23 @@ let address_phase_pj t (txn : Ec.Txn.t) =
   Power.Meter.add t.meter pj;
   pj
 
+(* The lump is priced as a one-lump class at one lane: the class sum
+   starts at 0.0, and [0.0 +. x = x] for a lump, never -0.0. *)
 let data_phase_pj t (txn : Ec.Txn.t) =
   observe t (Data_lump txn);
   t.lumps <- t.lumps + 1;
   let burst = txn.Ec.Txn.burst and data = txn.Ec.Txn.data in
+  let w = t.lump in
+  w.(0) <- 1;
+  w.(1) <- (match txn.Ec.Txn.dir with Ec.Txn.Read -> 0 | Ec.Txn.Write -> 1);
+  w.(2) <- burst;
   for i = 1 to burst - 1 do
-    t.pops.(i - 1) <- Sim.Bits.popcount (data.(i) lxor data.(i - 1))
+    w.(2 + i) <- Sim.Bits.popcount (data.(i) lxor data.(i - 1))
   done;
-  let read =
-    match txn.Ec.Txn.dir with Ec.Txn.Read -> true | Ec.Txn.Write -> false
-  in
-  data_lumps t.lane ~read ~burst ~pops:t.pops ~off:0 t.lump;
-  let pj = t.lump.(0) in
+  t.lump_off.(1) <- 2 + burst;
+  if price_l2 t.lump_off w t.lane t.pj 1 <> 0 then
+    invalid_arg "Tlm2.Energy.data_phase_pj: burst out of range";
+  let pj = t.pj.(0) in
   Power.Meter.add t.meter pj;
   pj
 

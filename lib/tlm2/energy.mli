@@ -18,7 +18,12 @@
     Merged strobes and address locality make real traffic cheaper than
     these assumptions, which is the overestimation the paper reports
     (+14.7%).  The power interface only offers the energy-since-last-call
-    method; sampling therefore lumps whole phases (Figure 6). *)
+    method; sampling therefore lumps whole phases (Figure 6).
+
+    A data lump is priced by the lane kernel (lib/power/lane_kernel.c),
+    the routine compiled plans price their layer-2 classes with, so an
+    interpreted run and a plan fold perform the same IEEE operations in
+    the same order. *)
 
 type params = {
   boundary_addr_toggles : float;
@@ -40,7 +45,12 @@ val default_params : params
 
     One estimator, two executors: the interpreted model below holds a
     one-lane value, [Compile.Eval] a k-lane value per plan, and both
-    read the same lump formula. *)
+    price data lumps with the same routine, the lane kernel's layer-2
+    entry (lib/power/lane_kernel.c): the boundary toggles plus the
+    inter-beat toggle counts in beat order, times the data-bit average,
+    plus the strobe pulses times the control-bit average.  The
+    interpreter prices each data phase there as a one-lump class at one
+    lane. *)
 
 type lanes = private {
   addr_lump : float array;
@@ -55,17 +65,6 @@ type lanes = private {
     index [l]. *)
 
 val lanes : (Power.Characterization.t * params) array -> lanes
-
-val data_lumps :
-  lanes -> read:bool -> burst:int -> pops:int array -> off:int ->
-  float array -> unit
-(** [data_lumps ln ~read ~burst ~pops ~off out] stores in [out.(l)] lane
-    [l]'s lump of a [burst]-beat data phase whose inter-beat toggle counts
-    are [pops.(off)] .. [pops.(off + burst - 2)]: the boundary toggles
-    plus the counts in beat order, times the data-bit average, plus the
-    strobe pulses times the control-bit average.
-    @raise Invalid_argument if [out] is shorter than the lane count or
-    the counts lie outside [pops]. *)
 
 type t
 

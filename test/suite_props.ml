@@ -1677,7 +1677,29 @@ let test_kernel_refuses_bad_bodies () =
                 Compile.Plan.L2 { l2_off = [| 0; 3 |]; l2_words = [| 0; 0; 0 |] };
             };
         })
-    [ 1; 1_000_000; -1 ]
+    [ 1; 1_000_000; -1 ];
+  (* Two layer-2 classes: an address lump and a burst-4 read, then a
+     single write. *)
+  let l2_off = [| 0; 9; 12 |]
+  and l2_words = [| 0; 0; 0; 1; 0; 4; 1; 2; 3; 1; 1; 1 |] in
+  let l2 l2_off l2_words =
+    let p = l1_plan ~cycles:2 [] ~row_cycle:[||] ~row_class:[||] in
+    {
+      Compile.Plan.meta = { p.Compile.Plan.meta with level = Core.Level.L2 };
+      body =
+        {
+          Compile.Plan.row_cycle = [| 0; 1 |];
+          row_class = [| 0; 1 |];
+          classes = Compile.Plan.L2 { l2_off; l2_words };
+        };
+    }
+  in
+  ignore (Compile.Eval.eval_multi ~record_profile:false (l2 l2_off l2_words) ~points);
+  refused "decreasing l2_off" (l2 (set l2_off 0 10) l2_words);
+  refused "l2_off past the words" (l2 (set l2_off 2 13) l2_words);
+  refused "lump kind 2" (l2 l2_off (set l2_words 3 2));
+  refused "burst 0" (l2 l2_off (set l2_words 5 0));
+  refused "burst past its class" (l2 l2_off (set l2_words 5 5))
 
 (* The layer-2 data lump written out from its definition (DESIGN.md
    section 14): boundary toggles plus the inter-beat counts in beat order,
@@ -1703,12 +1725,84 @@ let reference_l2_lumps table (p : Tlm2.Energy.params) ~read ~burst pops off =
   in
   (addr, data)
 
+(* The lane kernel's layer-2 entry, declared here only (lane_kernel.c):
+   [lane_price_l2 off words ln e k] prices every class of a layer-2 class
+   table under the k lanes [ln], class [c] of lane [l] into
+   [e.(c * k + l)], and returns 0, or nonzero if it refused the table. *)
+external lane_price_l2 :
+  int array -> int array -> Tlm2.Energy.lanes -> float array -> int -> int
+  = "lane_price_l2"
+[@@noalloc]
+
+(* The k-lane layer-2 class pricing as OCaml ran it before the kernel
+   (Compile.Eval's class loop and Tlm2.Energy's data lump): per class and
+   lane, its lumps onto 0.0 in event order; a data lump per lane is the
+   first beat against an unknown bus state, then the exact Hamming
+   distances between consecutive beats of the burst, in beat order. *)
+let reference_l2_classes ~off ~(words : int array) (ln : Tlm2.Energy.lanes)
+    ~k =
+  let data_lump ~read ~burst ~off (out : float array) =
+    let fburst = float_of_int burst
+    and bursts = if burst > 1 then 4.0 else 0.0 in
+    let avg_bit =
+      if read then ln.Tlm2.Energy.avg_rdata else ln.Tlm2.Energy.avg_wdata
+    in
+    for l = 0 to k - 1 do
+      let toggles = ref ln.Tlm2.Energy.boundary_data_toggles.(l) in
+      for j = 0 to burst - 2 do
+        toggles := !toggles +. float_of_int words.(off + j)
+      done;
+      let strobes =
+        (ln.Tlm2.Energy.strobe_pulses_per_beat.(l) *. fburst) +. bursts
+      in
+      out.(l) <-
+        (!toggles *. avg_bit.(l)) +. (strobes *. ln.Tlm2.Energy.avg_ctrl.(l))
+    done
+  in
+  let n = Array.length off - 1 in
+  let e = Array.make (n * k) 0.0 and lump = Array.make k 0.0 in
+  for c = 0 to n - 1 do
+    let i = ref off.(c) in
+    while !i < off.(c + 1) do
+      let w = !i in
+      if words.(w) = 0 then begin
+        for l = 0 to k - 1 do
+          e.((c * k) + l) <- e.((c * k) + l) +. ln.Tlm2.Energy.addr_lump.(l)
+        done;
+        i := w + 3
+      end
+      else begin
+        let burst = words.(w + 2) in
+        data_lump ~read:(words.(w + 1) = 0) ~burst ~off:(w + 3) lump;
+        for l = 0 to k - 1 do
+          e.((c * k) + l) <- e.((c * k) + l) +. lump.(l)
+        done;
+        i := w + 2 + burst
+      end
+    done
+  done;
+  e
+
+(* Operands with the edge values the kernel must carry exactly: signed
+   zeros (three -0.0 address-lump parameters make a -0.0 address lump,
+   which a class sum started at 0.0 turns into +0.0), subnormals and
+   values near the top of the exponent range. *)
+let gen_edge_float hi =
+  Gen.frequency
+    [
+      (6, Gen.float_bound_inclusive hi);
+      (1, Gen.return 0.0);
+      (1, Gen.return Float.min_float);
+      (1, Gen.return (Int64.float_of_bits 1L));
+      (1, Gen.return 1e300);
+    ]
+
 let gen_l2_lump_case =
   let open Gen in
-  let toggles = float_bound_inclusive 40.0 in
+  let param = frequency [ (3, gen_edge_float 40.0); (1, return (-0.0)) ] in
   let point =
     pair
-      (array_size (return Ec.Signals.count) (float_bound_inclusive 5.0))
+      (array_size (return Ec.Signals.count) (gen_edge_float 5.0))
       (map
          (fun (a, d, t, ph, b) ->
            {
@@ -1718,59 +1812,156 @@ let gen_l2_lump_case =
              strobe_pulses_per_phase = ph;
              strobe_pulses_per_beat = b;
            })
-         (tup5 toggles toggles toggles toggles toggles))
+         (tup5 param param param param param))
   in
-  let event =
-    let* burst = oneofl [ 1; 4 ] and* read = bool in
-    let* pops = array_size (int_range 3 8) (int_bound 32) in
-    let* off = int_bound (Array.length pops - 3) in
-    return (read, burst, pops, off)
+  let lump =
+    frequency
+      [
+        (1, return `Addr);
+        ( 3,
+          let* burst = oneofl [ 1; 4 ] and* read = bool in
+          let* pops = array_size (return (burst - 1)) (int_bound 32) in
+          return (`Data (read, burst, pops)) );
+      ]
   in
-  pair (list_size (int_range 1 17) point) (list_size (int_range 1 20) event)
+  pair
+    (array_size (return 40) point)
+    (list_size (int_range 1 12) (list_size (int_range 1 4) lump))
+
+(* A class table from lumps, as Compile.Plan.l2_observe records it. *)
+let l2_table classes =
+  let words =
+    List.map
+      (List.concat_map (function
+        | `Addr -> [ 0; 0; 0 ]
+        | `Data (read, burst, pops) ->
+          [ 1; (if read then 0 else 1); burst ] @ Array.to_list pops))
+      classes
+  in
+  let off = Array.make (List.length words + 1) 0 in
+  List.iteri (fun c w -> off.(c + 1) <- off.(c) + List.length w) words;
+  (off, Array.of_list (List.concat words))
+
+(* An interpreted data phase whose inter-beat toggle counts are [pops]. *)
+let txn_of_pops ~read ~burst pops =
+  let data = Array.make burst 0 in
+  for i = 1 to burst - 1 do
+    data.(i) <- data.(i - 1) lxor ((1 lsl pops.(i - 1)) - 1)
+  done;
+  let create dir =
+    Ec.Txn.create ~id:0 ~kind:Ec.Txn.Data ~dir ~width:Ec.Txn.W32 ~addr:0
+      ~burst
+  in
+  if read then begin
+    let t = create Ec.Txn.Read () in
+    Array.iteri (Ec.Txn.set_beat t) data;
+    t
+  end
+  else create Ec.Txn.Write ~data ()
 
 let prop_l2_lumps_lanes =
   QCheck.Test.make
     ~name:"l2 lumps over k lanes = k single-lane lumps = reference formula"
-    ~count:200 (QCheck.make gen_l2_lump_case)
-    (fun (points, events) ->
+    ~count:60 (QCheck.make gen_l2_lump_case)
+    (fun (points, classes) ->
       let points =
-        Array.of_list
-          (List.map
-             (fun (energy_pj, params) ->
-               ( Power.Characterization.derive ~name:"random" ~energy_pj
-                   ~transitions:(Array.make Ec.Signals.count 1),
-                 params ))
-             points)
+        Array.map
+          (fun (energy_pj, params) ->
+            ( Power.Characterization.derive ~name:"random" ~energy_pj
+                ~transitions:(Array.make Ec.Signals.count 1),
+              params ))
+          points
       in
-      let k = Array.length points in
-      let all = Tlm2.Energy.lanes points and out = Array.make k 0.0 in
-      let single = Array.map (fun p -> Tlm2.Energy.lanes [| p |]) points in
-      let one = Array.make 1 0.0 in
+      let off, words = l2_table classes in
+      let n = List.length classes and kmax = Array.length points in
       let bits = Int64.bits_of_float in
-      List.for_all
-        (fun (read, burst, pops, off) ->
-          Tlm2.Energy.data_lumps all ~read ~burst ~pops ~off out;
+      let reference = reference_l2_classes ~off ~words (Tlm2.Energy.lanes points) ~k:kmax in
+      (* The definition, lump by lump onto 0.0, and each data lump as the
+         interpreter prices it. *)
+      let defined =
+        Array.mapi
+          (fun l (table, params) ->
+            let interp = Tlm2.Energy.create ~params table in
+            Array.of_list
+              (List.map
+                 (List.fold_left
+                    (fun sum lump ->
+                      match lump with
+                      | `Addr ->
+                        sum
+                        +. fst
+                             (reference_l2_lumps table params ~read:true
+                                ~burst:1 [||] 0)
+                      | `Data (read, burst, pops) ->
+                        let data =
+                          snd
+                            (reference_l2_lumps table params ~read ~burst pops
+                               0)
+                        in
+                        let pj =
+                          Tlm2.Energy.data_phase_pj interp
+                            (txn_of_pops ~read ~burst pops)
+                        in
+                        if bits pj <> bits (0.0 +. data) then
+                          QCheck.Test.fail_reportf
+                            "lane %d: interpreted lump %h, formula %h" l pj
+                            data;
+                        sum +. data)
+                    0.0)
+                 classes))
+          points
+      in
+      let kernel ln k =
+        let e = Array.make (n * k) nan in
+        if lane_price_l2 off words ln e k <> 0 then
+          QCheck.Test.fail_report "kernel refused a valid table";
+        e
+      in
+      let same what l c x y =
+        bits x = bits y
+        || QCheck.Test.fail_reportf "%s: lane %d class %d: %h <> %h" what l c x
+             y
+      in
+      let classes_of_lane f =
+        List.for_all (fun c -> f c) (List.init n Fun.id)
+      in
+      under_every_variant (fun () ->
+          let single =
+            Array.map (fun p -> kernel (Tlm2.Energy.lanes [| p |]) 1) points
+          in
           List.for_all
-            (fun l ->
-              let table, params = points.(l) in
-              Tlm2.Energy.data_lumps single.(l) ~read ~burst ~pops ~off one;
-              let ref_addr, ref_data =
-                reference_l2_lumps table params ~read ~burst pops off
-              in
-              let addr = all.Tlm2.Energy.addr_lump.(l) in
-              bits out.(l) = bits one.(0)
-              && bits out.(l) = bits ref_data
-              && bits addr = bits single.(l).Tlm2.Energy.addr_lump.(0)
-              && bits addr = bits ref_addr)
-            (List.init k Fun.id))
-        events
-      && (* Counts past the end of [pops] are refused, not read. *)
-      match
-        Tlm2.Energy.data_lumps all ~read:true ~burst:4 ~pops:[| 1; 2 |] ~off:0
-          out
-      with
-      | () -> false
-      | exception Invalid_argument _ -> true)
+            (fun k ->
+              let e = kernel (Tlm2.Energy.lanes (Array.sub points 0 k)) k in
+              List.for_all
+                (fun l ->
+                  classes_of_lane (fun c ->
+                      let x = e.((c * k) + l) in
+                      same "k lanes, single lane" l c x single.(l).(c)
+                      && same "k lanes, reference" l c x
+                           reference.((c * kmax) + l)
+                      && same "k lanes, definition" l c x defined.(l).(c)))
+                (List.init k Fun.id))
+            (List.init kmax (fun k -> k + 1)))
+      && (* A -0.0 address lump joins its class onto 0.0. *)
+      (let neg =
+         Tlm2.Energy.lanes
+           [|
+             ( Power.Characterization.default,
+               {
+                 Tlm2.Energy.default_params with
+                 boundary_addr_toggles = -0.0;
+                 attr_toggles = -0.0;
+                 strobe_pulses_per_phase = -0.0;
+               } );
+           |]
+       and e = [| nan |] in
+       bits neg.Tlm2.Energy.addr_lump.(0) = bits (-0.0)
+       && lane_price_l2 [| 0; 3 |] [| 0; 0; 0 |] neg e 1 = 0
+       && bits e.(0) = bits 0.0)
+      && (* A burst past the end of its class is refused, not read. *)
+      lane_price_l2 [| 0; 5 |] [| 1; 0; 4; 1; 2 |] (Tlm2.Energy.lanes points)
+        (Array.make kmax 0.0) kmax
+      <> 0)
 
 (* A warm 16-point fold allocates per pass, never per plan row, class
    or cycle, and nothing on the major heap: the outcomes and results,
