@@ -18,9 +18,9 @@
     per point, consecutive segments of equal length side by side as
     independent chains, and each class joins its five sums.  A layer-2
     class adds its lumps onto 0.0 in event order.  The interpreted
-    {!Tlm1.Energy} model decodes its one class per cycle in the same
-    file, and {!Tlm2.Energy} prices each data phase there as a one-lump
-    class.
+    {!Tlm1.Energy} model closes each cycle in the same file, and
+    {!Tlm2.Energy} prices each data phase there with the same data-lump
+    expression.
 
     Bit-exactness: a class's energy is a pure function of its words or
     lumps and the point, and for each point every float operation

@@ -1,10 +1,11 @@
-/* The lane kernel (DESIGN.md section 14): layer-1 class pricing, layer-2
-   lump pricing, the row walk and the fabric op-stream fold, for the
-   interpreters (Tlm1.Energy, one class and one lane per cycle;
-   Tlm2.Energy, one lump and one lane per phase) and for plan folds
-   (Compile.Eval, k lanes), and the builder of the segment tables the
-   layer-1 plan folds read (Compile.Plan.wires, once per capture).  It
-   lives in the power library, which both estimators link.
+/* The lane kernel (DESIGN.md section 14): the interpreters' cycle closes
+   (Rtl.Diesel at the gate level, Tlm1.Energy at layer 1: one call per
+   cycle that reads the wires, prices, counts and commits) and data lump
+   (Tlm2.Energy, one per data phase); for plan folds (Compile.Eval, k
+   lanes) layer-1 segment pricing, layer-2 class pricing, the row walk
+   and the fabric op-stream fold; and the builder of the segment tables
+   the layer-1 plan folds read (Compile.Plan.wires, once per capture).
+   It lives in the power library, which every estimator links.
 
    A lane is one parameter point.  The plan loops hold k lanes side by
    side — a wire's k energies, a segment's, a class's — and go through
@@ -17,14 +18,19 @@
    per group in addr/be/wdata/rdata/ctrl order, segment 0 (empty) for a
    quiet group.  The kernel sums every segment once per lane, running
    consecutive segments of equal length side by side as independent
-   chains, then joins each class's five sums.  The interpreter decodes
-   its one class's words directly.
+   chains, then joins each class's five sums.  The layer-1 close decodes
+   its one cycle's words directly.
 
    A layer-2 class is one closed cycle's lumps (Compile.Plan.classes):
    each lane adds them onto 0.0 in event order, an address lump as the
    lane's precomputed address lump, a data lump by the one lump formula
-   of the paper's layer 2, which both the interpreter and plan folds run
-   here.
+   of the paper's layer 2 (DATA_LUMP), which the interpreter's one-lump
+   entry runs too.
+
+   The closes hold each running total (the interface and internal
+   totals, the meter's in-cycle energy, layer 1's cycle sum) in a
+   register and store it once; each still gets the same IEEE additions in
+   the same order as the OCaml reference, so no bit changes.
 
    Exactness: each lane performs exactly the IEEE double additions of the
    interpreter's one-lane fold, in the same order (a group's toggled bits
@@ -49,12 +55,16 @@
    the host.  Every other build compiles the bodies once.
 
    No loop allocates or raises: each checks every index it reads and
-   returns a status, which the callers turn into Invalid_argument.  Each
+   returns a status, which the callers turn into Invalid_argument (the
+   data lump returns NaN, its caller checks the burst first).  Each
    takes at most five arguments, so one C function serves the native and
-   the bytecode external, except the op fold, which has a bytecode stub.
+   the bytecode external, except the op fold and the data lump (an
+   unboxed float), which have bytecode stubs.  The closes are scalar and
+   not compiled per variant.
    The builder, at the end of the file, allocates its result and raises
    Invalid_argument on a class table it cannot decode. */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -89,6 +99,29 @@ static const int base[GROUPS] = { 0, 34, 38, 70, 102 };
 
 /* The fields of a Compile.Plan.wires record, in declaration order. */
 enum { T_WORDS = 0, T_SEG_OFF = 1, T_SEG_WIRE = 2, T_CLASS_SEG = 3 };
+
+/* The fields of an Rtl.Wires.t record, in declaration order: each
+   group's current and next word, addr/be/wdata/rdata/ctrl/sel, then the
+   select width.  The closes read the words and commit them by these
+   positions (group g's words at 2g and 2g + 1, the selects as group 5);
+   a test drives every group alone through both closes and fails if the
+   order no longer matches. */
+enum { W_FIELDS = 13 };
+
+/* The gate-level close's arrays (Rtl.Diesel).  Tables: wire w's falling
+   and rising edge energies at [2w] and [2w + 1]; from G_PAIR, [8w +
+   code] the half of the coupling energy of the pair (w, w + 1) that
+   each of its wires gets (code bits 0 and 1: which of the two toggled,
+   bit 2: whether their new values differ); from G_COST, the internal
+   costs per address, read-data, control and select toggle, then the
+   leakage per cycle.  Sums: the wires' interface energies, then the
+   interface and internal totals.  Counts: the wires' transitions, then
+   the words scanned and the bits visited. */
+enum {
+  G_PAIR = 2 * WIRES, G_COST = 10 * WIRES, G_TABLES = G_COST + 5,
+  G_IFACE = WIRES, G_INTERNAL = WIRES + 1, G_SUMS = WIRES + 2,
+  G_WORDS = WIRES, G_BITS = WIRES + 1, G_COUNTS = WIRES + 2
+};
 
 /* The fields of a Tlm2.Energy.lanes record, in declaration order. */
 enum {
@@ -137,50 +170,157 @@ ALWAYS_INLINE mlsize_t float_len(value v)
     if (k - l >= 1) STEP(1);                                         \
   } while (0)
 
-/* The interpreter's pricing.  [ws]: CLASS_WORDS words per class; [pj]:
-   wire w of lane l at [w * k + l]; class c of lane l goes to
-   [e.(c * k + l)].  Each group that toggled sums the lane's energies of
-   its set wires from 0.0, lowest bit first, and the sum joins the class
-   energy, which starts at 0.0; a quiet group adds nothing. */
-ALWAYS_INLINE value price_body(value ws, value vpj, value ve, value vk)
+/* The wires' six current and next words, each interface word checked
+   against its group's width; nonzero if one is wider. */
+ALWAYS_INLINE uint64_t read_wires(value vw, uint64_t cur[GROUPS + 1],
+                                  uint64_t nxt[GROUPS + 1])
 {
-  intnat k = Long_val(vk);
-  mlsize_t n = Wosize_val(ws) / CLASS_WORDS;
-  if (k < 1 || float_len(vpj) < (mlsize_t) WIRES * k
-      || float_len(ve) < n * k)
+  uint64_t wide = 0;
+  for (int g = 0; g <= GROUPS; g++) {
+    cur[g] = (uint64_t) Long_val(Field(vw, 2 * g));
+    nxt[g] = (uint64_t) Long_val(Field(vw, 2 * g + 1));
+    if (g < GROUPS) wide |= (cur[g] | nxt[g]) >> width[g];
+  }
+  return wide;
+}
+
+/* Rtl.Wires.commit_all: every next word becomes current.  The words
+   are integers, so no write barrier is owed. */
+ALWAYS_INLINE void commit_wires(value vw)
+{
+  for (int g = 0; g <= GROUPS; g++)
+    Field(vw, 2 * g) = Field(vw, 2 * g + 1);
+}
+
+ALWAYS_INLINE void add_count(value vc, intnat i, intnat n)
+{
+  Field(vc, i) = Val_long(Long_val(Field(vc, i)) + n);
+}
+
+/* The gate-level close (Rtl.Diesel): prices the cycle from the wires'
+   [current xor next] words, then commits them.  Each toggled bit of a
+   bus, lowest first, adds its edge energy; each adjacent pair of the bus
+   that a toggle touches, lowest first, adds its half to the lower then
+   the upper wire; the control word adds edge energies only; then the
+   internal nets add in address, read-data, control, select order, each
+   only when its group toggled, and the leakage always.  Every addend
+   goes to its wire's sum (interface ones), to the interface or internal
+   total and to the meter's in-cycle energy [m], in that order — the
+   reference path's additions in its order, so each accumulator gets the
+   same IEEE additions.  The totals and [m] are read once, held in
+   registers and stored once.  Refuses short arrays, a record that is not
+   a Wires.t, or a word wider than its group, before anything is
+   written. */
+value lane_close_gate(value vw, value vtab, value vsum, value vm,
+                      value vc)
+{
+  uint64_t cur[GROUPS + 1], nxt[GROUPS + 1];
+  if (Wosize_val(vw) != W_FIELDS || float_len(vtab) < G_TABLES
+      || float_len(vsum) < G_SUMS || float_len(vm) < 1
+      || Wosize_val(vc) < G_COUNTS)
     return Val_int(BAD_SIZE);
-  const double *pj = (const double *) vpj;
-  double *e = (double *) ve;
-  uint64_t word[GROUPS];
-  for (mlsize_t c = 0; c < n; c++) {
-    for (int g = 0; g < GROUPS; g++) {
-      word[g] = (uint64_t) Long_val(Field(ws, c * CLASS_WORDS + g));
-      if (word[g] >> width[g]) return Val_int(WIDE_WORD);
+  if (read_wires(vw, cur, nxt)) return Val_int(WIDE_WORD);
+  const double *edge = (const double *) vtab;
+  const double *pair = edge + G_PAIR, *cost = edge + G_COST;
+  double *sum = (double *) vsum;
+  double iface = sum[G_IFACE], internal = sum[G_INTERNAL];
+  double m = *(double *) vm;
+  intnat toggles[GROUPS], bits = 0;
+  for (int g = 0; g < GROUPS; g++) {
+    uint64_t changed = cur[g] ^ nxt[g], next = nxt[g];
+    intnat n = 0;
+    for (uint64_t x = changed; x; x &= x - 1, n++) {
+      int i = __builtin_ctzll(x), w = base[g] + i;
+      double pj = edge[2 * w + (int) ((next >> i) & 1)];
+      add_count(vc, w, 1);
+      sum[w] += pj;
+      iface += pj;
+      m += pj;
     }
-    for (intnat l = 0; l < k; l++) {
-      double acc = 0.0;
-      for (int g = 0; g < GROUPS; g++) {
-        uint64_t bits = word[g];
-        if (!bits) continue;
-        const double *gp = pj + base[g] * k + l;
-        double s = 0.0;
-        for (; bits; bits &= bits - 1)
-          s += gp[__builtin_ctzll(bits) * k];
-        acc += s;
-      }
-      e[c * k + l] = acc;
+    toggles[g] = n;
+    bits += n;
+    if (g == GROUPS - 1) break; /* the control wires do not couple */
+    uint64_t pairs = ((uint64_t) 1 << (width[g] - 1)) - 1;
+    uint64_t differ = next ^ (next >> 1);
+    for (uint64_t x = (changed | changed >> 1) & pairs; x; x &= x - 1) {
+      int i = __builtin_ctzll(x), w = base[g] + i;
+      int code = (int) (((changed >> i) & 3) | ((differ >> i) & 1) << 2);
+      double half = pair[8 * w + code];
+      sum[w] += half;
+      iface += half;
+      m += half;
+      sum[w + 1] += half;
+      iface += half;
+      m += half;
+      bits++;
     }
   }
+  intnat sel = 0;
+  for (uint64_t x = cur[GROUPS] ^ nxt[GROUPS]; x; x &= x - 1) sel++;
+  const intnat internal_toggles[4] = { toggles[0], toggles[3], toggles[4],
+                                       sel };
+  for (int j = 0; j < 4; j++)
+    if (internal_toggles[j] > 0) {
+      double pj = (double) internal_toggles[j] * cost[j];
+      internal += pj;
+      m += pj;
+    }
+  internal += cost[4];
+  m += cost[4];
+  sum[G_IFACE] = iface;
+  sum[G_INTERNAL] = internal;
+  *(double *) vm = m;
+  add_count(vc, G_WORDS, GROUPS + 1);
+  add_count(vc, G_BITS, bits);
+  commit_wires(vw);
   return Val_int(OK);
 }
 
+/* The layer-1 close (Tlm1.Energy): each toggled interface group sums the
+   energies [pj] of its toggled wires from 0.0, lowest bit first, and the
+   sum joins the cycle's energy, which starts at 0.0 (a quiet group adds
+   nothing); the cycle's energy joins the meter's in-cycle energy [m].
+   [c.(0)] counts the transitions, [c.(1)] the five words compared.  Then
+   the wires are committed, selects too, which layer 1 does not read.
+   Refuses as the gate-level close does. */
+value lane_close_l1(value vw, value vpj, value vm, value vc)
+{
+  uint64_t cur[GROUPS + 1], nxt[GROUPS + 1];
+  if (Wosize_val(vw) != W_FIELDS || float_len(vpj) < WIRES
+      || float_len(vm) < 1 || Wosize_val(vc) < 2)
+    return Val_int(BAD_SIZE);
+  if (read_wires(vw, cur, nxt)) return Val_int(WIDE_WORD);
+  const double *pj = (const double *) vpj;
+  double e = 0.0;
+  intnat n = 0;
+  for (int g = 0; g < GROUPS; g++) {
+    uint64_t x = cur[g] ^ nxt[g];
+    if (!x) continue;
+    const double *gp = pj + base[g];
+    double s = 0.0;
+    for (; x; x &= x - 1, n++) s += gp[__builtin_ctzll(x)];
+    e += s;
+  }
+  *(double *) vm += e;
+  add_count(vc, 0, n);
+  add_count(vc, 1, GROUPS);
+  commit_wires(vw);
+  return Val_int(OK);
+}
+
+/* The data lump of the paper's layer 2, for one lane or a vector of
+   them: [T], the boundary data toggles plus the burst's inter-beat counts
+   added in beat order, times the data-bit average [DV] of its direction,
+   plus the strobe pulses — [S] per beat over [BURST] beats, and 4.0 more
+   on a burst for its BFirst and BLast pulses — times the control-bit
+   average [C].  The plan folds and the interpreter's one-lump entry both
+   price a data lump here. */
+#define DATA_LUMP(T, DV, S, C, BURST)                                \
+  ((T) * (DV) + ((S) * (double) (BURST) + ((BURST) > 1 ? 4.0 : 0.0)) * (C))
+
 /* Layer 2, one lane block of NB vectors of VT, W lanes each, from lane
    [l]: every class adds its lumps onto 0.0 in event order, an address
-   lump as the lane's [addr_lump], a data lump as the lane's boundary
-   toggles plus the burst's inter-beat counts in beat order, times the
-   data-bit average of its direction, plus the strobe pulses (per beat,
-   and 4.0 more on a burst for its BFirst and BLast pulses) times the
-   control-bit average.  A block that runs past lane k reads its operands
+   lump as the lane's [addr_lump], a data lump as DATA_LUMP.  A block that runs past lane k reads its operands
    from [pad], 0.0 past lane k, and stores only lanes below k.  The class
    table was checked. */
 #define L2_BLOCK(VT, NB, W)                                          \
@@ -211,7 +351,6 @@ ALWAYS_INLINE value price_body(value ws, value vpj, value ve, value vk)
         }                                                            \
         intnat burst = Long_val(ws[i + 2]);                          \
         const double *pv = ws[i + 1] == Val_long(0) ? pr : pw;       \
-        double fburst = (double) burst, bursts = burst > 1 ? 4.0 : 0.0;\
         VT t[NB];                                                    \
         for (int b = 0; b < (NB); b++) t[b] = *(const VT *) (pb + b * V);\
         for (intnat p = i + 3; p < i + 2 + burst; p++) {             \
@@ -219,9 +358,9 @@ ALWAYS_INLINE value price_body(value ws, value vpj, value ve, value vk)
           for (int b = 0; b < (NB); b++) t[b] += x;                  \
         }                                                            \
         for (int b = 0; b < (NB); b++)                               \
-          a[b] += t[b] * *(const VT *) (pv + b * V)                  \
-                  + (*(const VT *) (ps + b * V) * fburst + bursts)   \
-                      * *(const VT *) (pc + b * V);                  \
+          a[b] += DATA_LUMP(t[b], *(const VT *) (pv + b * V),        \
+                            *(const VT *) (ps + b * V),              \
+                            *(const VT *) (pc + b * V), burst);      \
         i += 2 + burst;                                              \
       }                                                              \
       double *out = e + c * k + l;                                   \
@@ -300,6 +439,44 @@ ALWAYS_INLINE int l2_bad(const value *off, intnat n, const value *ws,
     }
   }
   return 0;
+}
+
+/* SWAR popcount: baseline x86-64 has no popcount instruction. */
+ALWAYS_INLINE intnat popcount(uint64_t x)
+{
+  x -= (x >> 1) & 0x5555555555555555ull;
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+  return (intnat) ((x * 0x0101010101010101ull) >> 56);
+}
+
+/* The interpreter's data lump (Tlm2.Energy.data_phase_pj), one lane:
+   [ln], the lane's six operands in the field order of Tlm2.Energy.lanes;
+   [dir], 0 for a read; [data], the burst's words, [burst] of them, whose
+   inter-beat counts are the popcounts of consecutive words, taken on
+   their tagged values ((2a + 1) xor (2b + 1) = 2 (a xor b)).  Returns the
+   one-lump class of L2_BODY at k = 1, 0.0 plus the lump: the same IEEE
+   operations in the same order, without a class table to check.  A
+   burst below 1 or past [data], or a short [ln], returns NaN before
+   anything is read past; the bytecode entry boxes the result. */
+double lane_data_lump(value vln, value vdir, value vburst, value vdata)
+{
+  intnat burst = Long_val(vburst);
+  if (float_len(vln) < L_FIELDS || burst < 1
+      || (uintnat) burst > Wosize_val(vdata))
+    return NAN;
+  const double *ln = (const double *) vln;
+  const value *d = (const value *) vdata;
+  double t = ln[L_BDT];
+  for (intnat p = 1; p < burst; p++)
+    t += (double) popcount((uint64_t) (d[p] ^ d[p - 1]));
+  return 0.0 + DATA_LUMP(t, ln[vdir == Val_long(0) ? L_RDATA : L_WDATA],
+                         ln[L_SPB], ln[L_CTRL], burst);
+}
+
+value lane_data_lump_byte(value vln, value vdir, value vburst, value vdata)
+{
+  return caml_copy_double(lane_data_lump(vln, vdir, vburst, vdata));
 }
 
 /* The segment pricer, one lane block of NB vectors of VT from lane [l]:
@@ -527,11 +704,6 @@ ALWAYS_INLINE value ops_body(value vkind, value varg, value voff,
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 
 #define VARIANT(NAME, TARGET, VT)                                      \
-  TARGET static value price_##NAME(value ws, value pj, value e,        \
-                                   value k)                            \
-  {                                                                    \
-    return price_body(ws, pj, e, k);                                   \
-  }                                                                    \
   TARGET static value l2_##NAME(value voff, value vws, value vln,      \
                                 value ve, value vk)                  \
   {                                                                    \
@@ -560,15 +732,14 @@ VARIANT(avx512, __attribute__((target("avx512f"))), v8d)
 
 /* Variant 0 is baseline x86-64, 1 AVX2, 2 AVX-512F. */
 static const struct {
-  value (*price)(value, value, value, value);
   value (*l2)(value, value, value, value, value);
   value (*segments)(value, value, value, value, value);
   value (*walk)(value, value, value, value, value);
   value (*ops)(value, value, value, value, value, value, value, value);
 } variants[3] = {
-  { price_base, l2_base, segments_base, walk_base, ops_base },
-  { price_avx2, l2_avx2, segments_avx2, walk_avx2, ops_avx2 },
-  { price_avx512, l2_avx512, segments_avx512, walk_avx512, ops_avx512 },
+  { l2_base, segments_base, walk_base, ops_base },
+  { l2_avx2, segments_avx2, walk_avx2, ops_avx2 },
+  { l2_avx512, segments_avx512, walk_avx512, ops_avx512 },
 };
 
 static int chosen;
@@ -595,11 +766,6 @@ __attribute__((constructor)) static void choose(void)
 }
 
 #define CHOSEN variants[__atomic_load_n(&chosen, __ATOMIC_RELAXED)]
-
-value lane_price_l1(value ws, value pj, value e, value k)
-{
-  return CHOSEN.price(ws, pj, e, k);
-}
 
 value lane_price_l2(value off, value ws, value ln, value e, value k)
 {
@@ -636,11 +802,6 @@ value lane_variant(value vv)
 }
 
 #else
-
-value lane_price_l1(value ws, value pj, value e, value k)
-{
-  return price_body(ws, pj, e, k);
-}
 
 value lane_price_l2(value voff, value vws, value vln, value ve, value vk)
 {

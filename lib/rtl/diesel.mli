@@ -8,17 +8,21 @@
     to the transaction-level characterization — they are the systematic
     part of the layer-1 estimation error the paper measures.
 
-    The per-cycle observation allocates nothing and costs in proportion to
-    the toggles, not the wires: for each {!Wires} group it walks the set
-    bits of the [current lxor next] word lowest first, looking each edge
-    up in a per-wire rise/fall table and each touched adjacent pair in a
-    per-pair coupling table indexed by which of the two wires toggled and
-    whether their new values differ.  The control word gets self energy
-    only, in ascending wire order.  The original naive path (a movements
-    array per group per cycle, each control wire its own group,
-    capacitance math per toggle) is retained behind [~reference:true] as
-    the validation oracle; both paths accumulate floats in the same order
-    and are bit-for-bit equal. *)
+    The per-cycle observation is one call of the lane kernel's gate-level
+    close ([lib/power/lane_kernel.c]): it allocates nothing and costs in
+    proportion to the toggles, not the wires.  For each {!Wires} group it
+    walks the set bits of the [current lxor next] word lowest first,
+    looking each edge up in a per-wire rise/fall table and each touched
+    adjacent pair in a per-pair coupling table indexed by which of the two
+    wires toggled and whether their new values differ; the control word
+    gets self energy only, in ascending wire order; then it commits the
+    wires.  It reads {!Wires.t} by field position, so that record's field
+    order is part of the kernel's contract.  The original naive path (a
+    movements array per group per cycle, each control wire its own group,
+    capacitance math per toggle) is retained in OCaml behind
+    [~reference:true] as the validation oracle; both paths make every
+    accumulator's IEEE additions in the same order and are bit-for-bit
+    equal. *)
 
 type t
 

@@ -16,10 +16,11 @@
     which is precisely the systematic error against the gate-level
     reference.
 
-    Each cycle's five toggle words are priced by the lane kernel, the C
-    file whose segment pricer [Compile.Eval] runs over k tables per
-    plan: the interpreter decodes its one class's words, a plan fold
-    reads the decode its capture recorded, and both do the same
+    Each cycle is closed by one call of the lane kernel's layer-1 close
+    ([lib/power/lane_kernel.c]), which reads the five toggle words from
+    {!Rtl.Wires.t} by field position, prices them, counts the
+    transitions and commits the wires.  Plan folds price the segment
+    tables their captures recorded in the same file, with the same
     additions in the same order. *)
 
 type t

@@ -1,8 +1,8 @@
 (* The layer-2 energy model (energy.mli).  Address lumps are one float per
    lane, computed with the lanes; data lumps are priced by the lane kernel
-   (lib/power/lane_kernel.c), which plan folds run over k lanes and the
-   interpreter below runs on one lump at one lane: one formula, one
-   order of IEEE operations, for both. *)
+   (lib/power/lane_kernel.c), whose class pricer plan folds run over k
+   lanes and whose one-lump entry the interpreter below runs on each data
+   phase: one lump formula, one order of IEEE operations, for both. *)
 
 type params = {
   boundary_addr_toggles : float;
@@ -57,18 +57,19 @@ let lanes points =
     avg_ctrl = per (fun table _ -> avg_ctrl_bit table);
   }
 
-(* The lane kernel's layer-2 entry (lib/power/lane_kernel.c), the one
-   lump formula of the interpreter and plan folds: [price_l2 off words ln
-   e k] prices every class of a layer-2 class table (Compile.Plan.classes)
-   under the k lanes [ln], class [c] of lane [l] into [e.(c * k + l)]: its
-   lumps onto 0.0 in event order, a data lump as the lane's boundary
-   toggles plus the inter-beat counts in beat order, times the data-bit
-   average, plus the strobe pulses times the control-bit average.  It
-   returns 0, or nonzero if it refused the table or the arrays before
-   reading past one. *)
-external price_l2 :
-  int array -> int array -> lanes -> float array -> int -> int
-  = "lane_price_l2"
+(* The lane kernel's one-lump entry (lib/power/lane_kernel.c), the
+   interpreter's data lump: [data_lump ln dir burst data] prices one data
+   phase, read ([dir] 0) or write, over the [burst] words of [data],
+   under the one lane [ln] (its six operands in the field order of
+   [lanes]) — the lane's boundary toggles plus the inter-beat counts in
+   beat order, times the data-bit average, plus the strobe pulses times
+   the control-bit average, added onto 0.0: the data lump that the
+   kernel's class pricer adds for a plan fold, the same IEEE operations in
+   the same order.  NaN if it refused the burst or the lane before
+   reading past either. *)
+external data_lump :
+  float array -> int -> int -> int array -> (float[@unboxed])
+  = "lane_data_lump_byte" "lane_data_lump"
 [@@noalloc]
 
 (* What the trace compiler needs to replay a lump stream: which phase
@@ -79,33 +80,33 @@ type event = Addr_lump of Ec.Txn.t | Data_lump of Ec.Txn.t | Cycle
 
 type t = {
   table : Power.Characterization.t;
-  mutable lane : lanes;  (* one lane: this model's point *)
-  created_lane : lanes;  (* what [reset] restores after calibration *)
+  mutable lane : float array;
+      (* this model's point: its one lane's operands in the field order
+         of [lanes] *)
+  created_lane : float array;  (* what [reset] restores after calibration *)
   meter : Power.Meter.t;
-  lump_off : int array;  (* [| 0; 2 + burst |]: one class, one lump *)
-  lump : int array;
-      (* the last data lump as a class: [1; dir; burst] and its inter-beat
-         toggle counts; bursts are 1 or 4 beats *)
-  pj : float array;  (* its energy, unboxed *)
   mutable observer : (event -> unit) option;
   mutable lumps : int;  (* phase lumps estimated: the model's work count *)
 }
 
-let create ?(record_profile = false) ?(params = default_params) table =
+let one_lane table params =
   let ln = lanes [| (table, params) |] in
+  [| ln.addr_lump.(0); ln.boundary_data_toggles.(0);
+     ln.strobe_pulses_per_beat.(0); ln.avg_rdata.(0); ln.avg_wdata.(0);
+     ln.avg_ctrl.(0) |]
+
+let create ?(record_profile = false) ?(params = default_params) table =
+  let ln = one_lane table params in
   {
     table;
     lane = ln;
     created_lane = ln;
     meter = Power.Meter.create ~record_profile ();
-    lump_off = [| 0; 0 |];
-    lump = Array.make 6 0;
-    pj = Array.make 1 0.0;
     observer = None;
     lumps = 0;
   }
 
-let set_params t params = t.lane <- lanes [| (t.table, params) |]
+let set_params t params = t.lane <- one_lane t.table params
 let set_observer t f = t.observer <- f
 
 let observe t ev =
@@ -120,27 +121,18 @@ let reset t =
 let address_phase_pj t (txn : Ec.Txn.t) =
   observe t (Addr_lump txn);
   t.lumps <- t.lumps + 1;
-  let pj = t.lane.addr_lump.(0) in
+  let pj = t.lane.(0) in
   Power.Meter.add t.meter pj;
   pj
 
-(* The lump is priced as a one-lump class at one lane: the class sum
-   starts at 0.0, and [0.0 +. x = x] for a lump, never -0.0. *)
 let data_phase_pj t (txn : Ec.Txn.t) =
   observe t (Data_lump txn);
   t.lumps <- t.lumps + 1;
   let burst = txn.Ec.Txn.burst and data = txn.Ec.Txn.data in
-  let w = t.lump in
-  w.(0) <- 1;
-  w.(1) <- (match txn.Ec.Txn.dir with Ec.Txn.Read -> 0 | Ec.Txn.Write -> 1);
-  w.(2) <- burst;
-  for i = 1 to burst - 1 do
-    w.(2 + i) <- Sim.Bits.popcount (data.(i) lxor data.(i - 1))
-  done;
-  t.lump_off.(1) <- 2 + burst;
-  if price_l2 t.lump_off w t.lane t.pj 1 <> 0 then
+  if burst < 1 || burst > Array.length data then
     invalid_arg "Tlm2.Energy.data_phase_pj: burst out of range";
-  let pj = t.pj.(0) in
+  let dir = match txn.Ec.Txn.dir with Ec.Txn.Read -> 0 | Ec.Txn.Write -> 1 in
+  let pj = data_lump t.lane dir burst data in
   Power.Meter.add t.meter pj;
   pj
 

@@ -641,49 +641,177 @@ let suite = suite @ cpu_props
    scans) must be bit-for-bit equal to the naive reference path it
    replaced, on every accumulator, for any stimulus and parameter set. *)
 
-let diesel_params = [| Rtl.Params.default; Rtl.Params.ideal;
-                       { Rtl.Params.default with Rtl.Params.coupling_ratio = 0.4;
-                         slope_rise = 1.2; slope_fall = 0.8 } |]
+(* Random electrical parameters: the default and ideal sets, or each
+   factor drawn, coupling zero in a quarter of the cases. *)
+let gen_rtl_params =
+  let open QCheck.Gen in
+  let f = float_range 0.0 2.0 in
+  frequency
+    [
+      (1, return Rtl.Params.default);
+      (1, return Rtl.Params.ideal);
+      ( 6,
+        let* vdd = float_range 0.5 2.0 and* slope_rise = f and* slope_fall = f
+        and* coupling_ratio =
+          frequency [ (1, return 0.0); (3, float_range 0.0 0.6) ]
+        and* opposite_factor = f and* same_relief = f
+        and* decoder = f and* glitch = f and* mux = f and* fsm = f
+        and* sel = f and* leakage = f in
+        return
+          { Rtl.Params.vdd; slope_rise; slope_fall; coupling_ratio;
+            opposite_factor; same_relief;
+            decoder_pj_per_addr_toggle = decoder;
+            glitch_pj_per_hamming = glitch; mux_pj_per_rdata_toggle = mux;
+            fsm_pj_per_ctrl_toggle = fsm; sel_pj_per_toggle = sel;
+            leakage_pj_per_cycle = leakage } );
+    ]
 
-let drive_random rng wires =
-  Rtl.Wires.set_addr wires (Sim.Rng.bits rng 34);
-  if Sim.Rng.bool rng then Rtl.Wires.set_be wires (Sim.Rng.bits rng 4);
-  Rtl.Wires.set_wdata wires (Sim.Rng.bits rng 32);
-  if Sim.Rng.bool rng then Rtl.Wires.set_rdata wires (Sim.Rng.bits rng 32);
+(* Random next values, each group's top bit and the pair below it
+   (addr bit 33, data bit 31, be bit 3, ctrl bit 10) forced high on a
+   third of the cycles. *)
+let drive_random rng ~n_slaves wires =
+  let top width = if Sim.Rng.int rng 3 = 0 then 3 lsl (width - 2) else 0 in
+  Rtl.Wires.set_addr wires (Sim.Rng.bits rng 34 lor top 34);
+  if Sim.Rng.bool rng then Rtl.Wires.set_be wires (Sim.Rng.bits rng 4 lor top 4);
+  Rtl.Wires.set_wdata wires (Sim.Rng.bits rng 32 lor top 32);
+  if Sim.Rng.bool rng then
+    Rtl.Wires.set_rdata wires (Sim.Rng.bits rng 32 lor top 32);
   List.iter
     (fun c -> Rtl.Wires.set_ctrl wires c (Sim.Rng.bool rng))
     Ec.Signals.all_ctrl;
-  Rtl.Wires.set_sel wires (Sim.Rng.bits rng 4)
+  if top 11 <> 0 then begin
+    Rtl.Wires.set_ctrl wires Ec.Signals.(List.nth all_ctrl 10) true;
+    Rtl.Wires.set_ctrl wires Ec.Signals.(List.nth all_ctrl 9) true
+  end;
+  Rtl.Wires.set_sel wires (Sim.Rng.bits rng n_slaves)
+
+(* What the table path visits in one cycle: every toggled bit, and on
+   the four buses every adjacent pair a toggle touches. *)
+let visited_bits (w : Rtl.Wires.t) =
+  let bus width cur nxt =
+    let c = cur lxor nxt in
+    Sim.Bits.popcount c
+    + Sim.Bits.popcount ((c lor (c lsr 1)) land ((1 lsl (width - 1)) - 1))
+  in
+  bus 34 w.addr w.addr_next + bus 4 w.be w.be_next
+  + bus 32 w.wdata w.wdata_next + bus 32 w.rdata w.rdata_next
+  + Sim.Bits.popcount (w.ctrl lxor w.ctrl_next)
 
 let prop_diesel_fast_equals_reference =
   QCheck.Test.make
     ~name:"optimized Diesel kernel = naive reference kernel (bit-exact)"
-    ~count:40
-    QCheck.(triple (int_bound 1_000_000) (int_range 1 120) (int_bound 2))
-    (fun (seed, cycles, param_idx) ->
-      let params = diesel_params.(param_idx) in
+    ~count:200
+    QCheck.(
+      quad (int_bound 1_000_000) (int_range 1 120) (int_range 1 62)
+        (make gen_rtl_params))
+    (fun (seed, cycles, n_slaves, params) ->
       let run ~reference =
-        let wires = Rtl.Wires.create ~n_slaves:4 in
-        let d = Rtl.Diesel.create ~params ~reference wires in
+        let wires = Rtl.Wires.create ~n_slaves in
+        let d = Rtl.Diesel.create ~params ~record_profile:true ~reference wires in
         let rng = Sim.Rng.create ~seed in
+        let visited = ref 0 in
         for _ = 1 to cycles do
-          drive_random rng wires;
+          drive_random rng ~n_slaves wires;
+          visited := !visited + visited_bits wires;
           Rtl.Diesel.observe_and_commit d
         done;
-        d
+        (d, !visited)
       in
-      let fast = run ~reference:false and ref_ = run ~reference:true in
-      Rtl.Diesel.interface_pj fast = Rtl.Diesel.interface_pj ref_
-      && Rtl.Diesel.internal_pj fast = Rtl.Diesel.internal_pj ref_
+      let (fast, visited), (ref_, _) =
+        (run ~reference:false, run ~reference:true)
+      in
+      let profile d =
+        Option.map Power.Profile.to_array (Power.Meter.profile (Rtl.Diesel.meter d))
+      in
+      let bits = Int64.bits_of_float in
+      bits (Rtl.Diesel.interface_pj fast) = bits (Rtl.Diesel.interface_pj ref_)
+      && bits (Rtl.Diesel.internal_pj fast) = bits (Rtl.Diesel.internal_pj ref_)
       && Rtl.Diesel.per_signal_transitions fast
          = Rtl.Diesel.per_signal_transitions ref_
-      && Rtl.Diesel.per_signal_energy_pj fast
-         = Rtl.Diesel.per_signal_energy_pj ref_
-      && Power.Meter.total_pj (Rtl.Diesel.meter fast)
-         = Power.Meter.total_pj (Rtl.Diesel.meter ref_))
+      && Array.map bits (Rtl.Diesel.per_signal_energy_pj fast)
+         = Array.map bits (Rtl.Diesel.per_signal_energy_pj ref_)
+      && bits (Power.Meter.total_pj (Rtl.Diesel.meter fast))
+         = bits (Power.Meter.total_pj (Rtl.Diesel.meter ref_))
+      && Option.map (Array.map bits) (profile fast)
+         = Option.map (Array.map bits) (profile ref_)
+      && Rtl.Diesel.transitions_total fast = Rtl.Diesel.transitions_total ref_
+      (* The work counts: six words a cycle and the visited bits on the
+         table path; sixteen words and every bit and pair, plus the
+         selects, on the reference path. *)
+      && Rtl.Diesel.words_scanned fast = 6 * cycles
+      && Rtl.Diesel.bits_visited fast = visited
+      && Rtl.Diesel.words_scanned ref_ = 16 * cycles
+      && Rtl.Diesel.bits_visited ref_
+         = cycles * ((2 * (34 + 4 + 32 + 32)) - 4 + 11 + n_slaves))
+
+(* The closes read and commit Rtl.Wires.t by field position
+   (lane_kernel.c): each group driven alone, with a distinct word, must
+   toggle exactly its own wires in both closes, and be committed. *)
+let test_wire_field_order () =
+  let table =
+    Power.Characterization.derive ~name:"order"
+      ~energy_pj:(Array.init Ec.Signals.count (fun i -> Float.ldexp 1.0 (i - 60)))
+      ~transitions:(Array.make Ec.Signals.count 1)
+  in
+  let groups =
+    [ ("addr", 0, 34, Rtl.Wires.set_addr, fun (w : Rtl.Wires.t) -> w.addr);
+      ("be", 34, 4, Rtl.Wires.set_be, fun w -> w.be);
+      ("wdata", 38, 32, Rtl.Wires.set_wdata, fun w -> w.wdata);
+      ("rdata", 70, 32, Rtl.Wires.set_rdata, fun w -> w.rdata);
+      ( "ctrl", 102, 11,
+        (fun w v ->
+          List.iteri
+            (fun i c -> Rtl.Wires.set_ctrl w c ((v lsr i) land 1 = 1))
+            Ec.Signals.all_ctrl),
+        fun w -> w.ctrl ) ]
+  in
+  List.iter
+    (fun (name, base, width, set, get) ->
+      let word = 0b1011 lsl (width - 4) in
+      let w = Rtl.Wires.create ~n_slaves:3 in
+      let d = Rtl.Diesel.create w in
+      set w word;
+      Rtl.Diesel.observe_and_commit d;
+      let expect =
+        Array.init Ec.Signals.count (fun i ->
+            if i >= base && i < base + width && (word lsr (i - base)) land 1 = 1
+            then 1 else 0)
+      in
+      Alcotest.(check (array int)) (name ^ ": gate-level transitions") expect
+        (Rtl.Diesel.per_signal_transitions d);
+      Alcotest.(check int) (name ^ ": committed") word (get w);
+      let w1 = Rtl.Wires.create ~n_slaves:3 in
+      let e = Tlm1.Energy.create table in
+      set w1 word;
+      Tlm1.Energy.end_cycle e w1;
+      let pj = ref 0.0 in
+      Array.iteri
+        (fun i n ->
+          if n = 1 then
+            pj := !pj +. Power.Characterization.energy_per_transition table
+                          (Ec.Signals.of_index i))
+        expect;
+      Alcotest.(check (float 0.0)) (name ^ ": layer-1 energy") !pj
+        (Tlm1.Energy.total_pj e);
+      Alcotest.(check int) (name ^ ": committed at layer 1") word (get w1))
+    groups;
+  (* The selects: internal energy only, and committed by both. *)
+  let w = Rtl.Wires.create ~n_slaves:3 in
+  let d = Rtl.Diesel.create w in
+  Rtl.Wires.set_sel w 0b101;
+  Rtl.Diesel.observe_and_commit d;
+  Alcotest.(check int) "sel: no interface transitions" 0
+    (Rtl.Diesel.transitions_total d);
+  Alcotest.(check (float 0.0)) "sel: internal energy"
+    ((2.0 *. Rtl.Params.default.Rtl.Params.sel_pj_per_toggle)
+    +. Rtl.Params.default.Rtl.Params.leakage_pj_per_cycle)
+    (Rtl.Diesel.internal_pj d);
+  Alcotest.(check int) "sel: committed" 0b101 w.Rtl.Wires.sel
 
 let diesel_props =
   List.map QCheck_alcotest.to_alcotest [ prop_diesel_fast_equals_reference ]
+  @ [ Alcotest.test_case "wire field order = lane kernel's" `Quick
+        test_wire_field_order ]
 
 let suite = suite @ diesel_props
 
